@@ -16,7 +16,6 @@ from .gk import (
     NonIntegralWeight,
     fold_class,
     gk_dimension,
-    gk_dimension_integral,
     gk_dimension_of_weight,
     integrality_classes,
     is_integral,
@@ -38,12 +37,14 @@ from .harness import (
     verify_family,
 )
 from .rootdata import (
+    BlockPlan,
     IndexOutOfRange,
     InvalidParabolic,
     LieType,
     NilpotencyReport,
     ParabolicSetup,
     WeightVector,
+    block_offsets,
     classify_parabolic,
     dim_nilradical,
     fundamental_weight,

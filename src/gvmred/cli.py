@@ -196,22 +196,24 @@ def _cmd_sweep(args) -> int:
 
 def _cmd_verify(args) -> int:
     report = verify_family(args.type, args.max_n)
-    if report.mismatches:
-        for setup, row in report.mismatches:
-            record = row_record(setup, row)
-            print(
-                "mismatch " + " ".join(f"{k}={_text_value(v)}" for k, v in record.items())
-            )
+    for setup, row in report.mismatches:
+        record = row_record(setup, row)
+        print("mismatch " + " ".join(f"{k}={_text_value(v)}" for k, v in record.items()))
+    if report.errors:
+        setup, z1, z2, exc = report.errors[0]
         print(
-            f"verified {report.setups_checked} setups, {report.points_checked} points: "
-            f"{len(report.mismatches)} mismatches"
+            f"first error type={setup.lie.kind} n={setup.n} p={setup.p} q={setup.q} "
+            f"z1={z1} z2={z2}: {exc}"
         )
-        return 1
+    checked = f"verified {report.setups_checked} setups, {report.points_checked} points"
+    if report.ok:
+        print(f"{checked}: no mismatches, no errors")
+        return 0
     print(
-        f"verified {report.setups_checked} setups, {report.points_checked} points: "
-        "no mismatches"
+        f"{checked} of {report.grid_points}: "
+        f"{len(report.mismatches)} mismatches, {len(report.errors)} errors"
     )
-    return 0
+    return 1
 
 
 def _cmd_diagram(args) -> int:

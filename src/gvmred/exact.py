@@ -59,7 +59,10 @@ class ExactScalar:
             self.generic = tuple(
                 (name, coeff) for name, coeff in sorted(merged.items()) if coeff
             )
-        self._hash = hash((self.rational, self.generic))
+        # a rational scalar equals its Fraction (and int), so hashes alike
+        self._hash = (
+            hash((self.rational, self.generic)) if self.generic else hash(self.rational)
+        )
 
     @property
     def is_rational(self) -> bool:

@@ -12,9 +12,9 @@ from __future__ import annotations
 
 import json
 import os
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from fractions import Fraction
+from functools import cached_property
 from typing import Callable
 
 from .exact import ExactScalar, symbol
@@ -36,6 +36,10 @@ class GridSpec:
     step: Fraction = Fraction(1, 2)
     extra_rationals: tuple[Fraction, ...] = (Fraction(1, 3),)
     generic_names: tuple[str, ...] = ("tau", "sigma")
+
+    def __post_init__(self):
+        if self.step <= 0:
+            raise ValueError(f"grid step must be positive, got {self.step}")
 
     def rationals(self) -> list[Fraction]:
         values = []
@@ -60,6 +64,11 @@ class ParameterGrid:
             raise ValueError("diagonal pairing needs equal-length value lists")
 
     def points(self) -> tuple[Point, ...]:
+        """Every point once, in grid order; listed on the first call."""
+        return self._points
+
+    @cached_property
+    def _points(self) -> tuple[Point, ...]:
         seen: dict[Point, None] = {}
         if self.pairing == "cartesian":
             for a in self.z1_values:
@@ -73,7 +82,7 @@ class ParameterGrid:
         return tuple(seen)
 
     def __len__(self) -> int:
-        return len(self.points())
+        return len(self._points)
 
 
 def grid_from_spec(spec: GridSpec) -> ParameterGrid:
@@ -155,6 +164,9 @@ def sweep(
     if criterion_fn is None and threads > 1 and len(points) >= 64:
         size = max(1, -(-len(points) // threads))
         chunks = [points[i : i + size] for i in range(0, len(points), size)]
+        # imported here: one-point CLI commands never load multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=threads) as pool:
             for rows in pool.map(_eval_chunk, [(setup, c) for c in chunks]):
                 report.rows.extend(rows)
@@ -169,13 +181,26 @@ def sweep(
 
 @dataclass
 class MismatchReport:
+    """Outcome of a family verification.
+
+    ``errors`` holds (setup, z1, z2, exception) for each point whose
+    evaluation raised; ``grid_points`` counts every point of the swept
+    grids, so a run that skipped or lost points cannot pass.
+    """
+
     mismatches: list[tuple[ParabolicSetup, SweepRow]]
     setups_checked: int = 0
     points_checked: int = 0
+    errors: list[tuple[ParabolicSetup, str, str, str]] = field(default_factory=list)
+    grid_points: int = 0
 
     @property
     def ok(self) -> bool:
-        return not self.mismatches
+        return (
+            not self.mismatches
+            and not self.errors
+            and self.points_checked == self.grid_points
+        )
 
 
 def family_setups(kind: str, n_max: int) -> list[ParabolicSetup]:
@@ -206,9 +231,12 @@ def verify_family(
     """Sweep every setup of the family and collect criterion/oracle clashes."""
     report = MismatchReport(mismatches=[])
     for setup in family_setups(kind, n_max):
-        swept = sweep(setup, standard_grid(setup), criterion_fn, threads)
+        grid = standard_grid(setup)
+        swept = sweep(setup, grid, criterion_fn, threads)
         report.setups_checked += 1
+        report.grid_points += len(grid)
         report.points_checked += len(swept.rows)
+        report.errors.extend((setup, *error) for error in swept.errors)
         report.mismatches.extend(
             (setup, row) for row in swept.rows if row.verdict.agree is False
         )

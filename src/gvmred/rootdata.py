@@ -4,14 +4,25 @@ Weyl vector, fundamental weights, the shifted weight z1*xi_p + z2*xi_q + rho
 for two-parameter scalar highest weights, nilpotency classification of
 parabolic subalgebras by highest-root multiplicities, and the nilradical
 dimension.
+
+The oracle does not build the shifted weight entry by entry.  Its
+coordinates fall into at most three runs on which the coefficients of
+xi_p and xi_q are constant, so the weight is a run of integer rho entries
+per block plus one offset per block (``BlockPlan``, ``block_offsets``).
+Type A uses the gl(n) representative xi_p = (1^p, 0^(n-p)),
+rho = (n-1, ..., 1, 0): it differs from the sl(n) weight by a common
+shift of every coordinate, which changes neither the integrality classes
+(they depend on differences) nor any Robinson-Schensted shape (it depends
+on relative order), and it has no 1/n denominators.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
-from typing import Iterable, Iterator
+from functools import cached_property, lru_cache
+from math import lcm
+from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import ExactScalar
 
@@ -178,6 +189,32 @@ class ParabolicSetup:
     def dim_u(self) -> int:
         return dim_nilradical(self)
 
+    @cached_property
+    def block_plan(self) -> BlockPlan:
+        """The shifted weight's coordinates in blocks, built on first use.
+
+        Type A: blocks [0,p), [p,q), [q,n) of the gl(n) representative.
+        Type D: runs of the doubled so(2n) fundamental weight coefficients.
+        """
+        lie, n = self.lie, self.n
+        if lie.kind == "A":
+            pairs = [(2 * (j < self.p), 2 * (j < self.q)) for j in range(n)]
+            rho = [n - 1 - j for j in range(n)]
+        else:
+            xi_p = fundamental_weight(lie, self.p)
+            xi_q = fundamental_weight(lie, self.q)
+            pairs = [(int(2 * a.rational), int(2 * b.rational)) for a, b in zip(xi_p, xi_q)]
+            rho = [int(r.rational) for r in weyl_vector(lie)]
+        coefficients: list[tuple[int, int]] = []
+        runs: list[list[int]] = []
+        for pair, r in zip(pairs, rho):
+            if coefficients and coefficients[-1] == pair:
+                runs[-1].append(r)
+            else:
+                coefficients.append(pair)
+                runs.append([r])
+        return BlockPlan(tuple(coefficients), tuple(tuple(run) for run in runs))
+
 
 def dim_nilradical(setup: ParabolicSetup) -> int:
     """Dimension of the nilradical of the parabolic."""
@@ -199,3 +236,68 @@ def shifted_weight(setup: ParabolicSetup, z1, z2) -> WeightVector:
         for a, b, r in zip(xi_p, xi_q, rho)
     )
     return WeightVector(entries)
+
+
+# ---------------------------------------------------------------------------
+# block form of the shifted weight
+
+
+class BlockPlan(NamedTuple):
+    """Maximal runs of coordinates with equal (xi_p, xi_q) coefficients.
+
+    ``coefficients[b]`` holds block b's coefficients doubled, so they are
+    integers; ``rho_runs[b]`` its integer rho entries, in coordinate order.
+    Block b's entries of the shifted weight are
+    ``(c1*z1 + c2*z2)/2 + r`` for ``(c1, c2) = coefficients[b]`` and r in
+    ``rho_runs[b]``.
+    """
+
+    coefficients: tuple[tuple[int, int], ...]
+    rho_runs: tuple[tuple[int, ...], ...]
+
+
+class Offsets(NamedTuple):
+    """Exact values ``(nums[i] + symbols[i] . s) / scale`` over integers.
+
+    ``symbols`` is None when every value is rational; otherwise each entry
+    is an integer vector of symbol coefficients, all on one common scale of
+    their own, so equal vectors mean equal symbol parts and a negated
+    vector the negated symbol part.
+    """
+
+    nums: tuple[int, ...]
+    scale: int
+    symbols: tuple[tuple[int, ...], ...] | None
+
+
+def scaled_offsets(values: Sequence) -> Offsets:
+    """Exact scalars (or ints, Fractions) as integers over common scales."""
+    values = [v if isinstance(v, ExactScalar) else ExactScalar(v) for v in values]
+    scale = lcm(*(v.rational.denominator for v in values))
+    nums = tuple(v.rational.numerator * (scale // v.rational.denominator) for v in values)
+    if not any(v.generic for v in values):
+        return Offsets(nums, scale, None)
+    coeffs = [dict(v.generic) for v in values]
+    names = sorted(set().union(*coeffs))
+    sym_scale = lcm(*(c.denominator for v in values for _, c in v.generic))
+    symbols = tuple(
+        tuple(
+            c[name].numerator * (sym_scale // c[name].denominator) if name in c else 0
+            for name in names
+        )
+        for c in coeffs
+    )
+    return Offsets(nums, scale, symbols)
+
+
+def block_offsets(plan: BlockPlan, z1, z2) -> Offsets:
+    """Each block's offset (c1*z1 + c2*z2)/2, computed once per point."""
+    (n1, n2), scale, symbols = scaled_offsets((z1, z2))
+    coefficients = plan.coefficients
+    nums = tuple(c1 * n1 + c2 * n2 for c1, c2 in coefficients)
+    if symbols is not None:
+        s1, s2 = symbols
+        symbols = tuple(
+            tuple(c1 * a + c2 * b for a, b in zip(s1, s2)) for c1, c2 in coefficients
+        )
+    return Offsets(nums, 2 * scale, symbols)

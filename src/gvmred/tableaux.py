@@ -1,8 +1,12 @@
-"""Robinson-Schensted shape statistics over exact scalars.
+"""Robinson-Schensted shape statistics.
 
 Row insertion bumps the leftmost entry strictly greater than the inserted
 value, so rows are weakly increasing and equal values accumulate in one
-row.  Only the shape of the insertion tableau matters downstream; the full
+row.  There is one insertion loop, ``insertion_rows``, over any totally
+ordered keys: the GK-dimension oracle feeds it integer keys, and the
+ExactScalar functions (``rs_shape``, ``rs_tableau``, ``depth_sum``,
+``even_depth_sum``) feed it the rational parts of a sequence whose entries
+share one symbol part.  Only the shape matters downstream; the full
 tableau is kept solely for the CLI's debug rendering.
 """
 
@@ -31,10 +35,10 @@ def _order_keys(seq: Sequence[ExactScalar]) -> list[Fraction]:
     return [e.rational for e in seq]
 
 
-def rs_shape(seq: Sequence[ExactScalar]) -> Shape:
-    """Shape of the insertion tableau of ``seq``, processed left to right."""
-    rows: list[list[Fraction]] = []
-    for v in _order_keys(seq):
+def insertion_rows(keys: Sequence) -> list[list]:
+    """Rows of the insertion tableau of ``keys``, processed left to right."""
+    rows: list[list] = []
+    for v in keys:
         for row in rows:
             if v >= row[-1]:
                 row.append(v)
@@ -43,28 +47,27 @@ def rs_shape(seq: Sequence[ExactScalar]) -> Shape:
             row[j], v = v, row[j]
         else:
             rows.append([v])
-    return tuple(len(r) for r in rows)
+    return rows
+
+
+def key_shape(keys: Sequence) -> Shape:
+    """Shape of the insertion tableau of totally ordered keys."""
+    return tuple(len(row) for row in insertion_rows(keys))
+
+
+def rs_shape(seq: Sequence[ExactScalar]) -> Shape:
+    """Shape of the insertion tableau of ``seq``, processed left to right."""
+    return key_shape(_order_keys(seq))
 
 
 def rs_tableau(seq: Sequence[ExactScalar]) -> tuple[ScalarSequence, ...]:
-    """Full insertion tableau (row-major), for debug output."""
+    """Full insertion tableau (row-major), for debug output.
+
+    Entries share one symbol part, so equal keys stand for equal scalars.
+    """
     keys = _order_keys(seq)
-    key_rows: list[list[Fraction]] = []
-    val_rows: list[list[ExactScalar]] = []
-    for k, s in zip(keys, seq):
-        v_key, v_val = k, s
-        for krow, vrow in zip(key_rows, val_rows):
-            if v_key >= krow[-1]:
-                krow.append(v_key)
-                vrow.append(v_val)
-                break
-            j = bisect_right(krow, v_key)
-            krow[j], v_key = v_key, krow[j]
-            vrow[j], v_val = v_val, vrow[j]
-        else:
-            key_rows.append([v_key])
-            val_rows.append([v_val])
-    return tuple(tuple(r) for r in val_rows)
+    scalar_of = dict(zip(keys, seq))
+    return tuple(tuple(scalar_of[k] for k in row) for row in insertion_rows(keys))
 
 
 def render_tableau(tableau: tuple[ScalarSequence, ...]) -> str:
@@ -72,8 +75,11 @@ def render_tableau(tableau: tuple[ScalarSequence, ...]) -> str:
     return "\n".join(" ".join(str(e) for e in row) for row in tableau)
 
 
-def minus_double(seq: Sequence[ExactScalar]) -> ScalarSequence:
-    """``seq`` followed by its reversed negation; length doubles."""
+def minus_double(seq: Sequence) -> tuple:
+    """``seq`` followed by its reversed negation; length doubles.
+
+    Works on exact scalars and on integer keys alike.
+    """
     return tuple(seq) + tuple(-e for e in reversed(seq))
 
 
@@ -100,12 +106,22 @@ def conjugate(shape: Shape) -> Shape:
     return tuple(sum(1 for p in shape if p >= j) for j in range(1, shape[0] + 1))
 
 
+def shape_depth_sum(shape: Shape) -> int:
+    """Sum over boxes of the shape of (row index - 1)."""
+    return sum(i * p for i, p in enumerate(shape))
+
+
+def shape_even_depth_sum(shape: Shape) -> int:
+    """Like shape_depth_sum but counting only even boxes."""
+    ev, _ = even_odd_counts(shape)
+    return sum(i * e for i, e in enumerate(ev))
+
+
 def depth_sum(seq: Sequence[ExactScalar]) -> int:
     """Sum over boxes of the insertion shape of (row index - 1)."""
-    return sum(i * p for i, p in enumerate(rs_shape(seq)))
+    return shape_depth_sum(rs_shape(seq))
 
 
 def even_depth_sum(seq: Sequence[ExactScalar]) -> int:
     """Like depth_sum but counting only even boxes."""
-    ev, _ = even_odd_counts(rs_shape(seq))
-    return sum(i * e for i, e in enumerate(ev))
+    return shape_even_depth_sum(rs_shape(seq))

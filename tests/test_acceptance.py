@@ -19,7 +19,6 @@ from gvmred import (
     family_setups,
     fundamental_weight,
     gk_dimension,
-    gk_dimension_integral,
     gk_dimension_of_weight,
     has_maximal_shape,
     render_diagram,
@@ -37,6 +36,7 @@ from gvmred import (
 )
 
 from conftest import SIGMA, TAU, sc
+from dense_gk import gk_dimension_integral
 
 A = lambda n: LieType("A", n)
 D = lambda n: LieType("D", n)

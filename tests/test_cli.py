@@ -1,9 +1,14 @@
 import json
+import os
+import subprocess
+import sys
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
+from hypothesis import given, strategies as st
 
-from gvmred import ExactScalar, MismatchReport, symbol
+from gvmred import ExactScalar, LieType, MismatchReport, ParabolicSetup, standard_grid, symbol
 from gvmred.cli import main, parse_scalar
 
 from conftest import SIGMA, TAU, sc
@@ -42,6 +47,19 @@ def test_scalar_round_trip():
     ]
     for s in samples:
         assert parse_scalar(str(s)) == s
+
+
+cli_scalars = st.builds(
+    lambda r, t, s: ExactScalar(r, {"tau": t, "sigma": s}),
+    st.fractions(min_value=-20, max_value=20, max_denominator=12),
+    st.fractions(min_value=-3, max_value=3, max_denominator=4),
+    st.sampled_from((Fraction(0), Fraction(1), Fraction(-1), Fraction(5, 2))),
+)
+
+
+@given(cli_scalars)
+def test_printed_scalars_parse_back(x):
+    assert parse_scalar(str(x)) == x
 
 
 def test_gkdim_command(capsys):
@@ -135,7 +153,7 @@ def test_verify_command_clean(capsys):
     code = main(["verify", "--type", "D", "--max-n", "4"])
     out = capsys.readouterr().out
     assert code == 0
-    assert "no mismatches" in out
+    assert "no mismatches, no errors" in out
 
 
 def test_verify_command_mismatch_exit_code(capsys, monkeypatch):
@@ -153,6 +171,41 @@ def test_verify_command_mismatch_exit_code(capsys, monkeypatch):
     out = capsys.readouterr().out
     assert code == 1
     assert "mismatch" in out
+
+
+def test_verify_command_counts_errors(capsys, monkeypatch):
+    import gvmred.verdict as verdict_mod
+
+    def broken(setup, z1, z2):
+        raise RuntimeError("criterion failed")
+
+    monkeypatch.setattr(verdict_mod, "criterion", broken)
+    code = main(["verify", "--type", "A", "--max-n", "3"])
+    out = capsys.readouterr().out
+    points = len(standard_grid(ParabolicSetup(LieType("A", 3), 1, 2)))
+    assert code == 1
+    assert f"verified 1 setups, 0 points of {points}: 0 mismatches, {points} errors" in out
+    assert "criterion failed" in out
+
+
+def test_sweep_rejects_nonpositive_step(capsys):
+    for step in ("--step=0", "--step=-1/2"):
+        argv = ["sweep", "--type", "A", "--n", "4", "--p", "1", "--q", "2"]
+        argv += ["--grid", "custom", "--lo=0", "--hi=1", step]
+        assert main(argv) == 2
+        assert "step must be positive" in capsys.readouterr().err
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    code = "import sys, gvmred.cli; print('concurrent.futures.process' in sys.modules)"
+    out = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
+    )
+    assert out.returncode == 0, out.stderr
+    assert out.stdout.strip() == "False"
 
 
 def test_diagram_ascii(capsys):

@@ -142,3 +142,18 @@ def test_str_is_canonical():
     assert str(-TAU) == "-tau"
     assert str(sc(2) - TAU) == "2-tau"
     assert str(sc("1/3") + ExactScalar(0, {"tau": Fraction(3, 2)})) == "1/3+3/2*tau"
+
+
+def test_rational_scalar_hashes_like_its_value():
+    assert ExactScalar(2) == 2 and hash(ExactScalar(2)) == hash(2)
+    assert hash(sc("-5/2")) == hash(Fraction(-5, 2))
+    assert len({ExactScalar(2), 2}) == 1
+    assert {Fraction(1, 3): "x"}[sc("1/3")] == "x"
+
+
+@given(scalars, scalars)
+def test_equal_scalars_hash_equal(a, b):
+    if a == b:
+        assert hash(a) == hash(b)
+    if a.is_rational:
+        assert a == a.rational and hash(a) == hash(a.rational)

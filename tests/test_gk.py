@@ -2,7 +2,9 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import dense_gk
 from gvmred import (
     ExactScalar,
     LieType,
@@ -10,16 +12,18 @@ from gvmred import (
     ParabolicSetup,
     WeightVector,
     dim_nilradical,
+    family_setups,
     fold_class,
     gk_dimension,
-    gk_dimension_integral,
     gk_dimension_of_weight,
     integrality_classes,
     is_integral,
+    standard_grid,
     weyl_vector,
 )
 
 from conftest import SIGMA, TAU, sc, seq
+from dense_gk import gk_dimension_integral
 
 A = lambda n: LieType("A", n)
 D = lambda n: LieType("D", n)
@@ -160,3 +164,69 @@ def test_integral_path_rejects_split_weights():
     with pytest.raises(NonIntegralWeight):
         gk_dimension_integral(seq(0, "1/2"), A(2))
     assert not is_integral(seq("1/3", 0, "2/3", 1), D(4))
+
+
+def test_block_core_matches_dense_route_on_standard_grids():
+    checked = 0
+    for kind, n_max in (("A", 6), ("D", 7)):
+        for setup in family_setups(kind, n_max):
+            for z1, z2 in standard_grid(setup).points():
+                assert gk_dimension(setup, z1, z2) == dense_gk.gk_dimension(setup, z1, z2), (
+                    setup,
+                    z1,
+                    z2,
+                )
+                checked += 1
+    assert checked > 35000
+
+
+@st.composite
+def setups(draw):
+    if draw(st.booleans()):
+        n = draw(st.integers(3, 9))
+        p = draw(st.integers(1, n - 2))
+        q = draw(st.integers(p + 1, n - 1))
+        return ParabolicSetup(A(n), p, q)
+    n = draw(st.integers(4, 8))
+    p, q = draw(st.sampled_from(((1, n - 1), (1, n), (n - 1, n))))
+    return ParabolicSetup(D(n), p, q)
+
+
+rationals = st.builds(
+    Fraction, st.integers(-30, 12), st.integers(1, 6)
+)
+offsets = st.sampled_from((ExactScalar(0), TAU, -TAU, SIGMA, TAU * Fraction(1, 2)))
+
+
+@st.composite
+def parameter_pairs(draw):
+    a, b = draw(rationals), draw(rationals)
+    if draw(st.booleans()):
+        return ExactScalar(a) + TAU, ExactScalar(b) - TAU
+    return ExactScalar(a) + draw(offsets), ExactScalar(b) + draw(offsets)
+
+
+@settings(max_examples=300, deadline=None)
+@given(setups(), parameter_pairs())
+def test_block_core_matches_dense_route_at_random_points(setup, pair):
+    z1, z2 = pair
+    assert gk_dimension(setup, z1, z2) == dense_gk.gk_dimension(setup, z1, z2)
+
+
+dense_entries = st.lists(
+    st.builds(lambda r, g: ExactScalar(r) + g, rationals, offsets), min_size=4, max_size=8
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(dense_entries, st.sampled_from("AD"))
+def test_dense_adapters_match_dense_route(entries, kind):
+    lie = LieType(kind, len(entries))
+    dec = integrality_classes(entries, lie)
+    classes, integer, half, others = dense_gk.classes(entries, kind)
+    assert dec.classes == classes
+    if kind == "D":
+        assert (dec.integer_class, dec.half_class, dec.other_classes) == (integer, half, others)
+        for x in others:
+            assert fold_class(x) == dense_gk.fold(x)
+    assert gk_dimension_of_weight(entries, lie) == dense_gk.gk_dimension_of_weight(entries, lie)

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 
 from gvmred import (
+    GridSpec,
     LieType,
     ParabolicSetup,
     ParameterGrid,
@@ -116,6 +117,34 @@ def test_verify_family_small_clean():
     assert report.ok
     assert report.setups_checked == 4
     assert report.points_checked > 0
+    assert report.points_checked == report.grid_points
+    assert report.errors == []
+
+
+def test_verify_family_fails_when_every_point_raises():
+    def broken(setup, z1, z2):
+        raise RuntimeError("criterion failed")
+
+    report = verify_family("A", 4, criterion_fn=broken)
+    assert not report.ok
+    assert report.points_checked == 0
+    assert report.grid_points == sum(len(standard_grid(s)) for s in family_setups("A", 4))
+    assert len(report.errors) == report.grid_points
+    setup, z1, z2, exc = report.errors[0]
+    assert setup == family_setups("A", 4)[0] and "criterion failed" in exc
+
+
+def test_grid_points_listed_once():
+    grid = standard_grid(ParabolicSetup(A(5), 1, 3))
+    points = grid.points()
+    assert grid.points() is points
+    assert len(grid) == len(points) == len(set(points))
+
+
+def test_grid_spec_rejects_nonpositive_step():
+    for step in (Fraction(0), Fraction(-1, 2)):
+        with pytest.raises(ValueError):
+            GridSpec(lo=Fraction(0), hi=Fraction(1), step=step)
 
 
 def test_verify_family_detects_corrupted_criterion():

@@ -9,6 +9,7 @@ from gvmred import (
     InvalidParabolic,
     LieType,
     ParabolicSetup,
+    block_offsets,
     classify_parabolic,
     dim_nilradical,
     fundamental_weight,
@@ -16,7 +17,7 @@ from gvmred import (
     weyl_vector,
 )
 
-from conftest import TAU, sc, seq
+from conftest import SIGMA, TAU, sc, seq
 
 
 def test_lie_type_validation():
@@ -159,3 +160,37 @@ def test_setup_derived_quantities():
     s = ParabolicSetup(LieType("A", 11), 3, 9)
     assert (s.middle, s.outer_min, s.outer_max) == (6, 2, 3)
     assert s.dim_u == 9 * 2 + 3 * 6
+
+
+def test_block_plans():
+    plan = ParabolicSetup(LieType("A", 5), 1, 3).block_plan
+    assert plan.coefficients == ((2, 2), (0, 2), (0, 0))
+    assert plan.rho_runs == ((4,), (3, 2), (1, 0))
+    plan = ParabolicSetup(LieType("D", 6), 1, 5).block_plan
+    assert plan.coefficients == ((2, 1), (0, 1), (0, -1))
+    assert plan.rho_runs == ((5,), (4, 3, 2, 1), (0,))
+    plan = ParabolicSetup(LieType("D", 6), 5, 6).block_plan
+    assert plan.coefficients == ((1, 1), (-1, 1))
+    assert plan.rho_runs == ((5, 4, 3, 2, 1), (0,))
+
+
+def test_block_offsets_match_shifted_weight_differences():
+    for setup in (
+        ParabolicSetup(LieType("A", 6), 2, 5),
+        ParabolicSetup(LieType("D", 5), 1, 4),
+        ParabolicSetup(LieType("D", 5), 1, 5),
+    ):
+        for z1, z2 in ((sc("1/3"), sc(-2)), (sc(-1) + TAU, sc("5/2") - TAU), (TAU, SIGMA)):
+            plan = setup.block_plan
+            nums, scale, symbols = block_offsets(plan, z1, z2)
+            names = sorted({name for z in (z1, z2) for name, _ in z.generic})
+            entries = []
+            for b, run in enumerate(plan.rho_runs):
+                sym = dict(zip(names, symbols[b])) if symbols else {}
+                # symbol vectors are on the parameters' own scale, doubled
+                offset = ExactScalar(Fraction(nums[b], scale), {k: Fraction(v, 2) for k, v in sym.items()})
+                entries.extend(offset + r for r in run)
+            dense = shifted_weight(setup, z1, z2).entries
+            # type A blocks hold the gl(n) representative: a common shift
+            shift = dense[0] - entries[0] if setup.lie.kind == "A" else 0
+            assert all(d - e == shift for d, e in zip(dense, entries))
