@@ -68,7 +68,6 @@ from .verdict import (
     criterion,
     criterion_a_diagonal,
     criterion_a_offdiagonal,
-    criterion_a_offdiagonal_cases,
     criterion_d,
     evaluate,
     has_maximal_shape,

@@ -19,6 +19,7 @@ from fractions import Fraction
 from .exact import ExactScalar
 from .gk import gk_dimension
 from .harness import (
+    GENERIC_NAMES,
     GridSpec,
     SweepRow,
     grid_from_spec,
@@ -33,8 +34,6 @@ from .harness import (
 from .rootdata import LieType, ParabolicSetup
 from .tableaux import render_tableau, rs_shape, rs_tableau
 from .verdict import evaluate
-
-GENERIC_NAMES = ("tau", "sigma")
 
 
 def parse_scalar(text: str) -> ExactScalar:
@@ -75,10 +74,6 @@ def parse_scalar(text: str) -> ExactScalar:
             except (ValueError, ZeroDivisionError) as exc:
                 raise ValueError(f"bad scalar {text!r}: {exc}") from None
     return ExactScalar(rational, generic)
-
-
-def format_scalar(value: ExactScalar) -> str:
-    return str(value)
 
 
 def _setup_from_args(args) -> ParabolicSetup:
@@ -246,7 +241,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else 2
     try:
         return _COMMANDS[args.command](args)
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

@@ -4,14 +4,12 @@ A standard grid walks both parameters over a half-step rational range that
 extends past every reducibility boundary, adds a non-half-integral rational
 and the generic symbols tau and sigma on each axis, and couples symbol
 offsets (a+tau, b-tau) so the "integral sum, non-integral parts" branches
-are exercised.  Sweeps are deterministic: rows are emitted in grid order no
-matter how the points were evaluated.
+are exercised.  Sweeps are deterministic: rows are emitted in grid order.
 """
 
 from __future__ import annotations
 
 import json
-import os
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
@@ -28,14 +26,15 @@ class UnsupportedGrid(ValueError):
 
 Point = tuple[ExactScalar, ExactScalar]
 
+EXTRA_RATIONALS = (Fraction(1, 3),)
+GENERIC_NAMES = ("tau", "sigma")
+
 
 @dataclass(frozen=True)
 class GridSpec:
     lo: Fraction
     hi: Fraction
     step: Fraction = Fraction(1, 2)
-    extra_rationals: tuple[Fraction, ...] = (Fraction(1, 3),)
-    generic_names: tuple[str, ...] = ("tau", "sigma")
 
     def __post_init__(self):
         if self.step <= 0:
@@ -54,14 +53,7 @@ class GridSpec:
 class ParameterGrid:
     z1_values: tuple[ExactScalar, ...]
     z2_values: tuple[ExactScalar, ...]
-    pairing: str = "cartesian"  # cartesian | diagonal
     extra_points: tuple[Point, ...] = ()
-
-    def __post_init__(self):
-        if self.pairing not in ("cartesian", "diagonal"):
-            raise ValueError(f"unknown pairing {self.pairing!r}")
-        if self.pairing == "diagonal" and len(self.z1_values) != len(self.z2_values):
-            raise ValueError("diagonal pairing needs equal-length value lists")
 
     def points(self) -> tuple[Point, ...]:
         """Every point once, in grid order; listed on the first call."""
@@ -70,12 +62,8 @@ class ParameterGrid:
     @cached_property
     def _points(self) -> tuple[Point, ...]:
         seen: dict[Point, None] = {}
-        if self.pairing == "cartesian":
-            for a in self.z1_values:
-                for b in self.z2_values:
-                    seen.setdefault((a, b))
-        else:
-            for a, b in zip(self.z1_values, self.z2_values):
+        for a in self.z1_values:
+            for b in self.z2_values:
                 seen.setdefault((a, b))
         for pt in self.extra_points:
             seen.setdefault(pt)
@@ -89,18 +77,13 @@ def grid_from_spec(spec: GridSpec) -> ParameterGrid:
     """Cartesian grid over one axis list, plus coupled symbol offsets."""
     rationals = spec.rationals()
     axis = [ExactScalar(v) for v in rationals]
-    axis.extend(ExactScalar(v) for v in spec.extra_rationals)
-    axis.extend(symbol(name) for name in spec.generic_names)
-    lead = spec.generic_names[0] if spec.generic_names else None
-    extra: list[Point] = []
-    if lead is not None:
-        tau = symbol(lead)
-        extra.extend(
-            (ExactScalar(a) + tau, ExactScalar(b) - tau)
-            for a in rationals
-            for b in rationals
-        )
-        extra.extend((ExactScalar(a) + tau, ExactScalar(a) + tau) for a in rationals)
+    axis.extend(ExactScalar(v) for v in EXTRA_RATIONALS)
+    axis.extend(symbol(name) for name in GENERIC_NAMES)
+    tau = symbol(GENERIC_NAMES[0])
+    extra = [
+        (ExactScalar(a) + tau, ExactScalar(b) - tau) for a in rationals for b in rationals
+    ]
+    extra.extend((ExactScalar(a) + tau, ExactScalar(a) + tau) for a in rationals)
     values = tuple(axis)
     return ParameterGrid(z1_values=values, z2_values=values, extra_points=tuple(extra))
 
@@ -141,37 +124,15 @@ class SweepReport:
         }
 
 
-def _eval_chunk(args) -> list[SweepRow]:
-    setup, points = args
-    return [SweepRow(z1, z2, evaluate(setup, z1, z2)) for z1, z2 in points]
-
-
 def sweep(
-    setup: ParabolicSetup,
-    grid: ParameterGrid,
-    criterion_fn: Callable | None = None,
-    threads: int | None = None,
+    setup: ParabolicSetup, grid: ParameterGrid, criterion_fn: Callable | None = None
 ) -> SweepReport:
     """Evaluate oracle and criterion at every grid point, in grid order.
 
-    ``threads`` (or the GVM_THREADS environment variable) caps process
-    parallelism; custom criterion functions force the serial path.
+    A point whose evaluation raises is recorded in ``errors``, not in ``rows``.
     """
-    points = grid.points()
-    if threads is None:
-        threads = int(os.environ.get("GVM_THREADS", "1") or "1")
     report = SweepReport(setup=setup, rows=[])
-    if criterion_fn is None and threads > 1 and len(points) >= 64:
-        size = max(1, -(-len(points) // threads))
-        chunks = [points[i : i + size] for i in range(0, len(points), size)]
-        # imported here: one-point CLI commands never load multiprocessing
-        from concurrent.futures import ProcessPoolExecutor
-
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            for rows in pool.map(_eval_chunk, [(setup, c) for c in chunks]):
-                report.rows.extend(rows)
-        return report
-    for z1, z2 in points:
+    for z1, z2 in grid.points():
         try:
             report.rows.append(SweepRow(z1, z2, evaluate(setup, z1, z2, criterion_fn)))
         except Exception as exc:  # collected, not fatal
@@ -223,16 +184,13 @@ def family_setups(kind: str, n_max: int) -> list[ParabolicSetup]:
 
 
 def verify_family(
-    kind: str,
-    n_max: int,
-    criterion_fn: Callable | None = None,
-    threads: int | None = None,
+    kind: str, n_max: int, criterion_fn: Callable | None = None
 ) -> MismatchReport:
     """Sweep every setup of the family and collect criterion/oracle clashes."""
     report = MismatchReport(mismatches=[])
     for setup in family_setups(kind, n_max):
         grid = standard_grid(setup)
-        swept = sweep(setup, grid, criterion_fn, threads)
+        swept = sweep(setup, grid, criterion_fn)
         report.setups_checked += 1
         report.grid_points += len(grid)
         report.points_checked += len(swept.rows)

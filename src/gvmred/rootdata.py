@@ -76,11 +76,6 @@ class WeightVector:
     def __getitem__(self, i):
         return self.entries[i]
 
-    def __add__(self, other: "WeightVector") -> "WeightVector":
-        if len(self) != len(other):
-            raise ValueError("weight vectors have different lengths")
-        return WeightVector(tuple(a + b for a, b in zip(self.entries, other.entries)))
-
     def __str__(self):
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
 

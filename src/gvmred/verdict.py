@@ -113,43 +113,10 @@ def criterion_a_offdiagonal(setup: ParabolicSetup, z1, z2) -> bool:
     tail = n - setup.q
     if tail == 0:
         return _int_at_least(z1, 1 - min(p, gap))
-    s = z1 + z2
     return (
         _int_at_least(z2, 1 - min(gap, tail))
         or _int_at_least(z1, 1 - min(p, gap))
-        or _int_at_least(s, -gap - lo + 1)
-    )
-
-
-def criterion_a_offdiagonal_cases(setup: ParabolicSetup, z1, z2) -> bool:
-    """Type A for z1 != z2, following the fine case split on integrality.
-
-    Kept as an independent second route; sweeps assert it agrees with the
-    consolidated form everywhere.
-    """
-    if setup.lie.kind != "A":
-        raise WrongLieType("off-diagonal type A criterion needs a type A setup")
-    z1, z2 = _coerce(z1), _coerce(z2)
-    if z1 == z2:
-        raise EqualParameters("off-diagonal criterion needs z1 != z2")
-    n, p = setup.n, setup.p
-    gap, lo = setup.middle, setup.outer_min
-    tail = n - setup.q
-    if tail == 0:
-        return _int_at_least(z1, 1 - min(p, n - p))
-    i1, i2 = z1.is_integer, z2.is_integer
-    if not i1 and not i2:
-        return _int_at_least(z1 + z2, -gap - lo + 1)
-    if not i1:
-        return _int_at_least(z2, 1 - min(gap, tail))
-    if not i2:
-        return _int_at_least(z1, 1 - min(p, gap))
-    if z1.rational >= 0 or z2.rational >= 0:
-        return True
-    return (
-        z1.rational + z2.rational > -gap - lo
-        or z1.rational > -min(gap, p)
-        or z2.rational > -min(gap, tail)
+        or _int_at_least(z1 + z2, -gap - lo + 1)
     )
 
 
@@ -193,15 +160,12 @@ def criterion(setup: ParabolicSetup, z1, z2) -> bool:
 
 def evaluate(setup: ParabolicSetup, z1, z2, criterion_fn=None) -> Verdict:
     """Oracle verdict plus criterion answer and agreement flag."""
-    fn = criterion_fn or criterion
-    base = reducible_oracle(setup, z1, z2)
-    crit = fn(setup, z1, z2)
+    gk = gk_dimension(setup, z1, z2)
+    du = dim_nilradical(setup)
+    reducible = gk < du
+    crit = (criterion_fn or criterion)(setup, z1, z2)
     return Verdict(
-        gk=base.gk,
-        dim_u=base.dim_u,
-        reducible=base.reducible,
-        criterion=crit,
-        agree=base.reducible == crit,
+        gk=gk, dim_u=du, reducible=reducible, criterion=crit, agree=reducible == crit
     )
 
 

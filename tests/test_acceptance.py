@@ -55,7 +55,7 @@ def test_criterion_1_sl8_diagonal_boundary():
     start = time.perf_counter()
     setup = ParabolicSetup(A(8), 2, 5)
     values = tuple(sc(Fraction(k, 2)) for k in range(-8, 7))  # -4, -7/2, ..., 3
-    grid = ParameterGrid(z1_values=values, z2_values=values, pairing="diagonal")
+    grid = ParameterGrid(z1_values=(), z2_values=(), extra_points=tuple(zip(values, values)))
     got = {
         (row.z1.rational): row.verdict.reducible for row in sweep(setup, grid).rows
     }

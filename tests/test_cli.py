@@ -241,3 +241,15 @@ def test_usage_error_exits_2(capsys):
     assert main(["reduce", "--type", "A", "--n", "8"]) == 2
     assert main(["gkdim", "--type", "A", "--n", "8", "--p", "2", "--q", "5",
                  "--z1=bogus", "--z2=0"]) == 2
+
+
+def test_internal_key_error_is_not_a_usage_error(monkeypatch):
+    import gvmred.cli as cli_mod
+
+    def broken(setup, z1, z2):
+        raise KeyError("internal")
+
+    monkeypatch.setattr(cli_mod, "gk_dimension", broken)
+    with pytest.raises(KeyError):
+        main(["gkdim", "--type", "A", "--n", "8", "--p", "2", "--q", "5",
+              "--z1=-2", "--z2=-2"])

@@ -52,7 +52,7 @@ def test_standard_grid_type_d_columns():
 def test_sweep_diagonal_counts():
     setup = ParabolicSetup(A(8), 2, 5)
     values = tuple(sc(Fraction(k, 2)) for k in range(-8, 3))  # -4 .. 1
-    grid = ParameterGrid(z1_values=values, z2_values=values, pairing="diagonal")
+    grid = ParameterGrid(z1_values=(), z2_values=(), extra_points=tuple(zip(values, values)))
     report = sweep(setup, grid)
     assert len(report.rows) == len(grid) == 11
     summary = report.summary
@@ -66,7 +66,7 @@ def test_sweep_type_d_integer_column_is_reducible():
     setup = ParabolicSetup(D(6), 1, 5)
     z2s = tuple(sc(v) for v in range(-5, 1))
     grid = ParameterGrid(
-        z1_values=(sc(0),) * len(z2s), z2_values=z2s, pairing="diagonal"
+        z1_values=(), z2_values=(), extra_points=tuple((sc(0), z2) for z2 in z2s)
     )
     report = sweep(setup, grid)
     assert all(row.verdict.reducible for row in report.rows)
@@ -80,11 +80,6 @@ def test_sweep_row_count_matches_grid_cardinality():
     s = report.summary
     assert s["points"] == len(grid)
     assert s["reducible"] + s["irreducible"] == len(report.rows)
-
-
-def test_diagonal_pairing_needs_equal_lengths():
-    with pytest.raises(ValueError):
-        ParameterGrid(z1_values=(sc(0),), z2_values=(sc(0), sc(1)), pairing="diagonal")
 
 
 def test_family_setups_enumeration():
@@ -165,14 +160,6 @@ def test_sweeps_are_deterministic():
     second = sweep(setup, grid)
     assert report_to_csv(first) == report_to_csv(second)
     assert report_to_json(first) == report_to_json(second)
-
-
-def test_parallel_sweep_matches_serial():
-    setup = ParabolicSetup(A(5), 2, 4)
-    grid = standard_grid(setup)
-    serial = sweep(setup, grid, threads=1)
-    parallel = sweep(setup, grid, threads=2)
-    assert report_to_csv(serial) == report_to_csv(parallel)
 
 
 def test_csv_format():
@@ -312,15 +299,6 @@ def test_empty_report_renders_axes_only():
     assert len(root.findall(f"{ns}line")) == 2
     assert not root.findall(f"{ns}circle")
     assert render_diagram(empty, "ascii") == "(empty sweep)\n"
-
-
-def test_threads_env_variable_caps_parallelism(monkeypatch):
-    setup = ParabolicSetup(A(4), 1, 3)
-    grid = standard_grid(setup)
-    monkeypatch.setenv("GVM_THREADS", "2")
-    via_env = sweep(setup, grid)
-    monkeypatch.delenv("GVM_THREADS")
-    assert report_to_csv(via_env) == report_to_csv(sweep(setup, grid))
 
 
 def test_csv_scalars_round_trip():

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gvmred import (
     EqualParameters,
@@ -15,9 +16,9 @@ from gvmred import (
     criterion,
     criterion_a_diagonal,
     criterion_a_offdiagonal,
-    criterion_a_offdiagonal_cases,
     criterion_d,
     evaluate,
+    family_setups,
     has_maximal_shape,
     irreducible_shape_diagnostic,
     reducible_oracle,
@@ -25,6 +26,7 @@ from gvmred import (
     single_weight_reducible,
     standard_grid,
 )
+from gvmred.verdict import _coerce, _int_at_least
 
 from conftest import SIGMA, TAU, sc
 
@@ -127,6 +129,38 @@ def test_coset_base_forms_coincide_when_tail_empty():
             assert min(p, n - p) == min(p, q - p)
 
 
+def criterion_a_offdiagonal_cases(setup: ParabolicSetup, z1, z2) -> bool:
+    """Type A for z1 != z2, following the fine case split on integrality.
+
+    Kept as an independent second route; sweeps assert it agrees with the
+    consolidated form everywhere.
+    """
+    if setup.lie.kind != "A":
+        raise WrongLieType("off-diagonal type A criterion needs a type A setup")
+    z1, z2 = _coerce(z1), _coerce(z2)
+    if z1 == z2:
+        raise EqualParameters("off-diagonal criterion needs z1 != z2")
+    n, p = setup.n, setup.p
+    gap, lo = setup.middle, setup.outer_min
+    tail = n - setup.q
+    if tail == 0:
+        return _int_at_least(z1, 1 - min(p, n - p))
+    i1, i2 = z1.is_integer, z2.is_integer
+    if not i1 and not i2:
+        return _int_at_least(z1 + z2, -gap - lo + 1)
+    if not i1:
+        return _int_at_least(z2, 1 - min(gap, tail))
+    if not i2:
+        return _int_at_least(z1, 1 - min(p, gap))
+    if z1.rational >= 0 or z2.rational >= 0:
+        return True
+    return (
+        z1.rational + z2.rational > -gap - lo
+        or z1.rational > -min(gap, p)
+        or z2.rational > -min(gap, tail)
+    )
+
+
 def test_offdiagonal_routes_agree_on_grids():
     for lie_n, p, q in ((6, 2, 4), (7, 1, 6), (7, 3, 4), (8, 2, 5), (6, 1, 5)):
         setup = ParabolicSetup(A(lie_n), p, q)
@@ -149,6 +183,26 @@ def test_criterion_matches_oracle_on_small_grids():
         for z1, z2 in standard_grid(setup).points():
             v = evaluate(setup, z1, z2)
             assert v.agree, (setup, str(z1), str(z2), v)
+
+
+small_setups = st.sampled_from(family_setups("A", 6) + family_setups("D", 6))
+offset_parameters = st.builds(
+    lambda r, name, c: ExactScalar(r, {name: c}),
+    st.fractions(min_value=-9, max_value=4, max_denominator=4),
+    st.sampled_from(("tau", "sigma")),
+    st.sampled_from((Fraction(0), Fraction(1), Fraction(-1), Fraction(1, 2))),
+)
+
+
+def _swap_symbols(z: ExactScalar) -> ExactScalar:
+    swapped = {"tau": "sigma", "sigma": "tau"}
+    return ExactScalar(z.rational, {swapped[name]: c for name, c in z.generic})
+
+
+@settings(max_examples=200, deadline=None)
+@given(small_setups, offset_parameters, offset_parameters)
+def test_verdict_invariant_under_symbol_renaming(setup, z1, z2):
+    assert evaluate(setup, z1, z2) == evaluate(setup, _swap_symbols(z1), _swap_symbols(z2))
 
 
 def test_upward_closure_of_reducibility():
