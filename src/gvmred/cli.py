@@ -6,7 +6,9 @@ combined with generic symbol terms (``tau``, ``sigma``), e.g. ``1/2+tau``,
 are accepted.  Every scalar the tool prints re-parses to an equal value.
 Values starting with ``-`` are safest passed as ``--z1=-5/2``.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error.
+Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error
+(including a verify ``--max-n`` below the family's smallest rank and a
+custom grid larger than ``harness.MAX_GRID_POINTS``).
 """
 
 from __future__ import annotations
@@ -19,6 +21,7 @@ from fractions import Fraction
 from .exact import ExactScalar
 from .gk import gk_dimension
 from .harness import (
+    FAMILY_MIN_N,
     GENERIC_NAMES,
     GridSpec,
     SweepRow,
@@ -190,6 +193,11 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_verify(args) -> int:
+    smallest = FAMILY_MIN_N[args.type]
+    if args.max_n < smallest:
+        raise ValueError(
+            f"--max-n must be at least {smallest} for type {args.type}, got {args.max_n}"
+        )
     report = verify_family(args.type, args.max_n)
     for setup, row in report.mismatches:
         record = row_record(setup, row)

@@ -127,7 +127,7 @@ class ExactScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self.rational == other.rational and self.generic == other.generic
+        return scalars_equal(self, other)
 
     def __hash__(self):
         return self._hash
@@ -177,18 +177,67 @@ def symbol(name: str, coeff: RationalLike = 1) -> ExactScalar:
     return ExactScalar(0, [(name, coeff)])
 
 
+# The tests below read the integers inside canonical scalars (reduced
+# fractions with positive denominators) and build no scalar, so they are
+# cheap enough for the per-point criteria.
+
+
+def _terms_match(g, h, sign: int) -> bool:
+    """Canonical symbol parts with g = sign * h."""
+    if len(g) != len(h):
+        return False
+    for (name, c), (other, d) in zip(g, h):
+        if (
+            name != other
+            or c.denominator != d.denominator
+            or c.numerator != sign * d.numerator
+        ):
+            return False
+    return True
+
+
+def scalars_equal(a: ExactScalar, b: ExactScalar) -> bool:
+    """a == b, compared on numerators and denominators."""
+    ra, rb = a.rational, b.rational
+    return (
+        ra.numerator == rb.numerator
+        and ra.denominator == rb.denominator
+        and _terms_match(a.generic, b.generic, 1)
+    )
+
+
 def sub_is_integer(a: ExactScalar, b: ExactScalar) -> bool:
     """True when a - b is an integer (symbol parts must cancel exactly)."""
-    if a.generic != b.generic:
+    if not _terms_match(a.generic, b.generic, 1):
         return False
-    return (a.rational - b.rational).denominator == 1
+    ra, rb = a.rational, b.rational
+    da, db = ra.denominator, rb.denominator
+    return (ra.numerator * db - rb.numerator * da) % (da * db) == 0
+
+
+def _integer_sum(a: ExactScalar, b: ExactScalar) -> int | None:
+    """a + b as an int when it is an integer, else None; builds no sum.
+
+    The symbol parts must be exact negatives and the rational parts
+    n1/d1 + n2/d2 must satisfy (n1*d2 + n2*d1) % (d1*d2) == 0.
+    """
+    if not _terms_match(a.generic, b.generic, -1):
+        return None
+    ra, rb = a.rational, b.rational
+    da, db = ra.denominator, rb.denominator
+    total, rest = divmod(ra.numerator * db + rb.numerator * da, da * db)
+    return None if rest else total
 
 
 def sum_is_integer(a: ExactScalar, b: ExactScalar) -> bool:
     """True when a + b is an integer (symbol parts must be negatives)."""
-    if a.generic != tuple((n, -c) for n, c in b.generic):
-        return False
-    return (a.rational + b.rational).denominator == 1
+    return _integer_sum(a, b) is not None
+
+
+def sum_int_at_least(a: ExactScalar, b: ExactScalar, bound: int) -> bool:
+    """True when a + b is an integer >= bound."""
+    total = _integer_sum(a, b)
+    return total is not None and total >= bound
 
 
 def coset_class(a: ExactScalar) -> CosetClass:

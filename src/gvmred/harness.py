@@ -28,6 +28,11 @@ Point = tuple[ExactScalar, ExactScalar]
 
 EXTRA_RATIONALS = (Fraction(1, 3),)
 GENERIC_NAMES = ("tau", "sigma")
+# Largest grid a spec may describe: about 100 times the standard grid of
+# rank 9 (1 893 points).
+MAX_GRID_POINTS = 200_000
+# Smallest rank with a two-step non-maximal parabolic, per family.
+FAMILY_MIN_N = {"A": 3, "D": 4}
 
 
 @dataclass(frozen=True)
@@ -39,14 +44,26 @@ class GridSpec:
     def __post_init__(self):
         if self.step <= 0:
             raise ValueError(f"grid step must be positive, got {self.step}")
+        if self.point_bound > MAX_GRID_POINTS:
+            raise ValueError(
+                f"grid [{self.lo}, {self.hi}] step {self.step} would hold up to "
+                f"{self.point_bound} points, more than {MAX_GRID_POINTS}"
+            )
+
+    @property
+    def axis_length(self) -> int:
+        """Number of rationals lo, lo + step, ... up to hi."""
+        return max(0, (self.hi - self.lo) // self.step + 1)
+
+    @property
+    def point_bound(self) -> int:
+        """Points of ``grid_from_spec(self)`` before de-duplication."""
+        length = self.axis_length
+        axis = length + len(EXTRA_RATIONALS) + len(GENERIC_NAMES)
+        return axis * axis + length * length + length
 
     def rationals(self) -> list[Fraction]:
-        values = []
-        v = self.lo
-        while v <= self.hi:
-            values.append(v)
-            v += self.step
-        return values
+        return [self.lo + i * self.step for i in range(self.axis_length)]
 
 
 @dataclass(frozen=True)
@@ -75,15 +92,14 @@ class ParameterGrid:
 
 def grid_from_spec(spec: GridSpec) -> ParameterGrid:
     """Cartesian grid over one axis list, plus coupled symbol offsets."""
-    rationals = spec.rationals()
-    axis = [ExactScalar(v) for v in rationals]
-    axis.extend(ExactScalar(v) for v in EXTRA_RATIONALS)
+    rationals = [ExactScalar(v) for v in spec.rationals()]
+    axis = rationals + [ExactScalar(v) for v in EXTRA_RATIONALS]
     axis.extend(symbol(name) for name in GENERIC_NAMES)
     tau = symbol(GENERIC_NAMES[0])
-    extra = [
-        (ExactScalar(a) + tau, ExactScalar(b) - tau) for a in rationals for b in rationals
-    ]
-    extra.extend((ExactScalar(a) + tau, ExactScalar(a) + tau) for a in rationals)
+    plus = [a + tau for a in rationals]
+    minus = [b - tau for b in rationals]
+    extra = [(a, b) for a in plus for b in minus]
+    extra.extend((a, a) for a in plus)
     values = tuple(axis)
     return ParameterGrid(z1_values=values, z2_values=values, extra_points=tuple(extra))
 
@@ -158,7 +174,8 @@ class MismatchReport:
     @property
     def ok(self) -> bool:
         return (
-            not self.mismatches
+            self.setups_checked > 0
+            and not self.mismatches
             and not self.errors
             and self.points_checked == self.grid_points
         )
@@ -168,13 +185,13 @@ def family_setups(kind: str, n_max: int) -> list[ParabolicSetup]:
     """All two-step non-maximal setups of the given kind up to rank n_max."""
     setups = []
     if kind == "A":
-        for n in range(3, n_max + 1):
+        for n in range(FAMILY_MIN_N["A"], n_max + 1):
             lie = LieType("A", n)
             for p in range(1, n - 1):
                 for q in range(p + 1, n):
                     setups.append(ParabolicSetup(lie, p, q))
     elif kind == "D":
-        for n in range(4, n_max + 1):
+        for n in range(FAMILY_MIN_N["D"], n_max + 1):
             lie = LieType("D", n)
             for p, q in ((1, n - 1), (1, n), (n - 1, n)):
                 setups.append(ParabolicSetup(lie, p, q))

@@ -21,7 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
+from math import gcd, lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
 from .exact import ExactScalar
@@ -285,14 +285,48 @@ def scaled_offsets(values: Sequence) -> Offsets:
     return Offsets(nums, scale, symbols)
 
 
-def block_offsets(plan: BlockPlan, z1, z2) -> Offsets:
-    """Each block's offset (c1*z1 + c2*z2)/2, computed once per point."""
-    (n1, n2), scale, symbols = scaled_offsets((z1, z2))
-    coefficients = plan.coefficients
-    nums = tuple(c1 * n1 + c2 * n2 for c1, c2 in coefficients)
-    if symbols is not None:
-        s1, s2 = symbols
-        symbols = tuple(
-            tuple(c1 * a + c2 * b for a, b in zip(s1, s2)) for c1, c2 in coefficients
+def _symbol_vectors(g1, g2) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """Two canonical symbol parts as integer vectors on one scale."""
+    if len(g1) == 1 and len(g2) == 1 and g1[0][0] == g2[0][0]:
+        # one shared symbol, as at the coupled points (a + tau, b - tau)
+        (_, a), (_, b) = g1[0], g2[0]
+        return (a.numerator * b.denominator,), (b.numerator * a.denominator,)
+    c1, c2 = dict(g1), dict(g2)
+    names = sorted(c1.keys() | c2.keys())
+    scale = lcm(*(c.denominator for _, c in g1), *(c.denominator for _, c in g2))
+    return tuple(
+        tuple(
+            c[name].numerator * (scale // c[name].denominator) if name in c else 0
+            for name in names
         )
+        for c in (c1, c2)
+    )
+
+
+def block_offsets(plan: BlockPlan, z1, z2) -> Offsets:
+    """Each block's offset (c1*z1 + c2*z2)/2, computed once per point.
+
+    The pair is put over a common denominator on the integers; a point
+    with two rational parameters skips the symbol work.
+    """
+    z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
+    z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
+    r1, r2 = z1.rational, z2.rational
+    n1, d1, n2, d2 = r1.numerator, r1.denominator, r2.numerator, r2.denominator
+    if d1 == d2:
+        scale = d1
+    else:
+        g = gcd(d1, d2)
+        scale = d1 // g * d2
+        n1 *= d2 // g
+        n2 *= d1 // g
+    coefficients = plan.coefficients
+    nums = tuple([c1 * n1 + c2 * n2 for c1, c2 in coefficients])
+    g1, g2 = z1.generic, z2.generic
+    if not g1 and not g2:
+        return Offsets(nums, 2 * scale, None)
+    pairs = tuple(zip(*_symbol_vectors(g1, g2)))
+    symbols = tuple(
+        [tuple([c1 * a + c2 * b for a, b in pairs]) for c1, c2 in coefficients]
+    )
     return Offsets(nums, 2 * scale, symbols)

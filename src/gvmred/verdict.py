@@ -7,15 +7,16 @@ parameters directly; sweeps cross-check the two answers point by point.
 
 Coset membership such as "z in c + Z>=0" is decided exactly: a scalar with
 a nonzero symbol part never lies in a rational coset and never passes an
-ordering threshold.
+ordering threshold.  The tests read the numerator and denominator of each
+parameter's rational part and its canonical symbol tuple, so a criterion
+builds no scalar and does no Fraction arithmetic.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .exact import ExactScalar
+from .exact import ExactScalar, scalars_equal, sum_int_at_least
 from .gk import (
     NonIntegralWeight,
     gk_dimension,
@@ -54,23 +55,32 @@ def _coerce(z) -> ExactScalar:
     return z if isinstance(z, ExactScalar) else ExactScalar(z)
 
 
-def _int_at_least(z: ExactScalar, bound) -> bool:
+def _is_int(z: ExactScalar) -> bool:
+    return not z.generic and z.rational.denominator == 1
+
+
+def _int_at_least(z: ExactScalar, bound: int) -> bool:
     """z is a plain integer >= bound."""
-    return z.is_integer and z.rational >= bound
+    return (
+        not z.generic and z.rational.denominator == 1 and z.rational.numerator >= bound
+    )
 
 
-def _half_step_at_least(z: ExactScalar, bound) -> bool:
-    """z lies in bound + (1/2)Z>=0."""
+def _half_step_at_least(z: ExactScalar, twice_bound: int) -> bool:
+    """z lies in twice_bound/2 + (1/2)Z>=0."""
     if z.generic:
         return False
-    return (2 * (z.rational - bound)).denominator == 1 and z.rational >= bound
+    num, den = z.rational.numerator, z.rational.denominator
+    return 2 * num % den == 0 and 2 * num >= twice_bound * den
 
 
-def _int_step_at_least(z: ExactScalar, bound) -> bool:
-    """z lies in bound + Z>=0 (bound may be a half-integer)."""
+def _int_step_at_least(z: ExactScalar, twice_bound: int) -> bool:
+    """z lies in twice_bound/2 + Z>=0."""
     if z.generic:
         return False
-    return (z.rational - bound).denominator == 1 and z.rational >= bound
+    num, den = z.rational.numerator, z.rational.denominator
+    gap = 2 * num - twice_bound * den
+    return gap % (2 * den) == 0 and gap >= 0
 
 
 def reducible_oracle(setup: ParabolicSetup, z1, z2) -> Verdict:
@@ -86,7 +96,7 @@ def criterion_a_diagonal(setup: ParabolicSetup, z) -> bool:
         raise WrongLieType("diagonal type A criterion needs a type A setup")
     z = _coerce(z)
     gap, lo, hi = setup.middle, setup.outer_min, setup.outer_max
-    if z.is_integer:
+    if _is_int(z):
         if lo >= gap - 1:
             half_lo = (lo + 1) // 2 if gap % 2 == 0 else lo // 2
             first = -half_lo - (gap - 1) // 2
@@ -94,11 +104,11 @@ def criterion_a_diagonal(setup: ParabolicSetup, z) -> bool:
             first = -max((gap + lo + 1) // 2, hi) + 1 if hi < gap else -gap + 1
         else:
             first = -min(hi, gap) + 1
-        return z.rational >= first
+        return z.rational.numerator >= first
     # non-integral: reducible only for half-integers past the open boundary
-    if lo < 1 or not z.is_half_integer:
+    if lo < 1 or z.generic or z.rational.denominator != 2:
         return False
-    return z.rational > Fraction(-(gap + lo), 2)
+    return z.rational.numerator > -(gap + lo)
 
 
 def criterion_a_offdiagonal(setup: ParabolicSetup, z1, z2) -> bool:
@@ -106,7 +116,7 @@ def criterion_a_offdiagonal(setup: ParabolicSetup, z1, z2) -> bool:
     if setup.lie.kind != "A":
         raise WrongLieType("off-diagonal type A criterion needs a type A setup")
     z1, z2 = _coerce(z1), _coerce(z2)
-    if z1 == z2:
+    if scalars_equal(z1, z2):
         raise EqualParameters("off-diagonal criterion needs z1 != z2")
     n, p = setup.n, setup.p
     gap, lo = setup.middle, setup.outer_min
@@ -116,7 +126,7 @@ def criterion_a_offdiagonal(setup: ParabolicSetup, z1, z2) -> bool:
     return (
         _int_at_least(z2, 1 - min(gap, tail))
         or _int_at_least(z1, 1 - min(p, gap))
-        or _int_at_least(z1 + z2, -gap - lo + 1)
+        or sum_int_at_least(z1, z2, -gap - lo + 1)
     )
 
 
@@ -131,21 +141,23 @@ def criterion_d(setup: ParabolicSetup, z1, z2) -> bool:
         # q = n-1 or n
         if _int_at_least(z1, 0):
             return True
-        if (not z1.is_integer and not z2.is_integer) or z1 == ExactScalar(-1):
-            if _int_at_least(z1 + z2, -n + 2):
+        z1_int = _is_int(z1)
+        if (not z1_int and not _is_int(z2)) or (z1_int and z1.rational.numerator == -1):
+            if sum_int_at_least(z1, z2, -n + 2):
                 return True
-        if z1 == z2 and not z1.is_integer:
-            if _int_step_at_least(z1, (-n) // 2 + Fraction(3, 2)):
+        if not z1_int and scalars_equal(z1, z2):
+            # z1 in (-n)//2 + 3/2 + Z>=0
+            if _int_step_at_least(z1, 2 * ((-n) // 2) + 3):
                 return True
         return _int_at_least(z2, -n + 3 if odd else -n + 4)
     # p = n-1, q = n
     if _int_at_least(z1, 0) or _int_at_least(z2, 0):
         return True
-    if z1 == z2:
-        bound = Fraction(-n + 1, 2) if odd else Fraction(-n + 2, 2)
-        if _half_step_at_least(z1, bound):
+    if scalars_equal(z1, z2):
+        # z1 in (-n+1)/2 (odd n) or (-n+2)/2 (even n) + (1/2)Z>=0
+        if _half_step_at_least(z1, -n + 1 if odd else -n + 2):
             return True
-    return _int_at_least(z1 + z2, -n + 1 if odd else -n + 2)
+    return sum_int_at_least(z1, z2, -n + 1 if odd else -n + 2)
 
 
 def criterion(setup: ParabolicSetup, z1, z2) -> bool:
@@ -153,7 +165,7 @@ def criterion(setup: ParabolicSetup, z1, z2) -> bool:
     z1, z2 = _coerce(z1), _coerce(z2)
     if setup.lie.kind == "D":
         return criterion_d(setup, z1, z2)
-    if z1 == z2:
+    if scalars_equal(z1, z2):
         return criterion_a_diagonal(setup, z1)
     return criterion_a_offdiagonal(setup, z1, z2)
 

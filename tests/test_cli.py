@@ -196,6 +196,34 @@ def test_sweep_rejects_nonpositive_step(capsys):
         assert "step must be positive" in capsys.readouterr().err
 
 
+def test_verify_rejects_max_n_below_family_minimum(capsys, monkeypatch):
+    import gvmred.cli as cli_mod
+
+    def no_work(kind, n_max):
+        raise AssertionError("verify ran")
+
+    monkeypatch.setattr(cli_mod, "verify_family", no_work)
+    for argv in (["--type", "A", "--max-n", "2"], ["--type", "A", "--max-n=-5"], ["--type", "D", "--max-n", "3"]):
+        assert main(["verify", *argv]) == 2
+        captured = capsys.readouterr()
+        assert "--max-n must be at least" in captured.err
+        assert captured.out == ""
+
+
+def test_sweep_rejects_oversized_custom_grid(capsys, monkeypatch):
+    from gvmred import GridSpec
+
+    def never_list(self):
+        raise AssertionError("the grid was listed")
+
+    monkeypatch.setattr(GridSpec, "rationals", never_list)
+    argv = ["sweep", "--type", "A", "--n", "5", "--p", "1", "--q", "3"]
+    argv += ["--grid", "custom", "--lo=-1000000", "--hi", "1000000"]
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert "more than" in captured.err and captured.out == ""
+
+
 def test_cli_import_leaves_process_pool_unloaded():
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

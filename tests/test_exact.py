@@ -13,8 +13,9 @@ from gvmred import (
     sum_is_integer,
     symbol,
 )
+from gvmred.exact import scalars_equal
 
-from conftest import SIGMA, TAU, sc
+from conftest import SIGMA, TAU, sc, scalar_pairs
 
 
 # a small pool of symbol parts so random scalars actually collide
@@ -157,3 +158,11 @@ def test_equal_scalars_hash_equal(a, b):
         assert hash(a) == hash(b)
     if a.is_rational:
         assert a == a.rational and hash(a) == hash(a.rational)
+
+
+@given(scalar_pairs())
+def test_integer_tests_match_scalar_arithmetic(pair):
+    a, b = pair
+    assert scalars_equal(a, b) == (a.rational == b.rational and a.generic == b.generic)
+    assert sub_is_integer(a, b) == (a - b).is_integer
+    assert sum_is_integer(a, b) == (a + b).is_integer

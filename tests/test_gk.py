@@ -22,6 +22,7 @@ from gvmred import (
     weyl_vector,
 )
 
+import conftest
 from conftest import SIGMA, TAU, sc, seq
 from dense_gk import gk_dimension_integral
 
@@ -230,3 +231,26 @@ def test_dense_adapters_match_dense_route(entries, kind):
         for x in others:
             assert fold_class(x) == dense_gk.fold(x)
     assert gk_dimension_of_weight(entries, lie) == dense_gk.gk_dimension_of_weight(entries, lie)
+
+
+@st.composite
+def type_a_weights(draw):
+    """3-8 entries drawn around at most three bases, so classes have
+    several members; half-integer steps keep some entries unrelated."""
+    bases = draw(st.lists(conftest.scalars, min_size=1, max_size=3))
+    steps = st.builds(Fraction, st.integers(-6, 6), st.sampled_from((1, 1, 2)))
+    size = draw(st.integers(3, 8))
+    return [draw(st.sampled_from(bases)) + draw(steps) for _ in range(size)]
+
+
+common_shifts = st.one_of(
+    conftest.rationals.map(ExactScalar), conftest.rationals.map(lambda r: ExactScalar(r) + TAU)
+)
+
+
+@settings(max_examples=200, deadline=None)
+@given(type_a_weights(), common_shifts)
+def test_type_a_gk_invariant_under_common_shift(entries, shift):
+    lie = A(len(entries))
+    shifted = [entry + shift for entry in entries]
+    assert gk_dimension_of_weight(shifted, lie) == gk_dimension_of_weight(entries, lie)

@@ -18,6 +18,7 @@ from gvmred import (
     sweep,
     verify_family,
 )
+from gvmred.harness import MAX_GRID_POINTS, grid_from_spec
 
 from conftest import SIGMA, TAU, sc
 
@@ -140,6 +141,47 @@ def test_grid_spec_rejects_nonpositive_step():
     for step in (Fraction(0), Fraction(-1, 2)):
         with pytest.raises(ValueError):
             GridSpec(lo=Fraction(0), hi=Fraction(1), step=step)
+
+
+def test_verify_family_below_family_minimum_is_not_ok():
+    for kind, n_max in (("A", 2), ("A", -5), ("D", 3)):
+        report = verify_family(kind, n_max)
+        assert report.setups_checked == 0 and report.points_checked == 0
+        assert not report.ok
+
+
+def _never_list(self):
+    raise AssertionError("the grid was listed")
+
+
+def test_grid_spec_rejects_oversized_grid_before_listing(monkeypatch):
+    monkeypatch.setattr(GridSpec, "rationals", _never_list)
+    with pytest.raises(ValueError, match="more than"):
+        GridSpec(lo=Fraction(-10**6), hi=Fraction(10**6))
+    with pytest.raises(ValueError, match="more than"):
+        GridSpec(lo=Fraction(0), hi=Fraction(1), step=Fraction(1, 10**9))
+    # axis 0..L-1 step 1: (L+3)^2 cartesian points plus L^2 + L coupled ones
+    length = 1
+    while (length + 4) ** 2 + (length + 1) ** 2 + length + 1 <= MAX_GRID_POINTS:
+        length += 1
+    GridSpec(lo=Fraction(0), hi=Fraction(length - 1), step=Fraction(1))
+    with pytest.raises(ValueError, match="more than"):
+        GridSpec(lo=Fraction(0), hi=Fraction(length), step=Fraction(1))
+
+
+def test_grid_point_bound_covers_the_grid():
+    for spec in (
+        GridSpec(lo=Fraction(-11), hi=Fraction(3)),
+        GridSpec(lo=Fraction(-2), hi=Fraction(2), step=Fraction(1, 3)),
+        GridSpec(lo=Fraction(1), hi=Fraction(0)),
+    ):
+        grid = grid_from_spec(spec)
+        assert spec.axis_length == len(spec.rationals())
+        assert len(grid) <= spec.point_bound
+    # the standard grid lists (tau, tau) once, in the cartesian part
+    nine = standard_grid(ParabolicSetup(A(9), 3, 6))
+    assert len(nine) + 1 == GridSpec(lo=Fraction(-11), hi=Fraction(3)).point_bound
+    assert len(nine) < MAX_GRID_POINTS // 100
 
 
 def test_verify_family_detects_corrupted_criterion():

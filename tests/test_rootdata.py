@@ -1,7 +1,9 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from gvmred import (
     ExactScalar,
@@ -16,8 +18,10 @@ from gvmred import (
     shifted_weight,
     weyl_vector,
 )
+from gvmred.harness import family_setups
+from gvmred.rootdata import scaled_offsets
 
-from conftest import SIGMA, TAU, sc, seq
+from conftest import SIGMA, TAU, sc, scalar_pairs, seq
 
 
 def test_lie_type_validation():
@@ -194,3 +198,31 @@ def test_block_offsets_match_shifted_weight_differences():
             # type A blocks hold the gl(n) representative: a common shift
             shift = dense[0] - entries[0] if setup.lie.kind == "A" else 0
             assert all(d - e == shift for d, e in zip(dense, entries))
+
+
+def _offset_values(offsets, names):
+    """Each value's rational part and its symbol part as {name: coefficient},
+    the coefficients divided by their overall gcd (the symbol vectors share
+    a scale that ``Offsets`` does not state)."""
+    nums, scale, symbols = offsets
+    rational = [Fraction(num, scale) for num in nums]
+    if symbols is None:
+        return rational, [{} for _ in nums]
+    common = gcd(*(c for vector in symbols for c in vector)) or 1
+    return rational, [
+        {name: c // common for name, c in zip(names, vector) if c} for vector in symbols
+    ]
+
+
+def _names(values):
+    return sorted({name for z in values for name, _ in z.generic})
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.sampled_from(family_setups("A", 7) + family_setups("D", 7)), scalar_pairs())
+def test_block_offsets_match_scaled_offsets_of_block_values(setup, pair):
+    z1, z2 = pair
+    plan = setup.block_plan
+    values = [(c1 * z1 + c2 * z2) * Fraction(1, 2) for c1, c2 in plan.coefficients]
+    got = _offset_values(block_offsets(plan, z1, z2), _names(pair))
+    assert got == _offset_values(scaled_offsets(values), _names(values))

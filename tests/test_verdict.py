@@ -26,9 +26,15 @@ from gvmred import (
     single_weight_reducible,
     standard_grid,
 )
-from gvmred.verdict import _coerce, _int_at_least
+from gvmred.exact import sum_int_at_least
+from gvmred.verdict import (
+    _coerce,
+    _half_step_at_least,
+    _int_at_least,
+    _int_step_at_least,
+)
 
-from conftest import SIGMA, TAU, sc
+from conftest import SIGMA, TAU, sc, scalar_pairs, scalars
 
 A = lambda n: LieType("A", n)
 D = lambda n: LieType("D", n)
@@ -238,3 +244,45 @@ def test_shape_diagnostic_catches_every_irreducible_point():
                 )
     with pytest.raises(WrongLieType):
         irreducible_shape_diagnostic(ParabolicSetup(A(8), 2, 5), sc(0), sc(0))
+
+
+# The coset tests read integers; these are their ExactScalar/Fraction forms.
+
+
+def _fraction_int_at_least(z: ExactScalar, bound) -> bool:
+    return z.is_integer and z.rational >= bound
+
+
+def _fraction_half_step_at_least(z: ExactScalar, bound: Fraction) -> bool:
+    return not z.generic and (2 * (z.rational - bound)).denominator == 1 and z.rational >= bound
+
+
+def _fraction_int_step_at_least(z: ExactScalar, bound: Fraction) -> bool:
+    return not z.generic and (z.rational - bound).denominator == 1 and z.rational >= bound
+
+
+bounds = st.integers(-14, 4)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_pairs(), bounds)
+def test_sum_test_matches_scalar_sum(pair, bound):
+    z1, z2 = pair
+    assert sum_int_at_least(z1, z2, bound) == _fraction_int_at_least(z1 + z2, bound)
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalars, bounds)
+def test_coset_predicates_match_fraction_forms(z, twice_bound):
+    half = Fraction(twice_bound, 2)
+    assert _int_at_least(z, twice_bound) == _fraction_int_at_least(z, twice_bound)
+    assert _half_step_at_least(z, twice_bound) == _fraction_half_step_at_least(z, half)
+    assert _int_step_at_least(z, twice_bound) == _fraction_int_step_at_least(z, half)
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_setups, scalar_pairs())
+def test_criterion_matches_oracle_at_random_points(setup, pair):
+    z1, z2 = pair
+    v = evaluate(setup, z1, z2)
+    assert v.agree, (setup, str(z1), str(z2), v)
