@@ -71,7 +71,6 @@ from .verdict import (
     criterion_d,
     evaluate,
     has_maximal_shape,
-    irreducible_shape_diagnostic,
     reducible_oracle,
     single_weight_reducible,
 )

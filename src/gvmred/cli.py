@@ -7,8 +7,10 @@ are accepted.  Every scalar the tool prints re-parses to an equal value.
 Values starting with ``-`` are safest passed as ``--z1=-5/2``.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error
-(including a verify ``--max-n`` below the family's smallest rank and a
-custom grid larger than ``harness.MAX_GRID_POINTS``).
+(including a verify ``--max-n`` below the family's smallest rank, a custom
+grid larger than ``harness.MAX_GRID_POINTS``, a zero denominator in a
+scalar, ``--lo``/``--hi``/``--step`` without ``--grid custom`` and an
+``--out`` path that cannot be opened for writing; all before any work).
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from contextlib import nullcontext
 from fractions import Fraction
 
 from .exact import ExactScalar
@@ -25,6 +28,7 @@ from .harness import (
     GENERIC_NAMES,
     GridSpec,
     SweepRow,
+    format_field,
     grid_from_spec,
     render_diagram,
     report_to_csv,
@@ -61,22 +65,31 @@ def parse_scalar(text: str) -> ExactScalar:
             body = body[1:]
         if not body:
             raise ValueError(f"bad scalar {text!r}")
-        name = None
+        name, coeff = None, body
         for candidate in GENERIC_NAMES:
             if body == candidate:
-                name, coeff = candidate, Fraction(1)
+                name, coeff = candidate, "1"
                 break
             if body.endswith("*" + candidate):
-                name, coeff = candidate, Fraction(body[: -len(candidate) - 1])
+                name, coeff = candidate, body[: -len(candidate) - 1]
                 break
-        if name is not None:
-            generic[name] = generic.get(name, Fraction(0)) + sign * coeff
+        try:
+            value = sign * Fraction(coeff)
+        except (ValueError, ZeroDivisionError) as exc:
+            raise ValueError(f"bad scalar {text!r}: {exc}") from None
+        if name is None:
+            rational += value
         else:
-            try:
-                rational += sign * Fraction(body)
-            except (ValueError, ZeroDivisionError) as exc:
-                raise ValueError(f"bad scalar {text!r}: {exc}") from None
+            generic[name] = generic.get(name, Fraction(0)) + value
     return ExactScalar(rational, generic)
+
+
+def _rational(text: str) -> Fraction:
+    """A plain rational grid bound or step; a zero denominator is a ValueError."""
+    try:
+        return Fraction(text)
+    except ZeroDivisionError:
+        raise ValueError(f"zero denominator in {text!r}") from None
 
 
 def _setup_from_args(args) -> ParabolicSetup:
@@ -118,9 +131,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_sweep = sub.add_parser("sweep", help="evaluate a parameter grid")
     _add_setup_flags(p_sweep)
     p_sweep.add_argument("--grid", choices=("standard", "custom"), default="standard")
-    p_sweep.add_argument("--lo", type=Fraction, help="custom grid lower bound")
-    p_sweep.add_argument("--hi", type=Fraction, help="custom grid upper bound")
-    p_sweep.add_argument("--step", type=Fraction, default=Fraction(1, 2))
+    p_sweep.add_argument("--lo", type=_rational, help="custom grid lower bound")
+    p_sweep.add_argument("--hi", type=_rational, help="custom grid upper bound")
+    p_sweep.add_argument("--step", type=_rational, help="custom grid step (default 1/2)")
     p_sweep.add_argument("--out", help="output path (default stdout)")
     p_sweep.add_argument("--format", choices=("csv", "json"), default="csv")
 
@@ -136,12 +149,14 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+def _open_out(out_path: str | None):
+    """The output file, opened before any work so a bad path fails at once."""
+    if not out_path:
+        return nullcontext(sys.stdout)
+    try:
+        return open(out_path, "w", encoding="utf-8")
+    except OSError as exc:
+        raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None
 
 
 def _cmd_gkdim(args) -> int:
@@ -158,14 +173,8 @@ def _cmd_reduce(args) -> int:
     if args.format == "json":
         print(json.dumps(record))
     else:
-        print(" ".join(f"{key}={_text_value(value)}" for key, value in record.items()))
+        print(" ".join(f"{key}={format_field(value)}" for key, value in record.items()))
     return 0
-
-
-def _text_value(value) -> str:
-    if isinstance(value, bool):
-        return "true" if value else "false"
-    return str(value)
 
 
 def _cmd_rs(args) -> int:
@@ -183,12 +192,15 @@ def _cmd_sweep(args) -> int:
     if args.grid == "custom":
         if args.lo is None or args.hi is None:
             raise ValueError("custom grid needs --lo and --hi")
-        grid = grid_from_spec(GridSpec(lo=args.lo, hi=args.hi, step=args.step))
+        step = Fraction(1, 2) if args.step is None else args.step
+        grid = grid_from_spec(GridSpec(lo=args.lo, hi=args.hi, step=step))
+    elif (args.lo, args.hi, args.step) != (None, None, None):
+        raise ValueError("--lo, --hi and --step need --grid custom")
     else:
         grid = standard_grid(setup)
-    report = sweep(setup, grid)
-    text = report_to_csv(report) if args.format == "csv" else report_to_json(report)
-    _emit(text, args.out)
+    with _open_out(args.out) as out:
+        report = sweep(setup, grid)
+        out.write(report_to_csv(report) if args.format == "csv" else report_to_json(report))
     return 0
 
 
@@ -201,7 +213,7 @@ def _cmd_verify(args) -> int:
     report = verify_family(args.type, args.max_n)
     for setup, row in report.mismatches:
         record = row_record(setup, row)
-        print("mismatch " + " ".join(f"{k}={_text_value(v)}" for k, v in record.items()))
+        print("mismatch " + " ".join(f"{k}={format_field(v)}" for k, v in record.items()))
     if report.errors:
         setup, z1, z2, exc = report.errors[0]
         print(
@@ -223,11 +235,9 @@ def _cmd_diagram(args) -> int:
     setup = _setup_from_args(args)
     if bool(args.out) == bool(args.ascii):
         raise ValueError("diagram needs exactly one of --out FILE.svg or --ascii")
-    report = sweep(setup, standard_grid(setup))
-    if args.ascii:
-        sys.stdout.write(render_diagram(report, "ascii"))
-    else:
-        _emit(render_diagram(report, "svg"), args.out)
+    with _open_out(args.out) as out:
+        report = sweep(setup, standard_grid(setup))
+        out.write(render_diagram(report, "ascii" if args.ascii else "svg"))
     return 0
 
 

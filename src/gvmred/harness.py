@@ -13,11 +13,11 @@ import json
 from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
-from typing import Callable
+from operator import attrgetter
 
 from .exact import ExactScalar, symbol
 from .rootdata import LieType, ParabolicSetup
-from .verdict import Verdict, criterion, evaluate
+from .verdict import Verdict, evaluate
 
 
 class UnsupportedGrid(ValueError):
@@ -140,9 +140,7 @@ class SweepReport:
         }
 
 
-def sweep(
-    setup: ParabolicSetup, grid: ParameterGrid, criterion_fn: Callable | None = None
-) -> SweepReport:
+def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     """Evaluate oracle and criterion at every grid point, in grid order.
 
     A point whose evaluation raises is recorded in ``errors``, not in ``rows``.
@@ -150,7 +148,7 @@ def sweep(
     report = SweepReport(setup=setup, rows=[])
     for z1, z2 in grid.points():
         try:
-            report.rows.append(SweepRow(z1, z2, evaluate(setup, z1, z2, criterion_fn)))
+            report.rows.append(SweepRow(z1, z2, evaluate(setup, z1, z2)))
         except Exception as exc:  # collected, not fatal
             report.errors.append((str(z1), str(z2), repr(exc)))
     return report
@@ -200,14 +198,12 @@ def family_setups(kind: str, n_max: int) -> list[ParabolicSetup]:
     return setups
 
 
-def verify_family(
-    kind: str, n_max: int, criterion_fn: Callable | None = None
-) -> MismatchReport:
+def verify_family(kind: str, n_max: int) -> MismatchReport:
     """Sweep every setup of the family and collect criterion/oracle clashes."""
     report = MismatchReport(mismatches=[])
     for setup in family_setups(kind, n_max):
         grid = standard_grid(setup)
-        swept = sweep(setup, grid, criterion_fn)
+        swept = sweep(setup, grid)
         report.setups_checked += 1
         report.grid_points += len(grid)
         report.points_checked += len(swept.rows)
@@ -224,10 +220,14 @@ def verify_family(
 CSV_HEADER = "type,n,p,q,z1,z2,gk,dim_u,reducible,criterion,agree"
 
 
-def _bool_str(value: bool | None) -> str:
+def format_field(value) -> str:
+    """One field of a row as CSV and the CLI print it: None is empty,
+    booleans are lowercase, everything else goes through str."""
     if value is None:
         return ""
-    return "true" if value else "false"
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
 def row_record(setup: ParabolicSetup, row: SweepRow) -> dict:
@@ -250,24 +250,8 @@ def row_record(setup: ParabolicSetup, row: SweepRow) -> dict:
 def report_to_csv(report: SweepReport) -> str:
     lines = [CSV_HEADER]
     for row in report.rows:
-        r = row_record(report.setup, row)
-        lines.append(
-            ",".join(
-                [
-                    r["type"],
-                    str(r["n"]),
-                    str(r["p"]),
-                    str(r["q"]),
-                    r["z1"],
-                    r["z2"],
-                    str(r["gk"]),
-                    str(r["dim_u"]),
-                    _bool_str(r["reducible"]),
-                    _bool_str(r["criterion"]),
-                    _bool_str(r["agree"]),
-                ]
-            )
-        )
+        record = row_record(report.setup, row)
+        lines.append(",".join(map(format_field, record.values())))
     return "\n".join(lines) + "\n"
 
 
@@ -293,9 +277,19 @@ UNIT = 40  # SVG user units per lattice unit
 MARGIN = 60
 
 
-def _rational_rows(report: SweepReport) -> list[SweepRow]:
+def _full_lines(report: SweepReport, line, other) -> list[Fraction]:
+    """Rational values c, ascending, with every sampled point on the line
+    ``line(row) == c`` reducible and one of them at a generic ``other(row)``."""
+    groups: dict[Fraction, list[SweepRow]] = {}
+    for row in report.rows:
+        value = line(row)
+        if value.is_rational:
+            groups.setdefault(value.rational, []).append(row)
     return [
-        r for r in report.rows if r.z1.is_rational and r.z2.is_rational
+        c
+        for c, rows in sorted(groups.items())
+        if any(not other(r).is_rational for r in rows)
+        and all(r.verdict.reducible for r in rows)
     ]
 
 
@@ -307,36 +301,12 @@ def _detect_lines(report: SweepReport):
     genuinely stands for "the other parameter is arbitrary".  Anti-diagonal
     lines are read off the coupled symbol points the same way.
     """
-    verticals: list[Fraction] = []
-    horizontals: list[Fraction] = []
-    antidiagonals: list[Fraction] = []
-    by_z1: dict[Fraction, list[SweepRow]] = {}
-    by_z2: dict[Fraction, list[SweepRow]] = {}
-    by_sum: dict[Fraction, list[SweepRow]] = {}
-    for row in report.rows:
-        if row.z1.is_rational:
-            by_z1.setdefault(row.z1.rational, []).append(row)
-        if row.z2.is_rational:
-            by_z2.setdefault(row.z2.rational, []).append(row)
-        s = row.z1 + row.z2
-        if s.is_rational:
-            by_sum.setdefault(s.rational, []).append(row)
-    for a, rows in sorted(by_z1.items()):
-        if any(not r.z2.is_rational for r in rows) and all(
-            r.verdict.reducible for r in rows
-        ):
-            verticals.append(a)
-    for b, rows in sorted(by_z2.items()):
-        if any(not r.z1.is_rational for r in rows) and all(
-            r.verdict.reducible for r in rows
-        ):
-            horizontals.append(b)
-    for s, rows in sorted(by_sum.items()):
-        if any(not r.z1.is_rational for r in rows) and all(
-            r.verdict.reducible for r in rows
-        ):
-            antidiagonals.append(s)
-    return verticals, horizontals, antidiagonals
+    z1, z2 = attrgetter("z1"), attrgetter("z2")
+    return (
+        _full_lines(report, z1, z2),
+        _full_lines(report, z2, z1),
+        _full_lines(report, lambda r: r.z1 + r.z2, z1),
+    )
 
 
 def render_diagram(report: SweepReport, format: str = "svg") -> str:
@@ -350,14 +320,12 @@ def render_diagram(report: SweepReport, format: str = "svg") -> str:
         raise UnsupportedGrid(f"unknown diagram format {format!r}")
     if not report.rows:
         return _render_empty(format)
-    rational = _rational_rows(report)
+    rational = [r for r in report.rows if r.z1.is_rational and r.z2.is_rational]
     if not rational:
         raise UnsupportedGrid("no rational cartesian points to draw")
     xs = sorted({r.z1.rational for r in rational})
     ys = sorted({r.z2.rational for r in rational})
-    if len({r.z1.rational for r in rational}) * len(
-        {r.z2.rational for r in rational}
-    ) != len(rational):
+    if len(xs) * len(ys) != len(rational):
         raise UnsupportedGrid("rational points do not form a cartesian grid")
     verticals, horizontals, antidiagonals = _detect_lines(report)
     generic_rows = [r for r in report.rows if not (r.z1.is_rational and r.z2.is_rational)]

@@ -272,34 +272,21 @@ def scaled_offsets(values: Sequence) -> Offsets:
     nums = tuple(v.rational.numerator * (scale // v.rational.denominator) for v in values)
     if not any(v.generic for v in values):
         return Offsets(nums, scale, None)
-    coeffs = [dict(v.generic) for v in values]
+    return Offsets(nums, scale, _symbol_vectors([v.generic for v in values]))
+
+
+def _symbol_vectors(parts) -> tuple[tuple[int, ...], ...]:
+    """Canonical symbol parts as integer vectors over the sorted union of
+    their names, all on one scale."""
+    coeffs = [dict(g) for g in parts]
     names = sorted(set().union(*coeffs))
-    sym_scale = lcm(*(c.denominator for v in values for _, c in v.generic))
-    symbols = tuple(
-        tuple(
-            c[name].numerator * (sym_scale // c[name].denominator) if name in c else 0
-            for name in names
-        )
-        for c in coeffs
-    )
-    return Offsets(nums, scale, symbols)
-
-
-def _symbol_vectors(g1, g2) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Two canonical symbol parts as integer vectors on one scale."""
-    if len(g1) == 1 and len(g2) == 1 and g1[0][0] == g2[0][0]:
-        # one shared symbol, as at the coupled points (a + tau, b - tau)
-        (_, a), (_, b) = g1[0], g2[0]
-        return (a.numerator * b.denominator,), (b.numerator * a.denominator,)
-    c1, c2 = dict(g1), dict(g2)
-    names = sorted(c1.keys() | c2.keys())
-    scale = lcm(*(c.denominator for _, c in g1), *(c.denominator for _, c in g2))
+    scale = lcm(*(c.denominator for g in parts for _, c in g))
     return tuple(
         tuple(
             c[name].numerator * (scale // c[name].denominator) if name in c else 0
             for name in names
         )
-        for c in (c1, c2)
+        for c in coeffs
     )
 
 
@@ -325,7 +312,12 @@ def block_offsets(plan: BlockPlan, z1, z2) -> Offsets:
     g1, g2 = z1.generic, z2.generic
     if not g1 and not g2:
         return Offsets(nums, 2 * scale, None)
-    pairs = tuple(zip(*_symbol_vectors(g1, g2)))
+    if len(g1) == 1 and len(g2) == 1 and g1[0][0] == g2[0][0]:
+        # one shared symbol, as at the coupled points (a + tau, b - tau)
+        (_, a), (_, b) = g1[0], g2[0]
+        pairs = ((a.numerator * b.denominator, b.numerator * a.denominator),)
+    else:
+        pairs = tuple(zip(*_symbol_vectors((g1, g2))))
     symbols = tuple(
         [tuple([c1 * a + c2 * b for a, b in pairs]) for c1, c2 in coefficients]
     )

@@ -17,21 +17,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .exact import ExactScalar, scalars_equal, sum_int_at_least
-from .gk import (
-    NonIntegralWeight,
-    gk_dimension,
-    integrality_classes,
-    fold_class,
-    is_integral,
-)
-from .rootdata import (
-    IndexOutOfRange,
-    ParabolicSetup,
-    WeightVector,
-    dim_nilradical,
-    shifted_weight,
-)
-from .tableaux import conjugate, even_odd_counts, minus_double, rs_shape
+from .gk import NonIntegralWeight, gk_dimension, is_integral
+from .rootdata import IndexOutOfRange, ParabolicSetup, WeightVector, dim_nilradical
+from .tableaux import conjugate, rs_shape
 
 
 class WrongLieType(ValueError):
@@ -170,12 +158,12 @@ def criterion(setup: ParabolicSetup, z1, z2) -> bool:
     return criterion_a_offdiagonal(setup, z1, z2)
 
 
-def evaluate(setup: ParabolicSetup, z1, z2, criterion_fn=None) -> Verdict:
+def evaluate(setup: ParabolicSetup, z1, z2) -> Verdict:
     """Oracle verdict plus criterion answer and agreement flag."""
     gk = gk_dimension(setup, z1, z2)
     du = dim_nilradical(setup)
     reducible = gk < du
-    crit = (criterion_fn or criterion)(setup, z1, z2)
+    crit = criterion(setup, z1, z2)
     return Verdict(
         gk=gk, dim_u=du, reducible=reducible, criterion=crit, agree=reducible == crit
     )
@@ -205,29 +193,3 @@ def has_maximal_shape(setup: ParabolicSetup, weight: WeightVector) -> bool:
         sorted((c for c in (setup.p, setup.middle, setup.n - setup.q) if c), reverse=True)
     )
     return columns == target
-
-
-def irreducible_shape_diagnostic(setup: ParabolicSetup, z1, z2) -> bool:
-    """Type D shape witness for irreducibility (diagnostic only).
-
-    True when some labeled class x has even-box row counts of its doubled
-    sequence equal to (2, 1, ..., 1) or (1, 1, ..., 1), or some unlabeled
-    class folds to a tableau of shape (2, 1^(n-2)) or (1^(n-1)).  Checked
-    one-directionally against the oracle: irreducible implies a witness.
-    """
-    if setup.lie.kind != "D":
-        raise WrongLieType("the shape diagnostic is for type D")
-    n = setup.n
-    targets = ((2,) + (1,) * (n - 2), (1,) * (n - 1))
-    dec = integrality_classes(tuple(shifted_weight(setup, z1, z2)), setup.lie)
-    for labeled in (dec.integer_class, dec.half_class):
-        if labeled:
-            ev, _ = even_odd_counts(rs_shape(minus_double(labeled)))
-            while ev and ev[-1] == 0:
-                ev = ev[:-1]
-            if ev in targets:
-                return True
-    for other in dec.other_classes:
-        if rs_shape(fold_class(other)) in targets:
-            return True
-    return False

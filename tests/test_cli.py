@@ -196,6 +196,59 @@ def test_sweep_rejects_nonpositive_step(capsys):
         assert "step must be positive" in capsys.readouterr().err
 
 
+def test_zero_denominator_exits_2(capsys):
+    with pytest.raises(ValueError, match="bad scalar"):
+        parse_scalar("1/0*tau")
+    reduce = ["reduce", "--type", "A", "--n", "5", "--p", "1", "--q", "3"]
+    custom = ["sweep", "--type", "A", "--n", "5", "--p", "1", "--q", "3", "--grid", "custom"]
+    for argv in (
+        [*reduce, "--z1=1/0*tau", "--z2=0"],
+        [*reduce, "--z1=0", "--z2=2-3/0*sigma"],
+        [*custom, "--lo=1/0", "--hi=1"],
+        [*custom, "--lo=0", "--hi=1", "--step=1/0"],
+    ):
+        assert main(argv) == 2, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "Traceback" not in captured.err
+    assert main(["rs", "--seq", "1/0*tau,1"]) == 2
+    assert "bad scalar" in capsys.readouterr().err
+
+
+def _no_sweep(setup, grid):
+    raise AssertionError("the grid was swept")
+
+
+def test_sweep_rejects_custom_grid_flags_without_custom_grid(capsys, monkeypatch):
+    import gvmred.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "sweep", _no_sweep)
+    for flag in ("--lo=1", "--hi=1", "--step=7", "--step=1/2"):
+        argv = ["sweep", "--type", "A", "--n", "5", "--p", "1", "--q", "3", flag]
+        assert main(argv) == 2, flag
+        captured = capsys.readouterr()
+        assert "need --grid custom" in captured.err and captured.out == ""
+    monkeypatch.undo()
+    # the custom grid still steps by 1/2 when --step is left out
+    argv = ["sweep", "--type", "A", "--n", "5", "--p", "1", "--q", "3"]
+    assert main([*argv, "--grid", "custom", "--lo=0", "--hi=1"]) == 0
+    z1 = {line.split(",")[4] for line in capsys.readouterr().out.splitlines()[1:]}
+    assert {"0", "1/2", "1"} <= z1 and "3/2" not in z1
+
+
+def test_unwritable_out_exits_2_before_sweeping(tmp_path, capsys, monkeypatch):
+    import gvmred.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "sweep", _no_sweep)
+    out = tmp_path / "missing" / "x.svg"
+    setup = ["--type", "A", "--n", "5", "--p", "1", "--q", "3"]
+    for argv in (["diagram", *setup, "--out", str(out)], ["sweep", *setup, "--out", str(out)]):
+        assert main(argv) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+    assert not out.parent.exists()
+
+
 def test_verify_rejects_max_n_below_family_minimum(capsys, monkeypatch):
     import gvmred.cli as cli_mod
 

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 
@@ -18,7 +20,8 @@ from gvmred import (
     sweep,
     verify_family,
 )
-from gvmred.harness import MAX_GRID_POINTS, grid_from_spec
+from gvmred.harness import MAX_GRID_POINTS, SweepRow, format_field, grid_from_spec
+from gvmred.verdict import Verdict
 
 from conftest import SIGMA, TAU, sc
 
@@ -117,11 +120,12 @@ def test_verify_family_small_clean():
     assert report.errors == []
 
 
-def test_verify_family_fails_when_every_point_raises():
+def test_verify_family_fails_when_every_point_raises(monkeypatch):
     def broken(setup, z1, z2):
         raise RuntimeError("criterion failed")
 
-    report = verify_family("A", 4, criterion_fn=broken)
+    monkeypatch.setattr("gvmred.verdict.criterion", broken)
+    report = verify_family("A", 4)
     assert not report.ok
     assert report.points_checked == 0
     assert report.grid_points == sum(len(standard_grid(s)) for s in family_setups("A", 4))
@@ -184,14 +188,15 @@ def test_grid_point_bound_covers_the_grid():
     assert len(nine) < MAX_GRID_POINTS // 100
 
 
-def test_verify_family_detects_corrupted_criterion():
+def test_verify_family_detects_corrupted_criterion(monkeypatch):
     def flipped(setup, z1, z2):
         value = criterion(setup, z1, z2)
         if z1 == z2 and z1.is_integer:
             return not value
         return value
 
-    report = verify_family("A", 4, criterion_fn=flipped)
+    monkeypatch.setattr("gvmred.verdict.criterion", flipped)
+    report = verify_family("A", 4)
     assert not report.ok
 
 
@@ -216,6 +221,71 @@ def test_csv_format():
     assert row[0] == "A" and row[1:4] == ["5", "1", "3"]
     assert row[4] == "-2" and row[8] in ("true", "false")
     assert any("tau" in line.split(",")[4] for line in lines[1:])
+
+
+def test_csv_lines_are_json_rows_through_the_field_formatter():
+    setup = ParabolicSetup(A(5), 1, 3)
+    values = (sc(-2), sc("-3/2"), TAU, sc(-2) + TAU)
+    report = sweep(setup, ParameterGrid(z1_values=values, z2_values=values))
+    # a row the oracle alone decided: no criterion answer, no agreement flag
+    report.rows.append(SweepRow(sc(1), SIGMA, Verdict(gk=8, dim_u=8, reducible=False)))
+    header, *lines = report_to_csv(report).splitlines()
+    rows = json.loads(report_to_json(report))["rows"]
+    assert len(lines) == len(rows) == len(report.rows)
+    for line, row in zip(lines, rows):
+        assert header.split(",") == list(row)
+        assert line == ",".join(format_field(value) for value in row.values())
+    assert lines[-1] == "A,5,1,3,1,sigma,8,8,false,,"
+    assert [format_field(v) for v in (None, True, False, 0, "tau")] == [
+        "", "true", "false", "0", "tau"
+    ]
+
+
+# SHA-256 of report_to_csv, report_to_json and the SVG and ASCII diagrams of
+# the paper's four configurations over their standard grids.
+PAPER_OUTPUT_DIGESTS = {
+    ("A", 10, 3, 6): (
+        "6e5995a3cf2e1dd3a806ba79a167720764f4f18b6598d3022bbb5cc2225718a2",
+        "3aaef6db4b7055c32511eca8cb5a6536af25c7ba6e39e2c168bd06732b4c362b",
+        "b7b6e6af3a2ebc76047a2ee9e5542430653263ceacb5033fd740cc203dbfb487",
+        "ecc9a7a289213006e92f5bba4bf57612c6c81b54f14905167b62ef6a2feaf713",
+    ),
+    ("A", 11, 3, 9): (
+        "2bf31c957c38fd5129f0cb5278c779d4581d8223d5fa68abf2d9af59a6cca1f3",
+        "0b957bf254a5c8a641a5ca9847775a824fb04b8e37961092a823be4f8ced0f1a",
+        "e91c16a6d6e82769d9c84327487d117f77fde55806cbc2db1aeff388949738e9",
+        "221df274fa5a663dc8d55f074162fcfd71e05ac0161304132bfb94fa2d6ffbd1",
+    ),
+    ("D", 6, 1, 5): (
+        "101af01714fd9c8f74ebd0cd4ecfec7b92cfe4215ab4160879fdb4faef6ced6e",
+        "7f3e596bad3c4d601ca7a04f0c777fdaed374d796e645d0d68f3610ad0df4db3",
+        "c4d8d0fcfd429ad006e032633194b9ea710d5e6259d2c7928983a8b10c1812b3",
+        "7288b02a6b1f27e5cfa658116c14bfe7eefa299302deda9d63be01b52d505039",
+    ),
+    ("D", 7, 6, 7): (
+        "1dee3f54fc82830ea90fc72582e330a2bd2e7bc8330e772fc58f3691302484b4",
+        "dab6e8f9e54893f5a7f2f008de141e863c87d6d09c70368aae0ff85161539ba7",
+        "11783c0614abdc599be7e579a826c56942515d9d241e69d7851170f13212fa97",
+        "7de599ced741106c4707b89d92873b645dff2e712647f5bdb9dce150c926be1f",
+    ),
+}
+
+
+def test_paper_configurations_serialize_byte_identically():
+    sizes = []
+    for (kind, n, p, q), expected in PAPER_OUTPUT_DIGESTS.items():
+        setup = ParabolicSetup(LieType(kind, n), p, q)
+        report = sweep(setup, standard_grid(setup))
+        sizes.append(len(report.rows))
+        bodies = (
+            report_to_csv(report),
+            report_to_json(report),
+            render_diagram(report, "svg"),
+            render_diagram(report, "ascii"),
+        )
+        got = tuple(hashlib.sha256(body.encode()).hexdigest() for body in bodies)
+        assert got == expected, (kind, n, p, q)
+    assert sizes == [2147, 2417, 1227, 1433]
 
 
 def test_json_format():

@@ -18,10 +18,14 @@ from gvmred import (
     criterion_a_offdiagonal,
     criterion_d,
     evaluate,
+    even_odd_counts,
     family_setups,
+    fold_class,
     has_maximal_shape,
-    irreducible_shape_diagnostic,
+    integrality_classes,
+    minus_double,
     reducible_oracle,
+    rs_shape,
     shifted_weight,
     single_weight_reducible,
     standard_grid,
@@ -229,6 +233,32 @@ def test_upward_closure_of_reducibility():
             a, b = rng.randint(0, 3), rng.randint(0, 3)
             assert criterion(setup, z1 + a, z2 + b)
             assert reducible_oracle(setup, z1 + a, z2 + b).reducible
+
+
+def irreducible_shape_diagnostic(setup: ParabolicSetup, z1, z2) -> bool:
+    """Type D shape witness for irreducibility (diagnostic only).
+
+    True when some labeled class x has even-box row counts of its doubled
+    sequence equal to (2, 1, ..., 1) or (1, 1, ..., 1), or some unlabeled
+    class folds to a tableau of shape (2, 1^(n-2)) or (1^(n-1)).  Checked
+    one-directionally against the oracle: irreducible implies a witness.
+    """
+    if setup.lie.kind != "D":
+        raise WrongLieType("the shape diagnostic is for type D")
+    n = setup.n
+    targets = ((2,) + (1,) * (n - 2), (1,) * (n - 1))
+    dec = integrality_classes(tuple(shifted_weight(setup, z1, z2)), setup.lie)
+    for labeled in (dec.integer_class, dec.half_class):
+        if labeled:
+            ev, _ = even_odd_counts(rs_shape(minus_double(labeled)))
+            while ev and ev[-1] == 0:
+                ev = ev[:-1]
+            if ev in targets:
+                return True
+    for other in dec.other_classes:
+        if rs_shape(fold_class(other)) in targets:
+            return True
+    return False
 
 
 def test_shape_diagnostic_catches_every_irreducible_point():
