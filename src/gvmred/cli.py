@@ -7,10 +7,11 @@ are accepted.  Every scalar the tool prints re-parses to an equal value.
 Values starting with ``-`` are safest passed as ``--z1=-5/2``.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error
-(including a verify ``--max-n`` below the family's smallest rank, a custom
-grid larger than ``harness.MAX_GRID_POINTS``, a zero denominator in a
-scalar, ``--lo``/``--hi``/``--step`` without ``--grid custom`` and an
-``--out`` path that cannot be opened for writing; all before any work).
+(including an ``--n`` above ``MAX_RANK`` (2 000), a verify ``--max-n``
+below the family's smallest rank, a custom grid larger than
+``harness.MAX_GRID_POINTS``, a zero denominator in a scalar,
+``--lo``/``--hi``/``--step`` without ``--grid custom`` and an ``--out``
+path that cannot be opened for writing; all before any work).
 """
 
 from __future__ import annotations
@@ -41,6 +42,10 @@ from .harness import (
 from .rootdata import LieType, ParabolicSetup
 from .tableaux import render_tableau, rs_shape, rs_tableau
 from .verdict import evaluate
+
+# Largest --n a command accepts: one gkdim or reduce point costs time
+# quadratic in the rank, about half a second at this cap.
+MAX_RANK = 2_000
 
 
 def parse_scalar(text: str) -> ExactScalar:
@@ -93,6 +98,8 @@ def _rational(text: str) -> Fraction:
 
 
 def _setup_from_args(args) -> ParabolicSetup:
+    if args.n > MAX_RANK:
+        raise ValueError(f"--n must be at most {MAX_RANK}, got {args.n}")
     return ParabolicSetup(LieType(args.type, args.n), args.p, args.q)
 
 

@@ -20,6 +20,11 @@ Robinson-Schensted keys are integers.  With offsets ``N_b / S``:
 * the integral and half-integral type D classes are doubled with reversed
   negation, with keys ``2 * entry``.
 
+A point's keys follow from its ``class_signature`` and the setup's rho
+runs, so ``gk_dimension`` builds keys and inserts them only for a
+signature its memo has not seen.  A memo belongs to one sweep of one
+setup.
+
 The ExactScalar functions (``gk_dimension_of_weight``,
 ``integrality_classes``, ``fold_class``) run the same code on a dense
 weight, one single-entry block per coordinate.
@@ -45,6 +50,8 @@ from .exact import sub_is_integer, sum_is_integer  # noqa: F401
 from .rootdata import shifted_weight  # noqa: F401
 
 Member = tuple[int, bool]  # (block index, joined to the class head by a sum)
+# Per class: (labeled, ((block index, flipped, key base), ...)).
+Signature = tuple[tuple[bool, tuple[tuple[int, bool, int], ...]], ...]
 
 
 class NonIntegralWeight(ValueError):
@@ -114,32 +121,57 @@ def _folded(members: list[Member]) -> list[Member]:
     return [m for m in members if not m[1]] + [m for m in reversed(members) if m[1]]
 
 
-def _gk_from_blocks(lie: LieType, offsets: Offsets, runs) -> int:
-    """GK dimension of the weight whose block b is ``offsets[b] + runs[b]``."""
-    nums, scale, _ = offsets
-    n = lie.n
-    if lie.kind == "A":
-        total = n * (n - 1) // 2
-        for members in split_blocks(offsets, False):
-            head = nums[members[0][0]]
-            keys = [(nums[b] - head) // scale + r for b, _ in members for r in runs[b]]
-            total -= shape_depth_sum(key_shape(keys))
-        return total
-    total = n * n - n
-    for members in split_blocks(offsets, True):
+def class_signature(lie: LieType, offsets: Offsets) -> Signature:
+    """The class structure of a point, on which its GK dimension depends.
+
+    One entry per class: the labeled flag (a type D integral or
+    half-integral class, whose keys are doubled) and, per member block in
+    key order, the block index, the flipped flag and the integer base of
+    the block's keys.  Two points of one setup with equal signatures have
+    equal keys, so equal GK dimensions.
+    """
+    nums, scale, symbols = offsets
+    use_sum = lie.kind == "D"
+    signature = []
+    for members in split_blocks(offsets, use_sum):
         h = members[0][0]
-        if _coset(offsets, h) is not CosetClass.OTHER:
-            keys = [2 * nums[b] // scale + 2 * r for b, _ in members for r in runs[b]]
+        head = nums[h]
+        # labeled: the head, so the whole class, is integral or half-integral
+        if use_sum and 2 * head % scale == 0 and (symbols is None or not any(symbols[h])):
+            blocks = tuple([(b, flipped, 2 * nums[b] // scale) for b, flipped in members])
+            signature.append((True, blocks))
+        elif len(members) == 1:
+            signature.append((False, ((h, False, 0),)))
+        else:
+            if use_sum:
+                members = _folded(members)
+            blocks = tuple(
+                [
+                    (b, True, -(nums[b] + head) // scale)
+                    if flipped
+                    else (b, False, (nums[b] - head) // scale)
+                    for b, flipped in members
+                ]
+            )
+            signature.append((False, blocks))
+    return tuple(signature)
+
+
+def _gk_from_signature(lie: LieType, signature: Signature, runs) -> int:
+    """GK dimension of the weight with this class signature, block b
+    holding the rho entries ``runs[b]``."""
+    n = lie.n
+    total = n * (n - 1) // 2 if lie.kind == "A" else n * n - n
+    for labeled, blocks in signature:
+        if labeled:
+            keys = [base + 2 * r for b, _, base in blocks for r in runs[b]]
             total -= shape_even_depth_sum(key_shape(minus_double(keys)))
             continue
-        head = nums[h]
         keys = []
-        for b, flipped in _folded(members):
+        for b, flipped, base in blocks:
             if flipped:
-                base = -(nums[b] + head) // scale
                 keys.extend(base - r for r in reversed(runs[b]))
             else:
-                base = (nums[b] - head) // scale
                 keys.extend(base + r for r in runs[b])
         total -= shape_depth_sum(key_shape(keys))
     return total
@@ -206,10 +238,22 @@ def gk_dimension_of_weight(weight, lie: LieType) -> int:
     n = lie.n
     if len(entries) != n:
         raise ValueError(f"weight has length {len(entries)}, expected {n}")
-    return _gk_from_blocks(lie, scaled_offsets(entries), ((0,),) * n)
+    signature = class_signature(lie, scaled_offsets(entries))
+    return _gk_from_signature(lie, signature, ((0,),) * n)
 
 
-def gk_dimension(setup: ParabolicSetup, z1, z2) -> int:
-    """GK dimension at the scalar highest weight z1*xi_p + z2*xi_q."""
+def gk_dimension(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> int:
+    """GK dimension at the scalar highest weight z1*xi_p + z2*xi_q.
+
+    ``memo`` maps class signatures of this setup to GK dimensions; a sweep
+    passes one dict for all its points, so a signature seen before costs a
+    lookup.  Without it the point gets a fresh dict.
+    """
+    if memo is None:
+        memo = {}
     plan = setup.block_plan
-    return _gk_from_blocks(setup.lie, block_offsets(plan, z1, z2), plan.rho_runs)
+    signature = class_signature(setup.lie, block_offsets(plan, z1, z2))
+    gk = memo.get(signature)
+    if gk is None:
+        gk = memo[signature] = _gk_from_signature(setup.lie, signature, plan.rho_runs)
+    return gk

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from operator import attrgetter
+from typing import NamedTuple
 
 from .exact import ExactScalar, symbol
 from .rootdata import LieType, ParabolicSetup
@@ -114,8 +115,7 @@ def standard_grid(setup: ParabolicSetup) -> ParameterGrid:
     return grid_from_spec(GridSpec(lo=Fraction(-(n + 2)), hi=Fraction(3)))
 
 
-@dataclass(frozen=True)
-class SweepRow:
+class SweepRow(NamedTuple):
     z1: ExactScalar
     z2: ExactScalar
     verdict: Verdict
@@ -144,11 +144,13 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     """Evaluate oracle and criterion at every grid point, in grid order.
 
     A point whose evaluation raises is recorded in ``errors``, not in ``rows``.
+    The GK memo (class signature -> GK dimension) lives for this one sweep.
     """
     report = SweepReport(setup=setup, rows=[])
+    memo: dict = {}
     for z1, z2 in grid.points():
         try:
-            report.rows.append(SweepRow(z1, z2, evaluate(setup, z1, z2)))
+            report.rows.append(SweepRow(z1, z2, evaluate(setup, z1, z2, memo)))
         except Exception as exc:  # collected, not fatal
             report.errors.append((str(z1), str(z2), repr(exc)))
     return report

@@ -180,8 +180,9 @@ class ParabolicSetup:
     def outer_max(self) -> int:
         return max(self.p, self.n - self.q)
 
-    @property
+    @cached_property
     def dim_u(self) -> int:
+        """Dimension of the nilradical, computed on first use."""
         return dim_nilradical(self)
 
     @cached_property
@@ -294,7 +295,9 @@ def block_offsets(plan: BlockPlan, z1, z2) -> Offsets:
     """Each block's offset (c1*z1 + c2*z2)/2, computed once per point.
 
     The pair is put over a common denominator on the integers; a point
-    with two rational parameters skips the symbol work.
+    with two rational parameters skips the symbol work, and one symbol
+    shared by both parameters or carried by one of them skips the general
+    symbol-vector builder.
     """
     z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
     z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
@@ -316,6 +319,9 @@ def block_offsets(plan: BlockPlan, z1, z2) -> Offsets:
         # one shared symbol, as at the coupled points (a + tau, b - tau)
         (_, a), (_, b) = g1[0], g2[0]
         pairs = ((a.numerator * b.denominator, b.numerator * a.denominator),)
+    elif len(g1) + len(g2) == 1:
+        # one symbol on one parameter, the other rational, as at (tau, 2)
+        pairs = ((g1[0][1].numerator, 0),) if g1 else ((0, g2[0][1].numerator),)
     else:
         pairs = tuple(zip(*_symbol_vectors((g1, g2))))
     symbols = tuple(

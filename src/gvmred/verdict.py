@@ -14,11 +14,11 @@ builds no scalar and does no Fraction arithmetic.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .exact import ExactScalar, scalars_equal, sum_int_at_least
 from .gk import NonIntegralWeight, gk_dimension, is_integral
-from .rootdata import IndexOutOfRange, ParabolicSetup, WeightVector, dim_nilradical
+from .rootdata import IndexOutOfRange, ParabolicSetup, WeightVector
 from .tableaux import conjugate, rs_shape
 
 
@@ -30,8 +30,7 @@ class EqualParameters(ValueError):
     """The off-diagonal criterion was called with z1 = z2."""
 
 
-@dataclass(frozen=True)
-class Verdict:
+class Verdict(NamedTuple):
     gk: int
     dim_u: int
     reducible: bool
@@ -74,7 +73,7 @@ def _int_step_at_least(z: ExactScalar, twice_bound: int) -> bool:
 def reducible_oracle(setup: ParabolicSetup, z1, z2) -> Verdict:
     """Verdict from the GK-dimension oracle alone."""
     gk = gk_dimension(setup, z1, z2)
-    du = dim_nilradical(setup)
+    du = setup.dim_u
     return Verdict(gk=gk, dim_u=du, reducible=gk < du)
 
 
@@ -158,10 +157,14 @@ def criterion(setup: ParabolicSetup, z1, z2) -> bool:
     return criterion_a_offdiagonal(setup, z1, z2)
 
 
-def evaluate(setup: ParabolicSetup, z1, z2) -> Verdict:
-    """Oracle verdict plus criterion answer and agreement flag."""
-    gk = gk_dimension(setup, z1, z2)
-    du = dim_nilradical(setup)
+def evaluate(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> Verdict:
+    """Oracle verdict plus criterion answer and agreement flag.
+
+    ``memo`` is handed to ``gk_dimension``; the criterion runs at every
+    point.
+    """
+    gk = gk_dimension(setup, z1, z2, memo)
+    du = setup.dim_u
     reducible = gk < du
     crit = criterion(setup, z1, z2)
     return Verdict(

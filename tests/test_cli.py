@@ -277,6 +277,29 @@ def test_sweep_rejects_oversized_custom_grid(capsys, monkeypatch):
     assert "more than" in captured.err and captured.out == ""
 
 
+def test_rank_above_cap_exits_2_before_any_work(capsys, monkeypatch):
+    import gvmred.cli as cli_mod
+    import gvmred.verdict as verdict_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a setup was built or evaluated")
+
+    for owner in (cli_mod, verdict_mod):
+        monkeypatch.setattr(owner, "gk_dimension", no_work)
+    monkeypatch.setattr(cli_mod, "ParabolicSetup", no_work)
+    too_large = str(cli_mod.MAX_RANK + 1)
+    for command in ("gkdim", "reduce"):
+        argv = [command, "--type", "A", "--n", too_large, "--p", "1", "--q", "2"]
+        assert main([*argv, "--z1=0", "--z2=0"]) == 2
+        captured = capsys.readouterr()
+        assert f"--n must be at most {cli_mod.MAX_RANK}" in captured.err
+        assert captured.out == ""
+    monkeypatch.undo()
+    argv = ["gkdim", "--type", "A", "--n", str(cli_mod.MAX_RANK), "--p", "1", "--q", "2"]
+    assert main([*argv, "--z1=0", "--z2=0"]) == 0
+    assert capsys.readouterr().out.startswith("gk=")
+
+
 def test_cli_import_leaves_process_pool_unloaded():
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))

@@ -2,9 +2,10 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dense_gk
+import gvmred.gk as gk_module
 from gvmred import (
     ExactScalar,
     LieType,
@@ -19,8 +20,10 @@ from gvmred import (
     integrality_classes,
     is_integral,
     standard_grid,
+    sweep,
     weyl_vector,
 )
+from gvmred.tableaux import key_shape
 
 import conftest
 from conftest import SIGMA, TAU, sc, seq
@@ -168,17 +171,39 @@ def test_integral_path_rejects_split_weights():
 
 
 def test_block_core_matches_dense_route_on_standard_grids():
+    """The rows of a sweep, whose GK dimensions go through one memo, as
+    ``verify`` computes them."""
     checked = 0
     for kind, n_max in (("A", 6), ("D", 7)):
         for setup in family_setups(kind, n_max):
-            for z1, z2 in standard_grid(setup).points():
-                assert gk_dimension(setup, z1, z2) == dense_gk.gk_dimension(setup, z1, z2), (
-                    setup,
-                    z1,
-                    z2,
-                )
+            grid = standard_grid(setup)
+            report = sweep(setup, grid)
+            assert not report.errors and len(report.rows) == len(grid)
+            for row in report.rows:
+                dense = dense_gk.gk_dimension(setup, row.z1, row.z2)
+                assert row.verdict.gk == dense, (setup, row.z1, row.z2)
                 checked += 1
     assert checked > 35000
+
+
+def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
+    """Shapes are computed once per class signature of a sweep, and a
+    second sweep of the same setup computes them all again."""
+    calls = []
+
+    def counted(keys):
+        calls.append(keys)
+        return key_shape(keys)
+
+    monkeypatch.setattr(gk_module, "key_shape", counted)
+    for setup in (ParabolicSetup(A(6), 2, 4), ParabolicSetup(D(6), 1, 5)):
+        grid = standard_grid(setup)
+        counts = []
+        for _ in range(2):
+            calls.clear()
+            sweep(setup, grid)
+            counts.append(len(calls))
+        assert 0 < counts[0] == counts[1] < len(grid) / 2
 
 
 @st.composite
@@ -212,6 +237,31 @@ def parameter_pairs(draw):
 def test_block_core_matches_dense_route_at_random_points(setup, pair):
     z1, z2 = pair
     assert gk_dimension(setup, z1, z2) == dense_gk.gk_dimension(setup, z1, z2)
+
+
+def _pairs(*pairs):
+    return [(sc(a), sc(b)) for a, b in pairs]
+
+
+@settings(max_examples=200, deadline=None)
+@given(setups(), st.lists(parameter_pairs(), min_size=2, max_size=40), st.randoms())
+# Signatures that differ only in a flipped flag (the first two points of
+# the D example), only in the labeled flag (its last two), and only in a
+# base (the A example).
+@example(
+    ParabolicSetup(D(4), 1, 4),
+    _pairs(("-9/2", "5/2"), (-2, "-11/2"), (0, "-11/2"), (0, 0)),
+    random.Random(0),
+)
+@example(ParabolicSetup(A(3), 1, 2), _pairs((-5, -5), (-5, 0)), random.Random(0))
+def test_shared_memo_matches_fresh_points(setup, pairs, rng):
+    """Points of one setup through one memo, in two orders, give each
+    point's one-point GK dimension."""
+    memo = {}
+    shuffled = pairs[:]
+    rng.shuffle(shuffled)
+    for z1, z2 in pairs + shuffled:
+        assert gk_dimension(setup, z1, z2, memo) == gk_dimension(setup, z1, z2)
 
 
 dense_entries = st.lists(

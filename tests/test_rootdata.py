@@ -3,7 +3,7 @@ from fractions import Fraction
 from math import gcd
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gvmred import (
     ExactScalar,
@@ -220,6 +220,10 @@ def _names(values):
 
 @settings(max_examples=300, deadline=None)
 @given(st.sampled_from(family_setups("A", 7) + family_setups("D", 7)), scalar_pairs())
+# one symbolic parameter and one rational, as on the standard grids
+@example(ParabolicSetup(LieType("D", 6), 1, 5), (TAU, sc(2)))
+@example(ParabolicSetup(LieType("A", 5), 1, 3), (sc(2), sc(-1) - TAU))
+@example(ParabolicSetup(LieType("D", 5), 4, 5), (sc("1/3"), SIGMA * Fraction(-3, 2) + 1))
 def test_block_offsets_match_scaled_offsets_of_block_values(setup, pair):
     z1, z2 = pair
     plan = setup.block_plan
