@@ -8,7 +8,10 @@ Values starting with ``-`` are safest passed as ``--z1=-5/2``.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error
 (including an ``--n`` above ``MAX_RANK`` (2 000), a verify ``--max-n``
-below the family's smallest rank, a custom grid larger than
+below the family's smallest rank, a verify ``--max-n`` whose family's
+standard grids would hold more than ``harness.MAX_FAMILY_POINTS``
+(1 000 000) points, that is above 14 for type A or 43 for type D, where
+a run takes about 14 s and 63 s, a custom grid larger than
 ``harness.MAX_GRID_POINTS``, a zero denominator in a scalar,
 ``--lo``/``--hi``/``--step`` without ``--grid custom`` and an ``--out``
 path that cannot be opened for writing; all before any work).

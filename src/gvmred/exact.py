@@ -6,13 +6,22 @@ relations: a scalar with a nonzero symbol part is never an integer, never
 a half-integer, and never passes an ordering threshold against a rational.
 Two symbol names (``tau``, ``sigma``) are enough for every criterion in
 this package, but the type accepts any names.
+
+Each scalar decodes its canonical form into plain integers once, when it
+is built: ``num`` and ``den`` of the rational part and ``terms``, the
+symbol part as ``(name, numerator, denominator)`` triples, with
+``neg_terms`` its negation.  The per-point tests below (``scalars_equal``,
+the integer sum and difference tests, ``form_values``) and the criteria
+and block offsets elsewhere read only these fields, so they build no
+scalar and do no ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from typing import Mapping, Union
+from math import gcd
+from typing import Mapping, Sequence, Union
 
 
 class IncomparableScalars(ValueError):
@@ -41,23 +50,33 @@ class ExactScalar:
 
     Canonical form: the rational part is a reduced ``Fraction`` and the
     symbol part holds no zero coefficients, so structural equality is
-    semantic equality.
+    semantic equality.  ``num``/``den`` and ``terms``/``neg_terms`` hold
+    the same canonical form as integers (see the module docstring).
     """
 
-    __slots__ = ("rational", "generic", "_hash")
+    __slots__ = ("rational", "generic", "num", "den", "terms", "neg_terms", "_hash")
 
     def __init__(self, rational: RationalLike = 0, generic=None):
-        self.rational = _fraction(rational)
+        self.rational = r = _fraction(rational)
+        self.num, self.den = r.numerator, r.denominator
         if not generic:
-            self.generic = ()
+            self.generic = self.terms = self.neg_terms = ()
         else:
             items = generic.items() if isinstance(generic, Mapping) else generic
             merged: dict[str, Fraction] = {}
             for name, coeff in items:
                 coeff = _fraction(coeff)
-                merged[name] = merged.get(name, Fraction(0)) + coeff
-            self.generic = tuple(
-                (name, coeff) for name, coeff in sorted(merged.items()) if coeff
+                merged[name] = merged[name] + coeff if name in merged else coeff
+            generic, terms, neg_terms = [], [], []
+            for name in sorted(merged):
+                coeff = merged[name]
+                if coeff:
+                    num, den = coeff.numerator, coeff.denominator
+                    generic.append((name, coeff))
+                    terms.append((name, num, den))
+                    neg_terms.append((name, -num, den))
+            self.generic, self.terms, self.neg_terms = (
+                tuple(generic), tuple(terms), tuple(neg_terms)
             )
         # a rational scalar equals its Fraction (and int), so hashes alike
         self._hash = (
@@ -70,11 +89,11 @@ class ExactScalar:
 
     @property
     def is_integer(self) -> bool:
-        return not self.generic and self.rational.denominator == 1
+        return not self.terms and self.den == 1
 
     @property
     def is_half_integer(self) -> bool:
-        return not self.generic and self.rational.denominator == 2
+        return not self.terms and self.den == 2
 
     def coset_class(self) -> CosetClass:
         if self.is_integer:
@@ -104,7 +123,10 @@ class ExactScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return self + (-other)
+        return ExactScalar(
+            self.rational - other.rational,
+            self.generic + tuple([(n, -c) for n, c in other.generic]),
+        )
 
     def __rsub__(self, other):
         other = self._coerce(other)
@@ -177,42 +199,22 @@ def symbol(name: str, coeff: RationalLike = 1) -> ExactScalar:
     return ExactScalar(0, [(name, coeff)])
 
 
-# The tests below read the integers inside canonical scalars (reduced
+# The tests below read the integer fields of canonical scalars (reduced
 # fractions with positive denominators) and build no scalar, so they are
 # cheap enough for the per-point criteria.
 
 
-def _terms_match(g, h, sign: int) -> bool:
-    """Canonical symbol parts with g = sign * h."""
-    if len(g) != len(h):
-        return False
-    for (name, c), (other, d) in zip(g, h):
-        if (
-            name != other
-            or c.denominator != d.denominator
-            or c.numerator != sign * d.numerator
-        ):
-            return False
-    return True
-
-
 def scalars_equal(a: ExactScalar, b: ExactScalar) -> bool:
     """a == b, compared on numerators and denominators."""
-    ra, rb = a.rational, b.rational
-    return (
-        ra.numerator == rb.numerator
-        and ra.denominator == rb.denominator
-        and _terms_match(a.generic, b.generic, 1)
-    )
+    return a.num == b.num and a.den == b.den and a.terms == b.terms
 
 
 def sub_is_integer(a: ExactScalar, b: ExactScalar) -> bool:
     """True when a - b is an integer (symbol parts must cancel exactly)."""
-    if not _terms_match(a.generic, b.generic, 1):
+    if a.terms != b.terms:
         return False
-    ra, rb = a.rational, b.rational
-    da, db = ra.denominator, rb.denominator
-    return (ra.numerator * db - rb.numerator * da) % (da * db) == 0
+    da, db = a.den, b.den
+    return (a.num * db - b.num * da) % (da * db) == 0
 
 
 def _integer_sum(a: ExactScalar, b: ExactScalar) -> int | None:
@@ -221,11 +223,10 @@ def _integer_sum(a: ExactScalar, b: ExactScalar) -> int | None:
     The symbol parts must be exact negatives and the rational parts
     n1/d1 + n2/d2 must satisfy (n1*d2 + n2*d1) % (d1*d2) == 0.
     """
-    if not _terms_match(a.generic, b.generic, -1):
+    if a.terms != b.neg_terms:
         return None
-    ra, rb = a.rational, b.rational
-    da, db = ra.denominator, rb.denominator
-    total, rest = divmod(ra.numerator * db + rb.numerator * da, da * db)
+    da, db = a.den, b.den
+    total, rest = divmod(a.num * db + b.num * da, da * db)
     return None if rest else total
 
 
@@ -238,6 +239,60 @@ def sum_int_at_least(a: ExactScalar, b: ExactScalar, bound: int) -> bool:
     """True when a + b is an integer >= bound."""
     total = _integer_sum(a, b)
     return total is not None and total >= bound
+
+
+def over_common_denominator(z1: ExactScalar, z2: ExactScalar) -> tuple[int, int, int]:
+    """(m1, m2, d): the rational parts of z1 and z2 are m1/d and m2/d."""
+    n1, d1, n2, d2 = z1.num, z1.den, z2.num, z2.den
+    if d1 == d2:
+        return n1, n2, d1
+    g = gcd(d1, d2)
+    return n1 * (d2 // g), n2 * (d1 // g), d1 // g * d2
+
+
+def _symbol_kernel(g1, g2) -> tuple[int, int] | None:
+    """A direction (u, v) such that x*g1 + y*g2 vanishes for an integer
+    pair (x, y) != (0, 0) exactly when x*v == y*u; None when it vanishes
+    for none (the symbol parts are not proportional).  Both parts nonempty.
+    """
+    if len(g1) != len(g2):
+        return None
+    (_, n1, d1), (_, n2, d2) = g1[0], g2[0]
+    a, b = n1 * d2, d1 * n2  # g1 = (a/b) * g2 on the first name
+    for (name, n1, d1), (other, n2, d2) in zip(g1, g2):
+        if name != other or n1 * d2 * b != d1 * n2 * a:
+            return None
+    return b, -a
+
+
+def form_values(
+    forms: Sequence[tuple[int, int]], z1: ExactScalar, z2: ExactScalar
+) -> tuple[int | None, ...]:
+    """Per integer pair (x, y): (x*z1 + y*z2)/2 as an int when it is an
+    integer, else None; builds no scalar.
+
+    The symbol parts of x*z1 + y*z2 cancel exactly when x*v == y*u for a
+    direction (u, v) found once per point ((0, 0) when both parameters
+    are rational); the rational parts are put over one common denominator.
+    ``forms`` holds no (0, 0) pair.
+    """
+    n1, n2, scale = over_common_denominator(z1, z2)
+    scale *= 2
+    g1, g2 = z1.terms, z2.terms
+    if not g1:
+        u, v = (1, 0) if g2 else (0, 0)  # with a symbolic z2, y must be 0
+    elif not g2:
+        u, v = 0, 1
+    else:
+        kernel = _symbol_kernel(g1, g2)
+        if kernel is None:
+            return (None,) * len(forms)
+        u, v = kernel
+    values = []
+    for x, y in forms:
+        t = x * n1 + y * n2
+        values.append(None if x * v != y * u or t % scale else t // scale)
+    return tuple(values)
 
 
 def coset_class(a: ExactScalar) -> CosetClass:

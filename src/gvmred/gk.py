@@ -21,9 +21,15 @@ Robinson-Schensted keys are integers.  With offsets ``N_b / S``:
   negation, with keys ``2 * entry``.
 
 A point's keys follow from its ``class_signature`` and the setup's rho
-runs, so ``gk_dimension`` builds keys and inserts them only for a
-signature its memo has not seen.  A memo belongs to one sweep of one
-setup.
+runs.  Every test in ``split_blocks``, the labeled test and every key
+base reads one value (x*z1 + y*z2)/2 for a pair (x, y) of the setup's
+``gk_forms``: a difference of two offsets, in type D also a sum or a
+doubled offset.  So the signature, and the GK dimension, is a function of
+those values, each an int when it is an integer and None otherwise
+(``exact.form_values``, read off the parameters' decoded integer fields).
+``gk_dimension`` keys its memo on that tuple and computes block offsets,
+the signature and the insertion keys only for a key the memo has not
+seen.  A memo belongs to one sweep of one setup.
 
 The ExactScalar functions (``gk_dimension_of_weight``,
 ``integrality_classes``, ``fold_class``) run the same code on a dense
@@ -34,7 +40,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .exact import CosetClass
+from .exact import CosetClass, ExactScalar, form_values
 from .rootdata import LieType, Offsets, ParabolicSetup, block_offsets, scaled_offsets
 from .tableaux import (
     ScalarSequence,
@@ -245,15 +251,21 @@ def gk_dimension_of_weight(weight, lie: LieType) -> int:
 def gk_dimension(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> int:
     """GK dimension at the scalar highest weight z1*xi_p + z2*xi_q.
 
-    ``memo`` maps class signatures of this setup to GK dimensions; a sweep
-    passes one dict for all its points, so a signature seen before costs a
-    lookup.  Without it the point gets a fresh dict.
+    ``memo`` maps the point's form values (``exact.form_values`` over
+    ``setup.gk_forms``) to GK dimensions; equal values give equal class
+    signatures, so equal GK dimensions.  A sweep passes one dict for all
+    its points, so a point whose values were seen before costs the values
+    and a lookup, with no block offsets and no class split.  Without it
+    the point gets a fresh dict.
     """
     if memo is None:
         memo = {}
-    plan = setup.block_plan
-    signature = class_signature(setup.lie, block_offsets(plan, z1, z2))
-    gk = memo.get(signature)
+    z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
+    z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
+    key = form_values(setup.gk_forms, z1, z2)
+    gk = memo.get(key)
     if gk is None:
-        gk = memo[signature] = _gk_from_signature(setup.lie, signature, plan.rho_runs)
+        plan = setup.block_plan
+        signature = class_signature(setup.lie, block_offsets(plan, z1, z2))
+        gk = memo[key] = _gk_from_signature(setup.lie, signature, plan.rho_runs)
     return gk

@@ -34,6 +34,11 @@ GENERIC_NAMES = ("tau", "sigma")
 MAX_GRID_POINTS = 200_000
 # Smallest rank with a two-step non-maximal parabolic, per family.
 FAMILY_MIN_N = {"A": 3, "D": 4}
+# Largest family a verification may sweep, in standard-grid points before
+# de-duplication.  The largest families under it, A up to rank 14 (923 650
+# points) and D up to rank 43 (985 080), take about 14 s and 63 s (2 CPUs,
+# Python 3.11); per-point cost grows with the rank, faster in type D.
+MAX_FAMILY_POINTS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -105,14 +110,17 @@ def grid_from_spec(spec: GridSpec) -> ParameterGrid:
     return ParameterGrid(z1_values=values, z2_values=values, extra_points=tuple(extra))
 
 
+def _standard_spec(n: int) -> GridSpec:
+    return GridSpec(lo=Fraction(-(n + 2)), hi=Fraction(3))
+
+
 def standard_grid(setup: ParabolicSetup) -> ParameterGrid:
     """Rational range [-(n+2), 3] step 1/2 with the generic augmentations.
 
     Every boundary reducible point of the criteria lies within
     [-(n+2), 0], so both sides of each boundary are sampled.
     """
-    n = setup.n
-    return grid_from_spec(GridSpec(lo=Fraction(-(n + 2)), hi=Fraction(3)))
+    return grid_from_spec(_standard_spec(setup.n))
 
 
 class SweepRow(NamedTuple):
@@ -200,8 +208,32 @@ def family_setups(kind: str, n_max: int) -> list[ParabolicSetup]:
     return setups
 
 
+def family_point_bound(kind: str, n_max: int) -> int:
+    """Standard-grid points, before de-duplication, of the family up to
+    rank n_max.  The sum stops at the first rank that takes it past
+    ``MAX_FAMILY_POINTS``, so the loop is bounded by the cap, not by n_max.
+    """
+    if kind not in FAMILY_MIN_N:
+        raise ValueError(f"unknown family kind {kind!r}")
+    total, n = 0, FAMILY_MIN_N[kind]
+    while n <= n_max and total <= MAX_FAMILY_POINTS:
+        setups = (n - 1) * (n - 2) // 2 if kind == "A" else 3
+        total += setups * _standard_spec(n).point_bound
+        n += 1
+    return total
+
+
 def verify_family(kind: str, n_max: int) -> MismatchReport:
-    """Sweep every setup of the family and collect criterion/oracle clashes."""
+    """Sweep every setup of the family and collect criterion/oracle clashes.
+
+    A family whose grids would hold more than ``MAX_FAMILY_POINTS`` points
+    is rejected with a ValueError before any setup is built.
+    """
+    if family_point_bound(kind, n_max) > MAX_FAMILY_POINTS:
+        raise ValueError(
+            f"type {kind} up to rank {n_max} would sweep more than "
+            f"{MAX_FAMILY_POINTS} grid points"
+        )
     report = MismatchReport(mismatches=[])
     for setup in family_setups(kind, n_max):
         grid = standard_grid(setup)

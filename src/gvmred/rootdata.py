@@ -14,6 +14,13 @@ rho = (n-1, ..., 1, 0): it differs from the sl(n) weight by a common
 shift of every coordinate, which changes neither the integrality classes
 (they depend on differences) nor any Robinson-Schensted shape (it depends
 on relative order), and it has no 1/n denominators.
+
+Offsets are computed from the parameters' decoded integer fields
+(``ExactScalar.num``, ``den`` and ``terms``).  ``ParabolicSetup.gk_forms``
+lists the integer pairs (x, y) whose values (x*z1 + y*z2)/2 are the
+differences of block offsets and, in type D, their sums and doubles.
+These values decide every integrality test on the blocks, so the oracle
+keys its memo on them.
 """
 
 from __future__ import annotations
@@ -21,10 +28,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import gcd, lcm
+from math import lcm
 from typing import Iterable, Iterator, NamedTuple, Sequence
 
-from .exact import ExactScalar
+from .exact import ExactScalar, over_common_denominator
 
 
 class IndexOutOfRange(ValueError):
@@ -211,6 +218,34 @@ class ParabolicSetup:
                 runs.append([r])
         return BlockPlan(tuple(coefficients), tuple(tuple(run) for run in runs))
 
+    @cached_property
+    def gk_forms(self) -> tuple[tuple[int, int], ...]:
+        """The integer pairs (x, y) whose values (x*z1 + y*z2)/2 fix a
+        point's class signature, built on first use.
+
+        With block offsets o_b = (c1*z1 + c2*z2)/2: o_b - o_c for every pair
+        of blocks and, in type D, o_b + o_c and 2*o_b.  Pairs that vanish
+        are dropped, each is negated if needed so its first nonzero entry is
+        positive, and repeats are dropped.
+        """
+        coefficients = self.block_plan.coefficients
+        use_sum = self.lie.kind == "D"
+        pairs = []
+        for i, (a1, a2) in enumerate(coefficients):
+            for b1, b2 in coefficients[i + 1 :]:
+                pairs.append((a1 - b1, a2 - b2))
+                if use_sum:
+                    pairs.append((a1 + b1, a2 + b2))
+            if use_sum:
+                pairs.append((2 * a1, 2 * a2))
+        forms = {}
+        for x, y in pairs:
+            if x < 0 or (x == 0 and y < 0):
+                x, y = -x, -y
+            if x or y:
+                forms[x, y] = None
+        return tuple(forms)
+
 
 def dim_nilradical(setup: ParabolicSetup) -> int:
     """Dimension of the nilradical of the parabolic."""
@@ -269,22 +304,22 @@ class Offsets(NamedTuple):
 def scaled_offsets(values: Sequence) -> Offsets:
     """Exact scalars (or ints, Fractions) as integers over common scales."""
     values = [v if isinstance(v, ExactScalar) else ExactScalar(v) for v in values]
-    scale = lcm(*(v.rational.denominator for v in values))
-    nums = tuple(v.rational.numerator * (scale // v.rational.denominator) for v in values)
-    if not any(v.generic for v in values):
+    scale = lcm(*(v.den for v in values))
+    nums = tuple(v.num * (scale // v.den) for v in values)
+    if not any(v.terms for v in values):
         return Offsets(nums, scale, None)
-    return Offsets(nums, scale, _symbol_vectors([v.generic for v in values]))
+    return Offsets(nums, scale, _symbol_vectors([v.terms for v in values]))
 
 
 def _symbol_vectors(parts) -> tuple[tuple[int, ...], ...]:
-    """Canonical symbol parts as integer vectors over the sorted union of
-    their names, all on one scale."""
-    coeffs = [dict(g) for g in parts]
+    """Symbol parts, as ``ExactScalar.terms`` triples, turned into integer
+    vectors over the sorted union of their names, all on one scale."""
+    coeffs = [{name: (num, den) for name, num, den in terms} for terms in parts]
     names = sorted(set().union(*coeffs))
-    scale = lcm(*(c.denominator for g in parts for _, c in g))
+    scale = lcm(*(den for terms in parts for _, _, den in terms))
     return tuple(
         tuple(
-            c[name].numerator * (scale // c[name].denominator) if name in c else 0
+            c[name][0] * (scale // c[name][1]) if name in c else 0
             for name in names
         )
         for c in coeffs
@@ -292,36 +327,28 @@ def _symbol_vectors(parts) -> tuple[tuple[int, ...], ...]:
 
 
 def block_offsets(plan: BlockPlan, z1, z2) -> Offsets:
-    """Each block's offset (c1*z1 + c2*z2)/2, computed once per point.
+    """Each block's offset (c1*z1 + c2*z2)/2 as scaled integers.
 
-    The pair is put over a common denominator on the integers; a point
-    with two rational parameters skips the symbol work, and one symbol
-    shared by both parameters or carried by one of them skips the general
-    symbol-vector builder.
+    The pair is put over a common denominator on the parameters' decoded
+    integer fields; a point with two rational parameters skips the symbol
+    work, and one symbol shared by both parameters or carried by one of
+    them skips the general symbol-vector builder.
     """
     z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
     z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
-    r1, r2 = z1.rational, z2.rational
-    n1, d1, n2, d2 = r1.numerator, r1.denominator, r2.numerator, r2.denominator
-    if d1 == d2:
-        scale = d1
-    else:
-        g = gcd(d1, d2)
-        scale = d1 // g * d2
-        n1 *= d2 // g
-        n2 *= d1 // g
+    n1, n2, scale = over_common_denominator(z1, z2)
     coefficients = plan.coefficients
     nums = tuple([c1 * n1 + c2 * n2 for c1, c2 in coefficients])
-    g1, g2 = z1.generic, z2.generic
+    g1, g2 = z1.terms, z2.terms
     if not g1 and not g2:
         return Offsets(nums, 2 * scale, None)
     if len(g1) == 1 and len(g2) == 1 and g1[0][0] == g2[0][0]:
         # one shared symbol, as at the coupled points (a + tau, b - tau)
-        (_, a), (_, b) = g1[0], g2[0]
-        pairs = ((a.numerator * b.denominator, b.numerator * a.denominator),)
+        (_, a, da), (_, b, db) = g1[0], g2[0]
+        pairs = ((a * db, b * da),)
     elif len(g1) + len(g2) == 1:
         # one symbol on one parameter, the other rational, as at (tau, 2)
-        pairs = ((g1[0][1].numerator, 0),) if g1 else ((0, g2[0][1].numerator),)
+        pairs = ((g1[0][1], 0),) if g1 else ((0, g2[0][1]),)
     else:
         pairs = tuple(zip(*_symbol_vectors((g1, g2))))
     symbols = tuple(

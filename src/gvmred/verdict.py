@@ -7,9 +7,10 @@ parameters directly; sweeps cross-check the two answers point by point.
 
 Coset membership such as "z in c + Z>=0" is decided exactly: a scalar with
 a nonzero symbol part never lies in a rational coset and never passes an
-ordering threshold.  The tests read the numerator and denominator of each
-parameter's rational part and its canonical symbol tuple, so a criterion
-builds no scalar and does no Fraction arithmetic.
+ordering threshold.  The tests read each parameter's decoded integer
+fields (``num``, ``den`` and the ``terms`` triples of its symbol part,
+stored when the scalar is built), so a criterion builds no scalar and
+does no Fraction arithmetic.
 """
 
 from __future__ import annotations
@@ -43,29 +44,27 @@ def _coerce(z) -> ExactScalar:
 
 
 def _is_int(z: ExactScalar) -> bool:
-    return not z.generic and z.rational.denominator == 1
+    return z.den == 1 and not z.terms
 
 
 def _int_at_least(z: ExactScalar, bound: int) -> bool:
     """z is a plain integer >= bound."""
-    return (
-        not z.generic and z.rational.denominator == 1 and z.rational.numerator >= bound
-    )
+    return z.den == 1 and not z.terms and z.num >= bound
 
 
 def _half_step_at_least(z: ExactScalar, twice_bound: int) -> bool:
     """z lies in twice_bound/2 + (1/2)Z>=0."""
-    if z.generic:
+    if z.terms:
         return False
-    num, den = z.rational.numerator, z.rational.denominator
+    num, den = z.num, z.den
     return 2 * num % den == 0 and 2 * num >= twice_bound * den
 
 
 def _int_step_at_least(z: ExactScalar, twice_bound: int) -> bool:
     """z lies in twice_bound/2 + Z>=0."""
-    if z.generic:
+    if z.terms:
         return False
-    num, den = z.rational.numerator, z.rational.denominator
+    num, den = z.num, z.den
     gap = 2 * num - twice_bound * den
     return gap % (2 * den) == 0 and gap >= 0
 
@@ -91,11 +90,11 @@ def criterion_a_diagonal(setup: ParabolicSetup, z) -> bool:
             first = -max((gap + lo + 1) // 2, hi) + 1 if hi < gap else -gap + 1
         else:
             first = -min(hi, gap) + 1
-        return z.rational.numerator >= first
+        return z.num >= first
     # non-integral: reducible only for half-integers past the open boundary
-    if lo < 1 or z.generic or z.rational.denominator != 2:
+    if lo < 1 or z.terms or z.den != 2:
         return False
-    return z.rational.numerator > -(gap + lo)
+    return z.num > -(gap + lo)
 
 
 def criterion_a_offdiagonal(setup: ParabolicSetup, z1, z2) -> bool:
@@ -129,7 +128,7 @@ def criterion_d(setup: ParabolicSetup, z1, z2) -> bool:
         if _int_at_least(z1, 0):
             return True
         z1_int = _is_int(z1)
-        if (not z1_int and not _is_int(z2)) or (z1_int and z1.rational.numerator == -1):
+        if (not z1_int and not _is_int(z2)) or (z1_int and z1.num == -1):
             if sum_int_at_least(z1, z2, -n + 2):
                 return True
         if not z1_int and scalars_equal(z1, z2):

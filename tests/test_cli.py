@@ -263,6 +263,20 @@ def test_verify_rejects_max_n_below_family_minimum(capsys, monkeypatch):
         assert captured.out == ""
 
 
+def test_verify_above_family_cap_exits_2_before_any_setup(capsys, monkeypatch):
+    import gvmred.harness as harness_mod
+
+    def no_work(kind, n_max):
+        raise AssertionError("a setup was built")
+
+    monkeypatch.setattr(harness_mod, "family_setups", no_work)
+    for kind in ("A", "D"):
+        assert main(["verify", "--type", kind, "--max-n", str(10**9)]) == 2
+        captured = capsys.readouterr()
+        assert f"more than {harness_mod.MAX_FAMILY_POINTS} grid points" in captured.err
+        assert captured.out == ""
+
+
 def test_sweep_rejects_oversized_custom_grid(capsys, monkeypatch):
     from gvmred import GridSpec
 

@@ -1,7 +1,7 @@
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gvmred import (
     CosetClass,
@@ -13,7 +13,7 @@ from gvmred import (
     sum_is_integer,
     symbol,
 )
-from gvmred.exact import scalars_equal
+from gvmred.exact import form_values, scalars_equal
 
 from conftest import SIGMA, TAU, sc, scalar_pairs
 
@@ -166,3 +166,29 @@ def test_integer_tests_match_scalar_arithmetic(pair):
     assert scalars_equal(a, b) == (a.rational == b.rational and a.generic == b.generic)
     assert sub_is_integer(a, b) == (a - b).is_integer
     assert sum_is_integer(a, b) == (a + b).is_integer
+
+
+@given(scalar_pairs())
+def test_decoded_fields_match_canonical_form(pair):
+    for a in pair:
+        assert (a.num, a.den) == (a.rational.numerator, a.rational.denominator)
+        assert a.terms == tuple((n, c.numerator, c.denominator) for n, c in a.generic)
+        assert a.neg_terms == (-a).terms
+
+
+forms = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any), max_size=6)
+
+
+@given(scalar_pairs(), forms)
+# proportional symbol parts (z2 = -2*z1 + 1/2), cancelled by (2, 1) only;
+# one symbolic parameter; two independent symbols
+@example((TAU + sc("1/4"), -2 * TAU + sc("1/2")), [(2, 1), (4, 2), (2, -1), (1, 0)])
+@example((sc(3), TAU), [(2, 0), (1, 0), (0, 2), (2, 2)])
+@example((TAU, SIGMA), [(2, 0), (2, 2), (0, 2)])
+def test_form_values_match_scalar_arithmetic(pair, forms):
+    z1, z2 = pair
+    expected = []
+    for x, y in forms:
+        value = (z1 * x + z2 * y) * Fraction(1, 2)
+        expected.append(int(value.rational) if value.is_integer else None)
+    assert form_values(forms, z1, z2) == tuple(expected)

@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dense_gk
 import gvmred.gk as gk_module
+import gvmred.verdict as verdict_module
 from gvmred import (
     ExactScalar,
     LieType,
@@ -23,6 +24,9 @@ from gvmred import (
     sweep,
     weyl_vector,
 )
+from gvmred.exact import form_values
+from gvmred.gk import class_signature
+from gvmred.rootdata import block_offsets
 from gvmred.tableaux import key_shape
 
 import conftest
@@ -187,7 +191,7 @@ def test_block_core_matches_dense_route_on_standard_grids():
 
 
 def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
-    """Shapes are computed once per class signature of a sweep, and a
+    """Shapes are computed once per form-value key of a sweep, and a
     second sweep of the same setup computes them all again."""
     calls = []
 
@@ -204,6 +208,71 @@ def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
             sweep(setup, grid)
             counts.append(len(calls))
         assert 0 < counts[0] == counts[1] < len(grid) / 2
+
+
+def test_repeated_keys_skip_offsets_and_class_split(monkeypatch):
+    """In one sweep the criterion runs at every point, block offsets and
+    the class split once per distinct form-value key."""
+    counts = {}
+
+    def counted(name, fn):
+        def wrapper(*args):
+            counts[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(verdict_module, "criterion", counted("criterion", verdict_module.criterion))
+    monkeypatch.setattr(gk_module, "block_offsets", counted("offsets", block_offsets))
+    monkeypatch.setattr(gk_module, "class_signature", counted("signature", class_signature))
+    for setup in (ParabolicSetup(A(6), 2, 4), ParabolicSetup(D(6), 1, 5)):
+        grid = standard_grid(setup)
+        keys = {form_values(setup.gk_forms, z1, z2) for z1, z2 in grid.points()}
+        counts.update(criterion=0, offsets=0, signature=0)
+        report = sweep(setup, grid)
+        assert len(report.rows) == len(grid)
+        assert counts["criterion"] == len(grid)
+        assert counts["offsets"] == counts["signature"] == len(keys) < len(grid) / 2
+
+
+def _pairs(*pairs):
+    return [(sc(a), sc(b)) for a, b in pairs]
+
+
+SMALL_SETUPS = family_setups("A", 8) + family_setups("D", 8)
+
+
+def test_gk_forms_are_nonzero_sign_canonical_and_distinct():
+    assert ParabolicSetup(A(6), 2, 4).gk_forms == ((2, 0), (2, 2), (0, 2))
+    # blocks (2, 1), (0, 1), (0, -1): o_1 + o_2 vanishes, 2*o_2 = -2*o_1
+    assert ParabolicSetup(D(6), 1, 5).gk_forms == ((2, 0), (2, 2), (4, 2), (0, 2))
+    for setup in SMALL_SETUPS:
+        forms = setup.gk_forms
+        assert len(set(forms)) == len(forms)
+        for x, y in forms:
+            assert x > 0 or (x == 0 and y > 0), (setup, x, y)
+
+
+def _signature(setup, z1, z2):
+    return class_signature(setup.lie, block_offsets(setup.block_plan, z1, z2))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(conftest.scalar_pairs(), min_size=2, max_size=8))
+# Points whose keys collide on some so(2n) setup, while their signatures
+# differ, once the sum forms or the doubled forms are dropped: a flipped
+# member against a second class (the first two), a labeled class against
+# an unlabeled one and two labeled bases (the last three).
+@example(_pairs(("1/3", "-1/3"), ("1/5", "1/5"), ("1/3", 0), ("1/3", "1/3"), ("1/3", 2)))
+# Colliding keys with different points: all None, and one shared value.
+@example([(TAU, SIGMA), (SIGMA, TAU), (sc("1/3"), TAU), (TAU + 1, 2 - TAU), (TAU, 3 - TAU)])
+def test_equal_form_values_give_equal_class_signatures(pairs):
+    for setup in SMALL_SETUPS:
+        seen = {}
+        for z1, z2 in pairs:
+            key = form_values(setup.gk_forms, z1, z2)
+            signature = _signature(setup, z1, z2)
+            assert seen.setdefault(key, signature) == signature, (setup, z1, z2)
 
 
 @st.composite
@@ -239,12 +308,12 @@ def test_block_core_matches_dense_route_at_random_points(setup, pair):
     assert gk_dimension(setup, z1, z2) == dense_gk.gk_dimension(setup, z1, z2)
 
 
-def _pairs(*pairs):
-    return [(sc(a), sc(b)) for a, b in pairs]
-
-
 @settings(max_examples=200, deadline=None)
-@given(setups(), st.lists(parameter_pairs(), min_size=2, max_size=40), st.randoms())
+@given(
+    setups(),
+    st.lists(st.one_of(parameter_pairs(), conftest.scalar_pairs()), min_size=2, max_size=40),
+    st.randoms(),
+)
 # Signatures that differ only in a flipped flag (the first two points of
 # the D example), only in the labeled flag (its last two), and only in a
 # base (the A example).

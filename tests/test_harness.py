@@ -154,6 +154,27 @@ def test_verify_family_below_family_minimum_is_not_ok():
         assert not report.ok
 
 
+def test_verify_family_cap_is_checked_before_any_setup(monkeypatch):
+    import gvmred.harness as harness_mod
+
+    bound = harness_mod.family_point_bound
+    assert bound("A", 9) == sum(
+        harness_mod._standard_spec(s.n).point_bound for s in family_setups("A", 9)
+    )
+    # the largest families under the cap, as the CLI documents them
+    cap = harness_mod.MAX_FAMILY_POINTS
+    for kind, largest in (("A", 14), ("D", 43)):
+        assert bound(kind, largest) <= cap < bound(kind, largest + 1)
+
+    def no_work(kind, n_max):
+        raise AssertionError("a setup was built")
+
+    monkeypatch.setattr(harness_mod, "family_setups", no_work)
+    for kind in ("A", "D"):
+        with pytest.raises(ValueError, match="grid points"):
+            verify_family(kind, 10**9)
+
+
 def _never_list(self):
     raise AssertionError("the grid was listed")
 
