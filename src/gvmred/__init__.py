@@ -44,7 +44,6 @@ from .rootdata import (
     NilpotencyReport,
     ParabolicSetup,
     WeightVector,
-    block_offsets,
     classify_parabolic,
     dim_nilradical,
     fundamental_weight,

@@ -12,7 +12,8 @@ below the family's smallest rank, a verify ``--max-n`` whose family's
 standard grids would hold more than ``harness.MAX_FAMILY_POINTS``
 (1 000 000) points, that is above 14 for type A or 43 for type D, where
 a run takes about 14 s and 63 s, a custom grid larger than
-``harness.MAX_GRID_POINTS``, a zero denominator in a scalar,
+``harness.MAX_GRID_POINTS``, a zero denominator in a scalar, a scalar
+or grid bound with more digits than an int prints with (``MAX_DIGITS``),
 ``--lo``/``--hi``/``--step`` without ``--grid custom`` and an ``--out``
 path that cannot be opened for writing; all before any work).
 """
@@ -21,6 +22,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
@@ -49,6 +51,9 @@ from .verdict import evaluate
 # Largest --n a command accepts: one gkdim or reduce point costs time
 # quadratic in the rank, about half a second at this cap.
 MAX_RANK = 2_000
+# Most digits an int prints with: the interpreter's limit, 4 300 by default.
+MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
+_TOO_LONG = 10**MAX_DIGITS
 
 
 def parse_scalar(text: str) -> ExactScalar:
@@ -82,18 +87,36 @@ def parse_scalar(text: str) -> ExactScalar:
                 name, coeff = candidate, body[: -len(candidate) - 1]
                 break
         try:
-            value = sign * Fraction(coeff)
-        except (ValueError, ZeroDivisionError) as exc:
+            value = sign * _rational(coeff)
+        except ValueError as exc:
             raise ValueError(f"bad scalar {text!r}: {exc}") from None
         if name is None:
             rational += value
         else:
             generic[name] = generic.get(name, Fraction(0)) + value
+    for value in (rational, *generic.values()):  # printable terms may sum past the limit
+        if abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
+            raise ValueError(f"bad scalar {text!r}: more than {MAX_DIGITS} digits")
     return ExactScalar(rational, generic)
 
 
+# Fraction's string syntax, loosened: what this does not match, Fraction rejects.
+_COEFFICIENT = re.compile(
+    r"\s*[-+]?([\d_]*)(?:/([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)\s*"
+)
+
+
 def _rational(text: str) -> Fraction:
-    """A plain rational grid bound or step; a zero denominator is a ValueError."""
+    """A grid bound or step, or a scalar's coefficient.  A zero denominator
+    is a ValueError, and so, before any big integer is built, is a numerator
+    or denominator spelled with more than ``MAX_DIGITS`` digits."""
+    match = _COEFFICIENT.fullmatch(text)
+    if match:
+        num, den, dec, exp = (part.replace("_", "") if part else "" for part in match.groups())
+        shift = int(exp or 0) - len(dec)  # text = int(num + dec) * 10**shift / int(den or 1)
+        sizes = (len((num + dec).lstrip("0")) + max(shift, 0), len(den.lstrip("0")), 1 - shift)
+        if max(sizes) > MAX_DIGITS:
+            raise ValueError(f"{text!r} has more than {MAX_DIGITS} digits")
     try:
         return Fraction(text)
     except ZeroDivisionError:

@@ -10,10 +10,10 @@ this package, but the type accepts any names.
 Each scalar decodes its canonical form into plain integers once, when it
 is built: ``num`` and ``den`` of the rational part and ``terms``, the
 symbol part as ``(name, numerator, denominator)`` triples, with
-``neg_terms`` its negation.  The per-point tests below (``scalars_equal``,
-the integer sum and difference tests, ``form_values``) and the criteria
-and block offsets elsewhere read only these fields, so they build no
-scalar and do no ``Fraction`` arithmetic.
+``neg_terms`` its negation.  The tests below (``scalars_equal``,
+``integer_difference``, ``integer_sum``, and ``form_values``, the oracle's
+one integrality decision per point) and the criteria elsewhere read only
+these fields, so they build no scalar and do no ``Fraction`` arithmetic.
 """
 
 from __future__ import annotations
@@ -209,45 +209,38 @@ def scalars_equal(a: ExactScalar, b: ExactScalar) -> bool:
     return a.num == b.num and a.den == b.den and a.terms == b.terms
 
 
-def sub_is_integer(a: ExactScalar, b: ExactScalar) -> bool:
-    """True when a - b is an integer (symbol parts must cancel exactly)."""
+def integer_difference(a: ExactScalar, b: ExactScalar) -> int | None:
+    """a - b as an int when it is an integer, else None; builds no
+    difference.  The symbol parts must be equal."""
     if a.terms != b.terms:
-        return False
-    da, db = a.den, b.den
-    return (a.num * db - b.num * da) % (da * db) == 0
+        return None
+    total, rest = divmod(a.num * b.den - b.num * a.den, a.den * b.den)
+    return None if rest else total
 
 
-def _integer_sum(a: ExactScalar, b: ExactScalar) -> int | None:
+def integer_sum(a: ExactScalar, b: ExactScalar) -> int | None:
     """a + b as an int when it is an integer, else None; builds no sum.
-
-    The symbol parts must be exact negatives and the rational parts
-    n1/d1 + n2/d2 must satisfy (n1*d2 + n2*d1) % (d1*d2) == 0.
-    """
+    The symbol parts must be exact negatives."""
     if a.terms != b.neg_terms:
         return None
-    da, db = a.den, b.den
-    total, rest = divmod(a.num * db + b.num * da, da * db)
+    total, rest = divmod(a.num * b.den + b.num * a.den, a.den * b.den)
     return None if rest else total
+
+
+def sub_is_integer(a: ExactScalar, b: ExactScalar) -> bool:
+    """True when a - b is an integer (symbol parts must cancel exactly)."""
+    return integer_difference(a, b) is not None
 
 
 def sum_is_integer(a: ExactScalar, b: ExactScalar) -> bool:
     """True when a + b is an integer (symbol parts must be negatives)."""
-    return _integer_sum(a, b) is not None
+    return integer_sum(a, b) is not None
 
 
 def sum_int_at_least(a: ExactScalar, b: ExactScalar, bound: int) -> bool:
     """True when a + b is an integer >= bound."""
-    total = _integer_sum(a, b)
+    total = integer_sum(a, b)
     return total is not None and total >= bound
-
-
-def over_common_denominator(z1: ExactScalar, z2: ExactScalar) -> tuple[int, int, int]:
-    """(m1, m2, d): the rational parts of z1 and z2 are m1/d and m2/d."""
-    n1, d1, n2, d2 = z1.num, z1.den, z2.num, z2.den
-    if d1 == d2:
-        return n1, n2, d1
-    g = gcd(d1, d2)
-    return n1 * (d2 // g), n2 * (d1 // g), d1 // g * d2
 
 
 def _symbol_kernel(g1, g2) -> tuple[int, int] | None:
@@ -276,8 +269,11 @@ def form_values(
     are rational); the rational parts are put over one common denominator.
     ``forms`` holds no (0, 0) pair.
     """
-    n1, n2, scale = over_common_denominator(z1, z2)
-    scale *= 2
+    n1, d1, n2, d2 = z1.num, z1.den, z2.num, z2.den
+    if d1 != d2:  # the rational parts over one denominator
+        g = gcd(d1, d2)
+        n1, n2, d1 = n1 * (d2 // g), n2 * (d1 // g), d1 // g * d2
+    scale = 2 * d1
     g1, g2 = z1.terms, z2.terms
     if not g1:
         u, v = (1, 0) if g2 else (0, 0)  # with a symbolic z2, y must be 0

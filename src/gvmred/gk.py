@@ -7,41 +7,42 @@ original entry order.  The GK dimension of the simple quotient is the
 type's triangular bound minus shape statistics of the classes.
 
 Everything runs on blocks (``rootdata.BlockPlan``): runs of integer rho
-entries sharing one offset.  Entries of one block differ by integers, so
-classes are unions of blocks, found by testing at most three offsets
+entries sharing one offset o_b.  Entries of one block differ by integers,
+so classes are unions of blocks, found by testing at most three offsets
 rather than every pair of entries.  Within a class every entry shares the
 head block's symbol part and fractional part, up to sign, so the
-Robinson-Schensted keys are integers.  With offsets ``N_b / S``:
+Robinson-Schensted keys are integers:
 
-* a difference class has keys ``(N_b - N_head) / S + rho_j``;
+* a difference class has keys ``(o_b - o_head) + rho_j``;
 * a type D class that is neither integral nor half-integral is folded:
   blocks joined to the head by an integral sum are negated and appended
-  in reverse order, with keys ``-(N_b + N_head) / S - rho_j``;
+  in reverse order, with keys ``-(o_b + o_head) - rho_j``;
 * the integral and half-integral type D classes are doubled with reversed
-  negation, with keys ``2 * entry``.
+  negation, with keys ``2 * o_b + 2 * rho_j``.
 
-A point's keys follow from its ``class_signature`` and the setup's rho
-runs.  Every test in ``split_blocks``, the labeled test and every key
-base reads one value (x*z1 + y*z2)/2 for a pair (x, y) of the setup's
-``gk_forms``: a difference of two offsets, in type D also a sum or a
-doubled offset.  So the signature, and the GK dimension, is a function of
-those values, each an int when it is an integer and None otherwise
-(``exact.form_values``, read off the parameters' decoded integer fields).
-``gk_dimension`` keys its memo on that tuple and computes block offsets,
-the signature and the insertion keys only for a key the memo has not
-seen.  A memo belongs to one sweep of one setup.
+So the split (``split_classes``) and the keys (``class_signature``) read
+two functions of a pair of blocks only: o_b - o_c and, in type D,
+o_b + o_c (o_b + o_b for the labeled test), each an int when it is an
+integer and None otherwise.  On a setup's points each is, up to sign, one
+value (x*z1 + y*z2)/2 of a pair of ``ParabolicSetup.gk_forms``.
+``gk_dimension`` keys its memo on the tuple of those values
+(``exact.form_values``, the one integrality decision per point) and reads
+a new key's signature off the key itself (``key_readers``).  A memo
+belongs to one sweep of one setup.
 
-The ExactScalar functions (``gk_dimension_of_weight``,
+The ExactScalar functions (``gk_dimension_of_weight``, ``is_integral``,
 ``integrality_classes``, ``fold_class``) run the same code on a dense
-weight, one single-entry block per coordinate.
+weight, one single-entry block per coordinate, reading the entries'
+``exact.integer_difference`` and ``exact.integer_sum``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
-from .exact import CosetClass, ExactScalar, form_values
-from .rootdata import LieType, Offsets, ParabolicSetup, block_offsets, scaled_offsets
+from .exact import ExactScalar, form_values, integer_difference, integer_sum
+from .rootdata import LieType, ParabolicSetup
 from .tableaux import (
     ScalarSequence,
     key_shape,
@@ -56,6 +57,8 @@ from .exact import sub_is_integer, sum_is_integer  # noqa: F401
 from .rootdata import shifted_weight  # noqa: F401
 
 Member = tuple[int, bool]  # (block index, joined to the class head by a sum)
+# (b, c) -> o_b - o_c, or o_b + o_c, as an int when it is an integer, else None
+Reader = Callable[[int, int], "int | None"]
 # Per class: (labeled, ((block index, flipped, key base), ...)).
 Signature = tuple[tuple[bool, tuple[tuple[int, bool, int], ...]], ...]
 
@@ -80,30 +83,23 @@ class ClassDecomposition:
     other_classes: tuple[ScalarSequence, ...] = ()
 
 
-def split_blocks(offsets: Offsets, use_sum: bool) -> list[list[Member]]:
-    """Blocks grouped into integrality classes, in order of first occurrence.
+def split_classes(count: int, difference: Reader, total: Reader | None) -> list[list[Member]]:
+    """Indices 0..count-1 grouped into integrality classes, in order of
+    first occurrence.
 
-    A block joins the first class whose head (first block) has an offset
-    differing from its own by an integer, or, when ``use_sum``, summing
-    with it to an integer; sums mark the member as flipped.  The relation
-    x = +-y mod Z is an equivalence, so testing heads suffices.
+    An index joins the first class whose head (first member) it differs
+    from by an integer, or, when ``total`` is given, sums with to an
+    integer; sums mark the member as flipped.  The relation x = +-y mod Z
+    is an equivalence, so testing heads suffices.
     """
-    nums, scale, symbols = offsets
-    negated = None
-    if use_sum and symbols is not None:
-        negated = [tuple(-c for c in sym) for sym in symbols]
     classes: list[list[Member]] = []
-    for b, num in enumerate(nums):
+    for b in range(count):
         for members in classes:
             h = members[0][0]
-            if (num - nums[h]) % scale == 0 and (
-                symbols is None or symbols[b] == symbols[h]
-            ):
+            if difference(b, h) is not None:
                 members.append((b, False))
                 break
-            if use_sum and (num + nums[h]) % scale == 0 and (
-                negated is None or symbols[b] == negated[h]
-            ):
+            if total is not None and total(b, h) is not None:
                 members.append((b, True))
                 break
         else:
@@ -111,23 +107,12 @@ def split_blocks(offsets: Offsets, use_sum: bool) -> list[list[Member]]:
     return classes
 
 
-def _coset(offsets: Offsets, block: int) -> CosetClass:
-    nums, scale, symbols = offsets
-    if symbols is not None and any(symbols[block]):
-        return CosetClass.OTHER
-    if nums[block] % scale == 0:
-        return CosetClass.INTEGER
-    if 2 * nums[block] % scale == 0:
-        return CosetClass.HALF_INTEGER
-    return CosetClass.OTHER
-
-
 def _folded(members: list[Member]) -> list[Member]:
     """Difference members in order, then the flipped ones reversed."""
     return [m for m in members if not m[1]] + [m for m in reversed(members) if m[1]]
 
 
-def class_signature(lie: LieType, offsets: Offsets) -> Signature:
+def class_signature(count: int, difference: Reader, total: Reader | None) -> Signature:
     """The class structure of a point, on which its GK dimension depends.
 
     One entry per class: the labeled flag (a type D integral or
@@ -136,31 +121,42 @@ def class_signature(lie: LieType, offsets: Offsets) -> Signature:
     the block's keys.  Two points of one setup with equal signatures have
     equal keys, so equal GK dimensions.
     """
-    nums, scale, symbols = offsets
-    use_sum = lie.kind == "D"
     signature = []
-    for members in split_blocks(offsets, use_sum):
+    for members in split_classes(count, difference, total):
         h = members[0][0]
-        head = nums[h]
         # labeled: the head, so the whole class, is integral or half-integral
-        if use_sum and 2 * head % scale == 0 and (symbols is None or not any(symbols[h])):
-            blocks = tuple([(b, flipped, 2 * nums[b] // scale) for b, flipped in members])
+        if total is not None and total(h, h) is not None:
+            blocks = tuple([(b, flipped, total(b, b)) for b, flipped in members])
             signature.append((True, blocks))
-        elif len(members) == 1:
-            signature.append((False, ((h, False, 0),)))
         else:
-            if use_sum:
+            if total is not None:
                 members = _folded(members)
             blocks = tuple(
                 [
-                    (b, True, -(nums[b] + head) // scale)
-                    if flipped
-                    else (b, False, (nums[b] - head) // scale)
+                    (b, True, -total(b, h)) if flipped else (b, False, difference(b, h))
                     for b, flipped in members
                 ]
             )
             signature.append((False, blocks))
     return tuple(signature)
+
+
+def key_readers(setup: ParabolicSetup, key: tuple) -> tuple[Reader, Reader | None]:
+    """(difference, total) of the setup's block offsets, read off the form
+    values ``key`` through the signed indices of ``setup.gk_table``."""
+    # index i > 0 reads key[i - 1], -i its negation, 0 a vanishing pair
+    values = (0, *key, *[None if v is None else -v for v in reversed(key)])
+    differences, sums = setup.gk_table
+    return (lambda b, c: values[differences[b][c]]), (
+        None if sums is None else lambda b, c: values[sums[b][c]]
+    )
+
+
+def entry_readers(entries, use_sum: bool) -> tuple[Reader, Reader | None]:
+    """(difference, total) of exact entries."""
+    return (lambda b, c: integer_difference(entries[b], entries[c])), (
+        (lambda b, c: integer_sum(entries[b], entries[c])) if use_sum else None
+    )
 
 
 def _gk_from_signature(lie: LieType, signature: Signature, runs) -> int:
@@ -185,26 +181,19 @@ def _gk_from_signature(lie: LieType, signature: Signature, runs) -> int:
 
 def integrality_classes(entries, lie: LieType) -> ClassDecomposition:
     entries = tuple(entries)
-    use_sum = lie.kind == "D"
-    offsets = scaled_offsets(entries)
-    split = split_blocks(offsets, use_sum)
+    difference, total = entry_readers(entries, lie.kind == "D")
+    split = split_classes(len(entries), difference, total)
     classes = tuple(tuple(entries[b] for b, _ in members) for members in split)
-    if not use_sum:
+    if total is None:
         return ClassDecomposition(classes=classes)
-    labeled = {CosetClass.INTEGER: None, CosetClass.HALF_INTEGER: None}
-    others = []
+    labeled, others = {}, []
     for members, group in zip(split, classes):
-        kind = _coset(offsets, members[0][0])
-        if kind is CosetClass.OTHER:
+        doubled = total(members[0][0], members[0][0])
+        if doubled is None:
             others.append(group)
-        else:
-            labeled[kind] = group
-    return ClassDecomposition(
-        classes=classes,
-        integer_class=labeled[CosetClass.INTEGER],
-        half_class=labeled[CosetClass.HALF_INTEGER],
-        other_classes=tuple(others),
-    )
+        else:  # an integer class when twice its head is even
+            labeled[doubled % 2] = group
+    return ClassDecomposition(classes, labeled.get(0), labeled.get(1), tuple(others))
 
 
 def fold_class(x: ScalarSequence) -> ScalarSequence:
@@ -217,7 +206,7 @@ def fold_class(x: ScalarSequence) -> ScalarSequence:
     """
     if not x:
         return ()
-    split = split_blocks(scaled_offsets(x), use_sum=True)
+    split = split_classes(len(x), *entry_readers(x, use_sum=True))
     if len(split) > 1:
         stray = x[split[1][0][0]]
         raise ValueError(f"{stray} is unrelated to {x[0]}; not a single class")
@@ -244,7 +233,7 @@ def gk_dimension_of_weight(weight, lie: LieType) -> int:
     n = lie.n
     if len(entries) != n:
         raise ValueError(f"weight has length {len(entries)}, expected {n}")
-    signature = class_signature(lie, scaled_offsets(entries))
+    signature = class_signature(n, *entry_readers(entries, lie.kind == "D"))
     return _gk_from_signature(lie, signature, ((0,),) * n)
 
 
@@ -253,10 +242,10 @@ def gk_dimension(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> int
 
     ``memo`` maps the point's form values (``exact.form_values`` over
     ``setup.gk_forms``) to GK dimensions; equal values give equal class
-    signatures, so equal GK dimensions.  A sweep passes one dict for all
-    its points, so a point whose values were seen before costs the values
-    and a lookup, with no block offsets and no class split.  Without it
-    the point gets a fresh dict.
+    signatures, so equal GK dimensions.  A new key's signature is read
+    off the key itself.  A sweep passes one dict for all its points, so a
+    point whose values were seen before costs the values and a lookup.
+    Without it the point gets a fresh dict.
     """
     if memo is None:
         memo = {}
@@ -265,7 +254,7 @@ def gk_dimension(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> int
     key = form_values(setup.gk_forms, z1, z2)
     gk = memo.get(key)
     if gk is None:
-        plan = setup.block_plan
-        signature = class_signature(setup.lie, block_offsets(plan, z1, z2))
-        gk = memo[key] = _gk_from_signature(setup.lie, signature, plan.rho_runs)
+        runs = setup.block_plan.rho_runs
+        signature = class_signature(len(runs), *key_readers(setup, key))
+        gk = memo[key] = _gk_from_signature(setup.lie, signature, runs)
     return gk

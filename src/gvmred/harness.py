@@ -152,7 +152,7 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     """Evaluate oracle and criterion at every grid point, in grid order.
 
     A point whose evaluation raises is recorded in ``errors``, not in ``rows``.
-    The GK memo (class signature -> GK dimension) lives for this one sweep.
+    The GK memo (form values -> GK dimension) lives for this one sweep.
     """
     report = SweepReport(setup=setup, rows=[])
     memo: dict = {}

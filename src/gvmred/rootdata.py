@@ -8,19 +8,19 @@ dimension.
 The oracle does not build the shifted weight entry by entry.  Its
 coordinates fall into at most three runs on which the coefficients of
 xi_p and xi_q are constant, so the weight is a run of integer rho entries
-per block plus one offset per block (``BlockPlan``, ``block_offsets``).
+per block plus one offset per block (``BlockPlan``).
 Type A uses the gl(n) representative xi_p = (1^p, 0^(n-p)),
 rho = (n-1, ..., 1, 0): it differs from the sl(n) weight by a common
 shift of every coordinate, which changes neither the integrality classes
 (they depend on differences) nor any Robinson-Schensted shape (it depends
 on relative order), and it has no 1/n denominators.
 
-Offsets are computed from the parameters' decoded integer fields
-(``ExactScalar.num``, ``den`` and ``terms``).  ``ParabolicSetup.gk_forms``
-lists the integer pairs (x, y) whose values (x*z1 + y*z2)/2 are the
-differences of block offsets and, in type D, their sums and doubles.
-These values decide every integrality test on the blocks, so the oracle
-keys its memo on them.
+No offset is ever computed.  ``ParabolicSetup.gk_forms`` lists the
+integer pairs (x, y) whose values (x*z1 + y*z2)/2 are the differences of
+block offsets and, in type D, their sums and doubles; ``gk_table`` says
+which value each pair of blocks reads.  These values decide every
+integrality test on the blocks, so the oracle keys its memo on them and
+reads a new key's class split off them.
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from math import lcm
-from typing import Iterable, Iterator, NamedTuple, Sequence
+from typing import Iterable, Iterator, NamedTuple
 
-from .exact import ExactScalar, over_common_denominator
+from .exact import ExactScalar
 
 
 class IndexOutOfRange(ValueError):
@@ -240,11 +239,29 @@ class ParabolicSetup:
                 pairs.append((2 * a1, 2 * a2))
         forms = {}
         for x, y in pairs:
-            if x < 0 or (x == 0 and y < 0):
-                x, y = -x, -y
             if x or y:
-                forms[x, y] = None
+                forms[(x, y) if (x, y) > (0, 0) else (-x, -y)] = None
         return tuple(forms)
+
+    @cached_property
+    def gk_table(self) -> tuple[PairTable, PairTable | None]:
+        """``(differences, sums)``, built on first use.  ``differences[b][c]``
+        is s*(i+1) when o_b - o_c is s times the value of ``gk_forms[i]``,
+        0 when it vanishes; ``sums`` (None in type A) the same of o_b + o_c.
+        """
+        index = {form: i for i, form in enumerate(((0, 0), *self.gk_forms))}
+        coefficients = self.block_plan.coefficients
+
+        def reading(x: int, y: int) -> int:
+            return index[x, y] if (x, y) >= (0, 0) else -index[-x, -y]
+
+        def table(sign: int) -> PairTable:
+            return tuple(
+                tuple([reading(a1 + sign * c1, a2 + sign * c2) for c1, c2 in coefficients])
+                for a1, a2 in coefficients
+            )
+
+        return table(-1), table(1) if self.lie.kind == "D" else None
 
 
 def dim_nilradical(setup: ParabolicSetup) -> int:
@@ -287,71 +304,5 @@ class BlockPlan(NamedTuple):
     rho_runs: tuple[tuple[int, ...], ...]
 
 
-class Offsets(NamedTuple):
-    """Exact values ``(nums[i] + symbols[i] . s) / scale`` over integers.
-
-    ``symbols`` is None when every value is rational; otherwise each entry
-    is an integer vector of symbol coefficients, all on one common scale of
-    their own, so equal vectors mean equal symbol parts and a negated
-    vector the negated symbol part.
-    """
-
-    nums: tuple[int, ...]
-    scale: int
-    symbols: tuple[tuple[int, ...], ...] | None
-
-
-def scaled_offsets(values: Sequence) -> Offsets:
-    """Exact scalars (or ints, Fractions) as integers over common scales."""
-    values = [v if isinstance(v, ExactScalar) else ExactScalar(v) for v in values]
-    scale = lcm(*(v.den for v in values))
-    nums = tuple(v.num * (scale // v.den) for v in values)
-    if not any(v.terms for v in values):
-        return Offsets(nums, scale, None)
-    return Offsets(nums, scale, _symbol_vectors([v.terms for v in values]))
-
-
-def _symbol_vectors(parts) -> tuple[tuple[int, ...], ...]:
-    """Symbol parts, as ``ExactScalar.terms`` triples, turned into integer
-    vectors over the sorted union of their names, all on one scale."""
-    coeffs = [{name: (num, den) for name, num, den in terms} for terms in parts]
-    names = sorted(set().union(*coeffs))
-    scale = lcm(*(den for terms in parts for _, _, den in terms))
-    return tuple(
-        tuple(
-            c[name][0] * (scale // c[name][1]) if name in c else 0
-            for name in names
-        )
-        for c in coeffs
-    )
-
-
-def block_offsets(plan: BlockPlan, z1, z2) -> Offsets:
-    """Each block's offset (c1*z1 + c2*z2)/2 as scaled integers.
-
-    The pair is put over a common denominator on the parameters' decoded
-    integer fields; a point with two rational parameters skips the symbol
-    work, and one symbol shared by both parameters or carried by one of
-    them skips the general symbol-vector builder.
-    """
-    z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
-    z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
-    n1, n2, scale = over_common_denominator(z1, z2)
-    coefficients = plan.coefficients
-    nums = tuple([c1 * n1 + c2 * n2 for c1, c2 in coefficients])
-    g1, g2 = z1.terms, z2.terms
-    if not g1 and not g2:
-        return Offsets(nums, 2 * scale, None)
-    if len(g1) == 1 and len(g2) == 1 and g1[0][0] == g2[0][0]:
-        # one shared symbol, as at the coupled points (a + tau, b - tau)
-        (_, a, da), (_, b, db) = g1[0], g2[0]
-        pairs = ((a * db, b * da),)
-    elif len(g1) + len(g2) == 1:
-        # one symbol on one parameter, the other rational, as at (tau, 2)
-        pairs = ((g1[0][1], 0),) if g1 else ((0, g2[0][1]),)
-    else:
-        pairs = tuple(zip(*_symbol_vectors((g1, g2))))
-    symbols = tuple(
-        [tuple([c1 * a + c2 * b for a, b in pairs]) for c1, c2 in coefficients]
-    )
-    return Offsets(nums, 2 * scale, symbols)
+# Per ordered pair of blocks: a signed index into ((0, 0),) + gk_forms.
+PairTable = tuple[tuple[int, ...], ...]

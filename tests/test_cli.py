@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from fractions import Fraction
 from pathlib import Path
 
@@ -212,6 +213,31 @@ def test_zero_denominator_exits_2(capsys):
         assert captured.out == "" and "Traceback" not in captured.err
     assert main(["rs", "--seq", "1/0*tau,1"]) == 2
     assert "bad scalar" in capsys.readouterr().err
+
+
+def test_unprintable_scalars_exit_2_before_any_work(capsys, monkeypatch):
+    """A coefficient too long to print back is refused while parsing,
+    before its integers are built, however large its exponent."""
+    import gvmred.cli as cli_mod
+
+    def no_work(*args, **kwargs):
+        raise AssertionError("a point was evaluated or a grid swept")
+
+    monkeypatch.setattr(cli_mod, "evaluate", no_work)
+    monkeypatch.setattr(cli_mod, "sweep", no_work)
+    reduce = ["reduce", "--type", "A", "--n", "5", "--p", "1", "--q", "3"]
+    custom = ["sweep", "--type", "A", "--n", "5", "--p", "1", "--q", "3", "--grid", "custom"]
+    for argv in ([*reduce, "--z1=1e5000", "--z2=0"], [*custom, "--lo=1e100000000", "--hi=1"]):
+        start = time.perf_counter()
+        assert main(argv) == 2, argv
+        assert time.perf_counter() - start < 1, argv
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+        assert "Traceback" not in captured.err
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        parse_scalar("1e4300")
+    largest = parse_scalar("1e4299")
+    assert parse_scalar(str(largest)) == largest
 
 
 def _no_sweep(setup, grid):

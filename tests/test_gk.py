@@ -25,8 +25,7 @@ from gvmred import (
     weyl_vector,
 )
 from gvmred.exact import form_values
-from gvmred.gk import class_signature
-from gvmred.rootdata import block_offsets
+from gvmred.gk import class_signature, entry_readers, key_readers
 from gvmred.tableaux import key_shape
 
 import conftest
@@ -210,9 +209,9 @@ def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
         assert 0 < counts[0] == counts[1] < len(grid) / 2
 
 
-def test_repeated_keys_skip_offsets_and_class_split(monkeypatch):
-    """In one sweep the criterion runs at every point, block offsets and
-    the class split once per distinct form-value key."""
+def test_repeated_keys_skip_class_signature(monkeypatch):
+    """In one sweep the criterion runs at every point, the class signature
+    once per distinct form-value key."""
     counts = {}
 
     def counted(name, fn):
@@ -223,16 +222,15 @@ def test_repeated_keys_skip_offsets_and_class_split(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(verdict_module, "criterion", counted("criterion", verdict_module.criterion))
-    monkeypatch.setattr(gk_module, "block_offsets", counted("offsets", block_offsets))
     monkeypatch.setattr(gk_module, "class_signature", counted("signature", class_signature))
     for setup in (ParabolicSetup(A(6), 2, 4), ParabolicSetup(D(6), 1, 5)):
         grid = standard_grid(setup)
         keys = {form_values(setup.gk_forms, z1, z2) for z1, z2 in grid.points()}
-        counts.update(criterion=0, offsets=0, signature=0)
+        counts.update(criterion=0, signature=0)
         report = sweep(setup, grid)
         assert len(report.rows) == len(grid)
         assert counts["criterion"] == len(grid)
-        assert counts["offsets"] == counts["signature"] == len(keys) < len(grid) / 2
+        assert counts["signature"] == len(keys) < len(grid) / 2
 
 
 def _pairs(*pairs):
@@ -253,8 +251,15 @@ def test_gk_forms_are_nonzero_sign_canonical_and_distinct():
             assert x > 0 or (x == 0 and y > 0), (setup, x, y)
 
 
-def _signature(setup, z1, z2):
-    return class_signature(setup.lie, block_offsets(setup.block_plan, z1, z2))
+def _dense_signature(setup, z1, z2, offsets):
+    """The signature the dense adapters give the point's block offsets;
+    ``offsets`` caches (c1*z1 + c2*z2)/2 by (c1, c2) across setups."""
+    coefficients = setup.block_plan.coefficients
+    for c1, c2 in coefficients:
+        if (c1, c2) not in offsets:
+            offsets[c1, c2] = (c1 * z1 + c2 * z2) * Fraction(1, 2)
+    values = [offsets[pair] for pair in coefficients]
+    return class_signature(len(values), *entry_readers(values, setup.lie.kind == "D"))
 
 
 @settings(max_examples=150, deadline=None)
@@ -267,12 +272,18 @@ def _signature(setup, z1, z2):
 # Colliding keys with different points: all None, and one shared value.
 @example([(TAU, SIGMA), (SIGMA, TAU), (sc("1/3"), TAU), (TAU + 1, 2 - TAU), (TAU, 3 - TAU)])
 def test_equal_form_values_give_equal_class_signatures(pairs):
+    """The signature read off a point's key is the one the dense adapters
+    compute from its block offsets, so points with equal keys have equal
+    signatures."""
+    offsets = [{} for _ in pairs]
     for setup in SMALL_SETUPS:
         seen = {}
-        for z1, z2 in pairs:
+        for (z1, z2), cache in zip(pairs, offsets):
             key = form_values(setup.gk_forms, z1, z2)
-            signature = _signature(setup, z1, z2)
-            assert seen.setdefault(key, signature) == signature, (setup, z1, z2)
+            signature = class_signature(len(setup.block_plan.rho_runs), *key_readers(setup, key))
+            dense = _dense_signature(setup, z1, z2, cache)
+            assert signature == dense, (setup, z1, z2)
+            assert seen.setdefault(key, dense) == dense, (setup, z1, z2)
 
 
 @st.composite

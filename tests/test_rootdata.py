@@ -1,9 +1,7 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
-from hypothesis import example, given, settings, strategies as st
 
 from gvmred import (
     ExactScalar,
@@ -11,17 +9,14 @@ from gvmred import (
     InvalidParabolic,
     LieType,
     ParabolicSetup,
-    block_offsets,
     classify_parabolic,
     dim_nilradical,
     fundamental_weight,
     shifted_weight,
     weyl_vector,
 )
-from gvmred.harness import family_setups
-from gvmred.rootdata import scaled_offsets
 
-from conftest import SIGMA, TAU, sc, scalar_pairs, seq
+from conftest import SIGMA, TAU, sc, seq
 
 
 def test_lie_type_validation():
@@ -178,7 +173,9 @@ def test_block_plans():
     assert plan.rho_runs == ((5, 4, 3, 2, 1), (0,))
 
 
-def test_block_offsets_match_shifted_weight_differences():
+def test_block_values_match_shifted_weight():
+    """Block b's entries (c1*z1 + c2*z2)/2 + r, for its doubled
+    coefficients and rho run, are the shifted weight's coordinates."""
     for setup in (
         ParabolicSetup(LieType("A", 6), 2, 5),
         ParabolicSetup(LieType("D", 5), 1, 4),
@@ -186,47 +183,13 @@ def test_block_offsets_match_shifted_weight_differences():
     ):
         for z1, z2 in ((sc("1/3"), sc(-2)), (sc(-1) + TAU, sc("5/2") - TAU), (TAU, SIGMA)):
             plan = setup.block_plan
-            nums, scale, symbols = block_offsets(plan, z1, z2)
-            names = sorted({name for z in (z1, z2) for name, _ in z.generic})
-            entries = []
-            for b, run in enumerate(plan.rho_runs):
-                sym = dict(zip(names, symbols[b])) if symbols else {}
-                # symbol vectors are on the parameters' own scale, doubled
-                offset = ExactScalar(Fraction(nums[b], scale), {k: Fraction(v, 2) for k, v in sym.items()})
-                entries.extend(offset + r for r in run)
+            entries = [
+                (c1 * z1 + c2 * z2) * Fraction(1, 2) + r
+                for (c1, c2), run in zip(plan.coefficients, plan.rho_runs)
+                for r in run
+            ]
             dense = shifted_weight(setup, z1, z2).entries
+            assert len(entries) == len(dense) == setup.n
             # type A blocks hold the gl(n) representative: a common shift
             shift = dense[0] - entries[0] if setup.lie.kind == "A" else 0
             assert all(d - e == shift for d, e in zip(dense, entries))
-
-
-def _offset_values(offsets, names):
-    """Each value's rational part and its symbol part as {name: coefficient},
-    the coefficients divided by their overall gcd (the symbol vectors share
-    a scale that ``Offsets`` does not state)."""
-    nums, scale, symbols = offsets
-    rational = [Fraction(num, scale) for num in nums]
-    if symbols is None:
-        return rational, [{} for _ in nums]
-    common = gcd(*(c for vector in symbols for c in vector)) or 1
-    return rational, [
-        {name: c // common for name, c in zip(names, vector) if c} for vector in symbols
-    ]
-
-
-def _names(values):
-    return sorted({name for z in values for name, _ in z.generic})
-
-
-@settings(max_examples=300, deadline=None)
-@given(st.sampled_from(family_setups("A", 7) + family_setups("D", 7)), scalar_pairs())
-# one symbolic parameter and one rational, as on the standard grids
-@example(ParabolicSetup(LieType("D", 6), 1, 5), (TAU, sc(2)))
-@example(ParabolicSetup(LieType("A", 5), 1, 3), (sc(2), sc(-1) - TAU))
-@example(ParabolicSetup(LieType("D", 5), 4, 5), (sc("1/3"), SIGMA * Fraction(-3, 2) + 1))
-def test_block_offsets_match_scaled_offsets_of_block_values(setup, pair):
-    z1, z2 = pair
-    plan = setup.block_plan
-    values = [(c1 * z1 + c2 * z2) * Fraction(1, 2) for c1, c2 in plan.coefficients]
-    got = _offset_values(block_offsets(plan, z1, z2), _names(pair))
-    assert got == _offset_values(scaled_offsets(values), _names(values))
