@@ -20,7 +20,8 @@ from __future__ import annotations
 
 from enum import Enum
 from fractions import Fraction
-from math import gcd
+from itertools import repeat
+from math import gcd, inf
 from typing import Mapping, Sequence, Union
 
 
@@ -258,8 +259,14 @@ def _symbol_kernel(g1, g2) -> tuple[int, int] | None:
     return b, -a
 
 
+_UNBOUNDED = (-inf, inf)
+
+
 def form_values(
-    forms: Sequence[tuple[int, int]], z1: ExactScalar, z2: ExactScalar
+    forms: Sequence[tuple[int, int]],
+    z1: ExactScalar,
+    z2: ExactScalar,
+    windows: Sequence[tuple[int, int]] | None = None,
 ) -> tuple[int | None, ...]:
     """Per integer pair (x, y): (x*z1 + y*z2)/2 as an int when it is an
     integer, else None; builds no scalar.
@@ -267,7 +274,9 @@ def form_values(
     The symbol parts of x*z1 + y*z2 cancel exactly when x*v == y*u for a
     direction (u, v) found once per point ((0, 0) when both parameters
     are rational); the rational parts are put over one common denominator.
-    ``forms`` holds no (0, 0) pair.
+    ``forms`` holds no (0, 0) pair.  With ``windows``, one (lo, hi) per
+    pair, each int value is clamped to its window (saturated); None stays
+    None.
     """
     n1, d1, n2, d2 = z1.num, z1.den, z2.num, z2.den
     if d1 != d2:  # the rational parts over one denominator
@@ -285,9 +294,13 @@ def form_values(
             return (None,) * len(forms)
         u, v = kernel
     values = []
-    for x, y in forms:
+    for (x, y), (lo, hi) in zip(forms, repeat(_UNBOUNDED) if windows is None else windows):
         t = x * n1 + y * n2
-        values.append(None if x * v != y * u or t % scale else t // scale)
+        if x * v != y * u or t % scale:
+            values.append(None)
+        else:
+            t //= scale
+            values.append(lo if t < lo else hi if t > hi else t)
     return tuple(values)
 
 

@@ -25,10 +25,18 @@ two functions of a pair of blocks only: o_b - o_c and, in type D,
 o_b + o_c (o_b + o_b for the labeled test), each an int when it is an
 integer and None otherwise.  On a setup's points each is, up to sign, one
 value (x*z1 + y*z2)/2 of a pair of ``ParabolicSetup.gk_forms``.
-``gk_dimension`` keys its memo on the tuple of those values
-(``exact.form_values``, the one integrality decision per point) and reads
-a new key's signature off the key itself (``key_readers``).  A memo
-belongs to one sweep of one setup.
+
+A shape depends only on the relative order of its keys, ties included,
+and each comparison of two keys of a class is one of those values against
+an integer threshold (a difference or sum of rho entries).  So
+``gk_dimension`` keys its memo on the values saturated at
+``ParabolicSetup.gk_windows`` (each int clamped to one past its extreme
+thresholds; ``exact.form_values``, the one integrality decision per
+point): points with equal saturated values have equal None patterns, so
+equal class splits, and keys in the same order, so equal GK dimensions.
+A new key's signature is read off the exact values (``key_readers``),
+since the bases it holds are not the saturated ones.  A memo belongs to
+one sweep of one setup.
 
 The ExactScalar functions (``gk_dimension_of_weight``, ``is_integral``,
 ``integrality_classes``, ``fold_class``) run the same code on a dense
@@ -241,20 +249,22 @@ def gk_dimension(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> int
     """GK dimension at the scalar highest weight z1*xi_p + z2*xi_q.
 
     ``memo`` maps the point's form values (``exact.form_values`` over
-    ``setup.gk_forms``) to GK dimensions; equal values give equal class
-    signatures, so equal GK dimensions.  A new key's signature is read
-    off the key itself.  A sweep passes one dict for all its points, so a
-    point whose values were seen before costs the values and a lookup.
-    Without it the point gets a fresh dict.
+    ``setup.gk_forms``), saturated at ``setup.gk_windows``, to GK
+    dimensions; equal saturated values give equal class splits and keys in
+    the same order, so equal GK dimensions.  A new key's signature is read
+    off the exact values, computed again.  A sweep passes one dict for all
+    its points, so a point whose saturated values were seen before costs
+    the values and a lookup.  Without it the point gets a fresh dict.
     """
     if memo is None:
         memo = {}
     z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
     z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
-    key = form_values(setup.gk_forms, z1, z2)
+    key = form_values(setup.gk_forms, z1, z2, setup.gk_windows)
     gk = memo.get(key)
     if gk is None:
         runs = setup.block_plan.rho_runs
-        signature = class_signature(len(runs), *key_readers(setup, key))
+        exact = form_values(setup.gk_forms, z1, z2)
+        signature = class_signature(len(runs), *key_readers(setup, exact))
         gk = memo[key] = _gk_from_signature(setup.lie, signature, runs)
     return gk

@@ -36,8 +36,9 @@ MAX_GRID_POINTS = 200_000
 FAMILY_MIN_N = {"A": 3, "D": 4}
 # Largest family a verification may sweep, in standard-grid points before
 # de-duplication.  The largest families under it, A up to rank 14 (923 650
-# points) and D up to rank 43 (985 080), take about 14 s and 63 s (2 CPUs,
-# Python 3.11); per-point cost grows with the rank, faster in type D.
+# points) and D up to rank 43 (985 080), take about 9-10 s and 33 s with
+# `gvmred verify` (2 CPUs, Python 3.11.7); per-point cost grows with the
+# rank, faster in type D.
 MAX_FAMILY_POINTS = 1_000_000
 
 
@@ -152,7 +153,8 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     """Evaluate oracle and criterion at every grid point, in grid order.
 
     A point whose evaluation raises is recorded in ``errors``, not in ``rows``.
-    The GK memo (form values -> GK dimension) lives for this one sweep.
+    The GK memo (saturated form values -> GK dimension) lives for this
+    one sweep.
     """
     report = SweepReport(setup=setup, rows=[])
     memo: dict = {}

@@ -20,7 +20,9 @@ integer pairs (x, y) whose values (x*z1 + y*z2)/2 are the differences of
 block offsets and, in type D, their sums and doubles; ``gk_table`` says
 which value each pair of blocks reads.  These values decide every
 integrality test on the blocks, so the oracle keys its memo on them and
-reads a new key's class split off them.
+reads a new key's class split off them.  ``gk_windows`` bounds, per form,
+the rho thresholds it is ever compared with, so the memo key may clamp
+each value to its window.
 """
 
 from __future__ import annotations
@@ -173,16 +175,17 @@ class ParabolicSetup:
     def n(self) -> int:
         return self.lie.n
 
-    @property
+    # The criteria read these at every point, so they are computed once.
+    @cached_property
     def middle(self) -> int:
         """Size of the Levi block between the two removed roots."""
         return self.q - self.p
 
-    @property
+    @cached_property
     def outer_min(self) -> int:
         return min(self.p, self.n - self.q)
 
-    @property
+    @cached_property
     def outer_max(self) -> int:
         return max(self.p, self.n - self.q)
 
@@ -262,6 +265,36 @@ class ParabolicSetup:
             )
 
         return table(-1), table(1) if self.lie.kind == "D" else None
+
+    @cached_property
+    def gk_windows(self) -> tuple[tuple[int, int], ...]:
+        """Per form of ``gk_forms``, the window (lo, hi) its integer values
+        may be clamped to in the memo key, built on first use.
+
+        Two keys of block entries o_b + r and o_c + r' compare as o_b - o_c
+        against r' - r, and, in a folded or doubled type D class, as
+        o_b + o_c against -(r + r') (b = c for the doubled form).  So form i
+        is only ever compared with the thresholds s*(r' - r) and
+        s*(-(r + r')) of the table entries reading it with sign s, and two
+        values clamped to [min threshold - 1, max threshold + 1] that agree
+        agree with every threshold.  Thresholds are extremal at the run
+        endpoints.
+        """
+        ends = [(min(run), max(run)) for run in self.block_plan.rho_runs]
+        thresholds: dict[int, list[int]] = {}
+        differences, sums = self.gk_table
+        for b, (b_lo, b_hi) in enumerate(ends):
+            for c, (c_lo, c_hi) in enumerate(ends):
+                entries = [(differences[b][c], c_lo - b_hi, c_hi - b_lo)]
+                if sums is not None:
+                    entries.append((sums[b][c], -(b_hi + c_hi), -(b_lo + c_lo)))
+                for reading, least, most in entries:
+                    if reading:
+                        s = 1 if reading > 0 else -1
+                        thresholds.setdefault(abs(reading) - 1, []).extend((s * least, s * most))
+        return tuple(
+            (min(thresholds[i]) - 1, max(thresholds[i]) + 1) for i in range(len(self.gk_forms))
+        )
 
 
 def dim_nilradical(setup: ParabolicSetup) -> int:

@@ -76,11 +76,7 @@ def reducible_oracle(setup: ParabolicSetup, z1, z2) -> Verdict:
     return Verdict(gk=gk, dim_u=du, reducible=gk < du)
 
 
-def criterion_a_diagonal(setup: ParabolicSetup, z) -> bool:
-    """Type A closed form on the diagonal z1 = z2 = z."""
-    if setup.lie.kind != "A":
-        raise WrongLieType("diagonal type A criterion needs a type A setup")
-    z = _coerce(z)
+def _a_diagonal(setup: ParabolicSetup, z: ExactScalar) -> bool:
     gap, lo, hi = setup.middle, setup.outer_min, setup.outer_max
     if _is_int(z):
         if lo >= gap - 1:
@@ -97,30 +93,19 @@ def criterion_a_diagonal(setup: ParabolicSetup, z) -> bool:
     return z.num > -(gap + lo)
 
 
-def criterion_a_offdiagonal(setup: ParabolicSetup, z1, z2) -> bool:
-    """Type A closed form for z1 != z2 (consolidated coset form)."""
-    if setup.lie.kind != "A":
-        raise WrongLieType("off-diagonal type A criterion needs a type A setup")
-    z1, z2 = _coerce(z1), _coerce(z2)
-    if scalars_equal(z1, z2):
-        raise EqualParameters("off-diagonal criterion needs z1 != z2")
-    n, p = setup.n, setup.p
-    gap, lo = setup.middle, setup.outer_min
-    tail = n - setup.q
+def _a_offdiagonal(setup: ParabolicSetup, z1: ExactScalar, z2: ExactScalar) -> bool:
+    p, gap = setup.p, setup.middle
+    tail = setup.n - setup.q
     if tail == 0:
         return _int_at_least(z1, 1 - min(p, gap))
     return (
         _int_at_least(z2, 1 - min(gap, tail))
         or _int_at_least(z1, 1 - min(p, gap))
-        or sum_int_at_least(z1, z2, -gap - lo + 1)
+        or sum_int_at_least(z1, z2, -gap - setup.outer_min + 1)
     )
 
 
-def criterion_d(setup: ParabolicSetup, z1, z2) -> bool:
-    """Type D closed form, both removed-root patterns, both parities."""
-    if setup.lie.kind != "D":
-        raise WrongLieType("type D criterion needs a type D setup")
-    z1, z2 = _coerce(z1), _coerce(z2)
+def _d(setup: ParabolicSetup, z1: ExactScalar, z2: ExactScalar) -> bool:
     n = setup.n
     odd = n % 2 == 1
     if setup.p == 1:
@@ -146,14 +131,39 @@ def criterion_d(setup: ParabolicSetup, z1, z2) -> bool:
     return sum_int_at_least(z1, z2, -n + 1 if odd else -n + 2)
 
 
+def criterion_a_diagonal(setup: ParabolicSetup, z) -> bool:
+    """Type A closed form on the diagonal z1 = z2 = z."""
+    if setup.lie.kind != "A":
+        raise WrongLieType("diagonal type A criterion needs a type A setup")
+    return _a_diagonal(setup, _coerce(z))
+
+
+def criterion_a_offdiagonal(setup: ParabolicSetup, z1, z2) -> bool:
+    """Type A closed form for z1 != z2 (consolidated coset form)."""
+    if setup.lie.kind != "A":
+        raise WrongLieType("off-diagonal type A criterion needs a type A setup")
+    z1, z2 = _coerce(z1), _coerce(z2)
+    if scalars_equal(z1, z2):
+        raise EqualParameters("off-diagonal criterion needs z1 != z2")
+    return _a_offdiagonal(setup, z1, z2)
+
+
+def criterion_d(setup: ParabolicSetup, z1, z2) -> bool:
+    """Type D closed form, both removed-root patterns, both parities."""
+    if setup.lie.kind != "D":
+        raise WrongLieType("type D criterion needs a type D setup")
+    return _d(setup, _coerce(z1), _coerce(z2))
+
+
 def criterion(setup: ParabolicSetup, z1, z2) -> bool:
-    """Dispatch to the matching closed form for the setup and parameters."""
+    """Dispatch to the matching closed form for the setup and parameters;
+    the parameters are coerced and compared once."""
     z1, z2 = _coerce(z1), _coerce(z2)
     if setup.lie.kind == "D":
-        return criterion_d(setup, z1, z2)
+        return _d(setup, z1, z2)
     if scalars_equal(z1, z2):
-        return criterion_a_diagonal(setup, z1)
-    return criterion_a_offdiagonal(setup, z1, z2)
+        return _a_diagonal(setup, z1)
+    return _a_offdiagonal(setup, z1, z2)
 
 
 def evaluate(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> Verdict:

@@ -244,6 +244,24 @@ def _no_sweep(setup, grid):
     raise AssertionError("the grid was swept")
 
 
+def test_unprintable_custom_grid_points_exit_2_before_sweeping(capsys, monkeypatch):
+    """Bounds and a step that each print can give points that do not: a
+    point lo + k*step has denominator up to lcm(den(lo), den(step))."""
+    import gvmred.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "sweep", _no_sweep)
+    a, b = 10**2200 + 1, 10**2200 + 3
+    argv = ["sweep", "--type", "A", "--n", "3", "--p", "1", "--q", "2", "--grid", "custom"]
+    assert main([*argv, f"--lo=1/{a}", "--hi=1e-2199", f"--step=1/{b}"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.startswith("error: ")
+    assert f"more than {cli_mod.MAX_DIGITS} digits" in captured.err
+    # the same bounds with a step that shares lo's denominator print
+    monkeypatch.undo()
+    assert main([*argv, f"--lo=1/{a}", f"--hi=3/{a}", f"--step=1/{a}"]) == 0
+    assert f"3/{a}" in capsys.readouterr().out
+
+
 def test_sweep_rejects_custom_grid_flags_without_custom_grid(capsys, monkeypatch):
     import gvmred.cli as cli_mod
 

@@ -192,3 +192,7 @@ def test_form_values_match_scalar_arithmetic(pair, forms):
         value = (z1 * x + z2 * y) * Fraction(1, 2)
         expected.append(int(value.rational) if value.is_integer else None)
     assert form_values(forms, z1, z2) == tuple(expected)
+    # saturated: each int clamped to its window, None kept
+    windows = [(-2 - i, 1 + i) for i in range(len(forms))]
+    saturated = [v if v is None else min(max(v, lo), hi) for v, (lo, hi) in zip(expected, windows)]
+    assert form_values(forms, z1, z2, windows) == tuple(saturated)

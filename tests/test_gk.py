@@ -211,7 +211,8 @@ def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
 
 def test_repeated_keys_skip_class_signature(monkeypatch):
     """In one sweep the criterion runs at every point, the class signature
-    once per distinct form-value key."""
+    once per distinct saturated form-value key, of which there are fewer
+    than exact ones."""
     counts = {}
 
     def counted(name, fn):
@@ -225,12 +226,13 @@ def test_repeated_keys_skip_class_signature(monkeypatch):
     monkeypatch.setattr(gk_module, "class_signature", counted("signature", class_signature))
     for setup in (ParabolicSetup(A(6), 2, 4), ParabolicSetup(D(6), 1, 5)):
         grid = standard_grid(setup)
-        keys = {form_values(setup.gk_forms, z1, z2) for z1, z2 in grid.points()}
+        exact = {form_values(setup.gk_forms, z1, z2) for z1, z2 in grid.points()}
+        keys = {form_values(setup.gk_forms, z1, z2, setup.gk_windows) for z1, z2 in grid.points()}
         counts.update(criterion=0, signature=0)
         report = sweep(setup, grid)
         assert len(report.rows) == len(grid)
         assert counts["criterion"] == len(grid)
-        assert counts["signature"] == len(keys) < len(grid) / 2
+        assert counts["signature"] == len(keys) < len(exact) < len(grid) / 2
 
 
 def _pairs(*pairs):
@@ -249,6 +251,29 @@ def test_gk_forms_are_nonzero_sign_canonical_and_distinct():
         assert len(set(forms)) == len(forms)
         for x, y in forms:
             assert x > 0 or (x == 0 and y > 0), (setup, x, y)
+
+
+def test_gk_windows_span_every_key_comparison():
+    """Each form's window is one past the extreme thresholds it is compared
+    with: r' - r for a pair of blocks whose offset difference is the form
+    (up to sign s, applied), -(r + r') for a type D sum or double."""
+    for setup in family_setups("A", 9) + family_setups("D", 9):
+        coefficients = setup.block_plan.coefficients
+        runs = setup.block_plan.rho_runs
+        relations = [(-1, lambda r, r2: r2 - r)]
+        if setup.lie.kind == "D":
+            relations.append((1, lambda r, r2: -(r + r2)))
+        thresholds = {form: [] for form in setup.gk_forms}
+        for (a1, a2), run in zip(coefficients, runs):
+            for (c1, c2), other in zip(coefficients, runs):
+                for sign, threshold in relations:
+                    x, y = a1 + sign * c1, a2 + sign * c2
+                    if (x, y) == (0, 0):
+                        continue
+                    s = 1 if (x, y) > (0, 0) else -1
+                    thresholds[s * x, s * y].extend(s * threshold(r, r2) for r in run for r2 in other)
+        expected = tuple((min(t) - 1, max(t) + 1) for t in thresholds.values())
+        assert setup.gk_windows == expected, setup
 
 
 def _dense_signature(setup, z1, z2, offsets):
@@ -334,6 +359,10 @@ def test_block_core_matches_dense_route_at_random_points(setup, pair):
     random.Random(0),
 )
 @example(ParabolicSetup(A(3), 1, 2), _pairs((-5, -5), (-5, 0)), random.Random(0))
+# Exact keys (-6, -12, -18, -6) and (-5, -10, -15, -5) that saturate to one
+# key (-4, -6, -7, -5): the difference, the sum and the first block's double
+# lie past their windows at both points.
+@example(ParabolicSetup(D(4), 1, 4), _pairs((-6, -6), (-5, -5)), random.Random(0))
 def test_shared_memo_matches_fresh_points(setup, pairs, rng):
     """Points of one setup through one memo, in two orders, give each
     point's one-point GK dimension."""
