@@ -2,11 +2,8 @@
 combinatorics, for sl(n,C) and so(2n,C) with two removed simple roots."""
 
 from .exact import (
-    CosetClass,
     ExactScalar,
     IncomparableScalars,
-    compare,
-    coset_class,
     sub_is_integer,
     sum_is_integer,
     symbol,
@@ -14,11 +11,8 @@ from .exact import (
 from .gk import (
     ClassDecomposition,
     NonIntegralWeight,
-    fold_class,
     gk_dimension,
-    gk_dimension_of_weight,
     integrality_classes,
-    is_integral,
 )
 from .harness import (
     GridSpec,
@@ -53,8 +47,6 @@ from .rootdata import (
 from .tableaux import (
     Shape,
     conjugate,
-    depth_sum,
-    even_depth_sum,
     even_odd_counts,
     minus_double,
     rs_shape,
@@ -70,7 +62,6 @@ from .verdict import (
     criterion_d,
     evaluate,
     has_maximal_shape,
-    reducible_oracle,
     single_weight_reducible,
 )
 

@@ -7,7 +7,8 @@ are accepted.  Every scalar the tool prints re-parses to an equal value.
 Values starting with ``-`` are safest passed as ``--z1=-5/2``.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error
-(including an ``--n`` above ``MAX_RANK`` (2 000), a verify ``--max-n``
+(including an ``--n`` above ``MAX_RANK`` (2 000), an ``rs --seq`` of more
+than ``MAX_RANK`` comma-separated entries, a verify ``--max-n``
 below the family's smallest rank, a verify ``--max-n`` whose family's
 standard grids would hold more than ``harness.MAX_FAMILY_POINTS``
 (1 000 000) points, that is above 14 for type A or 43 for type D, where
@@ -46,15 +47,23 @@ from .harness import (
     verify_family,
 )
 from .rootdata import LieType, ParabolicSetup
-from .tableaux import render_tableau, rs_shape, rs_tableau
+from .tableaux import render_tableau, rs_tableau
 from .verdict import evaluate
 
-# Largest --n a command accepts: one gkdim or reduce point costs time
-# quadratic in the rank, about half a second at this cap.
+# Largest --n a command accepts, and most entries `rs --seq` accepts.  A
+# gkdim or reduce point costs time quadratic in the rank, about half a
+# second at this cap; an rs sequence quadratic in its length, 3-4 s
+# for this many decreasing entries.
 MAX_RANK = 2_000
 # Most digits an int prints with: the interpreter's limit, 4 300 by default.
 MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 _TOO_LONG = 10**MAX_DIGITS
+
+
+def _prints(value: Fraction) -> bool:
+    """Whether the numerator and denominator of ``value`` each print with
+    at most ``MAX_DIGITS`` digits."""
+    return abs(value.numerator) < _TOO_LONG and value.denominator < _TOO_LONG
 
 
 def parse_scalar(text: str) -> ExactScalar:
@@ -95,9 +104,9 @@ def parse_scalar(text: str) -> ExactScalar:
             rational += value
         else:
             generic[name] = generic.get(name, Fraction(0)) + value
-    for value in (rational, *generic.values()):  # printable terms may sum past the limit
-        if abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
-            raise ValueError(f"bad scalar {text!r}: more than {MAX_DIGITS} digits")
+    # printable terms may sum past the limit
+    if not all(map(_prints, (rational, *generic.values()))):
+        raise ValueError(f"bad scalar {text!r}: more than {MAX_DIGITS} digits")
     return ExactScalar(rational, generic)
 
 
@@ -212,12 +221,12 @@ def _cmd_reduce(args) -> int:
 
 
 def _cmd_rs(args) -> int:
-    seq = tuple(parse_scalar(part) for part in args.seq.split(","))
-    tableau = rs_tableau(seq)
-    rendered = render_tableau(tableau)
-    if rendered:
-        print(rendered)
-    print("shape: " + " ".join(str(p) for p in rs_shape(seq)))
+    entries = args.seq.count(",") + 1
+    if entries > MAX_RANK:
+        raise ValueError(f"--seq must have at most {MAX_RANK} entries, got {entries}")
+    tableau = rs_tableau(tuple(parse_scalar(part) for part in args.seq.split(",")))
+    print(render_tableau(tableau))
+    print("shape: " + " ".join(str(len(row)) for row in tableau))
     return 0
 
 
@@ -228,9 +237,9 @@ def _cmd_sweep(args) -> int:
             raise ValueError("custom grid needs --lo and --hi")
         step = Fraction(1, 2) if args.step is None else args.step
         spec = GridSpec(lo=args.lo, hi=args.hi, step=step)
-        for value in spec.rationals():  # bounds and step that print can give points that do not
-            if abs(value.numerator) >= _TOO_LONG or value.denominator >= _TOO_LONG:
-                raise ValueError(f"custom grid point has more than {MAX_DIGITS} digits")
+        # bounds and step that print can give points that do not
+        if not all(map(_prints, spec.rationals())):
+            raise ValueError(f"custom grid point has more than {MAX_DIGITS} digits")
         grid = grid_from_spec(spec)
     elif (args.lo, args.hi, args.step) != (None, None, None):
         raise ValueError("--lo, --hi and --step need --grid custom")

@@ -5,7 +5,9 @@ symbols.  The symbols stand for parameters carrying no integrality
 relations: a scalar with a nonzero symbol part is never an integer, never
 a half-integer, and never passes an ordering threshold against a rational.
 Two symbol names (``tau``, ``sigma``) are enough for every criterion in
-this package, but the type accepts any names.
+this package, but the type accepts any names.  Scalars are ordered
+(``<`` and the like) only when their symbol parts are equal; otherwise
+the comparison raises ``IncomparableScalars``.
 
 Each scalar decodes its canonical form into plain integers once, when it
 is built: ``num`` and ``den`` of the rational part and ``terms``, the
@@ -18,7 +20,6 @@ these fields, so they build no scalar and do no ``Fraction`` arithmetic.
 
 from __future__ import annotations
 
-from enum import Enum
 from fractions import Fraction
 from itertools import repeat
 from math import gcd, inf
@@ -27,12 +28,6 @@ from typing import Mapping, Sequence, Union
 
 class IncomparableScalars(ValueError):
     """Order comparison between scalars with different symbol parts."""
-
-
-class CosetClass(Enum):
-    INTEGER = "integer"
-    HALF_INTEGER = "half-integer"
-    OTHER = "other"
 
 
 RationalLike = Union[int, Fraction]
@@ -91,17 +86,6 @@ class ExactScalar:
     @property
     def is_integer(self) -> bool:
         return not self.terms and self.den == 1
-
-    @property
-    def is_half_integer(self) -> bool:
-        return not self.terms and self.den == 2
-
-    def coset_class(self) -> CosetClass:
-        if self.is_integer:
-            return CosetClass.INTEGER
-        if self.is_half_integer:
-            return CosetClass.HALF_INTEGER
-        return CosetClass.OTHER
 
     def _coerce(self, other):
         if isinstance(other, ExactScalar):
@@ -302,22 +286,3 @@ def form_values(
             t //= scale
             values.append(lo if t < lo else hi if t > hi else t)
     return tuple(values)
-
-
-def coset_class(a: ExactScalar) -> CosetClass:
-    return a.coset_class()
-
-
-def compare(a: ExactScalar, b: ExactScalar) -> int:
-    """-1, 0 or 1 ordering the rational parts.
-
-    Only scalars with identical symbol parts are ordered; anything else
-    raises IncomparableScalars (the algorithms here only ever compare
-    within one integrality class, where symbol parts coincide).
-    """
-    br = a._require_comparable(b).rational
-    if a.rational < br:
-        return -1
-    if a.rational > br:
-        return 1
-    return 0

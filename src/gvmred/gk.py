@@ -38,10 +38,12 @@ A new key's signature is read off the exact values (``key_readers``),
 since the bases it holds are not the saturated ones.  A memo belongs to
 one sweep of one setup.
 
-The ExactScalar functions (``gk_dimension_of_weight``, ``is_integral``,
-``integrality_classes``, ``fold_class``) run the same code on a dense
-weight, one single-entry block per coordinate, reading the entries'
-``exact.integer_difference`` and ``exact.integer_sum``.
+``integrality_classes`` runs the same split on a dense weight of
+ExactScalars, one single-entry block per coordinate, reading the entries'
+``exact.integer_difference`` and ``exact.integer_sum`` (``entry_readers``);
+``verdict.has_maximal_shape`` uses it to reject a non-integral weight.
+The dense GK dimension that cross-checks this module lives with the tests
+(``tests/dense_gk.py``).
 """
 
 from __future__ import annotations
@@ -188,6 +190,7 @@ def _gk_from_signature(lie: LieType, signature: Signature, runs) -> int:
 
 
 def integrality_classes(entries, lie: LieType) -> ClassDecomposition:
+    """Integrality classes of exact entries, labeled in type D."""
     entries = tuple(entries)
     difference, total = entry_readers(entries, lie.kind == "D")
     split = split_classes(len(entries), difference, total)
@@ -202,47 +205,6 @@ def integrality_classes(entries, lie: LieType) -> ClassDecomposition:
         else:  # an integer class when twice its head is even
             labeled[doubled % 2] = group
     return ClassDecomposition(classes, labeled.get(0), labeled.get(1), tuple(others))
-
-
-def fold_class(x: ScalarSequence) -> ScalarSequence:
-    """Rearrange a mixed difference-or-sum class into one difference class.
-
-    Entries whose difference with the first entry is integral are kept in
-    order; the remaining entries (integral sum with the first) are negated
-    and appended in reversed order.  The result is totally ordered: all
-    entries share one symbol part.
-    """
-    if not x:
-        return ()
-    split = split_classes(len(x), *entry_readers(x, use_sum=True))
-    if len(split) > 1:
-        stray = x[split[1][0][0]]
-        raise ValueError(f"{stray} is unrelated to {x[0]}; not a single class")
-    return tuple(-x[b] if flipped else x[b] for b, flipped in _folded(split[0]))
-
-
-def is_integral(weight, lie: LieType) -> bool:
-    """Integral in the weight-lattice sense: a single labeled class.
-
-    Type A: all pairwise differences integral.  Type D: all entries in Z
-    or all in 1/2 + Z.
-    """
-    dec = integrality_classes(tuple(weight), lie)
-    if len(dec.classes) != 1:
-        return False
-    if lie.kind == "A":
-        return True
-    return not dec.other_classes
-
-
-def gk_dimension_of_weight(weight, lie: LieType) -> int:
-    """GK dimension of the simple module with this shifted weight."""
-    entries = tuple(weight)
-    n = lie.n
-    if len(entries) != n:
-        raise ValueError(f"weight has length {len(entries)}, expected {n}")
-    signature = class_signature(n, *entry_readers(entries, lie.kind == "D"))
-    return _gk_from_signature(lie, signature, ((0,),) * n)
 
 
 def gk_dimension(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> int:

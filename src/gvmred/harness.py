@@ -245,7 +245,7 @@ def verify_family(kind: str, n_max: int) -> MismatchReport:
         report.points_checked += len(swept.rows)
         report.errors.extend((setup, *error) for error in swept.errors)
         report.mismatches.extend(
-            (setup, row) for row in swept.rows if row.verdict.agree is False
+            (setup, row) for row in swept.rows if not row.verdict.agree
         )
     return report
 
@@ -257,10 +257,8 @@ CSV_HEADER = "type,n,p,q,z1,z2,gk,dim_u,reducible,criterion,agree"
 
 
 def format_field(value) -> str:
-    """One field of a row as CSV and the CLI print it: None is empty,
-    booleans are lowercase, everything else goes through str."""
-    if value is None:
-        return ""
+    """One field of a row as CSV and the CLI print it: booleans are
+    lowercase, everything else goes through str."""
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)

@@ -4,10 +4,11 @@ Row insertion bumps the leftmost entry strictly greater than the inserted
 value, so rows are weakly increasing and equal values accumulate in one
 row.  There is one insertion loop, ``insertion_rows``, over any totally
 ordered keys: the GK-dimension oracle feeds it integer keys, and the
-ExactScalar functions (``rs_shape``, ``rs_tableau``, ``depth_sum``,
-``even_depth_sum``) feed it the rational parts of a sequence whose entries
-share one symbol part.  Only the shape matters downstream; the full
-tableau is kept solely for the CLI's debug rendering.
+ExactScalar functions (``rs_shape``, ``rs_tableau``) feed it the rational
+parts of a sequence whose entries share one symbol part.  The oracle
+reads only shapes, through ``shape_depth_sum`` and
+``shape_even_depth_sum``; the full tableau is kept for the CLI's debug
+rendering.
 """
 
 from __future__ import annotations
@@ -115,13 +116,3 @@ def shape_even_depth_sum(shape: Shape) -> int:
     """Like shape_depth_sum but counting only even boxes."""
     ev, _ = even_odd_counts(shape)
     return sum(i * e for i, e in enumerate(ev))
-
-
-def depth_sum(seq: Sequence[ExactScalar]) -> int:
-    """Sum over boxes of the insertion shape of (row index - 1)."""
-    return shape_depth_sum(rs_shape(seq))
-
-
-def even_depth_sum(seq: Sequence[ExactScalar]) -> int:
-    """Like depth_sum but counting only even boxes."""
-    return shape_even_depth_sum(rs_shape(seq))

@@ -18,7 +18,7 @@ from __future__ import annotations
 from typing import NamedTuple
 
 from .exact import ExactScalar, scalars_equal, sum_int_at_least
-from .gk import NonIntegralWeight, gk_dimension, is_integral
+from .gk import NonIntegralWeight, gk_dimension, integrality_classes
 from .rootdata import IndexOutOfRange, ParabolicSetup, WeightVector
 from .tableaux import conjugate, rs_shape
 
@@ -35,8 +35,8 @@ class Verdict(NamedTuple):
     gk: int
     dim_u: int
     reducible: bool
-    criterion: bool | None = None
-    agree: bool | None = None
+    criterion: bool
+    agree: bool
 
 
 def _coerce(z) -> ExactScalar:
@@ -67,13 +67,6 @@ def _int_step_at_least(z: ExactScalar, twice_bound: int) -> bool:
     num, den = z.num, z.den
     gap = 2 * num - twice_bound * den
     return gap % (2 * den) == 0 and gap >= 0
-
-
-def reducible_oracle(setup: ParabolicSetup, z1, z2) -> Verdict:
-    """Verdict from the GK-dimension oracle alone."""
-    gk = gk_dimension(setup, z1, z2)
-    du = setup.dim_u
-    return Verdict(gk=gk, dim_u=du, reducible=gk < du)
 
 
 def _a_diagonal(setup: ParabolicSetup, z: ExactScalar) -> bool:
@@ -198,7 +191,7 @@ def has_maximal_shape(setup: ParabolicSetup, weight: WeightVector) -> bool:
     if setup.lie.kind != "A":
         raise WrongLieType("the three-column shape test is for type A")
     entries = tuple(weight)
-    if not is_integral(entries, setup.lie):
+    if len(integrality_classes(entries, setup.lie).classes) != 1:
         raise NonIntegralWeight("the three-column shape test needs an integral weight")
     columns = conjugate(rs_shape(entries))
     target = tuple(

@@ -3,16 +3,19 @@
 This is the entry-by-entry computation over exact scalars: the shifted
 weight is built as n ``ExactScalar``s, classes are found by testing every
 entry against each class representative, and Robinson-Schensted insertion
-runs on the rational parts.  It shares no code with ``gvmred.gk`` beyond
-the scalar type, ``shifted_weight`` and the integrality predicates, so the
-block computation in the package can be checked against it.
+runs on the rational parts.  From the package it takes only the scalar
+type (whose decoded ``den``/``terms`` label a class), ``shifted_weight``,
+the integrality predicates ``sub_is_integer``/``sum_is_integer`` and the
+``NonIntegralWeight`` exception; it calls no function of ``gvmred.gk`` or
+``gvmred.tableaux``, so the block computation in the package can be
+checked against it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 
-from gvmred import CosetClass, NonIntegralWeight, shifted_weight, sub_is_integer, sum_is_integer
+from gvmred import NonIntegralWeight, shifted_weight, sub_is_integer, sum_is_integer
 
 
 def classes(entries, kind: str):
@@ -30,13 +33,12 @@ def classes(entries, kind: str):
     integer = half = None
     others = []
     for rep, group in zip(reps, groups):
-        kind_of = rep.coset_class()
-        if kind_of is CosetClass.INTEGER:
-            integer = tuple(group)
-        elif kind_of is CosetClass.HALF_INTEGER:
-            half = tuple(group)
-        else:
+        if rep.terms or rep.den > 2:
             others.append(tuple(group))
+        elif rep.den == 1:
+            integer = tuple(group)
+        else:
+            half = tuple(group)
     return tuple(tuple(g) for g in groups), integer, half, tuple(others)
 
 

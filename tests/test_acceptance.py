@@ -16,15 +16,14 @@ from gvmred import (
     ParabolicSetup,
     ParameterGrid,
     WeightVector,
+    evaluate,
     family_setups,
     fundamental_weight,
     gk_dimension,
-    gk_dimension_of_weight,
     has_maximal_shape,
     render_diagram,
     report_to_csv,
     report_to_json,
-    reducible_oracle,
     rs_shape,
     even_odd_counts,
     shifted_weight,
@@ -35,6 +34,7 @@ from gvmred import (
     weyl_vector,
 )
 
+import dense_gk
 from conftest import SIGMA, TAU, sc
 from dense_gk import gk_dimension_integral
 
@@ -166,8 +166,8 @@ def test_criterion_3_so12_so14_examples():
             if r.verdict.reducible != member(r.z1, r.z2)
         ]
         elapsed = time.perf_counter() - start
-        first = reducible_oracle(setup, boundary_red, boundary_red).reducible
-        prev = reducible_oracle(setup, boundary_irr, boundary_irr).reducible
+        first = evaluate(setup, boundary_red, boundary_red).reducible
+        prev = evaluate(setup, boundary_irr, boundary_irr).reducible
         results.append((len(rows), elapsed, bad, first, not prev))
     ok = all(not bad and first and prev and t < 10 for n, t, bad, first, prev in results)
     _report(
@@ -201,11 +201,11 @@ def test_criterion_5_three_column_shape_equivalence():
     problems = []
     for setup in family_setups("A", 8):
         n = setup.n
+        memo = {}
         for z1 in range(-(n + 2), 4):
             for z2 in range(-(n + 2), 4):
-                weight = shifted_weight(setup, z1, z2)
-                shape_max = has_maximal_shape(setup, weight)
-                attained = gk_dimension_of_weight(weight, setup.lie) == setup.dim_u
+                shape_max = has_maximal_shape(setup, shifted_weight(setup, z1, z2))
+                attained = gk_dimension(setup, z1, z2, memo) == setup.dim_u
                 checked += 1
                 if shape_max != attained:
                     problems.append((setup, z1, z2))
@@ -226,7 +226,7 @@ def test_criterion_6_single_weight_consistency():
                 weight = WeightVector(
                     tuple(z * x.rational + r for x, r in zip(xi, rho))
                 )
-                gk = gk_dimension_of_weight(weight, lie)
+                gk = dense_gk.gk_dimension_of_weight(weight, lie)
                 oracle = gk < p * (n - p)
                 checked += 1
                 if oracle != single_weight_reducible(n, p, z):
@@ -281,18 +281,18 @@ def test_criterion_7_property_suite():
         if tuple(e + o for e, o in zip(ev, odd)) != shape:
             problems.append(("even-odd-complement", shape))
 
-    for _ in range(500):
-        if rng.random() < 0.5:
-            lie = A(rng.randint(2, 8))
-            offset = rng.choice((Fraction(0), Fraction(1, 2), Fraction(1, 3)))
-        else:
-            lie = D(rng.randint(4, 8))
-            offset = rng.choice((Fraction(0), Fraction(1, 2)))
-        weight = WeightVector(
-            tuple(ExactScalar(offset + rng.randint(-6, 6)) for _ in range(lie.n))
-        )
-        if gk_dimension_of_weight(weight, lie) != gk_dimension_integral(weight, lie):
-            problems.append(("integral-path", lie, str(weight)))
+    # integral points of random setups, drawn until 500 are checked
+    integral = 0
+    while integral < 500:
+        setup = _random_setup(rng)
+        z1, z2 = (sc(Fraction(rng.randint(-12, 6), rng.choice((1, 2)))) for _ in range(2))
+        weight = shifted_weight(setup, z1, z2)
+        classes, _, _, others = dense_gk.classes(weight, setup.lie.kind)
+        if len(classes) != 1 or others:
+            continue
+        integral += 1
+        if gk_dimension(setup, z1, z2) != gk_dimension_integral(weight, setup.lie):
+            problems.append(("integral-path", setup, str(z1), str(z2)))
 
     def longest_weakly_increasing(values):
         best = [0] * len(values)

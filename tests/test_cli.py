@@ -110,6 +110,25 @@ def test_rs_command(capsys):
     assert out == "1 3\n3\n5\nshape: 2 1 1\n"
 
 
+def test_rs_seq_cap_is_checked_before_parsing(capsys, monkeypatch):
+    """``rs`` takes up to ``MAX_RANK`` entries; one more exits 2, counted on
+    the raw text before any entry is parsed."""
+    import gvmred.cli as cli_mod
+
+    cap = cli_mod.MAX_RANK
+    assert main(["rs", "--seq", ",".join(["0"] * cap)]) == 0
+    assert capsys.readouterr().out == " ".join(["0"] * cap) + f"\nshape: {cap}\n"
+
+    def no_parse(text):
+        raise AssertionError("an entry was parsed")
+
+    monkeypatch.setattr(cli_mod, "parse_scalar", no_parse)
+    assert main(["rs", "--seq", ",".join(["0"] * (cap + 1))]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert f"at most {cap} entries, got {cap + 1}" in captured.err
+
+
 def test_sweep_command_writes_csv(tmp_path):
     out = tmp_path / "sweep.csv"
     code = main(

@@ -12,14 +12,10 @@ from gvmred import (
     LieType,
     NonIntegralWeight,
     ParabolicSetup,
-    WeightVector,
     dim_nilradical,
     family_setups,
-    fold_class,
     gk_dimension,
-    gk_dimension_of_weight,
     integrality_classes,
-    is_integral,
     standard_grid,
     sweep,
     weyl_vector,
@@ -65,23 +61,20 @@ def test_classes_partition_entries_in_order():
 
 
 def test_fold_class_examples():
-    assert fold_class(seq("1/3", "4/3", "2/3")) == seq("1/3", "4/3", "-2/3")
-    assert fold_class(seq("1/4")) == seq("1/4")
-    assert fold_class(seq("2/3", "1/3", "5/3")) == seq("2/3", "5/3", "-1/3")
+    assert dense_gk.fold(seq("1/3", "4/3", "2/3")) == seq("1/3", "4/3", "-2/3")
+    assert dense_gk.fold(seq("1/4")) == seq("1/4")
+    assert dense_gk.fold(seq("2/3", "1/3", "5/3")) == seq("2/3", "5/3", "-1/3")
 
 
 def test_fold_class_with_symbols():
     x = (TAU + 5, TAU + 4, -TAU + 1, TAU + 2)
-    assert fold_class(x) == (TAU + 5, TAU + 4, TAU + 2, TAU - 1)
-
-
-def test_fold_class_rejects_unrelated_entries():
-    with pytest.raises(ValueError):
-        fold_class((TAU, SIGMA))
+    assert dense_gk.fold(x) == (TAU + 5, TAU + 4, TAU + 2, TAU - 1)
 
 
 def test_gk_dominant_integral_type_a_is_zero():
-    assert gk_dimension_of_weight(weyl_vector(A(4)), A(4)) == 0
+    # z1 = z2 = 0: the shifted weight is rho
+    assert gk_dimension(ParabolicSetup(A(4), 1, 2), 0, 0) == 0
+    assert dense_gk.gk_dimension_of_weight(weyl_vector(A(4)), A(4)) == 0
 
 
 def test_gk_type_d_first_pattern_paper_values():
@@ -150,27 +143,11 @@ def test_gk_bounds_and_nilradical_cap():
         assert gk <= dim_nilradical(setup)
 
 
-def test_integral_path_agreement():
-    rng = random.Random(5)
-    for _ in range(200):
-        if rng.random() < 0.5:
-            lie = A(rng.randint(2, 8))
-            offset = rng.choice((Fraction(0), Fraction(1, 2), Fraction(1, 3)))
-        else:
-            lie = D(rng.randint(4, 8))
-            offset = rng.choice((Fraction(0), Fraction(1, 2)))
-        entries = tuple(
-            ExactScalar(offset + rng.randint(-6, 6)) for _ in range(lie.n)
-        )
-        weight = WeightVector(entries)
-        assert is_integral(weight, lie)
-        assert gk_dimension_of_weight(weight, lie) == gk_dimension_integral(weight, lie)
-
-
 def test_integral_path_rejects_split_weights():
     with pytest.raises(NonIntegralWeight):
         gk_dimension_integral(seq(0, "1/2"), A(2))
-    assert not is_integral(seq("1/3", 0, "2/3", 1), D(4))
+    with pytest.raises(NonIntegralWeight):
+        gk_dimension_integral(seq("1/3", 0, "2/3", 1), D(4))
 
 
 def test_block_core_matches_dense_route_on_standard_grids():
@@ -381,15 +358,11 @@ dense_entries = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(dense_entries, st.sampled_from("AD"))
 def test_dense_adapters_match_dense_route(entries, kind):
-    lie = LieType(kind, len(entries))
-    dec = integrality_classes(entries, lie)
+    dec = integrality_classes(entries, LieType(kind, len(entries)))
     classes, integer, half, others = dense_gk.classes(entries, kind)
     assert dec.classes == classes
     if kind == "D":
         assert (dec.integer_class, dec.half_class, dec.other_classes) == (integer, half, others)
-        for x in others:
-            assert fold_class(x) == dense_gk.fold(x)
-    assert gk_dimension_of_weight(entries, lie) == dense_gk.gk_dimension_of_weight(entries, lie)
 
 
 @st.composite
@@ -412,4 +385,6 @@ common_shifts = st.one_of(
 def test_type_a_gk_invariant_under_common_shift(entries, shift):
     lie = A(len(entries))
     shifted = [entry + shift for entry in entries]
-    assert gk_dimension_of_weight(shifted, lie) == gk_dimension_of_weight(entries, lie)
+    assert dense_gk.gk_dimension_of_weight(shifted, lie) == dense_gk.gk_dimension_of_weight(
+        entries, lie
+    )

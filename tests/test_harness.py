@@ -248,18 +248,18 @@ def test_csv_lines_are_json_rows_through_the_field_formatter():
     setup = ParabolicSetup(A(5), 1, 3)
     values = (sc(-2), sc("-3/2"), TAU, sc(-2) + TAU)
     report = sweep(setup, ParameterGrid(z1_values=values, z2_values=values))
-    # a row the oracle alone decided: no criterion answer, no agreement flag
-    report.rows.append(SweepRow(sc(1), SIGMA, Verdict(gk=8, dim_u=8, reducible=False)))
+    # a row whose criterion disagrees with the oracle
+    report.rows.append(
+        SweepRow(sc(1), SIGMA, Verdict(gk=8, dim_u=8, reducible=False, criterion=True, agree=False))
+    )
     header, *lines = report_to_csv(report).splitlines()
     rows = json.loads(report_to_json(report))["rows"]
     assert len(lines) == len(rows) == len(report.rows)
     for line, row in zip(lines, rows):
         assert header.split(",") == list(row)
         assert line == ",".join(format_field(value) for value in row.values())
-    assert lines[-1] == "A,5,1,3,1,sigma,8,8,false,,"
-    assert [format_field(v) for v in (None, True, False, 0, "tau")] == [
-        "", "true", "false", "0", "tau"
-    ]
+    assert lines[-1] == "A,5,1,3,1,sigma,8,8,false,true,false"
+    assert [format_field(v) for v in (True, False, 0, "tau")] == ["true", "false", "0", "tau"]
 
 
 # SHA-256 of report_to_csv, report_to_json and the SVG and ASCII diagrams of

@@ -6,14 +6,12 @@ from hypothesis import given, strategies as st
 from gvmred import (
     IncomparableScalars,
     conjugate,
-    depth_sum,
-    even_depth_sum,
     even_odd_counts,
     minus_double,
     rs_shape,
     rs_tableau,
 )
-from gvmred.tableaux import render_tableau
+from gvmred.tableaux import render_tableau, shape_depth_sum, shape_even_depth_sum
 
 from conftest import SIGMA, TAU, sc, seq
 
@@ -79,15 +77,15 @@ def test_even_odd_counts_complement():
 
 
 def test_depth_sum_examples():
-    assert depth_sum(seq(1, 2, 3)) == 0
-    assert depth_sum(seq(3, 2, 1)) == 3
-    assert depth_sum(seq(5, 3, 3, 1)) == 3
+    assert shape_depth_sum(rs_shape(seq(1, 2, 3))) == 0
+    assert shape_depth_sum(rs_shape(seq(3, 2, 1))) == 3
+    assert shape_depth_sum(rs_shape(seq(5, 3, 3, 1))) == 3
 
 
 def test_even_depth_sum_examples():
-    assert even_depth_sum(()) == 0
-    assert even_depth_sum(seq(1, -1)) == 0
-    assert even_depth_sum(seq(1, 0, 0, -1)) == 2
+    assert shape_even_depth_sum(rs_shape(())) == 0
+    assert shape_even_depth_sum(rs_shape(seq(1, -1))) == 0
+    assert shape_even_depth_sum(rs_shape(seq(1, 0, 0, -1))) == 2
 
 
 def test_conjugate():
@@ -141,6 +139,6 @@ def test_monotone_sequences():
         down = seq(*range(n, 0, -1))
         up = seq(*range(n))
         assert rs_shape(down) == (1,) * n
-        assert depth_sum(down) == n * (n - 1) // 2
+        assert shape_depth_sum(rs_shape(down)) == n * (n - 1) // 2
         assert rs_shape(up) == (n,)
-        assert depth_sum(up) == 0
+        assert shape_depth_sum(rs_shape(up)) == 0

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import dense_gk
 from gvmred import (
     EqualParameters,
     ExactScalar,
@@ -20,15 +21,14 @@ from gvmred import (
     evaluate,
     even_odd_counts,
     family_setups,
-    fold_class,
     has_maximal_shape,
     integrality_classes,
     minus_double,
-    reducible_oracle,
     rs_shape,
     shifted_weight,
     single_weight_reducible,
     standard_grid,
+    sweep,
 )
 from gvmred.exact import sum_int_at_least
 from gvmred.verdict import (
@@ -46,13 +46,13 @@ D = lambda n: LieType("D", n)
 
 def test_oracle_examples_type_a():
     setup = ParabolicSetup(A(8), 2, 5)
-    assert reducible_oracle(setup, -2, -2).reducible
-    assert not reducible_oracle(setup, sc("-5/2"), sc("-5/2")).reducible
+    assert evaluate(setup, -2, -2).reducible
+    assert not evaluate(setup, sc("-5/2"), sc("-5/2")).reducible
 
 
 def test_oracle_example_type_d():
     setup = ParabolicSetup(D(6), 1, 5)
-    assert reducible_oracle(setup, sc(0), TAU).reducible
+    assert evaluate(setup, sc(0), TAU).reducible
 
 
 def test_verdict_invariants():
@@ -232,7 +232,7 @@ def test_upward_closure_of_reducibility():
         if criterion(setup, z1, z2):
             a, b = rng.randint(0, 3), rng.randint(0, 3)
             assert criterion(setup, z1 + a, z2 + b)
-            assert reducible_oracle(setup, z1 + a, z2 + b).reducible
+            assert evaluate(setup, z1 + a, z2 + b).reducible
 
 
 def irreducible_shape_diagnostic(setup: ParabolicSetup, z1, z2) -> bool:
@@ -256,7 +256,7 @@ def irreducible_shape_diagnostic(setup: ParabolicSetup, z1, z2) -> bool:
             if ev in targets:
                 return True
     for other in dec.other_classes:
-        if rs_shape(fold_class(other)) in targets:
+        if rs_shape(dense_gk.fold(other)) in targets:
             return True
     return False
 
@@ -264,13 +264,14 @@ def irreducible_shape_diagnostic(setup: ParabolicSetup, z1, z2) -> bool:
 def test_shape_diagnostic_catches_every_irreducible_point():
     for n, p, q in ((4, 1, 3), (5, 1, 5), (5, 4, 5), (6, 1, 5)):
         setup = ParabolicSetup(D(n), p, q)
-        for z1, z2 in standard_grid(setup).points():
-            v = reducible_oracle(setup, z1, z2)
-            if not v.reducible:
-                assert irreducible_shape_diagnostic(setup, z1, z2), (
+        report = sweep(setup, standard_grid(setup))
+        assert not report.errors
+        for row in report.rows:
+            if not row.verdict.reducible:
+                assert irreducible_shape_diagnostic(setup, row.z1, row.z2), (
                     setup,
-                    str(z1),
-                    str(z2),
+                    str(row.z1),
+                    str(row.z2),
                 )
     with pytest.raises(WrongLieType):
         irreducible_shape_diagnostic(ParabolicSetup(A(8), 2, 5), sc(0), sc(0))
