@@ -51,9 +51,9 @@ from .tableaux import render_tableau, rs_tableau
 from .verdict import evaluate
 
 # Largest --n a command accepts, and most entries `rs --seq` accepts.  A
-# gkdim or reduce point costs time quadratic in the rank, about half a
-# second at this cap; an rs sequence quadratic in its length, 3-4 s
-# for this many decreasing entries.
+# gkdim or reduce point at this cap takes about 0.15 s with interpreter
+# start; an rs sequence costs time up to quadratic in its length, about
+# 0.4 s for this many increasing or equal entries.
 MAX_RANK = 2_000
 # Most digits an int prints with: the interpreter's limit, 4 300 by default.
 MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300

@@ -20,11 +20,13 @@ Robinson-Schensted keys are integers:
 * the integral and half-integral type D classes are doubled with reversed
   negation, with keys ``2 * o_b + 2 * rho_j``.
 
-So the split (``split_classes``) and the keys (``class_signature``) read
-two functions of a pair of blocks only: o_b - o_c and, in type D,
-o_b + o_c (o_b + o_b for the labeled test), each an int when it is an
-integer and None otherwise.  On a setup's points each is, up to sign, one
-value (x*z1 + y*z2)/2 of a pair of ``ParabolicSetup.gk_forms``.
+So the split (``split_classes``) and the keys read two functions of a
+pair of blocks only: o_b - o_c and, in type D, o_b + o_c (o_b + o_b for
+the labeled test and the doubled keys), each an int when it is an integer
+and None otherwise.  On a setup's points each is, up to sign, one value
+(x*z1 + y*z2)/2 of a pair of ``ParabolicSetup.gk_forms``.  Each block's
+keys form one strictly decreasing run, so a class's keys have at most 3
+runs (6 when doubled) and as many columns (``tableaux.key_columns``).
 
 A shape depends only on the relative order of its keys, ties included,
 and each comparison of two keys of a class is one of those values against
@@ -34,9 +36,9 @@ an integer threshold (a difference or sum of rho entries).  So
 thresholds; ``exact.form_values``, the one integrality decision per
 point): points with equal saturated values have equal None patterns, so
 equal class splits, and keys in the same order, so equal GK dimensions.
-A new key's signature is read off the exact values (``key_readers``),
-since the bases it holds are not the saturated ones.  A memo belongs to
-one sweep of one setup.
+A new key's classes and integer keys are built from the exact values
+(``key_readers``, ``_gk_from_values``), since the key bases are not the
+saturated ones.  A memo belongs to one sweep of one setup.
 
 ``integrality_classes`` runs the same split on a dense weight of
 ExactScalars, one single-entry block per coordinate, reading the entries'
@@ -55,10 +57,10 @@ from .exact import ExactScalar, form_values, integer_difference, integer_sum
 from .rootdata import LieType, ParabolicSetup
 from .tableaux import (
     ScalarSequence,
-    key_shape,
+    columns_depth_sum,
+    columns_even_depth_sum,
+    key_columns,
     minus_double,
-    shape_depth_sum,
-    shape_even_depth_sum,
 )
 
 # Unused here; kept importable from this module, where perfbench/tracing.py
@@ -69,8 +71,6 @@ from .rootdata import shifted_weight  # noqa: F401
 Member = tuple[int, bool]  # (block index, joined to the class head by a sum)
 # (b, c) -> o_b - o_c, or o_b + o_c, as an int when it is an integer, else None
 Reader = Callable[[int, int], "int | None"]
-# Per class: (labeled, ((block index, flipped, key base), ...)).
-Signature = tuple[tuple[bool, tuple[tuple[int, bool, int], ...]], ...]
 
 
 class NonIntegralWeight(ValueError):
@@ -122,35 +122,6 @@ def _folded(members: list[Member]) -> list[Member]:
     return [m for m in members if not m[1]] + [m for m in reversed(members) if m[1]]
 
 
-def class_signature(count: int, difference: Reader, total: Reader | None) -> Signature:
-    """The class structure of a point, on which its GK dimension depends.
-
-    One entry per class: the labeled flag (a type D integral or
-    half-integral class, whose keys are doubled) and, per member block in
-    key order, the block index, the flipped flag and the integer base of
-    the block's keys.  Two points of one setup with equal signatures have
-    equal keys, so equal GK dimensions.
-    """
-    signature = []
-    for members in split_classes(count, difference, total):
-        h = members[0][0]
-        # labeled: the head, so the whole class, is integral or half-integral
-        if total is not None and total(h, h) is not None:
-            blocks = tuple([(b, flipped, total(b, b)) for b, flipped in members])
-            signature.append((True, blocks))
-        else:
-            if total is not None:
-                members = _folded(members)
-            blocks = tuple(
-                [
-                    (b, True, -total(b, h)) if flipped else (b, False, difference(b, h))
-                    for b, flipped in members
-                ]
-            )
-            signature.append((False, blocks))
-    return tuple(signature)
-
-
 def key_readers(setup: ParabolicSetup, key: tuple) -> tuple[Reader, Reader | None]:
     """(difference, total) of the setup's block offsets, read off the form
     values ``key`` through the signed indices of ``setup.gk_table``."""
@@ -169,24 +140,33 @@ def entry_readers(entries, use_sum: bool) -> tuple[Reader, Reader | None]:
     )
 
 
-def _gk_from_signature(lie: LieType, signature: Signature, runs) -> int:
-    """GK dimension of the weight with this class signature, block b
-    holding the rho entries ``runs[b]``."""
-    n = lie.n
-    total = n * (n - 1) // 2 if lie.kind == "A" else n * n - n
-    for labeled, blocks in signature:
-        if labeled:
-            keys = [base + 2 * r for b, _, base in blocks for r in runs[b]]
-            total -= shape_even_depth_sum(key_shape(minus_double(keys)))
-            continue
+def _gk_from_values(setup: ParabolicSetup, exact: tuple) -> int:
+    """GK dimension of the point whose exact form values over
+    ``setup.gk_forms`` are ``exact``: the type's triangular bound minus the
+    depth sums of its classes' integer keys."""
+    runs = setup.block_plan.rho_runs
+    difference, total = key_readers(setup, exact)
+    n = setup.lie.n
+    gk = n * (n - 1) // 2 if total is None else n * n - n
+    for members in split_classes(len(runs), difference, total):
+        h = members[0][0]
         keys = []
-        for b, flipped, base in blocks:
+        # labeled: the head, so the whole class, is integral or half-integral
+        if total is not None and total(h, h) is not None:
+            for b, _ in members:
+                base = total(b, b)
+                keys.extend([base + 2 * r for r in runs[b]])
+            gk -= columns_even_depth_sum(key_columns(minus_double(keys)))
+            continue
+        for b, flipped in members if total is None else _folded(members):
             if flipped:
-                keys.extend(base - r for r in reversed(runs[b]))
+                base = -total(b, h)
+                keys.extend([base - r for r in reversed(runs[b])])
             else:
-                keys.extend(base + r for r in runs[b])
-        total -= shape_depth_sum(key_shape(keys))
-    return total
+                base = difference(b, h)
+                keys.extend([base + r for r in runs[b]])
+        gk -= columns_depth_sum(key_columns(keys))
+    return gk
 
 
 def integrality_classes(entries, lie: LieType) -> ClassDecomposition:
@@ -213,10 +193,11 @@ def gk_dimension(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> int
     ``memo`` maps the point's form values (``exact.form_values`` over
     ``setup.gk_forms``), saturated at ``setup.gk_windows``, to GK
     dimensions; equal saturated values give equal class splits and keys in
-    the same order, so equal GK dimensions.  A new key's signature is read
-    off the exact values, computed again.  A sweep passes one dict for all
-    its points, so a point whose saturated values were seen before costs
-    the values and a lookup.  Without it the point gets a fresh dict.
+    the same order, so equal GK dimensions.  A new key's classes and keys
+    are built from the exact values, computed again.  A sweep passes one
+    dict for all its points, so a point whose saturated values were seen
+    before costs the values and a lookup.  Without it the point gets a
+    fresh dict.
     """
     if memo is None:
         memo = {}
@@ -225,8 +206,5 @@ def gk_dimension(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> int
     key = form_values(setup.gk_forms, z1, z2, setup.gk_windows)
     gk = memo.get(key)
     if gk is None:
-        runs = setup.block_plan.rho_runs
-        exact = form_values(setup.gk_forms, z1, z2)
-        signature = class_signature(len(runs), *key_readers(setup, exact))
-        gk = memo[key] = _gk_from_signature(setup.lie, signature, runs)
+        gk = memo[key] = _gk_from_values(setup, form_values(setup.gk_forms, z1, z2))
     return gk

@@ -223,7 +223,7 @@ class ParabolicSetup:
     @cached_property
     def gk_forms(self) -> tuple[tuple[int, int], ...]:
         """The integer pairs (x, y) whose values (x*z1 + y*z2)/2 fix a
-        point's class signature, built on first use.
+        point's classes and keys, built on first use.
 
         With block offsets o_b = (c1*z1 + c2*z2)/2: o_b - o_c for every pair
         of blocks and, in type D, o_b + o_c and 2*o_b.  Pairs that vanish

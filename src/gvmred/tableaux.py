@@ -2,19 +2,21 @@
 
 Row insertion bumps the leftmost entry strictly greater than the inserted
 value, so rows are weakly increasing and equal values accumulate in one
-row.  There is one insertion loop, ``insertion_rows``, over any totally
-ordered keys: the GK-dimension oracle feeds it integer keys, and the
-ExactScalar functions (``rs_shape``, ``rs_tableau``) feed it the rational
-parts of a sequence whose entries share one symbol part.  The oracle
-reads only shapes, through ``shape_depth_sum`` and
-``shape_even_depth_sum``; the full tableau is kept for the CLI's debug
-rendering.
+row.  The one insertion loop, ``insertion_columns``, builds that tableau
+by columns, by Schuetzenberger's transpose property (Knuth, TAOCP vol. 3,
+5.1.4): its transpose is the strict-row insertion tableau of the reversed
+keys.  A weakly increasing subsequence takes at most one key per strictly
+decreasing run, so keys of m runs give at most m columns and each key
+visits at most m lists.  The GK-dimension oracle's integer keys have at
+most six runs; it reads column lengths (``key_columns``) and their depth
+sums.  ``rs_shape`` and ``rs_tableau`` insert the integer ranks of the
+rational parts of ExactScalars sharing one symbol part; the full tableau
+is kept for the CLI's debug rendering.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
-from fractions import Fraction
+from bisect import bisect_left
 from typing import Sequence
 
 from .exact import ExactScalar, IncomparableScalars
@@ -23,8 +25,9 @@ Shape = tuple[int, ...]
 ScalarSequence = tuple[ExactScalar, ...]
 
 
-def _order_keys(seq: Sequence[ExactScalar]) -> list[Fraction]:
-    """Rational sort keys; requires all entries to share one symbol part."""
+def _order_keys(seq: Sequence[ExactScalar]) -> list[int]:
+    """Integer ranks of the rational parts among the distinct ones; requires
+    all entries to share one symbol part."""
     if not seq:
         return []
     lead = seq[0].generic
@@ -33,32 +36,35 @@ def _order_keys(seq: Sequence[ExactScalar]) -> list[Fraction]:
             raise IncomparableScalars(
                 f"sequence mixes symbol parts: {seq[0]} vs {e}"
             )
-    return [e.rational for e in seq]
+    rationals = [e.rational for e in seq]
+    rank = {r: i for i, r in enumerate(sorted(set(rationals)))}
+    return [rank[r] for r in rationals]
 
 
-def insertion_rows(keys: Sequence) -> list[list]:
-    """Rows of the insertion tableau of ``keys``, processed left to right."""
-    rows: list[list] = []
-    for v in keys:
-        for row in rows:
-            if v >= row[-1]:
-                row.append(v)
+def insertion_columns(keys: Sequence) -> list[list]:
+    """Columns, top to bottom, of the row-insertion tableau of ``keys``:
+    the rows of the strict-row insertion tableau of the reversed keys."""
+    columns: list[list] = []
+    for v in reversed(keys):
+        for column in columns:
+            if v > column[-1]:
+                column.append(v)
                 break
-            j = bisect_right(row, v)
-            row[j], v = v, row[j]
+            j = bisect_left(column, v)
+            column[j], v = v, column[j]
         else:
-            rows.append([v])
-    return rows
+            columns.append([v])
+    return columns
 
 
-def key_shape(keys: Sequence) -> Shape:
-    """Shape of the insertion tableau of totally ordered keys."""
-    return tuple(len(row) for row in insertion_rows(keys))
+def key_columns(keys: Sequence) -> Shape:
+    """Column lengths of the insertion tableau of totally ordered keys."""
+    return tuple([len(column) for column in insertion_columns(keys)])
 
 
 def rs_shape(seq: Sequence[ExactScalar]) -> Shape:
     """Shape of the insertion tableau of ``seq``, processed left to right."""
-    return key_shape(_order_keys(seq))
+    return conjugate(key_columns(_order_keys(seq)))
 
 
 def rs_tableau(seq: Sequence[ExactScalar]) -> tuple[ScalarSequence, ...]:
@@ -68,7 +74,12 @@ def rs_tableau(seq: Sequence[ExactScalar]) -> tuple[ScalarSequence, ...]:
     """
     keys = _order_keys(seq)
     scalar_of = dict(zip(keys, seq))
-    return tuple(tuple(scalar_of[k] for k in row) for row in insertion_rows(keys))
+    columns = insertion_columns(keys)
+    rows: list[list] = [[] for _ in (columns[0] if columns else ())]
+    for column in columns:
+        for row, k in zip(rows, column):
+            row.append(scalar_of[k])
+    return tuple(map(tuple, rows))
 
 
 def render_tableau(tableau: tuple[ScalarSequence, ...]) -> str:
@@ -107,12 +118,18 @@ def conjugate(shape: Shape) -> Shape:
     return tuple(sum(1 for p in shape if p >= j) for j in range(1, shape[0] + 1))
 
 
-def shape_depth_sum(shape: Shape) -> int:
-    """Sum over boxes of the shape of (row index - 1)."""
-    return sum(i * p for i, p in enumerate(shape))
+def columns_depth_sum(columns: Shape) -> int:
+    """Sum over boxes of (row index - 1), from the column lengths."""
+    return sum([c * (c - 1) // 2 for c in columns])
 
 
-def shape_even_depth_sum(shape: Shape) -> int:
-    """Like shape_depth_sum but counting only even boxes."""
-    ev, _ = even_odd_counts(shape)
-    return sum(i * e for i, e in enumerate(ev))
+def columns_even_depth_sum(columns: Shape) -> int:
+    """Like columns_depth_sum but counting only even boxes.
+
+    Column j (0-indexed) holds its even boxes in rows 1, 3, ... when j is
+    even, adding k(k - 1) for k = ceil(c / 2), and in rows 2, 4, ... when
+    j is odd, adding k^2 for k = floor(c / 2).
+    """
+    return sum(
+        [(c // 2) ** 2 if j % 2 else (c + 1) // 2 * ((c - 1) // 2) for j, c in enumerate(columns)]
+    )

@@ -54,10 +54,11 @@ def minus_double(x):
     return tuple(x) + tuple(-e for e in reversed(x))
 
 
-def shape(seq):
-    assert len({e.generic for e in seq}) <= 1
+def insertion_rows(values):
+    """Rows of the row-insertion tableau, bumping the leftmost entry
+    strictly greater than the inserted value."""
     rows = []
-    for v in (e.rational for e in seq):
+    for v in values:
         for row in rows:
             if v >= row[-1]:
                 row.append(v)
@@ -66,7 +67,12 @@ def shape(seq):
             row[j], v = v, row[j]
         else:
             rows.append([v])
-    return tuple(len(r) for r in rows)
+    return rows
+
+
+def shape(seq):
+    assert len({e.generic for e in seq}) <= 1
+    return tuple(len(r) for r in insertion_rows([e.rational for e in seq]))
 
 
 def depth_sum(seq) -> int:

@@ -21,8 +21,8 @@ from gvmred import (
     weyl_vector,
 )
 from gvmred.exact import form_values
-from gvmred.gk import class_signature, entry_readers, key_readers
-from gvmred.tableaux import key_shape
+from gvmred.gk import _folded, entry_readers, key_readers, split_classes
+from gvmred.tableaux import key_columns
 
 import conftest
 from conftest import SIGMA, TAU, sc, seq
@@ -173,9 +173,9 @@ def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
 
     def counted(keys):
         calls.append(keys)
-        return key_shape(keys)
+        return key_columns(keys)
 
-    monkeypatch.setattr(gk_module, "key_shape", counted)
+    monkeypatch.setattr(gk_module, "key_columns", counted)
     for setup in (ParabolicSetup(A(6), 2, 4), ParabolicSetup(D(6), 1, 5)):
         grid = standard_grid(setup)
         counts = []
@@ -186,10 +186,10 @@ def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
         assert 0 < counts[0] == counts[1] < len(grid) / 2
 
 
-def test_repeated_keys_skip_class_signature(monkeypatch):
-    """In one sweep the criterion runs at every point, the class signature
-    once per distinct saturated form-value key, of which there are fewer
-    than exact ones."""
+def test_repeated_keys_skip_the_miss_path(monkeypatch):
+    """In one sweep the criterion runs at every point, the class split and
+    key building once per distinct saturated form-value key, of which there
+    are fewer than exact ones."""
     counts = {}
 
     def counted(name, fn):
@@ -200,16 +200,16 @@ def test_repeated_keys_skip_class_signature(monkeypatch):
         return wrapper
 
     monkeypatch.setattr(verdict_module, "criterion", counted("criterion", verdict_module.criterion))
-    monkeypatch.setattr(gk_module, "class_signature", counted("signature", class_signature))
+    monkeypatch.setattr(gk_module, "_gk_from_values", counted("miss", gk_module._gk_from_values))
     for setup in (ParabolicSetup(A(6), 2, 4), ParabolicSetup(D(6), 1, 5)):
         grid = standard_grid(setup)
         exact = {form_values(setup.gk_forms, z1, z2) for z1, z2 in grid.points()}
         keys = {form_values(setup.gk_forms, z1, z2, setup.gk_windows) for z1, z2 in grid.points()}
-        counts.update(criterion=0, signature=0)
+        counts.update(criterion=0, miss=0)
         report = sweep(setup, grid)
         assert len(report.rows) == len(grid)
         assert counts["criterion"] == len(grid)
-        assert counts["signature"] == len(keys) < len(exact) < len(grid) / 2
+        assert counts["miss"] == len(keys) < len(exact) < len(grid) / 2
 
 
 def _pairs(*pairs):
@@ -251,6 +251,26 @@ def test_gk_windows_span_every_key_comparison():
                     thresholds[s * x, s * y].extend(s * threshold(r, r2) for r in run for r2 in other)
         expected = tuple((min(t) - 1, max(t) + 1) for t in thresholds.values())
         assert setup.gk_windows == expected, setup
+
+
+def class_signature(count, difference, total):
+    """The class structure a point's GK dimension depends on: per class the
+    labeled flag (a type D integral or half-integral class, whose keys are
+    doubled) and, per member block in key order, its index, flipped flag
+    and integer key base."""
+    signature = []
+    for members in split_classes(count, difference, total):
+        h = members[0][0]
+        if total is not None and total(h, h) is not None:
+            signature.append((True, tuple((b, f, total(b, b)) for b, f in members)))
+            continue
+        if total is not None:
+            members = _folded(members)
+        blocks = tuple(
+            (b, True, -total(b, h)) if f else (b, False, difference(b, h)) for b, f in members
+        )
+        signature.append((False, blocks))
+    return tuple(signature)
 
 
 def _dense_signature(setup, z1, z2, offsets):
@@ -319,6 +339,30 @@ def parameter_pairs(draw):
 def test_block_core_matches_dense_route_at_random_points(setup, pair):
     z1, z2 = pair
     assert gk_dimension(setup, z1, z2) == dense_gk.gk_dimension(setup, z1, z2)
+
+
+LARGE_N = 120
+
+
+@pytest.mark.parametrize(
+    "setup",
+    [
+        ParabolicSetup(A(LARGE_N), 1, 2),
+        ParabolicSetup(A(LARGE_N), 40, 80),
+        ParabolicSetup(D(LARGE_N), 1, LARGE_N - 1),
+        ParabolicSetup(D(LARGE_N), 1, LARGE_N),
+        ParabolicSetup(D(LARGE_N), LARGE_N - 1, LARGE_N),
+    ],
+    ids=lambda s: f"{s.lie.kind}{s.lie.n}-{s.p}-{s.q}",
+)
+def test_block_core_matches_dense_route_at_large_rank(setup):
+    """Long runs: classes of dozens of keys per block, interleaved."""
+    points = _pairs(
+        (0, 0), (-60, -3), ("-121/2", "-7/2"), (-80, 40), ("1/3", -5),
+        (-LARGE_N, -LARGE_N), ("-5/2", "-5/2"),
+    ) + [(TAU - 4, 3 - TAU)]
+    for z1, z2 in points:
+        assert gk_dimension(setup, z1, z2) == dense_gk.gk_dimension(setup, z1, z2), (z1, z2)
 
 
 @settings(max_examples=200, deadline=None)

@@ -1,4 +1,5 @@
 import itertools
+from fractions import Fraction
 
 import pytest
 from hypothesis import given, strategies as st
@@ -11,8 +12,14 @@ from gvmred import (
     rs_shape,
     rs_tableau,
 )
-from gvmred.tableaux import render_tableau, shape_depth_sum, shape_even_depth_sum
+from gvmred.tableaux import (
+    columns_depth_sum,
+    columns_even_depth_sum,
+    key_columns,
+    render_tableau,
+)
 
+import dense_gk
 from conftest import SIGMA, TAU, sc, seq
 
 
@@ -77,15 +84,18 @@ def test_even_odd_counts_complement():
 
 
 def test_depth_sum_examples():
-    assert shape_depth_sum(rs_shape(seq(1, 2, 3))) == 0
-    assert shape_depth_sum(rs_shape(seq(3, 2, 1))) == 3
-    assert shape_depth_sum(rs_shape(seq(5, 3, 3, 1))) == 3
+    assert key_columns((1, 2, 3)) == (1, 1, 1)
+    assert columns_depth_sum(key_columns((1, 2, 3))) == 0
+    assert columns_depth_sum(key_columns((3, 2, 1))) == 3
+    assert columns_depth_sum(key_columns((5, 3, 3, 1))) == 3
 
 
 def test_even_depth_sum_examples():
-    assert shape_even_depth_sum(rs_shape(())) == 0
-    assert shape_even_depth_sum(rs_shape(seq(1, -1))) == 0
-    assert shape_even_depth_sum(rs_shape(seq(1, 0, 0, -1))) == 2
+    assert columns_even_depth_sum(key_columns(())) == 0
+    assert columns_even_depth_sum(key_columns((1, -1))) == 0
+    assert columns_even_depth_sum(key_columns((1, 0, 0, -1))) == 2
+    # rows (3, 3, 2, 1) hold even boxes at depths 0, 0 | 1 | 2 | none
+    assert columns_even_depth_sum((4, 3, 2)) == 3
 
 
 def test_conjugate():
@@ -93,6 +103,19 @@ def test_conjugate():
     assert conjugate((2, 1, 1)) == (3, 1)
     assert conjugate(()) == ()
     assert conjugate(conjugate((4, 2, 1))) == (4, 2, 1)
+
+
+def _reference_rows(values):
+    return [tuple(row) for row in dense_gk.insertion_rows(list(values))]
+
+
+def _assert_matches_row_insertion(values):
+    """The columns of the strict-row insertion of the reversed word are the
+    columns of the row-insertion tableau of the word, entry by entry."""
+    rows = _reference_rows(values)
+    assert rs_shape(seq(*values)) == tuple(len(row) for row in rows)
+    tableau = rs_tableau(seq(*values))
+    assert [tuple(e.rational for e in row) for row in tableau] == rows
 
 
 small_sequences = st.lists(
@@ -109,6 +132,7 @@ def test_shape_is_partition_of_the_length(values):
 
 @given(small_sequences)
 def test_first_row_and_column_are_subsequence_statistics(values):
+    _assert_matches_row_insertion(values)
     shape = rs_shape(seq(*values))
     if values:
         assert shape[0] == longest_weakly_increasing(values)
@@ -116,8 +140,9 @@ def test_first_row_and_column_are_subsequence_statistics(values):
 
 
 def test_subsequence_oracle_exhaustive_small_alphabet():
-    for length in range(0, 6):
+    for length in range(0, 7):
         for values in itertools.product(range(4), repeat=length):
+            _assert_matches_row_insertion(values)
             shape = rs_shape(seq(*values))
             assert sum(shape) == length
             if length:
@@ -132,6 +157,7 @@ def test_shape_invariant_under_common_shift(values, shift):
     assert base == shifted
     with_symbol = rs_shape(tuple(sc(v) + TAU for v in values))
     assert base == with_symbol
+    assert base == rs_shape(tuple(sc(Fraction(v, 3)) + TAU for v in values))
 
 
 def test_monotone_sequences():
@@ -139,6 +165,26 @@ def test_monotone_sequences():
         down = seq(*range(n, 0, -1))
         up = seq(*range(n))
         assert rs_shape(down) == (1,) * n
-        assert shape_depth_sum(rs_shape(down)) == n * (n - 1) // 2
+        assert columns_depth_sum(conjugate(rs_shape(down))) == n * (n - 1) // 2
         assert rs_shape(up) == (n,)
-        assert shape_depth_sum(rs_shape(up)) == 0
+        assert columns_depth_sum(conjugate(rs_shape(up))) == 0
+
+
+decreasing_runs = st.lists(
+    st.tuples(st.integers(-40, 40), st.integers(1, 25), st.sampled_from((1, 2))),
+    min_size=1,
+    max_size=6,
+)
+
+
+@given(decreasing_runs)
+def test_key_columns_of_decreasing_runs(runs):
+    """A weakly increasing subsequence takes at most one key per strictly
+    decreasing run, so there are at most as many columns as runs; the
+    column depth sums are the row-insertion ones."""
+    keys = [start - step * i for start, length, step in runs for i in range(length)]
+    columns = key_columns(keys)
+    assert len(columns) <= len(runs)
+    assert columns == conjugate(tuple(len(row) for row in _reference_rows(keys)))
+    assert columns_depth_sum(columns) == dense_gk.depth_sum(seq(*keys))
+    assert columns_even_depth_sum(columns) == dense_gk.even_depth_sum(seq(*keys))
