@@ -40,9 +40,7 @@ from .rootdata import (
     WeightVector,
     classify_parabolic,
     dim_nilradical,
-    fundamental_weight,
     shifted_weight,
-    weyl_vector,
 )
 from .tableaux import (
     Shape,

@@ -24,15 +24,15 @@ So the split (``split_classes``) and the keys read two functions of a
 pair of blocks only: o_b - o_c and, in type D, o_b + o_c (o_b + o_b for
 the labeled test and the doubled keys), each an int when it is an integer
 and None otherwise.  On a setup's points each is, up to sign, one value
-(x*z1 + y*z2)/2 of a pair of ``ParabolicSetup.gk_forms``.  Each block's
+(x*z1 + y*z2)/2 of a form of ``ParabolicSetup.gk_key``.  Each block's
 keys form one strictly decreasing run, so a class's keys have at most 3
 runs (6 when doubled) and as many columns (``tableaux.key_columns``).
 
 A shape depends only on the relative order of its keys, ties included,
 and each comparison of two keys of a class is one of those values against
 an integer threshold (a difference or sum of rho entries).  So
-``gk_dimension`` keys its memo on the values saturated at
-``ParabolicSetup.gk_windows`` (each int clamped to one past its extreme
+``gk_dimension`` keys its memo on the values saturated at the windows of
+``ParabolicSetup.gk_key`` (each int clamped to one past its extreme
 thresholds; ``exact.form_values``, the one integrality decision per
 point): points with equal saturated values have equal None patterns, so
 equal class splits, and keys in the same order, so equal GK dimensions.
@@ -124,10 +124,11 @@ def _folded(members: list[Member]) -> list[Member]:
 
 def key_readers(setup: ParabolicSetup, key: tuple) -> tuple[Reader, Reader | None]:
     """(difference, total) of the setup's block offsets, read off the form
-    values ``key`` through the signed indices of ``setup.gk_table``."""
+    values ``key`` through the signed indices of ``setup.gk_key``'s pair
+    tables."""
     # index i > 0 reads key[i - 1], -i its negation, 0 a vanishing pair
     values = (0, *key, *[None if v is None else -v for v in reversed(key)])
-    differences, sums = setup.gk_table
+    _, _, differences, sums = setup.gk_key
     return (lambda b, c: values[differences[b][c]]), (
         None if sums is None else lambda b, c: values[sums[b][c]]
     )
@@ -142,7 +143,7 @@ def entry_readers(entries, use_sum: bool) -> tuple[Reader, Reader | None]:
 
 def _gk_from_values(setup: ParabolicSetup, exact: tuple) -> int:
     """GK dimension of the point whose exact form values over
-    ``setup.gk_forms`` are ``exact``: the type's triangular bound minus the
+    ``setup.gk_key.forms`` are ``exact``: the type's triangular bound minus the
     depth sums of its classes' integer keys."""
     runs = setup.block_plan.rho_runs
     difference, total = key_readers(setup, exact)
@@ -191,7 +192,7 @@ def gk_dimension(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> int
     """GK dimension at the scalar highest weight z1*xi_p + z2*xi_q.
 
     ``memo`` maps the point's form values (``exact.form_values`` over
-    ``setup.gk_forms``), saturated at ``setup.gk_windows``, to GK
+    ``setup.gk_key.forms``), saturated at its windows, to GK
     dimensions; equal saturated values give equal class splits and keys in
     the same order, so equal GK dimensions.  A new key's classes and keys
     are built from the exact values, computed again.  A sweep passes one
@@ -203,8 +204,9 @@ def gk_dimension(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> int
         memo = {}
     z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
     z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
-    key = form_values(setup.gk_forms, z1, z2, setup.gk_windows)
+    forms, windows, _, _ = setup.gk_key
+    key = form_values(forms, z1, z2, windows)
     gk = memo.get(key)
     if gk is None:
-        gk = memo[key] = _gk_from_values(setup, form_values(setup.gk_forms, z1, z2))
+        gk = memo[key] = _gk_from_values(setup, form_values(forms, z1, z2))
     return gk

@@ -36,7 +36,7 @@ MAX_GRID_POINTS = 200_000
 FAMILY_MIN_N = {"A": 3, "D": 4}
 # Largest family a verification may sweep, in standard-grid points before
 # de-duplication.  The largest families under it, A up to rank 14 (923 650
-# points) and D up to rank 43 (985 080), take about 9-10 s and 33 s with
+# points) and D up to rank 43 (985 080), take about 10 s and 12 s with
 # `gvmred verify` (2 CPUs, Python 3.11.7); per-point cost grows with the
 # rank, faster in type D.
 MAX_FAMILY_POINTS = 1_000_000

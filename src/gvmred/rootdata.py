@@ -1,35 +1,35 @@
 """Root data for sl(n,C) and so(2n,C).
 
-Weyl vector, fundamental weights, the shifted weight z1*xi_p + z2*xi_q + rho
-for two-parameter scalar highest weights, nilpotency classification of
-parabolic subalgebras by highest-root multiplicities, and the nilradical
-dimension.
+Nilpotency classification of parabolic subalgebras by highest-root
+multiplicities, two-step nilpotent non-maximal setups, the nilradical
+dimension, and the shifted weight z1*xi_p + z2*xi_q + rho for
+two-parameter scalar highest weights.
 
-The oracle does not build the shifted weight entry by entry.  Its
-coordinates fall into at most three runs on which the coefficients of
-xi_p and xi_q are constant, so the weight is a run of integer rho entries
-per block plus one offset per block (``BlockPlan``).
-Type A uses the gl(n) representative xi_p = (1^p, 0^(n-p)),
-rho = (n-1, ..., 1, 0): it differs from the sl(n) weight by a common
+The one weight built here is integer: the shifted weight's coordinates
+fall into at most three runs on which the coefficients of xi_p and xi_q
+are constant, so it is a run of integer rho entries per block plus one
+offset per block (``BlockPlan``), written from closed formulas with
+rho = (n-1, ..., 1, 0).  Type A uses the gl(n) representative
+xi_p = (1^p, 0^(n-p)): it differs from the sl(n) weight by a common
 shift of every coordinate, which changes neither the integrality classes
 (they depend on differences) nor any Robinson-Schensted shape (it depends
-on relative order), and it has no 1/n denominators.
+on relative order), and it has no 1/n denominators.  ``shifted_weight``
+reads its exact entries off the plan.
 
-No offset is ever computed.  ``ParabolicSetup.gk_forms`` lists the
-integer pairs (x, y) whose values (x*z1 + y*z2)/2 are the differences of
-block offsets and, in type D, their sums and doubles; ``gk_table`` says
-which value each pair of blocks reads.  These values decide every
-integrality test on the blocks, so the oracle keys its memo on them and
-reads a new key's class split off them.  ``gk_windows`` bounds, per form,
-the rho thresholds it is ever compared with, so the memo key may clamp
-each value to its window.
+No offset is ever computed.  ``ParabolicSetup.gk_key`` lists the integer
+pairs (x, y) whose values (x*z1 + y*z2)/2 are the differences of block
+offsets and, in type D, their sums and doubles, says which value each
+pair of blocks reads, and bounds, per form, the rho thresholds it is ever
+compared with.  These values decide every integrality test on the
+blocks, so the oracle keys its memo on them, each clamped to its window,
+and reads a new key's class split off them.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import cached_property, lru_cache
+from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
 
 from .exact import ExactScalar
@@ -86,35 +86,6 @@ class WeightVector:
 
     def __str__(self):
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
-
-
-@lru_cache(maxsize=None)
-def weyl_vector(lie: LieType) -> WeightVector:
-    """Half the sum of positive roots, in e_1..e_n coordinates."""
-    n = lie.n
-    if lie.kind == "A":
-        entries = tuple(ExactScalar(Fraction(n - 2 * i + 1, 2)) for i in range(1, n + 1))
-    else:
-        entries = tuple(ExactScalar(n - i) for i in range(1, n + 1))
-    return WeightVector(entries)
-
-
-@lru_cache(maxsize=None)
-def fundamental_weight(lie: LieType, i: int) -> WeightVector:
-    """The fundamental weight dual to the i-th simple coroot."""
-    n = lie.n
-    if not 1 <= i <= lie.simple_root_count:
-        raise IndexOutOfRange(f"fundamental weight index {i} out of range for {lie}")
-    if lie.kind == "A":
-        head, tail = Fraction(n - i, n), Fraction(-i, n)
-        entries = tuple(ExactScalar(head if j < i else tail) for j in range(n))
-    elif i <= n - 2:
-        entries = tuple(ExactScalar(1 if j < i else 0) for j in range(n))
-    else:
-        half = Fraction(1, 2)
-        last = -half if i == n - 1 else half
-        entries = tuple(ExactScalar(half) for _ in range(n - 1)) + (ExactScalar(last),)
-    return WeightVector(entries)
 
 
 @dataclass(frozen=True)
@@ -198,21 +169,21 @@ class ParabolicSetup:
     def block_plan(self) -> BlockPlan:
         """The shifted weight's coordinates in blocks, built on first use.
 
-        Type A: blocks [0,p), [p,q), [q,n) of the gl(n) representative.
-        Type D: runs of the doubled so(2n) fundamental weight coefficients.
+        rho = (n-1, ..., 1, 0) in both types.  The doubled coefficients of
+        xi_i are 2 on the first i coordinates in type A (the gl(n)
+        representative) and in type D for i <= n-2; those of the type D
+        spin weights are 1 everywhere, except -1 last in xi_(n-1).
         """
-        lie, n = self.lie, self.n
-        if lie.kind == "A":
-            pairs = [(2 * (j < self.p), 2 * (j < self.q)) for j in range(n)]
-            rho = [n - 1 - j for j in range(n)]
-        else:
-            xi_p = fundamental_weight(lie, self.p)
-            xi_q = fundamental_weight(lie, self.q)
-            pairs = [(int(2 * a.rational), int(2 * b.rational)) for a, b in zip(xi_p, xi_q)]
-            rho = [int(r.rational) for r in weyl_vector(lie)]
+        n = self.n
+
+        def doubled(i: int) -> list[int]:
+            if self.lie.kind == "A" or i <= n - 2:
+                return [2] * i + [0] * (n - i)
+            return [1] * (n - 1) + [-1 if i == n - 1 else 1]
+
         coefficients: list[tuple[int, int]] = []
         runs: list[list[int]] = []
-        for pair, r in zip(pairs, rho):
+        for r, pair in zip(range(n - 1, -1, -1), zip(doubled(self.p), doubled(self.q))):
             if coefficients and coefficients[-1] == pair:
                 runs[-1].append(r)
             else:
@@ -221,79 +192,49 @@ class ParabolicSetup:
         return BlockPlan(tuple(coefficients), tuple(tuple(run) for run in runs))
 
     @cached_property
-    def gk_forms(self) -> tuple[tuple[int, int], ...]:
-        """The integer pairs (x, y) whose values (x*z1 + y*z2)/2 fix a
-        point's classes and keys, built on first use.
+    def gk_key(self) -> GKKey:
+        """The forms, windows and pair tables of the GK memo, built on first
+        use in one walk over the ordered pairs of blocks (b, c).
 
-        With block offsets o_b = (c1*z1 + c2*z2)/2: o_b - o_c for every pair
-        of blocks and, in type D, o_b + o_c and 2*o_b.  Pairs that vanish
-        are dropped, each is negated if needed so its first nonzero entry is
-        positive, and repeats are dropped.
+        With block offsets o_b = (c1*z1 + c2*z2)/2, a pair reads o_b - o_c
+        and, in type D, o_b + o_c (2*o_b when b = c).  A nonzero one is s
+        times the value (x*z1 + y*z2)/2 of a sign-canonical pair (x, y)
+        (first nonzero entry positive), form i in order of first use, and
+        the pair's table entry is s*(i+1); a vanishing one reads 0.  Keys of
+        blocks b and c compare o_b - o_c against r' - r and o_b + o_c
+        against -(r + r'), for rho entries r of b and r' of c.  So form i
+        only meets the thresholds s*(r' - r) and s*(-(r + r')) of the pairs
+        reading it, extremal at the run endpoints; two of its values that
+        agree once clamped to one past those extremes compare alike with
+        every threshold.
         """
-        coefficients = self.block_plan.coefficients
-        use_sum = self.lie.kind == "D"
-        pairs = []
-        for i, (a1, a2) in enumerate(coefficients):
-            for b1, b2 in coefficients[i + 1 :]:
-                pairs.append((a1 - b1, a2 - b2))
-                if use_sum:
-                    pairs.append((a1 + b1, a2 + b2))
-            if use_sum:
-                pairs.append((2 * a1, 2 * a2))
-        forms = {}
-        for x, y in pairs:
-            if x or y:
-                forms[(x, y) if (x, y) > (0, 0) else (-x, -y)] = None
-        return tuple(forms)
-
-    @cached_property
-    def gk_table(self) -> tuple[PairTable, PairTable | None]:
-        """``(differences, sums)``, built on first use.  ``differences[b][c]``
-        is s*(i+1) when o_b - o_c is s times the value of ``gk_forms[i]``,
-        0 when it vanishes; ``sums`` (None in type A) the same of o_b + o_c.
-        """
-        index = {form: i for i, form in enumerate(((0, 0), *self.gk_forms))}
-        coefficients = self.block_plan.coefficients
-
-        def reading(x: int, y: int) -> int:
-            return index[x, y] if (x, y) >= (0, 0) else -index[-x, -y]
-
-        def table(sign: int) -> PairTable:
-            return tuple(
-                tuple([reading(a1 + sign * c1, a2 + sign * c2) for c1, c2 in coefficients])
-                for a1, a2 in coefficients
-            )
-
-        return table(-1), table(1) if self.lie.kind == "D" else None
-
-    @cached_property
-    def gk_windows(self) -> tuple[tuple[int, int], ...]:
-        """Per form of ``gk_forms``, the window (lo, hi) its integer values
-        may be clamped to in the memo key, built on first use.
-
-        Two keys of block entries o_b + r and o_c + r' compare as o_b - o_c
-        against r' - r, and, in a folded or doubled type D class, as
-        o_b + o_c against -(r + r') (b = c for the doubled form).  So form i
-        is only ever compared with the thresholds s*(r' - r) and
-        s*(-(r + r')) of the table entries reading it with sign s, and two
-        values clamped to [min threshold - 1, max threshold + 1] that agree
-        agree with every threshold.  Thresholds are extremal at the run
-        endpoints.
-        """
-        ends = [(min(run), max(run)) for run in self.block_plan.rho_runs]
-        thresholds: dict[int, list[int]] = {}
-        differences, sums = self.gk_table
-        for b, (b_lo, b_hi) in enumerate(ends):
-            for c, (c_lo, c_hi) in enumerate(ends):
-                entries = [(differences[b][c], c_lo - b_hi, c_hi - b_lo)]
-                if sums is not None:
-                    entries.append((sums[b][c], -(b_hi + c_hi), -(b_lo + c_lo)))
-                for reading, least, most in entries:
-                    if reading:
-                        s = 1 if reading > 0 else -1
-                        thresholds.setdefault(abs(reading) - 1, []).extend((s * least, s * most))
-        return tuple(
-            (min(thresholds[i]) - 1, max(thresholds[i]) + 1) for i in range(len(self.gk_forms))
+        plan = self.block_plan
+        ends = [(run[-1], run[0]) for run in plan.rho_runs]  # runs decrease
+        signs = (-1, 1) if self.lie.kind == "D" else (-1,)
+        tables = [[[0] * len(ends) for _ in ends] for _ in signs]
+        index: dict[tuple[int, int], int] = {}
+        thresholds: dict[tuple[int, int], list[int]] = {}
+        for b, ((b1, b2), (b_lo, b_hi)) in enumerate(zip(plan.coefficients, ends)):
+            for c, ((c1, c2), (c_lo, c_hi)) in enumerate(zip(plan.coefficients, ends)):
+                for sign, table in zip(signs, tables):
+                    x, y = b1 + sign * c1, b2 + sign * c2
+                    if not (x or y):
+                        continue
+                    s = 1 if (x, y) > (0, 0) else -1
+                    form = (s * x, s * y)
+                    table[b][c] = s * (index.setdefault(form, len(index)) + 1)
+                    # the extremes of r' - r, or of -(r + r')
+                    if sign < 0:
+                        least, most = c_lo - b_hi, c_hi - b_lo
+                    else:
+                        least, most = -(b_hi + c_hi), -(b_lo + c_lo)
+                    thresholds.setdefault(form, []).extend((s * least, s * most))
+        differences, *sums = [tuple(map(tuple, table)) for table in tables]
+        return GKKey(
+            forms=tuple(index),
+            windows=tuple((min(t) - 1, max(t) + 1) for t in thresholds.values()),
+            differences=differences,
+            sums=sums[0] if sums else None,
         )
 
 
@@ -306,17 +247,22 @@ def dim_nilradical(setup: ParabolicSetup) -> int:
 
 
 def shifted_weight(setup: ParabolicSetup, z1, z2) -> WeightVector:
-    """The shifted weight z1*xi_p + z2*xi_q + rho as exact scalars."""
+    """The shifted weight z1*xi_p + z2*xi_q + rho as exact scalars, read off
+    the block plan.  Type A subtracts the entries' mean,
+    (p*z1 + q*z2)/n + (n-1)/2, from the gl(n) representative, which leaves
+    the sl(n) weight."""
     z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
     z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
-    xi_p = fundamental_weight(setup.lie, setup.p)
-    xi_q = fundamental_weight(setup.lie, setup.q)
-    rho = weyl_vector(setup.lie)
-    entries = tuple(
-        z1 * a.rational + z2 * b.rational + r
-        for a, b, r in zip(xi_p, xi_q, rho)
-    )
-    return WeightVector(entries)
+    n = setup.n
+    m1, m2, m0 = 0, 0, 0
+    if setup.lie.kind == "A":
+        m1, m2, m0 = Fraction(setup.p, n), Fraction(setup.q, n), Fraction(n - 1, 2)
+    plan = setup.block_plan
+    entries: list[ExactScalar] = []
+    for (c1, c2), run in zip(plan.coefficients, plan.rho_runs):
+        offset = z1 * (Fraction(c1, 2) - m1) + z2 * (Fraction(c2, 2) - m2)
+        entries.extend([offset + (r - m0) for r in run])
+    return WeightVector(tuple(entries))
 
 
 # ---------------------------------------------------------------------------
@@ -337,5 +283,22 @@ class BlockPlan(NamedTuple):
     rho_runs: tuple[tuple[int, ...], ...]
 
 
-# Per ordered pair of blocks: a signed index into ((0, 0),) + gk_forms.
+# Per ordered pair of blocks: a signed index into ((0, 0),) + forms.
 PairTable = tuple[tuple[int, ...], ...]
+
+
+class GKKey(NamedTuple):
+    """A setup's GK memo tables (``ParabolicSetup.gk_key``).
+
+    ``forms`` are the nonzero sign-canonical integer pairs (x, y) whose
+    values (x*z1 + y*z2)/2 key the memo, and ``windows[i]`` the (lo, hi)
+    that form i's integer values are clamped to there.
+    ``differences[b][c]`` is s*(i+1) when o_b - o_c is s times the value
+    of form i, 0 when it vanishes; ``sums`` (None in type A) the same of
+    o_b + o_c.
+    """
+
+    forms: tuple[tuple[int, int], ...]
+    windows: tuple[tuple[int, int], ...]
+    differences: PairTable
+    sums: PairTable | None

@@ -1,21 +1,73 @@
 """Dense reference route for the GK dimension, for cross-checking.
 
-This is the entry-by-entry computation over exact scalars: the shifted
-weight is built as n ``ExactScalar``s, classes are found by testing every
-entry against each class representative, and Robinson-Schensted insertion
-runs on the rational parts.  From the package it takes only the scalar
-type (whose decoded ``den``/``terms`` label a class), ``shifted_weight``,
-the integrality predicates ``sub_is_integer``/``sum_is_integer`` and the
-``NonIntegralWeight`` exception; it calls no function of ``gvmred.gk`` or
-``gvmred.tableaux``, so the block computation in the package can be
+This is the entry-by-entry computation over exact scalars: the Weyl
+vector and the fundamental weights are built here as n ``ExactScalar``s
+each (the sl(n) weights in type A), the shifted weight is their
+combination, classes are found by testing every entry against each class
+representative (equal or negated symbol parts, and a ``Fraction``
+difference or sum of the rational parts with denominator 1), and
+Robinson-Schensted insertion runs on the rational parts.  From the
+package it takes only the scalar type (whose decoded ``den``/``terms``
+label a class) and the exceptions ``IndexOutOfRange`` and
+``NonIntegralWeight``; it calls no function of ``gvmred.rootdata``,
+``gvmred.gk``, ``gvmred.tableaux`` or the integer tests of
+``gvmred.exact``, so the block computation in the package can be
 checked against it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
+from fractions import Fraction
+from functools import lru_cache
 
-from gvmred import NonIntegralWeight, shifted_weight, sub_is_integer, sum_is_integer
+from gvmred import ExactScalar, IndexOutOfRange, NonIntegralWeight
+
+
+@lru_cache(maxsize=None)
+def weyl_vector(lie) -> tuple[ExactScalar, ...]:
+    """Half the sum of positive roots, in e_1..e_n coordinates."""
+    n = lie.n
+    if lie.kind == "A":
+        return tuple(ExactScalar(Fraction(n - 2 * i + 1, 2)) for i in range(1, n + 1))
+    return tuple(ExactScalar(n - i) for i in range(1, n + 1))
+
+
+@lru_cache(maxsize=None)
+def fundamental_weight(lie, i: int) -> tuple[ExactScalar, ...]:
+    """The fundamental weight dual to the i-th simple coroot."""
+    n = lie.n
+    if not 1 <= i <= lie.simple_root_count:
+        raise IndexOutOfRange(f"fundamental weight index {i} out of range for {lie}")
+    if lie.kind == "A":
+        head, tail = Fraction(n - i, n), Fraction(-i, n)
+        return tuple(ExactScalar(head if j < i else tail) for j in range(n))
+    if i <= n - 2:
+        return tuple(ExactScalar(1 if j < i else 0) for j in range(n))
+    half = Fraction(1, 2)
+    last = -half if i == n - 1 else half
+    return tuple(ExactScalar(half) for _ in range(n - 1)) + (ExactScalar(last),)
+
+
+def shifted_weight(setup, z1, z2) -> tuple[ExactScalar, ...]:
+    """z1*xi_p + z2*xi_q + rho, entry by entry."""
+    z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
+    z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
+    xi_p = fundamental_weight(setup.lie, setup.p)
+    xi_q = fundamental_weight(setup.lie, setup.q)
+    rho = weyl_vector(setup.lie)
+    return tuple(z1 * a.rational + z2 * b.rational + r for a, b, r in zip(xi_p, xi_q, rho))
+
+
+def sub_is_integer(a: ExactScalar, b: ExactScalar) -> bool:
+    """a - b is an integer: equal symbol parts, integral rational difference."""
+    return a.generic == b.generic and (a.rational - b.rational).denominator == 1
+
+
+def sum_is_integer(a: ExactScalar, b: ExactScalar) -> bool:
+    """a + b is an integer: negated symbol parts, integral rational sum."""
+    negated = tuple((name, -coeff) for name, coeff in b.generic)
+    return a.generic == negated and (a.rational + b.rational).denominator == 1
 
 
 def classes(entries, kind: str):

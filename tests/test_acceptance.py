@@ -15,10 +15,8 @@ from gvmred import (
     LieType,
     ParabolicSetup,
     ParameterGrid,
-    WeightVector,
     evaluate,
     family_setups,
-    fundamental_weight,
     gk_dimension,
     has_maximal_shape,
     render_diagram,
@@ -31,7 +29,6 @@ from gvmred import (
     standard_grid,
     sweep,
     verify_family,
-    weyl_vector,
 )
 
 import dense_gk
@@ -217,15 +214,13 @@ def test_criterion_6_single_weight_consistency():
     problems = []
     for n in range(2, 10):
         lie = A(n)
-        rho = weyl_vector(lie)
+        rho = dense_gk.weyl_vector(lie)
         zs = [sc(Fraction(k, 2)) for k in range(-2 * (n + 2), 7)]
         zs += [sc("1/3"), TAU]
         for p in range(1, n):
-            xi = fundamental_weight(lie, p)
+            xi = dense_gk.fundamental_weight(lie, p)
             for z in zs:
-                weight = WeightVector(
-                    tuple(z * x.rational + r for x, r in zip(xi, rho))
-                )
+                weight = tuple(z * x.rational + r for x, r in zip(xi, rho))
                 gk = dense_gk.gk_dimension_of_weight(weight, lie)
                 oracle = gk < p * (n - p)
                 checked += 1

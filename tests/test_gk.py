@@ -18,7 +18,6 @@ from gvmred import (
     integrality_classes,
     standard_grid,
     sweep,
-    weyl_vector,
 )
 from gvmred.exact import form_values
 from gvmred.gk import _folded, entry_readers, key_readers, split_classes
@@ -74,7 +73,7 @@ def test_fold_class_with_symbols():
 def test_gk_dominant_integral_type_a_is_zero():
     # z1 = z2 = 0: the shifted weight is rho
     assert gk_dimension(ParabolicSetup(A(4), 1, 2), 0, 0) == 0
-    assert dense_gk.gk_dimension_of_weight(weyl_vector(A(4)), A(4)) == 0
+    assert dense_gk.gk_dimension_of_weight(dense_gk.weyl_vector(A(4)), A(4)) == 0
 
 
 def test_gk_type_d_first_pattern_paper_values():
@@ -203,8 +202,9 @@ def test_repeated_keys_skip_the_miss_path(monkeypatch):
     monkeypatch.setattr(gk_module, "_gk_from_values", counted("miss", gk_module._gk_from_values))
     for setup in (ParabolicSetup(A(6), 2, 4), ParabolicSetup(D(6), 1, 5)):
         grid = standard_grid(setup)
-        exact = {form_values(setup.gk_forms, z1, z2) for z1, z2 in grid.points()}
-        keys = {form_values(setup.gk_forms, z1, z2, setup.gk_windows) for z1, z2 in grid.points()}
+        forms, windows, _, _ = setup.gk_key
+        exact = {form_values(forms, z1, z2) for z1, z2 in grid.points()}
+        keys = {form_values(forms, z1, z2, windows) for z1, z2 in grid.points()}
         counts.update(criterion=0, miss=0)
         report = sweep(setup, grid)
         assert len(report.rows) == len(grid)
@@ -220,11 +220,11 @@ SMALL_SETUPS = family_setups("A", 8) + family_setups("D", 8)
 
 
 def test_gk_forms_are_nonzero_sign_canonical_and_distinct():
-    assert ParabolicSetup(A(6), 2, 4).gk_forms == ((2, 0), (2, 2), (0, 2))
+    assert ParabolicSetup(A(6), 2, 4).gk_key.forms == ((2, 0), (2, 2), (0, 2))
     # blocks (2, 1), (0, 1), (0, -1): o_1 + o_2 vanishes, 2*o_2 = -2*o_1
-    assert ParabolicSetup(D(6), 1, 5).gk_forms == ((2, 0), (2, 2), (4, 2), (0, 2))
+    assert ParabolicSetup(D(6), 1, 5).gk_key.forms == ((4, 2), (2, 0), (2, 2), (0, 2))
     for setup in SMALL_SETUPS:
-        forms = setup.gk_forms
+        forms = setup.gk_key.forms
         assert len(set(forms)) == len(forms)
         for x, y in forms:
             assert x > 0 or (x == 0 and y > 0), (setup, x, y)
@@ -240,7 +240,7 @@ def test_gk_windows_span_every_key_comparison():
         relations = [(-1, lambda r, r2: r2 - r)]
         if setup.lie.kind == "D":
             relations.append((1, lambda r, r2: -(r + r2)))
-        thresholds = {form: [] for form in setup.gk_forms}
+        thresholds = {form: [] for form in setup.gk_key.forms}
         for (a1, a2), run in zip(coefficients, runs):
             for (c1, c2), other in zip(coefficients, runs):
                 for sign, threshold in relations:
@@ -250,7 +250,7 @@ def test_gk_windows_span_every_key_comparison():
                     s = 1 if (x, y) > (0, 0) else -1
                     thresholds[s * x, s * y].extend(s * threshold(r, r2) for r in run for r2 in other)
         expected = tuple((min(t) - 1, max(t) + 1) for t in thresholds.values())
-        assert setup.gk_windows == expected, setup
+        assert setup.gk_key.windows == expected, setup
 
 
 def class_signature(count, difference, total):
@@ -301,7 +301,7 @@ def test_equal_form_values_give_equal_class_signatures(pairs):
     for setup in SMALL_SETUPS:
         seen = {}
         for (z1, z2), cache in zip(pairs, offsets):
-            key = form_values(setup.gk_forms, z1, z2)
+            key = form_values(setup.gk_key.forms, z1, z2)
             signature = class_signature(len(setup.block_plan.rho_runs), *key_readers(setup, key))
             dense = _dense_signature(setup, z1, z2, cache)
             assert signature == dense, (setup, z1, z2)

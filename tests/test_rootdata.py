@@ -3,6 +3,7 @@ from fractions import Fraction
 
 import pytest
 
+import dense_gk
 from gvmred import (
     ExactScalar,
     IndexOutOfRange,
@@ -11,10 +12,10 @@ from gvmred import (
     ParabolicSetup,
     classify_parabolic,
     dim_nilradical,
-    fundamental_weight,
+    family_setups,
     shifted_weight,
-    weyl_vector,
 )
+from dense_gk import fundamental_weight, weyl_vector
 
 from conftest import SIGMA, TAU, sc, seq
 
@@ -31,18 +32,18 @@ def test_lie_type_validation():
 
 
 def test_weyl_vector_values():
-    assert weyl_vector(LieType("A", 4)).entries == seq("3/2", "1/2", "-1/2", "-3/2")
-    assert weyl_vector(LieType("D", 6)).entries == seq(5, 4, 3, 2, 1, 0)
-    assert weyl_vector(LieType("A", 2)).entries == seq("1/2", "-1/2")
+    assert weyl_vector(LieType("A", 4)) == seq("3/2", "1/2", "-1/2", "-3/2")
+    assert weyl_vector(LieType("D", 6)) == seq(5, 4, 3, 2, 1, 0)
+    assert weyl_vector(LieType("A", 2)) == seq("1/2", "-1/2")
 
 
 def test_fundamental_weight_values():
     a8 = fundamental_weight(LieType("A", 8), 2)
-    assert a8.entries == seq(*(["3/4"] * 2 + ["-1/4"] * 6))
+    assert a8 == seq(*(["3/4"] * 2 + ["-1/4"] * 6))
     d6 = fundamental_weight(LieType("D", 6), 5)
-    assert d6.entries == seq(*(["1/2"] * 5 + ["-1/2"]))
-    assert fundamental_weight(LieType("D", 6), 6).entries == seq(*(["1/2"] * 6))
-    assert fundamental_weight(LieType("D", 6), 1).entries == seq(1, 0, 0, 0, 0, 0)
+    assert d6 == seq(*(["1/2"] * 5 + ["-1/2"]))
+    assert fundamental_weight(LieType("D", 6), 6) == seq(*(["1/2"] * 6))
+    assert fundamental_weight(LieType("D", 6), 1) == seq(1, 0, 0, 0, 0, 0)
 
 
 def test_fundamental_weight_range():
@@ -56,7 +57,7 @@ def test_fundamental_weight_range():
 
 def test_shifted_weight_zero_parameters_is_weyl_vector():
     setup = ParabolicSetup(LieType("A", 4), 1, 2)
-    assert shifted_weight(setup, 0, 0).entries == weyl_vector(LieType("A", 4)).entries
+    assert shifted_weight(setup, 0, 0).entries == weyl_vector(LieType("A", 4))
 
 
 def test_shifted_weight_type_d_first_pattern():
@@ -175,21 +176,46 @@ def test_block_plans():
 
 def test_block_values_match_shifted_weight():
     """Block b's entries (c1*z1 + c2*z2)/2 + r, for its doubled
-    coefficients and rho run, are the shifted weight's coordinates."""
-    for setup in (
-        ParabolicSetup(LieType("A", 6), 2, 5),
-        ParabolicSetup(LieType("D", 5), 1, 4),
-        ParabolicSetup(LieType("D", 5), 1, 5),
-    ):
-        for z1, z2 in ((sc("1/3"), sc(-2)), (sc(-1) + TAU, sc("5/2") - TAU), (TAU, SIGMA)):
-            plan = setup.block_plan
+    coefficients and rho run, are the dense reference's shifted weight,
+    up to a common shift in type A; the package's shifted weight, read off
+    the plan, is the dense one exactly."""
+    points = (
+        (sc("1/3"), sc(-2)),
+        (TAU + sc("1/2"), sc(3)),  # tau offsets
+        (sc(-4), TAU - 1),
+        (sc(-1) + TAU, sc("5/2") - TAU),  # coupled (a+tau, b-tau)
+        (TAU, SIGMA),
+    )
+    for setup in family_setups("A", 9) + family_setups("D", 9):
+        plan = setup.block_plan
+        for z1, z2 in points:
             entries = [
                 (c1 * z1 + c2 * z2) * Fraction(1, 2) + r
                 for (c1, c2), run in zip(plan.coefficients, plan.rho_runs)
                 for r in run
             ]
-            dense = shifted_weight(setup, z1, z2).entries
+            dense = dense_gk.shifted_weight(setup, z1, z2)
             assert len(entries) == len(dense) == setup.n
             # type A blocks hold the gl(n) representative: a common shift
             shift = dense[0] - entries[0] if setup.lie.kind == "A" else 0
-            assert all(d - e == shift for d, e in zip(dense, entries))
+            assert all(d - e == shift for d, e in zip(dense, entries)), (setup, z1, z2)
+            assert shifted_weight(setup, z1, z2).entries == dense, (setup, z1, z2)
+
+
+def test_block_plan_and_gk_key_build_no_scalar(monkeypatch):
+    """The setup tables are written from integers: a so(4000) setup's block
+    plan and GK key construct no ``ExactScalar``."""
+    built = []
+    init = ExactScalar.__init__
+
+    def counted(self, *args, **kwargs):
+        built.append(args)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(ExactScalar, "__init__", counted)
+    setup = ParabolicSetup(LieType("D", 2000), 1, 1999)
+    assert setup.block_plan.coefficients == ((2, 1), (0, 1), (0, -1))
+    assert len(setup.gk_key.forms) == 4
+    assert built == []
+    shifted_weight(ParabolicSetup(LieType("D", 4), 1, 3), 0, 0)
+    assert built  # the patch counts
