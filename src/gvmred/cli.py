@@ -12,7 +12,7 @@ than ``MAX_RANK`` comma-separated entries, a verify ``--max-n``
 below the family's smallest rank, a verify ``--max-n`` whose family's
 standard grids would hold more than ``harness.MAX_FAMILY_POINTS``
 (1 000 000) points, that is above 14 for type A or 43 for type D, where
-a run takes about 10 s and 12 s, a custom grid larger than
+a run takes about 6 s and 10 s, a custom grid larger than
 ``harness.MAX_GRID_POINTS``, a zero denominator in a scalar, a scalar,
 grid bound or custom grid point with more digits than an int prints with
 (``MAX_DIGITS``),
@@ -51,7 +51,7 @@ from .tableaux import render_tableau, rs_tableau
 from .verdict import evaluate
 
 # Largest --n a command accepts, and most entries `rs --seq` accepts.  A
-# gkdim or reduce point at this cap takes about 0.15 s with interpreter
+# gkdim or reduce point at this cap takes about 0.09 s with interpreter
 # start; an rs sequence costs time up to quadratic in its length, about
 # 0.4 s for this many increasing or equal entries.
 MAX_RANK = 2_000

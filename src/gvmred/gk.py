@@ -42,16 +42,14 @@ saturated ones.  A memo belongs to one sweep of one setup.
 
 ``integrality_classes`` runs the same split on a dense weight of
 ExactScalars, one single-entry block per coordinate, reading the entries'
-``exact.integer_difference`` and ``exact.integer_sum`` (``entry_readers``);
-``verdict.has_maximal_shape`` uses it to reject a non-integral weight.
+``exact.integer_difference`` and ``exact.integer_sum`` (``entry_readers``).
 The dense GK dimension that cross-checks this module lives with the tests
 (``tests/dense_gk.py``).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .exact import ExactScalar, form_values, integer_difference, integer_sum
 from .rootdata import LieType, ParabolicSetup
@@ -77,8 +75,7 @@ class NonIntegralWeight(ValueError):
     """A weight required to be integral has several integrality classes."""
 
 
-@dataclass(frozen=True)
-class ClassDecomposition:
+class ClassDecomposition(NamedTuple):
     """Integrality classes of a weight, in order of first occurrence.
 
     For type D the classes are additionally labeled: ``integer_class``

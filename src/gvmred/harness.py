@@ -10,14 +10,13 @@ are exercised.  Sweeps are deterministic: rows are emitted in grid order.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 from fractions import Fraction
-from functools import cached_property
+from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
 from .exact import ExactScalar, symbol
-from .rootdata import LieType, ParabolicSetup
+from .rootdata import FrozenRecord, LieType, ParabolicSetup, Record
 from .verdict import Verdict, evaluate
 
 
@@ -26,6 +25,7 @@ class UnsupportedGrid(ValueError):
 
 
 Point = tuple[ExactScalar, ExactScalar]
+Axis = tuple[ExactScalar, ...]
 
 EXTRA_RATIONALS = (Fraction(1, 3),)
 GENERIC_NAMES = ("tau", "sigma")
@@ -36,21 +36,19 @@ MAX_GRID_POINTS = 200_000
 FAMILY_MIN_N = {"A": 3, "D": 4}
 # Largest family a verification may sweep, in standard-grid points before
 # de-duplication.  The largest families under it, A up to rank 14 (923 650
-# points) and D up to rank 43 (985 080), take about 10 s and 12 s with
+# points) and D up to rank 43 (985 080), take about 6 s and 10 s with
 # `gvmred verify` (2 CPUs, Python 3.11.7); per-point cost grows with the
 # rank, faster in type D.
 MAX_FAMILY_POINTS = 1_000_000
 
 
-@dataclass(frozen=True)
-class GridSpec:
-    lo: Fraction
-    hi: Fraction
-    step: Fraction = Fraction(1, 2)
+class GridSpec(FrozenRecord):
+    _fields = ("lo", "hi", "step")
 
-    def __post_init__(self):
-        if self.step <= 0:
-            raise ValueError(f"grid step must be positive, got {self.step}")
+    def __init__(self, lo: Fraction, hi: Fraction, step: Fraction = Fraction(1, 2)):
+        if step <= 0:
+            raise ValueError(f"grid step must be positive, got {step}")
+        self.__dict__.update(lo=lo, hi=hi, step=step)
         if self.point_bound > MAX_GRID_POINTS:
             raise ValueError(
                 f"grid [{self.lo}, {self.hi}] step {self.step} would hold up to "
@@ -73,11 +71,11 @@ class GridSpec:
         return [self.lo + i * self.step for i in range(self.axis_length)]
 
 
-@dataclass(frozen=True)
-class ParameterGrid:
-    z1_values: tuple[ExactScalar, ...]
-    z2_values: tuple[ExactScalar, ...]
-    extra_points: tuple[Point, ...] = ()
+class ParameterGrid(FrozenRecord):
+    _fields = ("z1_values", "z2_values", "extra_points")
+
+    def __init__(self, z1_values: Axis, z2_values: Axis, extra_points: tuple[Point, ...] = ()):
+        self.__dict__.update(z1_values=z1_values, z2_values=z2_values, extra_points=extra_points)
 
     def points(self) -> tuple[Point, ...]:
         """Every point once, in grid order; listed on the first call."""
@@ -115,13 +113,19 @@ def _standard_spec(n: int) -> GridSpec:
     return GridSpec(lo=Fraction(-(n + 2)), hi=Fraction(3))
 
 
+@lru_cache(maxsize=1)
+def _rank_grid(n: int) -> ParameterGrid:
+    return grid_from_spec(_standard_spec(n))
+
+
 def standard_grid(setup: ParabolicSetup) -> ParameterGrid:
     """Rational range [-(n+2), 3] step 1/2 with the generic augmentations.
 
     Every boundary reducible point of the criteria lies within
-    [-(n+2), 0], so both sides of each boundary are sampled.
+    [-(n+2), 0], so both sides of each boundary are sampled.  Setups of
+    the rank asked last share one grid (``family_setups`` groups ranks).
     """
-    return grid_from_spec(_standard_spec(setup.n))
+    return _rank_grid(setup.n)
 
 
 class SweepRow(NamedTuple):
@@ -130,11 +134,12 @@ class SweepRow(NamedTuple):
     verdict: Verdict
 
 
-@dataclass
-class SweepReport:
-    setup: ParabolicSetup
-    rows: list[SweepRow]
-    errors: list[tuple[str, str, str]] = field(default_factory=list)
+class SweepReport(Record):
+    _fields = ("setup", "rows", "errors")
+
+    def __init__(self, setup: ParabolicSetup, rows: list[SweepRow], errors: list | None = None):
+        self.setup, self.rows = setup, rows
+        self.errors: list[tuple[str, str, str]] = [] if errors is None else errors
 
     @property
     def summary(self) -> dict:
@@ -166,8 +171,7 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     return report
 
 
-@dataclass
-class MismatchReport:
+class MismatchReport(Record):
     """Outcome of a family verification.
 
     ``errors`` holds (setup, z1, z2, exception) for each point whose
@@ -175,11 +179,21 @@ class MismatchReport:
     grids, so a run that skipped or lost points cannot pass.
     """
 
-    mismatches: list[tuple[ParabolicSetup, SweepRow]]
-    setups_checked: int = 0
-    points_checked: int = 0
-    errors: list[tuple[ParabolicSetup, str, str, str]] = field(default_factory=list)
-    grid_points: int = 0
+    _fields = ("mismatches", "setups_checked", "points_checked", "errors", "grid_points")
+
+    def __init__(
+        self,
+        mismatches: list[tuple[ParabolicSetup, SweepRow]],
+        setups_checked: int = 0,
+        points_checked: int = 0,
+        errors: list[tuple[ParabolicSetup, str, str, str]] | None = None,
+        grid_points: int = 0,
+    ):
+        self.mismatches = mismatches
+        self.setups_checked = setups_checked
+        self.points_checked = points_checked
+        self.errors = [] if errors is None else errors
+        self.grid_points = grid_points
 
     @property
     def ok(self) -> bool:

@@ -27,7 +27,6 @@ and reads a new key's class split off them.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
 from typing import Iterable, Iterator, NamedTuple
@@ -48,32 +47,65 @@ class InvalidParabolic(ValueError):
         self.maximal = maximal
 
 
-@dataclass(frozen=True)
-class LieType:
+class Record:
+    """Equality and a repr over the fields named in ``_fields``; unhashable."""
+
+    _fields: tuple[str, ...] = ()
+
+    def _values(self) -> tuple:
+        return tuple([getattr(self, name) for name in self._fields])
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
+        return f"{type(self).__name__}({fields})"
+
+
+class FrozenRecord(Record):
+    """A hashable ``Record`` whose attributes are set once, in ``__init__``
+    through ``__dict__``; ``cached_property`` writes there too."""
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+
+class LieType(FrozenRecord):
     """kind "A" means sl(n,C) (rank n-1), kind "D" means so(2n,C).
 
     Weight vectors have length n in both cases.
     """
 
-    kind: str
-    n: int
+    _fields = ("kind", "n")
 
-    def __post_init__(self):
-        if self.kind not in ("A", "D"):
-            raise ValueError(f"unknown Lie type kind {self.kind!r}")
-        if self.kind == "A" and self.n < 2:
+    def __init__(self, kind: str, n: int):
+        if kind not in ("A", "D"):
+            raise ValueError(f"unknown Lie type kind {kind!r}")
+        if kind == "A" and n < 2:
             raise ValueError("type A needs n >= 2")
-        if self.kind == "D" and self.n < 4:
+        if kind == "D" and n < 4:
             raise ValueError("type D needs n >= 4")
+        self.__dict__.update(kind=kind, n=n)
 
     @property
     def simple_root_count(self) -> int:
         return self.n - 1 if self.kind == "A" else self.n
 
 
-@dataclass(frozen=True)
-class WeightVector:
-    entries: tuple[ExactScalar, ...]
+class WeightVector(FrozenRecord):
+    _fields = ("entries",)
+
+    def __init__(self, entries: tuple[ExactScalar, ...]):
+        self.__dict__["entries"] = entries
 
     def __len__(self) -> int:
         return len(self.entries)
@@ -88,8 +120,7 @@ class WeightVector:
         return "(" + ", ".join(str(e) for e in self.entries) + ")"
 
 
-@dataclass(frozen=True)
-class NilpotencyReport:
+class NilpotencyReport(NamedTuple):
     step: int
     maximal: bool
 
@@ -117,30 +148,28 @@ def classify_parabolic(lie: LieType, removed: Iterable[int]) -> NilpotencyReport
     return NilpotencyReport(step=step, maximal=len(removed) == 1)
 
 
-@dataclass(frozen=True)
-class ParabolicSetup:
+class ParabolicSetup(FrozenRecord):
     """A two-step nilpotent non-maximal parabolic: simple roots p < q removed.
 
     Construction rejects anything that is not two-step non-maximal; the
     raised error carries the computed step count.
     """
 
-    lie: LieType
-    p: int
-    q: int
+    _fields = ("lie", "p", "q")
 
-    def __post_init__(self):
-        if not self.p < self.q:
-            raise InvalidParabolic(f"need p < q, got p={self.p}, q={self.q}")
-        report = classify_parabolic(self.lie, (self.p, self.q))
+    def __init__(self, lie: LieType, p: int, q: int):
+        if not p < q:
+            raise InvalidParabolic(f"need p < q, got p={p}, q={q}")
+        report = classify_parabolic(lie, (p, q))
         if report.maximal or report.step != 2:
             raise InvalidParabolic(
-                f"parabolic removing ({self.p},{self.q}) from {self.lie.kind}, n={self.lie.n} "
+                f"parabolic removing ({p},{q}) from {lie.kind}, n={lie.n} "
                 f"is {report.step}-step nilpotent"
                 + (" and maximal" if report.maximal else ""),
                 step=report.step,
                 maximal=report.maximal,
             )
+        self.__dict__.update(lie=lie, p=p, q=q)
 
     @property
     def n(self) -> int:

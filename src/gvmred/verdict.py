@@ -17,8 +17,8 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exact import ExactScalar, scalars_equal, sum_int_at_least
-from .gk import NonIntegralWeight, gk_dimension, integrality_classes
+from .exact import ExactScalar, integer_difference, scalars_equal, sum_int_at_least
+from .gk import NonIntegralWeight, gk_dimension
 from .rootdata import IndexOutOfRange, ParabolicSetup, WeightVector
 from .tableaux import conjugate, rs_shape
 
@@ -191,7 +191,7 @@ def has_maximal_shape(setup: ParabolicSetup, weight: WeightVector) -> bool:
     if setup.lie.kind != "A":
         raise WrongLieType("the three-column shape test is for type A")
     entries = tuple(weight)
-    if len(integrality_classes(entries, setup.lie).classes) != 1:
+    if any(integer_difference(e, entries[0]) is None for e in entries[1:]):
         raise NonIntegralWeight("the three-column shape test needs an integral weight")
     columns = conjugate(rs_shape(entries))
     target = tuple(

@@ -377,16 +377,32 @@ def test_rank_above_cap_exits_2_before_any_work(capsys, monkeypatch):
     assert capsys.readouterr().out.startswith("gk=")
 
 
-def test_cli_import_leaves_process_pool_unloaded():
+def _fresh_interpreter(code: str) -> str:
+    """Stdout of ``code`` run in a new interpreter that imports this checkout."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
     env = dict(os.environ, PYTHONPATH=path)
-    code = "import sys, gvmred.cli; print('concurrent.futures.process' in sys.modules)"
     out = subprocess.run(
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=60
     )
     assert out.returncode == 0, out.stderr
-    assert out.stdout.strip() == "False"
+    return out.stdout.strip()
+
+
+def test_cli_import_leaves_process_pool_unloaded():
+    code = "import sys, gvmred.cli; print('concurrent.futures.process' in sys.modules)"
+    assert _fresh_interpreter(code) == "False"
+
+
+def test_import_adds_neither_dataclasses_nor_inspect():
+    # measured against the bare interpreter's modules, since a site .pth
+    # may already have loaded some
+    code = (
+        "import sys; bare = set(sys.modules); import gvmred, gvmred.cli; "
+        "added = set(sys.modules) - bare; "
+        "print('gvmred.cli' in added, sorted(added & {'dataclasses', 'inspect'}))"
+    )
+    assert _fresh_interpreter(code) == "True []"
 
 
 def test_diagram_ascii(capsys):

@@ -141,9 +141,38 @@ def test_grid_points_listed_once():
     assert len(grid) == len(points) == len(set(points))
 
 
+def test_standard_grid_is_shared_within_a_rank():
+    first = standard_grid(ParabolicSetup(A(6), 1, 3))
+    assert standard_grid(ParabolicSetup(A(6), 2, 5)) is first
+    assert standard_grid(ParabolicSetup(D(6), 1, 5)) is first  # the grid depends on n only
+    other = standard_grid(ParabolicSetup(A(7), 1, 3))
+    assert other is not first and len(other) > len(first)
+
+
+@pytest.mark.parametrize("kind, n_max, ranks", [("A", 9, 7), ("D", 8, 5)])
+def test_verify_family_builds_one_grid_per_rank(monkeypatch, kind, n_max, ranks):
+    import gvmred.harness as harness_mod
+
+    built = []
+
+    def counted(spec):
+        built.append(spec)
+        return grid_from_spec(spec)
+
+    harness_mod._rank_grid.cache_clear()  # no grid left over from another test
+    monkeypatch.setattr(harness_mod, "grid_from_spec", counted)
+    try:
+        report = verify_family(kind, n_max)
+    finally:
+        harness_mod._rank_grid.cache_clear()  # nor one built through the patch
+    assert len(built) == len(set(built)) == ranks
+    assert report.ok and report.points_checked == report.grid_points
+    assert report.setups_checked == len(family_setups(kind, n_max))
+
+
 def test_grid_spec_rejects_nonpositive_step():
     for step in (Fraction(0), Fraction(-1, 2)):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="grid step must be positive"):
             GridSpec(lo=Fraction(0), hi=Fraction(1), step=step)
 
 

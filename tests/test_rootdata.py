@@ -23,7 +23,7 @@ from conftest import SIGMA, TAU, sc, seq
 def test_lie_type_validation():
     with pytest.raises(ValueError):
         LieType("A", 1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="type D needs n >= 4"):
         LieType("D", 3)
     with pytest.raises(ValueError):
         LieType("B", 4)
@@ -98,8 +98,8 @@ def test_classify_parabolic_examples():
 def test_setup_rejects_higher_step():
     with pytest.raises(InvalidParabolic) as err:
         ParabolicSetup(LieType("D", 6), 1, 3)
-    assert err.value.step == 3
-    with pytest.raises(InvalidParabolic):
+    assert err.value.step == 3 and "is 3-step nilpotent" in str(err.value)
+    with pytest.raises(InvalidParabolic, match="need p < q"):
         ParabolicSetup(LieType("A", 5), 3, 3)
 
 
