@@ -51,13 +51,9 @@ from .tableaux import (
     rs_tableau,
 )
 from .verdict import (
-    EqualParameters,
     Verdict,
     WrongLieType,
     criterion,
-    criterion_a_diagonal,
-    criterion_a_offdiagonal,
-    criterion_d,
     evaluate,
     has_maximal_shape,
     single_weight_reducible,

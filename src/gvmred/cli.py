@@ -3,7 +3,8 @@
 Scalar syntax at the CLI boundary: a rational (``-2``, ``5/2``) optionally
 combined with generic symbol terms (``tau``, ``sigma``), e.g. ``1/2+tau``,
 ``-5/2-tau``, ``2-3/2*sigma``.  Exactly the two symbol names tau and sigma
-are accepted.  Every scalar the tool prints re-parses to an equal value.
+are accepted, and each term takes at most one sign (``--5`` is rejected).
+Every scalar the tool prints re-parses to an equal value.
 Values starting with ``-`` are safest passed as ``--z1=-5/2``.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error
@@ -23,7 +24,6 @@ path that cannot be opened for writing; all before any work).
 from __future__ import annotations
 
 import argparse
-import json
 import re
 import sys
 from contextlib import nullcontext
@@ -86,7 +86,7 @@ def parse_scalar(text: str) -> ExactScalar:
         if body and body[0] in "+-":
             sign = Fraction(-1) if body[0] == "-" else Fraction(1)
             body = body[1:]
-        if not body:
+        if not body or body[0] in "+-":  # at most one sign per term
             raise ValueError(f"bad scalar {text!r}")
         name, coeff = None, body
         for candidate in GENERIC_NAMES:
@@ -214,6 +214,8 @@ def _cmd_reduce(args) -> int:
     verdict = evaluate(setup, args.z1, args.z2)
     record = row_record(setup, SweepRow(args.z1, args.z2, verdict))
     if args.format == "json":
+        import json  # only JSON output loads it
+
         print(json.dumps(record))
     else:
         print(" ".join(f"{key}={format_field(value)}" for key, value in record.items()))

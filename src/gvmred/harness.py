@@ -9,7 +9,6 @@ are exercised.  Sweeps are deterministic: rows are emitted in grid order.
 
 from __future__ import annotations
 
-import json
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from operator import attrgetter
@@ -304,6 +303,8 @@ def report_to_csv(report: SweepReport) -> str:
 
 
 def report_to_json(report: SweepReport) -> str:
+    import json  # only JSON output loads it
+
     payload = {
         "setup": {
             "type": report.setup.lie.kind,

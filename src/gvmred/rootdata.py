@@ -175,7 +175,7 @@ class ParabolicSetup(FrozenRecord):
     def n(self) -> int:
         return self.lie.n
 
-    # The criteria read these at every point, so they are computed once.
+    # The criterion reads these at every point, so they are computed once.
     @cached_property
     def middle(self) -> int:
         """Size of the Levi block between the two removed roots."""
@@ -184,10 +184,6 @@ class ParabolicSetup(FrozenRecord):
     @cached_property
     def outer_min(self) -> int:
         return min(self.p, self.n - self.q)
-
-    @cached_property
-    def outer_max(self) -> int:
-        return max(self.p, self.n - self.q)
 
     @cached_property
     def dim_u(self) -> int:

@@ -2,8 +2,10 @@
 
 The oracle declares the scalar generalized Verma module reducible exactly
 when the GK dimension of its simple quotient drops below the nilradical
-dimension.  The closed-form criteria evaluate the case trees over the two
-parameters directly; sweeps cross-check the two answers point by point.
+dimension.  The closed-form criterion is one formula per Lie type: coset
+tests on z1, z2 and z1 + z2 against integer bounds (and, in type D with
+p = 1, whether z1 = -1).  It covers the diagonal z1 = z2 with no case of
+its own.  Sweeps cross-check the two answers point by point.
 
 Coset membership such as "z in c + Z>=0" is decided exactly: a scalar with
 a nonzero symbol part never lies in a rational coset and never passes an
@@ -17,18 +19,14 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exact import ExactScalar, integer_difference, scalars_equal, sum_int_at_least
+from .exact import ExactScalar, integer_difference, sum_int_at_least
 from .gk import NonIntegralWeight, gk_dimension
 from .rootdata import IndexOutOfRange, ParabolicSetup, WeightVector
 from .tableaux import conjugate, rs_shape
 
 
 class WrongLieType(ValueError):
-    """A criterion was called for the other Lie type."""
-
-
-class EqualParameters(ValueError):
-    """The off-diagonal criterion was called with z1 = z2."""
+    """A type-specific test was called for the other Lie type."""
 
 
 class Verdict(NamedTuple):
@@ -52,48 +50,12 @@ def _int_at_least(z: ExactScalar, bound: int) -> bool:
     return z.den == 1 and not z.terms and z.num >= bound
 
 
-def _half_step_at_least(z: ExactScalar, twice_bound: int) -> bool:
-    """z lies in twice_bound/2 + (1/2)Z>=0."""
-    if z.terms:
-        return False
-    num, den = z.num, z.den
-    return 2 * num % den == 0 and 2 * num >= twice_bound * den
-
-
-def _int_step_at_least(z: ExactScalar, twice_bound: int) -> bool:
-    """z lies in twice_bound/2 + Z>=0."""
-    if z.terms:
-        return False
-    num, den = z.num, z.den
-    gap = 2 * num - twice_bound * den
-    return gap % (2 * den) == 0 and gap >= 0
-
-
-def _a_diagonal(setup: ParabolicSetup, z: ExactScalar) -> bool:
-    gap, lo, hi = setup.middle, setup.outer_min, setup.outer_max
-    if _is_int(z):
-        if lo >= gap - 1:
-            half_lo = (lo + 1) // 2 if gap % 2 == 0 else lo // 2
-            first = -half_lo - (gap - 1) // 2
-        elif lo > 0:
-            first = -max((gap + lo + 1) // 2, hi) + 1 if hi < gap else -gap + 1
-        else:
-            first = -min(hi, gap) + 1
-        return z.num >= first
-    # non-integral: reducible only for half-integers past the open boundary
-    if lo < 1 or z.terms or z.den != 2:
-        return False
-    return z.num > -(gap + lo)
-
-
-def _a_offdiagonal(setup: ParabolicSetup, z1: ExactScalar, z2: ExactScalar) -> bool:
-    p, gap = setup.p, setup.middle
-    tail = setup.n - setup.q
-    if tail == 0:
-        return _int_at_least(z1, 1 - min(p, gap))
+def _a(setup: ParabolicSetup, z1: ExactScalar, z2: ExactScalar) -> bool:
+    # a type A setup has q <= n-1, so the tail n-q and outer_min are >= 1
+    gap = setup.middle
     return (
-        _int_at_least(z2, 1 - min(gap, tail))
-        or _int_at_least(z1, 1 - min(p, gap))
+        _int_at_least(z2, 1 - min(gap, setup.n - setup.q))
+        or _int_at_least(z1, 1 - min(setup.p, gap))
         or sum_int_at_least(z1, z2, -gap - setup.outer_min + 1)
     )
 
@@ -109,54 +71,26 @@ def _d(setup: ParabolicSetup, z1: ExactScalar, z2: ExactScalar) -> bool:
         if (not z1_int and not _is_int(z2)) or (z1_int and z1.num == -1):
             if sum_int_at_least(z1, z2, -n + 2):
                 return True
-        if not z1_int and scalars_equal(z1, z2):
-            # z1 in (-n)//2 + 3/2 + Z>=0
-            if _int_step_at_least(z1, 2 * ((-n) // 2) + 3):
-                return True
         return _int_at_least(z2, -n + 3 if odd else -n + 4)
     # p = n-1, q = n
-    if _int_at_least(z1, 0) or _int_at_least(z2, 0):
-        return True
-    if scalars_equal(z1, z2):
-        # z1 in (-n+1)/2 (odd n) or (-n+2)/2 (even n) + (1/2)Z>=0
-        if _half_step_at_least(z1, -n + 1 if odd else -n + 2):
-            return True
-    return sum_int_at_least(z1, z2, -n + 1 if odd else -n + 2)
-
-
-def criterion_a_diagonal(setup: ParabolicSetup, z) -> bool:
-    """Type A closed form on the diagonal z1 = z2 = z."""
-    if setup.lie.kind != "A":
-        raise WrongLieType("diagonal type A criterion needs a type A setup")
-    return _a_diagonal(setup, _coerce(z))
-
-
-def criterion_a_offdiagonal(setup: ParabolicSetup, z1, z2) -> bool:
-    """Type A closed form for z1 != z2 (consolidated coset form)."""
-    if setup.lie.kind != "A":
-        raise WrongLieType("off-diagonal type A criterion needs a type A setup")
-    z1, z2 = _coerce(z1), _coerce(z2)
-    if scalars_equal(z1, z2):
-        raise EqualParameters("off-diagonal criterion needs z1 != z2")
-    return _a_offdiagonal(setup, z1, z2)
-
-
-def criterion_d(setup: ParabolicSetup, z1, z2) -> bool:
-    """Type D closed form, both removed-root patterns, both parities."""
-    if setup.lie.kind != "D":
-        raise WrongLieType("type D criterion needs a type D setup")
-    return _d(setup, _coerce(z1), _coerce(z2))
+    return (
+        _int_at_least(z1, 0)
+        or _int_at_least(z2, 0)
+        or sum_int_at_least(z1, z2, -n + 1 if odd else -n + 2)
+    )
 
 
 def criterion(setup: ParabolicSetup, z1, z2) -> bool:
-    """Dispatch to the matching closed form for the setup and parameters;
-    the parameters are coerced and compared once."""
+    """The closed form of the setup's Lie type at (z1, z2).
+
+    It dispatches on the type only.  On the diagonal z1 = z2 the same
+    coset tests give the paper's diagonal statements, so nothing compares
+    the two parameters.
+    """
     z1, z2 = _coerce(z1), _coerce(z2)
     if setup.lie.kind == "D":
         return _d(setup, z1, z2)
-    if scalars_equal(z1, z2):
-        return _a_diagonal(setup, z1)
-    return _a_offdiagonal(setup, z1, z2)
+    return _a(setup, z1, z2)
 
 
 def evaluate(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> Verdict:

@@ -34,6 +34,18 @@ def test_parse_scalar_rejects_unknown_symbols():
             parse_scalar(bad)
 
 
+def test_parse_scalar_rejects_doubled_signs(capsys):
+    # a term takes at most one sign, rational or symbolic
+    for bad in ("--5", "5--3", "+-1/2", "-+2", "--tau", "1/2+-tau", "--3/2*sigma"):
+        with pytest.raises(ValueError, match="bad scalar"):
+            parse_scalar(bad)
+    reduce = ["reduce", "--type", "A", "--n", "5", "--p", "1", "--q", "3", "--z2=0"]
+    for z1 in ("--z1=--5", "--z1=--tau"):
+        assert main([*reduce, z1]) == 2, z1
+        captured = capsys.readouterr()
+        assert captured.out == "" and "argument --z1" in captured.err
+
+
 def test_scalar_round_trip():
     samples = [
         sc(0),
@@ -400,7 +412,7 @@ def test_import_adds_neither_dataclasses_nor_inspect():
     code = (
         "import sys; bare = set(sys.modules); import gvmred, gvmred.cli; "
         "added = set(sys.modules) - bare; "
-        "print('gvmred.cli' in added, sorted(added & {'dataclasses', 'inspect'}))"
+        "print('gvmred.cli' in added, sorted(added & {'dataclasses', 'inspect', 'json'}))"
     )
     assert _fresh_interpreter(code) == "True []"
 

@@ -6,7 +6,6 @@ from hypothesis import given, settings, strategies as st
 
 import dense_gk
 from gvmred import (
-    EqualParameters,
     ExactScalar,
     IndexOutOfRange,
     LieType,
@@ -15,9 +14,6 @@ from gvmred import (
     WeightVector,
     WrongLieType,
     criterion,
-    criterion_a_diagonal,
-    criterion_a_offdiagonal,
-    criterion_d,
     evaluate,
     even_odd_counts,
     family_setups,
@@ -31,12 +27,7 @@ from gvmred import (
     sweep,
 )
 from gvmred.exact import sum_int_at_least
-from gvmred.verdict import (
-    _coerce,
-    _half_step_at_least,
-    _int_at_least,
-    _int_step_at_least,
-)
+from gvmred.verdict import _coerce, _int_at_least, _is_int
 
 from conftest import SIGMA, TAU, sc, scalar_pairs, scalars
 
@@ -65,44 +56,35 @@ def test_verdict_invariants():
 
 def test_criterion_a_diagonal_examples():
     setup = ParabolicSetup(A(8), 2, 5)
-    assert criterion_a_diagonal(setup, sc("-3/2"))
-    assert not criterion_a_diagonal(setup, sc(-3))
-    assert not criterion_a_diagonal(setup, sc("-5/2"))
-    assert criterion_a_diagonal(setup, sc(-2))
+    assert criterion(setup, sc("-3/2"), sc("-3/2"))
+    assert not criterion(setup, sc(-3), sc(-3))
+    assert not criterion(setup, sc("-5/2"), sc("-5/2"))
+    assert criterion(setup, sc(-2), sc(-2))
     small = ParabolicSetup(A(4), 1, 3)
-    assert criterion_a_diagonal(small, sc(-1))
-    assert not criterion_a_diagonal(small, sc(-2))
-    assert not criterion_a_diagonal(setup, TAU)
-    with pytest.raises(WrongLieType):
-        criterion_a_diagonal(ParabolicSetup(D(6), 1, 5), sc(0))
+    assert criterion(small, sc(-1), sc(-1))
+    assert not criterion(small, sc(-2), sc(-2))
+    assert not criterion(setup, TAU, TAU)
 
 
 def test_criterion_a_offdiagonal_examples():
     sl10 = ParabolicSetup(A(10), 3, 6)
-    assert criterion_a_offdiagonal(sl10, sc(5), sc(-2))
-    assert not criterion_a_offdiagonal(sl10, TAU, SIGMA)
+    assert criterion(sl10, sc(5), sc(-2))
+    assert not criterion(sl10, TAU, SIGMA)
     sl11 = ParabolicSetup(A(11), 3, 9)
-    assert criterion_a_offdiagonal(sl11, sc(-3), sc(-4))
-    with pytest.raises(EqualParameters):
-        criterion_a_offdiagonal(sl10, TAU, TAU)
-    with pytest.raises(WrongLieType):
-        criterion_a_offdiagonal(ParabolicSetup(D(6), 1, 5), sc(0), sc(1))
+    assert criterion(sl11, sc(-3), sc(-4))
 
 
 def test_criterion_d_examples():
     so12 = ParabolicSetup(D(6), 1, 5)
-    assert criterion_d(so12, sc("-3/2"), sc("-3/2"))
+    assert criterion(so12, sc("-3/2"), sc("-3/2"))
     so14 = ParabolicSetup(D(7), 6, 7)
-    assert criterion_d(so14, sc(-3), sc(-3))
-    assert not criterion_d(so14, sc(-4) + TAU, sc(-3) - TAU)
-    assert criterion_d(so14, sc(-3) + TAU, sc(-3) - TAU)
-    with pytest.raises(WrongLieType):
-        criterion_d(ParabolicSetup(A(8), 2, 5), sc(0), sc(0))
+    assert criterion(so14, sc(-3), sc(-3))
+    assert not criterion(so14, sc(-4) + TAU, sc(-3) - TAU)
+    assert criterion(so14, sc(-3) + TAU, sc(-3) - TAU)
 
 
-def test_criterion_dispatch_splits_on_structural_equality():
+def test_criterion_on_equal_and_distinct_generic_parameters():
     setup = ParabolicSetup(A(8), 2, 5)
-    # equal generic parameters take the diagonal branch and stay finite
     assert criterion(setup, TAU, TAU) is False
     assert criterion(setup, TAU, SIGMA) is False
     assert criterion(setup, sc(0), sc(0)) is True
@@ -130,31 +112,27 @@ def test_has_maximal_shape_examples():
         has_maximal_shape(ParabolicSetup(D(6), 1, 5), WeightVector(()))
 
 
-def test_coset_base_forms_coincide_when_tail_empty():
-    # the two printed forms of the tail-empty coset base agree when q = n,
-    # so the consolidated and case-split routes cannot drift apart there
-    for n in range(3, 12):
-        q = n
-        for p in range(1, n):
-            assert min(p, n - p) == min(p, q - p)
+def test_type_a_setups_have_nonempty_outer_blocks():
+    # the consolidated type A form needs p >= 1 and n - q >= 1
+    for n in range(3, 13):
+        for k in range(1, n):
+            with pytest.raises(ValueError):
+                ParabolicSetup(A(n), k, n)
+            with pytest.raises(ValueError):
+                ParabolicSetup(A(n), 0, k)
 
 
 def criterion_a_offdiagonal_cases(setup: ParabolicSetup, z1, z2) -> bool:
-    """Type A for z1 != z2, following the fine case split on integrality.
+    """Type A following the fine case split on integrality.
 
     Kept as an independent second route; sweeps assert it agrees with the
-    consolidated form everywhere.
+    consolidated form everywhere, the diagonal z1 = z2 included.
     """
     if setup.lie.kind != "A":
-        raise WrongLieType("off-diagonal type A criterion needs a type A setup")
+        raise WrongLieType("type A criterion needs a type A setup")
     z1, z2 = _coerce(z1), _coerce(z2)
-    if z1 == z2:
-        raise EqualParameters("off-diagonal criterion needs z1 != z2")
-    n, p = setup.n, setup.p
-    gap, lo = setup.middle, setup.outer_min
-    tail = n - setup.q
-    if tail == 0:
-        return _int_at_least(z1, 1 - min(p, n - p))
+    p, gap, lo = setup.p, setup.middle, setup.outer_min
+    tail = setup.n - setup.q
     i1, i2 = z1.is_integer, z2.is_integer
     if not i1 and not i2:
         return _int_at_least(z1 + z2, -gap - lo + 1)
@@ -175,11 +153,64 @@ def test_offdiagonal_routes_agree_on_grids():
     for lie_n, p, q in ((6, 2, 4), (7, 1, 6), (7, 3, 4), (8, 2, 5), (6, 1, 5)):
         setup = ParabolicSetup(A(lie_n), p, q)
         for z1, z2 in standard_grid(setup).points():
-            if z1 == z2:
-                continue
-            assert criterion_a_offdiagonal(setup, z1, z2) == criterion_a_offdiagonal_cases(
-                setup, z1, z2
-            ), (setup, str(z1), str(z2))
+            assert criterion(setup, z1, z2) == criterion_a_offdiagonal_cases(setup, z1, z2), (
+                setup,
+                str(z1),
+                str(z2),
+            )
+
+
+def criterion_a_diagonal_cases(setup: ParabolicSetup, z: ExactScalar) -> bool:
+    """The paper's type A case tree on the diagonal z1 = z2 = z."""
+    gap, lo, hi = setup.middle, setup.outer_min, max(setup.p, setup.n - setup.q)
+    if _is_int(z):
+        if lo >= gap - 1:
+            half_lo = (lo + 1) // 2 if gap % 2 == 0 else lo // 2
+            first = -half_lo - (gap - 1) // 2
+        elif lo > 0:
+            first = -max((gap + lo + 1) // 2, hi) + 1 if hi < gap else -gap + 1
+        else:
+            first = -min(hi, gap) + 1
+        return z.num >= first
+    # non-integral: reducible only for half-integers past the open boundary
+    if lo < 1 or z.terms or z.den != 2:
+        return False
+    return z.num > -(gap + lo)
+
+
+def type_d_diagonal_conditions(setup: ParabolicSetup, z: ExactScalar) -> bool:
+    """The paper's type D diagonal branches at z1 = z2 = z; each is a
+    sufficient condition for reducibility."""
+    n = setup.n
+    if setup.p == 1:
+        # z non-integral in (-n)//2 + 3/2 + Z>=0
+        return not _is_int(z) and _fraction_int_step_at_least(
+            z, Fraction(2 * ((-n) // 2) + 3, 2)
+        )
+    # z in (-n+1)/2 (odd n) or (-n+2)/2 (even n) + (1/2)Z>=0
+    return _fraction_half_step_at_least(z, Fraction(-n + 1 if n % 2 else -n + 2, 2))
+
+
+def diagonal_values(n: int) -> list:
+    """k/d for d in 1..4 with k/d in [-2(n+3), 4), then tau and 1/2 + tau."""
+    values = sorted({Fraction(k, d) for d in (1, 2, 3, 4) for k in range(-2 * (n + 3) * d, 4 * d)})
+    return [sc(v) for v in values] + [TAU, sc("1/2") + TAU]
+
+
+def test_diagonal_case_tree_matches_criterion():
+    for setup in family_setups("A", 12):
+        for z in diagonal_values(setup.n):
+            assert criterion(setup, z, z) == criterion_a_diagonal_cases(setup, z), (
+                setup,
+                str(z),
+            )
+
+
+def test_type_d_diagonal_conditions_imply_criterion():
+    for setup in family_setups("D", 20):
+        for z in diagonal_values(setup.n):
+            if type_d_diagonal_conditions(setup, z):
+                assert criterion(setup, z, z), (setup, str(z))
 
 
 def test_criterion_matches_oracle_on_small_grids():
@@ -304,11 +335,8 @@ def test_sum_test_matches_scalar_sum(pair, bound):
 
 @settings(max_examples=300, deadline=None)
 @given(scalars, bounds)
-def test_coset_predicates_match_fraction_forms(z, twice_bound):
-    half = Fraction(twice_bound, 2)
-    assert _int_at_least(z, twice_bound) == _fraction_int_at_least(z, twice_bound)
-    assert _half_step_at_least(z, twice_bound) == _fraction_half_step_at_least(z, half)
-    assert _int_step_at_least(z, twice_bound) == _fraction_int_step_at_least(z, half)
+def test_coset_predicates_match_fraction_forms(z, bound):
+    assert _int_at_least(z, bound) == _fraction_int_at_least(z, bound)
 
 
 @settings(max_examples=300, deadline=None)
