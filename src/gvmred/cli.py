@@ -74,7 +74,9 @@ def parse_scalar(text: str) -> ExactScalar:
     tokens = []
     start = 0
     for i in range(1, len(s)):
-        if s[i] in "+-" and s[i - 1] not in "+-*/":
+        # a sign after an operator or an exponent's e (no symbol name ends
+        # in e) belongs to the term it is in
+        if s[i] in "+-" and s[i - 1] not in "+-*/eE":
             tokens.append(s[start:i])
             start = i
     tokens.append(s[start:])

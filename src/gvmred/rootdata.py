@@ -175,15 +175,18 @@ class ParabolicSetup(FrozenRecord):
     def n(self) -> int:
         return self.lie.n
 
-    # The criterion reads these at every point, so they are computed once.
     @cached_property
-    def middle(self) -> int:
-        """Size of the Levi block between the two removed roots."""
-        return self.q - self.p
-
-    @cached_property
-    def outer_min(self) -> int:
-        return min(self.p, self.n - self.q)
+    def half_lines(self) -> tuple[int, int, int]:
+        """The criterion's bounds (b1, b2, b12), computed on first use: the
+        module is reducible exactly when z1 is an integer >= b1, z2 one
+        >= b2, or z1 + z2 one >= b12."""
+        n, p, q = self.n, self.p, self.q
+        if self.lie.kind == "A":
+            g = q - p
+            return 1 - min(p, g), 1 - min(g, n - q), 1 - g - min(p, n - q)
+        if p == 1:  # q = n-1 or n
+            return 0, 4 - n - n % 2, 2 - n
+        return 0, 0, 2 - n - n % 2  # p = n-1, q = n
 
     @cached_property
     def dim_u(self) -> int:

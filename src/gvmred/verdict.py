@@ -2,9 +2,11 @@
 
 The oracle declares the scalar generalized Verma module reducible exactly
 when the GK dimension of its simple quotient drops below the nilradical
-dimension.  The closed-form criterion is one formula per Lie type: coset
-tests on z1, z2 and z1 + z2 against integer bounds (and, in type D with
-p = 1, whether z1 = -1).  It covers the diagonal z1 = z2 with no case of
+dimension.  The closed-form criterion is one formula for every setup:
+the module is reducible exactly when z1, z2 or z1 + z2 is an integer on
+its half-line Z>=b1, Z>=b2 or Z>=b12, three bounds fixed by the setup
+(``ParabolicSetup.half_lines``).  In the (z1, z2) plane the reducible set
+is these three families of lines; the diagonal z1 = z2 needs no case of
 its own.  Sweeps cross-check the two answers point by point.
 
 Coset membership such as "z in c + Z>=0" is decided exactly: a scalar with
@@ -41,56 +43,21 @@ def _coerce(z) -> ExactScalar:
     return z if isinstance(z, ExactScalar) else ExactScalar(z)
 
 
-def _is_int(z: ExactScalar) -> bool:
-    return z.den == 1 and not z.terms
-
-
 def _int_at_least(z: ExactScalar, bound: int) -> bool:
     """z is a plain integer >= bound."""
     return z.den == 1 and not z.terms and z.num >= bound
 
 
-def _a(setup: ParabolicSetup, z1: ExactScalar, z2: ExactScalar) -> bool:
-    # a type A setup has q <= n-1, so the tail n-q and outer_min are >= 1
-    gap = setup.middle
-    return (
-        _int_at_least(z2, 1 - min(gap, setup.n - setup.q))
-        or _int_at_least(z1, 1 - min(setup.p, gap))
-        or sum_int_at_least(z1, z2, -gap - setup.outer_min + 1)
-    )
-
-
-def _d(setup: ParabolicSetup, z1: ExactScalar, z2: ExactScalar) -> bool:
-    n = setup.n
-    odd = n % 2 == 1
-    if setup.p == 1:
-        # q = n-1 or n
-        if _int_at_least(z1, 0):
-            return True
-        z1_int = _is_int(z1)
-        if (not z1_int and not _is_int(z2)) or (z1_int and z1.num == -1):
-            if sum_int_at_least(z1, z2, -n + 2):
-                return True
-        return _int_at_least(z2, -n + 3 if odd else -n + 4)
-    # p = n-1, q = n
-    return (
-        _int_at_least(z1, 0)
-        or _int_at_least(z2, 0)
-        or sum_int_at_least(z1, z2, -n + 1 if odd else -n + 2)
-    )
-
-
 def criterion(setup: ParabolicSetup, z1, z2) -> bool:
-    """The closed form of the setup's Lie type at (z1, z2).
+    """The closed form at (z1, z2): z1, z2 or z1 + z2 is an integer on its
+    half-line of ``setup.half_lines``.
 
-    It dispatches on the type only.  On the diagonal z1 = z2 the same
-    coset tests give the paper's diagonal statements, so nothing compares
+    The same three tests decide the diagonal z1 = z2, so nothing compares
     the two parameters.
     """
     z1, z2 = _coerce(z1), _coerce(z2)
-    if setup.lie.kind == "D":
-        return _d(setup, z1, z2)
-    return _a(setup, z1, z2)
+    b1, b2, b12 = setup.half_lines
+    return _int_at_least(z1, b1) or _int_at_least(z2, b2) or sum_int_at_least(z1, z2, b12)
 
 
 def evaluate(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> Verdict:
@@ -129,6 +96,6 @@ def has_maximal_shape(setup: ParabolicSetup, weight: WeightVector) -> bool:
         raise NonIntegralWeight("the three-column shape test needs an integral weight")
     columns = conjugate(rs_shape(entries))
     target = tuple(
-        sorted((c for c in (setup.p, setup.middle, setup.n - setup.q) if c), reverse=True)
+        sorted((c for c in (setup.p, setup.q - setup.p, setup.n - setup.q) if c), reverse=True)
     )
     return columns == target

@@ -46,6 +46,24 @@ def test_parse_scalar_rejects_doubled_signs(capsys):
         assert captured.out == "" and "argument --z1" in captured.err
 
 
+def test_parse_scalar_keeps_signed_exponents(capsys):
+    assert parse_scalar("1e-3") == sc(Fraction("1e-3"))
+    assert parse_scalar("-1e+3") == sc(Fraction("-1e+3"))
+    assert parse_scalar("1.5e-1*tau") == ExactScalar(0, {"tau": Fraction("1.5e-1")})
+    assert parse_scalar("2-1e-3*sigma") == ExactScalar(2, {"sigma": -Fraction("1e-3")})
+    reduce = ["reduce", "--type", "A", "--n", "4", "--p", "1", "--q", "2"]
+    assert main([*reduce, "--z1=1e-3", "--z2=0"]) == 0
+    assert "z1=1/1000" in capsys.readouterr().out.split()
+    for bad in ("--5", "1e--3", "1e-", "1e-5000"):
+        with pytest.raises(ValueError, match="bad scalar"):
+            parse_scalar(bad)
+        assert main([*reduce, f"--z1={bad}", "--z2=0"]) == 2, bad
+        captured = capsys.readouterr()
+        assert captured.out == "" and "error:" in captured.err
+    with pytest.raises(ValueError, match="more than 4300 digits"):
+        parse_scalar("1e-5000")
+
+
 def test_scalar_round_trip():
     samples = [
         sc(0),

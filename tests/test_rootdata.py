@@ -158,7 +158,7 @@ def test_entry_differences_track_parameters():
 
 def test_setup_derived_quantities():
     s = ParabolicSetup(LieType("A", 11), 3, 9)
-    assert (s.middle, s.outer_min) == (6, 2)
+    assert s.half_lines == (1 - 3, 1 - 2, 1 - 6 - 2)
     assert s.dim_u == 9 * 2 + 3 * 6
 
 

@@ -27,12 +27,16 @@ from gvmred import (
     sweep,
 )
 from gvmred.exact import sum_int_at_least
-from gvmred.verdict import _coerce, _int_at_least, _is_int
+from gvmred.verdict import _coerce, _int_at_least
 
 from conftest import SIGMA, TAU, sc, scalar_pairs, scalars
 
 A = lambda n: LieType("A", n)
 D = lambda n: LieType("D", n)
+
+
+def _is_int(z: ExactScalar) -> bool:
+    return z.den == 1 and not z.terms
 
 
 def test_oracle_examples_type_a():
@@ -131,8 +135,8 @@ def criterion_a_offdiagonal_cases(setup: ParabolicSetup, z1, z2) -> bool:
     if setup.lie.kind != "A":
         raise WrongLieType("type A criterion needs a type A setup")
     z1, z2 = _coerce(z1), _coerce(z2)
-    p, gap, lo = setup.p, setup.middle, setup.outer_min
-    tail = setup.n - setup.q
+    p, gap, tail = setup.p, setup.q - setup.p, setup.n - setup.q
+    lo = min(p, tail)
     i1, i2 = z1.is_integer, z2.is_integer
     if not i1 and not i2:
         return _int_at_least(z1 + z2, -gap - lo + 1)
@@ -162,7 +166,8 @@ def test_offdiagonal_routes_agree_on_grids():
 
 def criterion_a_diagonal_cases(setup: ParabolicSetup, z: ExactScalar) -> bool:
     """The paper's type A case tree on the diagonal z1 = z2 = z."""
-    gap, lo, hi = setup.middle, setup.outer_min, max(setup.p, setup.n - setup.q)
+    gap = setup.q - setup.p
+    lo, hi = min(setup.p, setup.n - setup.q), max(setup.p, setup.n - setup.q)
     if _is_int(z):
         if lo >= gap - 1:
             half_lo = (lo + 1) // 2 if gap % 2 == 0 else lo // 2
@@ -211,6 +216,55 @@ def test_type_d_diagonal_conditions_imply_criterion():
         for z in diagonal_values(setup.n):
             if type_d_diagonal_conditions(setup, z):
                 assert criterion(setup, z, z), (setup, str(z))
+
+
+def criterion_d_with_gate(setup: ParabolicSetup, z1: ExactScalar, z2: ExactScalar) -> bool:
+    """The earlier type D form: for p = 1 it tried the z1 + z2 half-line
+    only when both parameters were non-integral or z1 = -1."""
+    n = setup.n
+    odd = n % 2 == 1
+    if setup.p == 1:
+        # q = n-1 or n
+        if _int_at_least(z1, 0):
+            return True
+        z1_int = _is_int(z1)
+        if (not z1_int and not _is_int(z2)) or (z1_int and z1.num == -1):
+            if sum_int_at_least(z1, z2, -n + 2):
+                return True
+        return _int_at_least(z2, -n + 3 if odd else -n + 4)
+    # p = n-1, q = n
+    return (
+        _int_at_least(z1, 0)
+        or _int_at_least(z2, 0)
+        or sum_int_at_least(z1, z2, -n + 1 if odd else -n + 2)
+    )
+
+
+def gate_points(n: int) -> list:
+    """Pairs of rationals k/d (d = 1, 2, 3) in [-(n+2), 3); then a + tau,
+    for each integer a, against each integer and each coupled b - tau."""
+    values = sorted({Fraction(k, d) for d in (1, 2, 3) for k in range(-(n + 2) * d, 3 * d)})
+    rationals = [sc(v) for v in values]
+    integers = [z for z in rationals if z.den == 1]
+    up, down = [z + TAU for z in integers], [z - TAU for z in rationals]
+    return [(a, b) for a in rationals for b in rationals] + [
+        (a, b) for a in up for b in down + integers
+    ]
+
+
+def test_type_d_gate_never_changed_the_answer():
+    # a skipped sum test had z1 an integer <= -2, so z1 + z2 in Z>=2-n put
+    # z2 in Z>=4-n, where the z2 half-line fires
+    points = {}
+    for setup in family_setups("D", 20):
+        if setup.n not in points:
+            points[setup.n] = gate_points(setup.n)
+        for z1, z2 in points[setup.n]:
+            assert criterion(setup, z1, z2) == criterion_d_with_gate(setup, z1, z2), (
+                setup,
+                str(z1),
+                str(z2),
+            )
 
 
 def test_criterion_matches_oracle_on_small_grids():
