@@ -37,7 +37,6 @@ from .rootdata import (
     LieType,
     NilpotencyReport,
     ParabolicSetup,
-    WeightVector,
     classify_parabolic,
     dim_nilradical,
     shifted_weight,
@@ -45,7 +44,6 @@ from .rootdata import (
 from .tableaux import (
     Shape,
     conjugate,
-    even_odd_counts,
     minus_double,
     rs_shape,
     rs_tableau,
@@ -56,7 +54,6 @@ from .verdict import (
     criterion,
     evaluate,
     has_maximal_shape,
-    single_weight_reducible,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

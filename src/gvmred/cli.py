@@ -1,24 +1,28 @@
 """Command-line front end.
 
-Scalar syntax at the CLI boundary: a rational (``-2``, ``5/2``) optionally
-combined with generic symbol terms (``tau``, ``sigma``), e.g. ``1/2+tau``,
-``-5/2-tau``, ``2-3/2*sigma``.  Exactly the two symbol names tau and sigma
-are accepted, and each term takes at most one sign (``--5`` is rejected).
-Every scalar the tool prints re-parses to an equal value.
-Values starting with ``-`` are safest passed as ``--z1=-5/2``.
+Scalar syntax, one grammar for ``--z1``, ``--z2``, ``rs --seq`` entries and
+grid bounds and steps (which take no symbol part): a sum of terms, each
+after the first starting with a sign, and none with two (``--5`` is
+rejected).  A term is ``tau``, ``sigma`` (the only symbol names), or a
+rational (``a/b``, or a decimal with an optional signed exponent such as
+``1e-3``) optionally times a symbol: ``1/2+tau``, ``2-3/2*sigma``.  Digits
+are ASCII only, underscores are refused and spaces are dropped.  Every
+scalar the tool prints re-parses to an equal value.  Values starting with
+``-`` are safest passed as ``--z1=-5/2``.
 
 Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error
 (including an ``--n`` above ``MAX_RANK`` (2 000), an ``rs --seq`` of more
-than ``MAX_RANK`` comma-separated entries, a verify ``--max-n``
-below the family's smallest rank, a verify ``--max-n`` whose family's
-standard grids would hold more than ``harness.MAX_FAMILY_POINTS``
-(1 000 000) points, that is above 14 for type A or 43 for type D, where
-a run takes about 6 s and 10 s, a custom grid larger than
-``harness.MAX_GRID_POINTS``, a zero denominator in a scalar, a scalar,
-grid bound or custom grid point with more digits than an int prints with
-(``MAX_DIGITS``),
-``--lo``/``--hi``/``--step`` without ``--grid custom`` and an ``--out``
-path that cannot be opened for writing; all before any work).
+than ``MAX_RANK`` comma-separated entries, a verify ``--max-n`` below the
+family's smallest rank, a verify ``--max-n`` whose family's standard grids
+would hold more than ``harness.MAX_FAMILY_POINTS`` (1 000 000) points, that
+is above 14 for type A or 43 for type D, where a run takes about 6 s and
+10 s, a custom grid larger than ``harness.MAX_GRID_POINTS``, a zero
+denominator in a scalar, a scalar, grid bound or custom grid point with
+more digits than an int prints with (``MAX_DIGITS``), ``--lo``/``--hi``/
+``--step`` without ``--grid custom`` and an ``--out`` path that cannot be
+opened for writing; all before any work).  A refused flag value is
+reported with its reason: ``argument --z1: bad scalar '1/0': zero
+denominator``.
 """
 
 from __future__ import annotations
@@ -59,6 +63,24 @@ MAX_RANK = 2_000
 MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 _TOO_LONG = 10**MAX_DIGITS
 
+_SYMBOL = "|".join(GENERIC_NAMES)
+# One term of a scalar: an optional sign, then a bare symbol, or a rational
+# (a/b, or a decimal with an optional signed exponent) with an optional
+# *symbol.  ASCII digits only.
+_TERM = re.compile(
+    rf"""(?P<sign>[-+])?
+    (?: (?P<bare>{_SYMBOL})
+      | (?=\.?\d)(?P<num>\d*)
+        (?: /(?P<den>\d+) | (?:\.(?P<dec>\d*))? (?:[eE](?P<exp>[-+]?\d+))? )
+        (?:\*(?P<name>{_SYMBOL}))? )""",
+    re.ASCII | re.VERBOSE,
+)
+
+
+class BadValue(ValueError, argparse.ArgumentTypeError):
+    """A refused value.  Raised by a ``type=`` function, argparse prints its
+    message after the flag name; from a command, ``main`` prints it."""
+
 
 def _prints(value: Fraction) -> bool:
     """Whether the numerator and denominator of ``value`` each print with
@@ -66,73 +88,48 @@ def _prints(value: Fraction) -> bool:
     return abs(value.numerator) < _TOO_LONG and value.denominator < _TOO_LONG
 
 
+def _coefficient(text: str, term: re.Match) -> Fraction:
+    """A term's rational, ``num/den`` or ``num.dec`` times ``10**exp``.  A
+    digit string longer than ``MAX_DIGITS``, or a numerator or denominator
+    that would print with more digits, is refused before it is built."""
+    num, den, dec, exp = term.group("num", "den", "dec", "exp")
+    digits, dec, exp = num + (dec or ""), dec or "", exp or "0"
+    # the decimal is int(digits) * 10**shift; an exponent too long to read
+    # gets a shift that is refused
+    shift = int(exp) - len(dec) if len(exp) <= MAX_DIGITS else MAX_DIGITS + 1
+    sizes = (len(digits), len(den or ""), len(digits.lstrip("0")) + shift, 1 - shift)
+    if max(sizes) > MAX_DIGITS:
+        raise BadValue(f"bad scalar {text!r}: more than {MAX_DIGITS} digits")
+    if den is not None and not int(den):
+        raise BadValue(f"bad scalar {text!r}: zero denominator")
+    return Fraction(int(digits) * 10 ** max(shift, 0), int(den or 1) * 10 ** max(-shift, 0))
+
+
 def parse_scalar(text: str) -> ExactScalar:
     """Parse the CLI scalar syntax into an ExactScalar."""
     s = text.replace(" ", "")
-    if not s:
-        raise ValueError("empty scalar")
-    tokens = []
-    start = 0
-    for i in range(1, len(s)):
-        # a sign after an operator or an exponent's e (no symbol name ends
-        # in e) belongs to the term it is in
-        if s[i] in "+-" and s[i - 1] not in "+-*/eE":
-            tokens.append(s[start:i])
-            start = i
-    tokens.append(s[start:])
-    rational = Fraction(0)
-    generic: dict[str, Fraction] = {}
-    for tok in tokens:
-        sign = Fraction(1)
-        body = tok
-        if body and body[0] in "+-":
-            sign = Fraction(-1) if body[0] == "-" else Fraction(1)
-            body = body[1:]
-        if not body or body[0] in "+-":  # at most one sign per term
-            raise ValueError(f"bad scalar {text!r}")
-        name, coeff = None, body
-        for candidate in GENERIC_NAMES:
-            if body == candidate:
-                name, coeff = candidate, "1"
-                break
-            if body.endswith("*" + candidate):
-                name, coeff = candidate, body[: -len(candidate) - 1]
-                break
-        try:
-            value = sign * _rational(coeff)
-        except ValueError as exc:
-            raise ValueError(f"bad scalar {text!r}: {exc}") from None
-        if name is None:
-            rational += value
-        else:
-            generic[name] = generic.get(name, Fraction(0)) + value
+    sums: dict[str | None, Fraction] = {}  # symbol name (None: rational) -> coefficient
+    pos = 0
+    while pos < len(s) or not sums:
+        term = _TERM.match(s, pos)
+        if not term or (pos and not term["sign"]):  # a sign starts each later term
+            raise BadValue(f"bad scalar {text!r}")
+        value = Fraction(1) if term["bare"] else _coefficient(text, term)
+        name = term["bare"] or term["name"]
+        sums[name] = sums.get(name, 0) + (-value if term["sign"] == "-" else value)
+        pos = term.end()
     # printable terms may sum past the limit
-    if not all(map(_prints, (rational, *generic.values()))):
-        raise ValueError(f"bad scalar {text!r}: more than {MAX_DIGITS} digits")
-    return ExactScalar(rational, generic)
-
-
-# Fraction's string syntax, loosened: what this does not match, Fraction rejects.
-_COEFFICIENT = re.compile(
-    r"\s*[-+]?([\d_]*)(?:/([\d_]+)|(?:\.([\d_]*))?(?:[eE]([-+]?[\d_]+))?)\s*"
-)
+    if not all(map(_prints, sums.values())):
+        raise BadValue(f"bad scalar {text!r}: more than {MAX_DIGITS} digits")
+    return ExactScalar(sums.pop(None, Fraction(0)), sums)
 
 
 def _rational(text: str) -> Fraction:
-    """A grid bound or step, or a scalar's coefficient.  A zero denominator
-    is a ValueError, and so, before any big integer is built, is a numerator
-    or denominator spelled with more than ``MAX_DIGITS`` digits."""
-    match = _COEFFICIENT.fullmatch(text)
-    if match:
-        num, den, dec, exp = (part.replace("_", "") if part else "" for part in match.groups())
-        shift = int(exp or 0) - len(dec)  # text = int(num + dec) * 10**shift / int(den or 1)
-        sizes = (len((num + dec).lstrip("0")) + max(shift, 0), len(den.lstrip("0")), 1 - shift)
-        if max(sizes) > MAX_DIGITS:
-            raise ValueError(f"{text!r} has more than {MAX_DIGITS} digits")
-    try:
-        return Fraction(text)
-    except ZeroDivisionError:
-        raise ValueError(f"zero denominator in {text!r}") from None
+    """A grid bound or step: a scalar with no symbol part."""
+    value = parse_scalar(text)
+    if value.generic:
+        raise BadValue(f"{text!r} is not rational")
+    return value.rational
 
 
 def _setup_from_args(args) -> ParabolicSetup:

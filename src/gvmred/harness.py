@@ -49,9 +49,9 @@ class GridSpec(FrozenRecord):
             raise ValueError(f"grid step must be positive, got {step}")
         self.__dict__.update(lo=lo, hi=hi, step=step)
         if self.point_bound > MAX_GRID_POINTS:
-            raise ValueError(
-                f"grid [{self.lo}, {self.hi}] step {self.step} would hold up to "
-                f"{self.point_bound} points, more than {MAX_GRID_POINTS}"
+            raise ValueError(  # the bound itself may have too many digits to print
+                f"grid [{self.lo}, {self.hi}] step {self.step} would hold more than "
+                f"{MAX_GRID_POINTS} points"
             )
 
     @property

@@ -29,7 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, Iterator, NamedTuple
+from typing import Iterable, NamedTuple
 
 from .exact import ExactScalar
 
@@ -99,25 +99,6 @@ class LieType(FrozenRecord):
     @property
     def simple_root_count(self) -> int:
         return self.n - 1 if self.kind == "A" else self.n
-
-
-class WeightVector(FrozenRecord):
-    _fields = ("entries",)
-
-    def __init__(self, entries: tuple[ExactScalar, ...]):
-        self.__dict__["entries"] = entries
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-    def __iter__(self) -> Iterator[ExactScalar]:
-        return iter(self.entries)
-
-    def __getitem__(self, i):
-        return self.entries[i]
-
-    def __str__(self):
-        return "(" + ", ".join(str(e) for e in self.entries) + ")"
 
 
 class NilpotencyReport(NamedTuple):
@@ -274,7 +255,7 @@ def dim_nilradical(setup: ParabolicSetup) -> int:
     return (n * n + n - 2) // 2
 
 
-def shifted_weight(setup: ParabolicSetup, z1, z2) -> WeightVector:
+def shifted_weight(setup: ParabolicSetup, z1, z2) -> tuple[ExactScalar, ...]:
     """The shifted weight z1*xi_p + z2*xi_q + rho as exact scalars, read off
     the block plan.  Type A subtracts the entries' mean,
     (p*z1 + q*z2)/n + (n-1)/2, from the gl(n) representative, which leaves
@@ -290,7 +271,7 @@ def shifted_weight(setup: ParabolicSetup, z1, z2) -> WeightVector:
     for (c1, c2), run in zip(plan.coefficients, plan.rho_runs):
         offset = z1 * (Fraction(c1, 2) - m1) + z2 * (Fraction(c2, 2) - m2)
         entries.extend([offset + (r - m0) for r in run])
-    return WeightVector(tuple(entries))
+    return tuple(entries)
 
 
 # ---------------------------------------------------------------------------

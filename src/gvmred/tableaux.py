@@ -95,22 +95,6 @@ def minus_double(seq: Sequence) -> tuple:
     return tuple(seq) + tuple(-e for e in reversed(seq))
 
 
-def even_odd_counts(shape: Shape) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """Per-row counts of even and odd boxes.
-
-    Box (i, j) is even when i + j is even (1-indexed), so row i holds
-    ceil(p_i / 2) even boxes when i is odd and floor(p_i / 2) when i is
-    even; the odd count is the complement.
-    """
-    ev = []
-    odd = []
-    for i, p in enumerate(shape, start=1):
-        e = (p + 1) // 2 if i % 2 == 1 else p // 2
-        ev.append(e)
-        odd.append(p - e)
-    return tuple(ev), tuple(odd)
-
-
 def conjugate(shape: Shape) -> Shape:
     """Column lengths of the diagram (the transposed partition)."""
     if not shape:

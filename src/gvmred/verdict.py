@@ -23,7 +23,7 @@ from typing import NamedTuple
 
 from .exact import ExactScalar, integer_difference, sum_int_at_least
 from .gk import NonIntegralWeight, gk_dimension
-from .rootdata import IndexOutOfRange, ParabolicSetup, WeightVector
+from .rootdata import ParabolicSetup
 from .tableaux import conjugate, rs_shape
 
 
@@ -75,23 +75,16 @@ def evaluate(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> Verdict
     )
 
 
-def single_weight_reducible(n: int, p: int, z) -> bool:
-    """Reducibility for the one-parameter weight z * xi_p in type A."""
-    if not 1 <= p <= n - 1:
-        raise IndexOutOfRange(f"p={p} out of range for sl({n})")
-    return _int_at_least(_coerce(z), 1 - min(p, n - p))
-
-
-def has_maximal_shape(setup: ParabolicSetup, weight: WeightVector) -> bool:
-    """Whether the insertion tableau of an integral type A weight has the
-    three-column shape with column lengths {p, q-p, n-q} (zeros dropped).
+def has_maximal_shape(setup: ParabolicSetup, entries: tuple[ExactScalar, ...]) -> bool:
+    """Whether the insertion tableau of an integral type A weight, given by
+    its entries, has the three-column shape with column lengths
+    {p, q-p, n-q} (zeros dropped).
 
     For integral weights this holds exactly when the GK dimension attains
     the nilradical dimension.
     """
     if setup.lie.kind != "A":
         raise WrongLieType("the three-column shape test is for type A")
-    entries = tuple(weight)
     if any(integer_difference(e, entries[0]) is None for e in entries[1:]):
         raise NonIntegralWeight("the three-column shape test needs an integral weight")
     columns = conjugate(rs_shape(entries))

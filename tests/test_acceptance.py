@@ -23,9 +23,7 @@ from gvmred import (
     report_to_csv,
     report_to_json,
     rs_shape,
-    even_odd_counts,
     shifted_weight,
-    single_weight_reducible,
     standard_grid,
     sweep,
     verify_family,
@@ -34,6 +32,7 @@ from gvmred import (
 import dense_gk
 from conftest import SIGMA, TAU, sc
 from dense_gk import gk_dimension_integral
+from references import even_odd_counts, single_weight_reducible
 
 A = lambda n: LieType("A", n)
 D = lambda n: LieType("D", n)

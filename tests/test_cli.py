@@ -29,7 +29,9 @@ def test_parse_scalar_syntaxes():
 
 
 def test_parse_scalar_rejects_unknown_symbols():
-    for bad in ("theta", "1/2+rho", "", "2**tau", "1//2"):
+    # a sign starts each term after the first
+    unsigned = ("2tau", "tau2", "tausigma", "1.5.5", "3/4.5", "1e3.5*tau")
+    for bad in ("theta", "1/2+rho", "", "2**tau", "1//2", *unsigned):
         with pytest.raises(ValueError):
             parse_scalar(bad)
 
@@ -264,6 +266,44 @@ def test_zero_denominator_exits_2(capsys):
     assert "bad scalar" in capsys.readouterr().err
 
 
+_REDUCE = ["reduce", "--type", "A", "--n", "4", "--p", "1", "--q", "2"]
+_CUSTOM = ["sweep", "--type", "A", "--n", "4", "--p", "1", "--q", "2", "--grid", "custom"]
+
+
+@pytest.mark.parametrize(
+    "argv, flag, reason",
+    [
+        ([*_REDUCE, "--z1=1e-5000", "--z2=0"], "--z1", "bad scalar '1e-5000': more than 4300 digits"),
+        ([*_REDUCE, "--z1=1/0*tau", "--z2=0"], "--z1", "bad scalar '1/0*tau': zero denominator"),
+        ([*_CUSTOM, "--lo", "nan", "--hi", "1"], "--lo", "bad scalar 'nan'"),
+        ([*_CUSTOM, "--lo=tau", "--hi", "1"], "--lo", "'tau' is not rational"),
+        ([*_REDUCE, "--z1=1_000", "--z2=0"], "--z1", "bad scalar '1_000'"),
+        ([*_REDUCE, "--z1=0", "--z2=\u0661"], "--z2", "bad scalar '\u0661'"),
+    ],
+    ids=["digit-cap", "zero-denominator", "nan-bound", "symbolic-bound", "underscore", "arabic-indic"],
+)
+def test_refused_values_name_the_flag_and_the_reason(argv, flag, reason, capsys):
+    """argparse prints a refusal word for word after the flag name, not as
+    "invalid <function> value"."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "Traceback" not in captured.err
+    assert f"argument {flag}: {reason}\n" in captured.err
+    assert "invalid" not in captured.err and "_rational" not in captured.err
+
+
+_SCALAR_PIECES = [*"0123456789+-*/.eE_ ", "tau", "sigma", "\u0661"]
+
+
+@given(st.lists(st.sampled_from(_SCALAR_PIECES), max_size=12).map("".join))
+def test_parse_scalar_returns_a_printable_value_or_refuses(text):
+    try:
+        value = parse_scalar(text)
+    except ValueError:
+        return
+    assert parse_scalar(str(value)) == value
+
+
 def test_unprintable_scalars_exit_2_before_any_work(capsys, monkeypatch):
     """A coefficient too long to print back is refused while parsing,
     before its integers are built, however large its exponent."""
@@ -377,11 +417,13 @@ def test_sweep_rejects_oversized_custom_grid(capsys, monkeypatch):
         raise AssertionError("the grid was listed")
 
     monkeypatch.setattr(GridSpec, "rationals", never_list)
-    argv = ["sweep", "--type", "A", "--n", "5", "--p", "1", "--q", "3"]
-    argv += ["--grid", "custom", "--lo=-1000000", "--hi", "1000000"]
-    assert main(argv) == 2
-    captured = capsys.readouterr()
-    assert "more than" in captured.err and captured.out == ""
+    argv = ["sweep", "--type", "A", "--n", "5", "--p", "1", "--q", "3", "--grid", "custom"]
+    # the second grid's point count has too many digits to print
+    for bounds in (["--lo=-1000000", "--hi", "1000000"], ["--lo=0", "--hi=1", "--step=1e-4000"]):
+        assert main([*argv, *bounds]) == 2
+        captured = capsys.readouterr()
+        assert "more than" in captured.err and captured.out == ""
+        assert captured.err.endswith(" would hold more than 200000 points\n")
 
 
 def test_rank_above_cap_exits_2_before_any_work(capsys, monkeypatch):

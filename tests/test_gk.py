@@ -432,3 +432,62 @@ def test_type_a_gk_invariant_under_common_shift(entries, shift):
     assert dense_gk.gk_dimension_of_weight(shifted, lie) == dense_gk.gk_dimension_of_weight(
         entries, lie
     )
+
+
+# Diagram automorphisms: each maps one setup's parabolic to another's and
+# xi_p, xi_q to fundamental weights of the image, so it relates the GK
+# dimensions of two setups whose block plans, gk_key tables, windows and
+# class splits differ.
+
+
+def _gk_values(setup, points):
+    """GK dimensions at ``points`` through one memo, as a sweep takes them."""
+    memo = {}
+    return [gk_dimension(setup, z1, z2, memo) for z1, z2 in points]
+
+
+def _swapped(points):
+    return [(z2, z1) for z1, z2 in points]
+
+
+def test_sl_n_flip_swaps_the_parameters():
+    """The flip i <-> n - i maps (p, q) to (n - q, n - p), and xi_p and xi_q
+    to xi_(n-p) and xi_(n-q): GK(p, q; z1, z2) = GK(n - q, n - p; z2, z1)."""
+    checked = 0
+    for setup in family_setups("A", 7):
+        n, p, q = setup.n, setup.p, setup.q
+        if (n - q, n - p) < (p, q):
+            continue  # its pair was checked from the other side
+        points = standard_grid(setup).points()
+        flipped = ParabolicSetup(A(n), n - q, n - p)
+        assert _gk_values(setup, points) == _gk_values(flipped, _swapped(points)), setup
+        checked += len(points)
+    assert checked > 25000
+
+
+def test_sl_n_flip_swaps_the_half_lines():
+    for n in range(3, 41):
+        for p in range(1, n - 1):
+            for q in range(p + 1, n):
+                b1, b2, b12 = ParabolicSetup(A(n), p, q).half_lines
+                assert ParabolicSetup(A(n), n - q, n - p).half_lines == (b2, b1, b12)
+
+
+def test_so_2n_spin_swap():
+    """Swapping the two spin nodes fixes (n-1, n) and exchanges z1 and z2
+    there, and maps (1, n-1) to (1, n) at the same point."""
+    for n in range(4, 10):
+        points = standard_grid(ParabolicSetup(D(n), 1, n)).points()
+        spins = ParabolicSetup(D(n), n - 1, n)
+        assert _gk_values(spins, points) == _gk_values(spins, _swapped(points)), n
+        assert _gk_values(ParabolicSetup(D(n), 1, n - 1), points) == _gk_values(
+            ParabolicSetup(D(n), 1, n), points
+        ), n
+
+
+def test_so_8_triality():
+    """Triality of so(8) maps (1, 3) to (3, 4) at the same point."""
+    points = standard_grid(ParabolicSetup(D(4), 1, 3)).points()
+    assert _gk_values(ParabolicSetup(D(4), 1, 3), points) == _gk_values(
+        ParabolicSetup(D(4), 3, 4), points
+    )

@@ -13,7 +13,6 @@ from gvmred import (
     ParabolicSetup,
     ParameterGrid,
     SweepReport,
-    WeightVector,
 )
 
 from conftest import TAU, sc, seq
@@ -37,7 +36,6 @@ def _pairs():
             ParameterGrid(seq(0, "1/2"), seq(0, "1/2"), ()),
             ParameterGrid(axis, axis, ((TAU, TAU),)),
         ),
-        (WeightVector(seq(1, 2)), WeightVector(seq(1, 2)), WeightVector(seq(2, 1))),
     ]
 
 
@@ -72,7 +70,6 @@ def test_repr_lists_fields():
         (ParabolicSetup(LieType("A", 5), 1, 3), "p"),
         (GridSpec(Fraction(0), Fraction(1)), "step"),
         (ParameterGrid(seq(0), seq(0)), "extra_points"),
-        (WeightVector(seq(1)), "entries"),
     ],
     ids=lambda r: type(r).__name__ if not isinstance(r, str) else r,
 )

@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from gvmred import (
     IncomparableScalars,
     conjugate,
-    even_odd_counts,
     minus_double,
     rs_shape,
     rs_tableau,
@@ -21,6 +20,7 @@ from gvmred.tableaux import (
 
 import dense_gk
 from conftest import SIGMA, TAU, sc, seq
+from references import even_odd_counts
 
 
 def longest_weakly_increasing(values) -> int:

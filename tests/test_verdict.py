@@ -11,18 +11,15 @@ from gvmred import (
     LieType,
     NonIntegralWeight,
     ParabolicSetup,
-    WeightVector,
     WrongLieType,
     criterion,
     evaluate,
-    even_odd_counts,
     family_setups,
     has_maximal_shape,
     integrality_classes,
     minus_double,
     rs_shape,
     shifted_weight,
-    single_weight_reducible,
     standard_grid,
     sweep,
 )
@@ -30,6 +27,7 @@ from gvmred.exact import sum_int_at_least
 from gvmred.verdict import _coerce, _int_at_least
 
 from conftest import SIGMA, TAU, sc, scalar_pairs, scalars
+from references import even_odd_counts, single_weight_reducible
 
 A = lambda n: LieType("A", n)
 D = lambda n: LieType("D", n)
@@ -113,7 +111,7 @@ def test_has_maximal_shape_examples():
     with pytest.raises(NonIntegralWeight):
         has_maximal_shape(big, shifted_weight(big, sc("-5/2"), sc("-5/2")))
     with pytest.raises(WrongLieType):
-        has_maximal_shape(ParabolicSetup(D(6), 1, 5), WeightVector(()))
+        has_maximal_shape(ParabolicSetup(D(6), 1, 5), ())
 
 
 def test_type_a_setups_have_nonempty_outer_blocks():
