@@ -38,7 +38,6 @@ from .rootdata import (
     NilpotencyReport,
     ParabolicSetup,
     classify_parabolic,
-    dim_nilradical,
     shifted_weight,
 )
 from .tableaux import (
@@ -50,10 +49,8 @@ from .tableaux import (
 )
 from .verdict import (
     Verdict,
-    WrongLieType,
     criterion,
     evaluate,
-    has_maximal_shape,
 )
 
 __all__ = [name for name in dir() if not name.startswith("_")]

@@ -10,19 +10,20 @@ are ASCII only, underscores are refused and spaces are dropped.  Every
 scalar the tool prints re-parses to an equal value.  Values starting with
 ``-`` are safest passed as ``--z1=-5/2``.
 
-Exit codes: 0 success, 1 verification mismatch, 2 usage or validation error
-(including an ``--n`` above ``MAX_RANK`` (2 000), an ``rs --seq`` of more
-than ``MAX_RANK`` comma-separated entries, a verify ``--max-n`` below the
-family's smallest rank, a verify ``--max-n`` whose family's standard grids
-would hold more than ``harness.MAX_FAMILY_POINTS`` (1 000 000) points, that
-is above 14 for type A or 43 for type D, where a run takes about 6 s and
-10 s, a custom grid larger than ``harness.MAX_GRID_POINTS``, a zero
-denominator in a scalar, a scalar, grid bound or custom grid point with
-more digits than an int prints with (``MAX_DIGITS``), ``--lo``/``--hi``/
-``--step`` without ``--grid custom`` and an ``--out`` path that cannot be
-opened for writing; all before any work).  A refused flag value is
-reported with its reason: ``argument --z1: bad scalar '1/0': zero
-denominator``.
+Exit codes: 0 success; 1 a verification mismatch, or points whose
+evaluation raised (``sweep`` and ``diagram`` print on stderr how many and
+the first); 2 a usage or validation error, before any work, printed as one
+stderr line with its reason, a refused flag value after the flag's name
+(``error: argument --z1: bad scalar '1/0': zero denominator``).  Refused
+are: an ``--n`` above ``MAX_RANK`` (2 000), an ``rs --seq`` of more entries
+than that, a verify ``--max-n`` below the family's smallest rank or whose
+standard grids would hold more than ``harness.MAX_FAMILY_POINTS``
+(1 000 000) points (above 14 for type A or 43 for type D, runs of about
+6 s and 10 s), a custom grid with ``--hi`` below ``--lo`` or larger than
+``harness.MAX_GRID_POINTS``, a zero denominator, a scalar, grid bound or
+custom grid point with more digits than an int prints with
+(``MAX_DIGITS``), ``--lo``/``--hi``/``--step`` without ``--grid custom``
+and an ``--out`` path that cannot be opened for writing.
 """
 
 from __future__ import annotations
@@ -78,8 +79,15 @@ _TERM = re.compile(
 
 
 class BadValue(ValueError, argparse.ArgumentTypeError):
-    """A refused value.  Raised by a ``type=`` function, argparse prints its
-    message after the flag name; from a command, ``main`` prints it."""
+    """A refused value; raised by a ``type=`` function, it follows the flag name."""
+
+
+class _Parser(argparse.ArgumentParser):
+    """Raises each refusal as a ``BadValue``, for ``main`` to print on one line."""
+
+    def error(self, message):
+        # argparse quotes a bad value, but not an unrecognized argument
+        raise BadValue(" ".join(message.splitlines()))
 
 
 def _prints(value: Fraction) -> bool:
@@ -151,7 +159,7 @@ def _add_parameter_flags(parser):
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="gvmred",
         description="Reducibility of scalar generalized Verma modules for "
         "sl(n,C) and so(2n,C) with two removed simple roots.",
@@ -198,7 +206,17 @@ def _open_out(out_path: str | None):
     try:
         return open(out_path, "w", encoding="utf-8")
     except OSError as exc:
-        raise ValueError(f"cannot write {out_path}: {exc.strerror}") from None
+        raise ValueError(f"cannot write {out_path!r}: {exc.strerror}") from None
+
+
+def _raised(report) -> int:
+    """0, or 1 after naming on stderr how many sweep points raised and the first."""
+    if not report.errors:
+        return 0
+    z1, z2, exc = report.errors[0]
+    count = f"{len(report.errors)} of {len(report.rows) + len(report.errors)} points"
+    print(f"error: {count} raised, first z1={z1} z2={z2}: {exc}", file=sys.stderr)
+    return 1
 
 
 def _cmd_gkdim(args) -> int:
@@ -249,7 +267,7 @@ def _cmd_sweep(args) -> int:
     with _open_out(args.out) as out:
         report = sweep(setup, grid)
         out.write(report_to_csv(report) if args.format == "csv" else report_to_json(report))
-    return 0
+    return _raised(report)
 
 
 def _cmd_verify(args) -> int:
@@ -285,6 +303,8 @@ def _cmd_diagram(args) -> int:
         raise ValueError("diagram needs exactly one of --out FILE.svg or --ascii")
     with _open_out(args.out) as out:
         report = sweep(setup, standard_grid(setup))
+        if report.errors:  # a picture with points missing would mislead
+            return _raised(report)
         out.write(render_diagram(report, "ascii" if args.ascii else "svg"))
     return 0
 
@@ -300,13 +320,11 @@ _COMMANDS = {
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else 2
-    try:
+        args = build_parser().parse_args(argv)
         return _COMMANDS[args.command](args)
+    except SystemExit as exc:  # --help, after printing the help
+        return exc.code
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

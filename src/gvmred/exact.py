@@ -5,9 +5,9 @@ symbols.  The symbols stand for parameters carrying no integrality
 relations: a scalar with a nonzero symbol part is never an integer, never
 a half-integer, and never passes an ordering threshold against a rational.
 Two symbol names (``tau``, ``sigma``) are enough for every criterion in
-this package, but the type accepts any names.  Scalars are ordered
-(``<`` and the like) only when their symbol parts are equal; otherwise
-the comparison raises ``IncomparableScalars``.
+this package, but the type accepts any names.  Scalars have no order;
+``tableaux`` ranks a sequence's rational parts and refuses mixed symbol
+parts with ``IncomparableScalars``.
 
 Each scalar decodes its canonical form into plain integers once, when it
 is built: ``num`` and ``den`` of the rational part and ``terms``, the
@@ -27,7 +27,7 @@ from typing import Mapping, Sequence, Union
 
 
 class IncomparableScalars(ValueError):
-    """Order comparison between scalars with different symbol parts."""
+    """A sequence to be ordered mixes different symbol parts."""
 
 
 RationalLike = Union[int, Fraction]
@@ -138,28 +138,6 @@ class ExactScalar:
 
     def __hash__(self):
         return self._hash
-
-    def _require_comparable(self, other) -> "ExactScalar":
-        coerced = self._coerce(other)
-        if coerced is None:
-            raise TypeError(f"cannot compare ExactScalar with {type(other).__name__}")
-        if self.generic != coerced.generic:
-            raise IncomparableScalars(
-                f"cannot order {self} against {coerced}: symbol parts differ"
-            )
-        return coerced
-
-    def __lt__(self, other):
-        return self.rational < self._require_comparable(other).rational
-
-    def __le__(self, other):
-        return self.rational <= self._require_comparable(other).rational
-
-    def __gt__(self, other):
-        return self.rational > self._require_comparable(other).rational
-
-    def __ge__(self, other):
-        return self.rational >= self._require_comparable(other).rational
 
     def __repr__(self):
         return f"ExactScalar({self!s})"

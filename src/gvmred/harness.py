@@ -15,7 +15,7 @@ from operator import attrgetter
 from typing import NamedTuple
 
 from .exact import ExactScalar, symbol
-from .rootdata import FrozenRecord, LieType, ParabolicSetup, Record
+from .rootdata import FrozenRecord, LieType, ParabolicSetup
 from .verdict import Verdict, evaluate
 
 
@@ -47,6 +47,8 @@ class GridSpec(FrozenRecord):
     def __init__(self, lo: Fraction, hi: Fraction, step: Fraction = Fraction(1, 2)):
         if step <= 0:
             raise ValueError(f"grid step must be positive, got {step}")
+        if hi < lo:
+            raise ValueError(f"grid bounds must have lo <= hi, got lo={lo}, hi={hi}")
         self.__dict__.update(lo=lo, hi=hi, step=step)
         if self.point_bound > MAX_GRID_POINTS:
             raise ValueError(  # the bound itself may have too many digits to print
@@ -57,7 +59,7 @@ class GridSpec(FrozenRecord):
     @property
     def axis_length(self) -> int:
         """Number of rationals lo, lo + step, ... up to hi."""
-        return max(0, (self.hi - self.lo) // self.step + 1)
+        return (self.hi - self.lo) // self.step + 1
 
     @property
     def point_bound(self) -> int:
@@ -133,12 +135,10 @@ class SweepRow(NamedTuple):
     verdict: Verdict
 
 
-class SweepReport(Record):
-    _fields = ("setup", "rows", "errors")
-
-    def __init__(self, setup: ParabolicSetup, rows: list[SweepRow], errors: list | None = None):
-        self.setup, self.rows = setup, rows
-        self.errors: list[tuple[str, str, str]] = [] if errors is None else errors
+class SweepReport(NamedTuple):
+    setup: ParabolicSetup
+    rows: list[SweepRow]
+    errors: list[tuple[str, str, str]]
 
     @property
     def summary(self) -> dict:
@@ -160,17 +160,17 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     The GK memo (saturated form values -> GK dimension) lives for this
     one sweep.
     """
-    report = SweepReport(setup=setup, rows=[])
+    rows, errors = [], []
     memo: dict = {}
     for z1, z2 in grid.points():
         try:
-            report.rows.append(SweepRow(z1, z2, evaluate(setup, z1, z2, memo)))
+            rows.append(SweepRow(z1, z2, evaluate(setup, z1, z2, memo)))
         except Exception as exc:  # collected, not fatal
-            report.errors.append((str(z1), str(z2), repr(exc)))
-    return report
+            errors.append((str(z1), str(z2), repr(exc)))
+    return SweepReport(setup, rows, errors)
 
 
-class MismatchReport(Record):
+class MismatchReport(NamedTuple):
     """Outcome of a family verification.
 
     ``errors`` holds (setup, z1, z2, exception) for each point whose
@@ -178,21 +178,11 @@ class MismatchReport(Record):
     grids, so a run that skipped or lost points cannot pass.
     """
 
-    _fields = ("mismatches", "setups_checked", "points_checked", "errors", "grid_points")
-
-    def __init__(
-        self,
-        mismatches: list[tuple[ParabolicSetup, SweepRow]],
-        setups_checked: int = 0,
-        points_checked: int = 0,
-        errors: list[tuple[ParabolicSetup, str, str, str]] | None = None,
-        grid_points: int = 0,
-    ):
-        self.mismatches = mismatches
-        self.setups_checked = setups_checked
-        self.points_checked = points_checked
-        self.errors = [] if errors is None else errors
-        self.grid_points = grid_points
+    mismatches: list[tuple[ParabolicSetup, SweepRow]]
+    setups_checked: int
+    points_checked: int
+    errors: list[tuple[ParabolicSetup, str, str, str]]
+    grid_points: int
 
     @property
     def ok(self) -> bool:
@@ -249,18 +239,17 @@ def verify_family(kind: str, n_max: int) -> MismatchReport:
             f"type {kind} up to rank {n_max} would sweep more than "
             f"{MAX_FAMILY_POINTS} grid points"
         )
-    report = MismatchReport(mismatches=[])
-    for setup in family_setups(kind, n_max):
+    setups = family_setups(kind, n_max)
+    mismatches, errors = [], []
+    points = grid_points = 0
+    for setup in setups:
         grid = standard_grid(setup)
         swept = sweep(setup, grid)
-        report.setups_checked += 1
-        report.grid_points += len(grid)
-        report.points_checked += len(swept.rows)
-        report.errors.extend((setup, *error) for error in swept.errors)
-        report.mismatches.extend(
-            (setup, row) for row in swept.rows if not row.verdict.agree
-        )
-    return report
+        grid_points += len(grid)
+        points += len(swept.rows)
+        errors.extend((setup, *error) for error in swept.errors)
+        mismatches.extend((setup, row) for row in swept.rows if not row.verdict.agree)
+    return MismatchReport(mismatches, len(setups), points, errors, grid_points)
 
 
 # ---------------------------------------------------------------------------
@@ -367,14 +356,10 @@ def render_diagram(report: SweepReport, format: str = "svg") -> str:
     """
     if format not in ("svg", "ascii"):
         raise UnsupportedGrid(f"unknown diagram format {format!r}")
-    if not report.rows:
-        return _render_empty(format)
     rational = [r for r in report.rows if r.z1.is_rational and r.z2.is_rational]
-    if not rational:
-        raise UnsupportedGrid("no rational cartesian points to draw")
     xs = sorted({r.z1.rational for r in rational})
     ys = sorted({r.z2.rational for r in rational})
-    if len(xs) * len(ys) != len(rational):
+    if not rational or len(xs) * len(ys) != len(rational):  # an empty report too
         raise UnsupportedGrid("rational points do not form a cartesian grid")
     verticals, horizontals, antidiagonals = _detect_lines(report)
     generic_rows = [r for r in report.rows if not (r.z1.is_rational and r.z2.is_rational)]
@@ -391,20 +376,6 @@ def render_diagram(report: SweepReport, format: str = "svg") -> str:
     if format == "ascii":
         return _render_ascii(rational, xs, ys, legend)
     return _render_svg(rational, xs, ys, verticals, horizontals, antidiagonals, legend)
-
-
-def _render_empty(format: str) -> str:
-    if format == "ascii":
-        return "(empty sweep)\n"
-    size = 2 * MARGIN
-    mid = MARGIN
-    return (
-        f'<svg xmlns="http://www.w3.org/2000/svg" width="{size}" height="{size}">\n'
-        f'<rect x="0" y="0" width="{size}" height="{size}" fill="white"/>\n'
-        f'<line x1="0" y1="{mid}" x2="{size}" y2="{mid}" stroke="lightgray"/>\n'
-        f'<line x1="{mid}" y1="0" x2="{mid}" y2="{size}" stroke="lightgray"/>\n'
-        "</svg>\n"
-    )
 
 
 def _render_ascii(rational, xs, ys, legend) -> str:

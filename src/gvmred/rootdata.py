@@ -41,14 +41,14 @@ class IndexOutOfRange(ValueError):
 class InvalidParabolic(ValueError):
     """The requested parabolic is not two-step nilpotent non-maximal."""
 
-    def __init__(self, message: str, step: int | None = None, maximal: bool | None = None):
+    def __init__(self, message: str, step: int | None = None):
         super().__init__(message)
         self.step = step
-        self.maximal = maximal
 
 
-class Record:
-    """Equality and a repr over the fields named in ``_fields``; unhashable."""
+class FrozenRecord:
+    """Equality, hash and repr over the fields named in ``_fields``, set once
+    in ``__init__`` through ``__dict__``, where ``cached_property`` writes."""
 
     _fields: tuple[str, ...] = ()
 
@@ -60,17 +60,12 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
+    def __hash__(self):
+        return hash(self._values())
+
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._fields)
         return f"{type(self).__name__}({fields})"
-
-
-class FrozenRecord(Record):
-    """A hashable ``Record`` whose attributes are set once, in ``__init__``
-    through ``__dict__``; ``cached_property`` writes there too."""
-
-    def __hash__(self):
-        return hash(self._values())
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
@@ -141,14 +136,13 @@ class ParabolicSetup(FrozenRecord):
     def __init__(self, lie: LieType, p: int, q: int):
         if not p < q:
             raise InvalidParabolic(f"need p < q, got p={p}, q={q}")
-        report = classify_parabolic(lie, (p, q))
-        if report.maximal or report.step != 2:
+        # p < q removes two roots, so the parabolic is never maximal
+        step = classify_parabolic(lie, (p, q)).step
+        if step != 2:
             raise InvalidParabolic(
                 f"parabolic removing ({p},{q}) from {lie.kind}, n={lie.n} "
-                f"is {report.step}-step nilpotent"
-                + (" and maximal" if report.maximal else ""),
-                step=report.step,
-                maximal=report.maximal,
+                f"is {step}-step nilpotent",
+                step=step,
             )
         self.__dict__.update(lie=lie, p=p, q=q)
 
@@ -172,7 +166,10 @@ class ParabolicSetup(FrozenRecord):
     @cached_property
     def dim_u(self) -> int:
         """Dimension of the nilradical, computed on first use."""
-        return dim_nilradical(self)
+        n, p, q = self.n, self.p, self.q
+        if self.lie.kind == "A":
+            return q * (n - q) + p * (q - p)
+        return (n * n + n - 2) // 2
 
     @cached_property
     def block_plan(self) -> BlockPlan:
@@ -245,14 +242,6 @@ class ParabolicSetup(FrozenRecord):
             differences=differences,
             sums=sums[0] if sums else None,
         )
-
-
-def dim_nilradical(setup: ParabolicSetup) -> int:
-    """Dimension of the nilradical of the parabolic."""
-    n, p, q = setup.n, setup.p, setup.q
-    if setup.lie.kind == "A":
-        return q * (n - q) + p * (q - p)
-    return (n * n + n - 2) // 2
 
 
 def shifted_weight(setup: ParabolicSetup, z1, z2) -> tuple[ExactScalar, ...]:

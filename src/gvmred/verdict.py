@@ -21,14 +21,9 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exact import ExactScalar, integer_difference, sum_int_at_least
-from .gk import NonIntegralWeight, gk_dimension
+from .exact import ExactScalar, sum_int_at_least
+from .gk import gk_dimension
 from .rootdata import ParabolicSetup
-from .tableaux import conjugate, rs_shape
-
-
-class WrongLieType(ValueError):
-    """A type-specific test was called for the other Lie type."""
 
 
 class Verdict(NamedTuple):
@@ -74,21 +69,3 @@ def evaluate(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> Verdict
         gk=gk, dim_u=du, reducible=reducible, criterion=crit, agree=reducible == crit
     )
 
-
-def has_maximal_shape(setup: ParabolicSetup, entries: tuple[ExactScalar, ...]) -> bool:
-    """Whether the insertion tableau of an integral type A weight, given by
-    its entries, has the three-column shape with column lengths
-    {p, q-p, n-q} (zeros dropped).
-
-    For integral weights this holds exactly when the GK dimension attains
-    the nilradical dimension.
-    """
-    if setup.lie.kind != "A":
-        raise WrongLieType("the three-column shape test is for type A")
-    if any(integer_difference(e, entries[0]) is None for e in entries[1:]):
-        raise NonIntegralWeight("the three-column shape test needs an integral weight")
-    columns = conjugate(rs_shape(entries))
-    target = tuple(
-        sorted((c for c in (setup.p, setup.q - setup.p, setup.n - setup.q) if c), reverse=True)
-    )
-    return columns == target

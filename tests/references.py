@@ -2,14 +2,20 @@
 
 ``single_weight_reducible`` is the maximal-parabolic case of the
 criterion, kept as a reference for the two-parameter half-lines;
-``even_odd_counts`` splits a shape's boxes by parity, for the type D
-shape checks.
+``has_maximal_shape`` reads the same verdict off an integral type A
+weight's insertion tableau; ``even_odd_counts`` splits a shape's boxes
+by parity, for the type D shape checks.
 """
 
 from __future__ import annotations
 
-from gvmred import IndexOutOfRange
+from gvmred import IndexOutOfRange, NonIntegralWeight, conjugate, rs_shape
+from gvmred.exact import integer_difference
 from gvmred.verdict import _coerce, _int_at_least
+
+
+class WrongLieType(ValueError):
+    """A type-specific test was called for the other Lie type."""
 
 
 def single_weight_reducible(n: int, p: int, z) -> bool:
@@ -17,6 +23,25 @@ def single_weight_reducible(n: int, p: int, z) -> bool:
     if not 1 <= p <= n - 1:
         raise IndexOutOfRange(f"p={p} out of range for sl({n})")
     return _int_at_least(_coerce(z), 1 - min(p, n - p))
+
+
+def has_maximal_shape(setup, entries) -> bool:
+    """Whether the insertion tableau of an integral type A weight, given by
+    its entries, has the three-column shape with column lengths
+    {p, q-p, n-q} (zeros dropped).
+
+    For integral weights this holds exactly when the GK dimension attains
+    the nilradical dimension.
+    """
+    if setup.lie.kind != "A":
+        raise WrongLieType("the three-column shape test is for type A")
+    if any(integer_difference(e, entries[0]) is None for e in entries[1:]):
+        raise NonIntegralWeight("the three-column shape test needs an integral weight")
+    columns = conjugate(rs_shape(entries))
+    target = tuple(
+        sorted((c for c in (setup.p, setup.q - setup.p, setup.n - setup.q) if c), reverse=True)
+    )
+    return columns == target
 
 
 def even_odd_counts(shape: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int, ...]]:

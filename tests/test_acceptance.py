@@ -18,7 +18,6 @@ from gvmred import (
     evaluate,
     family_setups,
     gk_dimension,
-    has_maximal_shape,
     render_diagram,
     report_to_csv,
     report_to_json,
@@ -32,7 +31,7 @@ from gvmred import (
 import dense_gk
 from conftest import SIGMA, TAU, sc
 from dense_gk import gk_dimension_integral
-from references import even_odd_counts, single_weight_reducible
+from references import even_odd_counts, has_maximal_shape, single_weight_reducible
 
 A = lambda n: LieType("A", n)
 D = lambda n: LieType("D", n)

@@ -1,18 +1,28 @@
+import io
 import json
 import os
 import subprocess
 import sys
 import time
+from contextlib import redirect_stderr, redirect_stdout
 from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from gvmred import ExactScalar, LieType, MismatchReport, ParabolicSetup, standard_grid, symbol
+from gvmred import (
+    ExactScalar,
+    LieType,
+    MismatchReport,
+    ParabolicSetup,
+    family_setups,
+    standard_grid,
+    symbol,
+)
 from gvmred.cli import main, parse_scalar
 
-from conftest import SIGMA, TAU, sc
+from conftest import SIGMA, TAU, sc, scalars
 
 
 def test_parse_scalar_syntaxes():
@@ -216,7 +226,9 @@ def test_verify_command_mismatch_exit_code(capsys, monkeypatch):
     row = SweepRow(sc(0), sc(0), Verdict(5, 8, True, False, False))
 
     def fake_verify(kind, n_max):
-        return MismatchReport(mismatches=[(setup, row)], setups_checked=1, points_checked=1)
+        return MismatchReport(
+            [(setup, row)], setups_checked=1, points_checked=1, errors=[], grid_points=1
+        )
 
     monkeypatch.setattr(cli_mod, "verify_family", fake_verify)
     code = main(["verify", "--type", "A", "--max-n", "5"])
@@ -271,25 +283,77 @@ _CUSTOM = ["sweep", "--type", "A", "--n", "4", "--p", "1", "--q", "2", "--grid",
 
 
 @pytest.mark.parametrize(
-    "argv, flag, reason",
+    "argv, line",
     [
-        ([*_REDUCE, "--z1=1e-5000", "--z2=0"], "--z1", "bad scalar '1e-5000': more than 4300 digits"),
-        ([*_REDUCE, "--z1=1/0*tau", "--z2=0"], "--z1", "bad scalar '1/0*tau': zero denominator"),
-        ([*_CUSTOM, "--lo", "nan", "--hi", "1"], "--lo", "bad scalar 'nan'"),
-        ([*_CUSTOM, "--lo=tau", "--hi", "1"], "--lo", "'tau' is not rational"),
-        ([*_REDUCE, "--z1=1_000", "--z2=0"], "--z1", "bad scalar '1_000'"),
-        ([*_REDUCE, "--z1=0", "--z2=\u0661"], "--z2", "bad scalar '\u0661'"),
+        ([*_REDUCE, "--z1=1e-5000", "--z2=0"], "argument --z1: bad scalar '1e-5000': more than 4300 digits"),
+        ([*_REDUCE, "--z1=1/0*tau", "--z2=0"], "argument --z1: bad scalar '1/0*tau': zero denominator"),
+        ([*_CUSTOM, "--lo", "nan", "--hi", "1"], "argument --lo: bad scalar 'nan'"),
+        ([*_CUSTOM, "--lo=tau", "--hi", "1"], "argument --lo: 'tau' is not rational"),
+        ([*_REDUCE, "--z1=1_000", "--z2=0"], "argument --z1: bad scalar '1_000'"),
+        ([*_REDUCE, "--z1=0", "--z2=\u0661"], "argument --z2: bad scalar '\u0661'"),
+        ([*_REDUCE, "--z1=0"], "the following arguments are required: --z2"),
+        (
+            ["verify", "--type", "B", "--max-n", "5"],
+            "argument --type: invalid choice: 'B' (choose from 'A', 'D')",
+        ),
+        ([*_REDUCE, "--z1=0", "--z2=0", "--z3=a\nb"], "unrecognized arguments: --z3=a b"),
     ],
-    ids=["digit-cap", "zero-denominator", "nan-bound", "symbolic-bound", "underscore", "arabic-indic"],
+    ids=[
+        "digit-cap", "zero-denominator", "nan-bound", "symbolic-bound", "underscore",
+        "arabic-indic", "missing-flag", "bad-choice", "unknown-flag",
+    ],
 )
-def test_refused_values_name_the_flag_and_the_reason(argv, flag, reason, capsys):
-    """argparse prints a refusal word for word after the flag name, not as
-    "invalid <function> value"."""
+def test_refused_values_name_the_flag_and_the_reason(argv, line, capsys):
+    """A refusal is one stderr line: argparse's reason word for word after
+    the flag name, not "invalid <function> value", and no usage block."""
     assert main(argv) == 2
     captured = capsys.readouterr()
-    assert captured.out == "" and "Traceback" not in captured.err
-    assert f"argument {flag}: {reason}\n" in captured.err
-    assert "invalid" not in captured.err and "_rational" not in captured.err
+    assert captured.out == "" and captured.err == f"error: {line}\n"
+    assert "_rational" not in captured.err
+
+
+def test_inverted_custom_grid_exits_2_before_sweeping(capsys, monkeypatch):
+    import gvmred.cli as cli_mod
+
+    monkeypatch.setattr(cli_mod, "sweep", _no_sweep)
+    assert main([*_CUSTOM, "--lo=1", "--hi=0"]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: grid bounds must have lo <= hi, got lo=1, hi=0\n"
+    monkeypatch.undo()
+    # lo == hi is a one-point axis
+    assert main([*_CUSTOM, "--lo=1", "--hi=1"]) == 0
+    z1 = {line.split(",")[4] for line in capsys.readouterr().out.splitlines()[1:]}
+    assert z1 == {"1", "1/3", "tau", "sigma", "1+tau"}
+
+
+def test_sweep_and_diagram_exit_1_when_points_raise(capsys, monkeypatch):
+    import gvmred.verdict as verdict_mod
+
+    criterion = verdict_mod.criterion
+
+    def broken_at_minus_one(setup, z1, z2):
+        if z1 == -1:
+            raise RuntimeError("criterion failed")
+        return criterion(setup, z1, z2)
+
+    monkeypatch.setattr(verdict_mod, "criterion", broken_at_minus_one)
+    setup_flags = _REDUCE[1:]
+    grid = standard_grid(ParabolicSetup(LieType("A", 4), 1, 2))
+    raised = sum(1 for z1, _ in grid.points() if z1 == -1)
+    first = next(z2 for z1, z2 in grid.points() if z1 == -1)
+    expected = (
+        f"error: {raised} of {len(grid)} points raised, first z1=-1 z2={first}: "
+        "RuntimeError('criterion failed')\n"
+    )
+    assert main(["sweep", *setup_flags]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == expected
+    # the rows that evaluated are still written
+    assert len(captured.out.splitlines()) == 1 + len(grid) - raised
+    assert main(["diagram", *setup_flags, "--ascii"]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == expected and captured.out == ""
 
 
 _SCALAR_PIECES = [*"0123456789+-*/.eE_ ", "tau", "sigma", "\u0661"]
@@ -372,13 +436,14 @@ def test_unwritable_out_exits_2_before_sweeping(tmp_path, capsys, monkeypatch):
     import gvmred.cli as cli_mod
 
     monkeypatch.setattr(cli_mod, "sweep", _no_sweep)
-    out = tmp_path / "missing" / "x.svg"
+    out = tmp_path / "missing" / "x\ny.svg"  # the path is quoted, so one line
     setup = ["--type", "A", "--n", "5", "--p", "1", "--q", "3"]
     for argv in (["diagram", *setup, "--out", str(out)], ["sweep", *setup, "--out", str(out)]):
         assert main(argv) == 2
         captured = capsys.readouterr()
         assert captured.out == ""
-        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.err.startswith(f"error: cannot write {str(out)!r}: ")
+        assert captured.err.count("\n") == 1
     assert not out.parent.exists()
 
 
@@ -522,3 +587,82 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
     with pytest.raises(KeyError):
         main(["gkdim", "--type", "A", "--n", "8", "--p", "2", "--q", "5",
               "--z1=-2", "--z2=-2"])
+
+
+# The argv fuzz: commands, their flags in any order, good values (setups up
+# to rank 8, conftest scalars, custom grids of at most 3 rationals per axis,
+# so under 50 points, verify up to rank 5) and junk strings.
+_JUNK = st.text(max_size=8)
+_SETUP_FLAGS = ("--type", "--n", "--p", "--q")
+_COMMAND_FLAGS = {
+    "gkdim": (*_SETUP_FLAGS, "--z1", "--z2"),
+    "reduce": (*_SETUP_FLAGS, "--z1", "--z2", "--format"),
+    "rs": ("--seq",),
+    "sweep": (*_SETUP_FLAGS, "--grid", "--lo", "--hi", "--step", "--format"),
+    "verify": ("--type", "--max-n"),
+    "diagram": (*_SETUP_FLAGS, "--ascii"),
+}
+_SETUPS = [
+    dict(zip(_SETUP_FLAGS, map(str, (s.lie.kind, s.n, s.p, s.q))))
+    for kind in "AD"
+    for s in family_setups(kind, 8)
+]
+
+
+@st.composite
+def _argvs(draw):
+    # one command, flag value or trailing argument in about 20 is junk (a
+    # draw of 1), and one flag in 20 is left out (a draw of 2); hypothesis
+    # favours the ends of a range, 0 and 19 here
+    command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
+    if draw(st.integers(0, 19)) == 1:
+        command = draw(_JUNK)
+    good = {  # a string is the flag's value, True a bare flag, None no flag
+        "--type": draw(st.sampled_from("AD")),
+        "--n": str(draw(st.integers(-1, 8))),
+        "--p": str(draw(st.integers(-1, 8))),
+        "--q": str(draw(st.integers(-1, 8))),
+        "--z1": str(draw(scalars)),
+        "--z2": str(draw(scalars)),
+        "--format": draw(st.sampled_from(("json", "csv" if command == "sweep" else "text"))),
+        "--seq": ",".join(map(str, draw(st.lists(scalars, min_size=1, max_size=8)))),
+        "--max-n": str(draw(st.integers(-1, 5))),
+        "--ascii": True,
+    }
+    if draw(st.booleans()):
+        good.update(draw(st.sampled_from(_SETUPS)))
+    if draw(st.booleans()):
+        step = draw(st.sampled_from(("1/2", "1", "3/2", "1/3", "0", "-1")))
+        lo = Fraction(draw(st.integers(-6, 6)), 2)
+        hi = lo + draw(st.integers(-1, 2)) * Fraction(step)
+        good.update({"--grid": "custom", "--lo": str(lo), "--hi": str(hi), "--step": step})
+    argv = [command]
+    for flag in draw(st.permutations(_COMMAND_FLAGS.get(command, ()))):
+        kind = draw(st.integers(0, 19))
+        value = draw(_JUNK) if kind == 1 else None if kind == 2 else good.get(flag)
+        if value is True:
+            argv.append(flag)
+        elif value is None:
+            continue
+        elif draw(st.integers(0, 3)) != 1:
+            argv.append(f"{flag}={value}")
+        else:  # a value starting with "-" then reads as a flag
+            argv += [flag, value]
+    if draw(st.integers(0, 19)) == 1:
+        argv.append(draw(_JUNK))
+    return argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(_argvs())
+def test_main_exits_0_or_refuses_with_one_line(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(argv)
+    out, err = out.getvalue(), err.getvalue()
+    assert code in (0, 2), (code, err)
+    assert "Traceback" not in err
+    if code == 2:
+        assert out == "" and err.startswith("error: ") and len(err.splitlines()) == 1, err
+    else:
+        assert err == ""

@@ -1,11 +1,9 @@
 from fractions import Fraction
 
-import pytest
 from hypothesis import example, given, strategies as st
 
 from gvmred import (
     ExactScalar,
-    IncomparableScalars,
     sub_is_integer,
     sum_is_integer,
     symbol,
@@ -64,13 +62,6 @@ def test_sum_is_integer_examples():
     assert not sum_is_integer(sc("1/2"), sc("1/4"))
 
 
-def test_rich_comparisons_follow_compare():
-    assert sc("1/2") < sc(1)
-    assert TAU + 1 >= TAU
-    with pytest.raises(IncomparableScalars):
-        _ = TAU < SIGMA
-
-
 def test_predicates():
     assert sc(3).is_integer
     assert not sc("3/2").is_integer
@@ -107,14 +98,6 @@ def test_type_d_relation_transitive(a, b, c):
 def test_negation_swaps_sum_and_difference(a, b):
     assert sub_is_integer(a, -b) == sum_is_integer(a, b)
     assert sum_is_integer(a, -b) == sub_is_integer(a, b)
-
-
-@given(rationals, rationals, st.sampled_from(_GENERIC_POOL))
-def test_compare_totally_orders_common_fibers(x, y, gen):
-    a = ExactScalar(x, gen)
-    b = ExactScalar(y, gen)
-    assert [a < b, a == b, a > b].count(True) == 1
-    assert (a < b) == (b > a) and (a <= b) == (b >= a)
 
 
 def test_str_is_canonical():

@@ -12,7 +12,6 @@ from gvmred import (
     LieType,
     NonIntegralWeight,
     ParabolicSetup,
-    dim_nilradical,
     family_setups,
     gk_dimension,
     integrality_classes,
@@ -89,13 +88,13 @@ def test_gk_type_d_first_pattern_paper_values():
 
 def test_gk_type_a_generic_and_boundary():
     setup = ParabolicSetup(A(8), 2, 5)
-    assert gk_dimension(setup, TAU, TAU) == 21 == dim_nilradical(setup)
+    assert gk_dimension(setup, TAU, TAU) == 21 == setup.dim_u
     assert gk_dimension(setup, sc("-5/2"), sc("-5/2")) == 21
 
 
 def test_gk_type_d_spin_pair_generic():
     setup = ParabolicSetup(D(6), 5, 6)
-    assert gk_dimension(setup, TAU, TAU) == 20 == dim_nilradical(setup)
+    assert gk_dimension(setup, TAU, TAU) == 20 == setup.dim_u
 
 
 def _random_setup(rng):
@@ -139,7 +138,7 @@ def test_gk_bounds_and_nilradical_cap():
         gk = gk_dimension(setup, _random_scalar(rng), _random_scalar(rng))
         upper = n * (n - 1) // 2 if setup.lie.kind == "A" else n * n - n
         assert 0 <= gk <= upper
-        assert gk <= dim_nilradical(setup)
+        assert gk <= setup.dim_u
 
 
 def test_integral_path_rejects_split_weights():

@@ -11,7 +11,6 @@ from gvmred import (
     LieType,
     ParabolicSetup,
     classify_parabolic,
-    dim_nilradical,
     family_setups,
     shifted_weight,
 )
@@ -110,10 +109,10 @@ def test_singleton_removal_is_maximal_for_valid_setups():
 
 
 def test_dim_nilradical_values():
-    assert dim_nilradical(ParabolicSetup(LieType("A", 8), 2, 5)) == 21
-    assert dim_nilradical(ParabolicSetup(LieType("D", 6), 1, 5)) == 20
+    assert ParabolicSetup(LieType("A", 8), 2, 5).dim_u == 21
+    assert ParabolicSetup(LieType("D", 6), 1, 5).dim_u == 20
     s = ParabolicSetup(LieType("A", 5), 2, 3)
-    assert dim_nilradical(s) == 8 == (s.p + 1) * (s.n - s.p) - 1
+    assert s.dim_u == 8 == (s.p + 1) * (s.n - s.p) - 1
 
 
 def test_adjacent_pair_dimension_identity():

@@ -11,11 +11,9 @@ from gvmred import (
     LieType,
     NonIntegralWeight,
     ParabolicSetup,
-    WrongLieType,
     criterion,
     evaluate,
     family_setups,
-    has_maximal_shape,
     integrality_classes,
     minus_double,
     rs_shape,
@@ -27,7 +25,12 @@ from gvmred.exact import sum_int_at_least
 from gvmred.verdict import _coerce, _int_at_least
 
 from conftest import SIGMA, TAU, sc, scalar_pairs, scalars
-from references import even_odd_counts, single_weight_reducible
+from references import (
+    WrongLieType,
+    even_odd_counts,
+    has_maximal_shape,
+    single_weight_reducible,
+)
 
 A = lambda n: LieType("A", n)
 D = lambda n: LieType("D", n)
