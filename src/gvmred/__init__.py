@@ -10,7 +10,6 @@ from .exact import (
 )
 from .gk import (
     ClassDecomposition,
-    NonIntegralWeight,
     gk_dimension,
     integrality_classes,
 )

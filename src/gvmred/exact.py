@@ -13,16 +13,22 @@ Each scalar decodes its canonical form into plain integers once, when it
 is built: ``num`` and ``den`` of the rational part and ``terms``, the
 symbol part as ``(name, numerator, denominator)`` triples, with
 ``neg_terms`` its negation.  The tests below (``scalars_equal``,
-``integer_difference``, ``integer_sum``, and ``form_values``, the oracle's
-one integrality decision per point) and the criteria elsewhere read only
-these fields, so they build no scalar and do no ``Fraction`` arithmetic.
+``integer_difference``, ``integer_sum``, and the oracle's integrality
+decision, the form values) and the criteria elsewhere read only these
+fields, so they build no scalar and do no ``Fraction`` arithmetic.
+
+The form values (x*z1 + y*z2)/2 come in two steps: ``decode_point``
+reads a point's common denominator and symbol kernel once, and
+``form_column`` tests one integer pair (x, y) against many decoded
+points.  ``form_values`` runs both for one point and many pairs; a grid
+(``harness.ParameterGrid``) decodes its points once and keeps one column
+per pair for every setup swept over it.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from itertools import repeat
-from math import gcd, inf
+from math import gcd
 from typing import Mapping, Sequence, Union
 
 
@@ -221,7 +227,58 @@ def _symbol_kernel(g1, g2) -> tuple[int, int] | None:
     return b, -a
 
 
-_UNBOUNDED = (-inf, inf)
+# A point decoded for ``form_column``: (n1, n2, scale, u, v), the rational
+# parts of z1 and z2 being n1/d and n2/d over one denominator d = scale/2,
+# and (u, v) the symbol kernel ((0, 0) when both parameters are rational);
+# None when no nonzero integer pair cancels the symbol parts.
+DecodedPoint = Union[tuple[int, int, int, int, int], None]
+
+
+def decode_point(z1: ExactScalar, z2: ExactScalar) -> DecodedPoint:
+    """The common denominator and the symbol kernel of (z1, z2), read once
+    per point for every form."""
+    n1, d1, n2, d2 = z1.num, z1.den, z2.num, z2.den
+    if d1 != d2:  # the rational parts over one denominator
+        g = gcd(d1, d2)
+        n1, n2, d1 = n1 * (d2 // g), n2 * (d1 // g), d1 // g * d2
+    g1, g2 = z1.terms, z2.terms
+    if not g1:
+        u, v = (1, 0) if g2 else (0, 0)  # with a symbolic z2, y must be 0
+    elif not g2:
+        u, v = 0, 1
+    else:
+        kernel = _symbol_kernel(g1, g2)
+        if kernel is None:
+            return None
+        u, v = kernel
+    return n1, n2, 2 * d1, u, v
+
+
+def form_column(points: Sequence[DecodedPoint], form: tuple[int, int]) -> tuple[int | None, ...]:
+    """Per decoded point: (x*z1 + y*z2)/2 for the integer pair ``form`` =
+    (x, y), as an int when it is an integer, else None.
+
+    The symbol parts of x*z1 + y*z2 cancel exactly when x*v == y*u; then
+    the value is an integer when the rational parts, over their common
+    denominator, divide.
+    """
+    x, y = form
+    column = []
+    for point in points:
+        if point is None:
+            column.append(None)
+            continue
+        n1, n2, scale, u, v = point
+        t = x * n1 + y * n2
+        column.append(None if x * v != y * u or t % scale else t // scale)
+    return tuple(column)
+
+
+def saturate(column: Sequence[int | None], window: tuple[int, int]) -> tuple[int | None, ...]:
+    """``column`` with each int clamped to ``window`` = (lo, hi); None stays
+    None."""
+    lo, hi = window
+    return tuple(v if v is None or lo <= v <= hi else lo if v < lo else hi for v in column)
 
 
 def form_values(
@@ -233,34 +290,13 @@ def form_values(
     """Per integer pair (x, y): (x*z1 + y*z2)/2 as an int when it is an
     integer, else None; builds no scalar.
 
-    The symbol parts of x*z1 + y*z2 cancel exactly when x*v == y*u for a
-    direction (u, v) found once per point ((0, 0) when both parameters
-    are rational); the rational parts are put over one common denominator.
-    ``forms`` holds no (0, 0) pair.  With ``windows``, one (lo, hi) per
-    pair, each int value is clamped to its window (saturated); None stays
-    None.
+    The one-point form of ``form_column``: the point is decoded once for
+    all pairs.  ``forms`` holds no (0, 0) pair.  With ``windows``, one
+    (lo, hi) per pair, each int value is clamped to its window
+    (saturated); None stays None.
     """
-    n1, d1, n2, d2 = z1.num, z1.den, z2.num, z2.den
-    if d1 != d2:  # the rational parts over one denominator
-        g = gcd(d1, d2)
-        n1, n2, d1 = n1 * (d2 // g), n2 * (d1 // g), d1 // g * d2
-    scale = 2 * d1
-    g1, g2 = z1.terms, z2.terms
-    if not g1:
-        u, v = (1, 0) if g2 else (0, 0)  # with a symbolic z2, y must be 0
-    elif not g2:
-        u, v = 0, 1
-    else:
-        kernel = _symbol_kernel(g1, g2)
-        if kernel is None:
-            return (None,) * len(forms)
-        u, v = kernel
-    values = []
-    for (x, y), (lo, hi) in zip(forms, repeat(_UNBOUNDED) if windows is None else windows):
-        t = x * n1 + y * n2
-        if x * v != y * u or t % scale:
-            values.append(None)
-        else:
-            t //= scale
-            values.append(lo if t < lo else hi if t > hi else t)
-    return tuple(values)
+    point = (decode_point(z1, z2),)
+    columns = [form_column(point, form) for form in forms]
+    if windows is not None:
+        columns = map(saturate, columns, windows)
+    return tuple(column[0] for column in columns)

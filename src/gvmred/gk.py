@@ -33,12 +33,17 @@ and each comparison of two keys of a class is one of those values against
 an integer threshold (a difference or sum of rho entries).  So
 ``gk_dimension`` keys its memo on the values saturated at the windows of
 ``ParabolicSetup.gk_key`` (each int clamped to one past its extreme
-thresholds; ``exact.form_values``, the one integrality decision per
-point): points with equal saturated values have equal None patterns, so
-equal class splits, and keys in the same order, so equal GK dimensions.
-A new key's classes and integer keys are built from the exact values
-(``key_readers``, ``_gk_from_values``), since the key bases are not the
-saturated ones.  A memo belongs to one sweep of one setup.
+thresholds): points with equal saturated values have equal None
+patterns, so equal class splits, and keys in the same order, so equal GK
+dimensions.  A new key's classes and integer keys are built from the
+exact values (``key_readers``, ``_gk_from_values``), since the key bases
+are not the saturated ones.  A memo belongs to one sweep of one setup.
+
+The form values are the oracle's only integrality decision.  A sweep
+reads them, exact and saturated, off its grid's form columns
+(``harness.sweep``), so each grid point is decoded once for every setup
+swept over the grid; a one-point call computes them with
+``exact.form_values``.
 
 ``integrality_classes`` runs the same split on a dense weight of
 ExactScalars, one single-entry block per coordinate, reading the entries'
@@ -69,10 +74,6 @@ from .rootdata import shifted_weight  # noqa: F401
 Member = tuple[int, bool]  # (block index, joined to the class head by a sum)
 # (b, c) -> o_b - o_c, or o_b + o_c, as an int when it is an integer, else None
 Reader = Callable[[int, int], "int | None"]
-
-
-class NonIntegralWeight(ValueError):
-    """A weight required to be integral has several integrality classes."""
 
 
 class ClassDecomposition(NamedTuple):
@@ -185,25 +186,32 @@ def integrality_classes(entries, lie: LieType) -> ClassDecomposition:
     return ClassDecomposition(classes, labeled.get(0), labeled.get(1), tuple(others))
 
 
-def gk_dimension(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> int:
+def gk_dimension(
+    setup: ParabolicSetup, z1, z2, memo: dict | None = None, values: tuple | None = None
+) -> int:
     """GK dimension at the scalar highest weight z1*xi_p + z2*xi_q.
 
-    ``memo`` maps the point's form values (``exact.form_values`` over
-    ``setup.gk_key.forms``), saturated at its windows, to GK
-    dimensions; equal saturated values give equal class splits and keys in
-    the same order, so equal GK dimensions.  A new key's classes and keys
-    are built from the exact values, computed again.  A sweep passes one
-    dict for all its points, so a point whose saturated values were seen
-    before costs the values and a lookup.  Without it the point gets a
-    fresh dict.
+    ``memo`` maps the point's form values over ``setup.gk_key.forms``,
+    saturated at its windows, to GK dimensions; equal saturated values give
+    equal class splits and keys in the same order, so equal GK dimensions.
+    A new key's classes and keys are built from the exact values.  A sweep
+    passes one dict for all its points, so a point whose saturated values
+    were seen before costs a lookup.  Without it the point gets a fresh
+    dict.
+
+    ``values`` is the pair (saturated, exact) of the point's form values,
+    as a sweep reads them off its grid's columns; without it both are
+    computed here with ``exact.form_values``.
     """
     if memo is None:
         memo = {}
-    z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
-    z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
-    forms, windows, _, _ = setup.gk_key
-    key = form_values(forms, z1, z2, windows)
+    if values is None:
+        z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
+        z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
+        forms, windows, _, _ = setup.gk_key
+        values = form_values(forms, z1, z2, windows), form_values(forms, z1, z2)
+    key, exact = values
     gk = memo.get(key)
     if gk is None:
-        gk = memo[key] = _gk_from_values(setup, form_values(forms, z1, z2))
+        gk = memo[key] = _gk_from_values(setup, exact)
     return gk

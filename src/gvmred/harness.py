@@ -14,7 +14,7 @@ from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
-from .exact import ExactScalar, symbol
+from .exact import DecodedPoint, ExactScalar, decode_point, form_column, saturate, symbol
 from .rootdata import FrozenRecord, LieType, ParabolicSetup
 from .verdict import Verdict, evaluate
 
@@ -35,9 +35,9 @@ MAX_GRID_POINTS = 200_000
 FAMILY_MIN_N = {"A": 3, "D": 4}
 # Largest family a verification may sweep, in standard-grid points before
 # de-duplication.  The largest families under it, A up to rank 14 (923 650
-# points) and D up to rank 43 (985 080), take about 6 s and 10 s with
-# `gvmred verify` (2 CPUs, Python 3.11.7); per-point cost grows with the
-# rank, faster in type D.
+# points) and D up to rank 43 (985 080), take about 5 s and 10 s with
+# `gvmred verify` (2 CPUs, Python 3.11.7, interpreter start included);
+# per-point cost grows with the rank, faster in type D.
 MAX_FAMILY_POINTS = 1_000_000
 
 
@@ -94,6 +94,24 @@ class ParameterGrid(FrozenRecord):
 
     def __len__(self) -> int:
         return len(self._points)
+
+    def form_column(self, form: tuple[int, int]) -> tuple[int | None, ...]:
+        """(x*z1 + y*z2)/2 at every point, in grid order, for ``form`` =
+        (x, y): an int when it is an integer, else None.  The points are
+        decoded on the first call and each column is kept, so every setup
+        swept over this grid shares them."""
+        column = self._columns.get(form)
+        if column is None:
+            column = self._columns[form] = form_column(self._decoded, form)
+        return column
+
+    @cached_property
+    def _decoded(self) -> tuple[DecodedPoint, ...]:
+        return tuple([decode_point(z1, z2) for z1, z2 in self._points])
+
+    @cached_property
+    def _columns(self) -> dict[tuple[int, int], tuple[int | None, ...]]:
+        return {}
 
 
 def grid_from_spec(spec: GridSpec) -> ParameterGrid:
@@ -158,13 +176,18 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
 
     A point whose evaluation raises is recorded in ``errors``, not in ``rows``.
     The GK memo (saturated form values -> GK dimension) lives for this
-    one sweep.
+    one sweep.  Each point's form values, exact and saturated, are read
+    off the grid's columns for the setup's forms, each column clamped at
+    its window once.
     """
     rows, errors = [], []
     memo: dict = {}
-    for z1, z2 in grid.points():
+    forms, windows, _, _ = setup.gk_key
+    exact = [grid.form_column(form) for form in forms]
+    values = zip(zip(*map(saturate, exact, windows)), zip(*exact))
+    for (z1, z2), point_values in zip(grid.points(), values):
         try:
-            rows.append(SweepRow(z1, z2, evaluate(setup, z1, z2, memo)))
+            rows.append(SweepRow(z1, z2, evaluate(setup, z1, z2, memo, point_values)))
         except Exception as exc:  # collected, not fatal
             errors.append((str(z1), str(z2), repr(exc)))
     return SweepReport(setup, rows, errors)

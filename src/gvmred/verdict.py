@@ -55,17 +55,17 @@ def criterion(setup: ParabolicSetup, z1, z2) -> bool:
     return _int_at_least(z1, b1) or _int_at_least(z2, b2) or sum_int_at_least(z1, z2, b12)
 
 
-def evaluate(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> Verdict:
+def evaluate(
+    setup: ParabolicSetup, z1, z2, memo: dict | None = None, values: tuple | None = None
+) -> Verdict:
     """Oracle verdict plus criterion answer and agreement flag.
 
-    ``memo`` is handed to ``gk_dimension``; the criterion runs at every
-    point.
+    ``memo`` and ``values`` (the point's saturated and exact form values,
+    read off a grid's columns) are handed to ``gk_dimension``; the
+    criterion runs at every point, on the parameters themselves.
     """
-    gk = gk_dimension(setup, z1, z2, memo)
+    gk = gk_dimension(setup, z1, z2, memo, values)
     du = setup.dim_u
     reducible = gk < du
     crit = criterion(setup, z1, z2)
-    return Verdict(
-        gk=gk, dim_u=du, reducible=reducible, criterion=crit, agree=reducible == crit
-    )
-
+    return Verdict(gk, du, reducible, crit, reducible == crit)

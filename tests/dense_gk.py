@@ -8,11 +8,11 @@ representative (equal or negated symbol parts, and a ``Fraction``
 difference or sum of the rational parts with denominator 1), and
 Robinson-Schensted insertion runs on the rational parts.  From the
 package it takes only the scalar type (whose decoded ``den``/``terms``
-label a class) and the exceptions ``IndexOutOfRange`` and
-``NonIntegralWeight``; it calls no function of ``gvmred.rootdata``,
-``gvmred.gk``, ``gvmred.tableaux`` or the integer tests of
-``gvmred.exact``, so the block computation in the package can be
-checked against it.
+label a class) and the exception ``IndexOutOfRange``; it calls no
+function of ``gvmred.rootdata``, ``gvmred.gk``, ``gvmred.tableaux`` or
+the integer tests of ``gvmred.exact``, so the block computation in the
+package can be checked against it.  ``NonIntegralWeight``, which only
+the tests raise, is defined here.
 """
 
 from __future__ import annotations
@@ -21,7 +21,11 @@ from bisect import bisect_right
 from fractions import Fraction
 from functools import lru_cache
 
-from gvmred import ExactScalar, IndexOutOfRange, NonIntegralWeight
+from gvmred import ExactScalar, IndexOutOfRange
+
+
+class NonIntegralWeight(ValueError):
+    """A weight required to be integral has several integrality classes."""
 
 
 @lru_cache(maxsize=None)

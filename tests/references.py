@@ -9,9 +9,11 @@ by parity, for the type D shape checks.
 
 from __future__ import annotations
 
-from gvmred import IndexOutOfRange, NonIntegralWeight, conjugate, rs_shape
+from gvmred import IndexOutOfRange, conjugate, rs_shape
 from gvmred.exact import integer_difference
 from gvmred.verdict import _coerce, _int_at_least
+
+from dense_gk import NonIntegralWeight
 
 
 class WrongLieType(ValueError):

@@ -10,7 +10,6 @@ import gvmred.verdict as verdict_module
 from gvmred import (
     ExactScalar,
     LieType,
-    NonIntegralWeight,
     ParabolicSetup,
     family_setups,
     gk_dimension,
@@ -24,7 +23,7 @@ from gvmred.tableaux import key_columns
 
 import conftest
 from conftest import SIGMA, TAU, sc, seq
-from dense_gk import gk_dimension_integral
+from dense_gk import NonIntegralWeight, gk_dimension_integral
 
 A = lambda n: LieType("A", n)
 D = lambda n: LieType("D", n)

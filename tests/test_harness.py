@@ -4,7 +4,9 @@ import xml.etree.ElementTree as ET
 from fractions import Fraction
 
 import pytest
+from hypothesis import example, given, settings, strategies as st
 
+import gvmred.harness as harness_mod
 from gvmred import (
     GridSpec,
     LieType,
@@ -12,6 +14,7 @@ from gvmred import (
     ParameterGrid,
     UnsupportedGrid,
     criterion,
+    evaluate,
     family_setups,
     render_diagram,
     report_to_csv,
@@ -20,10 +23,15 @@ from gvmred import (
     sweep,
     verify_family,
 )
+from gvmred.exact import decode_point, form_values, saturate
 from gvmred.harness import MAX_GRID_POINTS, SweepRow, format_field, grid_from_spec
 from gvmred.verdict import Verdict
 
-from conftest import SIGMA, TAU, sc
+from conftest import SIGMA, TAU, sc, scalar_pairs
+
+FORM_LISTS = st.lists(
+    st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any), min_size=1, max_size=6
+)
 
 A = lambda n: LieType("A", n)
 D = lambda n: LieType("D", n)
@@ -151,8 +159,6 @@ def test_standard_grid_is_shared_within_a_rank():
 
 @pytest.mark.parametrize("kind, n_max, ranks", [("A", 9, 7), ("D", 8, 5)])
 def test_verify_family_builds_one_grid_per_rank(monkeypatch, kind, n_max, ranks):
-    import gvmred.harness as harness_mod
-
     built = []
 
     def counted(spec):
@@ -168,6 +174,93 @@ def test_verify_family_builds_one_grid_per_rank(monkeypatch, kind, n_max, ranks)
     assert len(built) == len(set(built)) == ranks
     assert report.ok and report.points_checked == report.grid_points
     assert report.setups_checked == len(family_setups(kind, n_max))
+
+
+def test_building_a_grid_decodes_nothing_and_a_rank_decodes_each_point_once(monkeypatch):
+    """The form columns are built lazily: listing the points decodes none of
+    them, and the sweeps of every setup of one rank, which share the grid,
+    decode each point once between them."""
+    decoded = []
+
+    def counted(z1, z2):
+        decoded.append((z1, z2))
+        return decode_point(z1, z2)
+
+    harness_mod._rank_grid.cache_clear()  # a grid no other test has swept
+    monkeypatch.setattr(harness_mod, "decode_point", counted)
+    try:
+        for kind, n in (("A", 6), ("D", 7)):
+            setups = [s for s in family_setups(kind, n) if s.n == n]
+            grid = standard_grid(setups[0])
+            assert len(grid) == len(grid.points()) and not decoded
+            for setup in setups:
+                assert standard_grid(setup) is grid
+                assert not sweep(setup, grid).errors
+            assert len(decoded) == len(grid) and set(decoded) == set(grid.points())
+            decoded.clear()
+    finally:
+        harness_mod._rank_grid.cache_clear()  # nor one decoded through the patch
+
+
+def _record_swept_values(monkeypatch) -> list:
+    """From now on, the (saturated, exact) form values ``sweep`` hands to
+    ``evaluate`` at each point, with the point, in grid order."""
+    seen = []
+
+    def recording(setup, z1, z2, memo, values):
+        seen.append((z1, z2, values))
+        return evaluate(setup, z1, z2, memo, values)
+
+    monkeypatch.setattr(harness_mod, "evaluate", recording)
+    return seen
+
+
+CUSTOM_GRID = grid_from_spec(GridSpec(Fraction(-7, 3), Fraction(5, 2), Fraction(5, 6)))
+
+
+@pytest.mark.parametrize(
+    "setups",
+    [family_setups("A", 7), family_setups("D", 9)],
+    ids=["A<=7", "D<=9"],
+)
+def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setups):
+    """On every point of the standard grids and of a custom grid, the form
+    values a sweep reads off the grid's columns are ``form_values`` of the
+    point, saturated at the setup's windows and exact."""
+    seen = _record_swept_values(monkeypatch)
+    checked = 0
+    for setup in setups:
+        forms, windows, _, _ = setup.gk_key
+        for grid in (standard_grid(setup), CUSTOM_GRID):
+            seen.clear()
+            assert not sweep(setup, grid).errors and len(seen) == len(grid)
+            for z1, z2, (key, exact) in seen:
+                assert key == form_values(forms, z1, z2, windows), (setup, z1, z2)
+                assert exact == form_values(forms, z1, z2), (setup, z1, z2)
+            checked += len(seen)
+    assert checked > 25000
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(scalar_pairs(), min_size=1, max_size=12), FORM_LISTS)
+# symbol parts that no nonzero pair cancels, one symbolic parameter, and
+# coupled points whose sum is rational
+@example([(TAU, SIGMA), (TAU, sc(2)), (sc(2), SIGMA)], [(2, 0), (2, 2), (0, 2), (1, -1)])
+@example(
+    [(sc("-5/2") + TAU, sc(1) - TAU), (TAU + 1, sc("1/2") - TAU), (TAU, -TAU)],
+    [(2, 0), (2, 2), (0, 2), (4, 2), (1, 1), (3, -1)],
+)
+def test_grid_columns_match_form_values(pairs, forms):
+    """A grid's kept columns, exact and saturated, hold ``form_values`` of
+    each of its points."""
+    windows = [(-2 - i, 1 + i) for i in range(len(forms))]
+    grid = ParameterGrid((), (), tuple(pairs))
+    exact = [grid.form_column(form) for form in forms]
+    assert all(grid.form_column(form) is column for form, column in zip(forms, exact))
+    saturated = list(map(saturate, exact, windows))
+    for i, (z1, z2) in enumerate(grid.points()):
+        assert tuple(column[i] for column in exact) == form_values(forms, z1, z2)
+        assert tuple(column[i] for column in saturated) == form_values(forms, z1, z2, windows)
 
 
 def test_grid_spec_rejects_nonpositive_step():
@@ -192,8 +285,6 @@ def test_verify_family_below_family_minimum_is_not_ok():
 
 
 def test_verify_family_cap_is_checked_before_any_setup(monkeypatch):
-    import gvmred.harness as harness_mod
-
     bound = harness_mod.family_point_bound
     assert bound("A", 9) == sum(
         harness_mod._standard_spec(s.n).point_bound for s in family_setups("A", 9)

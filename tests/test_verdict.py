@@ -9,7 +9,6 @@ from gvmred import (
     ExactScalar,
     IndexOutOfRange,
     LieType,
-    NonIntegralWeight,
     ParabolicSetup,
     criterion,
     evaluate,
@@ -25,6 +24,7 @@ from gvmred.exact import sum_int_at_least
 from gvmred.verdict import _coerce, _int_at_least
 
 from conftest import SIGMA, TAU, sc, scalar_pairs, scalars
+from dense_gk import NonIntegralWeight
 from references import (
     WrongLieType,
     even_odd_counts,
