@@ -14,8 +14,9 @@ is built: ``num`` and ``den`` of the rational part and ``terms``, the
 symbol part as ``(name, numerator, denominator)`` triples, with
 ``neg_terms`` its negation.  The tests below (``scalars_equal``,
 ``integer_difference``, ``integer_sum``, and the oracle's integrality
-decision, the form values) and the criteria elsewhere read only these
-fields, so they build no scalar and do no ``Fraction`` arithmetic.
+decision, the form values) and the criterion's values
+(``verdict.criterion_values``) read only these fields, so they build no
+scalar and do no ``Fraction`` arithmetic.
 
 The form values (x*z1 + y*z2)/2 come in two steps: ``decode_point``
 reads a point's common denominator and symbol kernel once, and
@@ -170,7 +171,7 @@ def symbol(name: str, coeff: RationalLike = 1) -> ExactScalar:
 
 # The tests below read the integer fields of canonical scalars (reduced
 # fractions with positive denominators) and build no scalar, so they are
-# cheap enough for the per-point criteria.
+# cheap enough to run at every grid point.
 
 
 def scalars_equal(a: ExactScalar, b: ExactScalar) -> bool:
@@ -204,12 +205,6 @@ def sub_is_integer(a: ExactScalar, b: ExactScalar) -> bool:
 def sum_is_integer(a: ExactScalar, b: ExactScalar) -> bool:
     """True when a + b is an integer (symbol parts must be negatives)."""
     return integer_sum(a, b) is not None
-
-
-def sum_int_at_least(a: ExactScalar, b: ExactScalar, bound: int) -> bool:
-    """True when a + b is an integer >= bound."""
-    total = integer_sum(a, b)
-    return total is not None and total >= bound
 
 
 def _symbol_kernel(g1, g2) -> tuple[int, int] | None:
@@ -278,7 +273,7 @@ def saturate(column: Sequence[int | None], window: tuple[int, int]) -> tuple[int
     """``column`` with each int clamped to ``window`` = (lo, hi); None stays
     None."""
     lo, hi = window
-    return tuple(v if v is None or lo <= v <= hi else lo if v < lo else hi for v in column)
+    return tuple([v if v is None or lo <= v <= hi else lo if v < lo else hi for v in column])
 
 
 def form_values(

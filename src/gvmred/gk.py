@@ -40,9 +40,10 @@ exact values (``key_readers``, ``_gk_from_values``), since the key bases
 are not the saturated ones.  A memo belongs to one sweep of one setup.
 
 The form values are the oracle's only integrality decision.  A sweep
-reads them, exact and saturated, off its grid's form columns
-(``harness.sweep``), so each grid point is decoded once for every setup
-swept over the grid; a one-point call computes them with
+reads them, exact and saturated, off its grid's form columns, keeps its
+own memo and calls ``_gk_from_values`` on a miss (``harness.sweep``), so
+each grid point is decoded once for every setup swept over the grid;
+``gk_dimension``, the one-point call, computes them with
 ``exact.form_values``.
 
 ``integrality_classes`` runs the same split on a dense weight of
@@ -186,32 +187,26 @@ def integrality_classes(entries, lie: LieType) -> ClassDecomposition:
     return ClassDecomposition(classes, labeled.get(0), labeled.get(1), tuple(others))
 
 
-def gk_dimension(
-    setup: ParabolicSetup, z1, z2, memo: dict | None = None, values: tuple | None = None
-) -> int:
+def gk_dimension(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> int:
     """GK dimension at the scalar highest weight z1*xi_p + z2*xi_q.
 
     ``memo`` maps the point's form values over ``setup.gk_key.forms``,
     saturated at its windows, to GK dimensions; equal saturated values give
     equal class splits and keys in the same order, so equal GK dimensions.
-    A new key's classes and keys are built from the exact values.  A sweep
-    passes one dict for all its points, so a point whose saturated values
-    were seen before costs a lookup.  Without it the point gets a fresh
-    dict.
-
-    ``values`` is the pair (saturated, exact) of the point's form values,
-    as a sweep reads them off its grid's columns; without it both are
-    computed here with ``exact.form_values``.
+    A new key's classes and keys are built from the exact values.  Callers
+    that query many points of one setup pass one dict for all of them, so
+    a point whose saturated values were seen before costs a lookup.
+    Without it the point gets a fresh dict.  Both kinds of values are
+    computed here with ``exact.form_values``; ``harness.sweep`` reads them
+    off its grid's columns instead.
     """
+    z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
+    z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
+    forms, windows, _, _ = setup.gk_key
+    key = form_values(forms, z1, z2, windows)
     if memo is None:
         memo = {}
-    if values is None:
-        z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
-        z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
-        forms, windows, _, _ = setup.gk_key
-        values = form_values(forms, z1, z2, windows), form_values(forms, z1, z2)
-    key, exact = values
     gk = memo.get(key)
     if gk is None:
-        gk = memo[key] = _gk_from_values(setup, exact)
+        gk = memo[key] = _gk_from_values(setup, form_values(forms, z1, z2))
     return gk

@@ -5,6 +5,15 @@ extends past every reducibility boundary, adds a non-half-integral rational
 and the generic symbols tau and sigma on each axis, and couples symbol
 offsets (a+tau, b-tau) so the "integral sum, non-integral parts" branches
 are exercised.  Sweeps are deterministic: rows are emitted in grid order.
+
+A sweep decides a setup by columns.  Its grid keeps, for every setup swept
+over it, the oracle's form values per form (``ParameterGrid.form_column``)
+and the criterion's values per point (``ParameterGrid.criterion_values``),
+each built on first use.  The sweep clamps the form columns at the setup's
+windows, runs ``verdict.criterion_column`` over the criterion values, and
+then, per point, looks the GK dimension up in its memo, calling
+``gk._gk_from_values`` on a miss.  The one-point route,
+``verdict.evaluate``, serves ``gvmred reduce``.
 """
 
 from __future__ import annotations
@@ -14,9 +23,14 @@ from functools import cached_property, lru_cache
 from operator import attrgetter
 from typing import NamedTuple
 
+from . import gk, verdict
 from .exact import DecodedPoint, ExactScalar, decode_point, form_column, saturate, symbol
 from .rootdata import FrozenRecord, LieType, ParabolicSetup
-from .verdict import Verdict, evaluate
+from .verdict import CriterionValues, Verdict, criterion_values
+
+# Unused here; kept importable from this module, where perfbench/tracing.py
+# wraps it.
+from .verdict import evaluate  # noqa: F401
 
 
 class UnsupportedGrid(ValueError):
@@ -35,7 +49,7 @@ MAX_GRID_POINTS = 200_000
 FAMILY_MIN_N = {"A": 3, "D": 4}
 # Largest family a verification may sweep, in standard-grid points before
 # de-duplication.  The largest families under it, A up to rank 14 (923 650
-# points) and D up to rank 43 (985 080), take about 5 s and 10 s with
+# points) and D up to rank 43 (985 080), take about 1.5 s and 4.5 s with
 # `gvmred verify` (2 CPUs, Python 3.11.7, interpreter start included);
 # per-point cost grows with the rank, faster in type D.
 MAX_FAMILY_POINTS = 1_000_000
@@ -104,6 +118,17 @@ class ParameterGrid(FrozenRecord):
         if column is None:
             column = self._columns[form] = form_column(self._decoded, form)
         return column
+
+    def criterion_values(self) -> tuple[CriterionValues, ...]:
+        """(z1, z2, z1 + z2) at every point, in grid order, each an int when
+        it is an integer, else None (``verdict.criterion_values``).  Read
+        off the scalars themselves, not the decoded points, on the first
+        call, and kept for every setup swept over this grid."""
+        return self._criterion_values
+
+    @cached_property
+    def _criterion_values(self) -> tuple[CriterionValues, ...]:
+        return tuple(criterion_values(self._points))
 
     @cached_property
     def _decoded(self) -> tuple[DecodedPoint, ...]:
@@ -174,20 +199,43 @@ class SweepReport(NamedTuple):
 def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     """Evaluate oracle and criterion at every grid point, in grid order.
 
-    A point whose evaluation raises is recorded in ``errors``, not in ``rows``.
-    The GK memo (saturated form values -> GK dimension) lives for this
-    one sweep.  Each point's form values, exact and saturated, are read
-    off the grid's columns for the setup's forms, each column clamped at
-    its window once.
+    The column passes come first: the grid's form columns for the setup's
+    forms, each clamped at its window, and ``verdict.criterion_column``
+    over the grid's criterion values.  If one of them raises, every point
+    is recorded in ``errors``.  Then each point looks its clamped form
+    values up in the GK memo, which lives for this one sweep; a miss calls
+    ``gk._gk_from_values`` on the exact values.  A point whose lookup
+    raises is recorded in ``errors``, not in ``rows``, and nothing is
+    memoised for it.  Rows with equal GK dimension and criterion share one
+    ``Verdict``.
     """
+    points = grid.points()
+    try:
+        forms, windows, _, _ = setup.gk_key
+        du = setup.dim_u
+        exact = [grid.form_column(form) for form in forms]
+        keys = zip(*map(saturate, exact, windows))
+        criteria = verdict.criterion_column(setup, grid.criterion_values())
+    except Exception as exc:  # collected, not fatal
+        error = repr(exc)
+        return SweepReport(setup, [], [(str(z1), str(z2), error) for z1, z2 in points])
     rows, errors = [], []
-    memo: dict = {}
-    forms, windows, _, _ = setup.gk_key
-    exact = [grid.form_column(form) for form in forms]
-    values = zip(zip(*map(saturate, exact, windows)), zip(*exact))
-    for (z1, z2), point_values in zip(grid.points(), values):
+    memo: dict = {}  # clamped form values -> verdicts (criterion false, true)
+    by_gk: dict = {}  # GK dimension -> the same pair
+    for (z1, z2), key, values, crit in zip(points, keys, zip(*exact), criteria):
         try:
-            rows.append(SweepRow(z1, z2, evaluate(setup, z1, z2, memo, point_values)))
+            pair = memo.get(key)
+            if pair is None:
+                dim = gk._gk_from_values(setup, values)
+                pair = by_gk.get(dim)
+                if pair is None:
+                    reducible = dim < du
+                    pair = by_gk[dim] = (
+                        Verdict(dim, du, reducible, False, not reducible),
+                        Verdict(dim, du, reducible, True, reducible),
+                    )
+                memo[key] = pair
+            rows.append(SweepRow(z1, z2, pair[crit]))
         except Exception as exc:  # collected, not fatal
             errors.append((str(z1), str(z2), repr(exc)))
     return SweepReport(setup, rows, errors)

@@ -9,21 +9,32 @@ its half-line Z>=b1, Z>=b2 or Z>=b12, three bounds fixed by the setup
 is these three families of lines; the diagonal z1 = z2 needs no case of
 its own.  Sweeps cross-check the two answers point by point.
 
+The criterion comes in two steps, like the form values of ``exact``:
+``criterion_values`` reads z1, z2 and z1 + z2 of each point as an int
+when it is an integer, else None, and ``criterion_column`` tests those
+triples against one setup's half-lines.  A grid
+(``harness.ParameterGrid``) keeps the values of its points for every
+setup swept over it; ``criterion`` runs both steps for one point.
+
 Coset membership such as "z in c + Z>=0" is decided exactly: a scalar with
-a nonzero symbol part never lies in a rational coset and never passes an
-ordering threshold.  The tests read each parameter's decoded integer
-fields (``num``, ``den`` and the ``terms`` triples of its symbol part,
-stored when the scalar is built), so a criterion builds no scalar and
-does no Fraction arithmetic.
+a nonzero symbol part is never an integer.  The values are read off each
+parameter's decoded integer fields (``num``, ``den`` and the ``terms``
+triples of its symbol part, stored when the scalar is built) and
+``exact.integer_sum``, so the criterion builds no scalar and does no
+Fraction arithmetic.  This is an integrality decision of its own: it
+shares nothing with the oracle's form values (``exact.form_column``).
 """
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
-from .exact import ExactScalar, sum_int_at_least
+from .exact import ExactScalar, integer_sum
 from .gk import gk_dimension
 from .rootdata import ParabolicSetup
+
+# (z1, z2, z1 + z2) at one point, each an int when it is an integer, else None
+CriterionValues = tuple["int | None", "int | None", "int | None"]
 
 
 class Verdict(NamedTuple):
@@ -38,33 +49,43 @@ def _coerce(z) -> ExactScalar:
     return z if isinstance(z, ExactScalar) else ExactScalar(z)
 
 
-def _int_at_least(z: ExactScalar, bound: int) -> bool:
-    """z is a plain integer >= bound."""
-    return z.den == 1 and not z.terms and z.num >= bound
+def criterion_values(points: Iterable[tuple[ExactScalar, ExactScalar]]) -> list[CriterionValues]:
+    """Per point (z1, z2): z1, z2 and z1 + z2, each as an int when it is
+    an integer, else None; builds no scalar."""
+    return [
+        (
+            z1.num if z1.den == 1 and not z1.terms else None,
+            z2.num if z2.den == 1 and not z2.terms else None,
+            integer_sum(z1, z2),
+        )
+        for z1, z2 in points
+    ]
 
 
-def criterion(setup: ParabolicSetup, z1, z2) -> bool:
-    """The closed form at (z1, z2): z1, z2 or z1 + z2 is an integer on its
-    half-line of ``setup.half_lines``.
+def criterion_column(setup: ParabolicSetup, values: Iterable[CriterionValues]) -> list[bool]:
+    """Per triple of ``criterion_values``: z1, z2 or z1 + z2 is an integer
+    on its half-line of ``setup.half_lines``.
 
     The same three tests decide the diagonal z1 = z2, so nothing compares
     the two parameters.
     """
-    z1, z2 = _coerce(z1), _coerce(z2)
     b1, b2, b12 = setup.half_lines
-    return _int_at_least(z1, b1) or _int_at_least(z2, b2) or sum_int_at_least(z1, z2, b12)
+    return [
+        (a is not None and a >= b1) or (b is not None and b >= b2) or (s is not None and s >= b12)
+        for a, b, s in values
+    ]
 
 
-def evaluate(
-    setup: ParabolicSetup, z1, z2, memo: dict | None = None, values: tuple | None = None
-) -> Verdict:
-    """Oracle verdict plus criterion answer and agreement flag.
+def criterion(setup: ParabolicSetup, z1, z2) -> bool:
+    """The closed form at one point (z1, z2): ``criterion_column`` of its
+    ``criterion_values``."""
+    return criterion_column(setup, criterion_values(((_coerce(z1), _coerce(z2)),)))[0]
 
-    ``memo`` and ``values`` (the point's saturated and exact form values,
-    read off a grid's columns) are handed to ``gk_dimension``; the
-    criterion runs at every point, on the parameters themselves.
-    """
-    gk = gk_dimension(setup, z1, z2, memo, values)
+
+def evaluate(setup: ParabolicSetup, z1, z2) -> Verdict:
+    """Oracle verdict plus criterion answer and agreement flag at one
+    point; ``harness.sweep`` decides a whole grid by columns."""
+    gk = gk_dimension(setup, z1, z2)
     du = setup.dim_u
     reducible = gk < du
     crit = criterion(setup, z1, z2)

@@ -1,7 +1,9 @@
 """Closed forms and shape counts that only the tests use.
 
-``single_weight_reducible`` is the maximal-parabolic case of the
-criterion, kept as a reference for the two-parameter half-lines;
+``int_at_least`` and ``sum_int_at_least`` are one-point half-line tests
+on the scalars' integer fields, for the case-by-case criterion
+references; ``single_weight_reducible`` is the maximal-parabolic case of
+the criterion, kept as a reference for the two-parameter half-lines;
 ``has_maximal_shape`` reads the same verdict off an integral type A
 weight's insertion tableau; ``even_odd_counts`` splits a shape's boxes
 by parity, for the type D shape checks.
@@ -10,8 +12,8 @@ by parity, for the type D shape checks.
 from __future__ import annotations
 
 from gvmred import IndexOutOfRange, conjugate, rs_shape
-from gvmred.exact import integer_difference
-from gvmred.verdict import _coerce, _int_at_least
+from gvmred.exact import integer_difference, integer_sum
+from gvmred.verdict import _coerce
 
 from dense_gk import NonIntegralWeight
 
@@ -20,11 +22,22 @@ class WrongLieType(ValueError):
     """A type-specific test was called for the other Lie type."""
 
 
+def int_at_least(z, bound: int) -> bool:
+    """z is a plain integer >= bound."""
+    return z.den == 1 and not z.terms and z.num >= bound
+
+
+def sum_int_at_least(a, b, bound: int) -> bool:
+    """a + b is an integer >= bound."""
+    total = integer_sum(a, b)
+    return total is not None and total >= bound
+
+
 def single_weight_reducible(n: int, p: int, z) -> bool:
     """Reducibility for the one-parameter weight z * xi_p in type A."""
     if not 1 <= p <= n - 1:
         raise IndexOutOfRange(f"p={p} out of range for sl({n})")
-    return _int_at_least(_coerce(z), 1 - min(p, n - p))
+    return int_at_least(_coerce(z), 1 - min(p, n - p))
 
 
 def has_maximal_shape(setup, entries) -> bool:

@@ -240,10 +240,10 @@ def test_verify_command_mismatch_exit_code(capsys, monkeypatch):
 def test_verify_command_counts_errors(capsys, monkeypatch):
     import gvmred.verdict as verdict_mod
 
-    def broken(setup, z1, z2):
+    def broken(setup, values):
         raise RuntimeError("criterion failed")
 
-    monkeypatch.setattr(verdict_mod, "criterion", broken)
+    monkeypatch.setattr(verdict_mod, "criterion_column", broken)
     code = main(["verify", "--type", "A", "--max-n", "3"])
     out = capsys.readouterr().out
     points = len(standard_grid(ParabolicSetup(LieType("A", 3), 1, 2)))
@@ -328,23 +328,35 @@ def test_inverted_custom_grid_exits_2_before_sweeping(capsys, monkeypatch):
 
 
 def test_sweep_and_diagram_exit_1_when_points_raise(capsys, monkeypatch):
-    import gvmred.verdict as verdict_mod
+    import gvmred.gk as gk_mod
+    from gvmred.exact import form_values, saturate
 
-    criterion = verdict_mod.criterion
+    setup = ParabolicSetup(LieType("A", 4), 1, 2)
+    forms, windows, _, _ = setup.gk_key
+    target = form_values(forms, sc(-1), sc(0), windows)
 
-    def broken_at_minus_one(setup, z1, z2):
-        if z1 == -1:
-            raise RuntimeError("criterion failed")
-        return criterion(setup, z1, z2)
+    def hits(exact):
+        """The exact form values clamp to the target key."""
+        return tuple(saturate((v,), w)[0] for v, w in zip(exact, windows)) == target
 
-    monkeypatch.setattr(verdict_mod, "criterion", broken_at_minus_one)
+    gk_from_values = gk_mod._gk_from_values
+
+    def broken_at_target(setup, exact):
+        if hits(exact):
+            raise RuntimeError("miss failed")
+        return gk_from_values(setup, exact)
+
+    # a raising miss is not memoised, so every point of the key raises
+    monkeypatch.setattr(gk_mod, "_gk_from_values", broken_at_target)
     setup_flags = _REDUCE[1:]
-    grid = standard_grid(ParabolicSetup(LieType("A", 4), 1, 2))
-    raised = sum(1 for z1, _ in grid.points() if z1 == -1)
-    first = next(z2 for z1, z2 in grid.points() if z1 == -1)
+    grid = standard_grid(setup)
+    raising = [(z1, z2) for z1, z2 in grid.points() if hits(form_values(forms, z1, z2))]
+    raised = len(raising)
+    first_z1, first_z2 = raising[0]
+    assert 1 < raised < len(grid)
     expected = (
-        f"error: {raised} of {len(grid)} points raised, first z1=-1 z2={first}: "
-        "RuntimeError('criterion failed')\n"
+        f"error: {raised} of {len(grid)} points raised, first z1={first_z1} z2={first_z2}: "
+        "RuntimeError('miss failed')\n"
     )
     assert main(["sweep", *setup_flags]) == 1
     captured = capsys.readouterr()

@@ -184,30 +184,33 @@ def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
 
 
 def test_repeated_keys_skip_the_miss_path(monkeypatch):
-    """In one sweep the criterion runs at every point, the class split and
-    key building once per distinct saturated form-value key, of which there
-    are fewer than exact ones."""
-    counts = {}
+    """In one sweep the criterion column covers every point in one call, and
+    the class split and key building run once per distinct saturated
+    form-value key, of which there are fewer than exact ones."""
+    columns, misses = [], []
+    column, gk_from_values = verdict_module.criterion_column, gk_module._gk_from_values
 
-    def counted(name, fn):
-        def wrapper(*args):
-            counts[name] += 1
-            return fn(*args)
+    def counted_column(setup, values):
+        columns.append(len(values))
+        return column(setup, values)
 
-        return wrapper
+    def counted_miss(setup, exact):
+        misses.append(exact)
+        return gk_from_values(setup, exact)
 
-    monkeypatch.setattr(verdict_module, "criterion", counted("criterion", verdict_module.criterion))
-    monkeypatch.setattr(gk_module, "_gk_from_values", counted("miss", gk_module._gk_from_values))
+    monkeypatch.setattr(verdict_module, "criterion_column", counted_column)
+    monkeypatch.setattr(gk_module, "_gk_from_values", counted_miss)
     for setup in (ParabolicSetup(A(6), 2, 4), ParabolicSetup(D(6), 1, 5)):
         grid = standard_grid(setup)
         forms, windows, _, _ = setup.gk_key
         exact = {form_values(forms, z1, z2) for z1, z2 in grid.points()}
         keys = {form_values(forms, z1, z2, windows) for z1, z2 in grid.points()}
-        counts.update(criterion=0, miss=0)
+        columns.clear()
+        misses.clear()
         report = sweep(setup, grid)
         assert len(report.rows) == len(grid)
-        assert counts["criterion"] == len(grid)
-        assert counts["miss"] == len(keys) < len(exact) < len(grid) / 2
+        assert columns == [len(grid)]
+        assert len(misses) == len(keys) < len(exact) < len(grid) / 2
 
 
 def _pairs(*pairs):

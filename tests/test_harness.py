@@ -6,7 +6,9 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+import gvmred.gk as gk_module
 import gvmred.harness as harness_mod
+import gvmred.verdict as verdict_mod
 from gvmred import (
     GridSpec,
     LieType,
@@ -14,7 +16,6 @@ from gvmred import (
     ParameterGrid,
     UnsupportedGrid,
     criterion,
-    evaluate,
     family_setups,
     render_diagram,
     report_to_csv,
@@ -25,7 +26,7 @@ from gvmred import (
 )
 from gvmred.exact import decode_point, form_values, saturate
 from gvmred.harness import MAX_GRID_POINTS, SweepRow, format_field, grid_from_spec
-from gvmred.verdict import Verdict
+from gvmred.verdict import Verdict, criterion_values
 
 from conftest import SIGMA, TAU, sc, scalar_pairs
 
@@ -128,11 +129,12 @@ def test_verify_family_small_clean():
     assert report.errors == []
 
 
-def test_verify_family_fails_when_every_point_raises(monkeypatch):
-    def broken(setup, z1, z2):
-        raise RuntimeError("criterion failed")
+def _broken_column(setup, values):
+    raise RuntimeError("criterion failed")
 
-    monkeypatch.setattr("gvmred.verdict.criterion", broken)
+
+def test_verify_family_fails_when_every_point_raises(monkeypatch):
+    monkeypatch.setattr("gvmred.verdict.criterion_column", _broken_column)
     report = verify_family("A", 4)
     assert not report.ok
     assert report.points_checked == 0
@@ -202,17 +204,55 @@ def test_building_a_grid_decodes_nothing_and_a_rank_decodes_each_point_once(monk
         harness_mod._rank_grid.cache_clear()  # nor one decoded through the patch
 
 
-def _record_swept_values(monkeypatch) -> list:
-    """From now on, the (saturated, exact) form values ``sweep`` hands to
-    ``evaluate`` at each point, with the point, in grid order."""
-    seen = []
+def test_building_a_grid_computes_no_criterion_values_and_a_rank_computes_them_once(
+    monkeypatch,
+):
+    """The criterion values are built lazily too: building a grid and
+    listing its points computes none, and the sweeps of every setup of one
+    rank compute each point's values once between them."""
+    computed = []
 
-    def recording(setup, z1, z2, memo, values):
-        seen.append((z1, z2, values))
-        return evaluate(setup, z1, z2, memo, values)
+    def counted(points):
+        points = list(points)
+        computed.extend(points)
+        return criterion_values(points)
 
-    monkeypatch.setattr(harness_mod, "evaluate", recording)
-    return seen
+    harness_mod._rank_grid.cache_clear()  # a grid no other test has swept
+    monkeypatch.setattr(harness_mod, "criterion_values", counted)
+    try:
+        for kind, n in (("A", 6), ("D", 7)):
+            setups = [s for s in family_setups(kind, n) if s.n == n]
+            grid = standard_grid(setups[0])
+            assert len(grid) == len(grid.points()) and not computed
+            assert len(grid_from_spec(harness_mod._standard_spec(n))) == len(grid)
+            assert not computed
+            for setup in setups:
+                assert standard_grid(setup) is grid
+                assert not sweep(setup, grid).errors
+            assert len(computed) == len(grid) and set(computed) == set(grid.points())
+            computed.clear()
+    finally:
+        harness_mod._rank_grid.cache_clear()  # nor one computed through the patch
+
+
+def _record_sweep_inputs(monkeypatch) -> tuple[list, list]:
+    """From now on, the clamped form columns ``sweep`` builds, and the exact
+    form values each of its memo misses hands to ``_gk_from_values``, in
+    grid order."""
+    clamped, misses = [], []
+    gk_from_values = gk_module._gk_from_values
+
+    def recording_saturate(column, window):
+        clamped.append(saturate(column, window))
+        return clamped[-1]
+
+    def recording_miss(setup, exact):
+        misses.append(exact)
+        return gk_from_values(setup, exact)
+
+    monkeypatch.setattr(harness_mod, "saturate", recording_saturate)
+    monkeypatch.setattr(gk_module, "_gk_from_values", recording_miss)
+    return clamped, misses
 
 
 CUSTOM_GRID = grid_from_spec(GridSpec(Fraction(-7, 3), Fraction(5, 2), Fraction(5, 6)))
@@ -224,21 +264,112 @@ CUSTOM_GRID = grid_from_spec(GridSpec(Fraction(-7, 3), Fraction(5, 2), Fraction(
     ids=["A<=7", "D<=9"],
 )
 def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setups):
-    """On every point of the standard grids and of a custom grid, the form
-    values a sweep reads off the grid's columns are ``form_values`` of the
-    point, saturated at the setup's windows and exact."""
-    seen = _record_swept_values(monkeypatch)
+    """On every point of the standard grids and of a custom grid, the memo
+    key a sweep reads off the grid's clamped columns is ``form_values`` of
+    the point saturated at the setup's windows; and its misses, one at the
+    first point of each key, hand ``_gk_from_values`` the exact
+    ``form_values`` of that point."""
+    clamped, misses = _record_sweep_inputs(monkeypatch)
     checked = 0
     for setup in setups:
         forms, windows, _, _ = setup.gk_key
         for grid in (standard_grid(setup), CUSTOM_GRID):
-            seen.clear()
-            assert not sweep(setup, grid).errors and len(seen) == len(grid)
-            for z1, z2, (key, exact) in seen:
+            clamped.clear()
+            misses.clear()
+            assert not sweep(setup, grid).errors
+            keys = list(zip(*clamped))
+            assert len(clamped) == len(forms) and len(keys) == len(grid)
+            first = {}
+            for (z1, z2), key in zip(grid.points(), keys):
                 assert key == form_values(forms, z1, z2, windows), (setup, z1, z2)
-                assert exact == form_values(forms, z1, z2), (setup, z1, z2)
-            checked += len(seen)
+                first.setdefault(key, form_values(forms, z1, z2))
+            assert misses == list(first.values()), setup
+            checked += len(keys)
     assert checked > 25000
+
+
+@pytest.mark.parametrize(
+    "setups",
+    [family_setups("A", 7), family_setups("D", 9)],
+    ids=["A<=7", "D<=9"],
+)
+def test_criterion_column_matches_the_one_point_criterion(setups):
+    """On every point of the standard grids and of a custom grid, the
+    criterion a sweep reads off the grid's column is the one-point
+    ``criterion``, and the half-line test on the scalars' own sums."""
+    checked = 0
+    for setup in setups:
+        b1, b2, b12 = setup.half_lines
+        for grid in (standard_grid(setup), CUSTOM_GRID):
+            rows = sweep(setup, grid).rows
+            assert len(rows) == len(grid)
+            for row in rows:
+                z1, z2 = row.z1, row.z2
+                expected = (
+                    (z1.is_integer and z1.rational >= b1)
+                    or (z2.is_integer and z2.rational >= b2)
+                    or ((z1 + z2).is_integer and (z1 + z2).rational >= b12)
+                )
+                assert row.verdict.criterion is criterion(setup, z1, z2) is expected, (
+                    setup, str(z1), str(z2),
+                )
+            checked += len(rows)
+    assert checked > 25000
+
+
+def test_column_pass_errors_record_every_point(monkeypatch):
+    """A column pass that raises (the criterion column, the form columns,
+    their clamp) records every point of the setup in ``errors``; no
+    traceback escapes the sweep."""
+    setup = ParabolicSetup(A(5), 1, 3)
+    grid = standard_grid(setup)
+    strings = [(str(z1), str(z2)) for z1, z2 in grid.points()]
+
+    def broken_form_column(grid, form):
+        raise RuntimeError("column failed")
+
+    def broken_saturate(column, window):
+        raise RuntimeError("clamp failed")
+
+    for owner, name, broken, message in (
+        (verdict_mod, "criterion_column", _broken_column, "criterion failed"),
+        (ParameterGrid, "form_column", broken_form_column, "column failed"),
+        (harness_mod, "saturate", broken_saturate, "clamp failed"),
+    ):
+        with monkeypatch.context() as patch:
+            patch.setattr(owner, name, broken)
+            report = sweep(setup, grid)
+        assert report.rows == []
+        assert [(z1, z2) for z1, z2, _ in report.errors] == strings
+        assert all(message in exc for _, _, exc in report.errors)
+        assert report.summary["points"] == len(grid)
+    assert sweep(setup, grid).summary["errors"] == 0
+
+
+def test_a_raising_miss_records_its_point_and_is_not_memoised(monkeypatch):
+    """A miss that raises costs only its point, and the next point with the
+    same key misses again."""
+    setup = ParabolicSetup(A(5), 1, 3)
+    grid = standard_grid(setup)
+    gk_from_values = gk_module._gk_from_values
+    calls = []
+
+    def fails_once(setup, exact):
+        calls.append(exact)
+        if len(calls) == 1:
+            raise RuntimeError("miss failed")
+        return gk_from_values(setup, exact)
+
+    clean = sweep(setup, grid)
+    monkeypatch.setattr(gk_module, "_gk_from_values", fails_once)
+    report = sweep(setup, grid)
+    z1, z2 = grid.points()[0]
+    assert report.errors == [(str(z1), str(z2), "RuntimeError('miss failed')")]
+    assert report.rows == clean.rows[1:]
+    forms, windows, _, _ = setup.gk_key
+    keys = [form_values(forms, a, b, windows) for a, b in grid.points()]
+    assert keys.count(keys[0]) > 1  # so the first key misses twice
+    assert len(calls) == len(set(keys)) + 1
 
 
 @settings(max_examples=150, deadline=None)
@@ -338,15 +469,25 @@ def test_grid_point_bound_covers_the_grid():
 
 
 def test_verify_family_detects_corrupted_criterion(monkeypatch):
-    def flipped(setup, z1, z2):
-        value = criterion(setup, z1, z2)
-        if z1 == z2 and z1.is_integer:
-            return not value
-        return value
+    column = verdict_mod.criterion_column
 
-    monkeypatch.setattr("gvmred.verdict.criterion", flipped)
+    def flipped(setup, values):
+        # not the criterion where z1 = z2 is an integer
+        return [
+            not value if a == b is not None else value
+            for (a, b, _), value in zip(values, column(setup, values))
+        ]
+
+    monkeypatch.setattr("gvmred.verdict.criterion_column", flipped)
     report = verify_family("A", 4)
     assert not report.ok
+    # every flipped point is a mismatch, whichever way it was flipped
+    flips = [
+        sum(1 for a, b, _ in standard_grid(setup).criterion_values() if a == b is not None)
+        for setup in family_setups("A", 4)
+    ]
+    assert len(report.mismatches) == sum(flips) > 0
+    assert {row.verdict.criterion for _, row in report.mismatches} == {False, True}
 
 
 def test_sweeps_are_deterministic():

@@ -21,11 +21,16 @@ def test_tracer_installs_records_and_restores(monkeypatch):
     tracer.install()
     try:
         setup = ParabolicSetup(LieType("A", 4), 1, 2)
-        report = harness.sweep(setup, standard_grid(setup))
+        grid = standard_grid(setup)
+        report = harness.sweep(setup, grid)
+        verdict_at_point = harness.evaluate(setup, -1, -2)  # a one-point query
     finally:
         tracer.uninstall()
     assert [dict(vars(owner)) for owner in owners] == before
-    assert not report.errors
+    assert not report.errors and len(report.rows) == len(grid)
+    assert verdict_at_point == verdict.evaluate(setup, -1, -2)
+    # the sweep decides by columns; only the one-point query enters the
+    # wrapped per-point calls
     spans = tracer.summary()["spans"]
-    assert spans["verdict.evaluate"][0] == spans["verdict.criterion"][0] == len(report.rows)
-    assert spans["gk.gk_dimension"][0] == len(report.rows)
+    assert spans["verdict.evaluate"][0] == spans["verdict.criterion"][0] == 1
+    assert spans["gk.gk_dimension"][0] == 1

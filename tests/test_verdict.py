@@ -2,7 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import dense_gk
 from gvmred import (
@@ -10,6 +10,7 @@ from gvmred import (
     IndexOutOfRange,
     LieType,
     ParabolicSetup,
+    ParameterGrid,
     criterion,
     evaluate,
     family_setups,
@@ -20,8 +21,7 @@ from gvmred import (
     standard_grid,
     sweep,
 )
-from gvmred.exact import sum_int_at_least
-from gvmred.verdict import _coerce, _int_at_least
+from gvmred.verdict import _coerce, criterion_column, criterion_values
 
 from conftest import SIGMA, TAU, sc, scalar_pairs, scalars
 from dense_gk import NonIntegralWeight
@@ -29,7 +29,9 @@ from references import (
     WrongLieType,
     even_odd_counts,
     has_maximal_shape,
+    int_at_least,
     single_weight_reducible,
+    sum_int_at_least,
 )
 
 A = lambda n: LieType("A", n)
@@ -140,11 +142,11 @@ def criterion_a_offdiagonal_cases(setup: ParabolicSetup, z1, z2) -> bool:
     lo = min(p, tail)
     i1, i2 = z1.is_integer, z2.is_integer
     if not i1 and not i2:
-        return _int_at_least(z1 + z2, -gap - lo + 1)
+        return int_at_least(z1 + z2, -gap - lo + 1)
     if not i1:
-        return _int_at_least(z2, 1 - min(gap, tail))
+        return int_at_least(z2, 1 - min(gap, tail))
     if not i2:
-        return _int_at_least(z1, 1 - min(p, gap))
+        return int_at_least(z1, 1 - min(p, gap))
     if z1.rational >= 0 or z2.rational >= 0:
         return True
     return (
@@ -226,17 +228,17 @@ def criterion_d_with_gate(setup: ParabolicSetup, z1: ExactScalar, z2: ExactScala
     odd = n % 2 == 1
     if setup.p == 1:
         # q = n-1 or n
-        if _int_at_least(z1, 0):
+        if int_at_least(z1, 0):
             return True
         z1_int = _is_int(z1)
         if (not z1_int and not _is_int(z2)) or (z1_int and z1.num == -1):
             if sum_int_at_least(z1, z2, -n + 2):
                 return True
-        return _int_at_least(z2, -n + 3 if odd else -n + 4)
+        return int_at_least(z2, -n + 3 if odd else -n + 4)
     # p = n-1, q = n
     return (
-        _int_at_least(z1, 0)
-        or _int_at_least(z2, 0)
+        int_at_least(z1, 0)
+        or int_at_least(z2, 0)
         or sum_int_at_least(z1, z2, -n + 1 if odd else -n + 2)
     )
 
@@ -391,7 +393,7 @@ def test_sum_test_matches_scalar_sum(pair, bound):
 @settings(max_examples=300, deadline=None)
 @given(scalars, bounds)
 def test_coset_predicates_match_fraction_forms(z, bound):
-    assert _int_at_least(z, bound) == _fraction_int_at_least(z, bound)
+    assert int_at_least(z, bound) == _fraction_int_at_least(z, bound)
 
 
 @settings(max_examples=300, deadline=None)
@@ -400,3 +402,40 @@ def test_criterion_matches_oracle_at_random_points(setup, pair):
     z1, z2 = pair
     v = evaluate(setup, z1, z2)
     assert v.agree, (setup, str(z1), str(z2), v)
+
+
+def _fraction_integer(z: ExactScalar) -> int | None:
+    return int(z.rational) if not z.generic and z.rational.denominator == 1 else None
+
+
+@settings(max_examples=300, deadline=None)
+@given(small_setups, st.lists(scalar_pairs(), min_size=1, max_size=8))
+# coupled points (a+tau, b-tau): an integral sum of non-integral parameters
+@example(
+    ParabolicSetup(D(6), 5, 6),
+    [(sc(-3) + TAU, sc(-2) - TAU), (sc(-4) + TAU, sc(-3) - TAU), (TAU, -TAU)],
+)
+@example(
+    ParabolicSetup(A(6), 2, 4),
+    [(sc("-5/2") + TAU, sc("1/2") - TAU), (sc(-1) + TAU, sc(-9) - TAU), (sc(0), sc(0))],
+)
+def test_criterion_column_matches_scalar_arithmetic(setup, pairs):
+    """A grid's criterion values are z1, z2 and z1 + z2 as ints where the
+    scalars, summed by ExactScalar arithmetic, are integers; the column over
+    them is the one-point criterion at each point."""
+    grid = ParameterGrid((), (), tuple(pairs))
+    values = grid.criterion_values()
+    assert grid.criterion_values() is values
+    column = criterion_column(setup, values)
+    assert len(values) == len(column) == len(grid)
+    b1, b2, b12 = setup.half_lines
+    for (z1, z2), triple, crit in zip(grid.points(), values, column):
+        assert triple == tuple(map(_fraction_integer, (z1, z2, z1 + z2)))
+        assert triple == criterion_values([(z1, z2)])[0]
+        a, b, total = triple
+        half_lines = (
+            (a is not None and a >= b1)
+            or (b is not None and b >= b2)
+            or (total is not None and total >= b12)
+        )
+        assert crit is criterion(setup, z1, z2) is half_lines, (setup, str(z1), str(z2))
