@@ -8,7 +8,9 @@ rational (``a/b``, or a decimal with an optional signed exponent such as
 ``1e-3``) optionally times a symbol: ``1/2+tau``, ``2-3/2*sigma``.  Digits
 are ASCII only, underscores are refused and spaces are dropped.  Every
 scalar the tool prints re-parses to an equal value.  Values starting with
-``-`` are safest passed as ``--z1=-5/2``.
+``-`` are safest passed as ``--z1=-5/2``.  The integer flags (``--n``,
+``--p``, ``--q``, ``--max-n``) take an optional ``-`` and then ASCII
+digits, at most ``MAX_DIGITS`` of them (``_integer``).
 
 Exit codes: 0 success; 1 a verification mismatch, or points whose
 evaluation raised (``sweep`` and ``diagram`` print on stderr how many and
@@ -19,11 +21,12 @@ are: an ``--n`` above ``MAX_RANK`` (2 000), an ``rs --seq`` of more entries
 than that, a verify ``--max-n`` below the family's smallest rank or whose
 standard grids would hold more than ``harness.MAX_FAMILY_POINTS``
 (1 000 000) points (above 14 for type A or 43 for type D, runs of about
-1.5 s and 4.5 s), a custom grid with ``--hi`` below ``--lo`` or larger than
+2.5 s and 7.7 s), a custom grid with ``--hi`` below ``--lo`` or larger than
 ``harness.MAX_GRID_POINTS``, a zero denominator, a scalar, grid bound or
 custom grid point with more digits than an int prints with
 (``MAX_DIGITS``), ``--lo``/``--hi``/``--step`` without ``--grid custom``
-and an ``--out`` path that cannot be opened for writing.
+and an ``--out`` path that cannot be opened for writing.  An existing
+``--out`` file keeps its contents until the output text exists.
 """
 
 from __future__ import annotations
@@ -132,6 +135,17 @@ def parse_scalar(text: str) -> ExactScalar:
     return ExactScalar(sums.pop(None, Fraction(0)), sums)
 
 
+def _integer(text: str) -> int:
+    """An integer flag: an optional ``-``, then ASCII digits, at most
+    ``MAX_DIGITS`` of them."""
+    digits = text[1:] if text.startswith("-") else text
+    if not (digits.isascii() and digits.isdigit()):
+        raise BadValue(f"bad integer {text!r}")
+    if len(digits) > MAX_DIGITS:
+        raise BadValue(f"bad integer {text!r}: more than {MAX_DIGITS} digits")
+    return int(text)
+
+
 def _rational(text: str) -> Fraction:
     """A grid bound or step: a scalar with no symbol part."""
     value = parse_scalar(text)
@@ -148,9 +162,9 @@ def _setup_from_args(args) -> ParabolicSetup:
 
 def _add_setup_flags(parser):
     parser.add_argument("--type", required=True, choices=("A", "D"))
-    parser.add_argument("--n", required=True, type=int)
-    parser.add_argument("--p", required=True, type=int)
-    parser.add_argument("--q", required=True, type=int)
+    parser.add_argument("--n", required=True, type=_integer)
+    parser.add_argument("--p", required=True, type=_integer)
+    parser.add_argument("--q", required=True, type=_integer)
 
 
 def _add_parameter_flags(parser):
@@ -189,7 +203,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_verify = sub.add_parser("verify", help="criterion vs oracle over a family")
     p_verify.add_argument("--type", required=True, choices=("A", "D"))
-    p_verify.add_argument("--max-n", required=True, type=int)
+    p_verify.add_argument("--max-n", required=True, type=_integer)
 
     p_diag = sub.add_parser("diagram", help="reducible-point diagram")
     _add_setup_flags(p_diag)
@@ -200,13 +214,23 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _open_out(out_path: str | None):
-    """The output file, opened before any work so a bad path fails at once."""
+    """The output file, opened before any work so a bad path fails at once,
+    but for appending, so an existing file keeps its contents until
+    ``_write`` replaces them."""
     if not out_path:
         return nullcontext(sys.stdout)
     try:
-        return open(out_path, "w", encoding="utf-8")
+        return open(out_path, "a", encoding="utf-8")
     except OSError as exc:
         raise ValueError(f"cannot write {out_path!r}: {exc.strerror}") from None
+
+
+def _write(out, text: str) -> None:
+    """Replace what ``out`` holds with ``text``, once the text exists."""
+    if out is not sys.stdout:
+        out.seek(0)
+        out.truncate()
+    out.write(text)
 
 
 def _raised(report) -> int:
@@ -266,7 +290,7 @@ def _cmd_sweep(args) -> int:
         grid = standard_grid(setup)
     with _open_out(args.out) as out:
         report = sweep(setup, grid)
-        out.write(report_to_csv(report) if args.format == "csv" else report_to_json(report))
+        _write(out, report_to_csv(report) if args.format == "csv" else report_to_json(report))
     return _raised(report)
 
 
@@ -305,7 +329,7 @@ def _cmd_diagram(args) -> int:
         report = sweep(setup, standard_grid(setup))
         if report.errors:  # a picture with points missing would mislead
             return _raised(report)
-        out.write(render_diagram(report, "ascii" if args.ascii else "svg"))
+        _write(out, render_diagram(report, "ascii" if args.ascii else "svg"))
     return 0
 
 

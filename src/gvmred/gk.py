@@ -35,9 +35,20 @@ an integer threshold (a difference or sum of rho entries).  So
 ``ParabolicSetup.gk_key`` (each int clamped to one past its extreme
 thresholds): points with equal saturated values have equal None
 patterns, so equal class splits, and keys in the same order, so equal GK
-dimensions.  A new key's classes and integer keys are built from the
-exact values (``key_readers``, ``_gk_from_values``), since the key bases
-are not the saturated ones.  A memo belongs to one sweep of one setup.
+dimensions.  A new key's integer keys are built from the exact values
+(``_gk_from_values``), since the key bases are not the saturated ones.
+A memo belongs to one sweep of one setup.
+
+The class split reads only which form values are None, and a setup's
+points meet few such None patterns.  So a miss does not split: it looks
+up the setup's class plan for its pattern (``class_plan``, kept in
+``ParabolicSetup.class_plans`` and built on the pattern's first miss by
+``split_classes`` on the pattern's readers, ``key_readers``).  A plan
+lists each class as its labeled flag and, per member block in key
+order, a signed index into the point's values and the rho terms its
+base is added to, so a miss builds each class's keys as base + t per
+member and inserts them once (``tableaux.key_columns``).  A plan holds
+no GK value.
 
 The form values are the oracle's only integrality decision.  A sweep
 reads them, exact and saturated, off its grid's form columns, keeps its
@@ -64,7 +75,6 @@ from .tableaux import (
     columns_depth_sum,
     columns_even_depth_sum,
     key_columns,
-    minus_double,
 )
 
 # Unused here; kept importable from this module, where perfbench/tracing.py
@@ -75,6 +85,8 @@ from .rootdata import shifted_weight  # noqa: F401
 Member = tuple[int, bool]  # (block index, joined to the class head by a sum)
 # (b, c) -> o_b - o_c, or o_b + o_c, as an int when it is an integer, else None
 Reader = Callable[[int, int], "int | None"]
+# (labeled, ((signed index into the form values, rho terms), ...)) per class
+ClassPlan = tuple[tuple[bool, tuple[tuple[int, tuple[int, ...]], ...]], ...]
 
 
 class ClassDecomposition(NamedTuple):
@@ -140,32 +152,59 @@ def entry_readers(entries, use_sum: bool) -> tuple[Reader, Reader | None]:
     )
 
 
+def class_plan(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
+    """The classes of every point whose form values over
+    ``setup.gk_key.forms`` are None exactly where ``pattern`` is (its ints
+    are 0): ``split_classes`` on the pattern's readers, since the split
+    reads only which values are None.  Each class is (labeled, parts), a
+    part a signed index into the values tuple of ``_gk_from_values`` and
+    the rho terms its base is added to: ``differences[b][h]`` with
+    ``runs[b]`` for a difference member, ``-sums[b][h]`` with -r over
+    ``reversed(runs[b])`` for a flipped one, ``sums[b][b]`` with 2r for a
+    member of a labeled class, whose keys are then doubled."""
+    runs = setup.block_plan.rho_runs
+    _, _, differences, sums = setup.gk_key
+    difference, total = key_readers(setup, pattern)
+    plan = []
+    for members in split_classes(len(runs), difference, total):
+        h = members[0][0]
+        # labeled: the head, so the whole class, is integral or half-integral
+        if total is not None and total(h, h) is not None:
+            parts = [(sums[b][b], tuple([2 * r for r in runs[b]])) for b, _ in members]
+            plan.append((True, tuple(parts)))
+            continue
+        parts = [
+            (-sums[b][h], tuple([-r for r in reversed(runs[b])]))
+            if flipped
+            else (differences[b][h], runs[b])
+            for b, flipped in (members if total is None else _folded(members))
+        ]
+        plan.append((False, tuple(parts)))
+    return tuple(plan)
+
+
 def _gk_from_values(setup: ParabolicSetup, exact: tuple) -> int:
     """GK dimension of the point whose exact form values over
     ``setup.gk_key.forms`` are ``exact``: the type's triangular bound minus the
-    depth sums of its classes' integer keys."""
-    runs = setup.block_plan.rho_runs
-    difference, total = key_readers(setup, exact)
+    depth sums of its classes' integer keys, built by the setup's class plan
+    for the values' None pattern (``class_plan``, kept in
+    ``setup.class_plans``, built on the pattern's first miss)."""
+    pattern = tuple([None if v is None else 0 for v in exact])
+    plans = setup.class_plans
+    plan = plans.get(pattern)
+    if plan is None:
+        plan = plans[pattern] = class_plan(setup, pattern)
+    # index i > 0 reads exact[i - 1], -i its negation, 0 a vanishing pair
+    values = (0, *exact, *[None if v is None else -v for v in reversed(exact)])
     n = setup.lie.n
-    gk = n * (n - 1) // 2 if total is None else n * n - n
-    for members in split_classes(len(runs), difference, total):
-        h = members[0][0]
-        keys = []
-        # labeled: the head, so the whole class, is integral or half-integral
-        if total is not None and total(h, h) is not None:
-            for b, _ in members:
-                base = total(b, b)
-                keys.extend([base + 2 * r for r in runs[b]])
-            gk -= columns_even_depth_sum(key_columns(minus_double(keys)))
-            continue
-        for b, flipped in members if total is None else _folded(members):
-            if flipped:
-                base = -total(b, h)
-                keys.extend([base - r for r in reversed(runs[b])])
-            else:
-                base = difference(b, h)
-                keys.extend([base + r for r in runs[b]])
-        gk -= columns_depth_sum(key_columns(keys))
+    gk = n * (n - 1) // 2 if setup.lie.kind == "A" else n * n - n
+    for labeled, parts in plan:
+        keys = [values[i] + t for i, terms in parts for t in terms]
+        if labeled:
+            keys += [-k for k in reversed(keys)]
+            gk -= columns_even_depth_sum(key_columns(keys))
+        else:
+            gk -= columns_depth_sum(key_columns(keys))
     return gk
 
 

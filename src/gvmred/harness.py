@@ -7,20 +7,24 @@ offsets (a+tau, b-tau) so the "integral sum, non-integral parts" branches
 are exercised.  Sweeps are deterministic: rows are emitted in grid order.
 
 A sweep decides a setup by columns.  Its grid keeps, for every setup swept
-over it, the oracle's form values per form (``ParameterGrid.form_column``)
-and the criterion's values per point (``ParameterGrid.criterion_values``),
-each built on first use.  The sweep clamps the form columns at the setup's
-windows, runs ``verdict.criterion_column`` over the criterion values, and
-then, per point, looks the GK dimension up in its memo, calling
-``gk._gk_from_values`` on a miss.  The one-point route,
-``verdict.evaluate``, serves ``gvmred reduce``.
+over it, the oracle's form values per form (``ParameterGrid.form_column``),
+the criterion's values per point (``ParameterGrid.criterion_values``) and
+the points transposed (``ParameterGrid.point_columns``), each built on
+first use.  The sweep clamps the form columns at the setup's windows and
+runs ``verdict.criterion_column`` over the criterion values.  Then one
+pass over the distinct clamped keys, each at its first point, fills the
+sweep's GK memo with ``gk._gk_from_values``, and the rows are built in
+one pass of ``map`` and ``zip`` over the columns, with no Python-level
+call per point.  Only when a miss raised does the sweep walk the points
+one by one.  The one-point route, ``verdict.evaluate``, serves
+``gvmred reduce``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache
-from operator import attrgetter
+from functools import cached_property, lru_cache, partial
+from operator import attrgetter, getitem
 from typing import NamedTuple
 
 from . import gk, verdict
@@ -49,7 +53,7 @@ MAX_GRID_POINTS = 200_000
 FAMILY_MIN_N = {"A": 3, "D": 4}
 # Largest family a verification may sweep, in standard-grid points before
 # de-duplication.  The largest families under it, A up to rank 14 (923 650
-# points) and D up to rank 43 (985 080), take about 1.5 s and 4.5 s with
+# points) and D up to rank 43 (985 080), take about 2.5 s and 7.7 s with
 # `gvmred verify` (2 CPUs, Python 3.11.7, interpreter start included);
 # per-point cost grows with the rank, faster in type D.
 MAX_FAMILY_POINTS = 1_000_000
@@ -108,6 +112,16 @@ class ParameterGrid(FrozenRecord):
 
     def __len__(self) -> int:
         return len(self._points)
+
+    def point_columns(self) -> tuple[Axis, Axis]:
+        """(z1 of every point, z2 of every point), in grid order: the
+        points transposed on the first call and kept, like the form
+        columns, for every setup swept over this grid."""
+        return self._point_columns
+
+    @cached_property
+    def _point_columns(self) -> tuple[Axis, Axis]:
+        return tuple(zip(*self._points)) or ((), ())
 
     def form_column(self, form: tuple[int, int]) -> tuple[int | None, ...]:
         """(x*z1 + y*z2)/2 at every point, in grid order, for ``form`` =
@@ -178,6 +192,10 @@ class SweepRow(NamedTuple):
     verdict: Verdict
 
 
+# a SweepRow from a (z1, z2, verdict) tuple, without a Python-level call
+_new_row = partial(tuple.__new__, SweepRow)
+
+
 class SweepReport(NamedTuple):
     setup: ParabolicSetup
     rows: list[SweepRow]
@@ -202,42 +220,65 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     The column passes come first: the grid's form columns for the setup's
     forms, each clamped at its window, and ``verdict.criterion_column``
     over the grid's criterion values.  If one of them raises, every point
-    is recorded in ``errors``.  Then each point looks its clamped form
-    values up in the GK memo, which lives for this one sweep; a miss calls
-    ``gk._gk_from_values`` on the exact values.  A point whose lookup
-    raises is recorded in ``errors``, not in ``rows``, and nothing is
-    memoised for it.  Rows with equal GK dimension and criterion share one
-    ``Verdict``.
+    is recorded in ``errors``.  Then one pass over the distinct clamped
+    keys, in order of first occurrence, fills the GK memo, which lives for
+    this one sweep: each key's first point calls ``gk._gk_from_values`` on
+    its exact values.  Rows with equal GK dimension and criterion share one
+    ``Verdict``; with every key known they are built in one pass.  A point
+    whose miss raises is recorded in ``errors``, not in ``rows``, and
+    nothing is memoised for it; each later point with its key misses again
+    and is recorded on its own.
     """
     points = grid.points()
     try:
         forms, windows, _, _ = setup.gk_key
         du = setup.dim_u
         exact = [grid.form_column(form) for form in forms]
-        keys = zip(*map(saturate, exact, windows))
+        keys = list(zip(*map(saturate, exact, windows)))
         criteria = verdict.criterion_column(setup, grid.criterion_values())
     except Exception as exc:  # collected, not fatal
         error = repr(exc)
         return SweepReport(setup, [], [(str(z1), str(z2), error) for z1, z2 in points])
-    rows, errors = [], []
     memo: dict = {}  # clamped form values -> verdicts (criterion false, true)
     by_gk: dict = {}  # GK dimension -> the same pair
-    for (z1, z2), key, values, crit in zip(points, keys, zip(*exact), criteria):
+
+    def verdicts(i: int) -> tuple[Verdict, Verdict]:
+        """The verdict pair of point i, from a miss on its exact values."""
+        dim = gk._gk_from_values(setup, tuple([column[i] for column in exact]))
+        pair = by_gk.get(dim)
+        if pair is None:
+            reducible = dim < du
+            pair = by_gk[dim] = (
+                Verdict(dim, du, reducible, False, not reducible),
+                Verdict(dim, du, reducible, True, reducible),
+            )
+        return pair
+
+    failed = {}  # point index -> the error of its key's first miss
+    # the first index of each distinct key, ascending
+    for i in sorted(dict(zip(reversed(keys), range(len(keys) - 1, -1, -1))).values()):
         try:
-            pair = memo.get(key)
-            if pair is None:
-                dim = gk._gk_from_values(setup, values)
-                pair = by_gk.get(dim)
-                if pair is None:
-                    reducible = dim < du
-                    pair = by_gk[dim] = (
-                        Verdict(dim, du, reducible, False, not reducible),
-                        Verdict(dim, du, reducible, True, reducible),
-                    )
-                memo[key] = pair
-            rows.append(SweepRow(z1, z2, pair[crit]))
+            memo[keys[i]] = verdicts(i)
         except Exception as exc:  # collected, not fatal
-            errors.append((str(z1), str(z2), repr(exc)))
+            failed[i] = repr(exc)
+    if not failed:
+        z1s, z2s = grid.point_columns()
+        pairs = map(memo.__getitem__, keys)
+        rows = list(map(_new_row, zip(z1s, z2s, map(getitem, pairs, criteria))))
+        return SweepReport(setup, rows, [])
+    rows, errors = [], []
+    for i, ((z1, z2), key, crit) in enumerate(zip(points, keys, criteria)):
+        error = failed.get(i)
+        if error is None:
+            try:
+                pair = memo.get(key)
+                if pair is None:
+                    pair = memo[key] = verdicts(i)
+                rows.append(SweepRow(z1, z2, pair[crit]))
+                continue
+            except Exception as exc:  # collected, not fatal
+                error = repr(exc)
+        errors.append((str(z1), str(z2), error))
     return SweepReport(setup, rows, errors)
 
 

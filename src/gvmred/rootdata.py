@@ -243,6 +243,14 @@ class ParabolicSetup(FrozenRecord):
             sums=sums[0] if sums else None,
         )
 
+    @cached_property
+    def class_plans(self) -> dict:
+        """The GK oracle's class plans by None pattern of the form values
+        over ``gk_key.forms``, one entry per pattern met, each built by
+        ``gk.class_plan`` on the first memo miss with that pattern.  A
+        plan holds no GK value."""
+        return {}
+
 
 def shifted_weight(setup: ParabolicSetup, z1, z2) -> tuple[ExactScalar, ...]:
     """The shifted weight z1*xi_p + z2*xi_q + rho as exact scalars, read off

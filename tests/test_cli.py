@@ -20,7 +20,7 @@ from gvmred import (
     standard_grid,
     symbol,
 )
-from gvmred.cli import main, parse_scalar
+from gvmred.cli import MAX_DIGITS, main, parse_scalar
 
 from conftest import SIGMA, TAU, sc, scalars
 
@@ -297,10 +297,25 @@ _CUSTOM = ["sweep", "--type", "A", "--n", "4", "--p", "1", "--q", "2", "--grid",
             "argument --type: invalid choice: 'B' (choose from 'A', 'D')",
         ),
         ([*_REDUCE, "--z1=0", "--z2=0", "--z3=a\nb"], "unrecognized arguments: --z3=a b"),
+        (["verify", "--type", "A", "--max-n=1_0"], "argument --max-n: bad integer '1_0'"),
+        (["verify", "--type", "A", "--max-n=\u0665"], "argument --max-n: bad integer '\u0665'"),
+        (
+            ["gkdim", "--type", "A", "--n=\u0665", "--p=1", "--q=3", "--z1=0", "--z2=0"],
+            "argument --n: bad integer '\u0665'",
+        ),
+        ([*_REDUCE[:5], "--p=+1", "--q=2"], "argument --p: bad integer '+1'"),
+        ([*_REDUCE[:7], "--q= 2"], "argument --q: bad integer ' 2'"),
+        (
+            ["verify", "--type", "D", f"--max-n={'9' * (MAX_DIGITS + 1)}"],
+            f"argument --max-n: bad integer '{'9' * (MAX_DIGITS + 1)}': "
+            f"more than {MAX_DIGITS} digits",
+        ),
     ],
     ids=[
         "digit-cap", "zero-denominator", "nan-bound", "symbolic-bound", "underscore",
-        "arabic-indic", "missing-flag", "bad-choice", "unknown-flag",
+        "arabic-indic", "missing-flag", "bad-choice", "unknown-flag", "integer-underscore",
+        "integer-arabic-indic", "integer-rank", "integer-plus", "integer-space",
+        "integer-digit-cap",
     ],
 )
 def test_refused_values_name_the_flag_and_the_reason(argv, line, capsys):
@@ -570,6 +585,34 @@ def test_diagram_svg_file(tmp_path):
     assert out.read_text().startswith("<svg")
 
 
+def test_out_file_is_replaced_only_once_the_output_exists(tmp_path, capsys, monkeypatch):
+    """A ``diagram --out`` that exits 1 leaves an existing file as it was;
+    one that succeeds, and a ``sweep --out``, replace it whole."""
+    import gvmred.gk as gk_mod
+
+    setup = ["--type", "A", "--n", "5", "--p", "1", "--q", "3"]
+    out = tmp_path / "plot.svg"
+    main(["diagram", *setup, "--out", str(out)])
+    good = out.read_bytes()
+    longer = good + b"<!-- kept -->\n" * 100
+    out.write_bytes(longer)
+
+    def broken(setup, exact):
+        raise RuntimeError("miss failed")
+
+    with monkeypatch.context() as patch:
+        patch.setattr(gk_mod, "_gk_from_values", broken)
+        assert main(["diagram", *setup, "--out", str(out)]) == 1
+    assert out.read_bytes() == longer
+    assert capsys.readouterr().err.startswith("error: ")
+    assert main(["diagram", *setup, "--out", str(out)]) == 0
+    assert out.read_bytes() == good
+    out.write_bytes(longer)
+    assert main(["sweep", *setup, "--out", str(out)]) == 0
+    assert main(["sweep", *setup]) == 0
+    assert out.read_text(encoding="utf-8") == capsys.readouterr().out
+
+
 def test_diagram_needs_exactly_one_output(capsys):
     code = main(["diagram", "--type", "A", "--n", "5", "--p", "1", "--q", "3"])
     assert code == 2
@@ -605,6 +648,9 @@ def test_internal_key_error_is_not_a_usage_error(monkeypatch):
 # to rank 8, conftest scalars, custom grids of at most 3 rationals per axis,
 # so under 50 points, verify up to rank 5) and junk strings.
 _JUNK = st.text(max_size=8)
+# Integer flag values that int() would take but the grammar refuses, and
+# leading zeros, which it takes.
+_INTEGER_JUNK = st.sampled_from(("1_0", "\u0665", "+3", " 4", "5 ", "--1", "0x5", "1e1", "007"))
 _SETUP_FLAGS = ("--type", "--n", "--p", "--q")
 _COMMAND_FLAGS = {
     "gkdim": (*_SETUP_FLAGS, "--z1", "--z2"),
@@ -624,7 +670,8 @@ _SETUPS = [
 @st.composite
 def _argvs(draw):
     # one command, flag value or trailing argument in about 20 is junk (a
-    # draw of 1), and one flag in 20 is left out (a draw of 2); hypothesis
+    # draw of 1, or of 3 for integer junk in an integer flag), and one flag
+    # in 20 is left out (a draw of 2); hypothesis
     # favours the ends of a range, 0 and 19 here
     command = draw(st.sampled_from(sorted(_COMMAND_FLAGS)))
     if draw(st.integers(0, 19)) == 1:
@@ -652,6 +699,8 @@ def _argvs(draw):
     for flag in draw(st.permutations(_COMMAND_FLAGS.get(command, ()))):
         kind = draw(st.integers(0, 19))
         value = draw(_JUNK) if kind == 1 else None if kind == 2 else good.get(flag)
+        if kind == 3 and flag in ("--n", "--p", "--q", "--max-n"):
+            value = draw(_INTEGER_JUNK)
         if value is True:
             argv.append(flag)
         elif value is None:

@@ -342,6 +342,20 @@ def test_block_core_matches_dense_route_at_random_points(setup, pair):
     assert gk_dimension(setup, z1, z2) == dense_gk.gk_dimension(setup, z1, z2)
 
 
+@settings(max_examples=150, deadline=None)
+@given(setups(), st.lists(conftest.scalar_pairs(), min_size=1, max_size=6))
+def test_planned_misses_match_dense_route(setup, pairs):
+    """A miss on a point's exact form values, through the class plan of
+    their None pattern (built by the first point with it, reused by the
+    rest), gives the dense GK dimension."""
+    forms = setup.gk_key.forms
+    for z1, z2 in pairs:
+        exact = form_values(forms, z1, z2)
+        expected = dense_gk.gk_dimension(setup, z1, z2)
+        assert gk_module._gk_from_values(setup, exact) == expected, (setup, z1, z2)
+    assert 0 < len(setup.class_plans) <= len(pairs)
+
+
 LARGE_N = 120
 
 

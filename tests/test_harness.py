@@ -25,8 +25,9 @@ from gvmred import (
     verify_family,
 )
 from gvmred.exact import decode_point, form_values, saturate
+from gvmred.gk import _folded, key_readers, split_classes
 from gvmred.harness import MAX_GRID_POINTS, SweepRow, format_field, grid_from_spec
-from gvmred.verdict import Verdict, criterion_values
+from gvmred.verdict import Verdict, criterion_values, evaluate
 
 from conftest import SIGMA, TAU, sc, scalar_pairs
 
@@ -315,6 +316,89 @@ def test_criterion_column_matches_the_one_point_criterion(setups):
                 )
             checked += len(rows)
     assert checked > 25000
+
+
+def _fresh(setup):
+    """An equal setup with nothing computed on it yet, no class plan
+    included."""
+    return ParabolicSetup(setup.lie, setup.p, setup.q)
+
+
+@pytest.mark.parametrize(
+    "setups",
+    [family_setups("A", 7), family_setups("D", 9)],
+    ids=["A<=7", "D<=9"],
+)
+def test_sweep_rows_are_the_one_point_verdicts(setups):
+    """On every point of the standard grids and of a custom grid, a sweep's
+    row is a ``SweepRow`` of the point and its one-point ``evaluate``."""
+    checked = 0
+    for setup in map(_fresh, setups):
+        for grid in (standard_grid(setup), CUSTOM_GRID):
+            report = sweep(setup, grid)
+            assert not report.errors and len(report.rows) == len(grid)
+            for row, (z1, z2) in zip(report.rows, grid.points()):
+                assert type(row) is SweepRow
+                assert row == SweepRow(z1, z2, evaluate(setup, z1, z2)), (setup, z1, z2)
+            checked += len(grid)
+    assert checked > 25000
+
+
+def _reader_classes(setup, exact):
+    """Per class of the point with exact form values ``exact``: its labeled
+    flag and, per member block in key order, the integer key base and the
+    rho terms added to it, from ``split_classes`` and ``_folded`` on
+    readers of the values themselves."""
+    runs = setup.block_plan.rho_runs
+    difference, total = key_readers(setup, exact)
+    classes = []
+    for members in split_classes(len(runs), difference, total):
+        h = members[0][0]
+        if total is not None and total(h, h) is not None:
+            parts = [(total(b, b), tuple(2 * r for r in runs[b])) for b, _ in members]
+            classes.append((True, parts))
+            continue
+        parts = [
+            (-total(b, h), tuple(-r for r in reversed(runs[b]))) if flipped
+            else (difference(b, h), runs[b])
+            for b, flipped in (members if total is None else _folded(members))
+        ]
+        classes.append((False, parts))
+    return classes
+
+
+@pytest.mark.parametrize(
+    "setups",
+    [family_setups("A", 7), family_setups("D", 9)],
+    ids=["A<=7", "D<=9"],
+)
+def test_class_plans_are_the_class_splits_of_their_patterns(setups):
+    """A sweep builds one class plan per None pattern its points' form
+    values have, and at every point the plan of its pattern, its signed
+    indices read off the point's values, is the split the readers of those
+    values give."""
+    for setup in map(_fresh, setups):
+        forms = setup.gk_key.forms
+        patterns = set()
+        for grid in (standard_grid(setup), CUSTOM_GRID):
+            assert not sweep(setup, grid).errors
+            for exact in set(zip(*[grid.form_column(form) for form in forms])):
+                pattern = tuple(None if v is None else 0 for v in exact)
+                patterns.add(pattern)
+                values = (0, *exact, *[None if v is None else -v for v in reversed(exact)])
+                planned = [
+                    (labeled, [(values[i], terms) for i, terms in parts])
+                    for labeled, parts in setup.class_plans[pattern]
+                ]
+                assert planned == _reader_classes(setup, exact), (setup, exact)
+        assert set(setup.class_plans) == patterns, setup
+
+
+def test_an_empty_grid_sweeps_to_an_empty_report():
+    for setup in (ParabolicSetup(A(5), 1, 3), ParabolicSetup(D(6), 1, 5)):
+        report = sweep(setup, ParameterGrid((), ()))
+        assert report.rows == [] and report.errors == []
+        assert report.summary["points"] == 0
 
 
 def test_column_pass_errors_record_every_point(monkeypatch):
