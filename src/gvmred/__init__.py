@@ -42,7 +42,6 @@ from .rootdata import (
 from .tableaux import (
     Shape,
     conjugate,
-    minus_double,
     rs_shape,
     rs_tableau,
 )

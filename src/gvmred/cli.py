@@ -16,7 +16,9 @@ Exit codes: 0 success; 1 a verification mismatch, or points whose
 evaluation raised (``sweep`` and ``diagram`` print on stderr how many and
 the first); 2 a usage or validation error, before any work, printed as one
 stderr line with its reason, a refused flag value after the flag's name
-(``error: argument --z1: bad scalar '1/0': zero denominator``).  Refused
+(``error: argument --z1: bad scalar '1/0': zero denominator``); a value
+longer than ``_QUOTED_CHARS`` (40) characters is quoted by its first ones
+and its length.  Refused
 are: an ``--n`` above ``MAX_RANK`` (2 000), an ``rs --seq`` of more entries
 than that, a verify ``--max-n`` below the family's smallest rank or whose
 standard grids would hold more than ``harness.MAX_FAMILY_POINTS``
@@ -26,22 +28,23 @@ standard grids would hold more than ``harness.MAX_FAMILY_POINTS``
 custom grid point with more digits than an int prints with
 (``MAX_DIGITS``), ``--lo``/``--hi``/``--step`` without ``--grid custom``
 and an ``--out`` path that cannot be opened for writing.  An existing
-``--out`` file keeps its contents until the output text exists.
+``--out`` file keeps its contents until the output text exists; a
+``diagram --out`` file that did not exist is removed when the run exits 1.
 """
 
 from __future__ import annotations
 
 import argparse
+import os
 import re
 import sys
 from contextlib import nullcontext
 from fractions import Fraction
 
-from .exact import ExactScalar
+from .exact import SYMBOLS, ExactScalar
 from .gk import gk_dimension
 from .harness import (
     FAMILY_MIN_N,
-    GENERIC_NAMES,
     GridSpec,
     SweepRow,
     format_field,
@@ -66,8 +69,10 @@ MAX_RANK = 2_000
 # Most digits an int prints with: the interpreter's limit, 4 300 by default.
 MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 _TOO_LONG = 10**MAX_DIGITS
+# Most characters of a refused value that its refusal quotes.
+_QUOTED_CHARS = 40
 
-_SYMBOL = "|".join(GENERIC_NAMES)
+_SYMBOL = "|".join(SYMBOLS)
 # One term of a scalar: an optional sign, then a bare symbol, or a rational
 # (a/b, or a decimal with an optional signed exponent) with an optional
 # *symbol.  ASCII digits only.
@@ -93,6 +98,14 @@ class _Parser(argparse.ArgumentParser):
         raise BadValue(" ".join(message.splitlines()))
 
 
+def _quoted(text: str) -> str:
+    """``text`` quoted for a refusal: whole, or when longer than
+    ``_QUOTED_CHARS`` its first characters and its length."""
+    if len(text) <= _QUOTED_CHARS:
+        return repr(text)
+    return f"{text[:_QUOTED_CHARS]!r}... ({len(text)} characters)"
+
+
 def _prints(value: Fraction) -> bool:
     """Whether the numerator and denominator of ``value`` each print with
     at most ``MAX_DIGITS`` digits."""
@@ -110,9 +123,9 @@ def _coefficient(text: str, term: re.Match) -> Fraction:
     shift = int(exp) - len(dec) if len(exp) <= MAX_DIGITS else MAX_DIGITS + 1
     sizes = (len(digits), len(den or ""), len(digits.lstrip("0")) + shift, 1 - shift)
     if max(sizes) > MAX_DIGITS:
-        raise BadValue(f"bad scalar {text!r}: more than {MAX_DIGITS} digits")
+        raise BadValue(f"bad scalar {_quoted(text)}: more than {MAX_DIGITS} digits")
     if den is not None and not int(den):
-        raise BadValue(f"bad scalar {text!r}: zero denominator")
+        raise BadValue(f"bad scalar {_quoted(text)}: zero denominator")
     return Fraction(int(digits) * 10 ** max(shift, 0), int(den or 1) * 10 ** max(-shift, 0))
 
 
@@ -124,14 +137,14 @@ def parse_scalar(text: str) -> ExactScalar:
     while pos < len(s) or not sums:
         term = _TERM.match(s, pos)
         if not term or (pos and not term["sign"]):  # a sign starts each later term
-            raise BadValue(f"bad scalar {text!r}")
+            raise BadValue(f"bad scalar {_quoted(text)}")
         value = Fraction(1) if term["bare"] else _coefficient(text, term)
         name = term["bare"] or term["name"]
         sums[name] = sums.get(name, 0) + (-value if term["sign"] == "-" else value)
         pos = term.end()
     # printable terms may sum past the limit
     if not all(map(_prints, sums.values())):
-        raise BadValue(f"bad scalar {text!r}: more than {MAX_DIGITS} digits")
+        raise BadValue(f"bad scalar {_quoted(text)}: more than {MAX_DIGITS} digits")
     return ExactScalar(sums.pop(None, Fraction(0)), sums)
 
 
@@ -140,17 +153,17 @@ def _integer(text: str) -> int:
     ``MAX_DIGITS`` of them."""
     digits = text[1:] if text.startswith("-") else text
     if not (digits.isascii() and digits.isdigit()):
-        raise BadValue(f"bad integer {text!r}")
+        raise BadValue(f"bad integer {_quoted(text)}")
     if len(digits) > MAX_DIGITS:
-        raise BadValue(f"bad integer {text!r}: more than {MAX_DIGITS} digits")
+        raise BadValue(f"bad integer {_quoted(text)}: more than {MAX_DIGITS} digits")
     return int(text)
 
 
 def _rational(text: str) -> Fraction:
     """A grid bound or step: a scalar with no symbol part."""
     value = parse_scalar(text)
-    if value.generic:
-        raise BadValue(f"{text!r} is not rational")
+    if not value.is_rational:
+        raise BadValue(f"{_quoted(text)} is not rational")
     return value.rational
 
 
@@ -214,13 +227,16 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _open_out(out_path: str | None):
-    """The output file, opened before any work so a bad path fails at once,
-    but for appending, so an existing file keeps its contents until
-    ``_write`` replaces them."""
+    """The output file and whether this call created it.  It is opened
+    before any work so a bad path fails at once, but for appending, so an
+    existing file keeps its contents until ``_write`` replaces them."""
     if not out_path:
-        return nullcontext(sys.stdout)
+        return nullcontext(sys.stdout), False
     try:
-        return open(out_path, "a", encoding="utf-8")
+        try:
+            return open(out_path, "x", encoding="utf-8"), True
+        except FileExistsError:
+            return open(out_path, "a", encoding="utf-8"), False
     except OSError as exc:
         raise ValueError(f"cannot write {out_path!r}: {exc.strerror}") from None
 
@@ -288,7 +304,7 @@ def _cmd_sweep(args) -> int:
         raise ValueError("--lo, --hi and --step need --grid custom")
     else:
         grid = standard_grid(setup)
-    with _open_out(args.out) as out:
+    with _open_out(args.out)[0] as out:
         report = sweep(setup, grid)
         _write(out, report_to_csv(report) if args.format == "csv" else report_to_json(report))
     return _raised(report)
@@ -325,12 +341,15 @@ def _cmd_diagram(args) -> int:
     setup = _setup_from_args(args)
     if bool(args.out) == bool(args.ascii):
         raise ValueError("diagram needs exactly one of --out FILE.svg or --ascii")
-    with _open_out(args.out) as out:
+    opened, created = _open_out(args.out)
+    with opened as out:
         report = sweep(setup, standard_grid(setup))
-        if report.errors:  # a picture with points missing would mislead
-            return _raised(report)
-        _write(out, render_diagram(report, "ascii" if args.ascii else "svg"))
-    return 0
+        if not report.errors:  # a picture with points missing would mislead
+            _write(out, render_diagram(report, "ascii" if args.ascii else "svg"))
+            return 0
+    if created:  # no empty file is left behind
+        os.remove(args.out)
+    return _raised(report)
 
 
 _COMMANDS = {

@@ -1,22 +1,22 @@
-"""Exact scalar arithmetic over the rationals extended by generic symbols.
+"""Exact scalar arithmetic over the rationals extended by two generic symbols.
 
-A scalar is a rational number plus a Q-linear combination of named formal
-symbols.  The symbols stand for parameters carrying no integrality
-relations: a scalar with a nonzero symbol part is never an integer, never
-a half-integer, and never passes an ordering threshold against a rational.
-Two symbol names (``tau``, ``sigma``) are enough for every criterion in
-this package, but the type accepts any names.  Scalars have no order;
-``tableaux`` ranks a sequence's rational parts and refuses mixed symbol
-parts with ``IncomparableScalars``.
+A scalar is a rational number plus a Q-linear combination of the two
+formal symbols ``tau`` and ``sigma`` (``SYMBOLS``; any other name is
+refused with ``ValueError``).  The symbols stand for parameters carrying
+no integrality relations: a scalar with a nonzero symbol part is never an
+integer, never a half-integer, and never passes an ordering threshold
+against a rational.  Scalars have no order; ``tableaux`` ranks a
+sequence's rational parts and refuses mixed symbol parts with
+``IncomparableScalars``.
 
-Each scalar decodes its canonical form into plain integers once, when it
-is built: ``num`` and ``den`` of the rational part and ``terms``, the
-symbol part as ``(name, numerator, denominator)`` triples, with
-``neg_terms`` its negation.  The tests below (``scalars_equal``,
-``integer_difference``, ``integer_sum``, and the oracle's integrality
-decision, the form values) and the criterion's values
-(``verdict.criterion_values``) read only these fields, so they build no
-scalar and do no ``Fraction`` arithmetic.
+Each scalar keeps its canonical form in four fields, set once when it is
+built: ``num`` and ``den`` of the rational part as ints, and the
+coefficients ``tau`` and ``sigma``, each the int 0 when zero (so testing
+and comparing it costs no ``Fraction`` call) and a ``Fraction`` otherwise.
+The tests below (``scalars_equal``, ``integer_difference``,
+``integer_sum``, and the oracle's integrality decision, the form values)
+and the criterion's values (``verdict.criterion_values``) read only these
+fields, so they build no scalar.
 
 The form values (x*z1 + y*z2)/2 come in two steps: ``decode_point``
 reads a point's common denominator and symbol kernel once, and
@@ -31,6 +31,9 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd
 from typing import Mapping, Sequence, Union
+
+# The only symbol names, in grid order.
+SYMBOLS = ("tau", "sigma")
 
 
 class IncomparableScalars(ValueError):
@@ -49,50 +52,43 @@ def _fraction(value) -> Fraction:
 
 
 class ExactScalar:
-    """Immutable rational plus symbol terms, kept in canonical form.
+    """Immutable rational plus ``tau`` and ``sigma`` coefficients, kept in
+    canonical form: a reduced ``Fraction`` and two coefficients, each the
+    int 0 or a nonzero ``Fraction``, so structural equality is semantic
+    equality.  The constructor takes the symbol part as a mapping or as
+    (name, coefficient) pairs, adding up the coefficients of one name."""
 
-    Canonical form: the rational part is a reduced ``Fraction`` and the
-    symbol part holds no zero coefficients, so structural equality is
-    semantic equality.  ``num``/``den`` and ``terms``/``neg_terms`` hold
-    the same canonical form as integers (see the module docstring).
-    """
+    __slots__ = ("rational", "num", "den", "tau", "sigma", "_hash")
 
-    __slots__ = ("rational", "generic", "num", "den", "terms", "neg_terms", "_hash")
-
-    def __init__(self, rational: RationalLike = 0, generic=None):
+    def __init__(self, rational: RationalLike = 0, generic=()):
         self.rational = r = _fraction(rational)
         self.num, self.den = r.numerator, r.denominator
-        if not generic:
-            self.generic = self.terms = self.neg_terms = ()
-        else:
-            items = generic.items() if isinstance(generic, Mapping) else generic
-            merged: dict[str, Fraction] = {}
-            for name, coeff in items:
+        coeffs = {}
+        if generic:
+            for name, coeff in generic.items() if isinstance(generic, Mapping) else generic:
+                if name not in SYMBOLS:
+                    raise ValueError(
+                        f"unknown symbol {name!r}: the symbols are {' and '.join(SYMBOLS)}"
+                    )
                 coeff = _fraction(coeff)
-                merged[name] = merged[name] + coeff if name in merged else coeff
-            generic, terms, neg_terms = [], [], []
-            for name in sorted(merged):
-                coeff = merged[name]
-                if coeff:
-                    num, den = coeff.numerator, coeff.denominator
-                    generic.append((name, coeff))
-                    terms.append((name, num, den))
-                    neg_terms.append((name, -num, den))
-            self.generic, self.terms, self.neg_terms = (
-                tuple(generic), tuple(terms), tuple(neg_terms)
-            )
+                coeffs[name] = coeffs[name] + coeff if name in coeffs else coeff
+        self.tau = tau = coeffs.get("tau") or 0
+        self.sigma = sigma = coeffs.get("sigma") or 0
         # a rational scalar equals its Fraction (and int), so hashes alike
-        self._hash = (
-            hash((self.rational, self.generic)) if self.generic else hash(self.rational)
-        )
+        self._hash = hash((r, tau, sigma)) if tau or sigma else hash(r)
+
+    @property
+    def generic(self) -> tuple[tuple[str, Fraction], ...]:
+        """The nonzero (name, coefficient) pairs, sigma first."""
+        return tuple([(n, c) for n, c in (("sigma", self.sigma), ("tau", self.tau)) if c])
 
     @property
     def is_rational(self) -> bool:
-        return not self.generic
+        return not (self.tau or self.sigma)
 
     @property
     def is_integer(self) -> bool:
-        return not self.terms and self.den == 1
+        return self.den == 1 and not (self.tau or self.sigma)
 
     def _coerce(self, other):
         if isinstance(other, ExactScalar):
@@ -105,9 +101,7 @@ class ExactScalar:
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return ExactScalar(
-            self.rational + other.rational, tuple(self.generic) + tuple(other.generic)
-        )
+        return ExactScalar(self.rational + other.rational, self.generic + other.generic)
 
     __radd__ = __add__
 
@@ -150,18 +144,12 @@ class ExactScalar:
         return f"ExactScalar({self!s})"
 
     def __str__(self):
-        parts: list[str] = []
-        if self.rational or not self.generic:
-            parts.append(str(self.rational))
+        # a zero rational part is left out unless nothing else prints
+        text = str(self.rational) if self.rational or self.is_rational else ""
         for name, coeff in self.generic:
-            sign = "-" if coeff < 0 else "+"
-            mag = abs(coeff)
-            term = name if mag == 1 else f"{mag}*{name}"
-            if not parts and sign == "+":
-                parts.append(term)
-            else:
-                parts.append(sign + term)
-        return "".join(parts)
+            sign = "-" if coeff < 0 else "+" if text else ""
+            text += sign + (name if abs(coeff) == 1 else f"{abs(coeff)}*{name}")
+        return text
 
 
 def symbol(name: str, coeff: RationalLike = 1) -> ExactScalar:
@@ -176,13 +164,13 @@ def symbol(name: str, coeff: RationalLike = 1) -> ExactScalar:
 
 def scalars_equal(a: ExactScalar, b: ExactScalar) -> bool:
     """a == b, compared on numerators and denominators."""
-    return a.num == b.num and a.den == b.den and a.terms == b.terms
+    return a.num == b.num and a.den == b.den and a.tau == b.tau and a.sigma == b.sigma
 
 
 def integer_difference(a: ExactScalar, b: ExactScalar) -> int | None:
     """a - b as an int when it is an integer, else None; builds no
     difference.  The symbol parts must be equal."""
-    if a.terms != b.terms:
+    if a.tau != b.tau or a.sigma != b.sigma:
         return None
     total, rest = divmod(a.num * b.den - b.num * a.den, a.den * b.den)
     return None if rest else total
@@ -191,7 +179,7 @@ def integer_difference(a: ExactScalar, b: ExactScalar) -> int | None:
 def integer_sum(a: ExactScalar, b: ExactScalar) -> int | None:
     """a + b as an int when it is an integer, else None; builds no sum.
     The symbol parts must be exact negatives."""
-    if a.terms != b.neg_terms:
+    if a.tau != -b.tau or a.sigma != -b.sigma:
         return None
     total, rest = divmod(a.num * b.den + b.num * a.den, a.den * b.den)
     return None if rest else total
@@ -207,25 +195,11 @@ def sum_is_integer(a: ExactScalar, b: ExactScalar) -> bool:
     return integer_sum(a, b) is not None
 
 
-def _symbol_kernel(g1, g2) -> tuple[int, int] | None:
-    """A direction (u, v) such that x*g1 + y*g2 vanishes for an integer
-    pair (x, y) != (0, 0) exactly when x*v == y*u; None when it vanishes
-    for none (the symbol parts are not proportional).  Both parts nonempty.
-    """
-    if len(g1) != len(g2):
-        return None
-    (_, n1, d1), (_, n2, d2) = g1[0], g2[0]
-    a, b = n1 * d2, d1 * n2  # g1 = (a/b) * g2 on the first name
-    for (name, n1, d1), (other, n2, d2) in zip(g1, g2):
-        if name != other or n1 * d2 * b != d1 * n2 * a:
-            return None
-    return b, -a
-
-
 # A point decoded for ``form_column``: (n1, n2, scale, u, v), the rational
 # parts of z1 and z2 being n1/d and n2/d over one denominator d = scale/2,
-# and (u, v) the symbol kernel ((0, 0) when both parameters are rational);
-# None when no nonzero integer pair cancels the symbol parts.
+# and (u, v) the symbol kernel: x*z1 + y*z2 has no symbol part exactly
+# when x*v == y*u ((0, 0) when both parameters are rational); None when no
+# nonzero integer pair cancels the symbol parts.
 DecodedPoint = Union[tuple[int, int, int, int, int], None]
 
 
@@ -236,17 +210,14 @@ def decode_point(z1: ExactScalar, z2: ExactScalar) -> DecodedPoint:
     if d1 != d2:  # the rational parts over one denominator
         g = gcd(d1, d2)
         n1, n2, d1 = n1 * (d2 // g), n2 * (d1 // g), d1 // g * d2
-    g1, g2 = z1.terms, z2.terms
-    if not g1:
-        u, v = (1, 0) if g2 else (0, 0)  # with a symbolic z2, y must be 0
-    elif not g2:
-        u, v = 0, 1
-    else:
-        kernel = _symbol_kernel(g1, g2)
-        if kernel is None:
-            return None
-        u, v = kernel
-    return n1, n2, 2 * d1, u, v
+    # (x, y) cancels the symbols when x*t1 + y*t2 == x*s1 + y*s2 == 0: only
+    # (0, 0) unless the 2x2 determinant vanishes, else the multiples of
+    # (t2, -t1), or of (s2, -s1) when z1 and z2 have no tau
+    t1, s1, t2, s2 = z1.tau, z1.sigma, z2.tau, z2.sigma
+    if t1 * s2 != t2 * s1:
+        return None
+    u, v = (t2, -t1) if t1 or t2 else (s2, -s1)
+    return n1, n2, 2 * d1, u.numerator * v.denominator, v.numerator * u.denominator
 
 
 def form_column(points: Sequence[DecodedPoint], form: tuple[int, int]) -> tuple[int | None, ...]:

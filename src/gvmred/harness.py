@@ -28,7 +28,7 @@ from operator import attrgetter, getitem
 from typing import NamedTuple
 
 from . import gk, verdict
-from .exact import DecodedPoint, ExactScalar, decode_point, form_column, saturate, symbol
+from .exact import SYMBOLS, DecodedPoint, ExactScalar, decode_point, form_column, saturate, symbol
 from .rootdata import FrozenRecord, LieType, ParabolicSetup
 from .verdict import CriterionValues, Verdict, criterion_values
 
@@ -45,7 +45,6 @@ Point = tuple[ExactScalar, ExactScalar]
 Axis = tuple[ExactScalar, ...]
 
 EXTRA_RATIONALS = (Fraction(1, 3),)
-GENERIC_NAMES = ("tau", "sigma")
 # Largest grid a spec may describe: about 100 times the standard grid of
 # rank 9 (1 893 points).
 MAX_GRID_POINTS = 200_000
@@ -83,7 +82,7 @@ class GridSpec(FrozenRecord):
     def point_bound(self) -> int:
         """Points of ``grid_from_spec(self)`` before de-duplication."""
         length = self.axis_length
-        axis = length + len(EXTRA_RATIONALS) + len(GENERIC_NAMES)
+        axis = length + len(EXTRA_RATIONALS) + len(SYMBOLS)
         return axis * axis + length * length + length
 
     def rationals(self) -> list[Fraction]:
@@ -157,8 +156,8 @@ def grid_from_spec(spec: GridSpec) -> ParameterGrid:
     """Cartesian grid over one axis list, plus coupled symbol offsets."""
     rationals = [ExactScalar(v) for v in spec.rationals()]
     axis = rationals + [ExactScalar(v) for v in EXTRA_RATIONALS]
-    axis.extend(symbol(name) for name in GENERIC_NAMES)
-    tau = symbol(GENERIC_NAMES[0])
+    axis.extend(symbol(name) for name in SYMBOLS)
+    tau = symbol(SYMBOLS[0])
     plus = [a + tau for a in rationals]
     minus = [b - tau for b in rationals]
     extra = [(a, b) for a in plus for b in minus]

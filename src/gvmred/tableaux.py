@@ -30,9 +30,9 @@ def _order_keys(seq: Sequence[ExactScalar]) -> list[int]:
     all entries to share one symbol part."""
     if not seq:
         return []
-    lead = seq[0].generic
+    lead = seq[0].tau, seq[0].sigma
     for e in seq[1:]:
-        if e.generic != lead:
+        if (e.tau, e.sigma) != lead:
             raise IncomparableScalars(
                 f"sequence mixes symbol parts: {seq[0]} vs {e}"
             )
@@ -85,14 +85,6 @@ def rs_tableau(seq: Sequence[ExactScalar]) -> tuple[ScalarSequence, ...]:
 def render_tableau(tableau: tuple[ScalarSequence, ...]) -> str:
     """Plain-text grid, one row per line, entries separated by spaces."""
     return "\n".join(" ".join(str(e) for e in row) for row in tableau)
-
-
-def minus_double(seq: Sequence) -> tuple:
-    """``seq`` followed by its reversed negation; length doubles.
-
-    Works on exact scalars and on integer keys alike.
-    """
-    return tuple(seq) + tuple(-e for e in reversed(seq))
 
 
 def conjugate(shape: Shape) -> Shape:

@@ -18,11 +18,11 @@ setup swept over it; ``criterion`` runs both steps for one point.
 
 Coset membership such as "z in c + Z>=0" is decided exactly: a scalar with
 a nonzero symbol part is never an integer.  The values are read off each
-parameter's decoded integer fields (``num``, ``den`` and the ``terms``
-triples of its symbol part, stored when the scalar is built) and
-``exact.integer_sum``, so the criterion builds no scalar and does no
-Fraction arithmetic.  This is an integrality decision of its own: it
-shares nothing with the oracle's form values (``exact.form_column``).
+parameter's fields (``num`` and ``den`` of its rational part and its
+``tau`` and ``sigma`` coefficients, stored when the scalar is built) and
+``exact.integer_sum``, so the criterion builds no scalar.  This is an
+integrality decision of its own: it shares nothing with the oracle's form
+values (``exact.form_column``).
 """
 
 from __future__ import annotations
@@ -54,8 +54,8 @@ def criterion_values(points: Iterable[tuple[ExactScalar, ExactScalar]]) -> list[
     an integer, else None; builds no scalar."""
     return [
         (
-            z1.num if z1.den == 1 and not z1.terms else None,
-            z2.num if z2.den == 1 and not z2.terms else None,
+            z1.num if z1.is_integer else None,
+            z2.num if z2.is_integer else None,
             integer_sum(z1, z2),
         )
         for z1, z2 in points

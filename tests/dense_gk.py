@@ -7,7 +7,7 @@ combination, classes are found by testing every entry against each class
 representative (equal or negated symbol parts, and a ``Fraction``
 difference or sum of the rational parts with denominator 1), and
 Robinson-Schensted insertion runs on the rational parts.  From the
-package it takes only the scalar type (whose decoded ``den``/``terms``
+package it takes only the scalar type (whose ``den`` and ``is_rational``
 label a class) and the exception ``IndexOutOfRange``; it calls no
 function of ``gvmred.rootdata``, ``gvmred.gk``, ``gvmred.tableaux`` or
 the integer tests of ``gvmred.exact``, so the block computation in the
@@ -89,7 +89,7 @@ def classes(entries, kind: str):
     integer = half = None
     others = []
     for rep, group in zip(reps, groups):
-        if rep.terms or rep.den > 2:
+        if not rep.is_rational or rep.den > 2:
             others.append(tuple(group))
         elif rep.den == 1:
             integer = tuple(group)
@@ -107,6 +107,8 @@ def fold(x):
 
 
 def minus_double(x):
+    """``x`` followed by its reversed negation; length doubles.  Works on
+    exact scalars and on integer keys alike."""
     return tuple(x) + tuple(-e for e in reversed(x))
 
 

@@ -1,7 +1,8 @@
 """Closed forms and shape counts that only the tests use.
 
-``int_at_least`` and ``sum_int_at_least`` are one-point half-line tests
-on the scalars' integer fields, for the case-by-case criterion
+``minus_double`` (the dense route's) appends a sequence's reversed
+negation; ``int_at_least`` and ``sum_int_at_least`` are one-point
+half-line tests on the scalars' fields, for the case-by-case criterion
 references; ``single_weight_reducible`` is the maximal-parabolic case of
 the criterion, kept as a reference for the two-parameter half-lines;
 ``has_maximal_shape`` reads the same verdict off an integral type A
@@ -15,7 +16,7 @@ from gvmred import IndexOutOfRange, conjugate, rs_shape
 from gvmred.exact import integer_difference, integer_sum
 from gvmred.verdict import _coerce
 
-from dense_gk import NonIntegralWeight
+from dense_gk import NonIntegralWeight, minus_double  # noqa: F401
 
 
 class WrongLieType(ValueError):
@@ -24,7 +25,7 @@ class WrongLieType(ValueError):
 
 def int_at_least(z, bound: int) -> bool:
     """z is a plain integer >= bound."""
-    return z.den == 1 and not z.terms and z.num >= bound
+    return z.is_integer and z.num >= bound
 
 
 def sum_int_at_least(a, b, bound: int) -> bool:

@@ -307,7 +307,7 @@ _CUSTOM = ["sweep", "--type", "A", "--n", "4", "--p", "1", "--q", "2", "--grid",
         ([*_REDUCE[:7], "--q= 2"], "argument --q: bad integer ' 2'"),
         (
             ["verify", "--type", "D", f"--max-n={'9' * (MAX_DIGITS + 1)}"],
-            f"argument --max-n: bad integer '{'9' * (MAX_DIGITS + 1)}': "
+            f"argument --max-n: bad integer '{'9' * 40}'... ({MAX_DIGITS + 1} characters): "
             f"more than {MAX_DIGITS} digits",
         ),
     ],
@@ -325,6 +325,26 @@ def test_refused_values_name_the_flag_and_the_reason(argv, line, capsys):
     captured = capsys.readouterr()
     assert captured.out == "" and captured.err == f"error: {line}\n"
     assert "_rational" not in captured.err
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--type", "D", f"--max-n={'9' * (MAX_DIGITS + 1)}"],
+        ["verify", "--type", "D", f"--max-n={'9' * MAX_DIGITS}x"],
+        [*_REDUCE, f"--z1={'1' * (MAX_DIGITS + 1)}", "--z2=0"],
+        [*_REDUCE, f"--z1={'1+' * MAX_DIGITS}", "--z2=0"],
+        [*_CUSTOM, f"--lo={'1+' * MAX_DIGITS}tau", "--hi=1"],
+    ],
+    ids=["integer-digit-cap", "integer-junk", "scalar-digit-cap", "scalar-junk", "symbolic-bound"],
+)
+def test_long_refused_values_give_a_short_line(argv, capsys):
+    """A refusal quotes a prefix of a long value and its length, not the
+    whole value."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert len(captured.err) < 200 and " characters)" in captured.err
 
 
 def test_inverted_custom_grid_exits_2_before_sweeping(capsys, monkeypatch):
@@ -586,8 +606,9 @@ def test_diagram_svg_file(tmp_path):
 
 
 def test_out_file_is_replaced_only_once_the_output_exists(tmp_path, capsys, monkeypatch):
-    """A ``diagram --out`` that exits 1 leaves an existing file as it was;
-    one that succeeds, and a ``sweep --out``, replace it whole."""
+    """A ``diagram --out`` that exits 1 leaves an existing file as it was,
+    and no file where there was none; one that succeeds, and a ``sweep
+    --out``, replace it whole."""
     import gvmred.gk as gk_mod
 
     setup = ["--type", "A", "--n", "5", "--p", "1", "--q", "3"]
@@ -600,10 +621,13 @@ def test_out_file_is_replaced_only_once_the_output_exists(tmp_path, capsys, monk
     def broken(setup, exact):
         raise RuntimeError("miss failed")
 
+    new = tmp_path / "new.svg"
     with monkeypatch.context() as patch:
         patch.setattr(gk_mod, "_gk_from_values", broken)
         assert main(["diagram", *setup, "--out", str(out)]) == 1
+        assert main(["diagram", *setup, "--out", str(new)]) == 1
     assert out.read_bytes() == longer
+    assert not new.exists()
     assert capsys.readouterr().err.startswith("error: ")
     assert main(["diagram", *setup, "--out", str(out)]) == 0
     assert out.read_bytes() == good

@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import example, given, strategies as st
 
 from gvmred import (
@@ -13,18 +14,26 @@ from gvmred.exact import form_values, scalars_equal
 from conftest import SIGMA, TAU, sc, scalar_pairs
 
 
-# a small pool of symbol parts so random scalars actually collide
+# a small pool of symbol parts so random scalars actually collide; some
+# with zero coefficients, or with terms of one name that add up
 _GENERIC_POOL = [
     (),
     (("tau", Fraction(1)),),
     (("tau", Fraction(-1)),),
     (("sigma", Fraction(1)),),
     (("tau", Fraction(1, 2)),),
+    (("tau", 0), ("sigma", Fraction(0))),
+    (("sigma", 1), ("tau", 0)),
+    (("tau", 2), ("tau", -1)),
 ]
 
 rationals = st.fractions(min_value=-8, max_value=8, max_denominator=4)
-scalars = st.builds(
-    ExactScalar, rationals, st.sampled_from(_GENERIC_POOL)
+# built from an int, a Fraction, pairs and a mapping
+scalars = st.one_of(
+    st.integers(-8, 8).map(ExactScalar),
+    rationals.map(ExactScalar),
+    st.builds(ExactScalar, rationals, st.sampled_from(_GENERIC_POOL)),
+    st.builds(ExactScalar, rationals, st.sampled_from(_GENERIC_POOL).map(dict)),
 )
 
 
@@ -37,6 +46,12 @@ def test_canonical_form_prunes_zero_coefficients():
 def test_canonical_form_merges_terms():
     s = ExactScalar(0, [("tau", 1), ("tau", -1), ("sigma", 2)])
     assert s.generic == (("sigma", Fraction(2)),)
+    # tau and sigma are the only names, even with a zero coefficient
+    for generic in ({"x": 1}, [("tau", 1), ("x", 0)]):
+        with pytest.raises(ValueError, match="unknown symbol 'x'"):
+            ExactScalar(0, generic)
+    with pytest.raises(ValueError, match="unknown symbol 'x'"):
+        symbol("x")
 
 
 def test_arithmetic_and_negation():
@@ -122,6 +137,8 @@ def test_equal_scalars_hash_equal(a, b):
         assert hash(a) == hash(b)
     if a.is_rational:
         assert a == a.rational and hash(a) == hash(a.rational)
+    rebuilt = ExactScalar(a.rational, {"sigma": a.sigma, "tau": a.tau})
+    assert rebuilt == a and hash(rebuilt) == hash(a)
 
 
 @given(scalar_pairs())
@@ -136,17 +153,24 @@ def test_integer_tests_match_scalar_arithmetic(pair):
 def test_decoded_fields_match_canonical_form(pair):
     for a in pair:
         assert (a.num, a.den) == (a.rational.numerator, a.rational.denominator)
-        assert a.terms == tuple((n, c.numerator, c.denominator) for n, c in a.generic)
-        assert a.neg_terms == (-a).terms
+        # a zero coefficient is the int 0, any other a Fraction
+        for name, coeff in (("tau", a.tau), ("sigma", a.sigma)):
+            assert type(coeff) is (Fraction if coeff else int)
+            assert dict(a.generic).get(name, 0) == coeff
+        assert a.is_rational == (a.tau == a.sigma == 0)
+        assert ((-a).tau, (-a).sigma) == (-a.tau, -a.sigma)
 
 
 forms = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any), max_size=6)
 
 
 @given(scalar_pairs(), forms)
-# proportional symbol parts (z2 = -2*z1 + 1/2), cancelled by (2, 1) only;
-# one symbolic parameter; two independent symbols
+# proportional symbol parts (z2 = -2*z1 + 1/2), cancelled by (2, 1) only,
+# with tau alone, sigma alone and both; one symbolic parameter; two
+# independent symbols
 @example((TAU + sc("1/4"), -2 * TAU + sc("1/2")), [(2, 1), (4, 2), (2, -1), (1, 0)])
+@example((SIGMA + sc("1/4"), -2 * SIGMA + sc("1/2")), [(2, 1), (4, 2), (2, -1), (0, 1)])
+@example((TAU + 2 * SIGMA, -2 * TAU - 4 * SIGMA + sc("1/2")), [(2, 1), (4, 2), (1, 2), (2, 0)])
 @example((sc(3), TAU), [(2, 0), (1, 0), (0, 2), (2, 2)])
 @example((TAU, SIGMA), [(2, 0), (2, 2), (0, 2)])
 def test_form_values_match_scalar_arithmetic(pair, forms):

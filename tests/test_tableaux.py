@@ -7,7 +7,6 @@ from hypothesis import given, strategies as st
 from gvmred import (
     IncomparableScalars,
     conjugate,
-    minus_double,
     rs_shape,
     rs_tableau,
 )
@@ -20,7 +19,7 @@ from gvmred.tableaux import (
 
 import dense_gk
 from conftest import SIGMA, TAU, sc, seq
-from references import even_odd_counts
+from references import even_odd_counts, minus_double
 
 
 def longest_weakly_increasing(values) -> int:

@@ -15,7 +15,6 @@ from gvmred import (
     evaluate,
     family_setups,
     integrality_classes,
-    minus_double,
     rs_shape,
     shifted_weight,
     standard_grid,
@@ -30,16 +29,13 @@ from references import (
     even_odd_counts,
     has_maximal_shape,
     int_at_least,
+    minus_double,
     single_weight_reducible,
     sum_int_at_least,
 )
 
 A = lambda n: LieType("A", n)
 D = lambda n: LieType("D", n)
-
-
-def _is_int(z: ExactScalar) -> bool:
-    return z.den == 1 and not z.terms
 
 
 def test_oracle_examples_type_a():
@@ -171,7 +167,7 @@ def criterion_a_diagonal_cases(setup: ParabolicSetup, z: ExactScalar) -> bool:
     """The paper's type A case tree on the diagonal z1 = z2 = z."""
     gap = setup.q - setup.p
     lo, hi = min(setup.p, setup.n - setup.q), max(setup.p, setup.n - setup.q)
-    if _is_int(z):
+    if z.is_integer:
         if lo >= gap - 1:
             half_lo = (lo + 1) // 2 if gap % 2 == 0 else lo // 2
             first = -half_lo - (gap - 1) // 2
@@ -181,7 +177,7 @@ def criterion_a_diagonal_cases(setup: ParabolicSetup, z: ExactScalar) -> bool:
             first = -min(hi, gap) + 1
         return z.num >= first
     # non-integral: reducible only for half-integers past the open boundary
-    if lo < 1 or z.terms or z.den != 2:
+    if lo < 1 or not z.is_rational or z.den != 2:
         return False
     return z.num > -(gap + lo)
 
@@ -192,7 +188,7 @@ def type_d_diagonal_conditions(setup: ParabolicSetup, z: ExactScalar) -> bool:
     n = setup.n
     if setup.p == 1:
         # z non-integral in (-n)//2 + 3/2 + Z>=0
-        return not _is_int(z) and _fraction_int_step_at_least(
+        return not z.is_integer and _fraction_int_step_at_least(
             z, Fraction(2 * ((-n) // 2) + 3, 2)
         )
     # z in (-n+1)/2 (odd n) or (-n+2)/2 (even n) + (1/2)Z>=0
@@ -230,8 +226,8 @@ def criterion_d_with_gate(setup: ParabolicSetup, z1: ExactScalar, z2: ExactScala
         # q = n-1 or n
         if int_at_least(z1, 0):
             return True
-        z1_int = _is_int(z1)
-        if (not z1_int and not _is_int(z2)) or (z1_int and z1.num == -1):
+        z1_int = z1.is_integer
+        if (not z1_int and not z2.is_integer) or (z1_int and z1.num == -1):
             if sum_int_at_least(z1, z2, -n + 2):
                 return True
         return int_at_least(z2, -n + 3 if odd else -n + 4)
