@@ -18,12 +18,12 @@ the first); 2 a usage or validation error, before any work, printed as one
 stderr line with its reason, a refused flag value after the flag's name
 (``error: argument --z1: bad scalar '1/0': zero denominator``); a value
 longer than ``_QUOTED_CHARS`` (40) characters is quoted by its first ones
-and its length.  Refused
+and its length, in argparse's own refusals too (``_Parser.error``).  Refused
 are: an ``--n`` above ``MAX_RANK`` (2 000), an ``rs --seq`` of more entries
 than that, a verify ``--max-n`` below the family's smallest rank or whose
 standard grids would hold more than ``harness.MAX_FAMILY_POINTS``
 (1 000 000) points (above 14 for type A or 43 for type D, runs of about
-2.5 s and 7.7 s), a custom grid with ``--hi`` below ``--lo`` or larger than
+1.5 s and 7.3 s), a custom grid with ``--hi`` below ``--lo`` or larger than
 ``harness.MAX_GRID_POINTS``, a zero denominator, a scalar, grid bound or
 custom grid point with more digits than an int prints with
 (``MAX_DIGITS``), ``--lo``/``--hi``/``--step`` without ``--grid custom``
@@ -90,12 +90,35 @@ class BadValue(ValueError, argparse.ArgumentTypeError):
     """A refused value; raised by a ``type=`` function, it follows the flag name."""
 
 
+# A word of an argparse refusal: a value argparse quoted with repr, or a
+# run of non-spaces, such as an unrecognized argument.
+_WORD = re.compile(r"""'(?:[^'\\]|\\.)*'|"(?:[^"\\]|\\.)*"|\S+""")
+
+
+def _shortened(word: re.Match) -> str:
+    """A word of an argparse refusal, quoted by ``_quoted`` when it is
+    longer than ``_QUOTED_CHARS``."""
+    text = word.group()
+    if len(text) <= _QUOTED_CHARS:
+        return text
+    if text[0] in "'\"":  # the repr of the refused value
+        from ast import literal_eval  # only a long refusal loads it
+
+        try:
+            text = literal_eval(text)
+        except (SyntaxError, ValueError):  # quotes inside a bare word
+            pass
+    return _quoted(text)
+
+
 class _Parser(argparse.ArgumentParser):
-    """Raises each refusal as a ``BadValue``, for ``main`` to print on one line."""
+    """Raises each refusal as a ``BadValue``, for ``main`` to print on one
+    line.  argparse's own refusals quote a long value whole; ``error``
+    shortens it as ``_quoted`` does."""
 
     def error(self, message):
         # argparse quotes a bad value, but not an unrecognized argument
-        raise BadValue(" ".join(message.splitlines()))
+        raise BadValue(_WORD.sub(_shortened, " ".join(message.splitlines())))
 
 
 def _quoted(text: str) -> str:

@@ -51,11 +51,14 @@ member and inserts them once (``tableaux.key_columns``).  A plan holds
 no GK value.
 
 The form values are the oracle's only integrality decision.  A sweep
-reads them, exact and saturated, off its grid's form columns, keeps its
-own memo and calls ``_gk_from_values`` on a miss (``harness.sweep``), so
-each grid point is decoded once for every setup swept over the grid;
-``gk_dimension``, the one-point call, computes them with
-``exact.form_values``.
+reads them off its grid's cells (``harness.ParameterGrid.form_cells``:
+the distinct tuples of exact values over the setup's forms, numbered once
+per grid and form set), clamps each cell's tuple into its memo key, keeps
+its own memo and calls ``_gk_from_values`` on the exact tuple of each
+cell whose key is new (``harness.sweep``).  So each grid point is
+decoded once for every setup swept over the grid, and numbered into its
+cell once for every setup sharing its forms; ``gk_dimension``, the
+one-point call, computes the values with ``exact.form_values``.
 
 ``integrality_classes`` runs the same split on a dense weight of
 ExactScalars, one single-entry block per coordinate, reading the entries'

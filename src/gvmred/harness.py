@@ -6,24 +6,33 @@ and the generic symbols tau and sigma on each axis, and couples symbol
 offsets (a+tau, b-tau) so the "integral sum, non-integral parts" branches
 are exercised.  Sweeps are deterministic: rows are emitted in grid order.
 
-A sweep decides a setup by columns.  Its grid keeps, for every setup swept
-over it, the oracle's form values per form (``ParameterGrid.form_column``),
-the criterion's values per point (``ParameterGrid.criterion_values``) and
-the points transposed (``ParameterGrid.point_columns``), each built on
-first use.  The sweep clamps the form columns at the setup's windows and
-runs ``verdict.criterion_column`` over the criterion values.  Then one
-pass over the distinct clamped keys, each at its first point, fills the
-sweep's GK memo with ``gk._gk_from_values``, and the rows are built in
-one pass of ``map`` and ``zip`` over the columns, with no Python-level
-call per point.  Only when a miss raised does the sweep walk the points
-one by one.  The one-point route, ``verdict.evaluate``, serves
-``gvmred reduce``.
+A sweep decides a setup by cells.  A cell is a distinct tuple of a
+point's exact form values over a set of forms.  The grid keeps, for every
+setup swept over it, each built on first use: the exact form values per
+form (``ParameterGrid.form_column``); the cells per form set
+(``ParameterGrid.form_cells``: each point's cell index, and each cell's
+tuple, numbered in order of first occurrence); the criterion's values per
+point (``ParameterGrid.criterion_values``); and the points transposed
+(``ParameterGrid.point_columns``).  The setups of one type-A rank share
+one form set, so one numbering of the cells; the cells are about a sixth
+of the points on the standard grids of type A up to rank 5, and a
+quarter in type D up to rank 6.  The sweep clamps each cell's tuple at
+the setup's windows into its memo key and runs ``verdict.criterion_column``
+over the criterion values.  One pass over the cells fills the sweep's GK
+memo: a cell whose key is new calls ``gk._gk_from_values`` on its exact
+tuple.  The rows are built in one pass of ``map`` and ``zip`` over the
+points' cells, the criterion column and the transposed points, with no
+Python-level call per point.  The grid keeps exact values only: no GK
+value or verdict is cached on the grid, and the memo lives for one sweep.
+Only when a miss raised does the sweep walk the points one by one.  The
+one-point route, ``verdict.evaluate``, serves ``gvmred reduce``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
+from itertools import count
 from operator import attrgetter, getitem
 from typing import NamedTuple
 
@@ -43,6 +52,8 @@ class UnsupportedGrid(ValueError):
 
 Point = tuple[ExactScalar, ExactScalar]
 Axis = tuple[ExactScalar, ...]
+# (the cell index of every point, the exact form values of every cell)
+FormCells = tuple[tuple[int, ...], tuple[tuple["int | None", ...], ...]]
 
 EXTRA_RATIONALS = (Fraction(1, 3),)
 # Largest grid a spec may describe: about 100 times the standard grid of
@@ -52,7 +63,7 @@ MAX_GRID_POINTS = 200_000
 FAMILY_MIN_N = {"A": 3, "D": 4}
 # Largest family a verification may sweep, in standard-grid points before
 # de-duplication.  The largest families under it, A up to rank 14 (923 650
-# points) and D up to rank 43 (985 080), take about 2.5 s and 7.7 s with
+# points) and D up to rank 43 (985 080), take about 1.5 s and 7.3 s with
 # `gvmred verify` (2 CPUs, Python 3.11.7, interpreter start included);
 # per-point cost grows with the rank, faster in type D.
 MAX_FAMILY_POINTS = 1_000_000
@@ -132,6 +143,22 @@ class ParameterGrid(FrozenRecord):
             column = self._columns[form] = form_column(self._decoded, form)
         return column
 
+    def form_cells(self, forms: tuple[tuple[int, int], ...]) -> FormCells:
+        """(cell of every point, exact values of every cell) over ``forms``:
+        a cell is a distinct tuple of a point's ``form_column`` values, and
+        cells are numbered in order of first occurrence.  Built from the
+        kept columns on the first call per ``forms`` and kept, so the
+        setups sharing a form set share one numbering.  It holds exact
+        values only, never a GK value."""
+        cells = self._cells.get(forms)
+        if cells is None:
+            columns = list(map(self.form_column, forms))
+            # two streaming passes, so no tuple per point outlives its lookup
+            numbering = dict(zip(dict.fromkeys(zip(*columns)), count()))
+            index = tuple(map(numbering.__getitem__, zip(*columns)))
+            cells = self._cells[forms] = (index, tuple(numbering))
+        return cells
+
     def criterion_values(self) -> tuple[CriterionValues, ...]:
         """(z1, z2, z1 + z2) at every point, in grid order, each an int when
         it is an integer, else None (``verdict.criterion_values``).  Read
@@ -149,6 +176,10 @@ class ParameterGrid(FrozenRecord):
 
     @cached_property
     def _columns(self) -> dict[tuple[int, int], tuple[int | None, ...]]:
+        return {}
+
+    @cached_property
+    def _cells(self) -> dict[tuple[tuple[int, int], ...], FormCells]:
         return {}
 
 
@@ -216,24 +247,25 @@ class SweepReport(NamedTuple):
 def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     """Evaluate oracle and criterion at every grid point, in grid order.
 
-    The column passes come first: the grid's form columns for the setup's
-    forms, each clamped at its window, and ``verdict.criterion_column``
-    over the grid's criterion values.  If one of them raises, every point
-    is recorded in ``errors``.  Then one pass over the distinct clamped
-    keys, in order of first occurrence, fills the GK memo, which lives for
-    this one sweep: each key's first point calls ``gk._gk_from_values`` on
-    its exact values.  Rows with equal GK dimension and criterion share one
-    ``Verdict``; with every key known they are built in one pass.  A point
-    whose miss raises is recorded in ``errors``, not in ``rows``, and
-    nothing is memoised for it; each later point with its key misses again
-    and is recorded on its own.
+    The column passes come first: the grid's cells for the setup's forms
+    (``ParameterGrid.form_cells``), each cell's exact values clamped at the
+    windows into its memo key, and ``verdict.criterion_column`` over the
+    grid's criterion values.  If one of them raises, every point is
+    recorded in ``errors``.  Then one pass over the cells fills the GK
+    memo, which lives for this one sweep: a cell whose key is new calls
+    ``gk._gk_from_values`` on its exact values, which are those of the
+    key's first point.  Rows with equal GK dimension and criterion share
+    one ``Verdict``; with every key known they are built in one pass.  A
+    point whose miss raises is recorded in ``errors``, not in ``rows``,
+    and nothing is memoised for it; each later point with its key misses
+    again and is recorded on its own.
     """
     points = grid.points()
     try:
         forms, windows, _, _ = setup.gk_key
         du = setup.dim_u
-        exact = [grid.form_column(form) for form in forms]
-        keys = list(zip(*map(saturate, exact, windows)))
+        cells, exact = grid.form_cells(forms)
+        keys = list(zip(*map(saturate, zip(*exact), windows)))  # per cell
         criteria = verdict.criterion_column(setup, grid.criterion_values())
     except Exception as exc:  # collected, not fatal
         error = repr(exc)
@@ -241,9 +273,9 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     memo: dict = {}  # clamped form values -> verdicts (criterion false, true)
     by_gk: dict = {}  # GK dimension -> the same pair
 
-    def verdicts(i: int) -> tuple[Verdict, Verdict]:
-        """The verdict pair of point i, from a miss on its exact values."""
-        dim = gk._gk_from_values(setup, tuple([column[i] for column in exact]))
+    def verdicts(values: tuple) -> tuple[Verdict, Verdict]:
+        """The verdict pair of a miss on the exact form values ``values``."""
+        dim = gk._gk_from_values(setup, values)
         pair = by_gk.get(dim)
         if pair is None:
             reducible = dim < du
@@ -253,26 +285,28 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
             )
         return pair
 
-    failed = {}  # point index -> the error of its key's first miss
-    # the first index of each distinct key, ascending
-    for i in sorted(dict(zip(reversed(keys), range(len(keys) - 1, -1, -1))).values()):
-        try:
-            memo[keys[i]] = verdicts(i)
-        except Exception as exc:  # collected, not fatal
-            failed[i] = repr(exc)
+    failed = {}  # clamped key -> the error of its first miss
+    for key, values in zip(keys, exact):
+        if key not in memo and key not in failed:
+            try:
+                memo[key] = verdicts(values)
+            except Exception as exc:  # collected, not fatal
+                failed[key] = repr(exc)
     if not failed:
         z1s, z2s = grid.point_columns()
-        pairs = map(memo.__getitem__, keys)
+        pairs_by_cell = list(map(memo.__getitem__, keys))
+        pairs = map(pairs_by_cell.__getitem__, cells)
         rows = list(map(_new_row, zip(z1s, z2s, map(getitem, pairs, criteria))))
         return SweepReport(setup, rows, [])
     rows, errors = [], []
-    for i, ((z1, z2), key, crit) in enumerate(zip(points, keys, criteria)):
-        error = failed.get(i)
+    for (z1, z2), cell, crit in zip(points, cells, criteria):
+        key = keys[cell]
+        error = failed.pop(key, None)  # at the key's first point only
         if error is None:
             try:
                 pair = memo.get(key)
                 if pair is None:
-                    pair = memo[key] = verdicts(i)
+                    pair = memo[key] = verdicts(exact[cell])
                 rows.append(SweepRow(z1, z2, pair[crit]))
                 continue
             except Exception as exc:  # collected, not fatal

@@ -347,6 +347,25 @@ def test_long_refused_values_give_a_short_line(argv, capsys):
     assert len(captured.err) < 200 and " characters)" in captured.err
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["verify", "--type", "B" * 5000, "--max-n", "5"],
+        ["verify", "--type", "A", "--max-n", "5", "x" * 5000],
+        [*_REDUCE, "--z1=0", f"--z={'1' * 4998}"],
+        ["q" * 5000],
+    ],
+    ids=["invalid-choice", "unrecognized-argument", "ambiguous-option", "invalid-command"],
+)
+def test_long_argparse_refusals_give_a_short_line(argv, capsys):
+    """argparse's own refusals (a bad choice, an unrecognized or ambiguous
+    argument) quote a long value by a prefix and its length too."""
+    assert main(argv) == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and captured.err.count("\n") == 1
+    assert len(captured.err) < 200 and " characters)" in captured.err
+
+
 def test_inverted_custom_grid_exits_2_before_sweeping(capsys, monkeypatch):
     import gvmred.cli as cli_mod
 

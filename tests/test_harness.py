@@ -236,10 +236,31 @@ def test_building_a_grid_computes_no_criterion_values_and_a_rank_computes_them_o
         harness_mod._rank_grid.cache_clear()  # nor one computed through the patch
 
 
+def test_the_setups_of_a_type_a_rank_build_the_cells_once(monkeypatch):
+    """Every type-A setup of one rank has the same forms, so their sweeps
+    share one numbering of the grid's cells: between them they read each
+    form column of the grid once."""
+    form_column = ParameterGrid.form_column
+    calls = []
+
+    def counted(grid, form):
+        calls.append(form)
+        return form_column(grid, form)
+
+    setups = [s for s in family_setups("A", 7) if s.n == 7]
+    forms = setups[0].gk_key.forms
+    assert len(setups) == 15 and all(s.gk_key.forms == forms for s in setups)
+    grid = grid_from_spec(harness_mod._standard_spec(7))  # nothing kept on it yet
+    monkeypatch.setattr(ParameterGrid, "form_column", counted)
+    for setup in setups:
+        assert not sweep(setup, grid).errors
+    assert calls == list(forms)
+
+
 def _record_sweep_inputs(monkeypatch) -> tuple[list, list]:
-    """From now on, the clamped form columns ``sweep`` builds, and the exact
-    form values each of its memo misses hands to ``_gk_from_values``, in
-    grid order."""
+    """From now on, the clamped form columns ``sweep`` builds, one value per
+    cell of ``ParameterGrid.form_cells``, and the exact form values each of
+    its memo misses hands to ``_gk_from_values``, in grid order."""
     clamped, misses = [], []
     gk_from_values = gk_module._gk_from_values
 
@@ -266,10 +287,10 @@ CUSTOM_GRID = grid_from_spec(GridSpec(Fraction(-7, 3), Fraction(5, 2), Fraction(
 )
 def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setups):
     """On every point of the standard grids and of a custom grid, the memo
-    key a sweep reads off the grid's clamped columns is ``form_values`` of
-    the point saturated at the setup's windows; and its misses, one at the
-    first point of each key, hand ``_gk_from_values`` the exact
-    ``form_values`` of that point."""
+    key a sweep reads off the clamped values of the point's cell is
+    ``form_values`` of the point saturated at the setup's windows; and its
+    misses, one at the first point of each key, hand ``_gk_from_values``
+    the exact ``form_values`` of that point."""
     clamped, misses = _record_sweep_inputs(monkeypatch)
     checked = 0
     for setup in setups:
@@ -278,7 +299,9 @@ def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setu
             clamped.clear()
             misses.clear()
             assert not sweep(setup, grid).errors
-            keys = list(zip(*clamped))
+            cells, _ = grid.form_cells(forms)
+            cell_keys = list(zip(*clamped))
+            keys = [cell_keys[cell] for cell in cells]
             assert len(clamped) == len(forms) and len(keys) == len(grid)
             first = {}
             for (z1, z2), key in zip(grid.points(), keys):
@@ -403,8 +426,8 @@ def test_an_empty_grid_sweeps_to_an_empty_report():
 
 def test_column_pass_errors_record_every_point(monkeypatch):
     """A column pass that raises (the criterion column, the form columns,
-    their clamp) records every point of the setup in ``errors``; no
-    traceback escapes the sweep."""
+    the cells built from them, their clamp) records every point of the
+    setup in ``errors``; no traceback escapes the sweep."""
     setup = ParabolicSetup(A(5), 1, 3)
     grid = standard_grid(setup)
     strings = [(str(z1), str(z2)) for z1, z2 in grid.points()]
@@ -412,17 +435,22 @@ def test_column_pass_errors_record_every_point(monkeypatch):
     def broken_form_column(grid, form):
         raise RuntimeError("column failed")
 
+    def broken_form_cells(grid, forms):
+        raise RuntimeError("cells failed")
+
     def broken_saturate(column, window):
         raise RuntimeError("clamp failed")
 
     for owner, name, broken, message in (
         (verdict_mod, "criterion_column", _broken_column, "criterion failed"),
         (ParameterGrid, "form_column", broken_form_column, "column failed"),
+        (ParameterGrid, "form_cells", broken_form_cells, "cells failed"),
         (harness_mod, "saturate", broken_saturate, "clamp failed"),
     ):
         with monkeypatch.context() as patch:
             patch.setattr(owner, name, broken)
-            report = sweep(setup, grid)
+            # a grid with no columns or cells kept, so each entry point is reached
+            report = sweep(setup, grid_from_spec(harness_mod._standard_spec(setup.n)))
         assert report.rows == []
         assert [(z1, z2) for z1, z2, _ in report.errors] == strings
         assert all(message in exc for _, _, exc in report.errors)
@@ -467,14 +495,21 @@ def test_a_raising_miss_records_its_point_and_is_not_memoised(monkeypatch):
 )
 def test_grid_columns_match_form_values(pairs, forms):
     """A grid's kept columns, exact and saturated, hold ``form_values`` of
-    each of its points."""
+    each of its points, and so do its kept cells: distinct tuples, numbered
+    in order of first occurrence."""
     windows = [(-2 - i, 1 + i) for i in range(len(forms))]
     grid = ParameterGrid((), (), tuple(pairs))
     exact = [grid.form_column(form) for form in forms]
     assert all(grid.form_column(form) is column for form, column in zip(forms, exact))
+    kept = grid.form_cells(tuple(forms))
+    assert grid.form_cells(tuple(forms)) is kept
+    cells, cell_values = kept
+    assert len(cells) == len(grid) and len(set(cell_values)) == len(cell_values)
+    assert list(dict.fromkeys(cells)) == list(range(len(cell_values)))
     saturated = list(map(saturate, exact, windows))
     for i, (z1, z2) in enumerate(grid.points()):
         assert tuple(column[i] for column in exact) == form_values(forms, z1, z2)
+        assert cell_values[cells[i]] == form_values(forms, z1, z2)
         assert tuple(column[i] for column in saturated) == form_values(forms, z1, z2, windows)
 
 
@@ -764,6 +799,41 @@ def test_diagram_detects_spin_pair_lines():
     assert (Fraction(-3), Fraction(-3)) in marks
     assert (Fraction(-5, 2), Fraction(-5, 2)) in marks
     assert (Fraction(-7, 2), Fraction(-7, 2)) not in marks
+
+
+@pytest.mark.parametrize(
+    "setups",
+    [family_setups("A", 7), family_setups("D", 9)],
+    ids=["A<=7", "D<=9"],
+)
+def test_diagram_lines_are_the_half_lines_clipped_to_the_grid(setups):
+    """The paper's picture, read off the oracle's rows: the lines a diagram
+    draws are the criterion's half-lines clipped to the standard grid (the
+    integers c >= b1 for z1 and c >= b2 for z2 in [-(n+2), 3], and s >= b12
+    for z1 + z2 in [-2(n+2), 6]); every reducible rational point lies on
+    one; and both legends print those sets."""
+    for setup in setups:
+        report = sweep(setup, standard_grid(setup))
+        lo, hi = -(setup.n + 2), 3
+        b1, b2, b12 = setup.half_lines
+        expected = (
+            list(range(max(b1, lo), hi + 1)),
+            list(range(max(b2, lo), hi + 1)),
+            list(range(max(b12, 2 * lo), 2 * hi + 1)),
+        )
+        lines = harness_mod._detect_lines(report)
+        assert lines == expected, setup
+        verticals, horizontals, antidiagonals = map(set, expected)
+        for row in report.rows:
+            if row.z1.is_rational and row.z2.is_rational and row.verdict.reducible:
+                z1, z2 = row.z1.rational, row.z2.rational
+                assert z1 in verticals or z2 in horizontals or z1 + z2 in antidiagonals, (
+                    setup, z1, z2,
+                )
+        sets = ["{" + ", ".join(map(str, line)) + "}" for line in expected]
+        legend = "lines: z1 in {}; z2 in {}; z1+z2 in {}".format(*sets)
+        assert legend in render_diagram(report, "ascii").splitlines(), setup
+        assert f">{legend}</text>" in render_diagram(report, "svg"), setup
 
 
 def test_diagram_of_empty_or_unplottable_grid():
