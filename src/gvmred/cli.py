@@ -71,6 +71,8 @@ MAX_DIGITS = getattr(sys, "get_int_max_str_digits", lambda: 0)() or 4300
 _TOO_LONG = 10**MAX_DIGITS
 # Most characters of a refused value that its refusal quotes.
 _QUOTED_CHARS = 40
+# Most characters of an argparse refusal left whole after ``error: ``.
+_LINE_CHARS = 180
 
 _SYMBOL = "|".join(SYMBOLS)
 # One term of a scalar: an optional sign, then a bare symbol, or a rational
@@ -114,11 +116,17 @@ def _shortened(word: re.Match) -> str:
 class _Parser(argparse.ArgumentParser):
     """Raises each refusal as a ``BadValue``, for ``main`` to print on one
     line.  argparse's own refusals quote a long value whole; ``error``
-    shortens it as ``_quoted`` does."""
+    shortens each long word as ``_quoted`` does, and then a line still
+    longer than ``_LINE_CHARS`` (many short words) past its reason."""
 
     def error(self, message):
         # argparse quotes a bad value, but not an unrecognized argument
-        raise BadValue(_WORD.sub(_shortened, " ".join(message.splitlines())))
+        line = _WORD.sub(_shortened, " ".join(message.splitlines()))
+        if len(line) > _LINE_CHARS:
+            reason, colon, rest = line.partition(": ")
+            short = colon and len(reason) <= _QUOTED_CHARS
+            line = f"{reason}: {_quoted(rest)}" if short else _quoted(line)
+        raise BadValue(line)
 
 
 def _quoted(text: str) -> str:

@@ -21,9 +21,12 @@ fields, so they build no scalar.
 The form values (x*z1 + y*z2)/2 come in two steps: ``decode_point``
 reads a point's common denominator and symbol kernel once, and
 ``form_column`` tests one integer pair (x, y) against many decoded
-points.  ``form_values`` runs both for one point and many pairs; a grid
-(``harness.ParameterGrid``) decodes its points once and keeps one column
-per pair for every setup swept over it.
+points.  ``form_values(forms, z1, z2)`` runs both for one point and many
+pairs and returns the exact values; ``saturate`` clamps a column to a
+window, which only a sweep's memo key needs.  A grid
+(``harness.ParameterGrid``) decodes its points once, keeps one column per
+pair for every setup swept over it, and numbers its cells by the columns'
+tuples.
 """
 
 from __future__ import annotations
@@ -248,21 +251,11 @@ def saturate(column: Sequence[int | None], window: tuple[int, int]) -> tuple[int
 
 
 def form_values(
-    forms: Sequence[tuple[int, int]],
-    z1: ExactScalar,
-    z2: ExactScalar,
-    windows: Sequence[tuple[int, int]] | None = None,
+    forms: Sequence[tuple[int, int]], z1: ExactScalar, z2: ExactScalar
 ) -> tuple[int | None, ...]:
     """Per integer pair (x, y): (x*z1 + y*z2)/2 as an int when it is an
-    integer, else None; builds no scalar.
-
-    The one-point form of ``form_column``: the point is decoded once for
-    all pairs.  ``forms`` holds no (0, 0) pair.  With ``windows``, one
-    (lo, hi) per pair, each int value is clamped to its window
-    (saturated); None stays None.
-    """
+    integer, else None; builds no scalar.  The one-point form of
+    ``form_column``: the point is decoded once for all pairs.  ``forms``
+    holds no (0, 0) pair."""
     point = (decode_point(z1, z2),)
-    columns = [form_column(point, form) for form in forms]
-    if windows is not None:
-        columns = map(saturate, columns, windows)
-    return tuple(column[0] for column in columns)
+    return tuple([form_column(point, form)[0] for form in forms])

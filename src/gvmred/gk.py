@@ -30,14 +30,15 @@ runs (6 when doubled) and as many columns (``tableaux.key_columns``).
 
 A shape depends only on the relative order of its keys, ties included,
 and each comparison of two keys of a class is one of those values against
-an integer threshold (a difference or sum of rho entries).  So
-``gk_dimension`` keys its memo on the values saturated at the windows of
+an integer threshold (a difference or sum of rho entries).  So points
+whose values agree once saturated at the windows of
 ``ParabolicSetup.gk_key`` (each int clamped to one past its extreme
-thresholds): points with equal saturated values have equal None
-patterns, so equal class splits, and keys in the same order, so equal GK
-dimensions.  A new key's integer keys are built from the exact values
-(``_gk_from_values``), since the key bases are not the saturated ones.
-A memo belongs to one sweep of one setup.
+thresholds) have equal None patterns, so equal class splits, and keys in
+the same order, so equal GK dimensions.  The one GK memo, in
+``harness.sweep``, is keyed on the saturated values and belongs to one
+sweep of one setup; a new key's integer keys are built from the exact
+values (``_gk_from_values``), since the key bases are not the saturated
+ones.
 
 The class split reads only which form values are None, and a setup's
 points meet few such None patterns.  So a miss does not split: it looks
@@ -51,14 +52,14 @@ member and inserts them once (``tableaux.key_columns``).  A plan holds
 no GK value.
 
 The form values are the oracle's only integrality decision.  A sweep
-reads them off its grid's cells (``harness.ParameterGrid.form_cells``:
-the distinct tuples of exact values over the setup's forms, numbered once
-per grid and form set), clamps each cell's tuple into its memo key, keeps
-its own memo and calls ``_gk_from_values`` on the exact tuple of each
-cell whose key is new (``harness.sweep``).  So each grid point is
+reads them off its grid's cells (``harness.ParameterGrid.form_cells``,
+numbered once per grid and form set), clamps each cell's exact values
+into its memo key and calls ``_gk_from_values`` on the exact values of
+each cell whose key is new (``harness.sweep``).  So each grid point is
 decoded once for every setup swept over the grid, and numbered into its
-cell once for every setup sharing its forms; ``gk_dimension``, the
-one-point call, computes the values with ``exact.form_values``.
+cell once for every setup sharing its forms.  ``gk_dimension``, the
+one-point call, is ``_gk_from_values`` of the point's exact
+``exact.form_values``, with no memo.
 
 ``integrality_classes`` runs the same split on a dense weight of
 ExactScalars, one single-entry block per coordinate, reading the entries'
@@ -229,26 +230,10 @@ def integrality_classes(entries, lie: LieType) -> ClassDecomposition:
     return ClassDecomposition(classes, labeled.get(0), labeled.get(1), tuple(others))
 
 
-def gk_dimension(setup: ParabolicSetup, z1, z2, memo: dict | None = None) -> int:
-    """GK dimension at the scalar highest weight z1*xi_p + z2*xi_q.
-
-    ``memo`` maps the point's form values over ``setup.gk_key.forms``,
-    saturated at its windows, to GK dimensions; equal saturated values give
-    equal class splits and keys in the same order, so equal GK dimensions.
-    A new key's classes and keys are built from the exact values.  Callers
-    that query many points of one setup pass one dict for all of them, so
-    a point whose saturated values were seen before costs a lookup.
-    Without it the point gets a fresh dict.  Both kinds of values are
-    computed here with ``exact.form_values``; ``harness.sweep`` reads them
-    off its grid's columns instead.
-    """
+def gk_dimension(setup: ParabolicSetup, z1, z2) -> int:
+    """GK dimension at the scalar highest weight z1*xi_p + z2*xi_q: the
+    one-point call, ``_gk_from_values`` of the point's exact
+    ``exact.form_values`` over ``setup.gk_key.forms``, with no memo."""
     z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
     z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
-    forms, windows, _, _ = setup.gk_key
-    key = form_values(forms, z1, z2, windows)
-    if memo is None:
-        memo = {}
-    gk = memo.get(key)
-    if gk is None:
-        gk = memo[key] = _gk_from_values(setup, form_values(forms, z1, z2))
-    return gk
+    return _gk_from_values(setup, form_values(setup.gk_key.forms, z1, z2))

@@ -6,34 +6,41 @@ and the generic symbols tau and sigma on each axis, and couples symbol
 offsets (a+tau, b-tau) so the "integral sum, non-integral parts" branches
 are exercised.  Sweeps are deterministic: rows are emitted in grid order.
 
-A sweep decides a setup by cells.  A cell is a distinct tuple of a
-point's exact form values over a set of forms.  The grid keeps, for every
-setup swept over it, each built on first use: the exact form values per
-form (``ParameterGrid.form_column``); the cells per form set
-(``ParameterGrid.form_cells``: each point's cell index, and each cell's
-tuple, numbered in order of first occurrence); the criterion's values per
-point (``ParameterGrid.criterion_values``); and the points transposed
-(``ParameterGrid.point_columns``).  The setups of one type-A rank share
-one form set, so one numbering of the cells; the cells are about a sixth
-of the points on the standard grids of type A up to rank 5, and a
-quarter in type D up to rank 6.  The sweep clamps each cell's tuple at
-the setup's windows into its memo key and runs ``verdict.criterion_column``
-over the criterion values.  One pass over the cells fills the sweep's GK
-memo: a cell whose key is new calls ``gk._gk_from_values`` on its exact
-tuple.  The rows are built in one pass of ``map`` and ``zip`` over the
-points' cells, the criterion column and the transposed points, with no
-Python-level call per point.  The grid keeps exact values only: no GK
-value or verdict is cached on the grid, and the memo lives for one sweep.
-Only when a miss raised does the sweep walk the points one by one.  The
-one-point route, ``verdict.evaluate``, serves ``gvmred reduce``.
+A sweep decides each grid cell once.  A cell is a distinct pair of a
+point's exact form values over a set of forms and its criterion values
+(``verdict.criterion_values``: z1, z2 and z1 + z2, each an int when it is
+an integer, else None).  Only the numbering is shared: the criterion's
+values are still read at every point by its own integrality code, and on
+the standard grids of type A up to rank 9 and type D up to rank 10 they
+split no form cell.  The grid keeps, for every setup swept over it, each
+built on first use: the exact form values per form
+(``ParameterGrid.form_column``), the criterion values per point
+(``ParameterGrid.criterion_values``), the cells per form set
+(``ParameterGrid.form_cells``, numbered in order of first occurrence; the
+setups of one type-A rank share one) and the points transposed
+(``ParameterGrid.point_columns``).  The cells are about a sixth of the
+points on the standard grids of type A up to rank 5, and a quarter in
+type D up to rank 6.
+
+``sweep`` runs ``verdict.criterion_column`` once over the cells, and
+fills its GK memo, from each cell's exact values clamped at the setup's
+windows to a GK dimension, in one pass over the cells.  Each cell gets
+one outcome: the ``Verdict`` shared by every cell with its GK dimension
+and criterion, or what raised.  A raising miss costs every point of its
+cell and is not memoised, so the next cell with the same key misses
+again; a raising column pass costs every point.  The rows and the errors
+are built in one pass of ``map``, ``zip`` and ``compress`` over the
+points' cells.  No GK value or verdict is cached on the grid, and the
+memo lives for one sweep.  The one-point route, ``verdict.evaluate``,
+serves ``gvmred reduce``.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import count
-from operator import attrgetter, getitem
+from itertools import compress, count
+from operator import not_
 from typing import NamedTuple
 
 from . import gk, verdict
@@ -52,8 +59,11 @@ class UnsupportedGrid(ValueError):
 
 Point = tuple[ExactScalar, ExactScalar]
 Axis = tuple[ExactScalar, ...]
-# (the cell index of every point, the exact form values of every cell)
-FormCells = tuple[tuple[int, ...], tuple[tuple["int | None", ...], ...]]
+# (the cell index of every point, the exact form values of every cell, the
+# criterion values of every cell)
+FormCells = tuple[
+    tuple[int, ...], tuple[tuple["int | None", ...], ...], tuple[CriterionValues, ...]
+]
 
 EXTRA_RATIONALS = (Fraction(1, 3),)
 # Largest grid a spec may describe: about 100 times the standard grid of
@@ -144,19 +154,24 @@ class ParameterGrid(FrozenRecord):
         return column
 
     def form_cells(self, forms: tuple[tuple[int, int], ...]) -> FormCells:
-        """(cell of every point, exact values of every cell) over ``forms``:
-        a cell is a distinct tuple of a point's ``form_column`` values, and
-        cells are numbered in order of first occurrence.  Built from the
-        kept columns on the first call per ``forms`` and kept, so the
-        setups sharing a form set share one numbering.  It holds exact
-        values only, never a GK value."""
+        """(cell of every point, exact values of every cell, criterion
+        values of every cell) over ``forms``: a cell is a distinct pair of a
+        point's ``form_column`` values and its ``criterion_values`` triple,
+        and cells are numbered in order of first occurrence.  Built from the
+        kept columns on the first call per ``forms`` and kept, so the setups
+        sharing a form set share one numbering.  It holds exact values only,
+        never a GK value or a verdict."""
         cells = self._cells.get(forms)
         if cells is None:
             columns = list(map(self.form_column, forms))
-            # two streaming passes, so no tuple per point outlives its lookup
-            numbering = dict(zip(dict.fromkeys(zip(*columns)), count()))
-            index = tuple(map(numbering.__getitem__, zip(*columns)))
-            cells = self._cells[forms] = (index, tuple(numbering))
+
+            def joint():  # streamed, so no pair per point outlives its lookup
+                return zip(zip(*columns), self._criterion_values)
+
+            numbering = dict(zip(dict.fromkeys(joint()), count()))
+            index = tuple(map(numbering.__getitem__, joint()))
+            exact, triples = zip(*numbering) if numbering else ((), ())
+            cells = self._cells[forms] = (index, exact, triples)
         return cells
 
     def criterion_values(self) -> tuple[CriterionValues, ...]:
@@ -250,69 +265,48 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     The column passes come first: the grid's cells for the setup's forms
     (``ParameterGrid.form_cells``), each cell's exact values clamped at the
     windows into its memo key, and ``verdict.criterion_column`` over the
-    grid's criterion values.  If one of them raises, every point is
-    recorded in ``errors``.  Then one pass over the cells fills the GK
-    memo, which lives for this one sweep: a cell whose key is new calls
-    ``gk._gk_from_values`` on its exact values, which are those of the
-    key's first point.  Rows with equal GK dimension and criterion share
-    one ``Verdict``; with every key known they are built in one pass.  A
-    point whose miss raises is recorded in ``errors``, not in ``rows``,
-    and nothing is memoised for it; each later point with its key misses
-    again and is recorded on its own.
+    cells' criterion values.  Then one pass over the cells fills the GK
+    memo, from clamped key to GK dimension, which lives for this one
+    sweep: a cell whose key is new calls ``gk._gk_from_values`` on its
+    exact values.  Each cell gets one outcome: the ``Verdict`` shared by
+    every cell with its GK dimension and criterion, or None, with the repr
+    of what raised in ``failed``.  A miss that raises is not memoised:
+    every point of its cell is recorded in ``errors``, and the next cell
+    with the same key misses again.  A column pass that raises fails
+    every point with its repr.  The rows and the errors are built in one
+    pass over the points' cells.
     """
-    points = grid.points()
     try:
         forms, windows, _, _ = setup.gk_key
         du = setup.dim_u
-        cells, exact = grid.form_cells(forms)
-        keys = list(zip(*map(saturate, zip(*exact), windows)))  # per cell
-        criteria = verdict.criterion_column(setup, grid.criterion_values())
+        cells, exact, triples = grid.form_cells(forms)
+        keys = list(zip(*map(saturate, zip(*exact), windows)))
+        criteria = verdict.criterion_column(setup, triples)
     except Exception as exc:  # collected, not fatal
-        error = repr(exc)
-        return SweepReport(setup, [], [(str(z1), str(z2), error) for z1, z2 in points])
-    memo: dict = {}  # clamped form values -> verdicts (criterion false, true)
-    by_gk: dict = {}  # GK dimension -> the same pair
-
-    def verdicts(values: tuple) -> tuple[Verdict, Verdict]:
-        """The verdict pair of a miss on the exact form values ``values``."""
-        dim = gk._gk_from_values(setup, values)
-        pair = by_gk.get(dim)
-        if pair is None:
-            reducible = dim < du
-            pair = by_gk[dim] = (
-                Verdict(dim, du, reducible, False, not reducible),
-                Verdict(dim, du, reducible, True, reducible),
-            )
-        return pair
-
-    failed = {}  # clamped key -> the error of its first miss
-    for key, values in zip(keys, exact):
-        if key not in memo and key not in failed:
-            try:
-                memo[key] = verdicts(values)
-            except Exception as exc:  # collected, not fatal
-                failed[key] = repr(exc)
-    if not failed:
-        z1s, z2s = grid.point_columns()
-        pairs_by_cell = list(map(memo.__getitem__, keys))
-        pairs = map(pairs_by_cell.__getitem__, cells)
-        rows = list(map(_new_row, zip(z1s, z2s, map(getitem, pairs, criteria))))
-        return SweepReport(setup, rows, [])
-    rows, errors = [], []
-    for (z1, z2), cell, crit in zip(points, cells, criteria):
-        key = keys[cell]
-        error = failed.pop(key, None)  # at the key's first point only
-        if error is None:
-            try:
-                pair = memo.get(key)
-                if pair is None:
-                    pair = memo[key] = verdicts(exact[cell])
-                rows.append(SweepRow(z1, z2, pair[crit]))
-                continue
-            except Exception as exc:  # collected, not fatal
-                error = repr(exc)
-        errors.append((str(z1), str(z2), error))
-    return SweepReport(setup, rows, errors)
+        cells, outcomes, failed = (0,) * len(grid), [None], {0: repr(exc)}
+    else:
+        memo: dict = {}  # clamped form values -> GK dimension
+        failed = {}  # cell -> the repr of what its miss raised
+        for cell, (key, values) in enumerate(zip(keys, exact)):
+            if key not in memo:
+                try:
+                    memo[key] = gk._gk_from_values(setup, values)
+                except Exception as exc:  # collected, not fatal
+                    failed[cell] = repr(exc)
+        pairs = list(zip(map(memo.get, keys), criteria))
+        shared = {  # cells with equal GK dimension and criterion share one Verdict
+            (dim, crit): Verdict(dim, du, dim < du, crit, (dim < du) == crit)
+            for dim, crit in set(pairs)
+            if dim is not None
+        }
+        outcomes = list(map(shared.get, pairs))  # per cell: its Verdict, or None
+        for cell in failed:
+            outcomes[cell] = None
+    z1s, z2s = grid.point_columns()
+    verdicts = list(map(outcomes.__getitem__, cells))  # per point: a Verdict, or None
+    rows = list(compress(map(_new_row, zip(z1s, z2s, verdicts)), verdicts))
+    errors = compress(count(), map(not_, verdicts))
+    return SweepReport(setup, rows, [(str(z1s[i]), str(z2s[i]), failed[cells[i]]) for i in errors])
 
 
 class MismatchReport(NamedTuple):
@@ -462,18 +456,23 @@ MARGIN = 60
 
 def _full_lines(report: SweepReport, line, other) -> list[Fraction]:
     """Rational values c, ascending, with every sampled point on the line
-    ``line(row) == c`` reducible and one of them at a generic ``other(row)``."""
+    ``line(row) == c`` reducible and one of them at a generic ``other(row)``;
+    both functions give a Fraction, or None when the value has a symbol
+    part."""
     groups: dict[Fraction, list[SweepRow]] = {}
     for row in report.rows:
         value = line(row)
-        if value.is_rational:
-            groups.setdefault(value.rational, []).append(row)
+        if value is not None:
+            groups.setdefault(value, []).append(row)
     return [
         c
         for c, rows in sorted(groups.items())
-        if any(not other(r).is_rational for r in rows)
-        and all(r.verdict.reducible for r in rows)
+        if any(other(r) is None for r in rows) and all(r.verdict.reducible for r in rows)
     ]
+
+
+def _rational(z: ExactScalar) -> Fraction | None:
+    return None if z.tau or z.sigma else z.rational
 
 
 def _detect_lines(report: SweepReport):
@@ -482,14 +481,17 @@ def _detect_lines(report: SweepReport):
     A vertical (resp. horizontal) line needs every sampled point of the
     column (resp. row) reducible, including a generic-offset sample, so it
     genuinely stands for "the other parameter is arbitrary".  Anti-diagonal
-    lines are read off the coupled symbol points the same way.
+    lines are read off the coupled symbol points the same way; z1 + z2 is
+    read off the scalars' fields, the rational parts added when the symbol
+    parts cancel, so no scalar is built.
     """
-    z1, z2 = attrgetter("z1"), attrgetter("z2")
-    return (
-        _full_lines(report, z1, z2),
-        _full_lines(report, z2, z1),
-        _full_lines(report, lambda r: r.z1 + r.z2, z1),
-    )
+    z1, z2 = (lambda row: _rational(row.z1)), (lambda row: _rational(row.z2))
+
+    def total(row):
+        a, b = row.z1, row.z2
+        return a.rational + b.rational if a.tau == -b.tau and a.sigma == -b.sigma else None
+
+    return _full_lines(report, z1, z2), _full_lines(report, z2, z1), _full_lines(report, total, z1)
 
 
 def render_diagram(report: SweepReport, format: str = "svg") -> str:

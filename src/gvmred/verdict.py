@@ -7,22 +7,25 @@ the module is reducible exactly when z1, z2 or z1 + z2 is an integer on
 its half-line Z>=b1, Z>=b2 or Z>=b12, three bounds fixed by the setup
 (``ParabolicSetup.half_lines``).  In the (z1, z2) plane the reducible set
 is these three families of lines; the diagonal z1 = z2 needs no case of
-its own.  Sweeps cross-check the two answers point by point.
+its own.  Sweeps cross-check the two answers at every grid point.
 
 The criterion comes in two steps, like the form values of ``exact``:
 ``criterion_values`` reads z1, z2 and z1 + z2 of each point as an int
 when it is an integer, else None, and ``criterion_column`` tests those
 triples against one setup's half-lines.  A grid
 (``harness.ParameterGrid``) keeps the values of its points for every
-setup swept over it; ``criterion`` runs both steps for one point.
+setup swept over it, and numbers its cells by them jointly with the
+oracle's form values; a sweep runs ``criterion_column`` once, over the
+cells' triples, so once per cell, not per point.  ``criterion`` runs
+both steps for one point.
 
 Coset membership such as "z in c + Z>=0" is decided exactly: a scalar with
 a nonzero symbol part is never an integer.  The values are read off each
 parameter's fields (``num`` and ``den`` of its rational part and its
 ``tau`` and ``sigma`` coefficients, stored when the scalar is built) and
 ``exact.integer_sum``, so the criterion builds no scalar.  This is an
-integrality decision of its own: it shares nothing with the oracle's form
-values (``exact.form_column``).
+integrality decision of its own: it shares only the cell numbering with
+the oracle's form values (``exact.form_column``).
 """
 
 from __future__ import annotations
@@ -84,7 +87,7 @@ def criterion(setup: ParabolicSetup, z1, z2) -> bool:
 
 def evaluate(setup: ParabolicSetup, z1, z2) -> Verdict:
     """Oracle verdict plus criterion answer and agreement flag at one
-    point; ``harness.sweep`` decides a whole grid by columns."""
+    point; ``harness.sweep`` decides a whole grid by cells."""
     gk = gk_dimension(setup, z1, z2)
     du = setup.dim_u
     reducible = gk < du

@@ -3,6 +3,7 @@ from fractions import Fraction
 from hypothesis import strategies as st
 
 from gvmred import ExactScalar, symbol
+from gvmred.exact import form_values, saturate
 
 TAU = symbol("tau")
 SIGMA = symbol("sigma")
@@ -15,6 +16,12 @@ def sc(value) -> ExactScalar:
     if isinstance(value, str):
         return ExactScalar(Fraction(value))
     return ExactScalar(value)
+
+
+def saturated_form_values(forms, windows, z1, z2) -> tuple:
+    """``form_values`` of the point (z1, z2), each int clamped to its
+    window with ``saturate``, as a sweep's memo key."""
+    return tuple(saturate((v,), w)[0] for v, w in zip(form_values(forms, z1, z2), windows))
 
 
 def seq(*values) -> tuple[ExactScalar, ...]:

@@ -196,14 +196,18 @@ def test_criterion_5_three_column_shape_equivalence():
     problems = []
     for setup in family_setups("A", 8):
         n = setup.n
-        memo = {}
-        for z1 in range(-(n + 2), 4):
-            for z2 in range(-(n + 2), 4):
-                shape_max = has_maximal_shape(setup, shifted_weight(setup, z1, z2))
-                attained = gk_dimension(setup, z1, z2, memo) == setup.dim_u
-                checked += 1
-                if shape_max != attained:
-                    problems.append((setup, z1, z2))
+        points = [(sc(z1), sc(z2)) for z1 in range(-(n + 2), 4) for z2 in range(-(n + 2), 4)]
+        # GK dimensions through one sweep's memo, in both orders
+        gk = {}
+        for order in (points, points[::-1]):
+            for row in sweep(setup, ParameterGrid((), (), tuple(order))).rows:
+                gk.setdefault((row.z1, row.z2), []).append(row.verdict.gk)
+        for z1, z2 in points:
+            shape_max = has_maximal_shape(setup, shifted_weight(setup, z1, z2))
+            attained = [dim == setup.dim_u for dim in gk.get((z1, z2), [])]
+            checked += 1
+            if attained != [shape_max] * 2:
+                problems.append((setup, z1, z2))
     _report(5, not problems, f"{checked} integral points" + (f"; first={problems[:1]}" if problems else ""))
 
 

@@ -22,7 +22,7 @@ from gvmred import (
 )
 from gvmred.cli import MAX_DIGITS, main, parse_scalar
 
-from conftest import SIGMA, TAU, sc, scalars
+from conftest import SIGMA, TAU, saturated_form_values, sc, scalars
 
 
 def test_parse_scalar_syntaxes():
@@ -354,8 +354,18 @@ def test_long_refused_values_give_a_short_line(argv, capsys):
         ["verify", "--type", "A", "--max-n", "5", "x" * 5000],
         [*_REDUCE, "--z1=0", f"--z={'1' * 4998}"],
         ["q" * 5000],
+        # long, but made of short words
+        ["verify", "--type", "A", "--max-n", "5", "a " * 2500],
+        [*_REDUCE, "--z1=0", f"--z={'1 ' * 2500}"],
     ],
-    ids=["invalid-choice", "unrecognized-argument", "ambiguous-option", "invalid-command"],
+    ids=[
+        "invalid-choice",
+        "unrecognized-argument",
+        "ambiguous-option",
+        "invalid-command",
+        "unrecognized-short-words",
+        "ambiguous-short-words",
+    ],
 )
 def test_long_argparse_refusals_give_a_short_line(argv, capsys):
     """argparse's own refusals (a bad choice, an unrecognized or ambiguous
@@ -387,7 +397,7 @@ def test_sweep_and_diagram_exit_1_when_points_raise(capsys, monkeypatch):
 
     setup = ParabolicSetup(LieType("A", 4), 1, 2)
     forms, windows, _, _ = setup.gk_key
-    target = form_values(forms, sc(-1), sc(0), windows)
+    target = saturated_form_values(forms, windows, sc(-1), sc(0))
 
     def hits(exact):
         """The exact form values clamp to the target key."""

@@ -11,7 +11,7 @@ from gvmred import (
 )
 from gvmred.exact import form_values, scalars_equal
 
-from conftest import SIGMA, TAU, sc, scalar_pairs
+from conftest import SIGMA, TAU, saturated_form_values, sc, scalar_pairs
 
 
 # a small pool of symbol parts so random scalars actually collide; some
@@ -183,4 +183,4 @@ def test_form_values_match_scalar_arithmetic(pair, forms):
     # saturated: each int clamped to its window, None kept
     windows = [(-2 - i, 1 + i) for i in range(len(forms))]
     saturated = [v if v is None else min(max(v, lo), hi) for v, (lo, hi) in zip(expected, windows)]
-    assert form_values(forms, z1, z2, windows) == tuple(saturated)
+    assert saturated_form_values(forms, windows, z1, z2) == tuple(saturated)

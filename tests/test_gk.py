@@ -11,6 +11,7 @@ from gvmred import (
     ExactScalar,
     LieType,
     ParabolicSetup,
+    ParameterGrid,
     family_setups,
     gk_dimension,
     integrality_classes,
@@ -22,7 +23,7 @@ from gvmred.gk import _folded, entry_readers, key_readers, split_classes
 from gvmred.tableaux import key_columns
 
 import conftest
-from conftest import SIGMA, TAU, sc, seq
+from conftest import SIGMA, TAU, saturated_form_values, sc, seq
 from dense_gk import NonIntegralWeight, gk_dimension_integral
 
 A = lambda n: LieType("A", n)
@@ -184,7 +185,7 @@ def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
 
 
 def test_repeated_keys_skip_the_miss_path(monkeypatch):
-    """In one sweep the criterion column covers every point in one call, and
+    """In one sweep the criterion column covers every cell in one call, and
     the class split and key building run once per distinct saturated
     form-value key, of which there are fewer than exact ones."""
     columns, misses = [], []
@@ -204,12 +205,12 @@ def test_repeated_keys_skip_the_miss_path(monkeypatch):
         grid = standard_grid(setup)
         forms, windows, _, _ = setup.gk_key
         exact = {form_values(forms, z1, z2) for z1, z2 in grid.points()}
-        keys = {form_values(forms, z1, z2, windows) for z1, z2 in grid.points()}
+        keys = {saturated_form_values(forms, windows, z1, z2) for z1, z2 in grid.points()}
         columns.clear()
         misses.clear()
         report = sweep(setup, grid)
         assert len(report.rows) == len(grid)
-        assert columns == [len(grid)]
+        assert columns == [len(grid.form_cells(forms)[1])] and columns[0] < len(grid)
         assert len(misses) == len(keys) < len(exact) < len(grid) / 2
 
 
@@ -400,13 +401,16 @@ def test_block_core_matches_dense_route_at_large_rank(setup):
 # lie past their windows at both points.
 @example(ParabolicSetup(D(4), 1, 4), _pairs((-6, -6), (-5, -5)), random.Random(0))
 def test_shared_memo_matches_fresh_points(setup, pairs, rng):
-    """Points of one setup through one memo, in two orders, give each
-    point's one-point GK dimension."""
-    memo = {}
+    """Points of one setup through one sweep's memo, in two orders, give
+    each point's one-point GK dimension."""
     shuffled = pairs[:]
     rng.shuffle(shuffled)
-    for z1, z2 in pairs + shuffled:
-        assert gk_dimension(setup, z1, z2, memo) == gk_dimension(setup, z1, z2)
+    for order in (pairs, shuffled):
+        report = sweep(setup, ParameterGrid((), (), tuple(order)))
+        assert not report.errors
+        assert [(row.z1, row.z2) for row in report.rows] == list(dict.fromkeys(order))
+        for row in report.rows:
+            assert row.verdict.gk == gk_dimension(setup, row.z1, row.z2)
 
 
 dense_entries = st.lists(
@@ -456,9 +460,15 @@ def test_type_a_gk_invariant_under_common_shift(entries, shift):
 
 
 def _gk_values(setup, points):
-    """GK dimensions at ``points`` through one memo, as a sweep takes them."""
-    memo = {}
-    return [gk_dimension(setup, z1, z2, memo) for z1, z2 in points]
+    """GK dimensions at the distinct ``points``, read off a sweep over them;
+    a sweep over them in reverse order gives the same."""
+    values = []
+    for order in (points, points[::-1]):
+        report = sweep(setup, ParameterGrid((), (), tuple(order)))
+        assert not report.errors and len(report.rows) == len(points)
+        values.append([row.verdict.gk for row in report.rows])
+    assert values[1] == values[0][::-1]
+    return values[0]
 
 
 def _swapped(points):

@@ -29,7 +29,7 @@ from gvmred.gk import _folded, key_readers, split_classes
 from gvmred.harness import MAX_GRID_POINTS, SweepRow, format_field, grid_from_spec
 from gvmred.verdict import Verdict, criterion_values, evaluate
 
-from conftest import SIGMA, TAU, sc, scalar_pairs
+from conftest import SIGMA, TAU, saturated_form_values, sc, scalar_pairs
 
 FORM_LISTS = st.lists(
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any), min_size=1, max_size=6
@@ -299,13 +299,13 @@ def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setu
             clamped.clear()
             misses.clear()
             assert not sweep(setup, grid).errors
-            cells, _ = grid.form_cells(forms)
+            cells, _, _ = grid.form_cells(forms)
             cell_keys = list(zip(*clamped))
             keys = [cell_keys[cell] for cell in cells]
             assert len(clamped) == len(forms) and len(keys) == len(grid)
             first = {}
             for (z1, z2), key in zip(grid.points(), keys):
-                assert key == form_values(forms, z1, z2, windows), (setup, z1, z2)
+                assert key == saturated_form_values(forms, windows, z1, z2), (setup, z1, z2)
                 first.setdefault(key, form_values(forms, z1, z2))
             assert misses == list(first.values()), setup
             checked += len(keys)
@@ -458,6 +458,34 @@ def test_column_pass_errors_record_every_point(monkeypatch):
     assert sweep(setup, grid).summary["errors"] == 0
 
 
+def test_the_criterion_splits_the_cells_of_one_form_cell(monkeypatch):
+    """With one constant form column, every point falls in one form cell.
+    The criterion's values still split it: a sweep's criterion at every
+    point is the one-point ``criterion``, and a family verification, whose
+    GK dimensions are then constant, reports mismatches."""
+
+    def constant(grid, form):
+        return (0,) * len(grid)
+
+    monkeypatch.setattr(ParameterGrid, "form_column", constant)
+    harness_mod._rank_grid.cache_clear()  # grids with no cells kept
+    try:
+        for setup in (ParabolicSetup(A(6), 2, 4), ParabolicSetup(D(6), 1, 5)):
+            grid = grid_from_spec(harness_mod._standard_spec(setup.n))
+            forms = setup.gk_key.forms
+            _, exact, _ = grid.form_cells(forms)
+            assert set(exact) == {(0,) * len(forms)} and len(exact) > 1
+            report = sweep(setup, grid)
+            assert not report.errors and len(report.rows) == len(grid)
+            for row in report.rows:
+                assert row.verdict.criterion is criterion(setup, row.z1, row.z2), row
+        for kind in "AD":
+            report = verify_family(kind, 6)
+            assert report.mismatches and not report.ok, kind
+    finally:
+        harness_mod._rank_grid.cache_clear()  # nor grids built through the patch
+
+
 def test_a_raising_miss_records_its_point_and_is_not_memoised(monkeypatch):
     """A miss that raises costs only its point, and the next point with the
     same key misses again."""
@@ -479,7 +507,7 @@ def test_a_raising_miss_records_its_point_and_is_not_memoised(monkeypatch):
     assert report.errors == [(str(z1), str(z2), "RuntimeError('miss failed')")]
     assert report.rows == clean.rows[1:]
     forms, windows, _, _ = setup.gk_key
-    keys = [form_values(forms, a, b, windows) for a, b in grid.points()]
+    keys = [saturated_form_values(forms, windows, a, b) for a, b in grid.points()]
     assert keys.count(keys[0]) > 1  # so the first key misses twice
     assert len(calls) == len(set(keys)) + 1
 
@@ -495,22 +523,26 @@ def test_a_raising_miss_records_its_point_and_is_not_memoised(monkeypatch):
 )
 def test_grid_columns_match_form_values(pairs, forms):
     """A grid's kept columns, exact and saturated, hold ``form_values`` of
-    each of its points, and so do its kept cells: distinct tuples, numbered
-    in order of first occurrence."""
+    each of its points, and so do its kept cells: distinct pairs of the
+    exact values and the ``criterion_values`` triple, numbered in order of
+    first occurrence, each cell's triple that of each of its points."""
     windows = [(-2 - i, 1 + i) for i in range(len(forms))]
     grid = ParameterGrid((), (), tuple(pairs))
     exact = [grid.form_column(form) for form in forms]
     assert all(grid.form_column(form) is column for form, column in zip(forms, exact))
     kept = grid.form_cells(tuple(forms))
     assert grid.form_cells(tuple(forms)) is kept
-    cells, cell_values = kept
-    assert len(cells) == len(grid) and len(set(cell_values)) == len(cell_values)
+    cells, cell_values, cell_criteria = kept
+    pairs = list(zip(cell_values, cell_criteria))
+    assert len(cells) == len(grid) and len(set(pairs)) == len(pairs) == len(cell_criteria)
     assert list(dict.fromkeys(cells)) == list(range(len(cell_values)))
     saturated = list(map(saturate, exact, windows))
     for i, (z1, z2) in enumerate(grid.points()):
         assert tuple(column[i] for column in exact) == form_values(forms, z1, z2)
         assert cell_values[cells[i]] == form_values(forms, z1, z2)
-        assert tuple(column[i] for column in saturated) == form_values(forms, z1, z2, windows)
+        assert cell_criteria[cells[i]] == criterion_values([(z1, z2)])[0]
+        saturated_values = saturated_form_values(forms, windows, z1, z2)
+        assert tuple(column[i] for column in saturated) == saturated_values
 
 
 def test_grid_spec_rejects_nonpositive_step():
