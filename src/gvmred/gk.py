@@ -45,11 +45,16 @@ points meet few such None patterns.  So a miss does not split: it looks
 up the setup's class plan for its pattern (``class_plan``, kept in
 ``ParabolicSetup.class_plans`` and built on the pattern's first miss by
 ``split_classes`` on the pattern's readers, ``key_readers``).  A plan
-lists each class as its labeled flag and, per member block in key
-order, a signed index into the point's values and the rho terms its
-base is added to, so a miss builds each class's keys as base + t per
-member and inserts them once (``tableaux.key_columns``).  A plan holds
-no GK value.
+is (base, classes).  An unlabeled class of one block reads no value:
+its keys are its rho run, one column, so the base is the type's
+triangular bound less m(m - 1)/2 for each such class of m entries.
+``classes`` lists every other class as its labeled flag and, per member
+block in key order, a signed index into the point's values and the rho
+terms its base is added to; a labeled class then lists the same parts
+negated in reverse, so its keys come out doubled.  A miss builds each
+class's keys as base + t per part and inserts them once
+(``tableaux.key_columns``).  A plan holds no point's value and no GK
+value.
 
 The form values are the oracle's only integrality decision.  A sweep
 reads them off its grid's cells (``harness.ParameterGrid.form_cells``,
@@ -89,8 +94,9 @@ from .rootdata import shifted_weight  # noqa: F401
 Member = tuple[int, bool]  # (block index, joined to the class head by a sum)
 # (b, c) -> o_b - o_c, or o_b + o_c, as an int when it is an integer, else None
 Reader = Callable[[int, int], "int | None"]
-# (labeled, ((signed index into the form values, rho terms), ...)) per class
-ClassPlan = tuple[tuple[bool, tuple[tuple[int, tuple[int, ...]], ...]], ...]
+# (base, ((labeled, ((signed index into the form values, rho terms), ...)), ...)):
+# the triangular bound less the constant classes' deficits, and the other classes
+ClassPlan = tuple[int, tuple[tuple[bool, tuple[tuple[int, tuple[int, ...]], ...]], ...]]
 
 
 class ClassDecomposition(NamedTuple):
@@ -157,42 +163,58 @@ def entry_readers(entries, use_sum: bool) -> tuple[Reader, Reader | None]:
 
 
 def class_plan(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
-    """The classes of every point whose form values over
+    """(base, classes) for every point whose form values over
     ``setup.gk_key.forms`` are None exactly where ``pattern`` is (its ints
     are 0): ``split_classes`` on the pattern's readers, since the split
-    reads only which values are None.  Each class is (labeled, parts), a
-    part a signed index into the values tuple of ``_gk_from_values`` and
-    the rho terms its base is added to: ``differences[b][h]`` with
-    ``runs[b]`` for a difference member, ``-sums[b][h]`` with -r over
-    ``reversed(runs[b])`` for a flipped one, ``sums[b][b]`` with 2r for a
-    member of a labeled class, whose keys are then doubled."""
+    reads only which values are None.
+
+    An unlabeled class of one block has the one part (0, ``runs[h]``), so
+    its keys never read the point: they are one strictly decreasing run,
+    one column of m = ``len(runs[h])`` boxes (Schensted 1961), whose depth
+    sum m(m - 1)/2 is taken off the type's triangular bound into ``base``.
+    ``classes`` holds the other classes as (labeled, parts), a part a
+    signed index into the values tuple of ``_gk_from_values`` and the rho
+    terms its base is added to: ``differences[b][h]`` with ``runs[b]`` for
+    a difference member, ``-sums[b][h]`` with -r over ``reversed(runs[b])``
+    for a flipped one, ``sums[b][b]`` with 2r for a member of a labeled
+    class, whose parts are followed by their reversed negation, (-i, -t
+    over ``reversed(terms)``), so its keys come out doubled.  A plan holds
+    nothing that depends on a point's values."""
     runs = setup.block_plan.rho_runs
     _, _, differences, sums = setup.gk_key
     difference, total = key_readers(setup, pattern)
-    plan = []
+    n = setup.lie.n
+    base = n * (n - 1) // 2 if setup.lie.kind == "A" else n * n - n
+    classes = []
     for members in split_classes(len(runs), difference, total):
         h = members[0][0]
         # labeled: the head, so the whole class, is integral or half-integral
         if total is not None and total(h, h) is not None:
             parts = [(sums[b][b], tuple([2 * r for r in runs[b]])) for b, _ in members]
-            plan.append((True, tuple(parts)))
-            continue
-        parts = [
-            (-sums[b][h], tuple([-r for r in reversed(runs[b])]))
-            if flipped
-            else (differences[b][h], runs[b])
-            for b, flipped in (members if total is None else _folded(members))
-        ]
-        plan.append((False, tuple(parts)))
-    return tuple(plan)
+            negated = [(-i, tuple([-t for t in reversed(terms)])) for i, terms in reversed(parts)]
+            classes.append((True, tuple(parts + negated)))
+        elif len(members) == 1:
+            m = len(runs[h])
+            base -= m * (m - 1) // 2
+        else:
+            parts = [
+                (-sums[b][h], tuple([-r for r in reversed(runs[b])]))
+                if flipped
+                else (differences[b][h], runs[b])
+                for b, flipped in (members if total is None else _folded(members))
+            ]
+            classes.append((False, tuple(parts)))
+    return base, tuple(classes)
 
 
 def _gk_from_values(setup: ParabolicSetup, exact: tuple) -> int:
     """GK dimension of the point whose exact form values over
-    ``setup.gk_key.forms`` are ``exact``: the type's triangular bound minus the
-    depth sums of its classes' integer keys, built by the setup's class plan
+    ``setup.gk_key.forms`` are ``exact``: the base of the setup's class plan
     for the values' None pattern (``class_plan``, kept in
-    ``setup.class_plans``, built on the pattern's first miss)."""
+    ``setup.class_plans``, built on the pattern's first miss) minus the
+    depth sums of its other classes' integer keys, even boxes only for a
+    labeled class.  The plan holds no point's value; the keys are read
+    off ``exact`` here."""
     pattern = tuple([None if v is None else 0 for v in exact])
     plans = setup.class_plans
     plan = plans.get(pattern)
@@ -200,15 +222,10 @@ def _gk_from_values(setup: ParabolicSetup, exact: tuple) -> int:
         plan = plans[pattern] = class_plan(setup, pattern)
     # index i > 0 reads exact[i - 1], -i its negation, 0 a vanishing pair
     values = (0, *exact, *[None if v is None else -v for v in reversed(exact)])
-    n = setup.lie.n
-    gk = n * (n - 1) // 2 if setup.lie.kind == "A" else n * n - n
-    for labeled, parts in plan:
-        keys = [values[i] + t for i, terms in parts for t in terms]
-        if labeled:
-            keys += [-k for k in reversed(keys)]
-            gk -= columns_even_depth_sum(key_columns(keys))
-        else:
-            gk -= columns_depth_sum(key_columns(keys))
+    gk, classes = plan
+    for labeled, parts in classes:
+        columns = key_columns([values[i] + t for i, terms in parts for t in terms])
+        gk -= columns_even_depth_sum(columns) if labeled else columns_depth_sum(columns)
     return gk
 
 

@@ -28,10 +28,11 @@ windows to a GK dimension, in one pass over the cells.  Each cell gets
 one outcome: the ``Verdict`` shared by every cell with its GK dimension
 and criterion, or what raised.  A raising miss costs every point of its
 cell and is not memoised, so the next cell with the same key misses
-again; a raising column pass costs every point.  The rows and the errors
-are built in one pass of ``map``, ``zip`` and ``compress`` over the
-points' cells.  No GK value or verdict is cached on the grid, and the
-memo lives for one sweep.  The one-point route, ``verdict.evaluate``,
+again; a raising column pass costs every point.  Every point's row is
+built from its cell's outcome in one ``map`` over the points' cells;
+only when some cell failed are those points' rows dropped and the
+points listed in the errors, in grid order.  No GK value or verdict is
+cached on the grid, and the memo lives for one sweep.  The one-point route, ``verdict.evaluate``,
 serves ``gvmred reduce``.
 """
 
@@ -39,8 +40,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
-from itertools import compress, count
-from operator import not_
+from itertools import count
 from typing import NamedTuple
 
 from . import gk, verdict
@@ -73,7 +73,7 @@ MAX_GRID_POINTS = 200_000
 FAMILY_MIN_N = {"A": 3, "D": 4}
 # Largest family a verification may sweep, in standard-grid points before
 # de-duplication.  The largest families under it, A up to rank 14 (923 650
-# points) and D up to rank 43 (985 080), take about 1.5 s and 7.3 s with
+# points) and D up to rank 43 (985 080), take about 1.2 s and 6.9 s with
 # `gvmred verify` (2 CPUs, Python 3.11.7, interpreter start included);
 # per-point cost grows with the rank, faster in type D.
 MAX_FAMILY_POINTS = 1_000_000
@@ -273,8 +273,10 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     of what raised in ``failed``.  A miss that raises is not memoised:
     every point of its cell is recorded in ``errors``, and the next cell
     with the same key misses again.  A column pass that raises fails
-    every point with its repr.  The rows and the errors are built in one
-    pass over the points' cells.
+    every point with its repr.  Every point's row is built from its
+    cell's outcome in one ``map``; only when some cell failed does a
+    second pass drop those points' rows and list them in ``errors``, in
+    grid order.
     """
     try:
         forms, windows, _, _ = setup.gk_key
@@ -303,10 +305,11 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
         for cell in failed:
             outcomes[cell] = None
     z1s, z2s = grid.point_columns()
-    verdicts = list(map(outcomes.__getitem__, cells))  # per point: a Verdict, or None
-    rows = list(compress(map(_new_row, zip(z1s, z2s, verdicts)), verdicts))
-    errors = compress(count(), map(not_, verdicts))
-    return SweepReport(setup, rows, [(str(z1s[i]), str(z2s[i]), failed[cells[i]]) for i in errors])
+    rows = list(map(_new_row, zip(z1s, z2s, map(outcomes.__getitem__, cells))))
+    if not failed:
+        return SweepReport(setup, rows, [])
+    errors = [(str(z1s[i]), str(z2s[i]), failed[c]) for i, c in enumerate(cells) if c in failed]
+    return SweepReport(setup, [row for row in rows if row.verdict is not None], errors)
 
 
 class MismatchReport(NamedTuple):

@@ -248,7 +248,8 @@ class ParabolicSetup(FrozenRecord):
         """The GK oracle's class plans by None pattern of the form values
         over ``gk_key.forms``, one entry per pattern met, each built by
         ``gk.class_plan`` on the first memo miss with that pattern.  A
-        plan holds no GK value."""
+        plan holds the constant classes' deficit and the other classes'
+        parts, nothing that depends on a point's values."""
         return {}
 
 

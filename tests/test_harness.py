@@ -397,9 +397,10 @@ def _reader_classes(setup, exact):
 )
 def test_class_plans_are_the_class_splits_of_their_patterns(setups):
     """A sweep builds one class plan per None pattern its points' form
-    values have, and at every point the plan of its pattern, its signed
-    indices read off the point's values, is the split the readers of those
-    values give."""
+    values have, and at every point the classes of the plan of its
+    pattern, its signed indices read off the point's values and each
+    labeled class cut to its first half, are the split the readers of
+    those values give, less its unlabeled one-block classes."""
     for setup in map(_fresh, setups):
         forms = setup.gk_key.forms
         patterns = set()
@@ -409,12 +410,49 @@ def test_class_plans_are_the_class_splits_of_their_patterns(setups):
                 pattern = tuple(None if v is None else 0 for v in exact)
                 patterns.add(pattern)
                 values = (0, *exact, *[None if v is None else -v for v in reversed(exact)])
-                planned = [
-                    (labeled, [(values[i], terms) for i, terms in parts])
-                    for labeled, parts in setup.class_plans[pattern]
-                ]
-                assert planned == _reader_classes(setup, exact), (setup, exact)
+                _, classes = setup.class_plans[pattern]
+                planned = []
+                for labeled, parts in classes:
+                    first = parts[: len(parts) // 2] if labeled else parts
+                    planned.append((labeled, [(values[i], terms) for i, terms in first]))
+                split = _reader_classes(setup, exact)
+                kept = [(labeled, parts) for labeled, parts in split if labeled or len(parts) > 1]
+                assert planned == kept, (setup, exact)
         assert set(setup.class_plans) == patterns, setup
+
+
+@pytest.mark.parametrize(
+    "setups",
+    [family_setups("A", 7), family_setups("D", 9)],
+    ids=["A<=7", "D<=9"],
+)
+def test_class_plans_carry_constant_deficits_and_doubled_parts(setups):
+    """Every plan a sweep over the standard grid and a custom grid compiles:
+    its base is the type's triangular bound less m(m - 1)/2 for each
+    unlabeled one-block class of its pattern's split, m that block's run
+    length; it keeps every other class and no such one; and each labeled
+    class lists its parts and then their reversed negation."""
+    checked = 0
+    for setup in map(_fresh, setups):
+        for grid in (standard_grid(setup), CUSTOM_GRID):
+            assert not sweep(setup, grid).errors
+        n, runs = setup.lie.n, setup.block_plan.rho_runs
+        bound = n * (n - 1) // 2 if setup.lie.kind == "A" else n * (n - 1)
+        for pattern, (base, classes) in setup.class_plans.items():
+            difference, total = key_readers(setup, pattern)
+            split = split_classes(len(runs), difference, total)
+            heads = [members[0][0] for members in split if len(members) == 1]
+            constant = [len(runs[h]) for h in heads if total is None or total(h, h) is None]
+            assert base == bound - sum(m * (m - 1) // 2 for m in constant), (setup, pattern)
+            assert len(classes) == len(split) - len(constant), (setup, pattern)
+            for labeled, parts in classes:
+                assert labeled or len(parts) > 1, (setup, pattern)
+                if labeled:
+                    half = parts[: len(parts) // 2]
+                    negated = [(-i, tuple(-t for t in reversed(terms))) for i, terms in half]
+                    assert list(parts) == [*half, *reversed(negated)], (setup, pattern)
+            checked += 1
+    assert checked > 100
 
 
 def test_an_empty_grid_sweeps_to_an_empty_report():
@@ -510,6 +548,46 @@ def test_a_raising_miss_records_its_point_and_is_not_memoised(monkeypatch):
     keys = [saturated_form_values(forms, windows, a, b) for a, b in grid.points()]
     assert keys.count(keys[0]) > 1  # so the first key misses twice
     assert len(calls) == len(set(keys)) + 1
+
+
+@pytest.mark.parametrize(
+    "setup", [ParabolicSetup(A(5), 1, 3), ParabolicSetup(D(6), 1, 5)], ids=["A5", "D6"]
+)
+def test_a_raising_key_of_several_points_drops_exactly_those_points(monkeypatch, setup):
+    """When every miss of one memo key raises, and that key's points are
+    several, none of them the first, and share one exact form-value tuple,
+    ``errors`` lists exactly those points in grid order, and the rows are
+    the clean sweep's rows without them."""
+    grid = standard_grid(setup)
+    forms, windows, _, _ = setup.gk_key
+    points = grid.points()
+    keys = [saturated_form_values(forms, windows, z1, z2) for z1, z2 in points]
+    exact = [form_values(forms, z1, z2) for z1, z2 in points]
+    by_key = {}
+    for i, key in enumerate(keys):
+        by_key.setdefault(key, []).append(i)
+    failing = next(
+        indices
+        for indices in by_key.values()
+        if len(indices) > 2 and indices[0] > 0 and len({exact[i] for i in indices}) == 1
+    )
+    target = exact[failing[0]]
+    gk_from_values = gk_module._gk_from_values
+
+    def raises_at_target(setup, values):
+        if values == target:
+            raise RuntimeError("miss failed")
+        return gk_from_values(setup, values)
+
+    clean = sweep(setup, grid)
+    monkeypatch.setattr(gk_module, "_gk_from_values", raises_at_target)
+    report = sweep(setup, grid)
+    assert report.errors == [
+        (str(points[i][0]), str(points[i][1]), "RuntimeError('miss failed')") for i in failing
+    ]
+    dropped = set(failing)
+    assert report.rows == [row for i, row in enumerate(clean.rows) if i not in dropped]
+    assert report.summary["points"] == len(grid)
 
 
 @settings(max_examples=150, deadline=None)
