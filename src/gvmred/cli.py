@@ -290,6 +290,11 @@ def _raised(report) -> int:
     return 1
 
 
+def _key_values(setup: ParabolicSetup, row: SweepRow) -> str:
+    """A row as ``key=value`` pairs in ``ROW_FIELDS`` order."""
+    return " ".join(f"{k}={format_field(v)}" for k, v in row_record(setup, row).items())
+
+
 def _cmd_gkdim(args) -> int:
     setup = _setup_from_args(args)
     gk = gk_dimension(setup, args.z1, args.z2)
@@ -299,14 +304,13 @@ def _cmd_gkdim(args) -> int:
 
 def _cmd_reduce(args) -> int:
     setup = _setup_from_args(args)
-    verdict = evaluate(setup, args.z1, args.z2)
-    record = row_record(setup, SweepRow(args.z1, args.z2, verdict))
+    row = SweepRow(args.z1, args.z2, evaluate(setup, args.z1, args.z2))
     if args.format == "json":
         import json  # only JSON output loads it
 
-        print(json.dumps(record))
+        print(json.dumps(row_record(setup, row)))
     else:
-        print(" ".join(f"{key}={format_field(value)}" for key, value in record.items()))
+        print(_key_values(setup, row))
     return 0
 
 
@@ -349,8 +353,7 @@ def _cmd_verify(args) -> int:
         )
     report = verify_family(args.type, args.max_n)
     for setup, row in report.mismatches:
-        record = row_record(setup, row)
-        print("mismatch " + " ".join(f"{k}={format_field(v)}" for k, v in record.items()))
+        print("mismatch " + _key_values(setup, row))
     if report.errors:
         setup, z1, z2, exc = report.errors[0]
         print(

@@ -32,8 +32,15 @@ again; a raising column pass costs every point.  Every point's row is
 built from its cell's outcome in one ``map`` over the points' cells;
 only when some cell failed are those points' rows dropped and the
 points listed in the errors, in grid order.  No GK value or verdict is
-cached on the grid, and the memo lives for one sweep.  The one-point route, ``verdict.evaluate``,
-serves ``gvmred reduce``.
+cached on the grid, and the memo lives for one sweep.  The one-point
+route, ``verdict.evaluate``, serves ``gvmred reduce``.
+
+Output spells each layout once.  ``ROW_FIELDS`` is the one row layout,
+for the CSV header, the JSON records and the CLI's ``key=value`` lines.
+A diagram reads the rows in one pass (``_picture``) for the rational
+marks, the generic-offset counts and the three line families; the ASCII
+grid and the SVG draw from the marks, and the SVG writes every axis and
+line through one segment template.
 """
 
 from __future__ import annotations
@@ -397,7 +404,10 @@ def verify_family(kind: str, n_max: int) -> MismatchReport:
 # ---------------------------------------------------------------------------
 # serialization
 
-CSV_HEADER = "type,n,p,q,z1,z2,gk,dim_u,reducible,criterion,agree"
+# The one row layout: the CSV header, the JSON record keys and the CLI's
+# key=value lines.
+ROW_FIELDS = ("type", "n", "p", "q", "z1", "z2", *Verdict._fields)
+CSV_HEADER = ",".join(ROW_FIELDS)
 
 
 def format_field(value) -> str:
@@ -408,28 +418,23 @@ def format_field(value) -> str:
     return str(value)
 
 
+def _row_values(setup: ParabolicSetup, row: SweepRow) -> tuple:
+    """A row's fields in ``ROW_FIELDS`` order, the scalars as strings."""
+    lie = setup.lie
+    return (lie.kind, lie.n, setup.p, setup.q, str(row.z1), str(row.z2), *row.verdict)
+
+
 def row_record(setup: ParabolicSetup, row: SweepRow) -> dict:
-    v = row.verdict
-    return {
-        "type": setup.lie.kind,
-        "n": setup.lie.n,
-        "p": setup.p,
-        "q": setup.q,
-        "z1": str(row.z1),
-        "z2": str(row.z2),
-        "gk": v.gk,
-        "dim_u": v.dim_u,
-        "reducible": v.reducible,
-        "criterion": v.criterion,
-        "agree": v.agree,
-    }
+    """A row as a dict keyed by ``ROW_FIELDS``: a JSON row, and what
+    ``gvmred reduce`` and the mismatch lines of ``gvmred verify`` print.
+    CSV formats the same values without building the dict."""
+    return dict(zip(ROW_FIELDS, _row_values(setup, row)))
 
 
 def report_to_csv(report: SweepReport) -> str:
     lines = [CSV_HEADER]
     for row in report.rows:
-        record = row_record(report.setup, row)
-        lines.append(",".join(map(format_field, record.values())))
+        lines.append(",".join(map(format_field, _row_values(report.setup, row))))
     return "\n".join(lines) + "\n"
 
 
@@ -457,44 +462,37 @@ UNIT = 40  # SVG user units per lattice unit
 MARGIN = 60
 
 
-def _full_lines(report: SweepReport, line, other) -> list[Fraction]:
-    """Rational values c, ascending, with every sampled point on the line
-    ``line(row) == c`` reducible and one of them at a generic ``other(row)``;
-    both functions give a Fraction, or None when the value has a symbol
-    part."""
-    groups: dict[Fraction, list[SweepRow]] = {}
-    for row in report.rows:
-        value = line(row)
-        if value is not None:
-            groups.setdefault(value, []).append(row)
-    return [
-        c
-        for c, rows in sorted(groups.items())
-        if any(other(r) is None for r in rows) and all(r.verdict.reducible for r in rows)
-    ]
+def _picture(report: SweepReport):
+    """What a diagram draws, read off the rows in one pass.
 
-
-def _rational(z: ExactScalar) -> Fraction | None:
-    return None if z.tau or z.sigma else z.rational
-
-
-def _detect_lines(report: SweepReport):
-    """Fully reducible loci in the sweep data.
-
-    A vertical (resp. horizontal) line needs every sampled point of the
-    column (resp. row) reducible, including a generic-offset sample, so it
-    genuinely stands for "the other parameter is arbitrary".  Anti-diagonal
-    lines are read off the coupled symbol points the same way; z1 + z2 is
-    read off the scalars' fields, the rational parts added when the symbol
-    parts cancel, so no scalar is built.
+    Returns the rational marks ``{(z1, z2): reducible}`` in row order, the
+    (irreducible, reducible) counts of the points with a symbol part, and
+    the lines (z1 = c, z2 = c, z1 + z2 = c), each an ascending list.  A
+    line needs every sampled point on it reducible, one of them at a
+    generic other parameter (z2, z1 and z1 respectively), so it genuinely
+    stands for "the other parameter is arbitrary".  z1 + z2 is read off the
+    scalars' fields, the rational parts added when the symbol parts cancel,
+    so no scalar is built.
     """
-    z1, z2 = (lambda row: _rational(row.z1)), (lambda row: _rational(row.z2))
-
-    def total(row):
-        a, b = row.z1, row.z2
-        return a.rational + b.rational if a.tau == -b.tau and a.sigma == -b.sigma else None
-
-    return _full_lines(report, z1, z2), _full_lines(report, z2, z1), _full_lines(report, total, z1)
+    marks, generic = {}, [0, 0]
+    families = ({}, {}, {})  # per line value: [every point reducible, some generic other]
+    for z1, z2, verdict in report.rows:
+        reducible = verdict.reducible
+        x = None if z1.tau or z1.sigma else z1.rational
+        y = None if z2.tau or z2.sigma else z2.rational
+        if x is None or y is None:
+            generic[reducible] += 1
+        else:
+            marks[x, y] = reducible
+        cancel = z1.tau == -z2.tau and z1.sigma == -z2.sigma
+        total = z1.rational + z2.rational if cancel else None
+        for family, value, other in zip(families, (x, y, total), (y, x, x)):
+            if value is not None:
+                facts = family.setdefault(value, [True, False])
+                facts[0] &= reducible
+                facts[1] |= other is None
+    lines = tuple(sorted(c for c, (every, some) in f.items() if every and some) for f in families)
+    return marks, generic, lines
 
 
 def render_diagram(report: SweepReport, format: str = "svg") -> str:
@@ -502,44 +500,40 @@ def render_diagram(report: SweepReport, format: str = "svg") -> str:
 
     Rational reducible points become filled marks; loci that are reducible
     for an arbitrary value of one parameter become lines.  Generic-offset
-    findings enter the legend rather than the plot.
+    findings enter the legend rather than the plot.  One pass over the rows
+    (``_picture``) gives all three; each call reads the rows again.
     """
     if format not in ("svg", "ascii"):
         raise UnsupportedGrid(f"unknown diagram format {format!r}")
-    rational = [r for r in report.rows if r.z1.is_rational and r.z2.is_rational]
-    xs = sorted({r.z1.rational for r in rational})
-    ys = sorted({r.z2.rational for r in rational})
-    if not rational or len(xs) * len(ys) != len(rational):  # an empty report too
+    marks, (irreducible, reducible), lines = _picture(report)
+    xs = sorted({x for x, _ in marks})
+    ys = sorted({y for _, y in marks})
+    if not marks or len(xs) * len(ys) != len(marks):  # an empty report too
         raise UnsupportedGrid("rational points do not form a cartesian grid")
-    verticals, horizontals, antidiagonals = _detect_lines(report)
-    generic_rows = [r for r in report.rows if not (r.z1.is_rational and r.z2.is_rational)]
-    generic_reducible = sum(1 for r in generic_rows if r.verdict.reducible)
+    setup = report.setup
+    sets = ["{" + ", ".join(map(str, line)) + "}" for line in lines]
     legend = [
-        f"setup: type {report.setup.lie.kind}, n={report.setup.n}, "
-        f"p={report.setup.p}, q={report.setup.q}, dim_u={report.setup.dim_u}",
-        f"generic-offset points: {generic_reducible} reducible / "
-        f"{len(generic_rows) - generic_reducible} irreducible",
-        f"lines: z1 in {{{', '.join(map(str, verticals))}}}; "
-        f"z2 in {{{', '.join(map(str, horizontals))}}}; "
-        f"z1+z2 in {{{', '.join(map(str, antidiagonals))}}}",
+        f"setup: type {setup.lie.kind}, n={setup.n}, "
+        f"p={setup.p}, q={setup.q}, dim_u={setup.dim_u}",
+        f"generic-offset points: {reducible} reducible / {irreducible} irreducible",
+        "lines: z1 in {}; z2 in {}; z1+z2 in {}".format(*sets),
     ]
     if format == "ascii":
-        return _render_ascii(rational, xs, ys, legend)
-    return _render_svg(rational, xs, ys, verticals, horizontals, antidiagonals, legend)
+        return _render_ascii(marks, xs, ys, legend)
+    return _render_svg(marks, xs, ys, lines, legend)
 
 
-def _render_ascii(rational, xs, ys, legend) -> str:
-    marks = {(r.z1.rational, r.z2.rational): r.verdict.reducible for r in rational}
+def _render_ascii(marks, xs, ys, legend) -> str:
     lines = []
     for y in reversed(ys):
-        row = "".join("R" if marks.get((x, y)) else "·" for x in xs)
+        row = "".join("R" if marks[x, y] else "·" for x in xs)
         lines.append(f"{str(y):>6} {row}")
     lines.append(f"{'':>6} z1: {xs[0]} .. {xs[-1]}")
     lines.extend(legend)
     return "\n".join(lines) + "\n"
 
 
-def _render_svg(rational, xs, ys, verticals, horizontals, antidiagonals, legend) -> str:
+def _render_svg(marks, xs, ys, lines, legend) -> str:
     lo_x, hi_x = xs[0], xs[-1]
     lo_y, hi_y = ys[0], ys[-1]
 
@@ -551,48 +545,37 @@ def _render_svg(rational, xs, ys, verticals, horizontals, antidiagonals, legend)
 
     width = px(hi_x) + MARGIN
     height = py(lo_y) + MARGIN + 20 * (len(legend) + 1)
+    axis, bold = 'stroke="lightgray"', 'stroke="black" stroke-width="2"'
+    thin = 'stroke="black" stroke-width="1"'
+    verticals, horizontals, antidiagonals = lines
+    segments = []  # (x1, y1, x2, y2, style) in lattice units
+    if lo_y <= 0 <= hi_y:
+        segments.append((lo_x, 0, hi_x, 0, axis))
+    if lo_x <= 0 <= hi_x:
+        segments.append((0, lo_y, 0, hi_y, axis))
+    segments += [(a, hi_y, a, lo_y, bold) for a in verticals]
+    segments += [(lo_x, b, hi_x, b, bold) for b in horizontals]
+    for s in antidiagonals:  # z1 + z2 = s clipped to the bounding box
+        x_start, x_end = max(lo_x, s - hi_y), min(hi_x, s - lo_y)
+        if x_start <= x_end:
+            segments.append((x_start, s - x_start, x_end, s - x_end, thin))
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width:g}" height="{height:g}">',
         f'<rect x="0" y="0" width="{width:g}" height="{height:g}" fill="white"/>',
-        f'<line x1="{px(lo_x):g}" y1="{py(Fraction(0)):g}" x2="{px(hi_x):g}" '
-        f'y2="{py(Fraction(0)):g}" stroke="lightgray"/>'
-        if lo_y <= 0 <= hi_y
-        else "",
-        f'<line x1="{px(Fraction(0)):g}" y1="{py(lo_y):g}" x2="{px(Fraction(0)):g}" '
-        f'y2="{py(hi_y):g}" stroke="lightgray"/>'
-        if lo_x <= 0 <= hi_x
-        else "",
     ]
-    for a in verticals:
-        parts.append(
-            f'<line x1="{px(a):g}" y1="{py(hi_y):g}" x2="{px(a):g}" '
-            f'y2="{py(lo_y):g}" stroke="black" stroke-width="2"/>'
-        )
-    for b in horizontals:
-        parts.append(
-            f'<line x1="{px(lo_x):g}" y1="{py(b):g}" x2="{px(hi_x):g}" '
-            f'y2="{py(b):g}" stroke="black" stroke-width="2"/>'
-        )
-    for s in antidiagonals:
-        # clip z1 + z2 = s to the bounding box
-        x_start = max(lo_x, s - hi_y)
-        x_end = min(hi_x, s - lo_y)
-        if x_start <= x_end:
-            parts.append(
-                f'<line x1="{px(x_start):g}" y1="{py(s - x_start):g}" '
-                f'x2="{px(x_end):g}" y2="{py(s - x_end):g}" '
-                f'stroke="black" stroke-width="1"/>'
-            )
-    for r in rational:
-        if r.verdict.reducible:
-            parts.append(
-                f'<circle cx="{px(r.z1.rational):g}" cy="{py(r.z2.rational):g}" '
-                f'r="4" fill="black"/>'
-            )
+    parts += [
+        f'<line x1="{px(x1):g}" y1="{py(y1):g}" x2="{px(x2):g}" y2="{py(y2):g}" {style}/>'
+        for x1, y1, x2, y2, style in segments
+    ]
+    parts += [
+        f'<circle cx="{px(x):g}" cy="{py(y):g}" r="4" fill="black"/>'
+        for (x, y), reducible in marks.items()
+        if reducible
+    ]
     y_text = py(lo_y) + MARGIN / 2
-    for i, line in enumerate(legend):
-        parts.append(
-            f'<text x="{MARGIN}" y="{y_text + 20 * i:g}" font-size="12">{line}</text>'
-        )
+    parts += [
+        f'<text x="{MARGIN}" y="{y_text + 20 * i:g}" font-size="12">{line}</text>'
+        for i, line in enumerate(legend)
+    ]
     parts.append("</svg>")
-    return "\n".join(p for p in parts if p) + "\n"
+    return "\n".join(parts) + "\n"

@@ -2,6 +2,7 @@ import hashlib
 import json
 import xml.etree.ElementTree as ET
 from fractions import Fraction
+from math import ceil, floor
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -911,39 +912,62 @@ def test_diagram_detects_spin_pair_lines():
     assert (Fraction(-7, 2), Fraction(-7, 2)) not in marks
 
 
-@pytest.mark.parametrize(
-    "setups",
-    [family_setups("A", 7), family_setups("D", 9)],
-    ids=["A<=7", "D<=9"],
+# Custom grids: a third step, half steps off the integers, and a unit step.
+PICTURE_SPECS = (
+    GridSpec(Fraction(-7), Fraction(2), Fraction(1, 3)),
+    GridSpec(Fraction(-9, 2), Fraction(5, 2), Fraction(1, 2)),
+    GridSpec(Fraction(-6), Fraction(1), Fraction(1)),
 )
-def test_diagram_lines_are_the_half_lines_clipped_to_the_grid(setups):
+
+
+@pytest.mark.parametrize(
+    "setups, specs",
+    [
+        (family_setups("A", 7), None),
+        (family_setups("D", 9), None),
+        (family_setups("A", 6), PICTURE_SPECS),
+        (family_setups("D", 7), PICTURE_SPECS),
+    ],
+    ids=["A<=7", "D<=9", "A<=6-custom", "D<=7-custom"],
+)
+def test_diagram_lines_are_the_half_lines_clipped_to_the_grid(setups, specs):
     """The paper's picture, read off the oracle's rows: the lines a diagram
-    draws are the criterion's half-lines clipped to the standard grid (the
-    integers c >= b1 for z1 and c >= b2 for z2 in [-(n+2), 3], and s >= b12
-    for z1 + z2 in [-2(n+2), 6]); every reducible rational point lies on
-    one; and both legends print those sets."""
+    draws are the criterion's half-lines clipped to the grid's [lo, hi]
+    (the integers c >= b1 for z1 and c >= b2 for z2 in [lo, hi], and
+    s >= b12 for z1 + z2 in [2 lo, 2 hi]); every reducible rational point
+    lies on one; and both legends print those sets.  ``specs`` None stands
+    for the standard grid.  A grid of the standard rationals alone has no
+    generic sample, so it draws no line."""
+    custom = [(spec, grid_from_spec(spec)) for spec in specs or ()]
     for setup in setups:
-        report = sweep(setup, standard_grid(setup))
-        lo, hi = -(setup.n + 2), 3
         b1, b2, b12 = setup.half_lines
-        expected = (
-            list(range(max(b1, lo), hi + 1)),
-            list(range(max(b2, lo), hi + 1)),
-            list(range(max(b12, 2 * lo), 2 * hi + 1)),
-        )
-        lines = harness_mod._detect_lines(report)
-        assert lines == expected, setup
-        verticals, horizontals, antidiagonals = map(set, expected)
-        for row in report.rows:
-            if row.z1.is_rational and row.z2.is_rational and row.verdict.reducible:
-                z1, z2 = row.z1.rational, row.z2.rational
-                assert z1 in verticals or z2 in horizontals or z1 + z2 in antidiagonals, (
-                    setup, z1, z2,
-                )
-        sets = ["{" + ", ".join(map(str, line)) + "}" for line in expected]
-        legend = "lines: z1 in {}; z2 in {}; z1+z2 in {}".format(*sets)
-        assert legend in render_diagram(report, "ascii").splitlines(), setup
-        assert f">{legend}</text>" in render_diagram(report, "svg"), setup
+        standard = harness_mod._standard_spec(setup.n)
+        axis = tuple(v for v in standard_grid(setup).z1_values if v.is_rational)
+        # (spec, grid, whether the grid has generic samples)
+        cases = [(s, g, True) for s, g in custom] or [(standard, standard_grid(setup), True)]
+        cases.append((standard, ParameterGrid(axis, axis), False))
+        for spec, grid, sampled in cases:
+            report = sweep(setup, grid)
+            lo, hi = spec.lo, spec.hi
+            half_lines = (
+                list(range(max(b1, ceil(lo)), floor(hi) + 1)),
+                list(range(max(b2, ceil(lo)), floor(hi) + 1)),
+                list(range(max(b12, ceil(2 * lo)), floor(2 * hi) + 1)),
+            )
+            expected = half_lines if sampled else ([], [], [])
+            lines = harness_mod._picture(report)[2]
+            assert lines == expected, (setup, spec, sampled)
+            verticals, horizontals, antidiagonals = map(set, half_lines)
+            for row in report.rows:
+                if row.z1.is_rational and row.z2.is_rational and row.verdict.reducible:
+                    z1, z2 = row.z1.rational, row.z2.rational
+                    assert z1 in verticals or z2 in horizontals or z1 + z2 in antidiagonals, (
+                        setup, spec, z1, z2,
+                    )
+            sets = ["{" + ", ".join(map(str, line)) + "}" for line in expected]
+            legend = "lines: z1 in {}; z2 in {}; z1+z2 in {}".format(*sets)
+            assert legend in render_diagram(report, "ascii").splitlines(), (setup, spec)
+            assert f">{legend}</text>" in render_diagram(report, "svg"), (setup, spec)
 
 
 def test_diagram_of_empty_or_unplottable_grid():
