@@ -26,7 +26,7 @@ the labeled test and the doubled keys), each an int when it is an integer
 and None otherwise.  On a setup's points each is, up to sign, one value
 (x*z1 + y*z2)/2 of a form of ``ParabolicSetup.gk_key``.  Each block's
 keys form one strictly decreasing run, so a class's keys have at most 3
-runs (6 when doubled) and as many columns (``tableaux.key_columns``).
+runs (6 when doubled) and as many columns.
 
 A shape depends only on the relative order of its keys, ties included,
 and each comparison of two keys of a class is one of those values against
@@ -51,10 +51,18 @@ triangular bound less m(m - 1)/2 for each such class of m entries.
 ``classes`` lists every other class as its labeled flag and, per member
 block in key order, a signed index into the point's values and the rho
 terms its base is added to; a labeled class then lists the same parts
-negated in reverse, so its keys come out doubled.  A miss builds each
-class's keys as base + t per part and inserts them once
-(``tableaux.key_columns``).  A plan holds no point's value and no GK
-value.
+negated in reverse, so its keys come out doubled.  A class of two parts
+is two runs: an unlabeled class of two blocks, or a labeled class of
+one block (its run, then the reversed negation).  The plan keeps each of
+those runs as its signed index, top term and length, and a miss reads
+the class's two column lengths in closed form, from the difference of
+the runs' tops (``tableaux.two_run_columns``, by Greene's theorem).  A
+labeled class's keys share one parity, so halving them keeps their
+order and ties and makes its step-2 runs step-1 runs.  A miss builds
+every other class's keys as base + t per part and inserts them once
+(``tableaux.insertion_columns``).  It takes each class's depth sum off
+the plan's base as it reads the column lengths, in one loop over the
+classes.  A plan holds no point's value and no GK value.
 
 The form values are the oracle's only integrality decision.  A sweep
 reads them off its grid's cells (``harness.ParameterGrid.form_cells``,
@@ -79,12 +87,7 @@ from typing import Callable, NamedTuple
 
 from .exact import ExactScalar, form_values, integer_difference, integer_sum
 from .rootdata import LieType, ParabolicSetup
-from .tableaux import (
-    ScalarSequence,
-    columns_depth_sum,
-    columns_even_depth_sum,
-    key_columns,
-)
+from .tableaux import ScalarSequence, insertion_columns, two_run_columns
 
 # Unused here; kept importable from this module, where perfbench/tracing.py
 # wraps them.
@@ -95,8 +98,9 @@ Member = tuple[int, bool]  # (block index, joined to the class head by a sum)
 # (b, c) -> o_b - o_c, or o_b + o_c, as an int when it is an integer, else None
 Reader = Callable[[int, int], "int | None"]
 # (base, ((labeled, ((signed index into the form values, rho terms), ...)), ...)):
-# the triangular bound less the constant classes' deficits, and the other classes
-ClassPlan = tuple[int, tuple[tuple[bool, tuple[tuple[int, tuple[int, ...]], ...]], ...]]
+# the triangular bound less the constant classes' deficits, and the other
+# classes; a class of two runs keeps each as (signed index, top term, length)
+ClassPlan = tuple[int, tuple[tuple[bool, tuple[tuple, ...]], ...]]
 
 
 class ClassDecomposition(NamedTuple):
@@ -178,8 +182,10 @@ def class_plan(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
     a difference member, ``-sums[b][h]`` with -r over ``reversed(runs[b])``
     for a flipped one, ``sums[b][b]`` with 2r for a member of a labeled
     class, whose parts are followed by their reversed negation, (-i, -t
-    over ``reversed(terms)``), so its keys come out doubled.  A plan holds
-    nothing that depends on a point's values."""
+    over ``reversed(terms)``), so its keys come out doubled.  A class of
+    two parts is two runs, and keeps each as (signed index, top term,
+    length), the run's terms stepping down by 2 when labeled and by 1
+    otherwise.  A plan holds nothing that depends on a point's values."""
     runs = setup.block_plan.rho_runs
     _, _, differences, sums = setup.gk_key
     difference, total = key_readers(setup, pattern)
@@ -189,13 +195,14 @@ def class_plan(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
     for members in split_classes(len(runs), difference, total):
         h = members[0][0]
         # labeled: the head, so the whole class, is integral or half-integral
-        if total is not None and total(h, h) is not None:
+        labeled = total is not None and total(h, h) is not None
+        if labeled:
             parts = [(sums[b][b], tuple([2 * r for r in runs[b]])) for b, _ in members]
-            negated = [(-i, tuple([-t for t in reversed(terms)])) for i, terms in reversed(parts)]
-            classes.append((True, tuple(parts + negated)))
+            parts += [(-i, tuple([-t for t in reversed(terms)])) for i, terms in reversed(parts)]
         elif len(members) == 1:
             m = len(runs[h])
             base -= m * (m - 1) // 2
+            continue
         else:
             parts = [
                 (-sums[b][h], tuple([-r for r in reversed(runs[b])]))
@@ -203,7 +210,9 @@ def class_plan(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
                 else (differences[b][h], runs[b])
                 for b, flipped in (members if total is None else _folded(members))
             ]
-            classes.append((False, tuple(parts)))
+        if len(parts) == 2:  # two runs
+            parts = [(i, terms[0], len(terms)) for i, terms in parts]
+        classes.append((labeled, tuple(parts)))
     return base, tuple(classes)
 
 
@@ -213,8 +222,10 @@ def _gk_from_values(setup: ParabolicSetup, exact: tuple) -> int:
     for the values' None pattern (``class_plan``, kept in
     ``setup.class_plans``, built on the pattern's first miss) minus the
     depth sums of its other classes' integer keys, even boxes only for a
-    labeled class.  The plan holds no point's value; the keys are read
-    off ``exact`` here."""
+    labeled class, each taken off as its column lengths are read: in
+    closed form for a class of two runs (``tableaux.two_run_columns``),
+    by insertion for the others.  The plan holds no point's value; the
+    keys are read off ``exact`` here."""
     pattern = tuple([None if v is None else 0 for v in exact])
     plans = setup.class_plans
     plan = plans.get(pattern)
@@ -224,8 +235,18 @@ def _gk_from_values(setup: ParabolicSetup, exact: tuple) -> int:
     values = (0, *exact, *[None if v is None else -v for v in reversed(exact)])
     gk, classes = plan
     for labeled, parts in classes:
-        columns = key_columns([values[i] + t for i, terms in parts for t in terms])
-        gk -= columns_even_depth_sum(columns) if labeled else columns_depth_sum(columns)
+        if len(parts) == 2:  # two runs, of step 2 when labeled: halve the difference
+            (i, s, p), (j, t, q) = parts
+            columns = two_run_columns((values[i] + s - values[j] - t) >> labeled, p, q)
+        else:
+            keys = [values[i] + t for i, terms in parts for t in terms]
+            columns = map(len, insertion_columns(keys))
+        if labeled:  # even boxes: rows 1, 3, ... of even columns, 2, 4, ... of odd ones
+            for k, c in enumerate(columns):
+                gk -= (c // 2) ** 2 if k % 2 else (c + 1) // 2 * ((c - 1) // 2)
+        else:
+            for c in columns:
+                gk -= c * (c - 1) // 2
     return gk
 
 

@@ -38,7 +38,8 @@ route, ``verdict.evaluate``, serves ``gvmred reduce``.
 Output spells each layout once.  ``ROW_FIELDS`` is the one row layout,
 for the CSV header, the JSON records and the CLI's ``key=value`` lines.
 A diagram reads the rows in one pass (``_picture``) for the rational
-marks, the generic-offset counts and the three line families; the ASCII
+marks, the generic-offset counts and the three line families, keyed by
+tuples of ints, so no ``Fraction`` is hashed or added per row; the ASCII
 grid and the SVG draw from the marks, and the SVG writes every axis and
 line through one segment template.
 """
@@ -48,6 +49,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import cached_property, lru_cache, partial
 from itertools import count
+from math import gcd
 from typing import NamedTuple
 
 from . import gk, verdict
@@ -274,8 +276,9 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     windows into its memo key, and ``verdict.criterion_column`` over the
     cells' criterion values.  Then one pass over the cells fills the GK
     memo, from clamped key to GK dimension, which lives for this one
-    sweep: a cell whose key is new calls ``gk._gk_from_values`` on its
-    exact values.  Each cell gets one outcome: the ``Verdict`` shared by
+    sweep, and reads each cell's GK dimension with one lookup of its key:
+    a cell whose key is new calls ``gk._gk_from_values`` on its exact
+    values.  Each cell gets one outcome: the ``Verdict`` shared by
     every cell with its GK dimension and criterion, or None, with the repr
     of what raised in ``failed``.  A miss that raises is not memoised:
     every point of its cell is recorded in ``errors``, and the next cell
@@ -296,21 +299,22 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     else:
         memo: dict = {}  # clamped form values -> GK dimension
         failed = {}  # cell -> the repr of what its miss raised
-        for cell, (key, values) in enumerate(zip(keys, exact)):
-            if key not in memo:
+        dims = []  # per cell: its GK dimension, or None when its miss raised
+        for key, values in zip(keys, exact):
+            dim = memo.get(key)
+            if dim is None:
                 try:
-                    memo[key] = gk._gk_from_values(setup, values)
+                    dim = memo[key] = gk._gk_from_values(setup, values)
                 except Exception as exc:  # collected, not fatal
-                    failed[cell] = repr(exc)
-        pairs = list(zip(map(memo.get, keys), criteria))
+                    failed[len(dims)] = repr(exc)
+            dims.append(dim)
+        pairs = list(zip(dims, criteria))
         shared = {  # cells with equal GK dimension and criterion share one Verdict
             (dim, crit): Verdict(dim, du, dim < du, crit, (dim < du) == crit)
             for dim, crit in set(pairs)
             if dim is not None
         }
         outcomes = list(map(shared.get, pairs))  # per cell: its Verdict, or None
-        for cell in failed:
-            outcomes[cell] = None
     z1s, z2s = grid.point_columns()
     rows = list(map(_new_row, zip(z1s, z2s, map(outcomes.__getitem__, cells))))
     if not failed:
@@ -462,36 +466,55 @@ UNIT = 40  # SVG user units per lattice unit
 MARGIN = 60
 
 
+def _scalar_keys(z: ExactScalar):
+    """(z's value as (num, den) when it is rational, else None; its symbol
+    part as the ints (tau num, tau den, sigma num, sigma den); the
+    negation of that)."""
+    tau, sigma = z.tau, z.sigma
+    num, den = tau.numerator, tau.denominator
+    s_num, s_den = sigma.numerator, sigma.denominator
+    rational = None if tau or sigma else (z.num, z.den)
+    return rational, (num, den, s_num, s_den), (-num, den, -s_num, s_den)
+
+
 def _picture(report: SweepReport):
     """What a diagram draws, read off the rows in one pass.
 
-    Returns the rational marks ``{(z1, z2): reducible}`` in row order, the
-    (irreducible, reducible) counts of the points with a symbol part, and
-    the lines (z1 = c, z2 = c, z1 + z2 = c), each an ascending list.  A
+    Returns the rational marks ``{(x, y): reducible}`` in row order, each
+    coordinate keyed by its (numerator, denominator), the (irreducible,
+    reducible) counts of the points with a symbol part, and the lines
+    (z1 = c, z2 = c, z1 + z2 = c), each an ascending list of Fractions.  A
     line needs every sampled point on it reducible, one of them at a
     generic other parameter (z2, z1 and z1 respectively), so it genuinely
-    stands for "the other parameter is arbitrary".  z1 + z2 is read off the
-    scalars' fields, the rational parts added when the symbol parts cancel,
-    so no scalar is built.
+    stands for "the other parameter is arbitrary".  Every key is a tuple
+    of ints: each distinct scalar's keys are read once (``_scalar_keys``),
+    and z1 + z2, when the symbol parts cancel, is the rational parts added
+    over ints and reduced, so no Fraction is hashed or added per row.
     """
     marks, generic = {}, [0, 0]
     families = ({}, {}, {})  # per line value: [every point reducible, some generic other]
+    keys = {}  # scalar -> its _scalar_keys
     for z1, z2, verdict in report.rows:
         reducible = verdict.reducible
-        x = None if z1.tau or z1.sigma else z1.rational
-        y = None if z2.tau or z2.sigma else z2.rational
+        x, symbols, _ = keys.get(z1) or keys.setdefault(z1, _scalar_keys(z1))
+        y, _, negated = keys.get(z2) or keys.setdefault(z2, _scalar_keys(z2))
         if x is None or y is None:
             generic[reducible] += 1
         else:
             marks[x, y] = reducible
-        cancel = z1.tau == -z2.tau and z1.sigma == -z2.sigma
-        total = z1.rational + z2.rational if cancel else None
+        total = None
+        if symbols == negated:  # z1 + z2 is rational
+            num, den = z1.num * z2.den + z2.num * z1.den, z1.den * z2.den
+            g = gcd(num, den)
+            total = num // g, den // g
         for family, value, other in zip(families, (x, y, total), (y, x, x)):
             if value is not None:
                 facts = family.setdefault(value, [True, False])
                 facts[0] &= reducible
                 facts[1] |= other is None
-    lines = tuple(sorted(c for c, (every, some) in f.items() if every and some) for f in families)
+    lines = tuple(
+        sorted(Fraction(*c) for c, (every, some) in f.items() if every and some) for f in families
+    )
     return marks, generic, lines
 
 
@@ -501,13 +524,14 @@ def render_diagram(report: SweepReport, format: str = "svg") -> str:
     Rational reducible points become filled marks; loci that are reducible
     for an arbitrary value of one parameter become lines.  Generic-offset
     findings enter the legend rather than the plot.  One pass over the rows
-    (``_picture``) gives all three; each call reads the rows again.
+    (``_picture``) gives all three; each call reads the rows again.  Each
+    axis lists its distinct marked values as (Fraction, key), ascending.
     """
     if format not in ("svg", "ascii"):
         raise UnsupportedGrid(f"unknown diagram format {format!r}")
     marks, (irreducible, reducible), lines = _picture(report)
-    xs = sorted({x for x, _ in marks})
-    ys = sorted({y for _, y in marks})
+    xs = sorted((Fraction(*x), x) for x in {x for x, _ in marks})
+    ys = sorted((Fraction(*y), y) for y in {y for _, y in marks})
     if not marks or len(xs) * len(ys) != len(marks):  # an empty report too
         raise UnsupportedGrid("rational points do not form a cartesian grid")
     setup = report.setup
@@ -525,17 +549,17 @@ def render_diagram(report: SweepReport, format: str = "svg") -> str:
 
 def _render_ascii(marks, xs, ys, legend) -> str:
     lines = []
-    for y in reversed(ys):
-        row = "".join("R" if marks[x, y] else "·" for x in xs)
+    for y, y_key in reversed(ys):
+        row = "".join("R" if marks[x_key, y_key] else "·" for _, x_key in xs)
         lines.append(f"{str(y):>6} {row}")
-    lines.append(f"{'':>6} z1: {xs[0]} .. {xs[-1]}")
+    lines.append(f"{'':>6} z1: {xs[0][0]} .. {xs[-1][0]}")
     lines.extend(legend)
     return "\n".join(lines) + "\n"
 
 
 def _render_svg(marks, xs, ys, lines, legend) -> str:
-    lo_x, hi_x = xs[0], xs[-1]
-    lo_y, hi_y = ys[0], ys[-1]
+    (lo_x, _), (hi_x, _) = xs[0], xs[-1]
+    (lo_y, _), (hi_y, _) = ys[0], ys[-1]
 
     def px(x: Fraction) -> float:
         return float(MARGIN + (x - lo_x) * UNIT)
@@ -567,8 +591,10 @@ def _render_svg(marks, xs, ys, lines, legend) -> str:
         f'<line x1="{px(x1):g}" y1="{py(y1):g}" x2="{px(x2):g}" y2="{py(y2):g}" {style}/>'
         for x1, y1, x2, y2, style in segments
     ]
+    cx = {key: px(x) for x, key in xs}  # each marked value's position, once
+    cy = {key: py(y) for y, key in ys}
     parts += [
-        f'<circle cx="{px(x):g}" cy="{py(y):g}" r="4" fill="black"/>'
+        f'<circle cx="{cx[x]:g}" cy="{cy[y]:g}" r="4" fill="black"/>'
         for (x, y), reducible in marks.items()
         if reducible
     ]

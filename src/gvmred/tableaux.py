@@ -8,10 +8,13 @@ by columns, by Schuetzenberger's transpose property (Knuth, TAOCP vol. 3,
 keys.  A weakly increasing subsequence takes at most one key per strictly
 decreasing run, so keys of m runs give at most m columns and each key
 visits at most m lists.  The GK-dimension oracle's integer keys have at
-most six runs; it reads column lengths (``key_columns``) and their depth
-sums.  ``rs_shape`` and ``rs_tableau`` insert the integer ranks of the
-rational parts of ExactScalars sharing one symbol part; the full tableau
-is kept for the CLI's debug rendering.
+most six runs, and it reads only their column lengths.  For keys of two
+runs of step 1 they have a closed form (``two_run_columns``, by Greene's
+theorem), which the oracle takes for its classes of two runs; it inserts
+the keys of the others.  ``key_columns`` reads the column lengths off the
+insertion, for any keys.  ``rs_shape`` and ``rs_tableau`` insert the
+integer ranks of the rational parts of ExactScalars sharing one symbol
+part; the full tableau is kept for the CLI's debug rendering.
 """
 
 from __future__ import annotations
@@ -62,6 +65,22 @@ def key_columns(keys: Sequence) -> Shape:
     return tuple([len(column) for column in insertion_columns(keys)])
 
 
+def two_run_columns(d: int, p: int, q: int) -> tuple[int, int]:
+    """Column lengths of the insertion tableau of two strictly decreasing
+    runs of step 1, a, a - 1, ..., a - p + 1 then b, ..., b - q + 1, where
+    d = a - b; the second is 0 when there is one column.
+
+    By Greene's theorem (Adv. Math. 14, 1974) the first column is the
+    longest strictly decreasing subsequence.  One whose last key of the
+    first run is x takes that run down to x, then the keys of the second
+    run below x.  Lowering x by one adds a key and drops at most one, so a
+    longest one takes the whole second run alone, or the whole first run
+    and the clamp(d + q - p, 0, q) keys of the second below a - p + 1.  The
+    other keys fill the second column, since two runs give at most two."""
+    first = max(q, p + min(max(d + q - p, 0), q))
+    return first, p + q - first
+
+
 def rs_shape(seq: Sequence[ExactScalar]) -> Shape:
     """Shape of the insertion tableau of ``seq``, processed left to right."""
     return conjugate(key_columns(_order_keys(seq)))
@@ -92,20 +111,3 @@ def conjugate(shape: Shape) -> Shape:
     if not shape:
         return ()
     return tuple(sum(1 for p in shape if p >= j) for j in range(1, shape[0] + 1))
-
-
-def columns_depth_sum(columns: Shape) -> int:
-    """Sum over boxes of (row index - 1), from the column lengths."""
-    return sum([c * (c - 1) // 2 for c in columns])
-
-
-def columns_even_depth_sum(columns: Shape) -> int:
-    """Like columns_depth_sum but counting only even boxes.
-
-    Column j (0-indexed) holds its even boxes in rows 1, 3, ... when j is
-    even, adding k(k - 1) for k = ceil(c / 2), and in rows 2, 4, ... when
-    j is odd, adding k^2 for k = floor(c / 2).
-    """
-    return sum(
-        [(c // 2) ** 2 if j % 2 else (c + 1) // 2 * ((c - 1) // 2) for j, c in enumerate(columns)]
-    )

@@ -7,7 +7,10 @@ references; ``single_weight_reducible`` is the maximal-parabolic case of
 the criterion, kept as a reference for the two-parameter half-lines;
 ``has_maximal_shape`` reads the same verdict off an integral type A
 weight's insertion tableau; ``even_odd_counts`` splits a shape's boxes
-by parity, for the type D shape checks.
+by parity, for the type D shape checks; ``columns_depth_sum`` and
+``columns_even_depth_sum`` are the depth sums a GK miss takes column by
+column (``gk._gk_from_values``), from a tuple of column lengths;
+``plan_parts`` expands a class plan's two runs back to rho terms.
 """
 
 from __future__ import annotations
@@ -74,3 +77,30 @@ def even_odd_counts(shape: tuple[int, ...]) -> tuple[tuple[int, ...], tuple[int,
         ev.append(e)
         odd.append(p - e)
     return tuple(ev), tuple(odd)
+
+
+def columns_depth_sum(columns: tuple[int, ...]) -> int:
+    """Sum over boxes of (row index - 1), from the column lengths."""
+    return sum([c * (c - 1) // 2 for c in columns])
+
+
+def columns_even_depth_sum(columns: tuple[int, ...]) -> int:
+    """Like columns_depth_sum but counting only even boxes.
+
+    Column j (0-indexed) holds its even boxes in rows 1, 3, ... when j is
+    even, adding k(k - 1) for k = ceil(c / 2), and in rows 2, 4, ... when
+    j is odd, adding k^2 for k = floor(c / 2).
+    """
+    return sum(
+        [(c // 2) ** 2 if j % 2 else (c + 1) // 2 * ((c - 1) // 2) for j, c in enumerate(columns)]
+    )
+
+
+def plan_parts(labeled: bool, parts) -> list:
+    """A planned class's parts as (signed index, rho terms): a class of two
+    runs keeps each as its index, top term and length, with step 2 in a
+    labeled class and 1 otherwise (``gk.class_plan``)."""
+    if len(parts) != 2:
+        return list(parts)
+    step = 2 if labeled else 1
+    return [(i, tuple(top - step * k for k in range(length))) for i, top, length in parts]

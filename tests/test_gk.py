@@ -20,7 +20,6 @@ from gvmred import (
 )
 from gvmred.exact import form_values
 from gvmred.gk import _folded, entry_readers, key_readers, split_classes
-from gvmred.tableaux import key_columns
 
 import conftest
 from conftest import SIGMA, TAU, saturated_form_values, sc, seq
@@ -166,14 +165,20 @@ def test_block_core_matches_dense_route_on_standard_grids():
 
 def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
     """Shapes are computed once per form-value key of a sweep, and a
-    second sweep of the same setup computes them all again."""
+    second sweep of the same setup computes them all again: a miss computes
+    a two-run class's columns in closed form and inserts the keys of every
+    other class."""
     calls = []
 
-    def counted(keys):
-        calls.append(keys)
-        return key_columns(keys)
+    def counted(shape):
+        def count(*args):
+            calls.append(args)
+            return shape(*args)
 
-    monkeypatch.setattr(gk_module, "key_columns", counted)
+        return count
+
+    for name in ("two_run_columns", "insertion_columns"):
+        monkeypatch.setattr(gk_module, name, counted(getattr(gk_module, name)))
     for setup in (ParabolicSetup(A(6), 2, 4), ParabolicSetup(D(6), 1, 5)):
         grid = standard_grid(setup)
         counts = []

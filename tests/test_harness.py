@@ -31,6 +31,7 @@ from gvmred.harness import MAX_GRID_POINTS, SweepRow, format_field, grid_from_sp
 from gvmred.verdict import Verdict, criterion_values, evaluate
 
 from conftest import SIGMA, TAU, saturated_form_values, sc, scalar_pairs
+from references import plan_parts
 
 FORM_LISTS = st.lists(
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any), min_size=1, max_size=6
@@ -414,6 +415,7 @@ def test_class_plans_are_the_class_splits_of_their_patterns(setups):
                 _, classes = setup.class_plans[pattern]
                 planned = []
                 for labeled, parts in classes:
+                    parts = plan_parts(labeled, parts)
                     first = parts[: len(parts) // 2] if labeled else parts
                     planned.append((labeled, [(values[i], terms) for i, terms in first]))
                 split = _reader_classes(setup, exact)
@@ -448,6 +450,9 @@ def test_class_plans_carry_constant_deficits_and_doubled_parts(setups):
             assert len(classes) == len(split) - len(constant), (setup, pattern)
             for labeled, parts in classes:
                 assert labeled or len(parts) > 1, (setup, pattern)
+                # two parts are two runs, kept as (index, top term, length)
+                assert all(len(part) == (3 if len(parts) == 2 else 2) for part in parts)
+                parts = plan_parts(labeled, parts)
                 if labeled:
                     half = parts[: len(parts) // 2]
                     negated = [(-i, tuple(-t for t in reversed(terms))) for i, terms in half]

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import example, given, strategies as st
 
 from gvmred import (
     IncomparableScalars,
@@ -11,15 +11,20 @@ from gvmred import (
     rs_tableau,
 )
 from gvmred.tableaux import (
-    columns_depth_sum,
-    columns_even_depth_sum,
+    insertion_columns,
     key_columns,
     render_tableau,
+    two_run_columns,
 )
 
 import dense_gk
 from conftest import SIGMA, TAU, sc, seq
-from references import even_odd_counts, minus_double
+from references import (
+    columns_depth_sum,
+    columns_even_depth_sum,
+    even_odd_counts,
+    minus_double,
+)
 
 
 def longest_weakly_increasing(values) -> int:
@@ -169,6 +174,36 @@ def test_monotone_sequences():
         assert columns_depth_sum(conjugate(rs_shape(up))) == 0
 
 
+def _closed_form_applies(run, other) -> bool:
+    """Two runs of one step, and of one parity when the step is 2."""
+    (a, _, step), (b, _, other_step) = run, other
+    return step == other_step and (a - b) % step == 0
+
+
+def _closed_form(run, other):
+    """``two_run_columns`` of two (top, length, step) runs, on keys // step
+    (one parity, so the keys keep their order and ties), zeros dropped."""
+    (a, p, step), (b, q, _) = run, other
+    return tuple(c for c in two_run_columns((a - b) // step, p, q) if c)
+
+
+def test_two_run_columns_exhaustive():
+    """Greene's closed form is the insertion's column lengths on every pair
+    of runs of step 1, and of step 2 with one parity, with tops in [-8, 8]
+    and lengths 1 to 6."""
+    checked = 0
+    for step in (1, 2):
+        for a, b in itertools.product(range(-8, 9), repeat=2):
+            if (a - b) % step:
+                continue
+            for p, q in itertools.product(range(1, 7), repeat=2):
+                keys = [a - step * i for i in range(p)] + [b - step * i for i in range(q)]
+                columns = tuple(map(len, insertion_columns(keys)))
+                assert _closed_form((a, p, step), (b, q, step)) == columns, (a, p, b, q, step)
+                checked += 1
+    assert checked > 15000
+
+
 decreasing_runs = st.lists(
     st.tuples(st.integers(-40, 40), st.integers(1, 25), st.sampled_from((1, 2))),
     min_size=1,
@@ -177,6 +212,8 @@ decreasing_runs = st.lists(
 
 
 @given(decreasing_runs)
+@example([(5, 3, 1), (6, 4, 1)])  # two runs of step 1: the closed form applies
+@example([(5, 3, 2), (9, 4, 2)])  # and of step 2 with one parity
 def test_key_columns_of_decreasing_runs(runs):
     """A weakly increasing subsequence takes at most one key per strictly
     decreasing run, so there are at most as many columns as runs; the
@@ -185,5 +222,7 @@ def test_key_columns_of_decreasing_runs(runs):
     columns = key_columns(keys)
     assert len(columns) <= len(runs)
     assert columns == conjugate(tuple(len(row) for row in _reference_rows(keys)))
+    if len(runs) == 2 and _closed_form_applies(*runs):
+        assert _closed_form(*runs) == columns
     assert columns_depth_sum(columns) == dense_gk.depth_sum(seq(*keys))
     assert columns_even_depth_sum(columns) == dense_gk.even_depth_sum(seq(*keys))
