@@ -87,7 +87,13 @@ from typing import Callable, NamedTuple
 
 from .exact import ExactScalar, form_values, integer_difference, integer_sum
 from .rootdata import LieType, ParabolicSetup
-from .tableaux import ScalarSequence, insertion_columns, two_run_columns
+from .tableaux import (
+    ScalarSequence,
+    insertion_columns,
+    mirrored_run_columns,
+    three_run_columns,
+    two_run_columns,
+)
 
 # Unused here; kept importable from this module, where perfbench/tracing.py
 # wraps them.
@@ -210,7 +216,7 @@ def class_plan(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
                 else (differences[b][h], runs[b])
                 for b, flipped in (members if total is None else _folded(members))
             ]
-        if len(parts) == 2:  # two runs
+        if len(parts) < 6:  # two, three or four runs: no labeled class of three blocks
             parts = [(i, terms[0], len(terms)) for i, terms in parts]
         classes.append((labeled, tuple(parts)))
     return base, tuple(classes)
@@ -231,15 +237,32 @@ def _gk_from_values(setup: ParabolicSetup, exact: tuple) -> int:
     plan = plans.get(pattern)
     if plan is None:
         plan = plans[pattern] = class_plan(setup, pattern)
-    # index i > 0 reads exact[i - 1], -i its negation, 0 a vanishing pair
-    values = (0, *exact, *[None if v is None else -v for v in reversed(exact)])
+    # index i >= 0 reads values[i], -i its negation; 0 reads a vanishing pair
+    values = (0, *exact)
     gk, classes = plan
     for labeled, parts in classes:
-        if len(parts) == 2:  # two runs, of step 2 when labeled: halve the difference
+        n = len(parts)
+        if n == 2:  # two runs, of step 2 when labeled: halve the difference
             (i, s, p), (j, t, q) = parts
-            columns = two_run_columns((values[i] + s - values[j] - t) >> labeled, p, q)
+            s += values[i] if i >= 0 else -values[-i]
+            t += values[j] if j >= 0 else -values[-j]
+            columns = two_run_columns((s - t) >> labeled, p, q)
+        elif n == 3:  # an unlabeled class of three blocks
+            (i, s, p), (j, t, q), (k, u, r) = parts
+            s += values[i] if i >= 0 else -values[-i]
+            t += values[j] if j >= 0 else -values[-j]
+            u += values[k] if k >= 0 else -values[-k]
+            columns = three_run_columns(s, p, t, q, u, r)
+        elif n == 4:  # a labeled class of two blocks: its runs, then their mirror
+            (i, s, p), (j, t, q), _, _ = parts
+            s += values[i] if i >= 0 else -values[-i]
+            t += values[j] if j >= 0 else -values[-j]
+            columns = mirrored_run_columns(s, p, t, q)
         else:
-            keys = [values[i] + t for i, terms in parts for t in terms]
+            keys = []
+            for i, terms in parts:
+                base = values[i] if i >= 0 else -values[-i]
+                keys += [base + t for t in terms]
             columns = map(len, insertion_columns(keys))
         if labeled:  # even boxes: rows 1, 3, ... of even columns, 2, 4, ... of odd ones
             for k, c in enumerate(columns):

@@ -47,8 +47,8 @@ line through one segment template.
 from __future__ import annotations
 
 from fractions import Fraction
-from functools import cached_property, lru_cache, partial
-from itertools import count
+from functools import cached_property, lru_cache
+from itertools import count, repeat
 from math import gcd
 from typing import NamedTuple
 
@@ -246,10 +246,6 @@ class SweepRow(NamedTuple):
     verdict: Verdict
 
 
-# a SweepRow from a (z1, z2, verdict) tuple, without a Python-level call
-_new_row = partial(tuple.__new__, SweepRow)
-
-
 class SweepReport(NamedTuple):
     setup: ParabolicSetup
     rows: list[SweepRow]
@@ -316,7 +312,9 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
         }
         outcomes = list(map(shared.get, pairs))  # per cell: its Verdict, or None
     z1s, z2s = grid.point_columns()
-    rows = list(map(_new_row, zip(z1s, z2s, map(outcomes.__getitem__, cells))))
+    # tuple.__new__(SweepRow, (z1, z2, verdict)): each row without a Python-level call
+    verdicts = map(outcomes.__getitem__, cells)
+    rows = list(map(tuple.__new__, repeat(SweepRow), zip(z1s, z2s, verdicts)))
     if not failed:
         return SweepReport(setup, rows, [])
     errors = [(str(z1s[i]), str(z2s[i]), failed[c]) for i, c in enumerate(cells) if c in failed]

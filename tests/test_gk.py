@@ -166,8 +166,8 @@ def test_block_core_matches_dense_route_on_standard_grids():
 def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
     """Shapes are computed once per form-value key of a sweep, and a
     second sweep of the same setup computes them all again: a miss computes
-    a two-run class's columns in closed form and inserts the keys of every
-    other class."""
+    the columns of a class of two, three or four runs in closed form and
+    inserts the keys of every other class."""
     calls = []
 
     def counted(shape):
@@ -177,7 +177,12 @@ def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
 
         return count
 
-    for name in ("two_run_columns", "insertion_columns"):
+    for name in (
+        "two_run_columns",
+        "three_run_columns",
+        "mirrored_run_columns",
+        "insertion_columns",
+    ):
         monkeypatch.setattr(gk_module, name, counted(getattr(gk_module, name)))
     for setup in (ParabolicSetup(A(6), 2, 4), ParabolicSetup(D(6), 1, 5)):
         grid = standard_grid(setup)
@@ -187,6 +192,34 @@ def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
             sweep(setup, grid)
             counts.append(len(calls))
         assert 0 < counts[0] == counts[1] < len(grid) / 2
+
+
+def test_only_labeled_three_block_classes_are_inserted(monkeypatch):
+    """Over the A<=5 and D<=6 families, the verify workloads' setups, a
+    miss inserts no keys in type A and, in type D, only those of a labeled
+    class of three blocks: all 2n doubled keys, the keys then their
+    reversed negation.  Every other class is read in closed form."""
+    inserted = []
+    insertion = gk_module.insertion_columns
+
+    def recorded(keys):
+        inserted.append(list(keys))
+        return insertion(keys)
+
+    monkeypatch.setattr(gk_module, "insertion_columns", recorded)
+    total = 0
+    for kind, n_max in (("A", 5), ("D", 6)):
+        for setup in family_setups(kind, n_max):
+            inserted.clear()
+            report = sweep(ParabolicSetup(setup.lie, setup.p, setup.q), standard_grid(setup))
+            assert not report.errors
+            if kind == "A":
+                assert inserted == [], setup
+            for keys in inserted:
+                assert len(keys) == 2 * setup.lie.n, setup
+                assert keys == [-k for k in reversed(keys)], setup
+            total += len(inserted)
+    assert total
 
 
 def test_repeated_keys_skip_the_miss_path(monkeypatch):

@@ -450,8 +450,9 @@ def test_class_plans_carry_constant_deficits_and_doubled_parts(setups):
             assert len(classes) == len(split) - len(constant), (setup, pattern)
             for labeled, parts in classes:
                 assert labeled or len(parts) > 1, (setup, pattern)
-                # two parts are two runs, kept as (index, top term, length)
-                assert all(len(part) == (3 if len(parts) == 2 else 2) for part in parts)
+                # up to four parts are runs, kept as (index, top term, length);
+                # a labeled class of three blocks keeps (index, rho terms)
+                assert all(len(part) == (3 if len(parts) <= 4 else 2) for part in parts)
                 parts = plan_parts(labeled, parts)
                 if labeled:
                     half = parts[: len(parts) // 2]

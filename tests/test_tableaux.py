@@ -13,7 +13,9 @@ from gvmred import (
 from gvmred.tableaux import (
     insertion_columns,
     key_columns,
+    mirrored_run_columns,
     render_tableau,
+    three_run_columns,
     two_run_columns,
 )
 
@@ -204,6 +206,44 @@ def test_two_run_columns_exhaustive():
     assert checked > 15000
 
 
+def _runs_keys(runs, step=1):
+    return [top - step * i for top, length in runs for i in range(length)]
+
+
+def _mirrored_keys(a, p, b, q):
+    """The doubled keys of a labeled class of two blocks: two runs of step
+    2, then their reversed negation."""
+    keys = _runs_keys([(a, p), (b, q)], 2)
+    return keys + [-k for k in reversed(keys)]
+
+
+def _nonzero(columns):
+    return tuple(c for c in columns if c)
+
+
+def test_three_and_four_run_columns_exhaustive():
+    """The closed forms are the insertion's column lengths on every three
+    runs of step 1 with lengths 1 to 5 (the first top 0, the others in
+    [-10, 10], past which the order type no longer changes), and on every
+    mirrored pair of runs of step 2 with lengths 1 to 5 and tops of one
+    parity in [-21, 21]."""
+    checked = 0
+    lengths = range(1, 6)
+    for b, c in itertools.product(range(-10, 11), repeat=2):
+        for p, q, r in itertools.product(lengths, repeat=3):
+            columns = key_columns(_runs_keys([(0, p), (b, q), (c, r)]))
+            assert _nonzero(three_run_columns(0, p, b, q, c, r)) == columns, (b, c, p, q, r)
+            checked += 1
+    for a, b in itertools.product(range(-21, 22), repeat=2):
+        if (a - b) % 2:
+            continue
+        for p, q in itertools.product(lengths, repeat=2):
+            columns = key_columns(_mirrored_keys(a, p, b, q))
+            assert _nonzero(mirrored_run_columns(a, p, b, q)) == columns, (a, p, b, q)
+            checked += 1
+    assert checked == 21 * 21 * 125 + (22 * 22 + 21 * 21) * 25
+
+
 decreasing_runs = st.lists(
     st.tuples(st.integers(-40, 40), st.integers(1, 25), st.sampled_from((1, 2))),
     min_size=1,
@@ -213,16 +253,26 @@ decreasing_runs = st.lists(
 
 @given(decreasing_runs)
 @example([(5, 3, 1), (6, 4, 1)])  # two runs of step 1: the closed form applies
-@example([(5, 3, 2), (9, 4, 2)])  # and of step 2 with one parity
+@example([(5, 3, 2), (9, 4, 2)])  # and of step 2 with one parity, and mirrored
+@example([(5, 3, 1), (6, 4, 1), (-2, 2, 1)])  # three runs of step 1
 def test_key_columns_of_decreasing_runs(runs):
     """A weakly increasing subsequence takes at most one key per strictly
     decreasing run, so there are at most as many columns as runs; the
-    column depth sums are the row-insertion ones."""
+    column depth sums are the row-insertion ones.  The closed forms give
+    the columns of two runs of one step, of those runs of step 2 followed
+    by their reversed negation, and of three runs of step 1."""
     keys = [start - step * i for start, length, step in runs for i in range(length)]
     columns = key_columns(keys)
     assert len(columns) <= len(runs)
     assert columns == conjugate(tuple(len(row) for row in _reference_rows(keys)))
     if len(runs) == 2 and _closed_form_applies(*runs):
         assert _closed_form(*runs) == columns
+        (a, p, step), (b, q, _) = runs
+        if step == 2:  # the runs and their reversed negation: a labeled class of two blocks
+            mirrored = key_columns(keys + [-k for k in reversed(keys)])
+            assert _nonzero(mirrored_run_columns(a, p, b, q)) == mirrored
+    if len(runs) == 3 and all(step == 1 for _, _, step in runs):
+        (a, p, _), (b, q, _), (c, r, _) = runs
+        assert _nonzero(three_run_columns(a, p, b, q, c, r)) == columns
     assert columns_depth_sum(columns) == dense_gk.depth_sum(seq(*keys))
     assert columns_even_depth_sum(columns) == dense_gk.even_depth_sum(seq(*keys))
