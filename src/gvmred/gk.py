@@ -51,18 +51,28 @@ triangular bound less m(m - 1)/2 for each such class of m entries.
 ``classes`` lists every other class as its labeled flag and, per member
 block in key order, a signed index into the point's values and the rho
 terms its base is added to; a labeled class then lists the same parts
-negated in reverse, so its keys come out doubled.  A class of two parts
-is two runs: an unlabeled class of two blocks, or a labeled class of
-one block (its run, then the reversed negation).  The plan keeps each of
-those runs as its signed index, top term and length, and a miss reads
-the class's two column lengths in closed form, from the difference of
-the runs' tops (``tableaux.two_run_columns``, by Greene's theorem).  A
-labeled class's keys share one parity, so halving them keeps their
-order and ties and makes its step-2 runs step-1 runs.  A miss builds
-every other class's keys as base + t per part and inserts them once
-(``tableaux.insertion_columns``).  It takes each class's depth sum off
-the plan's base as it reads the column lengths, in one loop over the
-classes.  A plan holds no point's value and no GK value.
+negated in reverse, so its keys come out doubled.  Each part is one
+strictly decreasing run, and a class of up to four parts keeps each run
+as its signed index, top term and length; a miss reads that class's
+column lengths in closed form from the runs' tops, by Greene's theorem,
+with no key list:
+
+* two runs, an unlabeled class of two blocks or a labeled class of one
+  block (its run, then the reversed negation): from the difference of
+  the tops (``tableaux.two_run_columns``), halved in a labeled class,
+  whose keys share one parity, so halving them keeps their order and
+  ties and makes its step-2 runs step-1 runs;
+* three runs, an unlabeled class of three blocks
+  (``tableaux.three_run_columns``);
+* four runs, a labeled class of two blocks: its two runs, then their
+  reversed negation (``tableaux.mirrored_run_columns``, on the first
+  two runs' tops).
+
+A miss builds the keys of a labeled class of three blocks, six runs, as
+base + t per part and inserts them once (``tableaux.insertion_columns``).
+It takes each class's depth sum off the plan's base as it reads the
+column lengths, in one loop over the classes.  A plan holds no point's
+value and no GK value.
 
 The form values are the oracle's only integrality decision.  A sweep
 reads them off its grid's cells (``harness.ParameterGrid.form_cells``,
@@ -105,7 +115,8 @@ Member = tuple[int, bool]  # (block index, joined to the class head by a sum)
 Reader = Callable[[int, int], "int | None"]
 # (base, ((labeled, ((signed index into the form values, rho terms), ...)), ...)):
 # the triangular bound less the constant classes' deficits, and the other
-# classes; a class of two runs keeps each as (signed index, top term, length)
+# classes; a class of two, three or four runs (all but a labeled class of
+# three blocks) keeps each run as (signed index, top term, length)
 ClassPlan = tuple[int, tuple[tuple[bool, tuple[tuple, ...]], ...]]
 
 
@@ -189,9 +200,10 @@ def class_plan(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
     for a flipped one, ``sums[b][b]`` with 2r for a member of a labeled
     class, whose parts are followed by their reversed negation, (-i, -t
     over ``reversed(terms)``), so its keys come out doubled.  A class of
-    two parts is two runs, and keeps each as (signed index, top term,
-    length), the run's terms stepping down by 2 when labeled and by 1
-    otherwise.  A plan holds nothing that depends on a point's values."""
+    two, three or four parts (every class but a labeled one of three
+    blocks) keeps each part as a run, (signed index, top term, length),
+    the run's terms stepping down by 2 when labeled and by 1 otherwise.
+    A plan holds nothing that depends on a point's values."""
     runs = setup.block_plan.rho_runs
     _, _, differences, sums = setup.gk_key
     difference, total = key_readers(setup, pattern)
@@ -216,7 +228,7 @@ def class_plan(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
                 else (differences[b][h], runs[b])
                 for b, flipped in (members if total is None else _folded(members))
             ]
-        if len(parts) < 6:  # two, three or four runs: no labeled class of three blocks
+        if len(parts) <= (4 if labeled else 3):  # all but a labeled class of three blocks
             parts = [(i, terms[0], len(terms)) for i, terms in parts]
         classes.append((labeled, tuple(parts)))
     return base, tuple(classes)
@@ -229,47 +241,58 @@ def _gk_from_values(setup: ParabolicSetup, exact: tuple) -> int:
     ``setup.class_plans``, built on the pattern's first miss) minus the
     depth sums of its other classes' integer keys, even boxes only for a
     labeled class, each taken off as its column lengths are read: in
-    closed form for a class of two runs (``tableaux.two_run_columns``),
-    by insertion for the others.  The plan holds no point's value; the
-    keys are read off ``exact`` here."""
+    closed form from the runs' tops for a class of two, three or four runs
+    (``tableaux.two_run_columns``, ``three_run_columns`` and
+    ``mirrored_run_columns``), by insertion for a labeled class of three
+    blocks.  The plan holds no point's value; the tops and keys are read
+    off ``exact`` here, a negative signed index negating its value."""
     pattern = tuple([None if v is None else 0 for v in exact])
     plans = setup.class_plans
     plan = plans.get(pattern)
     if plan is None:
         plan = plans[pattern] = class_plan(setup, pattern)
-    # index i >= 0 reads values[i], -i its negation; 0 reads a vanishing pair
+    # signed index i > 0 reads exact[i - 1], -i its negation, 0 a vanishing pair
     values = (0, *exact)
     gk, classes = plan
+    # depth sums: c(c - 1)/2 per column; a labeled class counts even boxes
+    # only, rows 1, 3, ... of the first, third, ... column and 2, 4, ... of
+    # the others, (c + 1)//2 * ((c - 1)//2) and (c//2)**2
     for labeled, parts in classes:
         n = len(parts)
         if n == 2:  # two runs, of step 2 when labeled: halve the difference
             (i, s, p), (j, t, q) = parts
             s += values[i] if i >= 0 else -values[-i]
             t += values[j] if j >= 0 else -values[-j]
-            columns = two_run_columns((s - t) >> labeled, p, q)
+            c1, c2 = two_run_columns((s - t) >> labeled, p, q)
+            if labeled:
+                gk -= (c1 + 1) // 2 * ((c1 - 1) // 2) + (c2 // 2) ** 2
+            else:
+                gk -= (c1 * (c1 - 1) + c2 * (c2 - 1)) // 2
         elif n == 3:  # an unlabeled class of three blocks
             (i, s, p), (j, t, q), (k, u, r) = parts
             s += values[i] if i >= 0 else -values[-i]
             t += values[j] if j >= 0 else -values[-j]
             u += values[k] if k >= 0 else -values[-k]
-            columns = three_run_columns(s, p, t, q, u, r)
+            c1, c2, c3 = three_run_columns(s, p, t, q, u, r)
+            gk -= (c1 * (c1 - 1) + c2 * (c2 - 1) + c3 * (c3 - 1)) // 2
         elif n == 4:  # a labeled class of two blocks: its runs, then their mirror
             (i, s, p), (j, t, q), _, _ = parts
             s += values[i] if i >= 0 else -values[-i]
             t += values[j] if j >= 0 else -values[-j]
-            columns = mirrored_run_columns(s, p, t, q)
+            c1, c2, c3, c4 = mirrored_run_columns(s, p, t, q)
+            gk -= (c1 + 1) // 2 * ((c1 - 1) // 2) + (c2 // 2) ** 2
+            gk -= (c3 + 1) // 2 * ((c3 - 1) // 2) + (c4 // 2) ** 2
         else:
             keys = []
             for i, terms in parts:
                 base = values[i] if i >= 0 else -values[-i]
                 keys += [base + t for t in terms]
-            columns = map(len, insertion_columns(keys))
-        if labeled:  # even boxes: rows 1, 3, ... of even columns, 2, 4, ... of odd ones
-            for k, c in enumerate(columns):
-                gk -= (c // 2) ** 2 if k % 2 else (c + 1) // 2 * ((c - 1) // 2)
-        else:
-            for c in columns:
-                gk -= c * (c - 1) // 2
+            for k, column in enumerate(insertion_columns(keys)):
+                c = len(column)
+                if not labeled:
+                    gk -= c * (c - 1) // 2
+                else:
+                    gk -= (c // 2) ** 2 if k % 2 else (c + 1) // 2 * ((c - 1) // 2)
     return gk
 
 

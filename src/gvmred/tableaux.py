@@ -8,11 +8,18 @@ by columns, by Schuetzenberger's transpose property (Knuth, TAOCP vol. 3,
 keys.  A weakly increasing subsequence takes at most one key per strictly
 decreasing run, so keys of m runs give at most m columns and each key
 visits at most m lists.  The GK-dimension oracle's integer keys have at
-most six runs, and it reads only their column lengths.  For keys of two
-runs of step 1 they have a closed form (``two_run_columns``, by Greene's
-theorem), which the oracle takes for its classes of two runs; it inserts
-the keys of the others.  ``key_columns`` reads the column lengths off the
-insertion, for any keys.  ``rs_shape`` and ``rs_tableau`` insert the
+most six runs, and it reads only their column lengths.  Greene's theorem
+(Adv. Math. 14, 1974) gives them from the runs' tops and lengths alone,
+with no key list: the first k columns hold the largest union of k
+strictly decreasing subsequences, and the last of m columns counts the
+most disjoint weakly increasing subsequences taking a key of each run.
+So ``two_run_columns`` gives the columns of two runs of step 1,
+``three_run_columns`` those of three, and ``mirrored_run_columns`` those
+of two runs of step 2 followed by their reversed negation, the doubled
+keys of a labeled type D class of two blocks; the oracle inserts only
+the keys of a labeled class of three blocks.  ``key_columns`` reads the
+column lengths off the insertion, for any keys, and is the tests'
+reference for the closed forms.  ``rs_shape`` and ``rs_tableau`` insert the
 integer ranks of the rational parts of ExactScalars sharing one symbol
 part; the full tableau is kept for the CLI's debug rendering.
 """
@@ -83,155 +90,114 @@ def two_run_columns(d: int, p: int, q: int) -> tuple[int, int]:
 
 def three_run_columns(a: int, p: int, b: int, q: int, c: int, r: int) -> tuple[int, int, int]:
     """Column lengths of the insertion tableau of three strictly decreasing
-    runs of step 1, with tops a, b, c and lengths p, q, r; trailing ones
+    runs of step 1, with tops a, b, c and lengths p, q, r; the last ones
     are 0 when there are fewer columns.
 
-    A weakly increasing subsequence takes at most one key per run, so
-    there are at most three columns, and a row of three takes one key of
-    each run, x <= y <= z.  The k smallest keys of the first run and the
-    k largest of the third, with k consecutive keys of the second between
-    them, make k such rows whenever any k do, so the last column is the
-    least of the lengths and of top - bottom + 1 over the pairs of an
-    earlier run's bottom and a later run's top.  By Greene's theorem the
-    first column is the longest strictly decreasing subsequence.  One of
-    those takes a whole run; take the first run whole, then the keys of the
-    second below it and those of the third below both; or the second whole,
-    with the keys of the first above it and of the third below it; or the
-    third whole, with the keys of the second above it and of the first
-    above both.  The longest of the three is the first column: two
-    strictly decreasing runs reach their longest chain in the same way
-    (``two_run_columns``), which the cut between the second and third
-    runs' keys reduces to.  The middle column holds the other keys."""
+    A weakly increasing subsequence takes at most one key per run, so no
+    row is longer than three, and by Greene's theorem for weakly
+    increasing subsequences the last column counts the most disjoint ones
+    taking a key of each run, x <= y <= z.  The k smallest keys of the
+    first run and the k largest of the third, with k consecutive keys of
+    the second between them, are such k whenever any k are: the least of
+    the lengths and of top - bottom + 1 over each earlier run's bottom and
+    later run's top.  By Greene's theorem the first column is the longest
+    strictly decreasing subsequence.  It takes one run whole: the first,
+    then the keys of the second below it and of the third below both; or
+    the second, with the keys of the first above it and of the third below
+    it; or the third, then the keys of the second above it and of the
+    first above both (the longest of these three is the longest chain, as
+    for two runs in ``two_run_columns``, checked exhaustively in the
+    tests).  The middle column holds the other keys."""
     lo_a, lo_b, lo_c = a - p + 1, b - q + 1, c - r + 1
-    # the first run whole, then the keys of the later runs below it
     x, y = lo_a - lo_b, (lo_a if lo_a < lo_b else lo_b) - lo_c
     first = p + (0 if x < 0 else q if x > q else x) + (0 if y < 0 else r if y > r else y)
-    # the second run whole, the first run's keys above it, the third's below
     x, y = a - b, lo_b - lo_c
     chain = q + (0 if x < 0 else p if x > p else x) + (0 if y < 0 else r if y > r else y)
     if chain > first:
         first = chain
-    # the third run whole, then the keys of the earlier runs above it
     x, y = b - c, a - (b if b > c else c)
     chain = r + (0 if x < 0 else q if x > q else x) + (0 if y < 0 else p if y > p else y)
     if chain > first:
         first = chain
+    x = b - lo_a if b < c else c - lo_a
+    if c - lo_b < x:
+        x = c - lo_b
     last = p if p < q else q
-    for x in (r, b - lo_a + 1, c - lo_a + 1, c - lo_b + 1):
-        if x < last:
-            last = x
-    if last < 0:
-        last = 0
+    if r < last:
+        last = r
+    if x < last:
+        last = x + 1 if x >= 0 else 0
     return first, p + q + r - first - last, last
 
 
 def mirrored_run_columns(a: int, p: int, b: int, q: int) -> tuple[int, int, int, int]:
-    """Column lengths of the insertion tableau of four strictly decreasing
-    runs of step 2: a, a - 2, ..., a - 2p + 2, then b, ..., b - 2q + 2,
-    then those two runs negated in reverse order; a and b share one
-    parity.  Trailing lengths are 0 when there are fewer columns.
+    """Column lengths of the insertion tableau of the keys a, a - 2, ...,
+    a - 2p + 2, then b, ..., b - 2q + 2 (a and b of one parity), then all
+    of them negated in reverse order: the doubled keys of a labeled class
+    of two blocks.  The last ones are 0 when there are fewer columns.
 
-    The keys share one parity, so halving them (``k >> 1``) keeps their
-    order and ties: the runs become R1 = [l1, A] and R2 = [l2, B] of
-    step 1, A = a >> 1 and B = b >> 1, and their images under the mirror
-    k -> e - 1 - k, e = 1 - a % 2, in reverse, R2# and R1#.  A strictly
-    decreasing subsequence is a chain C of u = R1 R2 above some threshold
-    s, followed by the mirror of a chain D of u above e - s.  So by
-    Greene's theorem the first column is the largest f(s) + f(e - s), f(s)
-    the longest chain of u above s (``two_run_columns`` on the runs cut at
-    s).  That sum changes slope only at the runs' ends, and its largest
-    value is at s = l1 or s = l2.  The first two columns hold the largest
-    union of two strictly decreasing subsequences, each split the same
-    way at its own threshold.  That union is twice the keys of u above
-    the higher of the thresholds (l_k, e - l_k) together with the longest
-    chain of u between them, for k = 1 or 2, or two chains of u, one of
-    them above l2, with the mirror of a chain of u above e - l2: those
-    three cover the cuts that the union's largest value needs, on every
-    case of the exhaustive test.  The last column counts the disjoint
-    weakly increasing subsequences taking one key of each run, as for
-    three runs (``three_run_columns``), and the third holds the other
-    keys."""
+    The keys share one parity, so halving them keeps their order and ties:
+    they become u = R1 R2, R1 = [l1, A] and R2 = [l2, B] of step 1 with
+    A = a >> 1 and B = b >> 1, then u's image under the mirror
+    x -> e - 1 - x, e = 1 - a % 2, in reverse order.  A strictly
+    decreasing subsequence is a chain of u above some threshold t, then
+    the mirror of a chain of u above e - t.  The longest chain of u above
+    t takes its keys of R1 whole, then those of R2 below l1, or its keys
+    of R2 whole and those of R1 above B (``two_run_columns``): from the
+    keys r of R1 and s of R2 at or above t, max(r + (s - k)+, s + min(r,
+    above)), k the keys of R2 at or above l1 and ``above`` those of R1
+    above B.  By Greene's theorem the first column is the largest sum of
+    that chain above t and above e - t, which changes slope only at the
+    runs' ends; t = l1 or t = l2 reaches it.  The first two columns hold
+    the largest union of two strictly decreasing subsequences, each split
+    at its own threshold: for t = l1 or l2, twice the keys of u at or above
+    the higher of t and e - t with the longest chain of u between the two;
+    or two chains of u, one above l2, with the mirror of a chain above
+    e - l2.  These candidates reach the largest value on every case of the
+    exhaustive test.  The last column counts the most disjoint weakly
+    increasing subsequences taking a key of each run, as for three runs
+    (``three_run_columns``), and the third holds the other keys."""
     A, B, e = a >> 1, b >> 1, 1 - (a & 1)
-    d = A - B
     l1, l2 = A - p + 1, B - q + 1
     m1, m2 = e - l1, e - l2  # the mirrored thresholds
-    above = 0 if d < 0 else p if d > p else d  # keys of R1 above B
-    # f(l1) and f(l2): R1 whole, or R2 above l1 with R1 above B; and R2
-    # whole with R1 above B, or R1 above l2 with R2 below l1
+    x = A - B
+    above = 0 if x < 0 else p if x > p else x
     x = B - l1 + 1
-    f1 = (0 if x < 0 else q if x > q else x) + above
-    if f1 < p:
-        f1 = p
-    x, y = A - l2 + 1, l1 - l2
-    f2 = (0 if x < 0 else p if x > p else x) + (0 if y < 0 else q if y > q else y)
-    if f2 < q + above:
-        f2 = q + above
-    # f(m1) and f(m2), from the runs' keys above m1 and m2
+    k = 0 if x < 0 else q if x > q else x
+    x = A - l2 + 1
+    n = 0 if x < 0 else p if x > p else x  # keys of R1 at or above l2
     x, y = A - m1 + 1, B - m1 + 1
     r1, s1 = (0 if x < 0 else p if x > p else x), (0 if y < 0 else q if y > q else y)
-    if r1 and s1:
-        x = d + s1 - r1
-        h1 = r1 + (0 if x < 0 else s1 if x > s1 else x)
-        if h1 < s1:
-            h1 = s1
-    else:
-        h1 = r1 + s1
     x, y = A - m2 + 1, B - m2 + 1
     r2, s2 = (0 if x < 0 else p if x > p else x), (0 if y < 0 else q if y > q else y)
-    if r2 and s2:
-        x = d + s2 - r2
-        h2 = r2 + (0 if x < 0 else s2 if x > s2 else x)
-        if h2 < s2:
-            h2 = s2
-    else:
-        h2 = r2 + s2
-    first = f1 + h1
-    if f2 + h2 > first:
-        first = f2 + h2
-    # twice the keys above max(l1, m1) with the longest chain between the two
-    if m1 <= l1:
-        pair = p + s1
-    else:
-        x = B - l1 + 1
-        i, j = p - r1, (0 if x < 0 else q if x > q else x) - s1
-        if i and j:
-            x = (A if A < m1 else m1 - 1) - (B if B < m1 else m1 - 1) + j - i
-            band = i + (0 if x < 0 else j if x > j else x)
-            if band < j:
-                band = j
-        else:
-            band = i + j
-        pair = r1 + s1 + band
-    if m2 <= l2:
-        chains = q + r2
-    else:
-        x = A - l2 + 1
-        i, j = (0 if x < 0 else p if x > p else x) - r2, q - s2
-        if i and j:
-            x = (A if A < m2 else m2 - 1) - (B if B < m2 else m2 - 1) + j - i
-            band = i + (0 if x < 0 else j if x > j else x)
-            if band < j:
-                band = j
-        else:
-            band = i + j
-        chains = r2 + s2 + band
-    if pair < chains:
-        pair = chains
-    # two chains of u, one above l2, and the mirror of one above m2
-    x = d + q - p
-    chains = p + (0 if x < 0 else q if x > q else x) + f2
-    if chains < q + f2:
-        chains = q + f2
-    if chains > p + q:
-        chains = p + q
-    chains += h2
-    two = 2 * pair if 2 * pair > chains else chains
-    last = p if p < q else q
-    for x in (B - l1 + 1, m1 - l1, m2 - l2, m1 - l2):
-        if x < last:
-            last = x
-    if last < 0:
-        last = 0
+    # the longest chains of u above l1, m1, l2 and m2
+    f1 = k + above if k + above > p else p
+    x, y = r1 + (s1 - k if s1 > k else 0), s1 + (r1 if r1 < above else above)
+    h1 = x if x > y else y
+    f2 = n + q - k if n > k + above else q + above
+    x, y = r2 + (s2 - k if s2 > k else 0), s2 + (r2 if r2 < above else above)
+    h2 = x if x > y else y
+    first = f1 + h1 if f1 + h1 > f2 + h2 else f2 + h2
+    # the keys at or above the higher threshold with the longest chain below it
+    x, y = p + s1, k + (r1 if r1 > above else above)
+    pair = x if x > y else y
+    x, y = n + (q if s2 > k else q + s2 - k), q + (r2 if r2 > above else above)
+    if x < y:
+        x = y
+    if pair < x:
+        pair = x
+    # two chains of u, the longest chain of u then that above l2, and f(m2)
+    x = (p - k if p - k > above else above) + q + f2
+    if x > p + q:
+        x = p + q
+    x += h2
+    two = 2 * pair if 2 * pair > x else x
+    x = m1 - l1 if m1 - l1 < m2 - l2 else m2 - l2
+    if m1 - l2 < x:
+        x = m1 - l2
+    last = p if p < k else k
+    if x < last:
+        last = x if x > 0 else 0
     return first, two - first, 2 * (p + q) - two - last, last
 
 
