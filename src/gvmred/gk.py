@@ -228,7 +228,7 @@ def class_plan(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
                 else (differences[b][h], runs[b])
                 for b, flipped in (members if total is None else _folded(members))
             ]
-        if len(parts) <= (4 if labeled else 3):  # all but a labeled class of three blocks
+        if len(parts) < 6:  # runs: every class but a labeled one of three blocks
             parts = [(i, terms[0], len(terms)) for i, terms in parts]
         classes.append((labeled, tuple(parts)))
     return base, tuple(classes)
@@ -282,17 +282,14 @@ def _gk_from_values(setup: ParabolicSetup, exact: tuple) -> int:
             c1, c2, c3, c4 = mirrored_run_columns(s, p, t, q)
             gk -= (c1 + 1) // 2 * ((c1 - 1) // 2) + (c2 // 2) ** 2
             gk -= (c3 + 1) // 2 * ((c3 - 1) // 2) + (c4 // 2) ** 2
-        else:
+        else:  # a labeled class of three blocks: its keys, inserted
             keys = []
             for i, terms in parts:
                 base = values[i] if i >= 0 else -values[-i]
                 keys += [base + t for t in terms]
             for k, column in enumerate(insertion_columns(keys)):
                 c = len(column)
-                if not labeled:
-                    gk -= c * (c - 1) // 2
-                else:
-                    gk -= (c // 2) ** 2 if k % 2 else (c + 1) // 2 * ((c - 1) // 2)
+                gk -= (c // 2) ** 2 if k % 2 else (c + 1) // 2 * ((c - 1) // 2)
     return gk
 
 
