@@ -283,10 +283,8 @@ def _gk_from_values(setup: ParabolicSetup, exact: tuple) -> int:
             gk -= (c1 + 1) // 2 * ((c1 - 1) // 2) + (c2 // 2) ** 2
             gk -= (c3 + 1) // 2 * ((c3 - 1) // 2) + (c4 // 2) ** 2
         else:  # a labeled class of three blocks: its keys, inserted
-            keys = []
-            for i, terms in parts:
-                base = values[i] if i >= 0 else -values[-i]
-                keys += [base + t for t in terms]
+            bases = [values[i] if i >= 0 else -values[-i] for i, _ in parts]
+            keys = [b + t for b, (_, terms) in zip(bases, parts) for t in terms]
             for k, column in enumerate(insertion_columns(keys)):
                 c = len(column)
                 gk -= (c // 2) ** 2 if k % 2 else (c + 1) // 2 * ((c - 1) // 2)
