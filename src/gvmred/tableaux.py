@@ -101,13 +101,13 @@ def three_run_columns(a: int, p: int, b: int, q: int, c: int, r: int) -> tuple[i
     the second between them, are such k whenever any k are: the least of
     the lengths and of top - bottom + 1 over each earlier run's bottom and
     later run's top.  By Greene's theorem the first column is the longest
-    strictly decreasing subsequence.  It takes one run whole: the first,
-    then the keys of the second below it and of the third below both; or
-    the second, with the keys of the first above it and of the third below
-    it; or the third, then the keys of the second above it and of the
-    first above both (the longest of these three is the longest chain, as
-    for two runs in ``two_run_columns``, checked exhaustively in the
-    tests).  The middle column holds the other keys."""
+    strictly decreasing subsequence.  A longest one takes some run whole,
+    and the longest of three chains is as long (checked exhaustively in
+    the tests): the first run whole, then the keys of the second below it
+    and of the third below both; the second whole, with the keys of the
+    first above it and of the third below it; or the third whole, then the
+    keys of the second above it and of the first above both.  The middle
+    column holds the other keys."""
     lo_a, lo_b, lo_c = a - p + 1, b - q + 1, c - r + 1
     x, y = lo_a - lo_b, (lo_a if lo_a < lo_b else lo_b) - lo_c
     first = p + (0 if x < 0 else q if x > q else x) + (0 if y < 0 else r if y > r else y)
@@ -141,22 +141,27 @@ def mirrored_run_columns(a: int, p: int, b: int, q: int) -> tuple[int, int, int,
     A = a >> 1 and B = b >> 1, then u's image under the mirror
     x -> e - 1 - x, e = 1 - a % 2, in reverse order.  A strictly
     decreasing subsequence is a chain of u above some threshold t, then
-    the mirror of a chain of u above e - t.  The longest chain of u above
-    t takes its keys of R1 whole, then those of R2 below l1, or its keys
-    of R2 whole and those of R1 above B (``two_run_columns``): from the
-    keys r of R1 and s of R2 at or above t, max(r + (s - k)+, s + min(r,
-    above)), k the keys of R2 at or above l1 and ``above`` those of R1
-    above B.  By Greene's theorem the first column is the largest sum of
-    that chain above t and above e - t, which changes slope only at the
-    runs' ends; t = l1 or t = l2 reaches it.  The first two columns hold
-    the largest union of two strictly decreasing subsequences, each split
-    at its own threshold: for t = l1 or l2, twice the keys of u at or above
-    the higher of t and e - t with the longest chain of u between the two;
-    or two chains of u, one above l2, with the mirror of a chain above
-    e - l2.  These candidates reach the largest value on every case of the
-    exhaustive test.  The last column counts the most disjoint weakly
-    increasing subsequences taking a key of each run, as for three runs
-    (``three_run_columns``), and the third holds the other keys."""
+    the mirror of a chain of u above e - t.  Write r and s for the keys of
+    R1 and R2 at or above t, k for those of R2 at or above l1 and
+    ``above`` for those of R1 above B; the longest chain of u above t
+    takes its keys of R1 whole and then R2's below l1, or its keys of R2
+    whole and R1's above B: max(r + max(0, s - k), s + min(r, above))
+    (``two_run_columns``).  By Greene's theorem the first column is the
+    longest strictly decreasing subsequence.  It takes some run whole, by
+    the mirror symmetry R1 or R2: R1 and then the mirror of the first kind
+    of chain above e - l1, or R1's keys above B and R2 and then the mirror
+    of the longest chain above e - l2.  The first two columns hold the
+    largest union of two strictly decreasing subsequences: R1 with the
+    mirror of R2's keys at or above e - l1, twice over (the second is the
+    mirror of the first); the keys of u at or above the higher of l2 and
+    e - l2 with the longest chain of u between the two, twice over; or
+    two chains of u, one above l2, at most all p + q keys, with the mirror
+    of the longest chain above e - l2.  The cuts at run ends are the only
+    ones that matter, but that these few candidates reach both largest
+    values is checked exhaustively in the tests, not proven.  The last
+    column counts the most disjoint weakly increasing subsequences taking
+    a key of each run, as for three runs (``three_run_columns``), and the
+    third holds the other keys."""
     A, B, e = a >> 1, b >> 1, 1 - (a & 1)
     l1, l2 = A - p + 1, B - q + 1
     m1, m2 = e - l1, e - l2  # the mirrored thresholds
@@ -170,31 +175,27 @@ def mirrored_run_columns(a: int, p: int, b: int, q: int) -> tuple[int, int, int,
     r1, s1 = (0 if x < 0 else p if x > p else x), (0 if y < 0 else q if y > q else y)
     x, y = A - m2 + 1, B - m2 + 1
     r2, s2 = (0 if x < 0 else p if x > p else x), (0 if y < 0 else q if y > q else y)
-    # the longest chains of u above l1, m1, l2 and m2
-    f1 = k + above if k + above > p else p
-    x, y = r1 + (s1 - k if s1 > k else 0), s1 + (r1 if r1 < above else above)
-    h1 = x if x > y else y
-    f2 = n + q - k if n > k + above else q + above
+    # the longest chain of u above m2
     x, y = r2 + (s2 - k if s2 > k else 0), s2 + (r2 if r2 < above else above)
     h2 = x if x > y else y
-    first = f1 + h1 if f1 + h1 > f2 + h2 else f2 + h2
-    # the keys at or above the higher threshold with the longest chain below it
-    x, y = p + s1, k + (r1 if r1 > above else above)
-    pair = x if x > y else y
+    first = p + r1 + (s1 - k if s1 > k else 0)
+    if q + above + h2 > first:
+        first = q + above + h2
+    two = p + s1
     x, y = n + (q if s2 > k else q + s2 - k), q + (r2 if r2 > above else above)
-    if x < y:
-        x = y
-    if pair < x:
-        pair = x
-    # two chains of u, the longest chain of u then that above l2, and f(m2)
-    x = (p - k if p - k > above else above) + q + f2
+    if two < x:
+        two = x
+    if two < y:
+        two = y
+    two *= 2
+    x = (p - k if p - k > above else above) + 2 * q + above
     if x > p + q:
         x = p + q
-    x += h2
-    two = 2 * pair if 2 * pair > x else x
+    if x + h2 > two:
+        two = x + h2
+    # top - bottom + 1 of R1# over R1 and of R2# over R2; that of R2# (or R1#)
+    # over R1 (or R2) is their mean, never the least, and k is R2's over R1
     x = m1 - l1 if m1 - l1 < m2 - l2 else m2 - l2
-    if m1 - l2 < x:
-        x = m1 - l2
     last = p if p < k else k
     if x < last:
         last = x if x > 0 else 0

@@ -20,10 +20,12 @@ from gvmred import (
 )
 from gvmred.exact import form_values
 from gvmred.gk import _folded, entry_readers, key_readers, split_classes
+from gvmred.tableaux import key_columns
 
 import conftest
 from conftest import SIGMA, TAU, saturated_form_values, sc, seq
 from dense_gk import NonIntegralWeight, gk_dimension_integral
+from references import columns_depth_sum, columns_even_depth_sum, plan_parts
 
 A = lambda n: LieType("A", n)
 D = lambda n: LieType("D", n)
@@ -161,6 +163,54 @@ def test_block_core_matches_dense_route_on_standard_grids():
                 assert row.verdict.gk == dense, (setup, row.z1, row.z2)
                 checked += 1
     assert checked > 35000
+
+
+def _mirrored(parts):
+    """A labeled class's parts followed by their reversed negation."""
+    if len(parts[0]) == 3:  # runs of step 2: (signed index, top term, length)
+        return parts + [(-i, 2 * (length - 1) - top, length) for i, top, length in reversed(parts)]
+    return parts + [(-i, tuple(-t for t in reversed(terms))) for i, terms in reversed(parts)]
+
+
+def _synthetic_class(rng, kind, values, count):
+    """A planned class of the given (labeled, runs) kind, runs of lengths 1
+    to 5 with tops near 0; a labeled class's tops share one parity."""
+    labeled, runs = kind
+    index = lambda: rng.randint(-count, count)
+    if not labeled:
+        return False, tuple((index(), rng.randint(-6, 6), rng.randint(1, 5)) for _ in range(runs))
+    parts, parity = [], None
+    for _ in range(runs // 2):
+        i, top, length = index(), rng.randint(-12, 12), rng.randint(1, 5)
+        if parity is None:
+            parity = (values[i] + top) % 2
+        top += (values[i] + top - parity) % 2
+        parts.append((i, top, length))
+    if runs == 6:  # a labeled class of three blocks keeps its doubled rho terms
+        parts = [(i, tuple(top - 2 * k for k in range(length))) for i, top, length in parts]
+    return True, tuple(_mirrored(parts))
+
+
+def test_a_miss_takes_each_class_depth_sum_off_the_base():
+    """On plans with a class of every kind a miss reads, with runs longer
+    than one (as no standard setup's labeled class of two blocks has), the
+    GK dimension is the plan's base less the depth sums of each class's
+    expanded keys, even boxes only in a labeled class."""
+    rng = random.Random(2027)
+    setup = ParabolicSetup(D(6), 1, 5)
+    count = len(setup.gk_key.forms)
+    kinds = [(False, 2), (False, 3), (True, 2), (True, 4), (True, 6)]
+    for _ in range(300):
+        exact = tuple(rng.randint(-9, 9) for _ in range(count))
+        values = (0, *exact, *[-v for v in reversed(exact)])
+        classes = tuple(_synthetic_class(rng, kind, values, count) for kind in rng.sample(kinds, 3))
+        setup.class_plans[(0,) * count] = (30, classes)
+        expected = 30
+        for labeled, parts in classes:
+            keys = [values[i] + t for i, terms in plan_parts(labeled, parts) for t in terms]
+            columns = key_columns(keys)
+            expected -= columns_even_depth_sum(columns) if labeled else columns_depth_sum(columns)
+        assert gk_module._gk_from_values(setup, exact) == expected, classes
 
 
 def test_each_sweep_starts_with_an_empty_memo(monkeypatch):

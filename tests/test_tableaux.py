@@ -223,10 +223,11 @@ def _nonzero(columns):
 
 def test_three_and_four_run_columns_exhaustive():
     """The closed forms are the insertion's column lengths on every three
-    runs of step 1 with lengths 1 to 5 (the first top 0, the others in
-    [-10, 10], past which the order type no longer changes), and on every
-    mirrored pair of runs of step 2 with lengths 1 to 5 and tops of one
-    parity in [-21, 21]."""
+    runs of step 1 with lengths 1 to 5, the first top 0 and the others in
+    [-10, 10], and on every mirrored pair of runs of step 2 with lengths 1
+    to 5 and tops of one parity in [-21, 21]: windows that hold every
+    order type of such runs, since only the order of the keys and their
+    mirrors matters."""
     checked = 0
     lengths = range(1, 6)
     for b, c in itertools.product(range(-10, 11), repeat=2):
