@@ -141,64 +141,53 @@ def mirrored_run_columns(a: int, p: int, b: int, q: int) -> tuple[int, int, int,
     A = a >> 1 and B = b >> 1, then u's image under the mirror
     x -> e - 1 - x, e = 1 - a % 2, in reverse order.  A strictly
     decreasing subsequence is a chain of u above some threshold t, then
-    the mirror of a chain of u above e - t.  Write r and s for the keys of
-    R1 and R2 at or above t, k for those of R2 at or above l1 and
-    ``above`` for those of R1 above B; the longest chain of u above t
-    takes its keys of R1 whole and then R2's below l1, or its keys of R2
-    whole and R1's above B: max(r + max(0, s - k), s + min(r, above))
-    (``two_run_columns``).  By Greene's theorem the first column is the
-    longest strictly decreasing subsequence.  It takes some run whole, by
-    the mirror symmetry R1 or R2: R1 and then the mirror of the first kind
-    of chain above e - l1, or R1's keys above B and R2 and then the mirror
-    of the longest chain above e - l2.  The first two columns hold the
-    largest union of two strictly decreasing subsequences: R1 with the
-    mirror of R2's keys at or above e - l1, twice over (the second is the
-    mirror of the first); the keys of u at or above the higher of l2 and
-    e - l2 with the longest chain of u between the two, twice over; or
-    two chains of u, one above l2, at most all p + q keys, with the mirror
-    of the longest chain above e - l2.  The cuts at run ends are the only
-    ones that matter, but that these few candidates reach both largest
-    values is checked exhaustively in the tests, not proven.  The last
-    column counts the most disjoint weakly increasing subsequences taking
-    a key of each run, as for three runs (``three_run_columns``), and the
-    third holds the other keys."""
+    the mirror of a chain of u above e - t: its first key and the mirror
+    of its last sum to at least e.  By Greene's theorem the first column
+    is the longest strictly decreasing subsequence, and it takes some run
+    whole, by the mirror symmetry R1 or R2: R1, then the mirror of R1's
+    keys at or above e - l1; or R1's keys above B and R2, then the mirror
+    of a chain above e - l2, R1's keys there alone or R2's there with
+    R1's above B.  The first two columns hold the largest union of two
+    strictly decreasing subsequences: R1 and its mirror; a chain of u,
+    R2 with R1's keys above B or with the mirror of R1's keys at or above
+    e - l2, and its own mirror; or R1 alone with R2 and then the mirror of
+    the chain above e - l2 as before.  Chains split at the runs' ends are
+    enough, but that these few candidates reach both largest values is
+    checked exhaustively in the tests, not proven.  The last column counts
+    the most disjoint weakly increasing subsequences taking a key of each
+    run, as for three runs (``three_run_columns``), and the third holds
+    the other keys."""
     A, B, e = a >> 1, b >> 1, 1 - (a & 1)
     l1, l2 = A - p + 1, B - q + 1
     m1, m2 = e - l1, e - l2  # the mirrored thresholds
     x = A - B
-    above = 0 if x < 0 else p if x > p else x
-    x = B - l1 + 1
-    k = 0 if x < 0 else q if x > q else x
-    x = A - l2 + 1
-    n = 0 if x < 0 else p if x > p else x  # keys of R1 at or above l2
-    x, y = A - m1 + 1, B - m1 + 1
-    r1, s1 = (0 if x < 0 else p if x > p else x), (0 if y < 0 else q if y > q else y)
+    above = 0 if x < 0 else p if x > p else x  # keys of R1 above B
+    x = A - m1 + 1
+    r1 = 0 if x < 0 else p if x > p else x  # keys of R1 at or above m1
     x, y = A - m2 + 1, B - m2 + 1
     r2, s2 = (0 if x < 0 else p if x > p else x), (0 if y < 0 else q if y > q else y)
-    # the longest chain of u above m2
-    x, y = r2 + (s2 - k if s2 > k else 0), s2 + (r2 if r2 < above else above)
-    h2 = x if x > y else y
-    first = p + r1 + (s1 - k if s1 > k else 0)
+    # a chain above m2: R1's keys alone, or R2's whole with R1's above B
+    x = s2 + (r2 if r2 < above else above)
+    h2 = r2 if r2 > x else x
+    first = p + r1
     if q + above + h2 > first:
         first = q + above + h2
-    two = p + s1
-    x, y = n + (q if s2 > k else q + s2 - k), q + (r2 if r2 > above else above)
-    if two < x:
-        two = x
-    if two < y:
-        two = y
-    two *= 2
-    x = (p - k if p - k > above else above) + 2 * q + above
-    if x > p + q:
-        x = p + q
-    if x + h2 > two:
-        two = x + h2
-    # top - bottom + 1 of R1# over R1 and of R2# over R2; that of R2# (or R1#)
-    # over R1 (or R2) is their mean, never the least, and k is R2's over R1
-    x = m1 - l1 if m1 - l1 < m2 - l2 else m2 - l2
-    last = p if p < k else k
+    two = 2 * q + 2 * (r2 if r2 > above else above)
+    if two < 2 * p:
+        two = 2 * p
+    if two < p + q + h2:
+        two = p + q + h2
+    # top - bottom + 1 of R2 over R1, of R1# over R1 and of R2# over R2;
+    # that of R2# (or R1#) over R1 (or R2) is the mean of the last two
+    x = B - l1 + 1
+    last = p if p < q else q
     if x < last:
-        last = x if x > 0 else 0
+        last = x
+    x = m1 - l1 if m1 - l1 < m2 - l2 else m2 - l2
+    if x < last:
+        last = x
+    if last < 0:
+        last = 0
     return first, two - first, 2 * (p + q) - two - last, last
 
 
