@@ -141,17 +141,17 @@ def mirrored_run_columns(a: int, p: int, b: int, q: int) -> tuple[int, int, int,
     A = a >> 1 and B = b >> 1, then u's image under the mirror
     x -> e - 1 - x, e = 1 - a % 2, in reverse order.  A strictly
     decreasing subsequence is a chain of u above some threshold t, then
-    the mirror of a chain of u above e - t: its first key and the mirror
-    of its last sum to at least e.  By Greene's theorem the first column
+    the mirror of a chain of u above e - t: the least keys of the two
+    chains of u sum to at least e.  By Greene's theorem the first column
     is the longest strictly decreasing subsequence, and it takes some run
     whole, by the mirror symmetry R1 or R2: R1, then the mirror of R1's
     keys at or above e - l1; or R1's keys above B and R2, then the mirror
     of a chain above e - l2, R1's keys there alone or R2's there with
     R1's above B.  The first two columns hold the largest union of two
-    strictly decreasing subsequences: R1 and its mirror; a chain of u,
-    R2 with R1's keys above B or with the mirror of R1's keys at or above
-    e - l2, and its own mirror; or R1 alone with R2 and then the mirror of
-    the chain above e - l2 as before.  Chains split at the runs' ends are
+    strictly decreasing subsequences: R1 and its mirror; a subsequence and
+    its own mirror, the subsequence R1's keys above B then R2, or R2 then
+    the mirror of R1's keys at or above e - l2; or R1 alone with R2 and
+    then the mirror of the chain above e - l2 as before.  Chains split at the runs' ends are
     enough, but that these few candidates reach both largest values is
     checked exhaustively in the tests, not proven.  The last column counts
     the most disjoint weakly increasing subsequences taking a key of each
