@@ -48,31 +48,28 @@ up the setup's class plan for its pattern (``class_plan``, kept in
 is (base, classes).  An unlabeled class of one block reads no value:
 its keys are its rho run, one column, so the base is the type's
 triangular bound less m(m - 1)/2 for each such class of m entries.
-``classes`` lists every other class as its labeled flag and, per member
-block in key order, a signed index into the point's values and the rho
-terms its base is added to; a labeled class then lists the same parts
-negated in reverse, so its keys come out doubled.  Each part is one
-strictly decreasing run, and a class of up to four parts keeps each run
-as its signed index, top term and length; a miss reads that class's
-column lengths in closed form from the runs' tops, by Greene's theorem,
-with no key list:
+``classes`` lists every other class as its labeled flag and its runs,
+one per member block in key order, each a (signed index into the point's
+values, top term, length) triple: the block's keys are the value plus
+the top term, then stepping down by 1, or by 2 in a labeled class, whose
+keys are these runs followed by their reversed negation, which the plan
+does not store.  An unlabeled class has three runs and a labeled one two
+or three; an unlabeled class of two blocks, or a labeled one of one
+block, is padded with an empty run (length 0) just below its last run,
+with that run's index.  An empty run adds no key, and the closed forms
+take one there (checked exhaustively in the tests), so a miss reads the
+column lengths of all but a labeled class of three blocks in closed
+form from the runs' tops, by Greene's theorem, with no key list:
 
-* two runs, an unlabeled class of two blocks or a labeled class of one
-  block (its run, then the reversed negation): from the difference of
-  the tops (``tableaux.two_run_columns``), halved in a labeled class,
-  whose keys share one parity, so halving them keeps their order and
-  ties and makes its step-2 runs step-1 runs;
-* three runs, an unlabeled class of three blocks
-  (``tableaux.three_run_columns``);
-* four runs, a labeled class of two blocks: its two runs, then their
-  reversed negation (``tableaux.mirrored_run_columns``, on the first
-  two runs' tops).
+* an unlabeled class (``tableaux.three_run_columns``);
+* a labeled class of one or two blocks, its runs then their reversed
+  negation (``tableaux.mirrored_run_columns``).
 
-A miss builds the keys of a labeled class of three blocks, six runs, as
-base + t per part and inserts them once (``tableaux.insertion_columns``).
-It takes each class's depth sum off the plan's base as it reads the
-column lengths, in one loop over the classes.  A plan holds no point's
-value and no GK value.
+A miss builds the keys of a labeled class of three blocks, its three runs
+then their reversed negation, and inserts them once
+(``tableaux.insertion_columns``).  It takes each class's depth sum off the
+plan's base as it reads the column lengths, in one loop over the classes.
+A plan holds no point's value and no GK value.
 
 The form values are the oracle's only integrality decision.  A sweep
 reads them off its grid's cells (``harness.ParameterGrid.form_cells``,
@@ -102,7 +99,6 @@ from .tableaux import (
     insertion_columns,
     mirrored_run_columns,
     three_run_columns,
-    two_run_columns,
 )
 
 # Unused here; kept importable from this module, where perfbench/tracing.py
@@ -113,10 +109,10 @@ from .rootdata import shifted_weight  # noqa: F401
 Member = tuple[int, bool]  # (block index, joined to the class head by a sum)
 # (b, c) -> o_b - o_c, or o_b + o_c, as an int when it is an integer, else None
 Reader = Callable[[int, int], "int | None"]
-# (base, ((labeled, ((signed index into the form values, rho terms), ...)), ...)):
+# (base, ((labeled, ((signed index into the form values, top term, length), ...)), ...)):
 # the triangular bound less the constant classes' deficits, and the other
-# classes; a class of two, three or four runs (all but a labeled class of
-# three blocks) keeps each run as (signed index, top term, length)
+# classes' runs, three in an unlabeled class and two or three in a labeled
+# one, whose reversed negation is implied
 ClassPlan = tuple[int, tuple[tuple[bool, tuple[tuple, ...]], ...]]
 
 
@@ -189,20 +185,20 @@ def class_plan(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
     are 0): ``split_classes`` on the pattern's readers, since the split
     reads only which values are None.
 
-    An unlabeled class of one block has the one part (0, ``runs[h]``), so
-    its keys never read the point: they are one strictly decreasing run,
-    one column of m = ``len(runs[h])`` boxes (Schensted 1961), whose depth
-    sum m(m - 1)/2 is taken off the type's triangular bound into ``base``.
-    ``classes`` holds the other classes as (labeled, parts), a part a
-    signed index into the values tuple of ``_gk_from_values`` and the rho
-    terms its base is added to: ``differences[b][h]`` with ``runs[b]`` for
-    a difference member, ``-sums[b][h]`` with -r over ``reversed(runs[b])``
-    for a flipped one, ``sums[b][b]`` with 2r for a member of a labeled
-    class, whose parts are followed by their reversed negation, (-i, -t
-    over ``reversed(terms)``), so its keys come out doubled.  A class of
-    two, three or four parts (every class but a labeled one of three
-    blocks) keeps each part as a run, (signed index, top term, length),
-    the run's terms stepping down by 2 when labeled and by 1 otherwise.
+    An unlabeled class of one block has the one run ``runs[h]``, so its
+    keys never read the point: they are one strictly decreasing run, one
+    column of m = ``len(runs[h])`` boxes (Schensted 1961), whose depth sum
+    m(m - 1)/2 is taken off the type's triangular bound into ``base``.
+    ``classes`` holds the other classes as (labeled, runs), each run a
+    signed index into the values tuple of ``_gk_from_values``, the top
+    term its base is added to and a length: ``differences[b][h]`` with
+    ``runs[b]`` for a difference member, ``-sums[b][h]`` with -r over
+    ``reversed(runs[b])`` for a flipped one, both of step 1, and
+    ``sums[b][b]`` with 2r, of step 2, for a member of a labeled class,
+    whose keys are followed by their reversed negation.  An unlabeled class
+    of two blocks and a labeled one of one block get an empty run, the
+    last run's index, its top less its length times its step, and length
+    0, so an unlabeled class has three runs and a labeled one two or three.
     A plan holds nothing that depends on a point's values."""
     runs = setup.block_plan.rho_runs
     _, _, differences, sums = setup.gk_key
@@ -215,21 +211,21 @@ def class_plan(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
         # labeled: the head, so the whole class, is integral or half-integral
         labeled = total is not None and total(h, h) is not None
         if labeled:
-            parts = [(sums[b][b], tuple([2 * r for r in runs[b]])) for b, _ in members]
-            parts += [(-i, tuple([-t for t in reversed(terms)])) for i, terms in reversed(parts)]
+            parts = [(sums[b][b], 2 * runs[b][0], len(runs[b])) for b, _ in members]
         elif len(members) == 1:
             m = len(runs[h])
             base -= m * (m - 1) // 2
             continue
         else:
             parts = [
-                (-sums[b][h], tuple([-r for r in reversed(runs[b])]))
+                (-sums[b][h], -runs[b][-1], len(runs[b]))
                 if flipped
-                else (differences[b][h], runs[b])
+                else (differences[b][h], runs[b][0], len(runs[b]))
                 for b, flipped in (members if total is None else _folded(members))
             ]
-        if len(parts) < 6:  # runs: every class but a labeled one of three blocks
-            parts = [(i, terms[0], len(terms)) for i, terms in parts]
+        if len(parts) < 3 - labeled:  # an empty run just below the last one
+            i, top, length = parts[-1]
+            parts.append((i, top - (length << labeled), 0))
         classes.append((labeled, tuple(parts)))
     return base, tuple(classes)
 
@@ -240,12 +236,13 @@ def _gk_from_values(setup: ParabolicSetup, exact: tuple) -> int:
     for the values' None pattern (``class_plan``, kept in
     ``setup.class_plans``, built on the pattern's first miss) minus the
     depth sums of its other classes' integer keys, even boxes only for a
-    labeled class, each taken off as its column lengths are read: in
-    closed form from the runs' tops for a class of two, three or four runs
-    (``tableaux.two_run_columns``, ``three_run_columns`` and
-    ``mirrored_run_columns``), by insertion for a labeled class of three
-    blocks.  The plan holds no point's value; the tops and keys are read
-    off ``exact`` here, a negative signed index negating its value."""
+    labeled class, each taken off as its column lengths are read, one
+    branch per class kind: in closed form from the runs' tops for an
+    unlabeled class (``tableaux.three_run_columns``) and a labeled class of
+    two runs (``tableaux.mirrored_run_columns``), by inserting the keys of
+    a labeled class of three runs, then their reversed negation.  The plan
+    holds no point's value; the tops and keys are read off ``exact`` here,
+    a negative signed index negating its value."""
     pattern = tuple([None if v is None else 0 for v in exact])
     plans = setup.class_plans
     plan = plans.get(pattern)
@@ -257,34 +254,27 @@ def _gk_from_values(setup: ParabolicSetup, exact: tuple) -> int:
     # depth sums: c(c - 1)/2 per column; a labeled class counts even boxes
     # only, rows 1, 3, ... of the first, third, ... column and 2, 4, ... of
     # the others, (c + 1)//2 * ((c - 1)//2) and (c//2)**2
-    for labeled, parts in classes:
-        n = len(parts)
-        if n == 2:  # two runs, of step 2 when labeled: halve the difference
-            (i, s, p), (j, t, q) = parts
-            s += values[i] if i >= 0 else -values[-i]
-            t += values[j] if j >= 0 else -values[-j]
-            c1, c2 = two_run_columns((s - t) >> labeled, p, q)
-            if labeled:
-                gk -= (c1 + 1) // 2 * ((c1 - 1) // 2) + (c2 // 2) ** 2
-            else:
-                gk -= (c1 * (c1 - 1) + c2 * (c2 - 1)) // 2
-        elif n == 3:  # an unlabeled class of three blocks
-            (i, s, p), (j, t, q), (k, u, r) = parts
+    for labeled, runs in classes:
+        if not labeled:  # three runs of step 1
+            (i, s, p), (j, t, q), (k, u, r) = runs
             s += values[i] if i >= 0 else -values[-i]
             t += values[j] if j >= 0 else -values[-j]
             u += values[k] if k >= 0 else -values[-k]
             c1, c2, c3 = three_run_columns(s, p, t, q, u, r)
             gk -= (c1 * (c1 - 1) + c2 * (c2 - 1) + c3 * (c3 - 1)) // 2
-        elif n == 4:  # a labeled class of two blocks: its runs, then their mirror
-            (i, s, p), (j, t, q), _, _ = parts
+        elif len(runs) == 2:  # two runs of step 2, then their reversed negation
+            (i, s, p), (j, t, q) = runs
             s += values[i] if i >= 0 else -values[-i]
             t += values[j] if j >= 0 else -values[-j]
             c1, c2, c3, c4 = mirrored_run_columns(s, p, t, q)
             gk -= (c1 + 1) // 2 * ((c1 - 1) // 2) + (c2 // 2) ** 2
             gk -= (c3 + 1) // 2 * ((c3 - 1) // 2) + (c4 // 2) ** 2
         else:  # a labeled class of three blocks: its keys, inserted
-            bases = [values[i] if i >= 0 else -values[-i] for i, _ in parts]
-            keys = [b + t for b, (_, terms) in zip(bases, parts) for t in terms]
+            keys = []
+            for i, top, length in runs:
+                b = values[i] if i >= 0 else -values[-i]
+                keys += range(b + top, b + top - 2 * length, -2)
+            keys += [-k for k in reversed(keys)]
             for k, column in enumerate(insertion_columns(keys)):
                 c = len(column)
                 gk -= (c // 2) ** 2 if k % 2 else (c + 1) // 2 * ((c - 1) // 2)

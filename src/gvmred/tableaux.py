@@ -13,11 +13,12 @@ most six runs, and it reads only their column lengths.  Greene's theorem
 with no key list: the first k columns hold the largest union of k
 strictly decreasing subsequences, and the last of m columns counts the
 most disjoint weakly increasing subsequences taking a key of each run.
-So ``two_run_columns`` gives the columns of two runs of step 1,
-``three_run_columns`` those of three, and ``mirrored_run_columns`` those
-of two runs of step 2 followed by their reversed negation, the doubled
-keys of a labeled type D class of two blocks; the oracle inserts only
-the keys of a labeled class of three blocks.  ``key_columns`` reads the
+So ``three_run_columns`` gives the columns of three runs of step 1, and
+``mirrored_run_columns`` those of two runs of step 2 followed by their
+reversed negation, the doubled keys of a labeled type D class of one or
+two blocks; either takes a last run of length 0 just below the run
+before it, so it also covers one run fewer.  The oracle inserts only the
+keys of a labeled class of three blocks.  ``key_columns`` reads the
 column lengths off the insertion, for any keys, and is the tests'
 reference for the closed forms.  ``rs_shape`` and ``rs_tableau`` insert the
 integer ranks of the rational parts of ExactScalars sharing one symbol
@@ -72,26 +73,11 @@ def key_columns(keys: Sequence) -> Shape:
     return tuple([len(column) for column in insertion_columns(keys)])
 
 
-def two_run_columns(d: int, p: int, q: int) -> tuple[int, int]:
-    """Column lengths of the insertion tableau of two strictly decreasing
-    runs of step 1, a, a - 1, ..., a - p + 1 then b, ..., b - q + 1, where
-    d = a - b; the second is 0 when there is one column.
-
-    By Greene's theorem (Adv. Math. 14, 1974) the first column is the
-    longest strictly decreasing subsequence.  One whose last key of the
-    first run is x takes that run down to x, then the keys of the second
-    run below x.  Lowering x by one adds a key and drops at most one, so a
-    longest one takes the whole second run alone, or the whole first run
-    and the clamp(d + q - p, 0, q) keys of the second below a - p + 1.  The
-    other keys fill the second column, since two runs give at most two."""
-    first = max(q, p + min(max(d + q - p, 0), q))
-    return first, p + q - first
-
-
 def three_run_columns(a: int, p: int, b: int, q: int, c: int, r: int) -> tuple[int, int, int]:
     """Column lengths of the insertion tableau of three strictly decreasing
     runs of step 1, with tops a, b, c and lengths p, q, r; the last ones
-    are 0 when there are fewer columns.
+    are 0 when there are fewer columns.  Two runs are the first two with
+    r = 0 and c = b - q.
 
     A weakly increasing subsequence takes at most one key per run, so no
     row is longer than three, and by Greene's theorem for weakly
@@ -134,7 +120,8 @@ def mirrored_run_columns(a: int, p: int, b: int, q: int) -> tuple[int, int, int,
     """Column lengths of the insertion tableau of the keys a, a - 2, ...,
     a - 2p + 2, then b, ..., b - 2q + 2 (a and b of one parity), then all
     of them negated in reverse order: the doubled keys of a labeled class
-    of two blocks.  The last ones are 0 when there are fewer columns.
+    of two blocks, or of one block with q = 0 and b = a - 2p.  The last
+    ones are 0 when there are fewer columns.
 
     The keys share one parity, so halving them keeps their order and ties:
     they become u = R1 R2, R1 = [l1, A] and R2 = [l2, B] of step 1 with

@@ -10,7 +10,8 @@ weight's insertion tableau; ``even_odd_counts`` splits a shape's boxes
 by parity, for the type D shape checks; ``columns_depth_sum`` and
 ``columns_even_depth_sum`` are the depth sums a GK miss takes column by
 column (``gk._gk_from_values``), from a tuple of column lengths;
-``plan_parts`` expands a class plan's runs back to rho terms.
+``plan_parts`` expands a class plan's runs back to rho terms, a labeled
+class's reversed negation included.
 """
 
 from __future__ import annotations
@@ -96,11 +97,13 @@ def columns_even_depth_sum(columns: tuple[int, ...]) -> int:
     )
 
 
-def plan_parts(labeled: bool, parts) -> list:
-    """A planned class's parts as (signed index, rho terms): a class of two,
-    three or four runs keeps each as its index, top term and length, with
-    step 2 in a labeled class and 1 otherwise (``gk.class_plan``)."""
-    if len(parts) > 4:
-        return list(parts)
+def plan_parts(labeled: bool, runs) -> list:
+    """A planned class's keys as (signed index, rho terms) parts: each
+    (index, top term, length) run stepping down by 2 in a labeled class and
+    by 1 otherwise, then in a labeled class the reversed negation of those
+    parts (``gk.class_plan``)."""
     step = 2 if labeled else 1
-    return [(i, tuple(top - step * k for k in range(length))) for i, top, length in parts]
+    parts = [(i, tuple(top - step * k for k in range(length))) for i, top, length in runs]
+    if labeled:
+        parts += [(-i, tuple(-t for t in reversed(terms))) for i, terms in reversed(parts)]
+    return parts

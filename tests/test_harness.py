@@ -400,9 +400,9 @@ def _reader_classes(setup, exact):
 def test_class_plans_are_the_class_splits_of_their_patterns(setups):
     """A sweep builds one class plan per None pattern its points' form
     values have, and at every point the classes of the plan of its
-    pattern, its signed indices read off the point's values and each
-    labeled class cut to its first half, are the split the readers of
-    those values give, less its unlabeled one-block classes."""
+    pattern, its signed indices read off the point's values, each class
+    cut to its own runs and its empty runs dropped, are the split the
+    readers of those values give, less its unlabeled one-block classes."""
     for setup in map(_fresh, setups):
         forms = setup.gk_key.forms
         patterns = set()
@@ -414,10 +414,9 @@ def test_class_plans_are_the_class_splits_of_their_patterns(setups):
                 values = (0, *exact, *[None if v is None else -v for v in reversed(exact)])
                 _, classes = setup.class_plans[pattern]
                 planned = []
-                for labeled, parts in classes:
-                    parts = plan_parts(labeled, parts)
-                    first = parts[: len(parts) // 2] if labeled else parts
-                    planned.append((labeled, [(values[i], terms) for i, terms in first]))
+                for labeled, runs in classes:
+                    own = plan_parts(labeled, runs)[: len(runs)]
+                    planned.append((labeled, [(values[i], terms) for i, terms in own if terms]))
                 split = _reader_classes(setup, exact)
                 kept = [(labeled, parts) for labeled, parts in split if labeled or len(parts) > 1]
                 assert planned == kept, (setup, exact)
@@ -433,13 +432,17 @@ def test_class_plans_carry_constant_deficits_and_doubled_parts(setups):
     """Every plan a sweep over the standard grid and a custom grid compiles:
     its base is the type's triangular bound less m(m - 1)/2 for each
     unlabeled one-block class of its pattern's split, m that block's run
-    length; it keeps every other class and no such one; and each labeled
-    class lists its parts and then their reversed negation."""
+    length; it keeps every other class and no such one; each labeled class
+    lists each member block's run once, its doubled rho run; and each class
+    is (labeled, runs) of (index, top term, length) int triples, three
+    runs when unlabeled and two or three when labeled, a padded run coming
+    last, empty, with the index of the run before it and just below it."""
     checked = 0
     for setup in map(_fresh, setups):
         for grid in (standard_grid(setup), CUSTOM_GRID):
             assert not sweep(setup, grid).errors
         n, runs = setup.lie.n, setup.block_plan.rho_runs
+        sums = setup.gk_key.sums
         bound = n * (n - 1) // 2 if setup.lie.kind == "A" else n * (n - 1)
         for pattern, (base, classes) in setup.class_plans.items():
             difference, total = key_readers(setup, pattern)
@@ -448,16 +451,27 @@ def test_class_plans_carry_constant_deficits_and_doubled_parts(setups):
             constant = [len(runs[h]) for h in heads if total is None or total(h, h) is None]
             assert base == bound - sum(m * (m - 1) // 2 for m in constant), (setup, pattern)
             assert len(classes) == len(split) - len(constant), (setup, pattern)
-            for labeled, parts in classes:
-                assert labeled or len(parts) > 1, (setup, pattern)
-                # up to four parts are runs, kept as (index, top term, length);
-                # a labeled class of three blocks keeps (index, rho terms)
-                assert all(len(part) == (3 if len(parts) <= 4 else 2) for part in parts)
-                parts = plan_parts(labeled, parts)
+            kept = [  # the split less its unlabeled one-block classes
+                members
+                for members in split
+                if len(members) > 1 or total is not None and total(members[0][0], members[0][0]) is not None
+            ]
+            for members, (labeled, class_runs) in zip(kept, classes):
+                assert labeled or len(class_runs) > 1, (setup, pattern)
+                assert len(class_runs) in ((2, 3) if labeled else (3,)), (setup, pattern)
+                assert all(
+                    len(run) == 3 and all(type(x) is int for x in run) for run in class_runs
+                ), (setup, pattern)
+                step = 2 if labeled else 1
+                for k, (i, top, length) in enumerate(class_runs):
+                    if length == 0:  # padding: last, just below the run before it
+                        j, above, count = class_runs[k - 1]
+                        assert k == len(class_runs) - 1 and count, (setup, pattern)
+                        assert (i, top) == (j, above - step * count), (setup, pattern)
                 if labeled:
-                    half = parts[: len(parts) // 2]
-                    negated = [(-i, tuple(-t for t in reversed(terms))) for i, terms in half]
-                    assert list(parts) == [*half, *reversed(negated)], (setup, pattern)
+                    own = [p for p in plan_parts(labeled, class_runs)[: len(class_runs)] if p[1]]
+                    doubled = [(sums[b][b], tuple(2 * r for r in runs[b])) for b, _ in members]
+                    assert own == doubled, (setup, pattern)
             checked += 1
     assert checked > 100
 

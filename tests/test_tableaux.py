@@ -11,12 +11,10 @@ from gvmred import (
     rs_tableau,
 )
 from gvmred.tableaux import (
-    insertion_columns,
     key_columns,
     mirrored_run_columns,
     render_tableau,
     three_run_columns,
-    two_run_columns,
 )
 
 import dense_gk
@@ -176,43 +174,13 @@ def test_monotone_sequences():
         assert columns_depth_sum(conjugate(rs_shape(up))) == 0
 
 
-def _closed_form_applies(run, other) -> bool:
-    """Two runs of one step, and of one parity when the step is 2."""
-    (a, _, step), (b, _, other_step) = run, other
-    return step == other_step and (a - b) % step == 0
-
-
-def _closed_form(run, other):
-    """``two_run_columns`` of two (top, length, step) runs, on keys // step
-    (one parity, so the keys keep their order and ties), zeros dropped."""
-    (a, p, step), (b, q, _) = run, other
-    return tuple(c for c in two_run_columns((a - b) // step, p, q) if c)
-
-
-def test_two_run_columns_exhaustive():
-    """Greene's closed form is the insertion's column lengths on every pair
-    of runs of step 1, and of step 2 with one parity, with tops in [-8, 8]
-    and lengths 1 to 6."""
-    checked = 0
-    for step in (1, 2):
-        for a, b in itertools.product(range(-8, 9), repeat=2):
-            if (a - b) % step:
-                continue
-            for p, q in itertools.product(range(1, 7), repeat=2):
-                keys = [a - step * i for i in range(p)] + [b - step * i for i in range(q)]
-                columns = tuple(map(len, insertion_columns(keys)))
-                assert _closed_form((a, p, step), (b, q, step)) == columns, (a, p, b, q, step)
-                checked += 1
-    assert checked > 15000
-
-
 def _runs_keys(runs, step=1):
     return [top - step * i for top, length in runs for i in range(length)]
 
 
 def _mirrored_keys(a, p, b, q):
-    """The doubled keys of a labeled class of two blocks: two runs of step
-    2, then their reversed negation."""
+    """The doubled keys of a labeled class of two blocks, or of one with
+    q = 0: two runs of step 2, then their reversed negation."""
     keys = _runs_keys([(a, p), (b, q)], 2)
     return keys + [-k for k in reversed(keys)]
 
@@ -227,13 +195,21 @@ def test_three_and_four_run_columns_exhaustive():
     [-10, 10], and on every mirrored pair of runs of step 2 with lengths 1
     to 5 and tops of one parity in [-21, 21]: windows that hold every
     order type of such runs, since only the order of the keys and their
-    mirrors matters."""
+    mirrors matters.  With an empty last run just below the one before it,
+    as a class plan pads, they are the columns of every two runs of step 1
+    with tops in [-8, 8] and lengths 1 to 6, and of every mirrored run of
+    step 2 with its top in [-21, 21] and length 1 to 6."""
     checked = 0
     lengths = range(1, 6)
     for b, c in itertools.product(range(-10, 11), repeat=2):
         for p, q, r in itertools.product(lengths, repeat=3):
             columns = key_columns(_runs_keys([(0, p), (b, q), (c, r)]))
             assert _nonzero(three_run_columns(0, p, b, q, c, r)) == columns, (b, c, p, q, r)
+            checked += 1
+    for a, b in itertools.product(range(-8, 9), repeat=2):
+        for p, q in itertools.product(range(1, 7), repeat=2):
+            columns = key_columns(_runs_keys([(a, p), (b, q)]))
+            assert _nonzero(three_run_columns(a, p, b, q, b - q, 0)) == columns, (a, p, b, q)
             checked += 1
     for a, b in itertools.product(range(-21, 22), repeat=2):
         if (a - b) % 2:
@@ -242,7 +218,12 @@ def test_three_and_four_run_columns_exhaustive():
             columns = key_columns(_mirrored_keys(a, p, b, q))
             assert _nonzero(mirrored_run_columns(a, p, b, q)) == columns, (a, p, b, q)
             checked += 1
-    assert checked == 21 * 21 * 125 + (22 * 22 + 21 * 21) * 25
+    for a in range(-21, 22):
+        for p in range(1, 7):
+            columns = key_columns(_mirrored_keys(a, p, a - 2 * p, 0))
+            assert _nonzero(mirrored_run_columns(a, p, a - 2 * p, 0)) == columns, (a, p)
+            checked += 1
+    assert checked == 21 * 21 * 125 + 17 * 17 * 36 + (22 * 22 + 21 * 21) * 25 + 43 * 6
 
 
 decreasing_runs = st.lists(
@@ -253,27 +234,35 @@ decreasing_runs = st.lists(
 
 
 @given(decreasing_runs)
-@example([(5, 3, 1), (6, 4, 1)])  # two runs of step 1: the closed form applies
-@example([(5, 3, 2), (9, 4, 2)])  # and of step 2 with one parity, and mirrored
+@example([(5, 3, 1), (6, 4, 1)])  # two runs of step 1: the padded three-run form applies
+@example([(5, 3, 2), (9, 4, 2)])  # two runs of step 2 with one parity, mirrored
+@example([(5, 3, 2)])  # one run of step 2, mirrored: the padded mirrored form
 @example([(5, 3, 1), (6, 4, 1), (-2, 2, 1)])  # three runs of step 1
 def test_key_columns_of_decreasing_runs(runs):
     """A weakly increasing subsequence takes at most one key per strictly
     decreasing run, so there are at most as many columns as runs; the
     column depth sums are the row-insertion ones.  The closed forms give
-    the columns of two runs of one step, of those runs of step 2 followed
-    by their reversed negation, and of three runs of step 1."""
+    the columns of two or three runs of step 1, the two with an empty
+    third run as a class plan pads them, and of one or two runs of step 2
+    of one parity followed by their reversed negation, the one with an
+    empty second run."""
     keys = [start - step * i for start, length, step in runs for i in range(length)]
     columns = key_columns(keys)
     assert len(columns) <= len(runs)
     assert columns == conjugate(tuple(len(row) for row in _reference_rows(keys)))
-    if len(runs) == 2 and _closed_form_applies(*runs):
-        assert _closed_form(*runs) == columns
-        (a, p, step), (b, q, _) = runs
-        if step == 2:  # the runs and their reversed negation: a labeled class of two blocks
-            mirrored = key_columns(keys + [-k for k in reversed(keys)])
-            assert _nonzero(mirrored_run_columns(a, p, b, q)) == mirrored
-    if len(runs) == 3 and all(step == 1 for _, _, step in runs):
+    steps = {step for _, _, step in runs}
+    if len(runs) == 2 and steps == {1}:
+        (a, p, _), (b, q, _) = runs
+        assert _nonzero(three_run_columns(a, p, b, q, b - q, 0)) == columns
+    if len(runs) == 3 and steps == {1}:
         (a, p, _), (b, q, _), (c, r, _) = runs
         assert _nonzero(three_run_columns(a, p, b, q, c, r)) == columns
+    if len(runs) <= 2 and steps == {2} and (runs[0][0] - runs[-1][0]) % 2 == 0:
+        # the runs and their reversed negation: a labeled class of one or two
+        # blocks, one block padded with an empty run
+        (a, p, _), *rest = runs
+        b, q = rest[0][:2] if rest else (a - 2 * p, 0)
+        mirrored = key_columns(keys + [-k for k in reversed(keys)])
+        assert _nonzero(mirrored_run_columns(a, p, b, q)) == mirrored
     assert columns_depth_sum(columns) == dense_gk.depth_sum(seq(*keys))
     assert columns_even_depth_sum(columns) == dense_gk.even_depth_sum(seq(*keys))
