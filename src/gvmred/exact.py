@@ -14,9 +14,9 @@ built: ``num`` and ``den`` of the rational part as ints, and the
 coefficients ``tau`` and ``sigma``, each the int 0 when zero (so testing
 and comparing it costs no ``Fraction`` call) and a ``Fraction`` otherwise.
 The tests below (``scalars_equal``, ``integer_difference``,
-``integer_sum``, and the oracle's integrality decision, the form values)
-and the criterion's values (``verdict.criterion_values``) read only these
-fields, so they build no scalar.
+``integer_sum``, and the integrality decision, the form values, which the
+oracle and the criterion share) read only these fields, so they build no
+scalar.
 
 The form values (x*z1 + y*z2)/2 come in two steps: ``decode_point``
 reads a point's common denominator and symbol kernel once, and
@@ -26,7 +26,8 @@ pairs and returns the exact values; ``saturate`` clamps a column to a
 window, which only a sweep's memo key needs.  A grid
 (``harness.ParameterGrid``) decodes its points once, keeps one column per
 pair for every setup swept over it, and numbers its cells by the columns'
-tuples.
+tuples.  z1, z2 and z1 + z2, which the criterion tests, are the values of
+the pairs (2, 0), (0, 2) and (2, 2).
 """
 
 from __future__ import annotations

@@ -71,11 +71,12 @@ then their reversed negation, and inserts them once
 plan's base as it reads the column lengths, in one loop over the classes.
 A plan holds no point's value and no GK value.
 
-The form values are the oracle's only integrality decision.  A sweep
-reads them off its grid's cells (``harness.ParameterGrid.form_cells``,
-numbered once per grid and form set), clamps each cell's exact values
-into its memo key and calls ``_gk_from_values`` on the exact values of
-each cell whose key is new (``harness.sweep``).  So each grid point is
+The form values are the oracle's only integrality decision, and the
+criterion's too (``verdict.on_half_line``).  A sweep reads them off its
+grid's cells (``harness.ParameterGrid.form_cells``, numbered once per
+grid and form set), clamps each cell's exact values into its memo key and
+calls ``_gk_from_values`` on the exact values of each cell whose key is
+new (``harness.sweep``).  So each grid point is
 decoded once for every setup swept over the grid, and numbered into its
 cell once for every setup sharing its forms.  ``gk_dimension``, the
 one-point call, is ``_gk_from_values`` of the point's exact
@@ -166,7 +167,7 @@ def key_readers(setup: ParabolicSetup, key: tuple) -> tuple[Reader, Reader | Non
     tables."""
     # index i > 0 reads key[i - 1], -i its negation, 0 a vanishing pair
     values = (0, *key, *[None if v is None else -v for v in reversed(key)])
-    _, _, differences, sums = setup.gk_key
+    _, _, differences, sums, _ = setup.gk_key
     return (lambda b, c: values[differences[b][c]]), (
         None if sums is None else lambda b, c: values[sums[b][c]]
     )
@@ -201,7 +202,7 @@ def class_plan(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
     0, so an unlabeled class has three runs and a labeled one two or three.
     A plan holds nothing that depends on a point's values."""
     runs = setup.block_plan.rho_runs
-    _, _, differences, sums = setup.gk_key
+    _, _, differences, sums, _ = setup.gk_key
     difference, total = key_readers(setup, pattern)
     n = setup.lie.n
     base = n * (n - 1) // 2 if setup.lie.kind == "A" else n * n - n

@@ -6,34 +6,32 @@ and the generic symbols tau and sigma on each axis, and couples symbol
 offsets (a+tau, b-tau) so the "integral sum, non-integral parts" branches
 are exercised.  Sweeps are deterministic: rows are emitted in grid order.
 
-A sweep decides each grid cell once.  A cell is a distinct pair of a
-point's exact form values over a set of forms and its criterion values
-(``verdict.criterion_values``: z1, z2 and z1 + z2, each an int when it is
-an integer, else None).  Only the numbering is shared: the criterion's
-values are still read at every point by its own integrality code, and on
-the standard grids of type A up to rank 9 and type D up to rank 10 they
-split no form cell.  The grid keeps, for every setup swept over it, each
-built on first use: the exact form values per form
-(``ParameterGrid.form_column``), the criterion values per point
-(``ParameterGrid.criterion_values``), the cells per form set
+A sweep decides each grid cell once.  A cell is a distinct tuple of a
+point's exact form values over a set of forms.  The grid keeps, for
+every setup swept over it, each built on first use: the exact form
+values per form (``ParameterGrid.form_column``), the cells per form set
 (``ParameterGrid.form_cells``, numbered in order of first occurrence; the
 setups of one type-A rank share one) and the points transposed
 (``ParameterGrid.point_columns``).  The cells are about a sixth of the
 points on the standard grids of type A up to rank 5, and a quarter in
 type D up to rank 6.
 
-``sweep`` runs ``verdict.criterion_column`` once over the cells, and
-fills its GK memo, from each cell's exact values clamped at the setup's
-windows to a GK dimension, in one pass over the cells.  Each cell gets
-one outcome: the ``Verdict`` shared by every cell with its GK dimension
-and criterion, or what raised.  A raising miss costs every point of its
-cell and is not memoised, so the next cell with the same key misses
-again; a raising column pass costs every point.  Every point's row is
-built from its cell's outcome in one ``map`` over the points' cells;
-only when some cell failed are those points' rows dropped and the
-points listed in the errors, in grid order.  No GK value or verdict is
-cached on the grid, and the memo lives for one sweep.  The one-point
-route, ``verdict.evaluate``, serves ``gvmred reduce``.
+``sweep`` clamps each cell's exact values at the setup's windows into its
+memo key, and fills its one memo, from clamped key to ``Verdict``, in one
+pass over the cells.  A cell whose key is new is a miss: it reads the GK
+dimension off the cell's exact values (``gk._gk_from_values``) and the
+criterion off the key (``verdict.on_half_line``; the windows are wide
+enough for the half-lines' bounds), and shares one ``Verdict`` with every
+miss of equal GK dimension and criterion.  So the criterion reads the
+oracle's integrality decision, z1, z2 and z1 + z2 being the values of
+three of its forms.  A raising miss costs every point of its cell and is
+not memoised, so the next cell with the same key misses again; a raising
+column pass costs every point.  Every point's row is built from its
+cell's outcome in one ``map`` over the points' cells; only when some cell
+failed are those points' rows dropped and the points listed in the
+errors, in grid order.  No GK value or verdict is cached on the grid, and
+the memo lives for one sweep.  The one-point route, ``verdict.evaluate``,
+serves ``gvmred reduce``.
 
 Output spells each layout once.  ``ROW_FIELDS`` is the one row layout,
 for the CSV header, the JSON records and the CLI's ``key=value`` lines.
@@ -55,7 +53,7 @@ from typing import NamedTuple
 from . import gk, verdict
 from .exact import SYMBOLS, DecodedPoint, ExactScalar, decode_point, form_column, saturate, symbol
 from .rootdata import FrozenRecord, LieType, ParabolicSetup
-from .verdict import CriterionValues, Verdict, criterion_values
+from .verdict import Verdict
 
 # Unused here; kept importable from this module, where perfbench/tracing.py
 # wraps it.
@@ -68,11 +66,8 @@ class UnsupportedGrid(ValueError):
 
 Point = tuple[ExactScalar, ExactScalar]
 Axis = tuple[ExactScalar, ...]
-# (the cell index of every point, the exact form values of every cell, the
-# criterion values of every cell)
-FormCells = tuple[
-    tuple[int, ...], tuple[tuple["int | None", ...], ...], tuple[CriterionValues, ...]
-]
+# (the cell index of every point, the exact form values of every cell)
+FormCells = tuple[tuple[int, ...], tuple[tuple["int | None", ...], ...]]
 
 EXTRA_RATIONALS = (Fraction(1, 3),)
 # Largest grid a spec may describe: about 100 times the standard grid of
@@ -82,7 +77,7 @@ MAX_GRID_POINTS = 200_000
 FAMILY_MIN_N = {"A": 3, "D": 4}
 # Largest family a verification may sweep, in standard-grid points before
 # de-duplication.  The largest families under it, A up to rank 14 (923 650
-# points) and D up to rank 43 (985 080), take about 0.9 s and 5.0 s with
+# points) and D up to rank 43 (985 080), take about 0.8 s and 3.0 s with
 # `gvmred verify` (2 CPUs, Python 3.11.7, interpreter start included);
 # per-point cost grows with the rank, faster in type D.
 MAX_FAMILY_POINTS = 1_000_000
@@ -163,36 +158,19 @@ class ParameterGrid(FrozenRecord):
         return column
 
     def form_cells(self, forms: tuple[tuple[int, int], ...]) -> FormCells:
-        """(cell of every point, exact values of every cell, criterion
-        values of every cell) over ``forms``: a cell is a distinct pair of a
-        point's ``form_column`` values and its ``criterion_values`` triple,
-        and cells are numbered in order of first occurrence.  Built from the
+        """(cell of every point, exact values of every cell) over ``forms``:
+        a cell is a distinct tuple of a point's ``form_column`` values, and
+        cells are numbered in order of first occurrence.  Built from the
         kept columns on the first call per ``forms`` and kept, so the setups
         sharing a form set share one numbering.  It holds exact values only,
         never a GK value or a verdict."""
         cells = self._cells.get(forms)
         if cells is None:
             columns = list(map(self.form_column, forms))
-
-            def joint():  # streamed, so no pair per point outlives its lookup
-                return zip(zip(*columns), self._criterion_values)
-
-            numbering = dict(zip(dict.fromkeys(joint()), count()))
-            index = tuple(map(numbering.__getitem__, joint()))
-            exact, triples = zip(*numbering) if numbering else ((), ())
-            cells = self._cells[forms] = (index, exact, triples)
+            numbering = dict(zip(dict.fromkeys(zip(*columns)), count()))
+            index = tuple(map(numbering.__getitem__, zip(*columns)))
+            cells = self._cells[forms] = (index, tuple(numbering))
         return cells
-
-    def criterion_values(self) -> tuple[CriterionValues, ...]:
-        """(z1, z2, z1 + z2) at every point, in grid order, each an int when
-        it is an integer, else None (``verdict.criterion_values``).  Read
-        off the scalars themselves, not the decoded points, on the first
-        call, and kept for every setup swept over this grid."""
-        return self._criterion_values
-
-    @cached_property
-    def _criterion_values(self) -> tuple[CriterionValues, ...]:
-        return tuple(criterion_values(self._points))
 
     @cached_property
     def _decoded(self) -> tuple[DecodedPoint, ...]:
@@ -268,49 +246,47 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     """Evaluate oracle and criterion at every grid point, in grid order.
 
     The column passes come first: the grid's cells for the setup's forms
-    (``ParameterGrid.form_cells``), each cell's exact values clamped at the
-    windows into its memo key, and ``verdict.criterion_column`` over the
-    cells' criterion values.  Then one pass over the cells fills the GK
-    memo, from clamped key to GK dimension, which lives for this one
-    sweep, and reads each cell's GK dimension with one lookup of its key:
+    (``ParameterGrid.form_cells``) and each cell's exact values clamped at
+    the windows into its memo key.  Then one pass over the cells fills the
+    memo, from clamped key to ``Verdict``, which lives for this one sweep:
     a cell whose key is new calls ``gk._gk_from_values`` on its exact
-    values.  Each cell gets one outcome: the ``Verdict`` shared by
-    every cell with its GK dimension and criterion, or None, with the repr
-    of what raised in ``failed``.  A miss that raises is not memoised:
-    every point of its cell is recorded in ``errors``, and the next cell
-    with the same key misses again.  A column pass that raises fails
-    every point with its repr.  Every point's row is built from its
-    cell's outcome in one ``map``; only when some cell failed does a
-    second pass drop those points' rows and list them in ``errors``, in
-    grid order.
+    values and ``verdict.on_half_line`` on its key, and takes the
+    ``Verdict`` shared by every miss with its GK dimension and criterion.
+    Each cell gets one outcome: its ``Verdict``, or None, with the repr of
+    what raised in ``failed``.  A miss that raises is not memoised: every
+    point of its cell is recorded in ``errors``, and the next cell with the
+    same key misses again.  A column pass that raises fails every point
+    with its repr.  Every point's row is built from its cell's outcome in
+    one ``map``; only when some cell failed does a second pass drop those
+    points' rows and list them in ``errors``, in grid order.
     """
     try:
-        forms, windows, _, _ = setup.gk_key
+        forms, windows, _, _, _ = setup.gk_key
         du = setup.dim_u
-        cells, exact, triples = grid.form_cells(forms)
+        cells, exact = grid.form_cells(forms)
         keys = list(zip(*map(saturate, zip(*exact), windows)))
-        criteria = verdict.criterion_column(setup, triples)
     except Exception as exc:  # collected, not fatal
         cells, outcomes, failed = (0,) * len(grid), [None], {0: repr(exc)}
     else:
-        memo: dict = {}  # clamped form values -> GK dimension
+        memo: dict = {}  # clamped form values -> Verdict
+        shared: dict = {}  # (GK dimension, criterion) -> the Verdict of every such miss
         failed = {}  # cell -> the repr of what its miss raised
-        dims = []  # per cell: its GK dimension, or None when its miss raised
+        outcomes = []  # per cell: its Verdict, or None when its miss raised
         for key, values in zip(keys, exact):
-            dim = memo.get(key)
-            if dim is None:
+            outcome = memo.get(key)
+            if outcome is None:
                 try:
-                    dim = memo[key] = gk._gk_from_values(setup, values)
+                    dim = gk._gk_from_values(setup, values)
+                    crit = verdict.on_half_line(setup, key)
                 except Exception as exc:  # collected, not fatal
-                    failed[len(dims)] = repr(exc)
-            dims.append(dim)
-        pairs = list(zip(dims, criteria))
-        shared = {  # cells with equal GK dimension and criterion share one Verdict
-            (dim, crit): Verdict(dim, du, dim < du, crit, (dim < du) == crit)
-            for dim, crit in set(pairs)
-            if dim is not None
-        }
-        outcomes = list(map(shared.get, pairs))  # per cell: its Verdict, or None
+                    failed[len(outcomes)] = repr(exc)
+                else:
+                    outcome = shared.get((dim, crit))
+                    if outcome is None:
+                        outcome = Verdict(dim, du, dim < du, crit, (dim < du) == crit)
+                        shared[dim, crit] = outcome
+                    memo[key] = outcome
+            outcomes.append(outcome)
     z1s, z2s = grid.point_columns()
     # tuple.__new__(SweepRow, (z1, z2, verdict)): each row without a Python-level call
     verdicts = map(outcomes.__getitem__, cells)

@@ -213,6 +213,13 @@ class ParabolicSetup(FrozenRecord):
         reading it, extremal at the run endpoints; two of its values that
         agree once clamped to one past those extremes compare alike with
         every threshold.
+
+        The criterion's half-lines are on the forms (2, 0), (0, 2) and
+        (2, 2), whose values are z1, z2 and z1 + z2, and which every setup
+        reads.  Each bound b of ``half_lines`` is recorded with its form's
+        index, and that form's window is widened, where it must be, until
+        lo < b <= hi: a value is then >= b exactly when it is once clamped,
+        so the clamped key decides the criterion too.
         """
         plan = self.block_plan
         ends = [(run[-1], run[0]) for run in plan.rho_runs]  # runs decrease
@@ -236,11 +243,19 @@ class ParabolicSetup(FrozenRecord):
                         least, most = -(b_hi + c_hi), -(b_lo + c_lo)
                     thresholds.setdefault(form, []).extend((s * least, s * most))
         differences, *sums = [tuple(map(tuple, table)) for table in tables]
+        windows = [(min(t) - 1, max(t) + 1) for t in thresholds.values()]
+        half_lines = tuple(
+            (index[form], b) for form, b in zip(((2, 0), (0, 2), (2, 2)), self.half_lines)
+        )
+        for i, b in half_lines:
+            lo, hi = windows[i]
+            windows[i] = min(lo, b - 1), max(hi, b)
         return GKKey(
             forms=tuple(index),
-            windows=tuple((min(t) - 1, max(t) + 1) for t in thresholds.values()),
+            windows=tuple(windows),
             differences=differences,
             sums=sums[0] if sums else None,
+            half_lines=half_lines,
         )
 
     @cached_property
@@ -302,10 +317,13 @@ class GKKey(NamedTuple):
     that form i's integer values are clamped to there.
     ``differences[b][c]`` is s*(i+1) when o_b - o_c is s times the value
     of form i, 0 when it vanishes; ``sums`` (None in type A) the same of
-    o_b + o_c.
+    o_b + o_c.  ``half_lines`` holds (i, b) for the criterion's z1, z2 and
+    z1 + z2, form i's value being that parameter and b its bound, with
+    lo < b <= hi for form i's window.
     """
 
     forms: tuple[tuple[int, int], ...]
     windows: tuple[tuple[int, int], ...]
     differences: PairTable
     sums: PairTable | None
+    half_lines: tuple[tuple[int, int], ...]

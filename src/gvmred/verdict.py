@@ -9,35 +9,25 @@ its half-line Z>=b1, Z>=b2 or Z>=b12, three bounds fixed by the setup
 is these three families of lines; the diagonal z1 = z2 needs no case of
 its own.  Sweeps cross-check the two answers at every grid point.
 
-The criterion comes in two steps, like the form values of ``exact``:
-``criterion_values`` reads z1, z2 and z1 + z2 of each point as an int
-when it is an integer, else None, and ``criterion_column`` tests those
-triples against one setup's half-lines.  A grid
-(``harness.ParameterGrid``) keeps the values of its points for every
-setup swept over it, and numbers its cells by them jointly with the
-oracle's form values; a sweep runs ``criterion_column`` once, over the
-cells' triples, so once per cell, not per point.  ``criterion`` runs
-both steps for one point.
-
-Coset membership such as "z in c + Z>=0" is decided exactly: a scalar with
-a nonzero symbol part is never an integer.  The values are read off each
-parameter's fields (``num`` and ``den`` of its rational part and its
-``tau`` and ``sigma`` coefficients, stored when the scalar is built) and
-``exact.integer_sum``, so the criterion builds no scalar.  This is an
-integrality decision of its own: it shares only the cell numbering with
-the oracle's form values (``exact.form_column``).
+The criterion reads the oracle's integrality decision: z1, z2 and
+z1 + z2 are the values of the forms (2, 0), (0, 2) and (2, 2), which
+every setup's ``ParabolicSetup.gk_key`` holds, together with each
+half-line's form index and bound (``GKKey.half_lines``).  So
+``on_half_line`` tests a point's form values, exact or clamped at the
+key's windows, which are wide enough for its bounds; a sweep
+(``harness.sweep``) runs it once per memo key, next to the GK dimension,
+and ``criterion`` runs it on one point's ``exact.form_values``.  No
+scalar is built: a scalar with a nonzero symbol part is never an integer,
+and the form values are read off the scalars' fields.
 """
 
 from __future__ import annotations
 
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
-from .exact import ExactScalar, integer_sum
+from .exact import ExactScalar, form_values
 from .gk import gk_dimension
 from .rootdata import ParabolicSetup
-
-# (z1, z2, z1 + z2) at one point, each an int when it is an integer, else None
-CriterionValues = tuple["int | None", "int | None", "int | None"]
 
 
 class Verdict(NamedTuple):
@@ -52,37 +42,22 @@ def _coerce(z) -> ExactScalar:
     return z if isinstance(z, ExactScalar) else ExactScalar(z)
 
 
-def criterion_values(points: Iterable[tuple[ExactScalar, ExactScalar]]) -> list[CriterionValues]:
-    """Per point (z1, z2): z1, z2 and z1 + z2, each as an int when it is
-    an integer, else None; builds no scalar."""
-    return [
-        (
-            z1.num if z1.is_integer else None,
-            z2.num if z2.is_integer else None,
-            integer_sum(z1, z2),
-        )
-        for z1, z2 in points
-    ]
-
-
-def criterion_column(setup: ParabolicSetup, values: Iterable[CriterionValues]) -> list[bool]:
-    """Per triple of ``criterion_values``: z1, z2 or z1 + z2 is an integer
-    on its half-line of ``setup.half_lines``.
-
-    The same three tests decide the diagonal z1 = z2, so nothing compares
-    the two parameters.
-    """
-    b1, b2, b12 = setup.half_lines
-    return [
+def on_half_line(setup: ParabolicSetup, values: tuple) -> bool:
+    """z1, z2 or z1 + z2 is an integer on its half-line, read off the form
+    values ``values`` over ``setup.gk_key.forms``, exact or clamped at its
+    windows.  The same three tests decide the diagonal z1 = z2, so nothing
+    compares the two parameters."""
+    (i, b1), (j, b2), (k, b12) = setup.gk_key.half_lines
+    a, b, s = values[i], values[j], values[k]
+    return (
         (a is not None and a >= b1) or (b is not None and b >= b2) or (s is not None and s >= b12)
-        for a, b, s in values
-    ]
+    )
 
 
 def criterion(setup: ParabolicSetup, z1, z2) -> bool:
-    """The closed form at one point (z1, z2): ``criterion_column`` of its
-    ``criterion_values``."""
-    return criterion_column(setup, criterion_values(((_coerce(z1), _coerce(z2)),)))[0]
+    """The closed form at one point (z1, z2): ``on_half_line`` of its exact
+    form values."""
+    return on_half_line(setup, form_values(setup.gk_key.forms, _coerce(z1), _coerce(z2)))
 
 
 def evaluate(setup: ParabolicSetup, z1, z2) -> Verdict:

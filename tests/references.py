@@ -1,9 +1,11 @@
 """Closed forms and shape counts that only the tests use.
 
 ``minus_double`` (the dense route's) appends a sequence's reversed
-negation; ``int_at_least`` and ``sum_int_at_least`` are one-point
-half-line tests on the scalars' fields, for the case-by-case criterion
-references; ``single_weight_reducible`` is the maximal-parabolic case of
+negation; ``criterion_values`` reads z1, z2 and z1 + z2 off the scalars'
+fields, the criterion's values by a route of their own, for checking the
+form values the criterion reads; ``int_at_least`` and
+``sum_int_at_least`` are one-point half-line tests on the same fields,
+for the case-by-case criterion references; ``single_weight_reducible`` is the maximal-parabolic case of
 the criterion, kept as a reference for the two-parameter half-lines;
 ``has_maximal_shape`` reads the same verdict off an integral type A
 weight's insertion tableau; ``even_odd_counts`` splits a shape's boxes
@@ -25,6 +27,19 @@ from dense_gk import NonIntegralWeight, minus_double  # noqa: F401
 
 class WrongLieType(ValueError):
     """A type-specific test was called for the other Lie type."""
+
+
+def criterion_values(points) -> list[tuple]:
+    """Per point (z1, z2): z1, z2 and z1 + z2, each as an int when it is
+    an integer, else None; builds no scalar."""
+    return [
+        (
+            z1.num if z1.is_integer else None,
+            z2.num if z2.is_integer else None,
+            integer_sum(z1, z2),
+        )
+        for z1, z2 in points
+    ]
 
 
 def int_at_least(z, bound: int) -> bool:

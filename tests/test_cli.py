@@ -243,7 +243,7 @@ def test_verify_command_counts_errors(capsys, monkeypatch):
     def broken(setup, values):
         raise RuntimeError("criterion failed")
 
-    monkeypatch.setattr(verdict_mod, "criterion_column", broken)
+    monkeypatch.setattr(verdict_mod, "on_half_line", broken)
     code = main(["verify", "--type", "A", "--max-n", "3"])
     out = capsys.readouterr().out
     points = len(standard_grid(ParabolicSetup(LieType("A", 3), 1, 2)))
@@ -396,7 +396,7 @@ def test_sweep_and_diagram_exit_1_when_points_raise(capsys, monkeypatch):
     from gvmred.exact import form_values, saturate
 
     setup = ParabolicSetup(LieType("A", 4), 1, 2)
-    forms, windows, _, _ = setup.gk_key
+    forms, windows, _, _, _ = setup.gk_key
     target = saturated_form_values(forms, windows, sc(-1), sc(0))
 
     def hits(exact):

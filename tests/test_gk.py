@@ -273,32 +273,33 @@ def test_only_labeled_three_block_classes_are_inserted(monkeypatch):
 
 
 def test_repeated_keys_skip_the_miss_path(monkeypatch):
-    """In one sweep the criterion column covers every cell in one call, and
-    the class split and key building run once per distinct saturated
-    form-value key, of which there are fewer than exact ones."""
-    columns, misses = [], []
-    column, gk_from_values = verdict_module.criterion_column, gk_module._gk_from_values
+    """In one sweep the class split, the key building and the half-line
+    test run once per distinct saturated form-value key, of which there are
+    fewer than exact ones, and the half-line test reads each such key."""
+    half_lines, misses = [], []
+    half_line, gk_from_values = verdict_module.on_half_line, gk_module._gk_from_values
 
-    def counted_column(setup, values):
-        columns.append(len(values))
-        return column(setup, values)
+    def counted_half_line(setup, key):
+        half_lines.append(key)
+        return half_line(setup, key)
 
     def counted_miss(setup, exact):
         misses.append(exact)
         return gk_from_values(setup, exact)
 
-    monkeypatch.setattr(verdict_module, "criterion_column", counted_column)
+    monkeypatch.setattr(verdict_module, "on_half_line", counted_half_line)
     monkeypatch.setattr(gk_module, "_gk_from_values", counted_miss)
     for setup in (ParabolicSetup(A(6), 2, 4), ParabolicSetup(D(6), 1, 5)):
         grid = standard_grid(setup)
-        forms, windows, _, _ = setup.gk_key
+        forms, windows, _, _, _ = setup.gk_key
         exact = {form_values(forms, z1, z2) for z1, z2 in grid.points()}
         keys = {saturated_form_values(forms, windows, z1, z2) for z1, z2 in grid.points()}
-        columns.clear()
+        half_lines.clear()
         misses.clear()
         report = sweep(setup, grid)
         assert len(report.rows) == len(grid)
-        assert columns == [len(grid.form_cells(forms)[1])] and columns[0] < len(grid)
+        assert len(half_lines) == len(set(half_lines)) == len(misses)
+        assert set(half_lines) == keys
         assert len(misses) == len(keys) < len(exact) < len(grid) / 2
 
 
@@ -341,6 +342,44 @@ def test_gk_windows_span_every_key_comparison():
                     thresholds[s * x, s * y].extend(s * threshold(r, r2) for r in run for r2 in other)
         expected = tuple((min(t) - 1, max(t) + 1) for t in thresholds.values())
         assert setup.gk_key.windows == expected, setup
+
+
+def test_gk_key_decides_the_criterion_on_every_setup():
+    """Over every setup of A<=40 and D<=80: the criterion's forms (2, 0),
+    (0, 2) and (2, 2), whose values are z1, z2 and z1 + z2, are among the
+    key's forms, recorded in ``half_lines`` with the setup's bounds; each
+    bound b has lo < b <= hi in its form's window, so clamping keeps every
+    half-line test; and each window is one past the extreme thresholds its
+    form is compared with, so no bound widened one, and memo keys, cells
+    and misses are what the thresholds alone give."""
+    checked = 0
+    for setup in family_setups("A", 40) + family_setups("D", 80):
+        key = setup.gk_key
+        assert [key.forms[i] for i, _ in key.half_lines] == [(2, 0), (0, 2), (2, 2)], setup
+        assert tuple(b for _, b in key.half_lines) == setup.half_lines, setup
+        for i, b in key.half_lines:
+            lo, hi = key.windows[i]
+            assert lo < b <= hi, setup
+        # r' - r, or -(r + r') in type D, is extremal at the runs' endpoints
+        plan = setup.block_plan
+        signs = (-1, 1) if setup.lie.kind == "D" else (-1,)
+        thresholds = {form: [] for form in key.forms}
+        for (a1, a2), run in zip(plan.coefficients, plan.rho_runs):
+            for (c1, c2), other in zip(plan.coefficients, plan.rho_runs):
+                for sign in signs:
+                    x, y = a1 + sign * c1, a2 + sign * c2
+                    if (x, y) == (0, 0):
+                        continue
+                    s = 1 if (x, y) > (0, 0) else -1
+                    thresholds[s * x, s * y].extend(
+                        s * (r2 - r if sign < 0 else -(r + r2))
+                        for r in (run[0], run[-1])
+                        for r2 in (other[0], other[-1])
+                    )
+        expected = tuple((min(t) - 1, max(t) + 1) for t in thresholds.values())
+        assert key.windows == expected, setup
+        checked += 1
+    assert checked == 9880 + 231
 
 
 def class_signature(count, difference, total):

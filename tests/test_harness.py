@@ -27,11 +27,19 @@ from gvmred import (
 )
 from gvmred.exact import decode_point, form_values, saturate
 from gvmred.gk import _folded, key_readers, split_classes
-from gvmred.harness import MAX_GRID_POINTS, SweepRow, format_field, grid_from_spec
-from gvmred.verdict import Verdict, criterion_values, evaluate
+from gvmred.harness import (
+    FAMILY_MIN_N,
+    MAX_FAMILY_POINTS,
+    MAX_GRID_POINTS,
+    SweepRow,
+    family_point_bound,
+    format_field,
+    grid_from_spec,
+)
+from gvmred.verdict import Verdict, evaluate
 
 from conftest import SIGMA, TAU, saturated_form_values, sc, scalar_pairs
-from references import plan_parts
+from references import criterion_values, plan_parts
 
 FORM_LISTS = st.lists(
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any), min_size=1, max_size=6
@@ -132,12 +140,14 @@ def test_verify_family_small_clean():
     assert report.errors == []
 
 
-def _broken_column(setup, values):
+def _broken_criterion(setup, values):
     raise RuntimeError("criterion failed")
 
 
 def test_verify_family_fails_when_every_point_raises(monkeypatch):
-    monkeypatch.setattr("gvmred.verdict.criterion_column", _broken_column)
+    """A criterion that raises at every miss fails every cell, so every
+    point of every setup."""
+    monkeypatch.setattr("gvmred.verdict.on_half_line", _broken_criterion)
     report = verify_family("A", 4)
     assert not report.ok
     assert report.points_checked == 0
@@ -207,37 +217,6 @@ def test_building_a_grid_decodes_nothing_and_a_rank_decodes_each_point_once(monk
         harness_mod._rank_grid.cache_clear()  # nor one decoded through the patch
 
 
-def test_building_a_grid_computes_no_criterion_values_and_a_rank_computes_them_once(
-    monkeypatch,
-):
-    """The criterion values are built lazily too: building a grid and
-    listing its points computes none, and the sweeps of every setup of one
-    rank compute each point's values once between them."""
-    computed = []
-
-    def counted(points):
-        points = list(points)
-        computed.extend(points)
-        return criterion_values(points)
-
-    harness_mod._rank_grid.cache_clear()  # a grid no other test has swept
-    monkeypatch.setattr(harness_mod, "criterion_values", counted)
-    try:
-        for kind, n in (("A", 6), ("D", 7)):
-            setups = [s for s in family_setups(kind, n) if s.n == n]
-            grid = standard_grid(setups[0])
-            assert len(grid) == len(grid.points()) and not computed
-            assert len(grid_from_spec(harness_mod._standard_spec(n))) == len(grid)
-            assert not computed
-            for setup in setups:
-                assert standard_grid(setup) is grid
-                assert not sweep(setup, grid).errors
-            assert len(computed) == len(grid) and set(computed) == set(grid.points())
-            computed.clear()
-    finally:
-        harness_mod._rank_grid.cache_clear()  # nor one computed through the patch
-
-
 def test_the_setups_of_a_type_a_rank_build_the_cells_once(monkeypatch):
     """Every type-A setup of one rank has the same forms, so their sweeps
     share one numbering of the grid's cells: between them they read each
@@ -259,12 +238,13 @@ def test_the_setups_of_a_type_a_rank_build_the_cells_once(monkeypatch):
     assert calls == list(forms)
 
 
-def _record_sweep_inputs(monkeypatch) -> tuple[list, list]:
+def _record_sweep_inputs(monkeypatch) -> tuple[list, list, list]:
     """From now on, the clamped form columns ``sweep`` builds, one value per
-    cell of ``ParameterGrid.form_cells``, and the exact form values each of
-    its memo misses hands to ``_gk_from_values``, in grid order."""
-    clamped, misses = [], []
-    gk_from_values = gk_module._gk_from_values
+    cell of ``ParameterGrid.form_cells``, the exact form values each of its
+    memo misses hands to ``_gk_from_values`` and the memo key each hands to
+    ``on_half_line``, in grid order."""
+    clamped, misses, half_line_keys = [], [], []
+    gk_from_values, half_line = gk_module._gk_from_values, verdict_mod.on_half_line
 
     def recording_saturate(column, window):
         clamped.append(saturate(column, window))
@@ -274,9 +254,14 @@ def _record_sweep_inputs(monkeypatch) -> tuple[list, list]:
         misses.append(exact)
         return gk_from_values(setup, exact)
 
+    def recording_half_line(setup, key):
+        half_line_keys.append(key)
+        return half_line(setup, key)
+
     monkeypatch.setattr(harness_mod, "saturate", recording_saturate)
     monkeypatch.setattr(gk_module, "_gk_from_values", recording_miss)
-    return clamped, misses
+    monkeypatch.setattr(verdict_mod, "on_half_line", recording_half_line)
+    return clamped, misses, half_line_keys
 
 
 CUSTOM_GRID = grid_from_spec(GridSpec(Fraction(-7, 3), Fraction(5, 2), Fraction(5, 6)))
@@ -292,16 +277,17 @@ def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setu
     key a sweep reads off the clamped values of the point's cell is
     ``form_values`` of the point saturated at the setup's windows; and its
     misses, one at the first point of each key, hand ``_gk_from_values``
-    the exact ``form_values`` of that point."""
-    clamped, misses = _record_sweep_inputs(monkeypatch)
+    the exact ``form_values`` of that point and ``on_half_line`` the key."""
+    clamped, misses, half_line_keys = _record_sweep_inputs(monkeypatch)
     checked = 0
     for setup in setups:
-        forms, windows, _, _ = setup.gk_key
+        forms, windows, _, _, _ = setup.gk_key
         for grid in (standard_grid(setup), CUSTOM_GRID):
             clamped.clear()
             misses.clear()
+            half_line_keys.clear()
             assert not sweep(setup, grid).errors
-            cells, _, _ = grid.form_cells(forms)
+            cells, _ = grid.form_cells(forms)
             cell_keys = list(zip(*clamped))
             keys = [cell_keys[cell] for cell in cells]
             assert len(clamped) == len(forms) and len(keys) == len(grid)
@@ -310,6 +296,7 @@ def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setu
                 assert key == saturated_form_values(forms, windows, z1, z2), (setup, z1, z2)
                 first.setdefault(key, form_values(forms, z1, z2))
             assert misses == list(first.values()), setup
+            assert half_line_keys == list(first), setup
             checked += len(keys)
     assert checked > 25000
 
@@ -321,7 +308,7 @@ def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setu
 )
 def test_criterion_column_matches_the_one_point_criterion(setups):
     """On every point of the standard grids and of a custom grid, the
-    criterion a sweep reads off the grid's column is the one-point
+    criterion a sweep reads off the point's memo key is the one-point
     ``criterion``, and the half-line test on the scalars' own sums."""
     checked = 0
     for setup in setups:
@@ -341,6 +328,37 @@ def test_criterion_column_matches_the_one_point_criterion(setups):
                 )
             checked += len(rows)
     assert checked > 25000
+
+
+CRITERION_FORMS = ((2, 0), (0, 2), (2, 2))
+
+
+def test_criterion_forms_are_the_scalar_sums_on_every_verify_grid():
+    """The form values over (2, 0), (0, 2) and (2, 2), which the criterion
+    reads, are z1, z2 and z1 + z2 as the reference ``criterion_values``
+    reads them off the scalars, at every point of the rank-14 type A and
+    rank-43 type D standard grids and of the picture test's custom grids.
+    Every smaller rank's standard grid lies in the one of its family's
+    largest rank under ``MAX_FAMILY_POINTS``, so this covers every point a
+    verification can sweep."""
+    grids = [grid_from_spec(spec) for spec in PICTURE_SPECS]
+    for kind, largest in (("A", 14), ("D", 43)):
+        assert family_point_bound(kind, largest) <= MAX_FAMILY_POINTS
+        assert family_point_bound(kind, largest + 1) > MAX_FAMILY_POINTS
+        grid = grid_from_spec(harness_mod._standard_spec(largest))
+        axis, extra = set(grid.z1_values), set(grid.extra_points)
+        for n in range(FAMILY_MIN_N[kind], largest):
+            smaller = grid_from_spec(harness_mod._standard_spec(n))
+            assert smaller.z1_values == smaller.z2_values and grid.z1_values == grid.z2_values
+            assert axis.issuperset(smaller.z1_values), (kind, n)
+            assert extra.issuperset(smaller.extra_points), (kind, n)
+        grids.append(grid)
+    checked = 0
+    for grid in grids:
+        values = list(zip(*map(grid.form_column, CRITERION_FORMS)))
+        assert values == criterion_values(grid.points())
+        checked += len(values)
+    assert checked > 3323 + 19505
 
 
 def _fresh(setup):
@@ -484,9 +502,9 @@ def test_an_empty_grid_sweeps_to_an_empty_report():
 
 
 def test_column_pass_errors_record_every_point(monkeypatch):
-    """A column pass that raises (the criterion column, the form columns,
-    the cells built from them, their clamp) records every point of the
-    setup in ``errors``; no traceback escapes the sweep."""
+    """A column pass that raises (the form columns, the cells built from
+    them, their clamp) records every point of the setup in ``errors``; no
+    traceback escapes the sweep."""
     setup = ParabolicSetup(A(5), 1, 3)
     grid = standard_grid(setup)
     strings = [(str(z1), str(z2)) for z1, z2 in grid.points()]
@@ -501,7 +519,6 @@ def test_column_pass_errors_record_every_point(monkeypatch):
         raise RuntimeError("clamp failed")
 
     for owner, name, broken, message in (
-        (verdict_mod, "criterion_column", _broken_column, "criterion failed"),
         (ParameterGrid, "form_column", broken_form_column, "column failed"),
         (ParameterGrid, "form_cells", broken_form_cells, "cells failed"),
         (harness_mod, "saturate", broken_saturate, "clamp failed"),
@@ -515,34 +532,6 @@ def test_column_pass_errors_record_every_point(monkeypatch):
         assert all(message in exc for _, _, exc in report.errors)
         assert report.summary["points"] == len(grid)
     assert sweep(setup, grid).summary["errors"] == 0
-
-
-def test_the_criterion_splits_the_cells_of_one_form_cell(monkeypatch):
-    """With one constant form column, every point falls in one form cell.
-    The criterion's values still split it: a sweep's criterion at every
-    point is the one-point ``criterion``, and a family verification, whose
-    GK dimensions are then constant, reports mismatches."""
-
-    def constant(grid, form):
-        return (0,) * len(grid)
-
-    monkeypatch.setattr(ParameterGrid, "form_column", constant)
-    harness_mod._rank_grid.cache_clear()  # grids with no cells kept
-    try:
-        for setup in (ParabolicSetup(A(6), 2, 4), ParabolicSetup(D(6), 1, 5)):
-            grid = grid_from_spec(harness_mod._standard_spec(setup.n))
-            forms = setup.gk_key.forms
-            _, exact, _ = grid.form_cells(forms)
-            assert set(exact) == {(0,) * len(forms)} and len(exact) > 1
-            report = sweep(setup, grid)
-            assert not report.errors and len(report.rows) == len(grid)
-            for row in report.rows:
-                assert row.verdict.criterion is criterion(setup, row.z1, row.z2), row
-        for kind in "AD":
-            report = verify_family(kind, 6)
-            assert report.mismatches and not report.ok, kind
-    finally:
-        harness_mod._rank_grid.cache_clear()  # nor grids built through the patch
 
 
 def test_a_raising_miss_records_its_point_and_is_not_memoised(monkeypatch):
@@ -565,10 +554,54 @@ def test_a_raising_miss_records_its_point_and_is_not_memoised(monkeypatch):
     z1, z2 = grid.points()[0]
     assert report.errors == [(str(z1), str(z2), "RuntimeError('miss failed')")]
     assert report.rows == clean.rows[1:]
-    forms, windows, _, _ = setup.gk_key
+    forms, windows, _, _, _ = setup.gk_key
     keys = [saturated_form_values(forms, windows, a, b) for a, b in grid.points()]
     assert keys.count(keys[0]) > 1  # so the first key misses twice
     assert len(calls) == len(set(keys)) + 1
+
+
+@pytest.mark.parametrize(
+    "setup", [ParabolicSetup(A(5), 1, 3), ParabolicSetup(D(6), 1, 5)], ids=["A5", "D6"]
+)
+def test_a_raising_criterion_costs_only_its_cells_points(monkeypatch, setup):
+    """The half-line test runs inside a miss: when it raises at one memo
+    key, held by several cells, ``errors`` lists exactly that key's points
+    in grid order, the rows are the clean sweep's rows without them, and
+    the key is not memoised, so each of its cells asks again."""
+    grid = standard_grid(setup)
+    forms, windows, _, _, _ = setup.gk_key
+    points = grid.points()
+    cells, _ = grid.form_cells(forms)
+    keys = [saturated_form_values(forms, windows, z1, z2) for z1, z2 in points]
+    by_key = {}
+    for i, key in enumerate(keys):
+        by_key.setdefault(key, []).append(i)
+    target, failing = next(
+        (key, indices)
+        for key, indices in by_key.items()
+        if indices[0] > 0 and len({cells[i] for i in indices}) > 1
+    )
+    half_line = verdict_mod.on_half_line
+    calls = []
+
+    def raises_at_target(setup, key):
+        calls.append(key)
+        if key == target:
+            raise RuntimeError("criterion failed")
+        return half_line(setup, key)
+
+    clean = sweep(setup, grid)
+    monkeypatch.setattr(verdict_mod, "on_half_line", raises_at_target)
+    report = sweep(setup, grid)
+    assert report.errors == [
+        (str(points[i][0]), str(points[i][1]), "RuntimeError('criterion failed')")
+        for i in failing
+    ]
+    dropped = set(failing)
+    assert report.rows == [row for i, row in enumerate(clean.rows) if i not in dropped]
+    assert report.summary["points"] == len(grid)
+    assert calls.count(target) == len({cells[i] for i in failing}) > 1
+    assert len(calls) == len(by_key) - 1 + calls.count(target)
 
 
 @pytest.mark.parametrize(
@@ -580,7 +613,7 @@ def test_a_raising_key_of_several_points_drops_exactly_those_points(monkeypatch,
     ``errors`` lists exactly those points in grid order, and the rows are
     the clean sweep's rows without them."""
     grid = standard_grid(setup)
-    forms, windows, _, _ = setup.gk_key
+    forms, windows, _, _, _ = setup.gk_key
     points = grid.points()
     keys = [saturated_form_values(forms, windows, z1, z2) for z1, z2 in points]
     exact = [form_values(forms, z1, z2) for z1, z2 in points]
@@ -622,24 +655,24 @@ def test_a_raising_key_of_several_points_drops_exactly_those_points(monkeypatch,
 )
 def test_grid_columns_match_form_values(pairs, forms):
     """A grid's kept columns, exact and saturated, hold ``form_values`` of
-    each of its points, and so do its kept cells: distinct pairs of the
-    exact values and the ``criterion_values`` triple, numbered in order of
-    first occurrence, each cell's triple that of each of its points."""
+    each of its points, and so do its kept cells: distinct tuples of the
+    exact values, numbered in order of first occurrence; the columns of the
+    criterion's forms hold the reference ``criterion_values``."""
     windows = [(-2 - i, 1 + i) for i in range(len(forms))]
     grid = ParameterGrid((), (), tuple(pairs))
     exact = [grid.form_column(form) for form in forms]
     assert all(grid.form_column(form) is column for form, column in zip(forms, exact))
     kept = grid.form_cells(tuple(forms))
     assert grid.form_cells(tuple(forms)) is kept
-    cells, cell_values, cell_criteria = kept
-    pairs = list(zip(cell_values, cell_criteria))
-    assert len(cells) == len(grid) and len(set(pairs)) == len(pairs) == len(cell_criteria)
+    cells, cell_values = kept
+    assert len(cells) == len(grid) and len(set(cell_values)) == len(cell_values)
     assert list(dict.fromkeys(cells)) == list(range(len(cell_values)))
     saturated = list(map(saturate, exact, windows))
+    criteria = list(map(grid.form_column, CRITERION_FORMS))
     for i, (z1, z2) in enumerate(grid.points()):
         assert tuple(column[i] for column in exact) == form_values(forms, z1, z2)
         assert cell_values[cells[i]] == form_values(forms, z1, z2)
-        assert cell_criteria[cells[i]] == criterion_values([(z1, z2)])[0]
+        assert tuple(column[i] for column in criteria) == criterion_values([(z1, z2)])[0]
         saturated_values = saturated_form_values(forms, windows, z1, z2)
         assert tuple(column[i] for column in saturated) == saturated_values
 
@@ -719,21 +752,24 @@ def test_grid_point_bound_covers_the_grid():
 
 
 def test_verify_family_detects_corrupted_criterion(monkeypatch):
-    column = verdict_mod.criterion_column
+    half_line = verdict_mod.on_half_line
 
-    def flipped(setup, values):
-        # not the criterion where z1 = z2 is an integer
-        return [
-            not value if a == b is not None else value
-            for (a, b, _), value in zip(values, column(setup, values))
-        ]
+    def flipped(setup, key):
+        # not the criterion where z1 and z2 are integers, which clamping keeps
+        (i, _), (j, _), _ = setup.gk_key.half_lines
+        crit = half_line(setup, key)
+        return not crit if key[i] is not None and key[j] is not None else crit
 
-    monkeypatch.setattr("gvmred.verdict.criterion_column", flipped)
+    monkeypatch.setattr("gvmred.verdict.on_half_line", flipped)
     report = verify_family("A", 4)
     assert not report.ok
     # every flipped point is a mismatch, whichever way it was flipped
     flips = [
-        sum(1 for a, b, _ in standard_grid(setup).criterion_values() if a == b is not None)
+        sum(
+            1
+            for a, b, _ in criterion_values(standard_grid(setup).points())
+            if a is not None and b is not None
+        )
         for setup in family_setups("A", 4)
     ]
     assert len(report.mismatches) == sum(flips) > 0

@@ -20,12 +20,14 @@ from gvmred import (
     standard_grid,
     sweep,
 )
-from gvmred.verdict import _coerce, criterion_column, criterion_values
+from gvmred.exact import form_values
+from gvmred.verdict import _coerce
 
 from conftest import SIGMA, TAU, sc, scalar_pairs, scalars
 from dense_gk import NonIntegralWeight
 from references import (
     WrongLieType,
+    criterion_values,
     even_odd_counts,
     has_maximal_shape,
     int_at_least,
@@ -416,22 +418,42 @@ def _fraction_integer(z: ExactScalar) -> int | None:
     [(sc("-5/2") + TAU, sc("1/2") - TAU), (sc(-1) + TAU, sc(-9) - TAU), (sc(0), sc(0))],
 )
 def test_criterion_column_matches_scalar_arithmetic(setup, pairs):
-    """A grid's criterion values are z1, z2 and z1 + z2 as ints where the
-    scalars, summed by ExactScalar arithmetic, are integers; the column over
-    them is the one-point criterion at each point."""
+    """A grid's form values over the criterion's forms in
+    ``gk_key.half_lines``, (2, 0), (0, 2) and (2, 2), are z1, z2 and
+    z1 + z2 as ints where the scalars, summed by ExactScalar arithmetic, are
+    integers, and the reference ``criterion_values``; the half-line test on
+    them is the sweep's criterion and the one-point criterion at each
+    point."""
     grid = ParameterGrid((), (), tuple(pairs))
-    values = grid.criterion_values()
-    assert grid.criterion_values() is values
-    column = criterion_column(setup, values)
-    assert len(values) == len(column) == len(grid)
+    key = setup.gk_key
+    assert [key.forms[i] for i, _ in key.half_lines] == [(2, 0), (0, 2), (2, 2)]
+    assert tuple(b for _, b in key.half_lines) == setup.half_lines
+    values = list(zip(*(grid.form_column(key.forms[i]) for i, _ in key.half_lines)))
+    assert values == criterion_values(grid.points())
+    rows = sweep(setup, grid).rows
+    assert len(values) == len(rows) == len(grid)
     b1, b2, b12 = setup.half_lines
-    for (z1, z2), triple, crit in zip(grid.points(), values, column):
+    for (z1, z2), triple, row in zip(grid.points(), values, rows):
         assert triple == tuple(map(_fraction_integer, (z1, z2, z1 + z2)))
-        assert triple == criterion_values([(z1, z2)])[0]
         a, b, total = triple
         half_lines = (
             (a is not None and a >= b1)
             or (b is not None and b >= b2)
             or (total is not None and total >= b12)
         )
-        assert crit is criterion(setup, z1, z2) is half_lines, (setup, str(z1), str(z2))
+        assert row.verdict.criterion is criterion(setup, z1, z2) is half_lines, (
+            setup, str(z1), str(z2),
+        )
+
+
+@settings(max_examples=300, deadline=None)
+@given(scalar_pairs())
+def test_criterion_forms_read_the_scalar_sums_at_random_points(pair):
+    """The form values over (2, 0), (0, 2) and (2, 2) are z1, z2 and
+    z1 + z2 as ints where they are integers, as the reference
+    ``criterion_values`` reads them off the scalars' fields and as
+    ExactScalar arithmetic finds them."""
+    z1, z2 = pair
+    triple = form_values(((2, 0), (0, 2), (2, 2)), z1, z2)
+    assert triple == criterion_values([pair])[0], (str(z1), str(z2))
+    assert triple == tuple(map(_fraction_integer, (z1, z2, z1 + z2))), (str(z1), str(z2))
