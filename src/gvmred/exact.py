@@ -214,14 +214,17 @@ def decode_point(z1: ExactScalar, z2: ExactScalar) -> DecodedPoint:
     if d1 != d2:  # the rational parts over one denominator
         g = gcd(d1, d2)
         n1, n2, d1 = n1 * (d2 // g), n2 * (d1 // g), d1 // g * d2
-    # (x, y) cancels the symbols when x*t1 + y*t2 == x*s1 + y*s2 == 0: only
-    # (0, 0) unless the 2x2 determinant vanishes, else the multiples of
-    # (t2, -t1), or of (s2, -s1) when z1 and z2 have no tau
+    # (x, y) cancels the symbols when x*t1 + y*t2 == x*s1 + y*s2 == 0: the
+    # multiples of (t2, -t1), or of (s2, -s1) when z1 and z2 have no tau;
+    # when both symbols appear, only (0, 0) unless the 2x2 determinant
+    # vanishes.  A coefficient is the int 0 or a Fraction, so the kernel is
+    # read off their numerators and denominators.
     t1, s1, t2, s2 = z1.tau, z1.sigma, z2.tau, z2.sigma
-    if t1 * s2 != t2 * s1:
+    if not (t1 or t2):
+        t1, t2 = s1, s2
+    elif (s1 or s2) and t1 * s2 != t2 * s1:
         return None
-    u, v = (t2, -t1) if t1 or t2 else (s2, -s1)
-    return n1, n2, 2 * d1, u.numerator * v.denominator, v.numerator * u.denominator
+    return n1, n2, 2 * d1, t2.numerator * t1.denominator, -t1.numerator * t2.denominator
 
 
 def form_column(points: Sequence[DecodedPoint], form: tuple[int, int]) -> tuple[int | None, ...]:

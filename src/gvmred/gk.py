@@ -37,50 +37,65 @@ thresholds) have equal None patterns, so equal class splits, and keys in
 the same order, so equal GK dimensions.  The one GK memo, in
 ``harness.sweep``, is keyed on the saturated values and belongs to one
 sweep of one setup; a new key's integer keys are built from the exact
-values (``_gk_from_values``), since the key bases are not the saturated
+values (``_gk_from_plan``), since the key bases are not the saturated
 ones.
 
 The class split reads only which form values are None, and a setup's
-points meet few such None patterns.  So a miss does not split: it looks
-up the setup's class plan for its pattern (``class_plan``, kept in
-``ParabolicSetup.class_plans`` and built on the pattern's first miss by
-``split_classes`` on the pattern's readers, ``key_readers``).  A plan
-is (base, classes).  An unlabeled class of one block reads no value:
-its keys are its rho run, one column, so the base is the type's
+points meet few such None patterns.  So a miss does not split: it reads
+the setup's class plan for its pattern (``class_plan``, kept in
+``ParabolicSetup.class_plans`` and built on the pattern's first use by
+``plan_of``, ``split_classes`` on the pattern's readers, ``key_readers``).
+A plan is (base, classes).  An unlabeled class of one block reads no
+value: its keys are its rho run, one column, so the base is the type's
 triangular bound less m(m - 1)/2 for each such class of m entries.
 ``classes`` lists every other class as its labeled flag and its runs,
-one per member block in key order, each a (signed index into the point's
-values, top term, length) triple: the block's keys are the value plus
-the top term, then stepping down by 1, or by 2 in a labeled class, whose
-keys are these runs followed by their reversed negation, which the plan
-does not store.  An unlabeled class has three runs and a labeled one two
-or three; an unlabeled class of two blocks, or a labeled one of one
-block, is padded with an empty run (length 0) just below its last run,
-with that run's index.  An empty run adds no key, and the closed forms
-take one there (checked exhaustively in the tests), so a miss reads the
-column lengths of all but a labeled class of three blocks in closed
-form from the runs' tops, by Greene's theorem, with no key list:
+each a (signed index into the point's values, top term, length) triple:
+the run's keys are the value plus the top term, then stepping down by 1,
+or by 2 in a labeled class, whose keys are its runs followed by their
+reversed negation, which the plan does not store.  An unlabeled class
+has three runs, one per member block in key order, and a labeled one
+two.  An unlabeled class of two blocks, or a labeled one of one block,
+is padded with an empty run (length 0) just below its last run, with
+that run's index.  An empty run adds no key, and the closed forms take
+one there (checked exhaustively in the tests).
+
+A labeled class of three blocks occurs only in so(2n) (1, n - 1), the
+one type D setup with three blocks.  With X = 2*z1 + z2 + 2(n - 1) and
+y = z2, integers of one parity there, its keys are X, then
+R = y + 2(n - 2), ..., y + 2, then -y, then their reversed negation.  The
+diagram automorphism of so(2n) that swaps alpha_(n-1) and alpha_n maps
+the setup to (1, n) at the same point, whose one labeled class has the
+same keys but for the middle pair, (y, -y) instead of (-y, y).  The two
+setups have the same GK dimension there and the same base, each class
+being its setup's only one, so the two classes have the same even-box
+depth sum, though their shapes can differ (checked exhaustively in the
+tests over windows past every threshold).  So ``class_plan`` reads the
+class as the (1, n) class, two runs: X, and R followed by y.
+
+So a miss reads every class's column lengths in closed form from the
+runs' tops, by Greene's theorem, with no key list:
 
 * an unlabeled class (``tableaux.three_run_columns``);
-* a labeled class of one or two blocks, its runs then their reversed
-  negation (``tableaux.mirrored_run_columns``).
+* a labeled class, its two runs then their reversed negation
+  (``tableaux.mirrored_run_columns``).
 
-A miss builds the keys of a labeled class of three blocks, its three runs
-then their reversed negation, and inserts them once
-(``tableaux.insertion_columns``).  It takes each class's depth sum off the
-plan's base as it reads the column lengths, in one loop over the classes.
-A plan holds no point's value and no GK value.
+A miss (``_gk_from_plan``) takes each class's depth sum off the plan's
+base as it reads the column lengths, in one loop over the classes.  A
+plan holds no point's value and no GK value.
 
 The form values are the oracle's only integrality decision, and the
 criterion's too (``verdict.on_half_line``).  A sweep reads them off its
 grid's cells (``harness.ParameterGrid.form_cells``, numbered once per
-grid and form set), clamps each cell's exact values into its memo key and
-calls ``_gk_from_values`` on the exact values of each cell whose key is
-new (``harness.sweep``).  So each grid point is
-decoded once for every setup swept over the grid, and numbered into its
-cell once for every setup sharing its forms.  ``gk_dimension``, the
-one-point call, is ``_gk_from_values`` of the point's exact
-``exact.form_values``, with no memo.
+grid and form set), and each cell's None pattern off the grid's
+numbering of them (``harness.ParameterGrid.form_patterns``, kept next to
+the cells).  It clamps each cell's exact values into its memo key, looks
+up the setup's plan once per pattern, and calls ``_gk_from_plan`` on the
+plan and the exact values of each cell whose key is new
+(``harness.sweep``).  So each grid point is decoded once for every setup
+swept over the grid, and numbered into its cell and each cell's pattern
+once for every setup sharing its forms.  ``gk_dimension``, the one-point
+call, is ``_gk_from_plan`` of the point's exact ``exact.form_values``
+and the plan of their pattern, with no memo.
 
 ``integrality_classes`` runs the same split on a dense weight of
 ExactScalars, one single-entry block per coordinate, reading the entries'
@@ -95,12 +110,7 @@ from typing import Callable, NamedTuple
 
 from .exact import ExactScalar, form_values, integer_difference, integer_sum
 from .rootdata import LieType, ParabolicSetup
-from .tableaux import (
-    ScalarSequence,
-    insertion_columns,
-    mirrored_run_columns,
-    three_run_columns,
-)
+from .tableaux import ScalarSequence, mirrored_run_columns, three_run_columns
 
 # Unused here; kept importable from this module, where perfbench/tracing.py
 # wraps them.
@@ -112,8 +122,8 @@ Member = tuple[int, bool]  # (block index, joined to the class head by a sum)
 Reader = Callable[[int, int], "int | None"]
 # (base, ((labeled, ((signed index into the form values, top term, length), ...)), ...)):
 # the triangular bound less the constant classes' deficits, and the other
-# classes' runs, three in an unlabeled class and two or three in a labeled
-# one, whose reversed negation is implied
+# classes' runs, three in an unlabeled class and two in a labeled one,
+# whose reversed negation is implied
 ClassPlan = tuple[int, tuple[tuple[bool, tuple[tuple, ...]], ...]]
 
 
@@ -191,16 +201,19 @@ def class_plan(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
     column of m = ``len(runs[h])`` boxes (Schensted 1961), whose depth sum
     m(m - 1)/2 is taken off the type's triangular bound into ``base``.
     ``classes`` holds the other classes as (labeled, runs), each run a
-    signed index into the values tuple of ``_gk_from_values``, the top
+    signed index into the values tuple of ``_gk_from_plan``, the top
     term its base is added to and a length: ``differences[b][h]`` with
     ``runs[b]`` for a difference member, ``-sums[b][h]`` with -r over
     ``reversed(runs[b])`` for a flipped one, both of step 1, and
     ``sums[b][b]`` with 2r, of step 2, for a member of a labeled class,
-    whose keys are followed by their reversed negation.  An unlabeled class
-    of two blocks and a labeled one of one block get an empty run, the
-    last run's index, its top less its length times its step, and length
-    0, so an unlabeled class has three runs and a labeled one two or three.
-    A plan holds nothing that depends on a point's values."""
+    whose keys are followed by their reversed negation.  A labeled class
+    of three blocks, so(2n) (1, n - 1)'s, drops its last block's one key
+    -y and gives the middle block's run a last key y (the spin swap of
+    the module docstring).  An unlabeled class of two blocks and a labeled
+    one of one block get an empty run, the last run's index, its top less
+    its length times its step, and length 0, so an unlabeled class has
+    three runs and a labeled one two.  A plan holds nothing that depends
+    on a point's values."""
     runs = setup.block_plan.rho_runs
     _, _, differences, sums, _ = setup.gk_key
     difference, total = key_readers(setup, pattern)
@@ -213,6 +226,9 @@ def class_plan(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
         labeled = total is not None and total(h, h) is not None
         if labeled:
             parts = [(sums[b][b], 2 * runs[b][0], len(runs[b])) for b, _ in members]
+            if len(parts) == 3:  # X, R, -y read as X, then R and y
+                (i, top, length), _ = parts[1], parts.pop()
+                parts[1] = i, top, length + 1
         elif len(members) == 1:
             m = len(runs[h])
             base -= m * (m - 1) // 2
@@ -231,29 +247,32 @@ def class_plan(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
     return base, tuple(classes)
 
 
-def _gk_from_values(setup: ParabolicSetup, exact: tuple) -> int:
-    """GK dimension of the point whose exact form values over
-    ``setup.gk_key.forms`` are ``exact``: the base of the setup's class plan
-    for the values' None pattern (``class_plan``, kept in
-    ``setup.class_plans``, built on the pattern's first miss) minus the
-    depth sums of its other classes' integer keys, even boxes only for a
-    labeled class, each taken off as its column lengths are read, one
-    branch per class kind: in closed form from the runs' tops for an
-    unlabeled class (``tableaux.three_run_columns``) and a labeled class of
-    two runs (``tableaux.mirrored_run_columns``), by inserting the keys of
-    a labeled class of three runs, then their reversed negation.  The plan
-    holds no point's value; the tops and keys are read off ``exact`` here,
-    a negative signed index negating its value."""
-    pattern = tuple([None if v is None else 0 for v in exact])
-    plans = setup.class_plans
-    plan = plans.get(pattern)
+def plan_of(setup: ParabolicSetup, pattern: tuple) -> ClassPlan:
+    """The setup's class plan for ``pattern``, kept in
+    ``setup.class_plans`` and built by ``class_plan`` on its first use."""
+    plan = setup.class_plans.get(pattern)
     if plan is None:
-        plan = plans[pattern] = class_plan(setup, pattern)
+        plan = setup.class_plans[pattern] = class_plan(setup, pattern)
+    return plan
+
+
+def _gk_from_plan(plan: ClassPlan, exact: tuple) -> int:
+    """GK dimension of the points whose exact form values over the
+    setup's ``gk_key.forms`` are ``exact`` and whose class plan (``plan_of``
+    of the values' None pattern) is ``plan``: the plan's base minus the
+    depth sums of its classes' integer keys, even boxes only for a labeled
+    class, each taken off as its column lengths are read in closed form
+    from the runs' tops, one branch per class kind: three runs of an
+    unlabeled class (``tableaux.three_run_columns``), and two runs of a
+    labeled class, then their reversed negation
+    (``tableaux.mirrored_run_columns``).  The plan holds no point's value;
+    the tops are read off ``exact`` here, a negative signed index negating
+    its value."""
     # signed index i > 0 reads exact[i - 1], -i its negation, 0 a vanishing pair
     values = (0, *exact)
     gk, classes = plan
     # depth sums: c(c - 1)/2 per column; a labeled class counts even boxes
-    # only, rows 1, 3, ... of the first, third, ... column and 2, 4, ... of
+    # only, rows 1, 3, ... of the first and third column and 2, 4, ... of
     # the others, (c + 1)//2 * ((c - 1)//2) and (c//2)**2
     for labeled, runs in classes:
         if not labeled:  # three runs of step 1
@@ -263,22 +282,13 @@ def _gk_from_values(setup: ParabolicSetup, exact: tuple) -> int:
             u += values[k] if k >= 0 else -values[-k]
             c1, c2, c3 = three_run_columns(s, p, t, q, u, r)
             gk -= (c1 * (c1 - 1) + c2 * (c2 - 1) + c3 * (c3 - 1)) // 2
-        elif len(runs) == 2:  # two runs of step 2, then their reversed negation
+        else:  # two runs of step 2, then their reversed negation
             (i, s, p), (j, t, q) = runs
             s += values[i] if i >= 0 else -values[-i]
             t += values[j] if j >= 0 else -values[-j]
             c1, c2, c3, c4 = mirrored_run_columns(s, p, t, q)
             gk -= (c1 + 1) // 2 * ((c1 - 1) // 2) + (c2 // 2) ** 2
             gk -= (c3 + 1) // 2 * ((c3 - 1) // 2) + (c4 // 2) ** 2
-        else:  # a labeled class of three blocks: its keys, inserted
-            keys = []
-            for i, top, length in runs:
-                b = values[i] if i >= 0 else -values[-i]
-                keys += range(b + top, b + top - 2 * length, -2)
-            keys += [-k for k in reversed(keys)]
-            for k, column in enumerate(insertion_columns(keys)):
-                c = len(column)
-                gk -= (c // 2) ** 2 if k % 2 else (c + 1) // 2 * ((c - 1) // 2)
     return gk
 
 
@@ -302,8 +312,10 @@ def integrality_classes(entries, lie: LieType) -> ClassDecomposition:
 
 def gk_dimension(setup: ParabolicSetup, z1, z2) -> int:
     """GK dimension at the scalar highest weight z1*xi_p + z2*xi_q: the
-    one-point call, ``_gk_from_values`` of the point's exact
-    ``exact.form_values`` over ``setup.gk_key.forms``, with no memo."""
+    one-point call, ``_gk_from_plan`` of the point's exact
+    ``exact.form_values`` over ``setup.gk_key.forms`` and the plan of their
+    None pattern (``plan_of``), with no memo."""
     z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
     z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
-    return _gk_from_values(setup, form_values(setup.gk_key.forms, z1, z2))
+    exact = form_values(setup.gk_key.forms, z1, z2)
+    return _gk_from_plan(plan_of(setup, tuple([None if v is None else 0 for v in exact])), exact)

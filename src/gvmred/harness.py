@@ -11,27 +11,30 @@ point's exact form values over a set of forms.  The grid keeps, for
 every setup swept over it, each built on first use: the exact form
 values per form (``ParameterGrid.form_column``), the cells per form set
 (``ParameterGrid.form_cells``, numbered in order of first occurrence; the
-setups of one type-A rank share one) and the points transposed
-(``ParameterGrid.point_columns``).  The cells are about a sixth of the
-points on the standard grids of type A up to rank 5, and a quarter in
-type D up to rank 6.
+setups of one type-A rank share one), the cells' None patterns per form
+set (``ParameterGrid.form_patterns``, numbered the same way) and the
+points transposed (``ParameterGrid.point_columns``).  The cells are about
+a sixth of the points on the standard grids of type A up to rank 5, and a
+quarter in type D up to rank 6.
 
 ``sweep`` clamps each cell's exact values at the setup's windows into its
 memo key, and fills its one memo, from clamped key to ``Verdict``, in one
 pass over the cells.  A cell whose key is new is a miss: it reads the GK
-dimension off the cell's exact values (``gk._gk_from_values``) and the
-criterion off the key (``verdict.on_half_line``; the windows are wide
-enough for the half-lines' bounds), and shares one ``Verdict`` with every
-miss of equal GK dimension and criterion.  So the criterion reads the
-oracle's integrality decision, z1, z2 and z1 + z2 being the values of
-three of its forms.  A raising miss costs every point of its cell and is
-not memoised, so the next cell with the same key misses again; a raising
-column pass costs every point.  Every point's row is built from its
-cell's outcome in one ``map`` over the points' cells; only when some cell
-failed are those points' rows dropped and the points listed in the
-errors, in grid order.  No GK value or verdict is cached on the grid, and
-the memo lives for one sweep.  The one-point route, ``verdict.evaluate``,
-serves ``gvmred reduce``.
+dimension off the class plan of the cell's None pattern, looked up once
+per pattern and sweep (``gk.plan_of``), and the cell's exact values
+(``gk._gk_from_plan``), and the criterion off the key
+(``verdict.on_half_line``; the windows are wide enough for the
+half-lines' bounds), and shares one ``Verdict`` with every miss of equal
+GK dimension and criterion.  So the criterion reads the oracle's
+integrality decision, z1, z2 and z1 + z2 being the values of three of its
+forms.  A raising miss, plan lookup included, costs every point of its
+cell and is not memoised, so the next cell with the same key misses
+again; a raising column pass costs every point.  Every point's row is
+built from its cell's outcome in one ``map`` over the points' cells; only
+when some cell failed are those points' rows dropped and the points
+listed in the errors, in grid order.  No GK value or verdict is cached
+on the grid, and the memo lives for one sweep.  The one-point route,
+``verdict.evaluate``, serves ``gvmred reduce``.
 
 Output spells each layout once.  ``ROW_FIELDS`` is the one row layout,
 for the CSV header, the JSON records and the CLI's ``key=value`` lines.
@@ -48,6 +51,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, repeat
 from math import gcd
+from operator import is_
 from typing import NamedTuple
 
 from . import gk, verdict
@@ -68,6 +72,8 @@ Point = tuple[ExactScalar, ExactScalar]
 Axis = tuple[ExactScalar, ...]
 # (the cell index of every point, the exact form values of every cell)
 FormCells = tuple[tuple[int, ...], tuple[tuple["int | None", ...], ...]]
+# (the pattern index of every cell, the None pattern of every pattern index)
+FormPatterns = tuple[tuple[int, ...], tuple[tuple["int | None", ...], ...]]
 
 EXTRA_RATIONALS = (Fraction(1, 3),)
 # Largest grid a spec may describe: about 100 times the standard grid of
@@ -172,6 +178,24 @@ class ParameterGrid(FrozenRecord):
             cells = self._cells[forms] = (index, tuple(numbering))
         return cells
 
+    def form_patterns(self, forms: tuple[tuple[int, int], ...]) -> FormPatterns:
+        """(pattern of every cell, None pattern of every pattern) over
+        ``forms``: a cell's None pattern is its exact ``form_cells`` values
+        with every int made 0, and patterns are numbered in order of first
+        occurrence.  Built on the first call per ``forms`` and kept next to
+        the cells; it holds exact information only."""
+        patterns = self._patterns.get(forms)
+        if patterns is None:
+            _, exact = self.form_cells(forms)
+            # per cell, which of its values are None
+            nones = list(zip(*[map(is_, column, repeat(None)) for column in zip(*exact)]))
+            numbering = dict(zip(dict.fromkeys(nones), count()))
+            patterns = self._patterns[forms] = (
+                tuple(map(numbering.__getitem__, nones)),
+                tuple(tuple([None if none else 0 for none in flags]) for flags in numbering),
+            )
+        return patterns
+
     @cached_property
     def _decoded(self) -> tuple[DecodedPoint, ...]:
         return tuple([decode_point(z1, z2) for z1, z2 in self._points])
@@ -182,6 +206,10 @@ class ParameterGrid(FrozenRecord):
 
     @cached_property
     def _cells(self) -> dict[tuple[tuple[int, int], ...], FormCells]:
+        return {}
+
+    @cached_property
+    def _patterns(self) -> dict[tuple[tuple[int, int], ...], FormPatterns]:
         return {}
 
 
@@ -246,16 +274,20 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     """Evaluate oracle and criterion at every grid point, in grid order.
 
     The column passes come first: the grid's cells for the setup's forms
-    (``ParameterGrid.form_cells``) and each cell's exact values clamped at
-    the windows into its memo key.  Then one pass over the cells fills the
-    memo, from clamped key to ``Verdict``, which lives for this one sweep:
-    a cell whose key is new calls ``gk._gk_from_values`` on its exact
-    values and ``verdict.on_half_line`` on its key, and takes the
-    ``Verdict`` shared by every miss with its GK dimension and criterion.
-    Each cell gets one outcome: its ``Verdict``, or None, with the repr of
-    what raised in ``failed``.  A miss that raises is not memoised: every
-    point of its cell is recorded in ``errors``, and the next cell with the
-    same key misses again.  A column pass that raises fails every point
+    (``ParameterGrid.form_cells``), their None patterns
+    (``ParameterGrid.form_patterns``) and each cell's exact values clamped
+    at the windows into its memo key.  Then one pass over the cells fills
+    the memo, from clamped key to ``Verdict``, which lives for this one
+    sweep: a cell whose key is new takes its pattern's class plan, looked
+    up by ``gk.plan_of`` on the pattern's first miss, calls
+    ``gk._gk_from_plan`` on it and the cell's exact values and
+    ``verdict.on_half_line`` on its key, and takes the ``Verdict`` shared
+    by every miss with its GK dimension and criterion.  Each cell gets one
+    outcome: its ``Verdict``, or None, with the repr of what raised in
+    ``failed``.  A miss that raises, in the plan lookup too, is not
+    memoised: every point of its cell is recorded in ``errors``, and the
+    next cell with the same key misses again, looking its plan up again if
+    the lookup raised.  A column pass that raises fails every point
     with its repr.  Every point's row is built from its cell's outcome in
     one ``map``; only when some cell failed does a second pass drop those
     points' rows and list them in ``errors``, in grid order.
@@ -264,19 +296,24 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
         forms, windows, _, _, _ = setup.gk_key
         du = setup.dim_u
         cells, exact = grid.form_cells(forms)
+        numbers, patterns = grid.form_patterns(forms)
         keys = list(zip(*map(saturate, zip(*exact), windows)))
     except Exception as exc:  # collected, not fatal
         cells, outcomes, failed = (0,) * len(grid), [None], {0: repr(exc)}
     else:
         memo: dict = {}  # clamped form values -> Verdict
         shared: dict = {}  # (GK dimension, criterion) -> the Verdict of every such miss
+        plans = [None] * len(patterns)  # per pattern: the setup's class plan, once looked up
         failed = {}  # cell -> the repr of what its miss raised
         outcomes = []  # per cell: its Verdict, or None when its miss raised
-        for key, values in zip(keys, exact):
+        for key, values, number in zip(keys, exact, numbers):
             outcome = memo.get(key)
             if outcome is None:
                 try:
-                    dim = gk._gk_from_values(setup, values)
+                    plan = plans[number]
+                    if plan is None:
+                        plan = plans[number] = gk.plan_of(setup, patterns[number])
+                    dim = gk._gk_from_plan(plan, values)
                     crit = verdict.on_half_line(setup, key)
                 except Exception as exc:  # collected, not fatal
                     failed[len(outcomes)] = repr(exc)

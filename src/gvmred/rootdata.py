@@ -262,7 +262,7 @@ class ParabolicSetup(FrozenRecord):
     def class_plans(self) -> dict:
         """The GK oracle's class plans by None pattern of the form values
         over ``gk_key.forms``, one entry per pattern met, each built by
-        ``gk.class_plan`` on the first memo miss with that pattern.  A
+        ``gk.class_plan`` on the pattern's first use (``gk.plan_of``).  A
         plan holds the constant classes' deficit and the other classes'
         parts, nothing that depends on a point's values."""
         return {}

@@ -15,12 +15,12 @@ strictly decreasing subsequences, and the last of m columns counts the
 most disjoint weakly increasing subsequences taking a key of each run.
 So ``three_run_columns`` gives the columns of three runs of step 1, and
 ``mirrored_run_columns`` those of two runs of step 2 followed by their
-reversed negation, the doubled keys of a labeled type D class of one or
-two blocks; either takes a last run of length 0 just below the run
-before it, so it also covers one run fewer.  The oracle inserts only the
-keys of a labeled class of three blocks.  ``key_columns`` reads the
-column lengths off the insertion, for any keys, and is the tests'
-reference for the closed forms.  ``rs_shape`` and ``rs_tableau`` insert the
+reversed negation, the doubled keys of a labeled type D class, read as
+two runs (``gk.class_plan``); either takes a last run of length 0 just
+below the run before it, so it also covers one run fewer.  The oracle
+inserts no keys.  ``key_columns`` reads the column lengths off the
+insertion, for any keys, and is the tests' reference for the closed
+forms.  ``rs_shape`` and ``rs_tableau`` insert the
 integer ranks of the rational parts of ExactScalars sharing one symbol
 part; the full tableau is kept for the CLI's debug rendering.
 """

@@ -1,0 +1,174 @@
+"""Compare two source trees of gvmred: `gvmred verify` walls and GK miss cost.
+
+For each family (``--family A:14 --family D:43``, the default), prints one
+JSON object with:
+
+* ``gvmred_verify_walls``: the wall time of ``python -m gvmred verify``,
+  interpreter start included, in fresh processes, ``--pairs`` pairs per
+  family alternating which tree runs first, with each tree's stdout line
+  and its SHA-256;
+* ``per_miss``: every GK memo miss of one ``verify_family`` run recorded,
+  then all of them timed again, best of ``--repeat`` loops, in µs per miss,
+  split by class kind: the misses whose block split has a labeled class
+  of three blocks (so(2n) (1, n - 1)'s six-run class) apart from all
+  others.
+
+The two trees are ``--src PARENT --src CHANGE``, each a ``src`` directory
+put on ``PYTHONPATH``; a tree whose miss entry point is
+``gk._gk_from_values(setup, exact)`` (before the class plan was looked up
+per cell pattern) is timed through that, a newer one through
+``gk._gk_from_plan(plan, exact)``.  Stdlib only; pytest does not collect
+it (no ``test_`` prefix).  Run it as
+
+    python tests/measure.py --src ../parent/src --src src --pairs 5
+"""
+
+from __future__ import annotations
+
+import argparse
+import hashlib
+import json
+import os
+import subprocess
+import sys
+import time
+
+SIDES = ("parent", "change")
+
+# Run in a fresh process with one tree on PYTHONPATH; argv: kind, n_max, repeat.
+MISSES = r"""
+import json, sys, time
+from gvmred import gk, harness, verify_family
+
+kind, n_max, repeat = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
+name = "_gk_from_plan" if hasattr(gk, "_gk_from_plan") else "_gk_from_values"
+miss, sweep = getattr(gk, name), harness.sweep
+misses, current = [], []
+
+def recorded_sweep(setup, grid):
+    current[:] = [setup]
+    return sweep(setup, grid)
+
+def recorded(*args):
+    misses.append((current[0], args))
+    return miss(*args)
+
+setattr(gk, name, recorded)
+harness.sweep = recorded_sweep
+try:
+    ok = verify_family(kind, n_max).ok
+finally:
+    setattr(gk, name, miss)
+    harness.sweep = sweep
+
+def six_run(setup, exact):
+    pattern = tuple(None if v is None else 0 for v in exact)
+    difference, total = gk.key_readers(setup, pattern)
+    split = gk.split_classes(len(setup.block_plan.rho_runs), difference, total)
+    return total is not None and any(
+        len(members) == 3 and total(members[0][0], members[0][0]) is not None
+        for members in split
+    )
+
+groups = {"labeled class of three blocks": [], "other": []}
+for setup, args in misses:
+    six = six_run(setup, args[-1])
+    groups["labeled class of three blocks" if six else "other"].append(args)
+result = {"entry": "gk." + name, "verify_ok": ok, "misses": len(misses)}
+for label, group in groups.items():
+    best = None
+    for _ in range(repeat):
+        start = time.perf_counter()
+        for args in group:
+            miss(*args)
+        elapsed = time.perf_counter() - start
+        best = elapsed if best is None or elapsed < best else best
+    result[label] = {
+        "misses": len(group),
+        "us": round(best / len(group) * 1e6, 3) if group else None,
+    }
+print(json.dumps(result))
+"""
+
+
+def _env(src: str) -> dict:
+    return {**os.environ, "PYTHONPATH": os.path.abspath(src)}
+
+
+def verify_wall(src: str, kind: str, n_max: int) -> tuple[float, str]:
+    """Wall seconds and stdout of one fresh ``gvmred verify`` process."""
+    argv = [sys.executable, "-m", "gvmred", "verify", "--type", kind, "--max-n", str(n_max)]
+    start = time.perf_counter()
+    done = subprocess.run(argv, env=_env(src), capture_output=True, text=True)
+    elapsed = time.perf_counter() - start
+    if done.returncode:
+        raise SystemExit(f"error: {' '.join(argv)} with {src} exited {done.returncode}")
+    return elapsed, done.stdout
+
+
+def per_miss(src: str, kind: str, n_max: int, repeat: int) -> dict:
+    argv = [sys.executable, "-c", MISSES, kind, str(n_max), str(repeat)]
+    done = subprocess.run(argv, env=_env(src), capture_output=True, text=True)
+    if done.returncode:
+        raise SystemExit(f"error: timing misses with {src}: {done.stderr.strip()}")
+    return json.loads(done.stdout)
+
+
+def family(text: str) -> tuple[str, int]:
+    kind, _, n = text.partition(":")
+    if kind not in ("A", "D") or not n.isdigit():
+        raise argparse.ArgumentTypeError(f"expected A:N or D:N, got {text!r}")
+    return kind, int(n)
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
+    parser.add_argument("--src", action="append", required=True, help="a src tree; give two")
+    parser.add_argument("--family", action="append", type=family, help="K:N, e.g. D:43")
+    parser.add_argument("--pairs", type=int, default=5, help="alternating wall pairs")
+    parser.add_argument("--repeat", type=int, default=5, help="timing loops per miss kind")
+    args = parser.parse_args(argv)
+    if len(args.src) != 2 or args.pairs < 1 or args.repeat < 1:
+        parser.error("give --src twice, and --pairs and --repeat of at least 1")
+    families = args.family or [("A", 14), ("D", 43)]
+    sources = dict(zip(SIDES, args.src))
+    walls, misses = {}, {}
+    for kind, n_max in families:
+        name = f"{kind}<={n_max}"
+        times = {side: [] for side in SIDES}
+        stdout = {}
+        for pair in range(args.pairs):
+            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                elapsed, out = verify_wall(sources[side], kind, n_max)
+                times[side].append(round(elapsed, 3))
+                stdout.setdefault(side, out)
+        walls[name] = {
+            **{f"{side}_s": times[side] for side in SIDES},
+            "stdout": {side: out.strip() for side, out in stdout.items()},
+            "stdout_sha256": {
+                side: hashlib.sha256(out.encode()).hexdigest() for side, out in stdout.items()
+            },
+        }
+        misses[name] = {side: per_miss(sources[side], kind, n_max, args.repeat) for side in SIDES}
+    how = {
+        "walls": "python -m gvmred verify --type K --max-n N, fresh processes, wall time "
+        "including interpreter start, pairs alternating which tree runs first",
+        "per_miss": "every GK miss of one verify_family run recorded, then all timed again, "
+        "best of the repeat loops, us per miss, by whether the miss's block split has a "
+        "labeled class of three blocks",
+    }
+    result = {
+        "sources": sources,
+        "python": sys.version.split()[0],
+        "pairs": args.pairs,
+        "repeat": args.repeat,
+        "how": how,
+        "gvmred_verify_walls": walls,
+        "per_miss": misses,
+    }
+    print(json.dumps(result, indent=2))
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

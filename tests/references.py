@@ -12,14 +12,23 @@ weight's insertion tableau; ``even_odd_counts`` splits a shape's boxes
 by parity, for the type D shape checks; ``columns_depth_sum`` and
 ``columns_even_depth_sum`` are the depth sums a GK miss takes column by
 column (``gk._gk_from_values``), from a tuple of column lengths;
+``decoded_by_fractions`` decodes a point with ``Fraction`` arithmetic on
+the symbol coefficients, the reference for ``exact.decode_point``;
 ``plan_parts`` expands a class plan's runs back to rho terms, a labeled
-class's reversed negation included.
+class's reversed negation included, and ``reader_classes`` lists a
+point's classes with their key bases and rho terms from the block split; ``six_run_keys`` are the 2n keys of
+so(2n) (1, n - 1)'s labeled class of three blocks, and ``six_run_cases``
+the (X, y) over which the spin-swap reading of that class is checked.
 """
 
 from __future__ import annotations
 
+from fractions import Fraction
+from math import gcd
+
 from gvmred import IndexOutOfRange, conjugate, rs_shape
 from gvmred.exact import integer_difference, integer_sum
+from gvmred.gk import _folded, key_readers, split_classes
 from gvmred.verdict import _coerce
 
 from dense_gk import NonIntegralWeight, minus_double  # noqa: F401
@@ -122,3 +131,66 @@ def plan_parts(labeled: bool, runs) -> list:
     if labeled:
         parts += [(-i, tuple(-t for t in reversed(terms))) for i, terms in reversed(parts)]
     return parts
+
+
+def six_run_keys(X: int, y: int, n: int) -> list[int]:
+    """The keys of so(2n) (1, n - 1)'s labeled class of three blocks, from
+    its blocks: X, then R = y + 2(n - 2), ..., y + 2, then -y, then all of
+    them negated in reverse order."""
+    half = [X, *range(y + 2 * (n - 2), y, -2), -y]
+    return half + [-k for k in reversed(half)]
+
+
+def six_run_cases(n: int):
+    """Every (X, y) of one parity with y in [-2n - 1, 3] and |X| <= |y| + 2n.
+
+    The keys compare y against the thresholds -(2n - 4), ..., 0 and X
+    against 0 and +-(y + 2k) for k = 0, ..., n - 2, so these windows reach
+    one past every threshold, for both parities, and every relative order
+    of the keys, ties included, is met."""
+    for y in range(-2 * n - 1, 4):
+        bound = abs(y) + 2 * n
+        for X in range(-bound + (bound + y) % 2, bound + 1, 2):
+            yield X, y
+
+
+def decoded_by_fractions(z1, z2):
+    """``exact.decode_point`` by ``Fraction`` arithmetic: the rational parts
+    over one denominator, and the symbol kernel (t2, -t1), or (s2, -s1)
+    without tau, over its denominators; None when the 2x2 determinant of
+    the coefficients does not vanish."""
+    t1, s1, t2, s2 = (Fraction(c) for c in (z1.tau, z1.sigma, z2.tau, z2.sigma))
+    if t1 * s2 != t2 * s1:
+        return None
+    d = z1.den * z2.den // gcd(z1.den, z2.den)
+    u, v = (t2, -t1) if t1 or t2 else (s2, -s1)
+    return (
+        z1.num * (d // z1.den),
+        z2.num * (d // z2.den),
+        2 * d,
+        u.numerator * v.denominator,
+        v.numerator * u.denominator,
+    )
+
+
+def reader_classes(setup, exact):
+    """Per class of the point with exact form values ``exact``: its labeled
+    flag and, per member block in key order, the integer key base and the
+    rho terms added to it, from ``split_classes`` and ``_folded`` on
+    readers of the values themselves."""
+    runs = setup.block_plan.rho_runs
+    difference, total = key_readers(setup, exact)
+    classes = []
+    for members in split_classes(len(runs), difference, total):
+        h = members[0][0]
+        if total is not None and total(h, h) is not None:
+            parts = [(total(b, b), tuple(2 * r for r in runs[b])) for b, _ in members]
+            classes.append((True, parts))
+            continue
+        parts = [
+            (-total(b, h), tuple(-r for r in reversed(runs[b]))) if flipped
+            else (difference(b, h), runs[b])
+            for b, flipped in (members if total is None else _folded(members))
+        ]
+        classes.append((False, parts))
+    return classes

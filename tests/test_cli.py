@@ -403,15 +403,15 @@ def test_sweep_and_diagram_exit_1_when_points_raise(capsys, monkeypatch):
         """The exact form values clamp to the target key."""
         return tuple(saturate((v,), w)[0] for v, w in zip(exact, windows)) == target
 
-    gk_from_values = gk_mod._gk_from_values
+    gk_from_plan = gk_mod._gk_from_plan
 
-    def broken_at_target(setup, exact):
+    def broken_at_target(plan, exact):
         if hits(exact):
             raise RuntimeError("miss failed")
-        return gk_from_values(setup, exact)
+        return gk_from_plan(plan, exact)
 
     # a raising miss is not memoised, so every point of the key raises
-    monkeypatch.setattr(gk_mod, "_gk_from_values", broken_at_target)
+    monkeypatch.setattr(gk_mod, "_gk_from_plan", broken_at_target)
     setup_flags = _REDUCE[1:]
     grid = standard_grid(setup)
     raising = [(z1, z2) for z1, z2 in grid.points() if hits(form_values(forms, z1, z2))]
@@ -647,12 +647,12 @@ def test_out_file_is_replaced_only_once_the_output_exists(tmp_path, capsys, monk
     longer = good + b"<!-- kept -->\n" * 100
     out.write_bytes(longer)
 
-    def broken(setup, exact):
+    def broken(plan, exact):
         raise RuntimeError("miss failed")
 
     new = tmp_path / "new.svg"
     with monkeypatch.context() as patch:
-        patch.setattr(gk_mod, "_gk_from_values", broken)
+        patch.setattr(gk_mod, "_gk_from_plan", broken)
         assert main(["diagram", *setup, "--out", str(out)]) == 1
         assert main(["diagram", *setup, "--out", str(new)]) == 1
     assert out.read_bytes() == longer

@@ -9,9 +9,11 @@ from gvmred import (
     sum_is_integer,
     symbol,
 )
-from gvmred.exact import form_values, scalars_equal
+from gvmred.exact import decode_point, form_values, scalars_equal
+from gvmred.harness import _standard_spec, grid_from_spec
 
 from conftest import SIGMA, TAU, saturated_form_values, sc, scalar_pairs
+from references import decoded_by_fractions
 
 
 # a small pool of symbol parts so random scalars actually collide; some
@@ -159,6 +161,24 @@ def test_decoded_fields_match_canonical_form(pair):
             assert dict(a.generic).get(name, 0) == coeff
         assert a.is_rational == (a.tau == a.sigma == 0)
         assert ((-a).tau, (-a).sigma) == (-a.tau, -a.sigma)
+
+
+def test_decoded_points_match_fraction_arithmetic_on_the_verify_grids():
+    """At every point of the rank-14 A and rank-43 D standard grids, which
+    hold every verify grid's points, ``decode_point`` is the ``Fraction``
+    arithmetic reference."""
+    points = [pt for n in (14, 43) for pt in grid_from_spec(_standard_spec(n)).points()]
+    assert len(points) > 20000
+    for z1, z2 in points:
+        assert decode_point(z1, z2) == decoded_by_fractions(z1, z2), (z1, z2)
+
+
+@given(scalar_pairs())
+@example((TAU + 2 * SIGMA, -2 * TAU - 4 * SIGMA))
+@example((TAU + SIGMA, SIGMA))
+@example((SIGMA * Fraction(2, 3), -SIGMA))
+def test_decoded_points_match_fraction_arithmetic(pair):
+    assert decode_point(*pair) == decoded_by_fractions(*pair)
 
 
 forms = st.lists(st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any), max_size=6)

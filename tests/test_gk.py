@@ -6,6 +6,7 @@ from hypothesis import example, given, settings, strategies as st
 
 import dense_gk
 import gvmred.gk as gk_module
+import gvmred.tableaux as tableaux_module
 import gvmred.verdict as verdict_module
 from gvmred import (
     ExactScalar,
@@ -20,12 +21,18 @@ from gvmred import (
 )
 from gvmred.exact import form_values
 from gvmred.gk import _folded, entry_readers, key_readers, split_classes
-from gvmred.tableaux import key_columns
+from gvmred.tableaux import key_columns, mirrored_run_columns
 
 import conftest
 from conftest import SIGMA, TAU, saturated_form_values, sc, seq
 from dense_gk import NonIntegralWeight, gk_dimension_integral
-from references import columns_depth_sum, columns_even_depth_sum, plan_parts
+from references import (
+    columns_depth_sum,
+    columns_even_depth_sum,
+    plan_parts,
+    six_run_cases,
+    six_run_keys,
+)
 
 A = lambda n: LieType("A", n)
 D = lambda n: LieType("D", n)
@@ -198,27 +205,25 @@ def test_a_miss_takes_each_class_depth_sum_off_the_base():
     GK dimension is the plan's base less the depth sums of each class's
     expanded keys, even boxes only in a labeled class."""
     rng = random.Random(2027)
-    setup = ParabolicSetup(D(6), 1, 5)
-    count = len(setup.gk_key.forms)
-    kinds = [(False, 2), (False, 3), (True, 1), (True, 2), (True, 3)]
+    count = len(ParabolicSetup(D(6), 1, 5).gk_key.forms)
+    kinds = [(False, 2), (False, 3), (True, 1), (True, 2)]
     for _ in range(300):
         exact = tuple(rng.randint(-9, 9) for _ in range(count))
         values = (0, *exact, *[-v for v in reversed(exact)])
         classes = tuple(_synthetic_class(rng, kind, values, count) for kind in rng.sample(kinds, 3))
-        setup.class_plans[(0,) * count] = (30, classes)
         expected = 30
         for labeled, runs in classes:
             keys = [values[i] + t for i, terms in plan_parts(labeled, runs) for t in terms]
             columns = key_columns(keys)
             expected -= columns_even_depth_sum(columns) if labeled else columns_depth_sum(columns)
-        assert gk_module._gk_from_values(setup, exact) == expected, classes
+        assert gk_module._gk_from_plan((30, classes), exact) == expected, classes
 
 
 def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
     """Shapes are computed once per form-value key of a sweep, and a
     second sweep of the same setup computes them all again: a miss computes
-    the columns of an unlabeled class and of a labeled class of two runs in
-    closed form and inserts the keys of every other class."""
+    the columns of every class in closed form, an unlabeled class's and a
+    labeled class's."""
     calls = []
 
     def counted(shape):
@@ -228,11 +233,7 @@ def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
 
         return count
 
-    for name in (
-        "three_run_columns",
-        "mirrored_run_columns",
-        "insertion_columns",
-    ):
+    for name in ("three_run_columns", "mirrored_run_columns"):
         monkeypatch.setattr(gk_module, name, counted(getattr(gk_module, name)))
     for setup in (ParabolicSetup(A(6), 2, 4), ParabolicSetup(D(6), 1, 5)):
         grid = standard_grid(setup)
@@ -244,32 +245,57 @@ def test_each_sweep_starts_with_an_empty_memo(monkeypatch):
         assert 0 < counts[0] == counts[1] < len(grid) / 2
 
 
-def test_only_labeled_three_block_classes_are_inserted(monkeypatch):
-    """Over the A<=5 and D<=6 families, the verify workloads' setups, a
-    miss inserts no keys in type A and, in type D, only those of a labeled
-    class of three blocks: all 2n doubled keys, the keys then their
-    reversed negation.  Every other class is read in closed form."""
-    inserted = []
-    insertion = gk_module.insertion_columns
+def test_no_sweep_miss_inserts_keys(monkeypatch):
+    """Over the A<=5 and D<=6 families, the verify workloads' setups, no
+    miss inserts keys: with the insertion loop raising, every sweep is
+    clean.  The so(2n) (1, n - 1) setups meet their labeled class of three
+    blocks, which a miss reads as two runs, X then R and y."""
+    assert not hasattr(gk_module, "insertion_columns")
 
-    def recorded(keys):
-        inserted.append(list(keys))
-        return insertion(keys)
+    def raising(keys):
+        raise AssertionError("a miss inserted keys")
 
-    monkeypatch.setattr(gk_module, "insertion_columns", recorded)
-    total = 0
+    monkeypatch.setattr(tableaux_module, "insertion_columns", raising)
+    rewritten = 0
     for kind, n_max in (("A", 5), ("D", 6)):
         for setup in family_setups(kind, n_max):
-            inserted.clear()
-            report = sweep(ParabolicSetup(setup.lie, setup.p, setup.q), standard_grid(setup))
-            assert not report.errors
-            if kind == "A":
-                assert inserted == [], setup
-            for keys in inserted:
-                assert len(keys) == 2 * setup.lie.n, setup
-                assert keys == [-k for k in reversed(keys)], setup
-            total += len(inserted)
-    assert total
+            setup = ParabolicSetup(setup.lie, setup.p, setup.q)  # no plan kept yet
+            report = sweep(setup, standard_grid(setup))
+            assert not report.errors and report.rows, setup
+            if (setup.p, setup.q) == (1, setup.n - 1) and kind == "D":
+                rewritten += sum(
+                    1
+                    for _, classes in setup.class_plans.values()
+                    for labeled, runs in classes
+                    if labeled and runs[1][2] == setup.n - 1  # R and y
+                )
+    assert rewritten
+
+
+def test_the_six_run_class_reads_as_the_spin_swapped_class():
+    """so(2n) (1, n - 1) for n = 4 to 20: the plan of the all-integral
+    pattern reads its labeled class of three blocks as two runs, X and
+    R followed by y, and for every X and y of one parity across windows past
+    every threshold the class's own 2n keys, X, R, -y then their reversed
+    negation, have the even-box depth sum of those two runs' closed form
+    (``mirrored_run_columns``), though the shapes differ in some cases."""
+    cases = differing = 0
+    for n in range(4, 21):
+        setup = ParabolicSetup(D(n), 1, n - 1)
+        forms = setup.gk_key.forms
+        _, classes = gk_module.class_plan(setup, (0,) * len(forms))
+        (labeled, runs), = [c for c in classes if c[0]]
+        # X = (4, 2)'s value + 2(n - 1) and y = (0, 2)'s, that is 2*z1 + z2 and z2
+        i, j = forms.index((4, 2)) + 1, forms.index((0, 2)) + 1
+        assert runs == ((i, 2 * n - 2, 1), (j, 2 * n - 4, n - 1)), n
+        for X, y in six_run_cases(n):
+            keys = six_run_keys(X, y, n)
+            own = key_columns(keys)
+            closed = tuple(c for c in mirrored_run_columns(X, 1, y + 2 * (n - 2), n - 1) if c)
+            assert columns_even_depth_sum(own) == columns_even_depth_sum(closed), (n, X, y)
+            cases += 1
+            differing += own != closed
+    assert cases > 20000 and differing
 
 
 def test_repeated_keys_skip_the_miss_path(monkeypatch):
@@ -277,18 +303,18 @@ def test_repeated_keys_skip_the_miss_path(monkeypatch):
     test run once per distinct saturated form-value key, of which there are
     fewer than exact ones, and the half-line test reads each such key."""
     half_lines, misses = [], []
-    half_line, gk_from_values = verdict_module.on_half_line, gk_module._gk_from_values
+    half_line, gk_from_plan = verdict_module.on_half_line, gk_module._gk_from_plan
 
     def counted_half_line(setup, key):
         half_lines.append(key)
         return half_line(setup, key)
 
-    def counted_miss(setup, exact):
+    def counted_miss(plan, exact):
         misses.append(exact)
-        return gk_from_values(setup, exact)
+        return gk_from_plan(plan, exact)
 
     monkeypatch.setattr(verdict_module, "on_half_line", counted_half_line)
-    monkeypatch.setattr(gk_module, "_gk_from_values", counted_miss)
+    monkeypatch.setattr(gk_module, "_gk_from_plan", counted_miss)
     for setup in (ParabolicSetup(A(6), 2, 4), ParabolicSetup(D(6), 1, 5)):
         grid = standard_grid(setup)
         forms, windows, _, _, _ = setup.gk_key
@@ -480,7 +506,8 @@ def test_planned_misses_match_dense_route(setup, pairs):
     for z1, z2 in pairs:
         exact = form_values(forms, z1, z2)
         expected = dense_gk.gk_dimension(setup, z1, z2)
-        assert gk_module._gk_from_values(setup, exact) == expected, (setup, z1, z2)
+        plan = gk_module.plan_of(setup, tuple(None if v is None else 0 for v in exact))
+        assert gk_module._gk_from_plan(plan, exact) == expected, (setup, z1, z2)
     assert 0 < len(setup.class_plans) <= len(pairs)
 
 

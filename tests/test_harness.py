@@ -26,7 +26,7 @@ from gvmred import (
     verify_family,
 )
 from gvmred.exact import decode_point, form_values, saturate
-from gvmred.gk import _folded, key_readers, split_classes
+from gvmred.gk import key_readers, split_classes
 from gvmred.harness import (
     FAMILY_MIN_N,
     MAX_FAMILY_POINTS,
@@ -39,7 +39,7 @@ from gvmred.harness import (
 from gvmred.verdict import Verdict, evaluate
 
 from conftest import SIGMA, TAU, saturated_form_values, sc, scalar_pairs
-from references import criterion_values, plan_parts
+from references import criterion_values, plan_parts, reader_classes
 
 FORM_LISTS = st.lists(
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any), min_size=1, max_size=6
@@ -241,25 +241,25 @@ def test_the_setups_of_a_type_a_rank_build_the_cells_once(monkeypatch):
 def _record_sweep_inputs(monkeypatch) -> tuple[list, list, list]:
     """From now on, the clamped form columns ``sweep`` builds, one value per
     cell of ``ParameterGrid.form_cells``, the exact form values each of its
-    memo misses hands to ``_gk_from_values`` and the memo key each hands to
+    memo misses hands to ``_gk_from_plan`` and the memo key each hands to
     ``on_half_line``, in grid order."""
     clamped, misses, half_line_keys = [], [], []
-    gk_from_values, half_line = gk_module._gk_from_values, verdict_mod.on_half_line
+    gk_from_plan, half_line = gk_module._gk_from_plan, verdict_mod.on_half_line
 
     def recording_saturate(column, window):
         clamped.append(saturate(column, window))
         return clamped[-1]
 
-    def recording_miss(setup, exact):
+    def recording_miss(plan, exact):
         misses.append(exact)
-        return gk_from_values(setup, exact)
+        return gk_from_plan(plan, exact)
 
     def recording_half_line(setup, key):
         half_line_keys.append(key)
         return half_line(setup, key)
 
     monkeypatch.setattr(harness_mod, "saturate", recording_saturate)
-    monkeypatch.setattr(gk_module, "_gk_from_values", recording_miss)
+    monkeypatch.setattr(gk_module, "_gk_from_plan", recording_miss)
     monkeypatch.setattr(verdict_mod, "on_half_line", recording_half_line)
     return clamped, misses, half_line_keys
 
@@ -276,7 +276,7 @@ def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setu
     """On every point of the standard grids and of a custom grid, the memo
     key a sweep reads off the clamped values of the point's cell is
     ``form_values`` of the point saturated at the setup's windows; and its
-    misses, one at the first point of each key, hand ``_gk_from_values``
+    misses, one at the first point of each key, hand ``_gk_from_plan``
     the exact ``form_values`` of that point and ``on_half_line`` the key."""
     clamped, misses, half_line_keys = _record_sweep_inputs(monkeypatch)
     checked = 0
@@ -387,29 +387,6 @@ def test_sweep_rows_are_the_one_point_verdicts(setups):
     assert checked > 25000
 
 
-def _reader_classes(setup, exact):
-    """Per class of the point with exact form values ``exact``: its labeled
-    flag and, per member block in key order, the integer key base and the
-    rho terms added to it, from ``split_classes`` and ``_folded`` on
-    readers of the values themselves."""
-    runs = setup.block_plan.rho_runs
-    difference, total = key_readers(setup, exact)
-    classes = []
-    for members in split_classes(len(runs), difference, total):
-        h = members[0][0]
-        if total is not None and total(h, h) is not None:
-            parts = [(total(b, b), tuple(2 * r for r in runs[b])) for b, _ in members]
-            classes.append((True, parts))
-            continue
-        parts = [
-            (-total(b, h), tuple(-r for r in reversed(runs[b]))) if flipped
-            else (difference(b, h), runs[b])
-            for b, flipped in (members if total is None else _folded(members))
-        ]
-        classes.append((False, parts))
-    return classes
-
-
 @pytest.mark.parametrize(
     "setups",
     [family_setups("A", 7), family_setups("D", 9)],
@@ -420,7 +397,9 @@ def test_class_plans_are_the_class_splits_of_their_patterns(setups):
     values have, and at every point the classes of the plan of its
     pattern, its signed indices read off the point's values, each class
     cut to its own runs and its empty runs dropped, are the split the
-    readers of those values give, less its unlabeled one-block classes."""
+    readers of those values give, less its unlabeled one-block classes, a
+    labeled class of three blocks read through the spin swap: its last
+    block's one key -y dropped and y appended to the middle block's run."""
     for setup in map(_fresh, setups):
         forms = setup.gk_key.forms
         patterns = set()
@@ -435,8 +414,13 @@ def test_class_plans_are_the_class_splits_of_their_patterns(setups):
                 for labeled, runs in classes:
                     own = plan_parts(labeled, runs)[: len(runs)]
                     planned.append((labeled, [(values[i], terms) for i, terms in own if terms]))
-                split = _reader_classes(setup, exact)
+                split = reader_classes(setup, exact)
                 kept = [(labeled, parts) for labeled, parts in split if labeled or len(parts) > 1]
+                for k, (labeled, parts) in enumerate(kept):
+                    if labeled and len(parts) == 3:  # X, R, -y read as X, then R and y
+                        (y, terms), last = parts[1], parts[2]
+                        assert last == (-y, (0,)), (setup, exact)
+                        kept[k] = labeled, [parts[0], (y, (*terms, terms[-1] - 2))]
                 assert planned == kept, (setup, exact)
         assert set(setup.class_plans) == patterns, setup
 
@@ -451,9 +435,11 @@ def test_class_plans_carry_constant_deficits_and_doubled_parts(setups):
     its base is the type's triangular bound less m(m - 1)/2 for each
     unlabeled one-block class of its pattern's split, m that block's run
     length; it keeps every other class and no such one; each labeled class
-    lists each member block's run once, its doubled rho run; and each class
-    is (labeled, runs) of (index, top term, length) int triples, three
-    runs when unlabeled and two or three when labeled, a padded run coming
+    lists each member block's run once, its doubled rho run, but that of
+    three blocks, the so(2n) (1, n - 1) class, whose last block's run (0)
+    is dropped and whose middle run gets one more key, 0 (y); and each
+    class is (labeled, runs) of (index, top term, length) int triples,
+    three runs when unlabeled and two when labeled, a padded run coming
     last, empty, with the index of the run before it and just below it."""
     checked = 0
     for setup in map(_fresh, setups):
@@ -476,7 +462,7 @@ def test_class_plans_carry_constant_deficits_and_doubled_parts(setups):
             ]
             for members, (labeled, class_runs) in zip(kept, classes):
                 assert labeled or len(class_runs) > 1, (setup, pattern)
-                assert len(class_runs) in ((2, 3) if labeled else (3,)), (setup, pattern)
+                assert len(class_runs) == 3 - labeled, (setup, pattern)
                 assert all(
                     len(run) == 3 and all(type(x) is int for x in run) for run in class_runs
                 ), (setup, pattern)
@@ -489,6 +475,10 @@ def test_class_plans_carry_constant_deficits_and_doubled_parts(setups):
                 if labeled:
                     own = [p for p in plan_parts(labeled, class_runs)[: len(class_runs)] if p[1]]
                     doubled = [(sums[b][b], tuple(2 * r for r in runs[b])) for b, _ in members]
+                    if len(doubled) == 3:
+                        (i, terms), last = doubled[1], doubled.pop()
+                        assert last == (-i, (0,)) and (setup.p, setup.q) == (1, n - 1)
+                        doubled[1] = i, (*terms, 0)
                     assert own == doubled, (setup, pattern)
             checked += 1
     assert checked > 100
@@ -503,8 +493,8 @@ def test_an_empty_grid_sweeps_to_an_empty_report():
 
 def test_column_pass_errors_record_every_point(monkeypatch):
     """A column pass that raises (the form columns, the cells built from
-    them, their clamp) records every point of the setup in ``errors``; no
-    traceback escapes the sweep."""
+    them, the cells' None patterns, their clamp) records every point of the
+    setup in ``errors``; no traceback escapes the sweep."""
     setup = ParabolicSetup(A(5), 1, 3)
     grid = standard_grid(setup)
     strings = [(str(z1), str(z2)) for z1, z2 in grid.points()]
@@ -515,12 +505,16 @@ def test_column_pass_errors_record_every_point(monkeypatch):
     def broken_form_cells(grid, forms):
         raise RuntimeError("cells failed")
 
+    def broken_form_patterns(grid, forms):
+        raise RuntimeError("patterns failed")
+
     def broken_saturate(column, window):
         raise RuntimeError("clamp failed")
 
     for owner, name, broken, message in (
         (ParameterGrid, "form_column", broken_form_column, "column failed"),
         (ParameterGrid, "form_cells", broken_form_cells, "cells failed"),
+        (ParameterGrid, "form_patterns", broken_form_patterns, "patterns failed"),
         (harness_mod, "saturate", broken_saturate, "clamp failed"),
     ):
         with monkeypatch.context() as patch:
@@ -539,17 +533,17 @@ def test_a_raising_miss_records_its_point_and_is_not_memoised(monkeypatch):
     same key misses again."""
     setup = ParabolicSetup(A(5), 1, 3)
     grid = standard_grid(setup)
-    gk_from_values = gk_module._gk_from_values
+    gk_from_plan = gk_module._gk_from_plan
     calls = []
 
-    def fails_once(setup, exact):
+    def fails_once(plan, exact):
         calls.append(exact)
         if len(calls) == 1:
             raise RuntimeError("miss failed")
-        return gk_from_values(setup, exact)
+        return gk_from_plan(plan, exact)
 
     clean = sweep(setup, grid)
-    monkeypatch.setattr(gk_module, "_gk_from_values", fails_once)
+    monkeypatch.setattr(gk_module, "_gk_from_plan", fails_once)
     report = sweep(setup, grid)
     z1, z2 = grid.points()[0]
     assert report.errors == [(str(z1), str(z2), "RuntimeError('miss failed')")]
@@ -558,6 +552,61 @@ def test_a_raising_miss_records_its_point_and_is_not_memoised(monkeypatch):
     keys = [saturated_form_values(forms, windows, a, b) for a, b in grid.points()]
     assert keys.count(keys[0]) > 1  # so the first key misses twice
     assert len(calls) == len(set(keys)) + 1
+
+
+@pytest.mark.parametrize(
+    "setup", [ParabolicSetup(A(5), 1, 3), ParabolicSetup(D(6), 1, 5)], ids=["A5", "D6"]
+)
+def test_a_raising_plan_lookup_costs_only_its_cell(monkeypatch, setup):
+    """The class plan is looked up inside a miss: when the lookup raises
+    once, at the first cell, ``errors`` lists exactly that cell's points,
+    the rows are the clean sweep's rows without them, and the next miss of
+    that pattern looks it up again, each other pattern once."""
+    grid = standard_grid(setup)
+    forms = setup.gk_key.forms
+    cells, _ = grid.form_cells(forms)
+    _, patterns = grid.form_patterns(forms)
+    plan_of = gk_module.plan_of
+    calls = []
+
+    def fails_once(setup, pattern):
+        calls.append(pattern)
+        if len(calls) == 1:
+            raise RuntimeError("plan failed")
+        return plan_of(setup, pattern)
+
+    clean = sweep(setup, grid)
+    monkeypatch.setattr(gk_module, "plan_of", fails_once)
+    report = sweep(setup, grid)
+    failing = [i for i, cell in enumerate(cells) if cell == 0]
+    points = grid.points()
+    assert report.errors == [
+        (str(points[i][0]), str(points[i][1]), "RuntimeError('plan failed')") for i in failing
+    ]
+    assert report.rows == [row for row, cell in zip(clean.rows, cells) if cell]
+    assert calls.count(calls[0]) == 2 and len(set(calls)) == len(patterns) == len(calls) - 1
+
+
+def test_each_cells_pattern_number_names_its_none_pattern():
+    """On the rank-14 A and rank-43 D standard grids, the largest verify
+    sweeps, and every form set their setups read: ``form_patterns`` gives
+    each cell a pattern number, numbered in order of first occurrence, the
+    patterns are distinct, and each cell's number names its exact values'
+    None pattern (every int made 0); the numbering is kept."""
+    checked = 0
+    for kind, n in (("A", 14), ("D", 43)):
+        grid = grid_from_spec(harness_mod._standard_spec(n))
+        for forms in {s.gk_key.forms for s in family_setups(kind, n) if s.n == n}:
+            _, exact = grid.form_cells(forms)
+            kept = grid.form_patterns(forms)
+            assert grid.form_patterns(forms) is kept
+            numbers, patterns = kept
+            assert len(numbers) == len(exact) and len(set(patterns)) == len(patterns)
+            assert list(dict.fromkeys(numbers)) == list(range(len(patterns)))
+            for values, number in zip(exact, numbers):
+                assert patterns[number] == tuple(None if v is None else 0 for v in values)
+            checked += len(exact)
+    assert checked > 10000
 
 
 @pytest.mark.parametrize(
@@ -626,15 +675,15 @@ def test_a_raising_key_of_several_points_drops_exactly_those_points(monkeypatch,
         if len(indices) > 2 and indices[0] > 0 and len({exact[i] for i in indices}) == 1
     )
     target = exact[failing[0]]
-    gk_from_values = gk_module._gk_from_values
+    gk_from_plan = gk_module._gk_from_plan
 
-    def raises_at_target(setup, values):
+    def raises_at_target(plan, values):
         if values == target:
             raise RuntimeError("miss failed")
-        return gk_from_values(setup, values)
+        return gk_from_plan(plan, values)
 
     clean = sweep(setup, grid)
-    monkeypatch.setattr(gk_module, "_gk_from_values", raises_at_target)
+    monkeypatch.setattr(gk_module, "_gk_from_plan", raises_at_target)
     report = sweep(setup, grid)
     assert report.errors == [
         (str(points[i][0]), str(points[i][1]), "RuntimeError('miss failed')") for i in failing
@@ -656,8 +705,9 @@ def test_a_raising_key_of_several_points_drops_exactly_those_points(monkeypatch,
 def test_grid_columns_match_form_values(pairs, forms):
     """A grid's kept columns, exact and saturated, hold ``form_values`` of
     each of its points, and so do its kept cells: distinct tuples of the
-    exact values, numbered in order of first occurrence; the columns of the
-    criterion's forms hold the reference ``criterion_values``."""
+    exact values, numbered in order of first occurrence, each numbered
+    into its None pattern; the columns of the criterion's forms hold the
+    reference ``criterion_values``."""
     windows = [(-2 - i, 1 + i) for i in range(len(forms))]
     grid = ParameterGrid((), (), tuple(pairs))
     exact = [grid.form_column(form) for form in forms]
@@ -667,11 +717,14 @@ def test_grid_columns_match_form_values(pairs, forms):
     cells, cell_values = kept
     assert len(cells) == len(grid) and len(set(cell_values)) == len(cell_values)
     assert list(dict.fromkeys(cells)) == list(range(len(cell_values)))
+    numbers, patterns = grid.form_patterns(tuple(forms))
     saturated = list(map(saturate, exact, windows))
     criteria = list(map(grid.form_column, CRITERION_FORMS))
     for i, (z1, z2) in enumerate(grid.points()):
         assert tuple(column[i] for column in exact) == form_values(forms, z1, z2)
         assert cell_values[cells[i]] == form_values(forms, z1, z2)
+        pattern = tuple(None if v is None else 0 for v in form_values(forms, z1, z2))
+        assert patterns[numbers[cells[i]]] == pattern
         assert tuple(column[i] for column in criteria) == criterion_values([(z1, z2)])[0]
         saturated_values = saturated_form_values(forms, windows, z1, z2)
         assert tuple(column[i] for column in saturated) == saturated_values

@@ -155,6 +155,48 @@ def test_entry_differences_track_parameters():
         assert w[p - 1] - w[q] == z1 + z2 + 1 + (q - p)
 
 
+def _roots_and_coweights(kind: str, n: int):
+    """The positive roots as integer vectors, e_i - e_j and in type D also
+    e_i + e_j (i < j), and the fundamental coweights doubled to integers,
+    2(e_1 + ... + e_k), and in type D (1, ..., 1, -1) and (1, ..., 1) for
+    k = n - 1 and n; checked dual to the simple roots."""
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    roots = [{i: 1, j: -1} for i, j in pairs]
+    simple = [{k: 1, k + 1: -1} for k in range(n - 1)]
+    coweights = [[2] * k + [0] * (n - k) for k in range(1, n)]
+    if kind == "D":
+        roots += [{i: 1, j: 1} for i, j in pairs]
+        simple.append({n - 2: 1, n - 1: 1})
+        coweights[n - 2 :] = [[1] * (n - 1) + [-1], [1] * n]
+    for j, alpha in enumerate(simple):
+        pairing = [sum(c * w[i] for i, c in alpha.items()) for w in coweights]
+        assert pairing == [2 * (k == j) for k in range(len(simple))], (kind, n)
+    return roots, coweights
+
+
+def test_dim_u_counts_the_positive_roots_of_the_nilradical():
+    """For every setup of A<=20 and D<=40, ``dim_u`` is the number of
+    positive roots in whose expansion alpha_p or alpha_q has a positive
+    coefficient, its pairing with that fundamental coweight."""
+    tables = {}
+    checked = 0
+    for setup in family_setups("A", 20) + family_setups("D", 40):
+        kind, n = setup.lie.kind, setup.n
+        if (kind, n) not in tables:
+            tables[kind, n] = _roots_and_coweights(kind, n)
+        roots, coweights = tables[kind, n]
+        p, q = coweights[setup.p - 1], coweights[setup.q - 1]
+        count = sum(
+            1
+            for root in roots
+            if sum(c * p[i] for i, c in root.items()) > 0
+            or sum(c * q[i] for i, c in root.items()) > 0
+        )
+        assert setup.dim_u == count, setup
+        checked += 1
+    assert checked == 1140 + 111
+
+
 def test_setup_derived_quantities():
     s = ParabolicSetup(LieType("A", 11), 3, 9)
     assert s.half_lines == (1 - 3, 1 - 2, 1 - 6 - 2)
