@@ -84,18 +84,18 @@ base as it reads the column lengths, in one loop over the classes.  A
 plan holds no point's value and no GK value.
 
 The form values are the oracle's only integrality decision, and the
-criterion's too (``verdict.on_half_line``).  A sweep reads them off its
-grid's cells (``harness.ParameterGrid.form_cells``, numbered once per
-grid and form set), and each cell's None pattern off the grid's
-numbering of them (``harness.ParameterGrid.form_patterns``, kept next to
-the cells).  It clamps each cell's exact values into its memo key, looks
-up the setup's plan once per pattern, and calls ``_gk_from_plan`` on the
-plan and the exact values of each cell whose key is new
-(``harness.sweep``).  So each grid point is decoded once for every setup
-swept over the grid, and numbered into its cell and each cell's pattern
-once for every setup sharing its forms.  ``gk_dimension``, the one-point
-call, is ``_gk_from_plan`` of the point's exact ``exact.form_values``
-and the plan of their pattern, with no memo.
+criterion's too (``verdict.on_half_line``).  A sweep reads them, and
+each cell's None pattern, off its grid's cell table
+(``harness.ParameterGrid.form_cells``, built once per grid and form
+set, cells and patterns numbered together).  It clamps each cell's
+exact values into its memo key, looks up the setup's plan once per
+pattern, and calls ``_gk_from_plan`` on the plan and the exact values of
+each cell whose key is new (``harness.sweep``).  So each grid point is
+decoded once for every setup swept over the grid, and numbered into its
+cell and each cell's pattern once for every setup sharing its forms.
+``gk_dimension``, the one-point call, is ``_gk_from_plan`` of the
+point's exact ``exact.form_values`` and the plan of their pattern, with
+no memo.
 
 ``integrality_classes`` runs the same split on a dense weight of
 ExactScalars, one single-entry block per coordinate, reading the entries'

@@ -9,13 +9,13 @@ are exercised.  Sweeps are deterministic: rows are emitted in grid order.
 A sweep decides each grid cell once.  A cell is a distinct tuple of a
 point's exact form values over a set of forms.  The grid keeps, for
 every setup swept over it, each built on first use: the exact form
-values per form (``ParameterGrid.form_column``), the cells per form set
-(``ParameterGrid.form_cells``, numbered in order of first occurrence; the
-setups of one type-A rank share one), the cells' None patterns per form
-set (``ParameterGrid.form_patterns``, numbered the same way) and the
-points transposed (``ParameterGrid.point_columns``).  The cells are about
-a sixth of the points on the standard grids of type A up to rank 5, and a
-quarter in type D up to rank 6.
+values per form (``ParameterGrid.form_column``), one cell table per form
+set (``ParameterGrid.form_cells``: each point's cell, each cell's exact
+values and None-pattern number, and the None patterns, the cells and the
+patterns numbered in order of first occurrence in one build; the setups
+of one type-A rank share one table) and the points transposed.  The
+cells are about a sixth of the points on the standard grids of type A up
+to rank 5, and a quarter in type D up to rank 6.
 
 ``sweep`` clamps each cell's exact values at the setup's windows into its
 memo key, and fills its one memo, from clamped key to ``Verdict``, in one
@@ -70,10 +70,10 @@ class UnsupportedGrid(ValueError):
 
 Point = tuple[ExactScalar, ExactScalar]
 Axis = tuple[ExactScalar, ...]
-# (the cell index of every point, the exact form values of every cell)
-FormCells = tuple[tuple[int, ...], tuple[tuple["int | None", ...], ...]]
-# (the pattern index of every cell, the None pattern of every pattern index)
-FormPatterns = tuple[tuple[int, ...], tuple[tuple["int | None", ...], ...]]
+Values = tuple["int | None", ...]
+# (the cell index of every point, the exact form values of every cell, the
+# pattern index of every cell, the None pattern of every pattern index)
+FormCells = tuple[tuple[int, ...], tuple[Values, ...], tuple[int, ...], tuple[Values, ...]]
 
 EXTRA_RATIONALS = (Fraction(1, 3),)
 # Largest grid a spec may describe: about 100 times the standard grid of
@@ -125,6 +125,8 @@ class ParameterGrid(FrozenRecord):
 
     def __init__(self, z1_values: Axis, z2_values: Axis, extra_points: tuple[Point, ...] = ()):
         self.__dict__.update(z1_values=z1_values, z2_values=z2_values, extra_points=extra_points)
+        # the columns kept per form, the cell tables per form set
+        self.__dict__.update(_columns={}, _cells={})
 
     def points(self) -> tuple[Point, ...]:
         """Every point once, in grid order; listed on the first call."""
@@ -143,17 +145,12 @@ class ParameterGrid(FrozenRecord):
     def __len__(self) -> int:
         return len(self._points)
 
-    def point_columns(self) -> tuple[Axis, Axis]:
-        """(z1 of every point, z2 of every point), in grid order: the
-        points transposed on the first call and kept, like the form
-        columns, for every setup swept over this grid."""
-        return self._point_columns
-
     @cached_property
     def _point_columns(self) -> tuple[Axis, Axis]:
+        # (z1 of every point, z2 of every point), in grid order
         return tuple(zip(*self._points)) or ((), ())
 
-    def form_column(self, form: tuple[int, int]) -> tuple[int | None, ...]:
+    def form_column(self, form: tuple[int, int]) -> Values:
         """(x*z1 + y*z2)/2 at every point, in grid order, for ``form`` =
         (x, y): an int when it is an integer, else None.  The points are
         decoded on the first call and each column is kept, so every setup
@@ -164,53 +161,33 @@ class ParameterGrid(FrozenRecord):
         return column
 
     def form_cells(self, forms: tuple[tuple[int, int], ...]) -> FormCells:
-        """(cell of every point, exact values of every cell) over ``forms``:
-        a cell is a distinct tuple of a point's ``form_column`` values, and
-        cells are numbered in order of first occurrence.  Built from the
-        kept columns on the first call per ``forms`` and kept, so the setups
-        sharing a form set share one numbering.  It holds exact values only,
-        never a GK value or a verdict."""
-        cells = self._cells.get(forms)
-        if cells is None:
+        """The cell table over ``forms``: (cell of every point, exact values
+        of every cell, pattern of every cell, None pattern of every
+        pattern).  A cell is a distinct tuple of a point's ``form_column``
+        values, and its None pattern those values with every int made 0;
+        cells and patterns are numbered in order of first occurrence.
+        Built from the kept columns on the first call per ``forms`` and
+        kept, so the setups sharing a form set share one table.  It holds
+        exact values only, never a GK value or a verdict."""
+        table = self._cells.get(forms)
+        if table is None:
             columns = list(map(self.form_column, forms))
             numbering = dict(zip(dict.fromkeys(zip(*columns)), count()))
-            index = tuple(map(numbering.__getitem__, zip(*columns)))
-            cells = self._cells[forms] = (index, tuple(numbering))
-        return cells
-
-    def form_patterns(self, forms: tuple[tuple[int, int], ...]) -> FormPatterns:
-        """(pattern of every cell, None pattern of every pattern) over
-        ``forms``: a cell's None pattern is its exact ``form_cells`` values
-        with every int made 0, and patterns are numbered in order of first
-        occurrence.  Built on the first call per ``forms`` and kept next to
-        the cells; it holds exact information only."""
-        patterns = self._patterns.get(forms)
-        if patterns is None:
-            _, exact = self.form_cells(forms)
+            exact = tuple(numbering)
             # per cell, which of its values are None
             nones = list(zip(*[map(is_, column, repeat(None)) for column in zip(*exact)]))
-            numbering = dict(zip(dict.fromkeys(nones), count()))
-            patterns = self._patterns[forms] = (
-                tuple(map(numbering.__getitem__, nones)),
-                tuple(tuple([None if none else 0 for none in flags]) for flags in numbering),
+            patterns = dict(zip(dict.fromkeys(nones), count()))
+            table = self._cells[forms] = (
+                tuple(map(numbering.__getitem__, zip(*columns))),
+                exact,
+                tuple(map(patterns.__getitem__, nones)),
+                tuple(tuple([None if none else 0 for none in flags]) for flags in patterns),
             )
-        return patterns
+        return table
 
     @cached_property
     def _decoded(self) -> tuple[DecodedPoint, ...]:
         return tuple([decode_point(z1, z2) for z1, z2 in self._points])
-
-    @cached_property
-    def _columns(self) -> dict[tuple[int, int], tuple[int | None, ...]]:
-        return {}
-
-    @cached_property
-    def _cells(self) -> dict[tuple[tuple[int, int], ...], FormCells]:
-        return {}
-
-    @cached_property
-    def _patterns(self) -> dict[tuple[tuple[int, int], ...], FormPatterns]:
-        return {}
 
 
 def grid_from_spec(spec: GridSpec) -> ParameterGrid:
@@ -273,14 +250,14 @@ class SweepReport(NamedTuple):
 def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     """Evaluate oracle and criterion at every grid point, in grid order.
 
-    The column passes come first: the grid's cells for the setup's forms
-    (``ParameterGrid.form_cells``), their None patterns
-    (``ParameterGrid.form_patterns``) and each cell's exact values clamped
-    at the windows into its memo key.  Then one pass over the cells fills
-    the memo, from clamped key to ``Verdict``, which lives for this one
-    sweep: a cell whose key is new takes its pattern's class plan, looked
-    up by ``gk.plan_of`` on the pattern's first miss, calls
-    ``gk._gk_from_plan`` on it and the cell's exact values and
+    The column passes come first: the grid's cell table for the setup's
+    forms (``ParameterGrid.form_cells``: the points' cells, the cells'
+    exact values and pattern numbers, the None patterns) and each cell's
+    exact values clamped at the windows into its memo key.  Then one pass
+    over the cells fills the memo, from clamped key to ``Verdict``, which
+    lives for this one sweep: a cell whose key is new takes its pattern's
+    class plan, looked up by ``gk.plan_of`` on the pattern's first miss,
+    calls ``gk._gk_from_plan`` on it and the cell's exact values and
     ``verdict.on_half_line`` on its key, and takes the ``Verdict`` shared
     by every miss with its GK dimension and criterion.  Each cell gets one
     outcome: its ``Verdict``, or None, with the repr of what raised in
@@ -295,8 +272,7 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     try:
         forms, windows, _, _, _ = setup.gk_key
         du = setup.dim_u
-        cells, exact = grid.form_cells(forms)
-        numbers, patterns = grid.form_patterns(forms)
+        cells, exact, numbers, patterns = grid.form_cells(forms)
         keys = list(zip(*map(saturate, zip(*exact), windows)))
     except Exception as exc:  # collected, not fatal
         cells, outcomes, failed = (0,) * len(grid), [None], {0: repr(exc)}
@@ -324,7 +300,7 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
                         shared[dim, crit] = outcome
                     memo[key] = outcome
             outcomes.append(outcome)
-    z1s, z2s = grid.point_columns()
+    z1s, z2s = grid._point_columns
     # tuple.__new__(SweepRow, (z1, z2, verdict)): each row without a Python-level call
     verdicts = map(outcomes.__getitem__, cells)
     rows = list(map(tuple.__new__, repeat(SweepRow), zip(z1s, z2s, verdicts)))

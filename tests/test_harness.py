@@ -287,7 +287,7 @@ def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setu
             misses.clear()
             half_line_keys.clear()
             assert not sweep(setup, grid).errors
-            cells, _ = grid.form_cells(forms)
+            cells, _, _, _ = grid.form_cells(forms)
             cell_keys = list(zip(*clamped))
             keys = [cell_keys[cell] for cell in cells]
             assert len(clamped) == len(forms) and len(keys) == len(grid)
@@ -492,9 +492,9 @@ def test_an_empty_grid_sweeps_to_an_empty_report():
 
 
 def test_column_pass_errors_record_every_point(monkeypatch):
-    """A column pass that raises (the form columns, the cells built from
-    them, the cells' None patterns, their clamp) records every point of the
-    setup in ``errors``; no traceback escapes the sweep."""
+    """A column pass that raises (the form columns, the cell table built
+    from them, cells and None patterns at once, its clamp) records every
+    point of the setup in ``errors``; no traceback escapes the sweep."""
     setup = ParabolicSetup(A(5), 1, 3)
     grid = standard_grid(setup)
     strings = [(str(z1), str(z2)) for z1, z2 in grid.points()]
@@ -505,16 +505,12 @@ def test_column_pass_errors_record_every_point(monkeypatch):
     def broken_form_cells(grid, forms):
         raise RuntimeError("cells failed")
 
-    def broken_form_patterns(grid, forms):
-        raise RuntimeError("patterns failed")
-
     def broken_saturate(column, window):
         raise RuntimeError("clamp failed")
 
     for owner, name, broken, message in (
         (ParameterGrid, "form_column", broken_form_column, "column failed"),
         (ParameterGrid, "form_cells", broken_form_cells, "cells failed"),
-        (ParameterGrid, "form_patterns", broken_form_patterns, "patterns failed"),
         (harness_mod, "saturate", broken_saturate, "clamp failed"),
     ):
         with monkeypatch.context() as patch:
@@ -564,8 +560,7 @@ def test_a_raising_plan_lookup_costs_only_its_cell(monkeypatch, setup):
     that pattern looks it up again, each other pattern once."""
     grid = standard_grid(setup)
     forms = setup.gk_key.forms
-    cells, _ = grid.form_cells(forms)
-    _, patterns = grid.form_patterns(forms)
+    cells, _, _, patterns = grid.form_cells(forms)
     plan_of = gk_module.plan_of
     calls = []
 
@@ -589,18 +584,22 @@ def test_a_raising_plan_lookup_costs_only_its_cell(monkeypatch, setup):
 
 def test_each_cells_pattern_number_names_its_none_pattern():
     """On the rank-14 A and rank-43 D standard grids, the largest verify
-    sweeps, and every form set their setups read: ``form_patterns`` gives
+    sweeps, and every form set their setups read: ``form_cells`` gives
     each cell a pattern number, numbered in order of first occurrence, the
     patterns are distinct, and each cell's number names its exact values'
-    None pattern (every int made 0); the numbering is kept."""
+    None pattern (every int made 0); the table is kept, so a second call
+    and every setup of that form set get the same object."""
     checked = 0
     for kind, n in (("A", 14), ("D", 43)):
         grid = grid_from_spec(harness_mod._standard_spec(n))
-        for forms in {s.gk_key.forms for s in family_setups(kind, n) if s.n == n}:
-            _, exact = grid.form_cells(forms)
-            kept = grid.form_patterns(forms)
-            assert grid.form_patterns(forms) is kept
-            numbers, patterns = kept
+        setups = [s for s in family_setups(kind, n) if s.n == n]
+        for forms in {s.gk_key.forms for s in setups}:
+            kept = grid.form_cells(forms)
+            assert grid.form_cells(forms) is kept
+            same = [s.gk_key.forms for s in setups if s.gk_key.forms == forms]
+            assert all(grid.form_cells(setup_forms) is kept for setup_forms in same)
+            cells, exact, numbers, patterns = kept
+            assert len(cells) == len(grid) and len(set(exact)) == len(exact)
             assert len(numbers) == len(exact) and len(set(patterns)) == len(patterns)
             assert list(dict.fromkeys(numbers)) == list(range(len(patterns)))
             for values, number in zip(exact, numbers):
@@ -620,7 +619,7 @@ def test_a_raising_criterion_costs_only_its_cells_points(monkeypatch, setup):
     grid = standard_grid(setup)
     forms, windows, _, _, _ = setup.gk_key
     points = grid.points()
-    cells, _ = grid.form_cells(forms)
+    cells, _, _, _ = grid.form_cells(forms)
     keys = [saturated_form_values(forms, windows, z1, z2) for z1, z2 in points]
     by_key = {}
     for i, key in enumerate(keys):
@@ -714,10 +713,9 @@ def test_grid_columns_match_form_values(pairs, forms):
     assert all(grid.form_column(form) is column for form, column in zip(forms, exact))
     kept = grid.form_cells(tuple(forms))
     assert grid.form_cells(tuple(forms)) is kept
-    cells, cell_values = kept
+    cells, cell_values, numbers, patterns = kept
     assert len(cells) == len(grid) and len(set(cell_values)) == len(cell_values)
     assert list(dict.fromkeys(cells)) == list(range(len(cell_values)))
-    numbers, patterns = grid.form_patterns(tuple(forms))
     saturated = list(map(saturate, exact, windows))
     criteria = list(map(grid.form_column, CRITERION_FORMS))
     for i, (z1, z2) in enumerate(grid.points()):

@@ -2,7 +2,7 @@ import itertools
 from fractions import Fraction
 
 import pytest
-from hypothesis import example, given, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from gvmred import (
     IncomparableScalars,
@@ -10,6 +10,7 @@ from gvmred import (
     rs_shape,
     rs_tableau,
 )
+from gvmred.cli import MAX_RANK
 from gvmred.tableaux import (
     key_columns,
     mirrored_run_columns,
@@ -266,3 +267,43 @@ def test_key_columns_of_decreasing_runs(runs):
         assert _nonzero(mirrored_run_columns(a, p, b, q)) == mirrored
     assert columns_depth_sum(columns) == dense_gk.depth_sum(seq(*keys))
     assert columns_even_depth_sum(columns) == dense_gk.even_depth_sum(seq(*keys))
+
+
+@st.composite
+def anchored_runs(draw, count, step):
+    """``count`` strictly decreasing runs of ``step``, (top, length), with
+    lengths up to ``MAX_RANK``: the first top anywhere in [-4000, 4000] or
+    within 3 steps of 0 or of the top that puts the run's middle or bottom
+    at 0, each later top within 3 steps of an earlier run's top, bottom or,
+    for step 2, mirror threshold (a top or bottom negated), where the order
+    of the keys and their mirrors changes."""
+    runs = []
+    for _ in range(count):
+        length = draw(st.integers(1, MAX_RANK))
+        if runs:
+            ends = [v for top, p in runs for v in (top, top - step * (p - 1))]
+            anchor = draw(st.sampled_from(ends + [-v for v in ends] if step == 2 else ends))
+        else:
+            span = step * (length - 1)
+            anchor = draw(st.integers(-4000, 4000) | st.sampled_from((0, span // 2, span)))
+        runs.append((anchor + step * draw(st.integers(-3, 3)), length))
+    return runs
+
+
+@settings(max_examples=150, deadline=None)
+@given(anchored_runs(3, 1), anchored_runs(2, 1), anchored_runs(2, 2), anchored_runs(1, 2))
+def test_closed_forms_at_the_clis_run_lengths(three, two, mirrored_two, mirrored_one):
+    """The closed forms are the insertion's column lengths at every run
+    length the CLI's ranks reach, up to ``MAX_RANK``: three runs of step
+    1, two padded with an empty third run, and one or two runs of step 2
+    followed by their reversed negation, the one padded with an empty run.
+    Tops sit near the order boundaries where the candidate chains split."""
+    (a, p), (b, q), (c, r) = three
+    assert _nonzero(three_run_columns(a, p, b, q, c, r)) == key_columns(_runs_keys(three))
+    (a, p), (b, q) = two
+    assert _nonzero(three_run_columns(a, p, b, q, b - q, 0)) == key_columns(_runs_keys(two))
+    (a, p), (b, q) = mirrored_two
+    assert _nonzero(mirrored_run_columns(a, p, b, q)) == key_columns(_mirrored_keys(a, p, b, q))
+    ((a, p),) = mirrored_one
+    columns = key_columns(_mirrored_keys(a, p, a - 2 * p, 0))
+    assert _nonzero(mirrored_run_columns(a, p, a - 2 * p, 0)) == columns
