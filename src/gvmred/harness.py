@@ -125,7 +125,7 @@ class ParameterGrid(FrozenRecord):
 
     def __init__(self, z1_values: Axis, z2_values: Axis, extra_points: tuple[Point, ...] = ()):
         self.__dict__.update(z1_values=z1_values, z2_values=z2_values, extra_points=extra_points)
-        # the columns kept per form, the cell tables per form set
+        # caches kept out of ``_fields``, so equality and hash ignore them
         self.__dict__.update(_columns={}, _cells={})
 
     def points(self) -> tuple[Point, ...]:

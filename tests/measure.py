@@ -12,15 +12,14 @@ JSON object with:
   split by class kind: the misses whose block split has a labeled class
   of three blocks (so(2n) (1, n - 1)'s six-run class) apart from all
   others;
-* ``stages``, with ``--stages``: the family's verification split into four
-  in-process stages, best of ``--repeat`` rounds, in seconds: building the
-  rank grids with their point lists, decoding their points, building
-  their cell tables for every form set, and sweeping every setup over its
-  rank's grid.  They run in the misses' process once its patches are
-  undone; each round builds fresh grids and patches nothing, and the
-  setups, so their class plans, are built once.  A tree that still
-  numbers the cells' None patterns apart (``ParameterGrid.form_patterns``)
-  has them timed with the cells.
+* ``stages``: the family's verification split into four in-process
+  stages, best of ``--repeat`` rounds, in seconds: building the rank grids
+  with their point lists, decoding their points, building their cell
+  tables for every form set, and sweeping every setup over its rank's
+  grid.  They run in the misses' process once its patches are undone;
+  each round builds fresh grids and patches nothing, and the setups, so
+  their class plans, are built once.  Whatever ``sweep`` builds lazily
+  beyond ``form_cells`` is timed with the sweeps.
 
 The two trees are ``--src PARENT --src CHANGE``, each a ``src`` directory
 put on ``PYTHONPATH``; a tree whose miss entry point is
@@ -29,7 +28,7 @@ per cell pattern) is timed through that, a newer one through
 ``gk._gk_from_plan(plan, exact)``.  Stdlib only; pytest does not collect
 it (no ``test_`` prefix).  Run it as
 
-    python tests/measure.py --src ../parent/src --src src --pairs 5 --stages
+    python tests/measure.py --src ../parent/src --src src --pairs 5
 """
 
 from __future__ import annotations
@@ -109,7 +108,6 @@ kind, n_max, repeat = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 setups = harness.family_setups(kind, n_max)
 ranks = sorted({setup.n for setup in setups})
 form_sets = {n: list(dict.fromkeys(s.gk_key.forms for s in setups if s.n == n)) for n in ranks}
-patterns = getattr(harness.ParameterGrid, "form_patterns", None)
 
 def grids():
     built = {n: harness.grid_from_spec(harness._standard_spec(n)) for n in ranks}
@@ -125,8 +123,6 @@ def cells(built):
     for n, grid in built.items():
         for forms in form_sets[n]:
             grid.form_cells(forms)
-            if patterns is not None:
-                patterns(grid, forms)
 
 def sweeps(built):
     counts = {"points": 0, "errors": 0, "mismatches": 0}
@@ -151,7 +147,6 @@ for _ in range(repeat):
     for name, start, end in zip(best, marks, marks[1:]):
         best[name] = min(best[name], end - start)
 result = {name: round(elapsed, 4) for name, elapsed in best.items()}
-result["cells_with"] = "form_cells" + (" + form_patterns" if patterns else "")
 result.update(counts)
 print(json.dumps(result))
 """
@@ -172,15 +167,15 @@ def verify_wall(src: str, kind: str, n_max: int) -> tuple[float, str]:
     return elapsed, done.stdout
 
 
-def timed(src: str, kind: str, n_max: int, repeat: int, stages: bool) -> list[dict]:
-    """The JSON line of ``MISSES``, then that of ``STAGES`` when ``stages``,
-    run in one fresh process with ``src`` on PYTHONPATH."""
-    script = MISSES + STAGES if stages else MISSES
-    argv = [sys.executable, "-c", script, kind, str(n_max), str(repeat)]
+def timed(src: str, kind: str, n_max: int, repeat: int) -> tuple[dict, dict]:
+    """The JSON lines of ``MISSES`` and ``STAGES``, run in one fresh process
+    with ``src`` on PYTHONPATH."""
+    argv = [sys.executable, "-c", MISSES + STAGES, kind, str(n_max), str(repeat)]
     done = subprocess.run(argv, env=_env(src), capture_output=True, text=True)
     if done.returncode:
         raise SystemExit(f"error: timing {kind}<={n_max} with {src}: {done.stderr.strip()}")
-    return [json.loads(line) for line in done.stdout.splitlines()]
+    miss, stage = map(json.loads, done.stdout.splitlines())
+    return miss, stage
 
 
 def family(text: str) -> tuple[str, int]:
@@ -196,7 +191,6 @@ def main(argv=None) -> int:
     parser.add_argument("--family", action="append", type=family, help="K:N, e.g. D:43")
     parser.add_argument("--pairs", type=int, default=5, help="alternating wall pairs")
     parser.add_argument("--repeat", type=int, default=5, help="timing loops per miss kind")
-    parser.add_argument("--stages", action="store_true", help="also time the in-process stages")
     args = parser.parse_args(argv)
     if len(args.src) != 2 or args.pairs < 1 or args.repeat < 1:
         parser.error("give --src twice, and --pairs and --repeat of at least 1")
@@ -220,23 +214,19 @@ def main(argv=None) -> int:
             },
         }
         for side in SIDES:
-            miss, *stage = timed(sources[side], kind, n_max, args.repeat, args.stages)
+            miss, stage = timed(sources[side], kind, n_max, args.repeat)
             misses.setdefault(name, {})[side] = miss
-            if stage:
-                stages.setdefault(name, {})[side] = stage[0]
+            stages.setdefault(name, {})[side] = stage
     how = {
         "walls": "python -m gvmred verify --type K --max-n N, fresh processes, wall time "
         "including interpreter start, pairs alternating which tree runs first",
         "per_miss": "every GK miss of one verify_family run recorded, then all timed again, "
         "best of the repeat loops, us per miss, by whether the miss's block split has a "
         "labeled class of three blocks",
+        "stages": "in-process seconds, best of the repeat rounds, each round on fresh rank "
+        "grids: grid_from_spec with the point list, decode, form_cells per form set, and "
+        "every setup's sweep",
     }
-    if args.stages:
-        how["stages"] = (
-            "in-process seconds, best of the repeat rounds, each round on fresh rank grids: "
-            "grid_from_spec with the point list, decode, form_cells per form set (with "
-            "form_patterns where the tree has it), and every setup's sweep"
-        )
     result = {
         "sources": sources,
         "python": sys.version.split()[0],
@@ -245,9 +235,8 @@ def main(argv=None) -> int:
         "how": how,
         "gvmred_verify_walls": walls,
         "per_miss": misses,
+        "stages": stages,
     }
-    if args.stages:
-        result["stages"] = stages
     print(json.dumps(result, indent=2))
     return 0
 

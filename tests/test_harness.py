@@ -588,17 +588,19 @@ def test_each_cells_pattern_number_names_its_none_pattern():
     each cell a pattern number, numbered in order of first occurrence, the
     patterns are distinct, and each cell's number names its exact values'
     None pattern (every int made 0); the table is kept, so a second call
-    and every setup of that form set get the same object."""
+    returns the same object, and sweeping every setup of the rank leaves
+    one table per form set, the kept one."""
     checked = 0
     for kind, n in (("A", 14), ("D", 43)):
         grid = grid_from_spec(harness_mod._standard_spec(n))
         setups = [s for s in family_setups(kind, n) if s.n == n]
-        for forms in {s.gk_key.forms for s in setups}:
-            kept = grid.form_cells(forms)
-            assert grid.form_cells(forms) is kept
-            same = [s.gk_key.forms for s in setups if s.gk_key.forms == forms]
-            assert all(grid.form_cells(setup_forms) is kept for setup_forms in same)
-            cells, exact, numbers, patterns = kept
+        kept = {forms: grid.form_cells(forms) for forms in {s.gk_key.forms for s in setups}}
+        for setup in setups:
+            sweep(setup, grid)
+        assert grid._cells.keys() == kept.keys()
+        for forms, table in kept.items():
+            assert grid.form_cells(forms) is table and grid._cells[forms] is table
+            cells, exact, numbers, patterns = table
             assert len(cells) == len(grid) and len(set(exact)) == len(exact)
             assert len(numbers) == len(exact) and len(set(patterns)) == len(patterns)
             assert list(dict.fromkeys(numbers)) == list(range(len(patterns)))
