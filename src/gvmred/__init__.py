@@ -4,15 +4,9 @@ combinatorics, for sl(n,C) and so(2n,C) with two removed simple roots."""
 from .exact import (
     ExactScalar,
     IncomparableScalars,
-    sub_is_integer,
-    sum_is_integer,
     symbol,
 )
-from .gk import (
-    ClassDecomposition,
-    gk_dimension,
-    integrality_classes,
-)
+from .gk import gk_dimension
 from .harness import (
     GridSpec,
     MismatchReport,
@@ -30,21 +24,12 @@ from .harness import (
     verify_family,
 )
 from .rootdata import (
-    BlockPlan,
     IndexOutOfRange,
     InvalidParabolic,
     LieType,
-    NilpotencyReport,
     ParabolicSetup,
-    classify_parabolic,
-    shifted_weight,
 )
-from .tableaux import (
-    Shape,
-    conjugate,
-    rs_shape,
-    rs_tableau,
-)
+from .tableaux import rs_tableau
 from .verdict import (
     Verdict,
     criterion,

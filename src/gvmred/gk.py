@@ -99,7 +99,8 @@ no memo.
 
 ``integrality_classes`` runs the same split on a dense weight of
 ExactScalars, one single-entry block per coordinate, reading the entries'
-``exact.integer_difference`` and ``exact.integer_sum`` (``entry_readers``).
+``exact.integer_difference`` and ``exact.integer_sum`` (``entry_readers``),
+and returns the classes alone; the tests label them.
 The dense GK dimension that cross-checks this module lives with the tests
 (``tests/dense_gk.py``).
 """
@@ -128,18 +129,9 @@ ClassPlan = tuple[int, tuple[tuple[bool, tuple[tuple, ...]], ...]]
 
 
 class ClassDecomposition(NamedTuple):
-    """Integrality classes of a weight, in order of first occurrence.
-
-    For type D the classes are additionally labeled: ``integer_class``
-    (all entries integers), ``half_class`` (all entries in 1/2 + Z) and
-    ``other_classes`` (the rest).  There is at most one of each labeled
-    kind, since any two all-integer entries are related.
-    """
+    """Integrality classes of a weight, in order of first occurrence."""
 
     classes: tuple[ScalarSequence, ...]
-    integer_class: ScalarSequence | None = None
-    half_class: ScalarSequence | None = None
-    other_classes: tuple[ScalarSequence, ...] = ()
 
 
 def split_classes(count: int, difference: Reader, total: Reader | None) -> list[list[Member]]:
@@ -293,21 +285,12 @@ def _gk_from_plan(plan: ClassPlan, exact: tuple) -> int:
 
 
 def integrality_classes(entries, lie: LieType) -> ClassDecomposition:
-    """Integrality classes of exact entries, labeled in type D."""
+    """Integrality classes of exact entries: by integral differences, and in
+    type D by integral sums too."""
     entries = tuple(entries)
     difference, total = entry_readers(entries, lie.kind == "D")
     split = split_classes(len(entries), difference, total)
-    classes = tuple(tuple(entries[b] for b, _ in members) for members in split)
-    if total is None:
-        return ClassDecomposition(classes=classes)
-    labeled, others = {}, []
-    for members, group in zip(split, classes):
-        doubled = total(members[0][0], members[0][0])
-        if doubled is None:
-            others.append(group)
-        else:  # an integer class when twice its head is even
-            labeled[doubled % 2] = group
-    return ClassDecomposition(classes, labeled.get(0), labeled.get(1), tuple(others))
+    return ClassDecomposition(tuple(tuple(entries[b] for b, _ in members) for members in split))
 
 
 def gk_dimension(setup: ParabolicSetup, z1, z2) -> int:

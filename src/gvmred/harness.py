@@ -56,7 +56,7 @@ from typing import NamedTuple
 
 from . import gk, verdict
 from .exact import SYMBOLS, DecodedPoint, ExactScalar, decode_point, form_column, saturate, symbol
-from .rootdata import FrozenRecord, LieType, ParabolicSetup
+from .rootdata import FrozenRecord, LieType, ParabolicSetup, two_step_pairs
 from .verdict import Verdict
 
 # Unused here; kept importable from this module, where perfbench/tracing.py
@@ -83,9 +83,10 @@ MAX_GRID_POINTS = 200_000
 FAMILY_MIN_N = {"A": 3, "D": 4}
 # Largest family a verification may sweep, in standard-grid points before
 # de-duplication.  The largest families under it, A up to rank 14 (923 650
-# points) and D up to rank 43 (985 080), take about 0.8 s and 3.0 s with
-# `gvmred verify` (2 CPUs, Python 3.11.7, interpreter start included);
-# per-point cost grows with the rank, faster in type D.
+# points) and D up to rank 43 (985 080), took 0.59-0.66 s and 2.00-2.85 s
+# with `gvmred verify` (10 runs each by tests/measure.py, 2 CPUs of an
+# Intel Xeon, Python 3.11.7, interpreter start included); per-point cost
+# grows with the rank, faster in type D.
 MAX_FAMILY_POINTS = 1_000_000
 
 
@@ -335,21 +336,14 @@ class MismatchReport(NamedTuple):
 
 
 def family_setups(kind: str, n_max: int) -> list[ParabolicSetup]:
-    """All two-step non-maximal setups of the given kind up to rank n_max."""
-    setups = []
-    if kind == "A":
-        for n in range(FAMILY_MIN_N["A"], n_max + 1):
-            lie = LieType("A", n)
-            for p in range(1, n - 1):
-                for q in range(p + 1, n):
-                    setups.append(ParabolicSetup(lie, p, q))
-    elif kind == "D":
-        for n in range(FAMILY_MIN_N["D"], n_max + 1):
-            lie = LieType("D", n)
-            for p, q in ((1, n - 1), (1, n), (n - 1, n)):
-                setups.append(ParabolicSetup(lie, p, q))
-    else:
+    """All two-step non-maximal setups of the given kind up to rank n_max,
+    rank by rank, each rank's in the order of ``rootdata.two_step_pairs``."""
+    if kind not in FAMILY_MIN_N:
         raise ValueError(f"unknown family kind {kind!r}")
+    setups = []
+    for n in range(FAMILY_MIN_N[kind], n_max + 1):
+        lie = LieType(kind, n)
+        setups += [ParabolicSetup(lie, p, q) for p, q in two_step_pairs(lie)]
     return setups
 
 
@@ -362,8 +356,7 @@ def family_point_bound(kind: str, n_max: int) -> int:
         raise ValueError(f"unknown family kind {kind!r}")
     total, n = 0, FAMILY_MIN_N[kind]
     while n <= n_max and total <= MAX_FAMILY_POINTS:
-        setups = (n - 1) * (n - 2) // 2 if kind == "A" else 3
-        total += setups * _standard_spec(n).point_bound
+        total += len(two_step_pairs(LieType(kind, n))) * _standard_spec(n).point_bound
         n += 1
     return total
 

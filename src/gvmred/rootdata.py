@@ -1,9 +1,9 @@
 """Root data for sl(n,C) and so(2n,C).
 
-Nilpotency classification of parabolic subalgebras by highest-root
-multiplicities, two-step nilpotent non-maximal setups, the nilradical
-dimension, and the shifted weight z1*xi_p + z2*xi_q + rho for
-two-parameter scalar highest weights.
+Two-step nilpotent non-maximal setups, decided by the removed simple
+roots' multiplicities in the highest root, the nilradical dimension, and
+the shifted weight z1*xi_p + z2*xi_q + rho for two-parameter scalar
+highest weights.
 
 The one weight built here is integer: the shifted weight's coordinates
 fall into at most three runs on which the coefficients of xi_p and xi_q
@@ -29,7 +29,8 @@ from __future__ import annotations
 
 from fractions import Fraction
 from functools import cached_property
-from typing import Iterable, NamedTuple
+from itertools import combinations
+from typing import NamedTuple
 
 from .exact import ExactScalar
 
@@ -96,32 +97,19 @@ class LieType(FrozenRecord):
         return self.n - 1 if self.kind == "A" else self.n
 
 
-class NilpotencyReport(NamedTuple):
-    step: int
-    maximal: bool
+def _multiplicity(lie: LieType, i: int) -> int:
+    """The i-th simple root's multiplicity in the highest root: 1 for every
+    root of sl(n); in so(2n), 1 for alpha_1, alpha_(n-1) and alpha_n, and 2
+    otherwise."""
+    return 1 if lie.kind == "A" or i in (1, lie.n - 1, lie.n) else 2
 
 
-def highest_root_multiplicity(lie: LieType, i: int) -> int:
-    """Multiplicity of the i-th simple root in the highest root."""
-    if not 1 <= i <= lie.simple_root_count:
-        raise IndexOutOfRange(f"simple root index {i} out of range for {lie}")
-    if lie.kind == "A":
-        return 1
-    return 1 if i in (1, lie.n - 1, lie.n) else 2
-
-
-def classify_parabolic(lie: LieType, removed: Iterable[int]) -> NilpotencyReport:
-    """Nilpotency step and maximality of the parabolic dropping ``removed``.
-
-    The step of the nilradical is the sum over the removed simple roots of
-    their multiplicities in the highest root; the parabolic is maximal when
-    a single root is removed.
-    """
-    removed = sorted(set(removed))
-    if not removed:
-        raise IndexOutOfRange("removed set must be nonempty")
-    step = sum(highest_root_multiplicity(lie, i) for i in removed)
-    return NilpotencyReport(step=step, maximal=len(removed) == 1)
+def two_step_pairs(lie: LieType) -> list[tuple[int, int]]:
+    """Every (p, q) that ``ParabolicSetup`` accepts for ``lie``, in
+    increasing order: the pairs of simple roots of highest-root
+    multiplicity 1, whose nilradical is two-step nilpotent."""
+    ones = [i for i in range(1, lie.simple_root_count + 1) if _multiplicity(lie, i) == 1]
+    return list(combinations(ones, 2))
 
 
 class ParabolicSetup(FrozenRecord):
@@ -136,8 +124,12 @@ class ParabolicSetup(FrozenRecord):
     def __init__(self, lie: LieType, p: int, q: int):
         if not p < q:
             raise InvalidParabolic(f"need p < q, got p={p}, q={q}")
+        for i in (p, q):
+            if not 1 <= i <= lie.simple_root_count:
+                raise IndexOutOfRange(f"simple root index {i} out of range for {lie}")
+        # the nilradical's step is the sum of the removed roots' multiplicities;
         # p < q removes two roots, so the parabolic is never maximal
-        step = classify_parabolic(lie, (p, q)).step
+        step = _multiplicity(lie, p) + _multiplicity(lie, q)
         if step != 2:
             raise InvalidParabolic(
                 f"parabolic removing ({p},{q}) from {lie.kind}, n={lie.n} "

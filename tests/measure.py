@@ -21,6 +21,12 @@ JSON object with:
   their class plans, are built once.  Whatever ``sweep`` builds lazily
   beyond ``form_cells`` is timed with the sweeps.
 
+The misses' and stages' process runs ``--pairs`` times per tree too,
+alternating which tree goes first, so drift of the host between
+processes falls on both trees alike; each of their timings is printed
+as its per-run list (``runs``) with the median, and every count as the
+runs' common value.
+
 The two trees are ``--src PARENT --src CHANGE``, each a ``src`` directory
 put on ``PYTHONPATH``; a tree whose miss entry point is
 ``gk._gk_from_values(setup, exact)`` (before the class plan was looked up
@@ -37,6 +43,7 @@ import argparse
 import hashlib
 import json
 import os
+import statistics
 import subprocess
 import sys
 import time
@@ -178,6 +185,24 @@ def timed(src: str, kind: str, n_max: int, repeat: int) -> tuple[dict, dict]:
     return miss, stage
 
 
+def merged(runs: list[dict]) -> dict:
+    """One tree's runs of the timing process as one dict: each timing (a
+    float) as its per-run list with their median, every other field the
+    value all runs agree on."""
+    result = {}
+    for key, value in runs[0].items():
+        values = [run[key] for run in runs]
+        if isinstance(value, dict):
+            result[key] = merged(values)
+        elif isinstance(value, float):
+            result[key] = {"runs": values, "median": round(statistics.median(values), 4)}
+        elif values.count(value) < len(values):
+            raise SystemExit(f"error: {key} differs between runs: {values}")
+        else:
+            result[key] = value
+    return result
+
+
 def family(text: str) -> tuple[str, int]:
     kind, _, n = text.partition(":")
     if kind not in ("A", "D") or not n.isdigit():
@@ -189,7 +214,7 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n", 1)[0])
     parser.add_argument("--src", action="append", required=True, help="a src tree; give two")
     parser.add_argument("--family", action="append", type=family, help="K:N, e.g. D:43")
-    parser.add_argument("--pairs", type=int, default=5, help="alternating wall pairs")
+    parser.add_argument("--pairs", type=int, default=5, help="alternating pairs of runs")
     parser.add_argument("--repeat", type=int, default=5, help="timing loops per miss kind")
     args = parser.parse_args(argv)
     if len(args.src) != 2 or args.pairs < 1 or args.repeat < 1:
@@ -213,19 +238,23 @@ def main(argv=None) -> int:
                 side: hashlib.sha256(out.encode()).hexdigest() for side, out in stdout.items()
             },
         }
+        runs = {side: [] for side in SIDES}
+        for pair in range(args.pairs):
+            for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
+                runs[side].append(timed(sources[side], kind, n_max, args.repeat))
         for side in SIDES:
-            miss, stage = timed(sources[side], kind, n_max, args.repeat)
-            misses.setdefault(name, {})[side] = miss
-            stages.setdefault(name, {})[side] = stage
+            misses.setdefault(name, {})[side] = merged([miss for miss, _ in runs[side]])
+            stages.setdefault(name, {})[side] = merged([stage for _, stage in runs[side]])
     how = {
         "walls": "python -m gvmred verify --type K --max-n N, fresh processes, wall time "
         "including interpreter start, pairs alternating which tree runs first",
         "per_miss": "every GK miss of one verify_family run recorded, then all timed again, "
         "best of the repeat loops, us per miss, by whether the miss's block split has a "
-        "labeled class of three blocks",
+        "labeled class of three blocks; one fresh process per run, pairs alternating which "
+        "tree runs first, each timing's runs listed with their median",
         "stages": "in-process seconds, best of the repeat rounds, each round on fresh rank "
         "grids: grid_from_spec with the point list, decode, form_cells per form set, and "
-        "every setup's sweep",
+        "every setup's sweep; in the per_miss processes, runs listed with their median",
     }
     result = {
         "sources": sources,

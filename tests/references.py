@@ -12,6 +12,12 @@ weight's insertion tableau; ``even_odd_counts`` splits a shape's boxes
 by parity, for the type D shape checks; ``columns_depth_sum`` and
 ``columns_even_depth_sum`` are the depth sums a GK miss takes column by
 column (``gk._gk_from_values``), from a tuple of column lengths;
+``highest_root_multiplicity`` reads a simple root's multiplicity off
+the highest root's coordinates, and ``classify_parabolic`` sums it over
+any set of removed roots, the general nilpotency classifier that the
+rule of ``ParabolicSetup`` and ``rootdata.two_step_pairs`` is checked
+against; ``labeled_classes`` labels ``gk.integrality_classes`` in type D
+by integer, half-integer and other classes;
 ``decoded_by_fractions`` decodes a point with ``Fraction`` arithmetic on
 the symbol coefficients, the reference for ``exact.decode_point``;
 ``plan_parts`` expands a class plan's runs back to rho terms, a labeled
@@ -25,10 +31,12 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import NamedTuple
 
-from gvmred import IndexOutOfRange, conjugate, rs_shape
+from gvmred import IndexOutOfRange
 from gvmred.exact import integer_difference, integer_sum
-from gvmred.gk import _folded, key_readers, split_classes
+from gvmred.gk import _folded, integrality_classes, key_readers, split_classes
+from gvmred.tableaux import conjugate, rs_shape
 from gvmred.verdict import _coerce
 
 from dense_gk import NonIntegralWeight, minus_double  # noqa: F401
@@ -36,6 +44,72 @@ from dense_gk import NonIntegralWeight, minus_double  # noqa: F401
 
 class WrongLieType(ValueError):
     """A type-specific test was called for the other Lie type."""
+
+
+class NilpotencyReport(NamedTuple):
+    step: int
+    maximal: bool
+
+
+def highest_root_multiplicity(lie, i: int) -> int:
+    """Multiplicity of the i-th simple root in the highest root, solved from
+    coordinates: the highest root is e_1 - e_n in sl(n) and e_1 + e_2 in
+    so(2n), and the simple roots are e_j - e_(j+1), with e_(n-1) + e_n
+    last in so(2n).  The coefficient of e_j - e_(j+1) is the sum S_j of
+    the first j coordinates; in so(2n) the last two, c_(n-1) and c_n, solve
+    c_(n-1) + c_n = S_(n-1) and c_n - c_(n-1) = v_n."""
+    if not 1 <= i <= lie.simple_root_count:
+        raise IndexOutOfRange(f"simple root index {i} out of range for {lie}")
+    n = lie.n
+    v = [1] + [0] * (n - 2) + [-1] if lie.kind == "A" else [1, 1] + [0] * (n - 2)
+    sums = [sum(v[:j]) for j in range(n + 1)]
+    if lie.kind == "A" or i <= n - 2:
+        return sums[i]
+    return (sums[n - 1] + (v[-1] if i == n else -v[-1])) // 2
+
+
+def classify_parabolic(lie, removed) -> NilpotencyReport:
+    """Nilpotency step and maximality of the parabolic dropping ``removed``.
+
+    The step of the nilradical is the sum over the removed simple roots of
+    their multiplicities in the highest root; the parabolic is maximal when
+    a single root is removed.
+    """
+    removed = sorted(set(removed))
+    if not removed:
+        raise IndexOutOfRange("removed set must be nonempty")
+    step = sum(highest_root_multiplicity(lie, i) for i in removed)
+    return NilpotencyReport(step=step, maximal=len(removed) == 1)
+
+
+class LabeledClasses(NamedTuple):
+    """Integrality classes of a weight, in order of first occurrence, and in
+    type D their labels: ``integer_class`` (all entries integers),
+    ``half_class`` (all entries in 1/2 + Z) and ``other_classes`` (the
+    rest).  There is at most one of each labeled kind, since any two
+    all-integer entries are related."""
+
+    classes: tuple
+    integer_class: tuple | None = None
+    half_class: tuple | None = None
+    other_classes: tuple = ()
+
+
+def labeled_classes(entries, lie) -> LabeledClasses:
+    """``gk.integrality_classes`` of exact entries, labeled in type D by
+    twice each class's head: an integer class when that is even, a
+    half-integer one when odd, another class when it is no integer."""
+    classes = integrality_classes(entries, lie).classes
+    if lie.kind != "D":
+        return LabeledClasses(classes)
+    labeled, others = {}, []
+    for group in classes:
+        doubled = integer_sum(group[0], group[0])
+        if doubled is None:
+            others.append(group)
+        else:
+            labeled[doubled % 2] = group
+    return LabeledClasses(classes, labeled.get(0), labeled.get(1), tuple(others))
 
 
 def criterion_values(points) -> list[tuple]:

@@ -21,12 +21,12 @@ from gvmred import (
     render_diagram,
     report_to_csv,
     report_to_json,
-    rs_shape,
-    shifted_weight,
     standard_grid,
     sweep,
     verify_family,
 )
+from gvmred.rootdata import shifted_weight
+from gvmred.tableaux import rs_shape
 
 import dense_gk
 from conftest import SIGMA, TAU, sc

@@ -3,13 +3,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, strategies as st
 
-from gvmred import (
-    ExactScalar,
+from gvmred import ExactScalar, symbol
+from gvmred.exact import (
+    decode_point,
+    form_values,
+    scalars_equal,
     sub_is_integer,
     sum_is_integer,
-    symbol,
 )
-from gvmred.exact import decode_point, form_values, scalars_equal
 from gvmred.harness import _standard_spec, grid_from_spec
 
 from conftest import SIGMA, TAU, saturated_form_values, sc, scalar_pairs

@@ -15,12 +15,11 @@ from gvmred import (
     ParameterGrid,
     family_setups,
     gk_dimension,
-    integrality_classes,
     standard_grid,
     sweep,
 )
 from gvmred.exact import form_values
-from gvmred.gk import _folded, entry_readers, key_readers, split_classes
+from gvmred.gk import _folded, entry_readers, integrality_classes, key_readers, split_classes
 from gvmred.tableaux import key_columns, mirrored_run_columns
 
 import conftest
@@ -29,6 +28,7 @@ from dense_gk import NonIntegralWeight, gk_dimension_integral
 from references import (
     columns_depth_sum,
     columns_even_depth_sum,
+    labeled_classes,
     plan_parts,
     six_run_cases,
     six_run_keys,
@@ -39,20 +39,20 @@ D = lambda n: LieType("D", n)
 
 
 def test_classes_type_a_split_by_difference():
-    dec = integrality_classes(seq("3/2", 1, "1/2", 0), A(4))
+    dec = labeled_classes(seq("3/2", 1, "1/2", 0), A(4))
     assert dec.classes == (seq("3/2", "1/2"), seq(1, 0))
     assert dec.other_classes == ()
 
 
 def test_classes_type_d_sum_relation():
-    dec = integrality_classes(seq("1/3", 5, "2/3"), D(4))
+    dec = labeled_classes(seq("1/3", 5, "2/3"), D(4))
     assert dec.integer_class == seq(5)
     assert dec.half_class is None
     assert dec.other_classes == (seq("1/3", "2/3"),)
 
 
 def test_classes_type_d_half_integers():
-    dec = integrality_classes(seq("1/2", "3/2"), D(4))
+    dec = labeled_classes(seq("1/2", "3/2"), D(4))
     assert dec.half_class == seq("1/2", "3/2")
     assert dec.integer_class is None
     assert dec.other_classes == ()
@@ -575,7 +575,7 @@ dense_entries = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(dense_entries, st.sampled_from("AD"))
 def test_dense_adapters_match_dense_route(entries, kind):
-    dec = integrality_classes(entries, LieType(kind, len(entries)))
+    dec = labeled_classes(entries, LieType(kind, len(entries)))
     classes, integer, half, others = dense_gk.classes(entries, kind)
     assert dec.classes == classes
     if kind == "D":

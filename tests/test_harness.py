@@ -760,6 +760,7 @@ def test_verify_family_cap_is_checked_before_any_setup(monkeypatch):
     cap = harness_mod.MAX_FAMILY_POINTS
     for kind, largest in (("A", 14), ("D", 43)):
         assert bound(kind, largest) <= cap < bound(kind, largest + 1)
+    assert (bound("A", 14), bound("D", 43)) == (923_650, 985_080)
 
     def no_work(kind, n_max):
         raise AssertionError("a setup was built")

@@ -8,14 +8,15 @@ SRC = TESTS.parent / "src"
 
 
 def test_measure_script_compares_two_trees():
-    """``tests/measure.py`` on A<=5 and D<=6 with one pair, the
-    tree given as both sides: one wall per side and family with the verify
+    """``tests/measure.py`` on A<=5 and D<=6 with two pairs, the
+    tree given as both sides: two walls per side and family with the verify
     line and its SHA-256, equal on both sides, the misses split by class
     kind, the labeled classes of three blocks met in type D only, and the
     four in-process stages, the sweeps covering the verify line's points
-    with no error or mismatch."""
+    with no error or mismatch; each timing of the misses and stages as its
+    two runs, one per pair, with their median."""
     argv = [sys.executable, str(TESTS / "measure.py"), "--src", str(SRC), "--src", str(SRC)]
-    argv += ["--family", "A:5", "--family", "D:6", "--pairs", "1", "--repeat", "1"]
+    argv += ["--family", "A:5", "--family", "D:6", "--pairs", "2", "--repeat", "1"]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
     assert done.returncode == 0, done.stderr
     result = json.loads(done.stdout)
@@ -29,7 +30,7 @@ def test_measure_script_compares_two_trees():
     assert set(result["stages"]) == set(lines) and "stages" in result["how"]
     for family, line in lines.items():
         walls = result["gvmred_verify_walls"][family]
-        assert len(walls["parent_s"]) == len(walls["change_s"]) == 1
+        assert len(walls["parent_s"]) == len(walls["change_s"]) == 2
         assert walls["stdout"] == {"parent": line, "change": line}
         assert len(set(walls["stdout_sha256"].values())) == 1
         for side in ("parent", "change"):
@@ -37,7 +38,13 @@ def test_measure_script_compares_two_trees():
             assert misses["entry"] == "gk._gk_from_plan" and misses["verify_ok"] is True
             six, other = misses["labeled class of three blocks"], misses["other"]
             assert six["misses"] + other["misses"] == misses["misses"] > 0
-            assert (six["misses"] > 0) == (family == "D<=6") and other["us"] > 0
+            assert (six["misses"] > 0) == (family == "D<=6")
             stages = result["stages"][family][side]
-            assert all(stages[f"{stage}_s"] > 0 for stage in ("grids", "decode", "cells", "sweeps"))
+            timings = [stages[f"{stage}_s"] for stage in ("grids", "decode", "cells", "sweeps")]
+            timings += [other["us"]] + ([six["us"]] if six["misses"] else [])
+            for timing in timings:
+                assert len(timing["runs"]) == 2 and all(run > 0 for run in timing["runs"])
+                assert timing["median"] == round(sum(timing["runs"]) / 2, 4)
+            if not six["misses"]:
+                assert six["us"] is None
             assert (stages["points"], stages["errors"], stages["mismatches"]) == (points[family], 0, 0)

@@ -10,13 +10,14 @@ from gvmred import (
     InvalidParabolic,
     LieType,
     ParabolicSetup,
-    classify_parabolic,
     family_setups,
-    shifted_weight,
 )
+from gvmred.harness import FAMILY_MIN_N
+from gvmred.rootdata import shifted_weight, two_step_pairs
 from dense_gk import fundamental_weight, weyl_vector
 
 from conftest import SIGMA, TAU, sc, seq
+from references import classify_parabolic
 
 
 def test_lie_type_validation():
@@ -100,6 +101,52 @@ def test_setup_rejects_higher_step():
     assert err.value.step == 3 and "is 3-step nilpotent" in str(err.value)
     with pytest.raises(InvalidParabolic, match="need p < q"):
         ParabolicSetup(LieType("A", 5), 3, 3)
+
+
+@pytest.mark.parametrize("kind, ranks", [("A", range(2, 41)), ("D", range(4, 41))])
+def test_setups_exist_exactly_where_the_classifier_gives_step_two(kind, ranks):
+    """For every pair 1 <= p < q <= rank: ``ParabolicSetup`` accepts it
+    exactly when the general classifier (highest-root multiplicities solved
+    from coordinates) gives step 2, and otherwise raises ``InvalidParabolic``
+    with the classifier's step; an index outside 1..rank raises
+    ``IndexOutOfRange``; ``two_step_pairs`` lists the accepted pairs in
+    increasing order, and ``family_setups`` lists them rank by rank."""
+    for n in ranks:
+        lie = LieType(kind, n)
+        rank = lie.simple_root_count
+        accepted = []
+        for p in range(1, rank + 1):
+            for q in range(p + 1, rank + 1):
+                step = classify_parabolic(lie, (p, q)).step
+                if step == 2:
+                    assert ParabolicSetup(lie, p, q).lie == lie
+                    accepted.append((p, q))
+                    continue
+                with pytest.raises(InvalidParabolic) as err:
+                    ParabolicSetup(lie, p, q)
+                assert err.value.step == step and f"is {step}-step nilpotent" in str(err.value)
+        assert two_step_pairs(lie) == accepted
+        for i in range(1, rank + 1):
+            for p, q in ((0, i), (-1, i), (i, rank + 1), (i, rank + 2)):
+                with pytest.raises(IndexOutOfRange):
+                    ParabolicSetup(lie, p, q)
+        expected = [
+            (m, p, q)
+            for m in range(FAMILY_MIN_N[kind], n + 1)
+            for p, q in two_step_pairs(LieType(kind, m))
+        ]
+        assert [(s.n, s.p, s.q) for s in family_setups(kind, n)] == expected
+
+
+def test_two_step_pairs_at_the_rank_cap():
+    """The rule enumerates no pairs, so a setup at rank 2 000 is cheap;
+    so(2n) has the three pairs of alpha_1, alpha_(n-1) and alpha_n."""
+    assert ParabolicSetup(LieType("A", 2000), 700, 1999).q == 1999
+    assert ParabolicSetup(LieType("D", 2000), 1, 2000).q == 2000
+    with pytest.raises(InvalidParabolic) as err:
+        ParabolicSetup(LieType("D", 2000), 2, 1999)
+    assert err.value.step == 3
+    assert two_step_pairs(LieType("D", 2000)) == [(1, 1999), (1, 2000), (1999, 2000)]
 
 
 def test_singleton_removal_is_maximal_for_valid_setups():

@@ -4,17 +4,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from gvmred import (
-    IncomparableScalars,
-    conjugate,
-    rs_shape,
-    rs_tableau,
-)
+from gvmred import IncomparableScalars, rs_tableau
 from gvmred.cli import MAX_RANK
 from gvmred.tableaux import (
+    conjugate,
     key_columns,
     mirrored_run_columns,
     render_tableau,
+    rs_shape,
     three_run_columns,
 )
 

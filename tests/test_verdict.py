@@ -14,13 +14,12 @@ from gvmred import (
     criterion,
     evaluate,
     family_setups,
-    integrality_classes,
-    rs_shape,
-    shifted_weight,
     standard_grid,
     sweep,
 )
 from gvmred.exact import form_values
+from gvmred.rootdata import shifted_weight
+from gvmred.tableaux import rs_shape
 from gvmred.verdict import _coerce
 
 from conftest import SIGMA, TAU, sc, scalar_pairs, scalars
@@ -31,6 +30,7 @@ from references import (
     even_odd_counts,
     has_maximal_shape,
     int_at_least,
+    labeled_classes,
     minus_double,
     single_weight_reducible,
     sum_int_at_least,
@@ -333,7 +333,7 @@ def irreducible_shape_diagnostic(setup: ParabolicSetup, z1, z2) -> bool:
         raise WrongLieType("the shape diagnostic is for type D")
     n = setup.n
     targets = ((2,) + (1,) * (n - 2), (1,) * (n - 1))
-    dec = integrality_classes(tuple(shifted_weight(setup, z1, z2)), setup.lie)
+    dec = labeled_classes(tuple(shifted_weight(setup, z1, z2)), setup.lie)
     for labeled in (dec.integer_class, dec.half_class):
         if labeled:
             ev, _ = even_odd_counts(rs_shape(minus_double(labeled)))
