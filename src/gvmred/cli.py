@@ -23,7 +23,7 @@ are: an ``--n`` above ``MAX_RANK`` (2 000), an ``rs --seq`` of more entries
 than that, a verify ``--max-n`` below the family's smallest rank or whose
 standard grids would hold more than ``harness.MAX_FAMILY_POINTS``
 (1 000 000) points (above 14 for type A or 43 for type D, runs that took
-0.59-0.66 s and 2.00-2.85 s on 2 CPUs of an Intel Xeon), a custom grid
+0.51-0.60 s and 1.73-1.85 s on 2 CPUs of an Intel Xeon), a custom grid
 with ``--hi`` below ``--lo`` or larger than ``harness.MAX_GRID_POINTS``,
 a zero denominator, a scalar, grid bound or custom grid point with more
 digits than an int prints with (``MAX_DIGITS``), ``--lo``/``--hi``/``--step``
@@ -305,7 +305,7 @@ def _cmd_gkdim(args) -> int:
 
 def _cmd_reduce(args) -> int:
     setup = _setup_from_args(args)
-    row = SweepRow(args.z1, args.z2, evaluate(setup, args.z1, args.z2))
+    row = SweepRow((args.z1, args.z2, evaluate(setup, args.z1, args.z2)))
     if args.format == "json":
         import json  # only JSON output loads it
 

@@ -23,7 +23,8 @@ reads a point's common denominator and symbol kernel once, and
 ``form_column`` tests one integer pair (x, y) against many decoded
 points.  ``form_values(forms, z1, z2)`` runs both for one point and many
 pairs and returns the exact values; ``saturate`` clamps a column to a
-window, which only a sweep's memo key needs.  A grid
+window, which only a sweep's memo key needs: it clamps each form's
+distinct ints, once per sweep.  A grid
 (``harness.ParameterGrid``) decodes its points once, keeps one column per
 pair for every setup swept over it, and numbers its cells by the columns'
 tuples.  z1, z2 and z1 + z2, which the criterion tests, are the values of
@@ -249,7 +250,8 @@ def form_column(points: Sequence[DecodedPoint], form: tuple[int, int]) -> tuple[
 
 def saturate(column: Sequence[int | None], window: tuple[int, int]) -> tuple[int | None, ...]:
     """``column`` with each int clamped to ``window`` = (lo, hi); None stays
-    None."""
+    None.  A sweep clamps each form's distinct ints with it, once per
+    sweep, and reads every cell's memo key off them."""
     lo, hi = window
     return tuple([v if v is None or lo <= v <= hi else lo if v < lo else hi for v in column])
 

@@ -35,10 +35,10 @@ whose values agree once saturated at the windows of
 ``ParabolicSetup.gk_key`` (each int clamped to one past its extreme
 thresholds) have equal None patterns, so equal class splits, and keys in
 the same order, so equal GK dimensions.  The one GK memo, in
-``harness.sweep``, is keyed on the saturated values and belongs to one
-sweep of one setup; a new key's integer keys are built from the exact
-values (``_gk_from_plan``), since the key bases are not the saturated
-ones.
+``harness.sweep``, is keyed on the saturated values, read as one
+mixed-radix int, and belongs to one sweep of one setup; a new key's
+integer keys are built from the exact values of its first cell
+(``_gk_from_plan``), since the key bases are not the saturated ones.
 
 The class split reads only which form values are None, and a setup's
 points meet few such None patterns.  So a miss does not split: it reads
@@ -87,10 +87,11 @@ The form values are the oracle's only integrality decision, and the
 criterion's too (``verdict.on_half_line``).  A sweep reads them, and
 each cell's None pattern, off its grid's cell table
 (``harness.ParameterGrid.form_cells``, built once per grid and form
-set, cells and patterns numbered together).  It clamps each cell's
-exact values into its memo key, looks up the setup's plan once per
+set, cells and patterns numbered together, each form's codes built
+with it).  It clamps each form's distinct ints and reads each cell's
+memo key off its codes as one int, looks up the setup's plan once per
 pattern, and calls ``_gk_from_plan`` on the plan and the exact values of
-each cell whose key is new (``harness.sweep``).  So each grid point is
+each distinct key's first cell (``harness.sweep``).  So each grid point is
 decoded once for every setup swept over the grid, and numbered into its
 cell and each cell's pattern once for every setup sharing its forms.
 ``gk_dimension``, the one-point call, is ``_gk_from_plan`` of the

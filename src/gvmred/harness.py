@@ -13,28 +13,33 @@ values per form (``ParameterGrid.form_column``), one cell table per form
 set (``ParameterGrid.form_cells``: each point's cell, each cell's exact
 values and None-pattern number, and the None patterns, the cells and the
 patterns numbered in order of first occurrence in one build; the setups
-of one type-A rank share one table) and the points transposed.  The
-cells are about a sixth of the points on the standard grids of type A up
-to rank 5, and a quarter in type D up to rank 6.
+of one type-A rank share one table), built with it each form's codes
+(its distinct ints, ascending, and each cell's code: 0 for None, i + 1
+for the i-th int), and the points transposed.  The cells are about a
+sixth of the points on the standard grids of type A up to rank 5, and a
+quarter in type D up to rank 6.
 
-``sweep`` clamps each cell's exact values at the setup's windows into its
-memo key, and fills its one memo, from clamped key to ``Verdict``, in one
-pass over the cells.  A cell whose key is new is a miss: it reads the GK
+``sweep`` clamps each form's distinct ints at the setup's windows, not
+each cell's values, and reads every cell's memo key off its codes as one
+mixed-radix int (``_memo_keys``), summed in C.  It fills its one memo,
+from int key to ``Verdict``, with one miss per distinct key, at the
+key's first cell, in order of first occurrence.  A miss reads the GK
 dimension off the class plan of the cell's None pattern, looked up once
 per pattern and sweep (``gk.plan_of``), and the cell's exact values
-(``gk._gk_from_plan``), and the criterion off the key
-(``verdict.on_half_line``; the windows are wide enough for the
-half-lines' bounds), and shares one ``Verdict`` with every miss of equal
-GK dimension and criterion.  So the criterion reads the oracle's
-integrality decision, z1, z2 and z1 + z2 being the values of three of its
-forms.  A raising miss, plan lookup included, costs every point of its
-cell and is not memoised, so the next cell with the same key misses
+(``gk._gk_from_plan``), and the criterion off the same exact values
+(``verdict.on_half_line``; the windows keep lo < b <= hi, so exact and
+clamped values give one answer), and shares one ``Verdict`` with every
+miss of equal GK dimension and criterion.  So the criterion reads the
+oracle's integrality decision, z1, z2 and z1 + z2 being the values of
+three of its forms.  A raising miss, plan lookup included, costs every
+point of its cell and is not memoised, so the key's next cell misses
 again; a raising column pass costs every point.  Every point's row is
-built from its cell's outcome in one ``map`` over the points' cells; only
-when some cell failed are those points' rows dropped and the points
-listed in the errors, in grid order.  No GK value or verdict is cached
-on the grid, and the memo lives for one sweep.  The one-point route,
-``verdict.evaluate``, serves ``gvmred reduce``.
+built from its cell's outcome in one ``map`` over the points' cells, by
+tuple's own constructor (``SweepRow``); only when some cell failed are
+those points' rows dropped and the points listed in the errors, in grid
+order.  No GK value, verdict or clamped key is kept on the grid, and the
+memo lives for one sweep.  The one-point route, ``verdict.evaluate``,
+serves ``gvmred reduce``.
 
 Output spells each layout once.  ``ROW_FIELDS`` is the one row layout,
 for the CSV header, the JSON records and the CLI's ``key=value`` lines.
@@ -47,11 +52,12 @@ line through one segment template.
 
 from __future__ import annotations
 
+from collections import deque
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, repeat
 from math import gcd
-from operator import is_
+from operator import is_, itemgetter
 from typing import NamedTuple
 
 from . import gk, verdict
@@ -74,6 +80,9 @@ Values = tuple["int | None", ...]
 # (the cell index of every point, the exact form values of every cell, the
 # pattern index of every cell, the None pattern of every pattern index)
 FormCells = tuple[tuple[int, ...], tuple[Values, ...], tuple[int, ...], tuple[Values, ...]]
+# per form: (its distinct ints, ascending; every cell's code, 0 for None and
+# i + 1 for the i-th int)
+FormCodes = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
 
 EXTRA_RATIONALS = (Fraction(1, 3),)
 # Largest grid a spec may describe: about 100 times the standard grid of
@@ -83,8 +92,8 @@ MAX_GRID_POINTS = 200_000
 FAMILY_MIN_N = {"A": 3, "D": 4}
 # Largest family a verification may sweep, in standard-grid points before
 # de-duplication.  The largest families under it, A up to rank 14 (923 650
-# points) and D up to rank 43 (985 080), took 0.59-0.66 s and 2.00-2.85 s
-# with `gvmred verify` (10 runs each by tests/measure.py, 2 CPUs of an
+# points) and D up to rank 43 (985 080), took 0.51-0.60 s and 1.73-1.85 s
+# with `gvmred verify` (5 runs each by tests/measure.py, 2 CPUs of an
 # Intel Xeon, Python 3.11.7, interpreter start included); per-point cost
 # grows with the rank, faster in type D.
 MAX_FAMILY_POINTS = 1_000_000
@@ -127,7 +136,7 @@ class ParameterGrid(FrozenRecord):
     def __init__(self, z1_values: Axis, z2_values: Axis, extra_points: tuple[Point, ...] = ()):
         self.__dict__.update(z1_values=z1_values, z2_values=z2_values, extra_points=extra_points)
         # caches kept out of ``_fields``, so equality and hash ignore them
-        self.__dict__.update(_columns={}, _cells={})
+        self.__dict__.update(_columns={}, _cells={}, _codes={})
 
     def points(self) -> tuple[Point, ...]:
         """Every point once, in grid order; listed on the first call."""
@@ -168,8 +177,9 @@ class ParameterGrid(FrozenRecord):
         values, and its None pattern those values with every int made 0;
         cells and patterns are numbered in order of first occurrence.
         Built from the kept columns on the first call per ``forms`` and
-        kept, so the setups sharing a form set share one table.  It holds
-        exact values only, never a GK value or a verdict."""
+        kept, with the cells' codes (``_form_codes``) next to it in
+        ``_codes``, so the setups sharing a form set share one table.  It
+        holds exact values only, never a GK value or a verdict."""
         table = self._cells.get(forms)
         if table is None:
             columns = list(map(self.form_column, forms))
@@ -178,6 +188,7 @@ class ParameterGrid(FrozenRecord):
             # per cell, which of its values are None
             nones = list(zip(*[map(is_, column, repeat(None)) for column in zip(*exact)]))
             patterns = dict(zip(dict.fromkeys(nones), count()))
+            self._codes[forms] = _form_codes(exact)
             table = self._cells[forms] = (
                 tuple(map(numbering.__getitem__, zip(*columns))),
                 exact,
@@ -189,6 +200,34 @@ class ParameterGrid(FrozenRecord):
     @cached_property
     def _decoded(self) -> tuple[DecodedPoint, ...]:
         return tuple([decode_point(z1, z2) for z1, z2 in self._points])
+
+
+def _form_codes(exact: tuple[Values, ...]) -> FormCodes:
+    """Per form, over the cells' exact values ``exact``: its distinct ints,
+    ascending, and every cell's code, 0 for None and i + 1 for the i-th
+    int.  No cells give no forms, and no memo keys."""
+    codes = []
+    for column in zip(*exact):
+        ints = sorted(set(column).difference((None,)))
+        code = dict(zip(ints, count(1)))
+        code[None] = 0
+        codes.append((tuple(ints), tuple(map(code.__getitem__, column))))
+    return tuple(codes)
+
+
+def _memo_keys(codes: FormCodes, windows: tuple[tuple[int, int], ...]) -> list[int]:
+    """Every cell's memo key, its exact values clamped at ``windows`` read
+    as one mixed-radix int: the sum over forms of (clamped - lo + 1) times
+    the form's stride, 0 for None, the stride being the product of
+    (hi - lo + 2) over the earlier forms.  Two cells get one key exactly
+    when their clamped tuples are equal.  Only each form's distinct ints
+    are clamped (``saturate``); the sum runs in C."""
+    columns, stride = [], 1
+    for (ints, cell_codes), (lo, hi) in zip(codes, windows):
+        digits = (0, *[(v - lo + 1) * stride for v in saturate(ints, (lo, hi))])
+        columns.append(map(digits.__getitem__, cell_codes))
+        stride *= hi - lo + 2
+    return list(map(sum, zip(*columns)))
 
 
 def grid_from_spec(spec: GridSpec) -> ParameterGrid:
@@ -224,10 +263,22 @@ def standard_grid(setup: ParabolicSetup) -> ParameterGrid:
     return _rank_grid(setup.n)
 
 
-class SweepRow(NamedTuple):
-    z1: ExactScalar
-    z2: ExactScalar
-    verdict: Verdict
+class SweepRow(tuple):
+    """A point (z1, z2) and its ``Verdict``, built from one tuple:
+    ``SweepRow((z1, z2, verdict))`` runs tuple's own constructor, so a
+    sweep builds its rows with no Python-level call."""
+
+    __slots__ = ()
+    _fields = ("z1", "z2", "verdict")
+    z1 = property(itemgetter(0))
+    z2 = property(itemgetter(1))
+    verdict = property(itemgetter(2))
+
+    def __repr__(self) -> str:
+        return "SweepRow(z1={!r}, z2={!r}, verdict={!r})".format(*self)
+
+    def __reduce__(self) -> tuple:
+        return SweepRow, (tuple(self),)
 
 
 class SweepReport(NamedTuple):
@@ -253,58 +304,67 @@ def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
 
     The column passes come first: the grid's cell table for the setup's
     forms (``ParameterGrid.form_cells``: the points' cells, the cells'
-    exact values and pattern numbers, the None patterns) and each cell's
-    exact values clamped at the windows into its memo key.  Then one pass
-    over the cells fills the memo, from clamped key to ``Verdict``, which
-    lives for this one sweep: a cell whose key is new takes its pattern's
-    class plan, looked up by ``gk.plan_of`` on the pattern's first miss,
-    calls ``gk._gk_from_plan`` on it and the cell's exact values and
-    ``verdict.on_half_line`` on its key, and takes the ``Verdict`` shared
-    by every miss with its GK dimension and criterion.  Each cell gets one
-    outcome: its ``Verdict``, or None, with the repr of what raised in
-    ``failed``.  A miss that raises, in the plan lookup too, is not
-    memoised: every point of its cell is recorded in ``errors``, and the
-    next cell with the same key misses again, looking its plan up again if
-    the lookup raised.  A column pass that raises fails every point
-    with its repr.  Every point's row is built from its cell's outcome in
-    one ``map``; only when some cell failed does a second pass drop those
-    points' rows and list them in ``errors``, in grid order.
+    exact values and pattern numbers, the None patterns), and each cell's
+    memo key, read off the forms' codes kept with the table (``_memo_keys``:
+    each form's distinct ints clamped at its window, then one mixed-radix
+    int per cell).  The memo, from int key to ``Verdict``, lives for this
+    one sweep.  Each distinct key, in order of first occurrence, misses
+    once, at its first cell: the cell's pattern's class plan, looked up by
+    ``gk.plan_of`` on the pattern's first miss, ``gk._gk_from_plan`` on it
+    and the cell's exact values and ``verdict.on_half_line`` on the same
+    values, and the ``Verdict`` shared by every miss with its GK dimension
+    and criterion.  Every cell's outcome is then its key's memo entry, in
+    one ``map``.  A miss that raises, in the plan lookup too, is not
+    memoised: its cell's outcome is None and its points are recorded in
+    ``errors`` with the repr of what raised, and the key's next cell, if
+    any, misses again, looking its plan up again if the lookup raised.  A
+    column pass that raises fails every point with its repr.  Every
+    point's row is built from its cell's outcome in one ``map`` through
+    tuple's own constructor; only when some cell failed does a second pass
+    drop those points' rows and list them in ``errors``, in grid order.
     """
     try:
         forms, windows, _, _, _ = setup.gk_key
         du = setup.dim_u
         cells, exact, numbers, patterns = grid.form_cells(forms)
-        keys = list(zip(*map(saturate, zip(*exact), windows)))
+        keys = _memo_keys(grid._codes[forms], windows)
     except Exception as exc:  # collected, not fatal
         cells, outcomes, failed = (0,) * len(grid), [None], {0: repr(exc)}
     else:
-        memo: dict = {}  # clamped form values -> Verdict
+        # int key -> its first cell, then its Verdict, or None when every miss raised
+        memo: dict = {}
+        deque(map(memo.setdefault, keys, count()), maxlen=0)
         shared: dict = {}  # (GK dimension, criterion) -> the Verdict of every such miss
         plans = [None] * len(patterns)  # per pattern: the setup's class plan, once looked up
         failed = {}  # cell -> the repr of what its miss raised
-        outcomes = []  # per cell: its Verdict, or None when its miss raised
-        for key, values, number in zip(keys, exact, numbers):
-            outcome = memo.get(key)
-            if outcome is None:
-                try:
-                    plan = plans[number]
-                    if plan is None:
-                        plan = plans[number] = gk.plan_of(setup, patterns[number])
-                    dim = gk._gk_from_plan(plan, values)
-                    crit = verdict.on_half_line(setup, key)
-                except Exception as exc:  # collected, not fatal
-                    failed[len(outcomes)] = repr(exc)
-                else:
-                    outcome = shared.get((dim, crit))
-                    if outcome is None:
-                        outcome = Verdict(dim, du, dim < du, crit, (dim < du) == crit)
-                        shared[dim, crit] = outcome
-                    memo[key] = outcome
-            outcomes.append(outcome)
+        todo = list(memo.values())  # each key's first cell, then the next cell of a raising key
+        for cell in todo:
+            values, number = exact[cell], numbers[cell]
+            try:
+                plan = plans[number]
+                if plan is None:
+                    plan = plans[number] = gk.plan_of(setup, patterns[number])
+                dim = gk._gk_from_plan(plan, values)
+                crit = verdict.on_half_line(setup, values)
+            except Exception as exc:  # collected, not fatal
+                failed[cell] = repr(exc)
+                key = keys[cell]
+                memo[key] = None
+                try:  # the key's next cell asks again
+                    todo.append(keys.index(key, cell + 1))
+                except ValueError:  # the key has no later cell
+                    pass
+            else:
+                outcome = shared.get((dim, crit))
+                if outcome is None:
+                    outcome = Verdict(dim, du, dim < du, crit, (dim < du) == crit)
+                    shared[dim, crit] = outcome
+                memo[keys[cell]] = outcome
+        outcomes = list(map(memo.__getitem__, keys))
+        for cell in failed:
+            outcomes[cell] = None
     z1s, z2s = grid._point_columns
-    # tuple.__new__(SweepRow, (z1, z2, verdict)): each row without a Python-level call
-    verdicts = map(outcomes.__getitem__, cells)
-    rows = list(map(tuple.__new__, repeat(SweepRow), zip(z1s, z2s, verdicts)))
+    rows = list(map(SweepRow, zip(z1s, z2s, map(outcomes.__getitem__, cells))))
     if not failed:
         return SweepReport(setup, rows, [])
     errors = [(str(z1s[i]), str(z2s[i]), failed[c]) for i, c in enumerate(cells) if c in failed]

@@ -211,7 +211,7 @@ class ParabolicSetup(FrozenRecord):
         reads.  Each bound b of ``half_lines`` is recorded with its form's
         index, and that form's window is widened, where it must be, until
         lo < b <= hi: a value is then >= b exactly when it is once clamped,
-        so the clamped key decides the criterion too.
+        so every point of one clamped key gets one criterion answer.
         """
         plan = self.block_plan
         ends = [(run[-1], run[0]) for run in plan.rho_runs]  # runs decrease

@@ -15,8 +15,9 @@ every setup's ``ParabolicSetup.gk_key`` holds, together with each
 half-line's form index and bound (``GKKey.half_lines``).  So
 ``on_half_line`` tests a point's form values, exact or clamped at the
 key's windows, which are wide enough for its bounds; a sweep
-(``harness.sweep``) runs it once per memo key, next to the GK dimension,
-and ``criterion`` runs it on one point's ``exact.form_values``.  No
+(``harness.sweep``) runs it once per memo key, on the exact values of
+the key's first cell, next to the GK dimension, and ``criterion`` runs
+it on one point's ``exact.form_values``.  No
 scalar is built: a scalar with a nonzero symbol part is never an integer,
 and the form values are read off the scalars' fields.
 """

@@ -15,11 +15,16 @@ JSON object with:
 * ``stages``: the family's verification split into four in-process
   stages, best of ``--repeat`` rounds, in seconds: building the rank grids
   with their point lists, decoding their points, building their cell
-  tables for every form set, and sweeping every setup over its rank's
+  tables for every form set, with each form's codes that ``form_cells``
+  builds next to its table, and sweeping every setup over its rank's
   grid.  They run in the misses' process once its patches are undone;
   each round builds fresh grids and patches nothing, and the setups, so
   their class plans, are built once.  Whatever ``sweep`` builds lazily
-  beyond ``form_cells`` is timed with the sweeps.
+  beyond ``form_cells`` is timed with the sweeps;
+* ``profile``: the ten functions of most own time (cProfile's tottime)
+  in one ``verify_family`` run per tree, profiled first thing in the
+  first pair's timing process, so on a cold start, as
+  ``file:line(function)`` with its calls and own and cumulative seconds.
 
 The misses' and stages' process runs ``--pairs`` times per tree too,
 alternating which tree goes first, so drift of the host between
@@ -50,7 +55,30 @@ import time
 
 SIDES = ("parent", "change")
 
-# Run in a fresh process with one tree on PYTHONPATH; argv: kind, n_max, repeat.
+# Run first in the timing process; argv: kind, n_max, repeat, profile (0 or
+# 1).  With profile 1, one verify_family run under cProfile and its ten
+# functions of most own time, as one JSON line.
+PROFILE = r"""
+import cProfile, json, os, pstats, sys
+from gvmred import harness
+
+if sys.argv[4] == "1":
+    profiler = cProfile.Profile()
+    profiler.runcall(harness.verify_family, sys.argv[1], int(sys.argv[2]))
+    stats = pstats.Stats(profiler).stats
+    top = sorted(stats.items(), key=lambda item: item[1][2], reverse=True)[:10]
+    print(json.dumps([
+        {
+            "function": name if path == "~" else f"{os.path.basename(path)}:{line}({name})",
+            "ncalls": calls,
+            "tottime_s": round(own, 4),
+            "cumtime_s": round(cumulative, 4),
+        }
+        for (path, line, name), (_, calls, own, cumulative, _) in top
+    ]))
+"""
+
+# Run after PROFILE, in its process; argv: kind, n_max, repeat.
 MISSES = r"""
 import json, sys, time
 from gvmred import gk, harness, verify_family
@@ -174,15 +202,19 @@ def verify_wall(src: str, kind: str, n_max: int) -> tuple[float, str]:
     return elapsed, done.stdout
 
 
-def timed(src: str, kind: str, n_max: int, repeat: int) -> tuple[dict, dict]:
-    """The JSON lines of ``MISSES`` and ``STAGES``, run in one fresh process
-    with ``src`` on PYTHONPATH."""
-    argv = [sys.executable, "-c", MISSES + STAGES, kind, str(n_max), str(repeat)]
+def timed(src: str, kind: str, n_max: int, repeat: int, profile: bool) -> tuple[dict, dict, list]:
+    """The JSON lines of ``MISSES`` and ``STAGES``, and of ``PROFILE`` when
+    ``profile`` (else None), run in one fresh process with ``src`` on
+    PYTHONPATH."""
+    script = PROFILE + MISSES + STAGES
+    argv = [sys.executable, "-c", script, kind, str(n_max), str(repeat), str(int(profile))]
     done = subprocess.run(argv, env=_env(src), capture_output=True, text=True)
     if done.returncode:
         raise SystemExit(f"error: timing {kind}<={n_max} with {src}: {done.stderr.strip()}")
-    miss, stage = map(json.loads, done.stdout.splitlines())
-    return miss, stage
+    lines = [json.loads(line) for line in done.stdout.splitlines()]
+    top = lines.pop(0) if profile else None
+    miss, stage = lines
+    return miss, stage, top
 
 
 def merged(runs: list[dict]) -> dict:
@@ -221,7 +253,7 @@ def main(argv=None) -> int:
         parser.error("give --src twice, and --pairs and --repeat of at least 1")
     families = args.family or [("A", 14), ("D", 43)]
     sources = dict(zip(SIDES, args.src))
-    walls, misses, stages = {}, {}, {}
+    walls, misses, stages, profiles = {}, {}, {}, {}
     for kind, n_max in families:
         name = f"{kind}<={n_max}"
         times = {side: [] for side in SIDES}
@@ -241,10 +273,11 @@ def main(argv=None) -> int:
         runs = {side: [] for side in SIDES}
         for pair in range(args.pairs):
             for side in SIDES if pair % 2 == 0 else SIDES[::-1]:
-                runs[side].append(timed(sources[side], kind, n_max, args.repeat))
+                runs[side].append(timed(sources[side], kind, n_max, args.repeat, pair == 0))
         for side in SIDES:
-            misses.setdefault(name, {})[side] = merged([miss for miss, _ in runs[side]])
-            stages.setdefault(name, {})[side] = merged([stage for _, stage in runs[side]])
+            misses.setdefault(name, {})[side] = merged([miss for miss, _, _ in runs[side]])
+            stages.setdefault(name, {})[side] = merged([stage for _, stage, _ in runs[side]])
+            profiles.setdefault(name, {})[side] = runs[side][0][2]
     how = {
         "walls": "python -m gvmred verify --type K --max-n N, fresh processes, wall time "
         "including interpreter start, pairs alternating which tree runs first",
@@ -255,6 +288,8 @@ def main(argv=None) -> int:
         "stages": "in-process seconds, best of the repeat rounds, each round on fresh rank "
         "grids: grid_from_spec with the point list, decode, form_cells per form set, and "
         "every setup's sweep; in the per_miss processes, runs listed with their median",
+        "profile": "one verify_family run under cProfile, first in the first pair's "
+        "per_miss process: the ten functions of most own time (tottime), descending",
     }
     result = {
         "sources": sources,
@@ -265,6 +300,7 @@ def main(argv=None) -> int:
         "gvmred_verify_walls": walls,
         "per_miss": misses,
         "stages": stages,
+        "profile": profiles,
     }
     print(json.dumps(result, indent=2))
     return 0

@@ -223,7 +223,7 @@ def test_verify_command_mismatch_exit_code(capsys, monkeypatch):
     from gvmred import LieType, ParabolicSetup, SweepRow, Verdict
 
     setup = ParabolicSetup(LieType("A", 5), 1, 3)
-    row = SweepRow(sc(0), sc(0), Verdict(5, 8, True, False, False))
+    row = SweepRow((sc(0), sc(0), Verdict(5, 8, True, False, False)))
 
     def fake_verify(kind, n_max):
         return MismatchReport(

@@ -18,7 +18,7 @@ from gvmred import (
     standard_grid,
     sweep,
 )
-from gvmred.exact import form_values
+from gvmred.exact import form_values, saturate
 from gvmred.gk import _folded, entry_readers, integrality_classes, key_readers, split_classes
 from gvmred.tableaux import key_columns, mirrored_run_columns
 
@@ -301,13 +301,15 @@ def test_the_six_run_class_reads_as_the_spin_swapped_class():
 def test_repeated_keys_skip_the_miss_path(monkeypatch):
     """In one sweep the class split, the key building and the half-line
     test run once per distinct saturated form-value key, of which there are
-    fewer than exact ones, and the half-line test reads each such key."""
+    fewer than exact ones, and the half-line test reads exact values that
+    saturate to each such key."""
     half_lines, misses = [], []
     half_line, gk_from_plan = verdict_module.on_half_line, gk_module._gk_from_plan
 
-    def counted_half_line(setup, key):
-        half_lines.append(key)
-        return half_line(setup, key)
+    def counted_half_line(setup, values):
+        windows = setup.gk_key.windows
+        half_lines.append(tuple(saturate((v,), w)[0] for v, w in zip(values, windows)))
+        return half_line(setup, values)
 
     def counted_miss(plan, exact):
         misses.append(exact)

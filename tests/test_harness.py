@@ -239,11 +239,12 @@ def test_the_setups_of_a_type_a_rank_build_the_cells_once(monkeypatch):
 
 
 def _record_sweep_inputs(monkeypatch) -> tuple[list, list, list]:
-    """From now on, the clamped form columns ``sweep`` builds, one value per
-    cell of ``ParameterGrid.form_cells``, the exact form values each of its
-    memo misses hands to ``_gk_from_plan`` and the memo key each hands to
-    ``on_half_line``, in grid order."""
-    clamped, misses, half_line_keys = [], [], []
+    """From now on, the clamped distinct ints of each form ``sweep``
+    builds, one per int of the form's codes (``ParameterGrid._codes``),
+    the exact form values each of its memo misses hands to
+    ``_gk_from_plan`` and those each hands to ``on_half_line``, in grid
+    order."""
+    clamped, misses, half_line_values = [], [], []
     gk_from_plan, half_line = gk_module._gk_from_plan, verdict_mod.on_half_line
 
     def recording_saturate(column, window):
@@ -254,14 +255,14 @@ def _record_sweep_inputs(monkeypatch) -> tuple[list, list, list]:
         misses.append(exact)
         return gk_from_plan(plan, exact)
 
-    def recording_half_line(setup, key):
-        half_line_keys.append(key)
-        return half_line(setup, key)
+    def recording_half_line(setup, values):
+        half_line_values.append(values)
+        return half_line(setup, values)
 
     monkeypatch.setattr(harness_mod, "saturate", recording_saturate)
     monkeypatch.setattr(gk_module, "_gk_from_plan", recording_miss)
     monkeypatch.setattr(verdict_mod, "on_half_line", recording_half_line)
-    return clamped, misses, half_line_keys
+    return clamped, misses, half_line_values
 
 
 CUSTOM_GRID = grid_from_spec(GridSpec(Fraction(-7, 3), Fraction(5, 2), Fraction(5, 6)))
@@ -273,30 +274,37 @@ CUSTOM_GRID = grid_from_spec(GridSpec(Fraction(-7, 3), Fraction(5, 2), Fraction(
     ids=["A<=7", "D<=9"],
 )
 def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setups):
-    """On every point of the standard grids and of a custom grid, the memo
-    key a sweep reads off the clamped values of the point's cell is
-    ``form_values`` of the point saturated at the setup's windows; and its
-    misses, one at the first point of each key, hand ``_gk_from_plan``
-    the exact ``form_values`` of that point and ``on_half_line`` the key."""
-    clamped, misses, half_line_keys = _record_sweep_inputs(monkeypatch)
+    """On every point of the standard grids and of a custom grid, the
+    clamped values a sweep reads off the point's cell, each form's code
+    naming one of its clamped distinct ints, are ``form_values`` of the
+    point saturated at the setup's windows; and its misses, one at the
+    first point of each such key, hand ``_gk_from_plan`` and
+    ``on_half_line`` the exact ``form_values`` of that point."""
+    clamped, misses, half_line_values = _record_sweep_inputs(monkeypatch)
     checked = 0
     for setup in setups:
         forms, windows, _, _, _ = setup.gk_key
         for grid in (standard_grid(setup), CUSTOM_GRID):
             clamped.clear()
             misses.clear()
-            half_line_keys.clear()
+            half_line_values.clear()
             assert not sweep(setup, grid).errors
             cells, _, _, _ = grid.form_cells(forms)
-            cell_keys = list(zip(*clamped))
+            codes = grid._codes[forms]
+            columns = [
+                [None if code == 0 else ints[code - 1] for code in cell_codes]
+                for ints, (_, cell_codes) in zip(clamped, codes)
+            ]
+            cell_keys = list(zip(*columns))
             keys = [cell_keys[cell] for cell in cells]
             assert len(clamped) == len(forms) and len(keys) == len(grid)
+            assert [len(ints) for ints in clamped] == [len(ints) for ints, _ in codes]
             first = {}
             for (z1, z2), key in zip(grid.points(), keys):
                 assert key == saturated_form_values(forms, windows, z1, z2), (setup, z1, z2)
                 first.setdefault(key, form_values(forms, z1, z2))
             assert misses == list(first.values()), setup
-            assert half_line_keys == list(first), setup
+            assert half_line_values == list(first.values()), setup
             checked += len(keys)
     assert checked > 25000
 
@@ -382,7 +390,7 @@ def test_sweep_rows_are_the_one_point_verdicts(setups):
             assert not report.errors and len(report.rows) == len(grid)
             for row, (z1, z2) in zip(report.rows, grid.points()):
                 assert type(row) is SweepRow
-                assert row == SweepRow(z1, z2, evaluate(setup, z1, z2)), (setup, z1, z2)
+                assert row == SweepRow((z1, z2, evaluate(setup, z1, z2))), (setup, z1, z2)
             checked += len(grid)
     assert checked > 25000
 
@@ -589,25 +597,127 @@ def test_each_cells_pattern_number_names_its_none_pattern():
     patterns are distinct, and each cell's number names its exact values'
     None pattern (every int made 0); the table is kept, so a second call
     returns the same object, and sweeping every setup of the rank leaves
-    one table per form set, the kept one."""
+    one table per form set, the kept one.  Each form's codes, kept next to
+    the table and built with it, once per form set, name each cell's exact
+    value: 0 for None, i + 1 for the i-th of the form's distinct ints,
+    listed ascending."""
     checked = 0
     for kind, n in (("A", 14), ("D", 43)):
         grid = grid_from_spec(harness_mod._standard_spec(n))
         setups = [s for s in family_setups(kind, n) if s.n == n]
         kept = {forms: grid.form_cells(forms) for forms in {s.gk_key.forms for s in setups}}
+        codes = {forms: grid._codes[forms] for forms in kept}
         for setup in setups:
             sweep(setup, grid)
-        assert grid._cells.keys() == kept.keys()
+        assert grid._cells.keys() == kept.keys() == grid._codes.keys()
         for forms, table in kept.items():
             assert grid.form_cells(forms) is table and grid._cells[forms] is table
+            assert grid._codes[forms] is codes[forms] and len(codes[forms]) == len(forms)
             cells, exact, numbers, patterns = table
             assert len(cells) == len(grid) and len(set(exact)) == len(exact)
             assert len(numbers) == len(exact) and len(set(patterns)) == len(patterns)
             assert list(dict.fromkeys(numbers)) == list(range(len(patterns)))
             for values, number in zip(exact, numbers):
                 assert patterns[number] == tuple(None if v is None else 0 for v in values)
+            for f, (ints, cell_codes) in enumerate(codes[forms]):
+                column = [values[f] for values in exact]
+                assert list(ints) == sorted({v for v in column if v is not None})
+                assert len(cell_codes) == len(exact)
+                decoded = [None if code == 0 else ints[code - 1] for code in cell_codes]
+                assert decoded == column and all(code > 0 for code in cell_codes if code)
             checked += len(exact)
     assert checked > 10000
+
+
+# A setup's windows at MAX_RANK (2 000) stay within this bound: so(4000)
+# (1, 1999) has lo = -3 999.
+WINDOW_BOUND = 4000
+
+
+@st.composite
+def windowed_cells(draw):
+    """(windows, cells): one to four windows (lo, hi) within
+    ``WINDOW_BOUND``, and cells of one value per window, each None or an
+    int below, inside or above its window."""
+    windows = []
+    for _ in range(draw(st.integers(1, 4))):
+        lo = draw(st.integers(-WINDOW_BOUND, WINDOW_BOUND))
+        windows.append((lo, draw(st.integers(lo, WINDOW_BOUND))))
+    values = [
+        st.one_of(
+            st.none(),
+            st.integers(lo - 3 * WINDOW_BOUND, lo),
+            st.integers(lo, hi),
+            st.integers(hi, hi + 3 * WINDOW_BOUND),
+            st.sampled_from((lo - 1, lo, hi, hi + 1)),
+        )
+        for lo, hi in windows
+    ]
+    cells = draw(st.lists(st.tuples(*values), min_size=1, max_size=30))
+    return tuple(windows), tuple(cells)
+
+
+@settings(max_examples=100, deadline=None)
+@given(windowed_cells())
+# so(4000) (1, 1999)'s first two windows, values at and past their ends
+@example(
+    (
+        ((-3999, -3997), (-2000, 0)),
+        ((-5000, None), (-3998, 0), (-3997, 1), (None, -2000), (-3999, 1)),
+    )
+)
+def test_memo_keys_are_equal_exactly_when_the_clamped_values_are(case):
+    """Two cells get equal int memo keys exactly when their values,
+    clamped at the windows with ``saturate``, are equal; and each form's
+    codes decode back to the cells' exact values."""
+    windows, cells = case
+    codes = harness_mod._form_codes(cells)
+    keys = harness_mod._memo_keys(codes, windows)
+    clamped = [tuple(saturate((v,), w)[0] for v, w in zip(values, windows)) for values in cells]
+    assert len(keys) == len(cells) and all(type(key) is int for key in keys)
+    for f, (ints, cell_codes) in enumerate(codes):
+        decoded = [None if code == 0 else ints[code - 1] for code in cell_codes]
+        assert decoded == [values[f] for values in cells]
+    for key, values in zip(keys, clamped):
+        for other_key, other in zip(keys, clamped):
+            assert (key == other_key) == (values == other), (windows, values, other)
+
+
+def test_sweeps_at_the_largest_rank_are_the_one_point_verdicts():
+    """At the largest rank the CLI accepts, on so(4000) (1, 1999) and
+    sl(2000) (1998, 1999), a sweep of a small custom grid whose values
+    reach into each window and past both ends gives at every point the
+    row of its one-point ``evaluate``, both verdicts met."""
+    values = [-4000, -3998, -2002, -1999, -1998, Fraction(-3993, 2), -1996, -1995, -2, -1]
+    values += [Fraction(-1, 2), 0, Fraction(1, 3), 1, 2001]
+    axis = (*map(sc, values), TAU, SIGMA)
+    extra = tuple((a + TAU, b - TAU) for a in axis[2:8] for b in axis[8:14])
+    grid = ParameterGrid(axis, axis, extra)
+    for setup in (ParabolicSetup(D(2000), 1, 1999), ParabolicSetup(A(2000), 1998, 1999)):
+        report = sweep(setup, grid)
+        assert not report.errors and len(report.rows) == len(grid) > 250
+        for row, (z1, z2) in zip(report.rows, grid.points()):
+            assert row == SweepRow((z1, z2, evaluate(setup, z1, z2))), (setup, z1, z2)
+        assert 0 < report.summary["reducible"] < len(grid), setup
+        assert report.summary["mismatches"] == 0, setup
+
+
+def test_sweep_row_is_a_tuple_with_named_fields():
+    """A ``SweepRow`` is built from one tuple and is that tuple: equal to
+    it and to a row of the same values, its fields read by name, a
+    NamedTuple-style repr, and a pickle round trip that keeps its type."""
+    import pickle
+
+    verdict = Verdict(gk=5, dim_u=8, reducible=True, criterion=True, agree=True)
+    row = SweepRow((sc(-1), TAU, verdict))
+    assert type(row) is SweepRow and isinstance(row, tuple)
+    assert (row.z1, row.z2, row.verdict) == (sc(-1), TAU, verdict)
+    assert row == (sc(-1), TAU, verdict) == SweepRow([sc(-1), TAU, verdict])
+    assert row._fields == ("z1", "z2", "verdict") and not hasattr(row, "__dict__")
+    assert repr(row) == f"SweepRow(z1={sc(-1)!r}, z2={TAU!r}, verdict={verdict!r})"
+    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):  # ExactScalar needs protocol 2
+        copy = pickle.loads(pickle.dumps(row, protocol))
+        assert type(copy) is SweepRow and copy == row and copy.verdict is not verdict
 
 
 @pytest.mark.parametrize(
@@ -634,11 +744,12 @@ def test_a_raising_criterion_costs_only_its_cells_points(monkeypatch, setup):
     half_line = verdict_mod.on_half_line
     calls = []
 
-    def raises_at_target(setup, key):
+    def raises_at_target(setup, values):
+        key = tuple(saturate((v,), w)[0] for v, w in zip(values, windows))
         calls.append(key)
         if key == target:
             raise RuntimeError("criterion failed")
-        return half_line(setup, key)
+        return half_line(setup, values)
 
     clean = sweep(setup, grid)
     monkeypatch.setattr(verdict_mod, "on_half_line", raises_at_target)
@@ -859,7 +970,7 @@ def test_csv_lines_are_json_rows_through_the_field_formatter():
     report = sweep(setup, ParameterGrid(z1_values=values, z2_values=values))
     # a row whose criterion disagrees with the oracle
     report.rows.append(
-        SweepRow(sc(1), SIGMA, Verdict(gk=8, dim_u=8, reducible=False, criterion=True, agree=False))
+        SweepRow((sc(1), SIGMA, Verdict(gk=8, dim_u=8, reducible=False, criterion=True, agree=False)))
     )
     header, *lines = report_to_csv(report).splitlines()
     rows = json.loads(report_to_json(report))["rows"]

@@ -14,7 +14,9 @@ def test_measure_script_compares_two_trees():
     kind, the labeled classes of three blocks met in type D only, and the
     four in-process stages, the sweeps covering the verify line's points
     with no error or mismatch; each timing of the misses and stages as its
-    two runs, one per pair, with their median."""
+    two runs, one per pair, with their median; and per tree and family the
+    ten functions of most own time in one profiled ``verify_family``,
+    a ``harness`` function among them, descending."""
     argv = [sys.executable, str(TESTS / "measure.py"), "--src", str(SRC), "--src", str(SRC)]
     argv += ["--family", "A:5", "--family", "D:6", "--pairs", "2", "--repeat", "1"]
     done = subprocess.run(argv, capture_output=True, text=True, timeout=60)
@@ -28,6 +30,7 @@ def test_measure_script_compares_two_trees():
     points = {"A<=5": 9516, "D<=6": 9381}
     assert set(result["gvmred_verify_walls"]) == set(result["per_miss"]) == set(lines)
     assert set(result["stages"]) == set(lines) and "stages" in result["how"]
+    assert set(result["profile"]) == set(lines) and "profile" in result["how"]
     for family, line in lines.items():
         walls = result["gvmred_verify_walls"][family]
         assert len(walls["parent_s"]) == len(walls["change_s"]) == 2
@@ -48,3 +51,10 @@ def test_measure_script_compares_two_trees():
             if not six["misses"]:
                 assert six["us"] is None
             assert (stages["points"], stages["errors"], stages["mismatches"]) == (points[family], 0, 0)
+            top = result["profile"][family][side]
+            names = [line["function"] for line in top]
+            assert len(top) == 10 and any(name.startswith("harness.py:") for name in names)
+            for line in top:
+                assert line["ncalls"] > 0 and line["cumtime_s"] >= line["tottime_s"]
+            own = [line["tottime_s"] for line in top]
+            assert own == sorted(own, reverse=True)
