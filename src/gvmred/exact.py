@@ -23,12 +23,11 @@ reads a point's common denominator and symbol kernel once, and
 ``form_column`` tests one integer pair (x, y) against many decoded
 points.  ``form_values(forms, z1, z2)`` runs both for one point and many
 pairs and returns the exact values; ``saturate`` clamps a column to a
-window, which only a sweep's memo key needs: it clamps each form's
-distinct ints, once per sweep.  A grid
-(``harness.ParameterGrid``) decodes its points once, keeps one column per
-pair for every setup swept over it, and numbers its cells by the columns'
-tuples.  z1, z2 and z1 + z2, which the criterion tests, are the values of
-the pairs (2, 0), (0, 2) and (2, 2).
+window, which only a sweep's memo key needs (``harness.decide_cells``
+describes the sweep's stages).  A grid (``harness.ParameterGrid``)
+decodes its points once and keeps one column per pair for every setup
+swept over it.  z1, z2 and z1 + z2, which the criterion tests, are the
+values of the pairs (2, 0), (0, 2) and (2, 2).
 """
 
 from __future__ import annotations

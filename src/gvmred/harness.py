@@ -15,31 +15,20 @@ values and None-pattern number, and the None patterns, the cells and the
 patterns numbered in order of first occurrence in one build; the setups
 of one type-A rank share one table), built with it each form's codes
 (its distinct ints, ascending, and each cell's code: 0 for None, i + 1
-for the i-th int), and the points transposed.  The cells are about a
-sixth of the points on the standard grids of type A up to rank 5, and a
-quarter in type D up to rank 6.
+for the i-th int) and each cell's number of points, and the points
+transposed.  The cells are about a sixth of the points on the standard
+grids of type A up to rank 5, and a quarter in type D up to rank 6.
 
-``sweep`` clamps each form's distinct ints at the setup's windows, not
-each cell's values, and reads every cell's memo key off its codes as one
-mixed-radix int (``_memo_keys``), summed in C.  It fills its one memo,
-from int key to ``Verdict``, with one miss per distinct key, at the
-key's first cell, in order of first occurrence.  A miss reads the GK
-dimension off the class plan of the cell's None pattern, looked up once
-per pattern and sweep (``gk.plan_of``), and the cell's exact values
-(``gk._gk_from_plan``), and the criterion off the same exact values
-(``verdict.on_half_line``; the windows keep lo < b <= hi, so exact and
-clamped values give one answer), and shares one ``Verdict`` with every
-miss of equal GK dimension and criterion.  So the criterion reads the
-oracle's integrality decision, z1, z2 and z1 + z2 being the values of
-three of its forms.  A raising miss, plan lookup included, costs every
-point of its cell and is not memoised, so the key's next cell misses
-again; a raising column pass costs every point.  Every point's row is
-built from its cell's outcome in one ``map`` over the points' cells, by
-tuple's own constructor (``SweepRow``); only when some cell failed are
-those points' rows dropped and the points listed in the errors, in grid
-order.  No GK value, verdict or clamped key is kept on the grid, and the
-memo lives for one sweep.  The one-point route, ``verdict.evaluate``,
-serves ``gvmred reduce``.
+``decide_cells`` is the one decision core, and its docstring describes
+the stages of a sweep: the column passes, the memo keys, the one miss
+loop and the error semantics.  It returns each point's cell, each
+cell's size and outcome, and the failed cells.  ``sweep`` runs it and
+builds every point's row from its cell's outcome (``_report``);
+``verify_family`` runs it alone, counts the checked points off the
+cells' sizes, and builds rows through ``_report`` only for a setup with
+a failed or disagreeing cell.  No GK value, verdict or clamped key is
+kept on the grid, and the memo lives for one call of the core.  The
+one-point route, ``verdict.evaluate``, serves ``gvmred reduce``.
 
 Output spells each layout once.  ``ROW_FIELDS`` is the one row layout,
 for the CSV header, the JSON records and the CLI's ``key=value`` lines.
@@ -52,7 +41,7 @@ line through one segment template.
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, repeat
@@ -92,10 +81,10 @@ MAX_GRID_POINTS = 200_000
 FAMILY_MIN_N = {"A": 3, "D": 4}
 # Largest family a verification may sweep, in standard-grid points before
 # de-duplication.  The largest families under it, A up to rank 14 (923 650
-# points) and D up to rank 43 (985 080), took 0.51-0.60 s and 1.73-1.85 s
-# with `gvmred verify` (5 runs each by tests/measure.py, 2 CPUs of an
-# Intel Xeon, Python 3.11.7, interpreter start included); per-point cost
-# grows with the rank, faster in type D.
+# points) and D up to rank 43 (985 080), took 0.31-0.52 s (median 0.33 s)
+# and 1.44-1.83 s (median 1.61 s) with `gvmred verify` (6 runs each by
+# tests/measure.py, 2 CPUs of an Intel Xeon, Python 3.11.7, interpreter
+# start included); per-point cost grows with the rank, faster in type D.
 MAX_FAMILY_POINTS = 1_000_000
 
 
@@ -177,18 +166,21 @@ class ParameterGrid(FrozenRecord):
         values, and its None pattern those values with every int made 0;
         cells and patterns are numbered in order of first occurrence.
         Built from the kept columns on the first call per ``forms`` and
-        kept, with the cells' codes (``_form_codes``) next to it in
-        ``_codes``, so the setups sharing a form set share one table.  It
-        holds exact values only, never a GK value or a verdict."""
+        kept, with the cells' codes (``_form_codes``) and each cell's
+        number of points, counted in the pass that numbers the cells, next
+        to it in ``_codes``, so the setups sharing a form set share one
+        table.  It holds exact values only, never a GK value or a verdict."""
         table = self._cells.get(forms)
         if table is None:
             columns = list(map(self.form_column, forms))
-            numbering = dict(zip(dict.fromkeys(zip(*columns)), count()))
-            exact = tuple(numbering)
+            # every cell's number of points, the cells in order of first occurrence
+            sizes = Counter(zip(*columns))
+            exact = tuple(sizes)
+            numbering = dict(zip(exact, count()))
             # per cell, which of its values are None
             nones = list(zip(*[map(is_, column, repeat(None)) for column in zip(*exact)]))
             patterns = dict(zip(dict.fromkeys(nones), count()))
-            self._codes[forms] = _form_codes(exact)
+            self._codes[forms] = _form_codes(exact), tuple(sizes.values())
             table = self._cells[forms] = (
                 tuple(map(numbering.__getitem__, zip(*columns))),
                 exact,
@@ -277,9 +269,6 @@ class SweepRow(tuple):
     def __repr__(self) -> str:
         return "SweepRow(z1={!r}, z2={!r}, verdict={!r})".format(*self)
 
-    def __reduce__(self) -> tuple:
-        return SweepRow, (tuple(self),)
-
 
 class SweepReport(NamedTuple):
     setup: ParabolicSetup
@@ -299,76 +288,97 @@ class SweepReport(NamedTuple):
         }
 
 
-def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
-    """Evaluate oracle and criterion at every grid point, in grid order.
+def decide_cells(setup: ParabolicSetup, grid: ParameterGrid) -> tuple:
+    """Decide every cell of ``grid`` for ``setup``: the one decision core,
+    run by ``sweep`` and by ``verify_family``.  Returns the cell of every
+    point, the number of points of every cell, every cell's ``Verdict``
+    (None when it failed) and, per failed cell, the repr of what raised.
 
-    The column passes come first: the grid's cell table for the setup's
-    forms (``ParameterGrid.form_cells``: the points' cells, the cells'
-    exact values and pattern numbers, the None patterns), and each cell's
-    memo key, read off the forms' codes kept with the table (``_memo_keys``:
-    each form's distinct ints clamped at its window, then one mixed-radix
-    int per cell).  The memo, from int key to ``Verdict``, lives for this
-    one sweep.  Each distinct key, in order of first occurrence, misses
-    once, at its first cell: the cell's pattern's class plan, looked up by
-    ``gk.plan_of`` on the pattern's first miss, ``gk._gk_from_plan`` on it
-    and the cell's exact values and ``verdict.on_half_line`` on the same
-    values, and the ``Verdict`` shared by every miss with its GK dimension
-    and criterion.  Every cell's outcome is then its key's memo entry, in
-    one ``map``.  A miss that raises, in the plan lookup too, is not
-    memoised: its cell's outcome is None and its points are recorded in
-    ``errors`` with the repr of what raised, and the key's next cell, if
-    any, misses again, looking its plan up again if the lookup raised.  A
-    column pass that raises fails every point with its repr.  Every
-    point's row is built from its cell's outcome in one ``map`` through
-    tuple's own constructor; only when some cell failed does a second pass
-    drop those points' rows and list them in ``errors``, in grid order.
+    Its stages, which the other modules name here:
+
+    1. The column passes: the grid's cell table for the setup's forms
+       (``ParameterGrid.form_cells``: the points' cells, the cells' exact
+       values and pattern numbers, the None patterns), with each form's
+       codes and each cell's size kept next to it, and each cell's memo
+       key (``_memo_keys``: each form's distinct ints clamped at its
+       window by ``saturate``, then one mixed-radix int per cell).
+    2. The miss loop.  The memo, from int key to ``Verdict``, lives for
+       this one call.  Each distinct key, in order of first occurrence,
+       misses once, at its first cell: the class plan of the cell's None
+       pattern, looked up by ``gk.plan_of`` on the pattern's first miss,
+       ``gk._gk_from_plan`` on it and the cell's exact values, and
+       ``verdict.on_half_line`` on the same exact values (the windows keep
+       lo < b <= hi, so exact and clamped values give one answer).  Every
+       miss of equal GK dimension and criterion shares one ``Verdict``.
+    3. Every cell's outcome is its key's memo entry, read in one ``map``.
+
+    A miss that raises, in the plan lookup too, is not memoised: its
+    cell's outcome is None, its cell is failed with the repr of what
+    raised, and the key's next cell, if any, misses again, looking its
+    plan up again if the lookup raised.  A column pass that raises fails
+    every point: they all get cell 0, failed with its repr.  No GK value,
+    verdict or clamped key is kept on the grid.
     """
     try:
-        forms, windows, _, _, _ = setup.gk_key
-        du = setup.dim_u
+        (forms, windows, _, _, _), du = setup.gk_key, setup.dim_u
         cells, exact, numbers, patterns = grid.form_cells(forms)
-        keys = _memo_keys(grid._codes[forms], windows)
+        codes, sizes = grid._codes[forms]
+        keys = _memo_keys(codes, windows)
     except Exception as exc:  # collected, not fatal
-        cells, outcomes, failed = (0,) * len(grid), [None], {0: repr(exc)}
-    else:
-        # int key -> its first cell, then its Verdict, or None when every miss raised
-        memo: dict = {}
-        deque(map(memo.setdefault, keys, count()), maxlen=0)
-        shared: dict = {}  # (GK dimension, criterion) -> the Verdict of every such miss
-        plans = [None] * len(patterns)  # per pattern: the setup's class plan, once looked up
-        failed = {}  # cell -> the repr of what its miss raised
-        todo = list(memo.values())  # each key's first cell, then the next cell of a raising key
-        for cell in todo:
-            values, number = exact[cell], numbers[cell]
-            try:
-                plan = plans[number]
-                if plan is None:
-                    plan = plans[number] = gk.plan_of(setup, patterns[number])
-                dim = gk._gk_from_plan(plan, values)
-                crit = verdict.on_half_line(setup, values)
-            except Exception as exc:  # collected, not fatal
-                failed[cell] = repr(exc)
-                key = keys[cell]
-                memo[key] = None
-                try:  # the key's next cell asks again
-                    todo.append(keys.index(key, cell + 1))
-                except ValueError:  # the key has no later cell
-                    pass
-            else:
-                outcome = shared.get((dim, crit))
-                if outcome is None:
-                    outcome = Verdict(dim, du, dim < du, crit, (dim < du) == crit)
-                    shared[dim, crit] = outcome
-                memo[keys[cell]] = outcome
-        outcomes = list(map(memo.__getitem__, keys))
-        for cell in failed:
-            outcomes[cell] = None
+        return (0,) * len(grid), (len(grid),), [None], {0: repr(exc)}
+    # int key -> its first cell, then its Verdict, or None when every miss raised
+    memo: dict = {}
+    deque(map(memo.setdefault, keys, count()), maxlen=0)
+    shared: dict = {}  # (GK dimension, criterion) -> the Verdict of every such miss
+    plans = [None] * len(patterns)  # per pattern: the setup's class plan, once looked up
+    failed = {}  # cell -> the repr of what its miss raised
+    todo = list(memo.values())  # each key's first cell, then the next cell of a raising key
+    for cell in todo:
+        values, number = exact[cell], numbers[cell]
+        try:
+            plan = plans[number]
+            if plan is None:
+                plan = plans[number] = gk.plan_of(setup, patterns[number])
+            dim = gk._gk_from_plan(plan, values)
+            crit = verdict.on_half_line(setup, values)
+        except Exception as exc:  # collected, not fatal
+            failed[cell] = repr(exc)
+            key = keys[cell]
+            memo[key] = None
+            try:  # the key's next cell asks again
+                todo.append(keys.index(key, cell + 1))
+            except ValueError:  # the key has no later cell
+                pass
+        else:
+            outcome = shared.get((dim, crit))
+            if outcome is None:
+                outcome = Verdict(dim, du, dim < du, crit, (dim < du) == crit)
+                shared[dim, crit] = outcome
+            memo[keys[cell]] = outcome
+    outcomes = list(map(memo.__getitem__, keys))
+    for cell in failed:
+        outcomes[cell] = None
+    return cells, sizes, outcomes, failed
+
+
+def _report(setup: ParabolicSetup, grid: ParameterGrid, cells, outcomes, failed) -> SweepReport:
+    """The rows of ``decide_cells``' outcomes: every point's row from its
+    cell's outcome, in one ``map`` through tuple's own constructor; only
+    when some cell failed are those points' rows dropped and the points
+    listed in ``errors``, in grid order."""
     z1s, z2s = grid._point_columns
     rows = list(map(SweepRow, zip(z1s, z2s, map(outcomes.__getitem__, cells))))
     if not failed:
         return SweepReport(setup, rows, [])
     errors = [(str(z1s[i]), str(z2s[i]), failed[c]) for i, c in enumerate(cells) if c in failed]
     return SweepReport(setup, [row for row in rows if row.verdict is not None], errors)
+
+
+def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
+    """Evaluate oracle and criterion at every grid point, in grid order:
+    ``decide_cells``, then every point's row from its cell's outcome."""
+    cells, _, outcomes, failed = decide_cells(setup, grid)
+    return _report(setup, grid, cells, outcomes, failed)
 
 
 class MismatchReport(NamedTuple):
@@ -422,10 +432,16 @@ def family_point_bound(kind: str, n_max: int) -> int:
 
 
 def verify_family(kind: str, n_max: int) -> MismatchReport:
-    """Sweep every setup of the family and collect criterion/oracle clashes.
+    """Decide every setup of the family over its standard grid
+    (``decide_cells``) and collect criterion/oracle clashes.
 
-    A family whose grids would hold more than ``MAX_FAMILY_POINTS`` points
-    is rejected with a ValueError before any setup is built.
+    ``points_checked`` sums the sizes of the cells that did not fail and
+    ``grid_points`` the grids' lengths, so a cell table that loses a point
+    cannot pass.  Rows are built (``_report``) only for a setup with a
+    failed or disagreeing cell; its disagreeing rows and its errors are
+    kept, in grid order.  A family whose grids would hold more than
+    ``MAX_FAMILY_POINTS`` points is rejected with a ValueError before any
+    setup is built.
     """
     if family_point_bound(kind, n_max) > MAX_FAMILY_POINTS:
         raise ValueError(
@@ -437,11 +453,13 @@ def verify_family(kind: str, n_max: int) -> MismatchReport:
     points = grid_points = 0
     for setup in setups:
         grid = standard_grid(setup)
-        swept = sweep(setup, grid)
+        cells, sizes, outcomes, failed = decide_cells(setup, grid)
         grid_points += len(grid)
-        points += len(swept.rows)
-        errors.extend((setup, *error) for error in swept.errors)
-        mismatches.extend((setup, row) for row in swept.rows if not row.verdict.agree)
+        points += sum(sizes) - sum(map(sizes.__getitem__, failed))
+        if failed or any(outcome is not None and not outcome.agree for outcome in outcomes):
+            swept = _report(setup, grid, cells, outcomes, failed)
+            errors.extend((setup, *error) for error in swept.errors)
+            mismatches.extend((setup, row) for row in swept.rows if not row.verdict.agree)
     return MismatchReport(mismatches, len(setups), points, errors, grid_points)
 
 

@@ -14,10 +14,10 @@ z1 + z2 are the values of the forms (2, 0), (0, 2) and (2, 2), which
 every setup's ``ParabolicSetup.gk_key`` holds, together with each
 half-line's form index and bound (``GKKey.half_lines``).  So
 ``on_half_line`` tests a point's form values, exact or clamped at the
-key's windows, which are wide enough for its bounds; a sweep
-(``harness.sweep``) runs it once per memo key, on the exact values of
-the key's first cell, next to the GK dimension, and ``criterion`` runs
-it on one point's ``exact.form_values``.  No
+key's windows, which are wide enough for its bounds; a sweep runs it
+once per memo key, next to the GK dimension (``harness.decide_cells``
+describes the sweep's stages), and ``criterion`` runs it on one point's
+``exact.form_values``.  No
 scalar is built: a scalar with a nonzero symbol part is never an integer,
 and the form values are read off the scalars' fields.
 """
@@ -63,7 +63,7 @@ def criterion(setup: ParabolicSetup, z1, z2) -> bool:
 
 def evaluate(setup: ParabolicSetup, z1, z2) -> Verdict:
     """Oracle verdict plus criterion answer and agreement flag at one
-    point; ``harness.sweep`` decides a whole grid by cells."""
+    point; ``harness.decide_cells`` decides a whole grid by cells."""
     gk = gk_dimension(setup, z1, z2)
     du = setup.dim_u
     reducible = gk < du

@@ -4,9 +4,10 @@ of so(2n) (1, n - 1)'s labeled class of three blocks.
 
 Runs ``verify_family`` on type A up to rank 14 and type D up to rank 43
 with each memo miss (``gk._gk_from_plan``) recorded, with the setup being
-swept (``harness.sweep``).  At every miss it pairs each class of the miss's
-class plan with its class in the block split on the miss's own values
-(``references.reader_classes``) and checks:
+verified (the last one whose grid ``harness.standard_grid`` gave).  At
+every miss it pairs each class of the miss's class plan with its class in
+the block split on the miss's own values (``references.reader_classes``)
+and checks:
 
 * each class has the column lengths ``tableaux.key_columns`` gives on its
   plan's keys in closed form, on the runs' tops: ``three_run_columns``
@@ -120,11 +121,11 @@ def spin_swap_cases() -> tuple[int, str | None]:
 
 def main() -> int:
     misses, current = [], []
-    miss, sweep = gk._gk_from_plan, harness.sweep
+    miss, standard_grid = gk._gk_from_plan, harness.standard_grid
 
-    def recorded_sweep(setup, grid):
+    def recorded_grid(setup):  # verify_family asks it once per setup, before its misses
         current[:] = [setup]
-        return sweep(setup, grid)
+        return standard_grid(setup)
 
     def recorded(plan, exact):
         value = miss(plan, exact)
@@ -132,7 +133,7 @@ def main() -> int:
         return value
 
     status = 0
-    gk._gk_from_plan, harness.sweep = recorded, recorded_sweep
+    gk._gk_from_plan, harness.standard_grid = recorded, recorded_grid
     try:
         for kind, n_max, kinds in FAMILIES:
             misses.clear()
@@ -155,7 +156,7 @@ def main() -> int:
             if not misses or not report.ok or not kinds <= {k for k, c in seen.items() if c}:
                 status = 1
     finally:
-        gk._gk_from_plan, harness.sweep = miss, sweep
+        gk._gk_from_plan, harness.standard_grid = miss, standard_grid
     cases, problem = spin_swap_cases()
     if problem is not None:
         print(f"spin swap: {problem}")

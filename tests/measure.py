@@ -85,24 +85,24 @@ from gvmred import gk, harness, verify_family
 
 kind, n_max, repeat = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 name = "_gk_from_plan" if hasattr(gk, "_gk_from_plan") else "_gk_from_values"
-miss, sweep = getattr(gk, name), harness.sweep
+miss, standard_grid = getattr(gk, name), harness.standard_grid
 misses, current = [], []
 
-def recorded_sweep(setup, grid):
+def recorded_grid(setup):  # verify_family asks it once per setup, before its misses
     current[:] = [setup]
-    return sweep(setup, grid)
+    return standard_grid(setup)
 
 def recorded(*args):
     misses.append((current[0], args))
     return miss(*args)
 
 setattr(gk, name, recorded)
-harness.sweep = recorded_sweep
+harness.standard_grid = recorded_grid
 try:
     ok = verify_family(kind, n_max).ok
 finally:
     setattr(gk, name, miss)
-    harness.sweep = sweep
+    harness.standard_grid = standard_grid
 
 def six_run(setup, exact):
     pattern = tuple(None if v is None else 0 for v in exact)

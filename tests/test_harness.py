@@ -1,5 +1,6 @@
 import hashlib
 import json
+from collections import Counter
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from math import ceil, floor
@@ -31,6 +32,7 @@ from gvmred.harness import (
     FAMILY_MIN_N,
     MAX_FAMILY_POINTS,
     MAX_GRID_POINTS,
+    MismatchReport,
     SweepRow,
     family_point_bound,
     format_field,
@@ -290,7 +292,7 @@ def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setu
             half_line_values.clear()
             assert not sweep(setup, grid).errors
             cells, _, _, _ = grid.form_cells(forms)
-            codes = grid._codes[forms]
+            codes, _ = grid._codes[forms]
             columns = [
                 [None if code == 0 else ints[code - 1] for code in cell_codes]
                 for ints, (_, cell_codes) in zip(clamped, codes)
@@ -606,20 +608,21 @@ def test_each_cells_pattern_number_names_its_none_pattern():
         grid = grid_from_spec(harness_mod._standard_spec(n))
         setups = [s for s in family_setups(kind, n) if s.n == n]
         kept = {forms: grid.form_cells(forms) for forms in {s.gk_key.forms for s in setups}}
-        codes = {forms: grid._codes[forms] for forms in kept}
+        kept_codes = {forms: grid._codes[forms] for forms in kept}
         for setup in setups:
             sweep(setup, grid)
         assert grid._cells.keys() == kept.keys() == grid._codes.keys()
         for forms, table in kept.items():
             assert grid.form_cells(forms) is table and grid._cells[forms] is table
-            assert grid._codes[forms] is codes[forms] and len(codes[forms]) == len(forms)
+            codes, _ = grid._codes[forms]
+            assert grid._codes[forms] is kept_codes[forms] and len(codes) == len(forms)
             cells, exact, numbers, patterns = table
             assert len(cells) == len(grid) and len(set(exact)) == len(exact)
             assert len(numbers) == len(exact) and len(set(patterns)) == len(patterns)
             assert list(dict.fromkeys(numbers)) == list(range(len(patterns)))
             for values, number in zip(exact, numbers):
                 assert patterns[number] == tuple(None if v is None else 0 for v in values)
-            for f, (ints, cell_codes) in enumerate(codes[forms]):
+            for f, (ints, cell_codes) in enumerate(codes):
                 column = [values[f] for values in exact]
                 assert list(ints) == sorted({v for v in column if v is not None})
                 assert len(cell_codes) == len(exact)
@@ -939,6 +942,121 @@ def test_verify_family_detects_corrupted_criterion(monkeypatch):
     ]
     assert len(report.mismatches) == sum(flips) > 0
     assert {row.verdict.criterion for _, row in report.mismatches} == {False, True}
+
+
+def _report_from_rows(kind: str, n_max: int) -> MismatchReport:
+    """The family's report read off ``sweep``'s rows: every setup swept
+    over its standard grid, its errors kept and every row scanned for
+    ``agree``."""
+    setups = family_setups(kind, n_max)
+    mismatches, errors = [], []
+    points = grid_points = 0
+    for setup in setups:
+        grid = standard_grid(setup)
+        swept = sweep(setup, grid)
+        grid_points += len(grid)
+        points += len(swept.rows)
+        errors.extend((setup, *error) for error in swept.errors)
+        mismatches.extend((setup, row) for row in swept.rows if not row.verdict.agree)
+    return MismatchReport(mismatches, len(setups), points, errors, grid_points)
+
+
+def _flip_some_criteria(patch):
+    """Flip the criterion on the cells whose z1 value is a multiple of 3."""
+    half_line = verdict_mod.on_half_line
+
+    def flipped(setup, values):
+        (i, _), _, _ = setup.gk_key.half_lines
+        crit = half_line(setup, values)
+        return not crit if values[i] is not None and values[i] % 3 == 0 else crit
+
+    patch.setattr(verdict_mod, "on_half_line", flipped)
+
+
+def _raise_at_some_misses(patch):
+    """Raise at the misses whose exact ints sum to a multiple of 5."""
+    gk_from_plan = gk_module._gk_from_plan
+
+    def raising(plan, exact):
+        if sum(v for v in exact if v is not None) % 5 == 0:
+            raise RuntimeError(f"miss failed at {exact}")
+        return gk_from_plan(plan, exact)
+
+    patch.setattr(gk_module, "_gk_from_plan", raising)
+
+
+def _raise_at_every_other_table(patch):
+    """Raise at every other ``form_cells`` call, counted per report."""
+    form_cells, calls = ParameterGrid.form_cells, []
+
+    def raising(grid, forms):
+        calls.append(forms)
+        if len(calls) % 2 == 0:
+            raise RuntimeError(f"cells failed at call {len(calls)}")
+        return form_cells(grid, forms)
+
+    patch.setattr(ParameterGrid, "form_cells", raising)
+    return calls
+
+
+@pytest.mark.parametrize("kind, n_max", [("A", 6), ("D", 7)], ids=["A<=6", "D<=7"])
+@pytest.mark.parametrize(
+    "break_it",
+    [_flip_some_criteria, _raise_at_some_misses, _raise_at_every_other_table],
+    ids=["criterion", "miss", "column-pass"],
+)
+def test_verify_family_reports_what_the_rows_report(monkeypatch, kind, n_max, break_it):
+    """With the criterion flipped on some cells, a miss raising at some
+    keys, or a column pass raising at some setups, ``verify_family``,
+    which builds rows only for a setup with a failed or disagreeing cell,
+    gives the report read off every setup's ``sweep`` rows, field by
+    field: the same mismatches and errors, in the same order, with the
+    same text, and the same counts."""
+    with monkeypatch.context() as patch:
+        calls = break_it(patch)
+        expected = _report_from_rows(kind, n_max)
+        if calls is not None:
+            calls.clear()
+        report = verify_family(kind, n_max)
+    assert 0 < len(expected.mismatches) + len(expected.errors) < expected.grid_points
+    assert not report.ok
+    for field in MismatchReport._fields:
+        assert getattr(report, field) == getattr(expected, field), field
+    assert verify_family(kind, n_max) == _report_from_rows(kind, n_max)
+
+
+def test_kept_cell_sizes_count_every_point():
+    """For every rank grid and form set of the largest verify families, A
+    up to rank 14 and D up to rank 43, the per-cell point counts kept with
+    the cell table are each cell's points: they sum to ``len(grid)``."""
+    for kind, n_max in (("A", 14), ("D", 43)):
+        setups = family_setups(kind, n_max)
+        for n in sorted({s.n for s in setups}):
+            grid = grid_from_spec(harness_mod._standard_spec(n))
+            for forms in {s.gk_key.forms for s in setups if s.n == n}:
+                cells, exact, _, _ = grid.form_cells(forms)
+                _, sizes = grid._codes[forms]
+                assert len(sizes) == len(exact) and sum(sizes) == len(grid), (kind, n, forms)
+                assert sizes == tuple(Counter(cells).values()), (kind, n, forms)
+
+
+def test_a_verification_that_counts_a_point_short_does_not_pass(monkeypatch):
+    """``points_checked`` is read off the kept per-cell counts and
+    ``grid_points`` off ``len(grid)``: with one cell's count one short,
+    and nothing else wrong, the verification fails."""
+    decide_cells, shortened = harness_mod.decide_cells, []
+
+    def one_short(setup, grid):
+        cells, sizes, outcomes, failed = decide_cells(setup, grid)
+        if not shortened:
+            shortened.append(setup)
+            sizes = (sizes[0] - 1, *sizes[1:])
+        return cells, sizes, outcomes, failed
+
+    monkeypatch.setattr(harness_mod, "decide_cells", one_short)
+    report = verify_family("A", 5)
+    assert not report.mismatches and not report.errors and report.setups_checked == 10
+    assert report.points_checked == report.grid_points - 1 and not report.ok
 
 
 def test_sweeps_are_deterministic():
