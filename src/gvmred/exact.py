@@ -22,9 +22,10 @@ The form values (x*z1 + y*z2)/2 come in two steps: ``decode_point``
 reads a point's common denominator and symbol kernel once, and
 ``form_column`` tests one integer pair (x, y) against many decoded
 points.  ``form_values(forms, z1, z2)`` runs both for one point and many
-pairs and returns the exact values; ``saturate`` clamps a column to a
-window, which only a sweep's memo key needs (``harness.decide_cells``
-describes the sweep's stages).  A grid (``harness.ParameterGrid``)
+pairs and returns the exact values, taking each parameter through
+``as_scalar``, the one coercion of an int or a ``Fraction``; ``saturate``
+clamps a column to a window, which only a sweep's memo key needs
+(``harness.decide_cells`` describes the sweep's stages).  A grid (``harness.ParameterGrid``)
 decodes its points once and keeps one column per pair for every setup
 swept over it.  z1, z2 and z1 + z2, which the criterion tests, are the
 values of the pairs (2, 0), (0, 2) and (2, 2).
@@ -144,6 +145,10 @@ class ExactScalar:
     def __hash__(self):
         return self._hash
 
+    def __reduce__(self):
+        # protocols 0 and 1 cannot copy __slots__; the constructor rebuilds every field
+        return ExactScalar, (self.rational, self.generic)
+
     def __repr__(self):
         return f"ExactScalar({self!s})"
 
@@ -154,6 +159,13 @@ class ExactScalar:
             sign = "-" if coeff < 0 else "+" if text else ""
             text += sign + (name if abs(coeff) == 1 else f"{abs(coeff)}*{name}")
         return text
+
+
+def as_scalar(z) -> ExactScalar:
+    """``z`` as an ExactScalar: an ExactScalar as it is, an int or a
+    ``Fraction`` as the rational scalar it equals; anything else, a float
+    too, raises TypeError.  The one coercion of a one-point parameter."""
+    return z if isinstance(z, ExactScalar) else ExactScalar(z)
 
 
 def symbol(name: str, coeff: RationalLike = 1) -> ExactScalar:
@@ -255,12 +267,11 @@ def saturate(column: Sequence[int | None], window: tuple[int, int]) -> tuple[int
     return tuple([v if v is None or lo <= v <= hi else lo if v < lo else hi for v in column])
 
 
-def form_values(
-    forms: Sequence[tuple[int, int]], z1: ExactScalar, z2: ExactScalar
-) -> tuple[int | None, ...]:
+def form_values(forms: Sequence[tuple[int, int]], z1, z2) -> tuple[int | None, ...]:
     """Per integer pair (x, y): (x*z1 + y*z2)/2 as an int when it is an
-    integer, else None; builds no scalar.  The one-point form of
-    ``form_column``: the point is decoded once for all pairs.  ``forms``
-    holds no (0, 0) pair."""
-    point = (decode_point(z1, z2),)
+    integer, else None; builds no scalar beyond ``as_scalar`` of an int or
+    ``Fraction`` parameter.  The one-point form of ``form_column``, behind
+    both ``gk.gk_dimension`` and ``verdict.criterion``: the point is
+    decoded once for all pairs.  ``forms`` holds no (0, 0) pair."""
+    point = (decode_point(as_scalar(z1), as_scalar(z2)),)
     return tuple([form_column(point, form)[0] for form in forms])

@@ -103,7 +103,7 @@ from __future__ import annotations
 
 from typing import Callable, NamedTuple
 
-from .exact import ExactScalar, form_values, integer_difference, integer_sum
+from .exact import form_values, integer_difference, integer_sum
 from .rootdata import LieType, ParabolicSetup
 from .tableaux import ScalarSequence, mirrored_run_columns, three_run_columns
 
@@ -291,8 +291,7 @@ def gk_dimension(setup: ParabolicSetup, z1, z2) -> int:
     """GK dimension at the scalar highest weight z1*xi_p + z2*xi_q: the
     one-point call, ``_gk_from_plan`` of the point's exact
     ``exact.form_values`` over ``setup.gk_key.forms`` and the plan of their
-    None pattern (``plan_of``), with no memo."""
-    z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
-    z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
+    None pattern (``plan_of``), with no memo; ``form_values`` coerces an
+    int or ``Fraction`` parameter (``exact.as_scalar``)."""
     exact = form_values(setup.gk_key.forms, z1, z2)
     return _gk_from_plan(plan_of(setup, tuple([None if v is None else 0 for v in exact])), exact)

@@ -10,14 +10,10 @@ A sweep decides each grid cell once.  A cell is a distinct tuple of a
 point's exact form values over a set of forms.  The grid keeps, for
 every setup swept over it, each built on first use: the exact form
 values per form (``ParameterGrid.form_column``), one cell table per form
-set (``ParameterGrid.form_cells``: each point's cell, each cell's exact
-values and None-pattern number, and the None patterns, the cells and the
-patterns numbered in order of first occurrence in one build; the setups
-of one type-A rank share one table), built with it each form's codes
-(its distinct ints, ascending, and each cell's code: 0 for None, i + 1
-for the i-th int) and each cell's number of points, and the points
-transposed.  The cells are about a sixth of the points on the standard
-grids of type A up to rank 5, and a quarter in type D up to rank 6.
+set, which ``ParameterGrid.form_cells``' docstring describes and which
+holds every per-grid input of a sweep, and the points transposed.  The
+cells are about a sixth of the points on the standard grids of type A
+up to rank 5, and a quarter in type D up to rank 6.
 
 ``decide_cells`` is the one decision core, and its docstring describes
 the stages of a sweep: the column passes, the memo keys, the one miss
@@ -66,12 +62,12 @@ class UnsupportedGrid(ValueError):
 Point = tuple[ExactScalar, ExactScalar]
 Axis = tuple[ExactScalar, ...]
 Values = tuple["int | None", ...]
-# (the cell index of every point, the exact form values of every cell, the
-# pattern index of every cell, the None pattern of every pattern index)
-FormCells = tuple[tuple[int, ...], tuple[Values, ...], tuple[int, ...], tuple[Values, ...]]
+Ints = tuple[int, ...]
 # per form: (its distinct ints, ascending; every cell's code, 0 for None and
 # i + 1 for the i-th int)
-FormCodes = tuple[tuple[tuple[int, ...], tuple[int, ...]], ...]
+FormCodes = tuple[tuple[Ints, Ints], ...]
+# (cells, exact, numbers, patterns, codes, sizes): ``ParameterGrid.form_cells``
+FormCells = tuple[Ints, tuple[Values, ...], Ints, tuple[Values, ...], FormCodes, Ints]
 
 EXTRA_RATIONALS = (Fraction(1, 3),)
 # Largest grid a spec may describe: about 100 times the standard grid of
@@ -125,7 +121,7 @@ class ParameterGrid(FrozenRecord):
     def __init__(self, z1_values: Axis, z2_values: Axis, extra_points: tuple[Point, ...] = ()):
         self.__dict__.update(z1_values=z1_values, z2_values=z2_values, extra_points=extra_points)
         # caches kept out of ``_fields``, so equality and hash ignore them
-        self.__dict__.update(_columns={}, _cells={}, _codes={})
+        self.__dict__.update(_columns={}, _cells={})
 
     def points(self) -> tuple[Point, ...]:
         """Every point once, in grid order; listed on the first call."""
@@ -160,16 +156,26 @@ class ParameterGrid(FrozenRecord):
         return column
 
     def form_cells(self, forms: tuple[tuple[int, int], ...]) -> FormCells:
-        """The cell table over ``forms``: (cell of every point, exact values
-        of every cell, pattern of every cell, None pattern of every
-        pattern).  A cell is a distinct tuple of a point's ``form_column``
-        values, and its None pattern those values with every int made 0;
-        cells and patterns are numbered in order of first occurrence.
+        """The cell table over ``forms``, every per-grid input of a sweep,
+        as one tuple ``(cells, exact, numbers, patterns, codes, sizes)``:
+
+        * ``cells``: the cell of every point, in grid order.  A cell is a
+          distinct tuple of a point's ``form_column`` values;
+        * ``exact``: every cell's exact values;
+        * ``numbers``: every cell's None-pattern number, a pattern being a
+          cell's values with every int made 0;
+        * ``patterns``: the None pattern of every number;
+        * ``codes``: per form, its distinct ints over the cells, ascending,
+          and every cell's code, 0 for None and i + 1 for the i-th int
+          (``_form_codes``), from which a sweep reads its memo keys;
+        * ``sizes``: every cell's number of points, counted in the pass
+          that numbers the cells.
+
+        Cells and patterns are numbered in order of first occurrence.
         Built from the kept columns on the first call per ``forms`` and
-        kept, with the cells' codes (``_form_codes``) and each cell's
-        number of points, counted in the pass that numbers the cells, next
-        to it in ``_codes``, so the setups sharing a form set share one
-        table.  It holds exact values only, never a GK value or a verdict."""
+        kept, so the setups sharing a form set (every type-A setup of one
+        rank; each type-D rank has two) share one table.  It holds exact
+        values only, never a GK value or a verdict."""
         table = self._cells.get(forms)
         if table is None:
             columns = list(map(self.form_column, forms))
@@ -180,12 +186,13 @@ class ParameterGrid(FrozenRecord):
             # per cell, which of its values are None
             nones = list(zip(*[map(is_, column, repeat(None)) for column in zip(*exact)]))
             patterns = dict(zip(dict.fromkeys(nones), count()))
-            self._codes[forms] = _form_codes(exact), tuple(sizes.values())
             table = self._cells[forms] = (
                 tuple(map(numbering.__getitem__, zip(*columns))),
                 exact,
                 tuple(map(patterns.__getitem__, nones)),
                 tuple(tuple([None if none else 0 for none in flags]) for flags in patterns),
+                _form_codes(exact),
+                tuple(sizes.values()),
             )
         return table
 
@@ -297,11 +304,10 @@ def decide_cells(setup: ParabolicSetup, grid: ParameterGrid) -> tuple:
     Its stages, which the other modules name here:
 
     1. The column passes: the grid's cell table for the setup's forms
-       (``ParameterGrid.form_cells``: the points' cells, the cells' exact
-       values and pattern numbers, the None patterns), with each form's
-       codes and each cell's size kept next to it, and each cell's memo
-       key (``_memo_keys``: each form's distinct ints clamped at its
-       window by ``saturate``, then one mixed-radix int per cell).
+       (``ParameterGrid.form_cells``), the one value this core reads off
+       the grid besides ``len(grid)``, and each cell's memo key
+       (``_memo_keys``: each form's distinct ints clamped at its window by
+       ``saturate``, then one mixed-radix int per cell).
     2. The miss loop.  The memo, from int key to ``Verdict``, lives for
        this one call.  Each distinct key, in order of first occurrence,
        misses once, at its first cell: the class plan of the cell's None
@@ -309,7 +315,8 @@ def decide_cells(setup: ParabolicSetup, grid: ParameterGrid) -> tuple:
        ``gk._gk_from_plan`` on it and the cell's exact values, and
        ``verdict.on_half_line`` on the same exact values (the windows keep
        lo < b <= hi, so exact and clamped values give one answer).  Every
-       miss of equal GK dimension and criterion shares one ``Verdict``.
+       miss of equal GK dimension and criterion shares one ``Verdict``,
+       built by ``Verdict.of`` on the first of them.
     3. Every cell's outcome is its key's memo entry, read in one ``map``.
 
     A miss that raises, in the plan lookup too, is not memoised: its
@@ -321,8 +328,7 @@ def decide_cells(setup: ParabolicSetup, grid: ParameterGrid) -> tuple:
     """
     try:
         (forms, windows, _, _, _), du = setup.gk_key, setup.dim_u
-        cells, exact, numbers, patterns = grid.form_cells(forms)
-        codes, sizes = grid._codes[forms]
+        cells, exact, numbers, patterns, codes, sizes = grid.form_cells(forms)
         keys = _memo_keys(codes, windows)
     except Exception as exc:  # collected, not fatal
         return (0,) * len(grid), (len(grid),), [None], {0: repr(exc)}
@@ -352,8 +358,7 @@ def decide_cells(setup: ParabolicSetup, grid: ParameterGrid) -> tuple:
         else:
             outcome = shared.get((dim, crit))
             if outcome is None:
-                outcome = Verdict(dim, du, dim < du, crit, (dim < du) == crit)
-                shared[dim, crit] = outcome
+                outcome = shared[dim, crit] = Verdict.of(dim, du, crit)
             memo[keys[cell]] = outcome
     outcomes = list(map(memo.__getitem__, keys))
     for cell in failed:

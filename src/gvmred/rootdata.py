@@ -32,7 +32,7 @@ from functools import cached_property
 from itertools import combinations
 from typing import NamedTuple
 
-from .exact import ExactScalar
+from .exact import ExactScalar, as_scalar
 
 
 class IndexOutOfRange(ValueError):
@@ -265,8 +265,7 @@ def shifted_weight(setup: ParabolicSetup, z1, z2) -> tuple[ExactScalar, ...]:
     the block plan.  Type A subtracts the entries' mean,
     (p*z1 + q*z2)/n + (n-1)/2, from the gl(n) representative, which leaves
     the sl(n) weight."""
-    z1 = z1 if isinstance(z1, ExactScalar) else ExactScalar(z1)
-    z2 = z2 if isinstance(z2, ExactScalar) else ExactScalar(z2)
+    z1, z2 = as_scalar(z1), as_scalar(z2)
     n = setup.n
     m1, m2, m0 = 0, 0, 0
     if setup.lie.kind == "A":

@@ -2,7 +2,8 @@
 
 The oracle declares the scalar generalized Verma module reducible exactly
 when the GK dimension of its simple quotient drops below the nilradical
-dimension.  The closed-form criterion is one formula for every setup:
+dimension; ``Verdict.of`` is that rule, for one point and for a sweep's
+cell alike.  The closed-form criterion is one formula for every setup:
 the module is reducible exactly when z1, z2 or z1 + z2 is an integer on
 its half-line Z>=b1, Z>=b2 or Z>=b12, three bounds fixed by the setup
 (``ParabolicSetup.half_lines``).  In the (z1, z2) plane the reducible set
@@ -26,7 +27,7 @@ from __future__ import annotations
 
 from typing import NamedTuple
 
-from .exact import ExactScalar, form_values
+from .exact import form_values
 from .gk import gk_dimension
 from .rootdata import ParabolicSetup
 
@@ -38,9 +39,13 @@ class Verdict(NamedTuple):
     criterion: bool
     agree: bool
 
-
-def _coerce(z) -> ExactScalar:
-    return z if isinstance(z, ExactScalar) else ExactScalar(z)
+    @classmethod
+    def of(cls, gk: int, dim_u: int, criterion: bool) -> Verdict:
+        """The one verdict rule, for a point and for a sweep's cell alike:
+        reducible when the GK dimension ``gk`` is below ``dim_u``, and the
+        criterion agrees when it says the same."""
+        reducible = gk < dim_u
+        return cls(gk, dim_u, reducible, criterion, reducible == criterion)
 
 
 def on_half_line(setup: ParabolicSetup, values: tuple) -> bool:
@@ -58,14 +63,11 @@ def on_half_line(setup: ParabolicSetup, values: tuple) -> bool:
 def criterion(setup: ParabolicSetup, z1, z2) -> bool:
     """The closed form at one point (z1, z2): ``on_half_line`` of its exact
     form values."""
-    return on_half_line(setup, form_values(setup.gk_key.forms, _coerce(z1), _coerce(z2)))
+    return on_half_line(setup, form_values(setup.gk_key.forms, z1, z2))
 
 
 def evaluate(setup: ParabolicSetup, z1, z2) -> Verdict:
     """Oracle verdict plus criterion answer and agreement flag at one
-    point; ``harness.decide_cells`` decides a whole grid by cells."""
-    gk = gk_dimension(setup, z1, z2)
-    du = setup.dim_u
-    reducible = gk < du
-    crit = criterion(setup, z1, z2)
-    return Verdict(gk, du, reducible, crit, reducible == crit)
+    point, by ``Verdict.of``; ``harness.decide_cells`` decides a whole
+    grid by cells."""
+    return Verdict.of(gk_dimension(setup, z1, z2), setup.dim_u, criterion(setup, z1, z2))

@@ -15,8 +15,7 @@ JSON object with:
 * ``stages``: the family's verification split into four in-process
   stages, best of ``--repeat`` rounds, in seconds: building the rank grids
   with their point lists, decoding their points, building their cell
-  tables for every form set, with each form's codes that ``form_cells``
-  builds next to its table, and sweeping every setup over its rank's
+  tables for every form set, and sweeping every setup over its rank's
   grid.  They run in the misses' process once its patches are undone;
   each round builds fresh grids and patches nothing, and the setups, so
   their class plans, are built once.  Whatever ``sweep`` builds lazily

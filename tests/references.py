@@ -34,10 +34,9 @@ from math import gcd
 from typing import NamedTuple
 
 from gvmred import IndexOutOfRange
-from gvmred.exact import integer_difference, integer_sum
+from gvmred.exact import as_scalar, integer_difference, integer_sum
 from gvmred.gk import _folded, integrality_classes, key_readers, split_classes
 from gvmred.tableaux import conjugate, rs_shape
-from gvmred.verdict import _coerce
 
 from dense_gk import NonIntegralWeight, minus_double  # noqa: F401
 
@@ -140,7 +139,7 @@ def single_weight_reducible(n: int, p: int, z) -> bool:
     """Reducibility for the one-parameter weight z * xi_p in type A."""
     if not 1 <= p <= n - 1:
         raise IndexOutOfRange(f"p={p} out of range for sl({n})")
-    return int_at_least(_coerce(z), 1 - min(p, n - p))
+    return int_at_least(as_scalar(z), 1 - min(p, n - p))
 
 
 def has_maximal_shape(setup, entries) -> bool:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import pickle
 from collections import Counter
 import xml.etree.ElementTree as ET
 from fractions import Fraction
@@ -242,7 +243,7 @@ def test_the_setups_of_a_type_a_rank_build_the_cells_once(monkeypatch):
 
 def _record_sweep_inputs(monkeypatch) -> tuple[list, list, list]:
     """From now on, the clamped distinct ints of each form ``sweep``
-    builds, one per int of the form's codes (``ParameterGrid._codes``),
+    builds, one per int of the form's codes (in ``ParameterGrid.form_cells``),
     the exact form values each of its memo misses hands to
     ``_gk_from_plan`` and those each hands to ``on_half_line``, in grid
     order."""
@@ -291,8 +292,7 @@ def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setu
             misses.clear()
             half_line_values.clear()
             assert not sweep(setup, grid).errors
-            cells, _, _, _ = grid.form_cells(forms)
-            codes, _ = grid._codes[forms]
+            cells, _, _, _, codes, _ = grid.form_cells(forms)
             columns = [
                 [None if code == 0 else ints[code - 1] for code in cell_codes]
                 for ints, (_, cell_codes) in zip(clamped, codes)
@@ -570,7 +570,7 @@ def test_a_raising_plan_lookup_costs_only_its_cell(monkeypatch, setup):
     that pattern looks it up again, each other pattern once."""
     grid = standard_grid(setup)
     forms = setup.gk_key.forms
-    cells, _, _, patterns = grid.form_cells(forms)
+    cells, _, _, patterns, _, _ = grid.form_cells(forms)
     plan_of = gk_module.plan_of
     calls = []
 
@@ -599,24 +599,23 @@ def test_each_cells_pattern_number_names_its_none_pattern():
     patterns are distinct, and each cell's number names its exact values'
     None pattern (every int made 0); the table is kept, so a second call
     returns the same object, and sweeping every setup of the rank leaves
-    one table per form set, the kept one.  Each form's codes, kept next to
-    the table and built with it, once per form set, name each cell's exact
-    value: 0 for None, i + 1 for the i-th of the form's distinct ints,
-    listed ascending."""
+    one table per form set, the kept one.  Each form's codes, in the
+    table, so built once per form set, name each cell's exact value: 0
+    for None, i + 1 for the i-th of the form's distinct ints, listed
+    ascending."""
     checked = 0
     for kind, n in (("A", 14), ("D", 43)):
         grid = grid_from_spec(harness_mod._standard_spec(n))
         setups = [s for s in family_setups(kind, n) if s.n == n]
         kept = {forms: grid.form_cells(forms) for forms in {s.gk_key.forms for s in setups}}
-        kept_codes = {forms: grid._codes[forms] for forms in kept}
+        kept_codes = {forms: table[4] for forms, table in kept.items()}
         for setup in setups:
             sweep(setup, grid)
-        assert grid._cells.keys() == kept.keys() == grid._codes.keys()
+        assert grid._cells.keys() == kept.keys()
         for forms, table in kept.items():
             assert grid.form_cells(forms) is table and grid._cells[forms] is table
-            codes, _ = grid._codes[forms]
-            assert grid._codes[forms] is kept_codes[forms] and len(codes) == len(forms)
-            cells, exact, numbers, patterns = table
+            cells, exact, numbers, patterns, codes, _ = table
+            assert codes is kept_codes[forms] and len(codes) == len(forms)
             assert len(cells) == len(grid) and len(set(exact)) == len(exact)
             assert len(numbers) == len(exact) and len(set(patterns)) == len(patterns)
             assert list(dict.fromkeys(numbers)) == list(range(len(patterns)))
@@ -709,8 +708,6 @@ def test_sweep_row_is_a_tuple_with_named_fields():
     """A ``SweepRow`` is built from one tuple and is that tuple: equal to
     it and to a row of the same values, its fields read by name, a
     NamedTuple-style repr, and a pickle round trip that keeps its type."""
-    import pickle
-
     verdict = Verdict(gk=5, dim_u=8, reducible=True, criterion=True, agree=True)
     row = SweepRow((sc(-1), TAU, verdict))
     assert type(row) is SweepRow and isinstance(row, tuple)
@@ -718,9 +715,26 @@ def test_sweep_row_is_a_tuple_with_named_fields():
     assert row == (sc(-1), TAU, verdict) == SweepRow([sc(-1), TAU, verdict])
     assert row._fields == ("z1", "z2", "verdict") and not hasattr(row, "__dict__")
     assert repr(row) == f"SweepRow(z1={sc(-1)!r}, z2={TAU!r}, verdict={verdict!r})"
-    for protocol in range(2, pickle.HIGHEST_PROTOCOL + 1):  # ExactScalar needs protocol 2
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
         copy = pickle.loads(pickle.dumps(row, protocol))
         assert type(copy) is SweepRow and copy == row and copy.verdict is not verdict
+
+
+@pytest.mark.parametrize("protocol", range(pickle.HIGHEST_PROTOCOL + 1))
+def test_scalars_rows_and_reports_pickle_at_every_protocol(protocol):
+    """An ``ExactScalar`` (rational, generic and mixed), a ``SweepRow`` and
+    the ``SweepReport`` of sl(4) (1, 2) on its standard grid come back
+    from a pickle round trip at every protocol equal, hashing alike and
+    printing alike."""
+    setup = ParabolicSetup(A(4), 1, 2)
+    report = sweep(setup, standard_grid(setup))
+    scalars = (sc(-1), sc("5/2"), TAU, sc("-1/3") + 2 * TAU - SIGMA)
+    for obj in (*scalars, report.rows[0], report.rows[-1], report):
+        copy = pickle.loads(pickle.dumps(obj, protocol))
+        assert type(copy) is type(obj) and copy == obj and str(copy) == str(obj), obj
+        # a report holds lists, so it hashes through its rows
+        key = (lambda r: tuple(r.rows)) if obj is report else (lambda z: z)
+        assert hash(key(copy)) == hash(key(obj)), obj
 
 
 @pytest.mark.parametrize(
@@ -734,7 +748,7 @@ def test_a_raising_criterion_costs_only_its_cells_points(monkeypatch, setup):
     grid = standard_grid(setup)
     forms, windows, _, _, _ = setup.gk_key
     points = grid.points()
-    cells, _, _, _ = grid.form_cells(forms)
+    cells, _, _, _, _, _ = grid.form_cells(forms)
     keys = [saturated_form_values(forms, windows, z1, z2) for z1, z2 in points]
     by_key = {}
     for i, key in enumerate(keys):
@@ -829,7 +843,7 @@ def test_grid_columns_match_form_values(pairs, forms):
     assert all(grid.form_column(form) is column for form, column in zip(forms, exact))
     kept = grid.form_cells(tuple(forms))
     assert grid.form_cells(tuple(forms)) is kept
-    cells, cell_values, numbers, patterns = kept
+    cells, cell_values, numbers, patterns, _, _ = kept
     assert len(cells) == len(grid) and len(set(cell_values)) == len(cell_values)
     assert list(dict.fromkeys(cells)) == list(range(len(cell_values)))
     saturated = list(map(saturate, exact, windows))
@@ -1027,15 +1041,14 @@ def test_verify_family_reports_what_the_rows_report(monkeypatch, kind, n_max, br
 
 def test_kept_cell_sizes_count_every_point():
     """For every rank grid and form set of the largest verify families, A
-    up to rank 14 and D up to rank 43, the per-cell point counts kept with
-    the cell table are each cell's points: they sum to ``len(grid)``."""
+    up to rank 14 and D up to rank 43, the per-cell point counts in the
+    cell table are each cell's points: they sum to ``len(grid)``."""
     for kind, n_max in (("A", 14), ("D", 43)):
         setups = family_setups(kind, n_max)
         for n in sorted({s.n for s in setups}):
             grid = grid_from_spec(harness_mod._standard_spec(n))
             for forms in {s.gk_key.forms for s in setups if s.n == n}:
-                cells, exact, _, _ = grid.form_cells(forms)
-                _, sizes = grid._codes[forms]
+                cells, exact, _, _, _, sizes = grid.form_cells(forms)
                 assert len(sizes) == len(exact) and sum(sizes) == len(grid), (kind, n, forms)
                 assert sizes == tuple(Counter(cells).values()), (kind, n, forms)
 

@@ -14,13 +14,13 @@ from gvmred import (
     criterion,
     evaluate,
     family_setups,
+    gk_dimension,
     standard_grid,
     sweep,
 )
-from gvmred.exact import form_values
+from gvmred.exact import as_scalar, form_values
 from gvmred.rootdata import shifted_weight
 from gvmred.tableaux import rs_shape
-from gvmred.verdict import _coerce
 
 from conftest import SIGMA, TAU, sc, scalar_pairs, scalars
 from dense_gk import NonIntegralWeight
@@ -49,6 +49,38 @@ def test_oracle_examples_type_a():
 def test_oracle_example_type_d():
     setup = ParabolicSetup(D(6), 1, 5)
     assert evaluate(setup, sc(0), TAU).reducible
+
+
+ONE_POINT_CALLS = {
+    "form_values": lambda setup, z1, z2: form_values(setup.gk_key.forms, z1, z2),
+    "gk_dimension": gk_dimension,
+    "criterion": criterion,
+    "evaluate": evaluate,
+    "shifted_weight": shifted_weight,
+}
+
+
+@pytest.mark.parametrize("call", ONE_POINT_CALLS.values(), ids=ONE_POINT_CALLS.keys())
+@pytest.mark.parametrize(
+    "setup", [ParabolicSetup(A(4), 1, 2), ParabolicSetup(D(6), 1, 5)], ids=["A4", "D6"]
+)
+def test_one_point_calls_take_ints_fractions_and_scalars_alike(call, setup):
+    """Each one-point call gives one answer for an int, the equal
+    ``Fraction`` and the equal ``ExactScalar`` in either parameter, mixed
+    too, and refuses a float with TypeError (``exact.as_scalar``)."""
+    values = [-3, 0, 2, Fraction(-5, 2), Fraction(1, 3)]
+    for a in values:
+        for b in values:
+            spellings = [
+                (z1, z2)
+                for z1 in (a, Fraction(a), ExactScalar(a))
+                for z2 in (b, Fraction(b), ExactScalar(b))
+            ]
+            answers = [call(setup, z1, z2) for z1, z2 in spellings]
+            assert all(answer == answers[0] for answer in answers), (a, b)
+    for z1, z2 in ((0.5, 1), (1, 2.0), (-1.0, sc(0))):
+        with pytest.raises(TypeError):
+            call(setup, z1, z2)
 
 
 def test_verdict_invariants():
@@ -135,7 +167,7 @@ def criterion_a_offdiagonal_cases(setup: ParabolicSetup, z1, z2) -> bool:
     """
     if setup.lie.kind != "A":
         raise WrongLieType("type A criterion needs a type A setup")
-    z1, z2 = _coerce(z1), _coerce(z2)
+    z1, z2 = as_scalar(z1), as_scalar(z2)
     p, gap, tail = setup.p, setup.q - setup.p, setup.n - setup.q
     lo = min(p, tail)
     i1, i2 = z1.is_integer, z2.is_integer
