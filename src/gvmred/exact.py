@@ -261,8 +261,10 @@ def form_column(points: Sequence[DecodedPoint], form: tuple[int, int]) -> tuple[
 
 def saturate(column: Sequence[int | None], window: tuple[int, int]) -> tuple[int | None, ...]:
     """``column`` with each int clamped to ``window`` = (lo, hi); None stays
-    None.  A sweep clamps each form's distinct ints with it, once per
-    sweep, and reads every cell's memo key off them."""
+    None.  A grid's cell table clamps each form's distinct ints with it at
+    the rank's cell windows, once per table, and a sweep clamps the coarse
+    cells' distinct ints at the setup's windows, once per sweep, and reads
+    every coarse cell's memo key off them."""
     lo, hi = window
     return tuple([v if v is None or lo <= v <= hi else lo if v < lo else hi for v in column])
 

@@ -6,14 +6,19 @@ and the generic symbols tau and sigma on each axis, and couples symbol
 offsets (a+tau, b-tau) so the "integral sum, non-integral parts" branches
 are exercised.  Sweeps are deterministic: rows are emitted in grid order.
 
-A sweep decides each grid cell once.  A cell is a distinct tuple of a
-point's exact form values over a set of forms.  The grid keeps, for
-every setup swept over it, each built on first use: the exact form
-values per form (``ParameterGrid.form_column``), one cell table per form
-set, which ``ParameterGrid.form_cells``' docstring describes and which
-holds every per-grid input of a sweep, and the points transposed.  The
-cells are about a sixth of the points on the standard grids of type A
-up to rank 5, and a quarter in type D up to rank 6.
+A sweep decides each coarse cell once.  A cell is a distinct tuple of a
+point's exact form values over a set of forms, and a coarse cell a
+distinct tuple of a cell's values clamped at the rank's cell windows
+(``ParabolicSetup.cell_windows``), which contain the windows of every
+setup of the rank with those forms.  The grid keeps, for every setup
+swept over it, each built on first use: the exact form values per form
+(``ParameterGrid.form_column``), one cell table per form set and cell
+windows, which ``ParameterGrid.form_cells``' docstring describes and
+which holds every per-grid input of a sweep, and the points transposed.
+Summed over the setups, the cells are 16% of the standard grids' points
+in type A up to rank 5 (1 527 of 9 516) and 26% in type D up to rank 6
+(2 466 of 9 381), and the coarse cells 30% and 43% of the cells (464 and
+1 052).
 
 ``decide_cells`` is the one decision core, and its docstring describes
 the stages of a sweep: the column passes, the memo keys, the one miss
@@ -22,9 +27,10 @@ cell's size and outcome, and the failed cells.  ``sweep`` runs it and
 builds every point's row from its cell's outcome (``_report``);
 ``verify_family`` runs it alone, counts the checked points off the
 cells' sizes, and builds rows through ``_report`` only for a setup with
-a failed or disagreeing cell.  No GK value, verdict or clamped key is
-kept on the grid, and the memo lives for one call of the core.  The
-one-point route, ``verdict.evaluate``, serves ``gvmred reduce``.
+a failed or disagreeing cell.  The grid keeps each table's clamped
+values but no GK value, verdict or memo key, and the memo lives for one
+call of the core.  The one-point route, ``verdict.evaluate``, serves
+``gvmred reduce``.
 
 Output spells each layout once.  ``ROW_FIELDS`` is the one row layout,
 for the CSV header, the JSON records and the CLI's ``key=value`` lines.
@@ -42,7 +48,7 @@ from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, repeat
 from math import gcd
-from operator import is_, itemgetter
+from operator import attrgetter, is_, itemgetter
 from typing import NamedTuple
 
 from . import gk, verdict
@@ -66,8 +72,11 @@ Ints = tuple[int, ...]
 # per form: (its distinct ints, ascending; every cell's code, 0 for None and
 # i + 1 for the i-th int)
 FormCodes = tuple[tuple[Ints, Ints], ...]
-# (cells, exact, numbers, patterns, codes, sizes): ``ParameterGrid.form_cells``
-FormCells = tuple[Ints, tuple[Values, ...], Ints, tuple[Values, ...], FormCodes, Ints]
+Windows = tuple[tuple[int, int], ...]
+# (coarse, codes, firsts): ``ParameterGrid.form_cells``' coarsening
+Coarsening = tuple[Ints, FormCodes, Ints]
+# (cells, exact, numbers, patterns, coarsening, sizes): ``ParameterGrid.form_cells``
+FormCells = tuple[Ints, tuple[Values, ...], Ints, tuple[Values, ...], Coarsening, Ints]
 
 EXTRA_RATIONALS = (Fraction(1, 3),)
 # Largest grid a spec may describe: about 100 times the standard grid of
@@ -77,8 +86,8 @@ MAX_GRID_POINTS = 200_000
 FAMILY_MIN_N = {"A": 3, "D": 4}
 # Largest family a verification may sweep, in standard-grid points before
 # de-duplication.  The largest families under it, A up to rank 14 (923 650
-# points) and D up to rank 43 (985 080), took 0.31-0.52 s (median 0.33 s)
-# and 1.44-1.83 s (median 1.61 s) with `gvmred verify` (6 runs each by
+# points) and D up to rank 43 (985 080), took 0.24-0.27 s (median 0.26 s)
+# and 1.30-1.41 s (median 1.33 s) with `gvmred verify` (5 runs each by
 # tests/measure.py, 2 CPUs of an Intel Xeon, Python 3.11.7, interpreter
 # start included); per-point cost grows with the rank, faster in type D.
 MAX_FAMILY_POINTS = 1_000_000
@@ -155,9 +164,12 @@ class ParameterGrid(FrozenRecord):
             column = self._columns[form] = form_column(self._decoded, form)
         return column
 
-    def form_cells(self, forms: tuple[tuple[int, int], ...]) -> FormCells:
-        """The cell table over ``forms``, every per-grid input of a sweep,
-        as one tuple ``(cells, exact, numbers, patterns, codes, sizes)``:
+    def form_cells(
+        self, forms: tuple[tuple[int, int], ...], windows: Windows | None = None
+    ) -> FormCells:
+        """The cell table over ``forms``, coarsened at ``windows``, every
+        per-grid input of a sweep, as one tuple
+        ``(cells, exact, numbers, patterns, coarsening, sizes)``:
 
         * ``cells``: the cell of every point, in grid order.  A cell is a
           distinct tuple of a point's ``form_column`` values;
@@ -165,33 +177,48 @@ class ParameterGrid(FrozenRecord):
         * ``numbers``: every cell's None-pattern number, a pattern being a
           cell's values with every int made 0;
         * ``patterns``: the None pattern of every number;
-        * ``codes``: per form, its distinct ints over the cells, ascending,
-          and every cell's code, 0 for None and i + 1 for the i-th int
-          (``_form_codes``), from which a sweep reads its memo keys;
+        * ``coarsening``: ``(coarse, codes, firsts)`` (``_coarsen``).  A
+          coarse cell is a distinct tuple of a cell's values with each int
+          clamped at its form's window, numbered in order of first
+          occurrence; ``coarse`` holds every cell's coarse cell, ``codes``,
+          per form, its distinct clamped ints, ascending, and every coarse
+          cell's code, 0 for None and i + 1 for the i-th int
+          (``_form_codes``), from which a sweep reads its memo keys, and
+          ``firsts`` every coarse cell's first cell.  ``windows`` None
+          clamps nothing: every cell is its own coarse cell;
         * ``sizes``: every cell's number of points, counted in the pass
           that numbers the cells.
 
         Cells and patterns are numbered in order of first occurrence.
         Built from the kept columns on the first call per ``forms`` and
-        kept, so the setups sharing a form set (every type-A setup of one
-        rank; each type-D rank has two) share one table.  It holds exact
-        values only, never a GK value or a verdict."""
-        table = self._cells.get(forms)
+        ``windows`` and kept, so the setups sharing a form set and cell
+        windows (``ParabolicSetup.cell_windows``: every type-A setup of one
+        rank; each type-D rank has two form sets) share one table.  Every
+        pass over the points or the cells runs in C (``map``, ``zip``,
+        ``dict``, ``Counter`` and ``itemgetter``).  It holds exact and
+        clamped values only, never a GK value, a verdict or a setup's memo
+        key."""
+        key = forms, windows
+        table = self._cells.get(key)
         if table is None:
             columns = list(map(self.form_column, forms))
-            # every cell's number of points, the cells in order of first occurrence
-            sizes = Counter(zip(*columns))
-            exact = tuple(sizes)
-            numbering = dict(zip(exact, count()))
+            first: dict = {}  # a cell's exact values -> its first point
+            # per point, its cell's first point: one pass hashes the points
+            firsts = list(map(first.setdefault, zip(*columns), count()))
+            # every cell's number of points, keyed by its first point, in order
+            sizes = Counter(firsts)
+            # per form, every cell's value, read at the cell's first point
+            cell_firsts = tuple(sizes)
+            columns = [_gather(column, cell_firsts) for column in columns]
             # per cell, which of its values are None
-            nones = list(zip(*[map(is_, column, repeat(None)) for column in zip(*exact)]))
+            nones = list(zip(*[map(is_, column, repeat(None)) for column in columns]))
             patterns = dict(zip(dict.fromkeys(nones), count()))
-            table = self._cells[forms] = (
-                tuple(map(numbering.__getitem__, zip(*columns))),
-                exact,
-                tuple(map(patterns.__getitem__, nones)),
+            table = self._cells[key] = (
+                _gather(dict(zip(sizes, count())), firsts),
+                tuple(first),
+                _gather(patterns, nones),
                 tuple(tuple([None if none else 0 for none in flags]) for flags in patterns),
-                _form_codes(exact),
+                _coarsen(columns, windows),
                 tuple(sizes.values()),
             )
         return table
@@ -201,12 +228,13 @@ class ParameterGrid(FrozenRecord):
         return tuple([decode_point(z1, z2) for z1, z2 in self._points])
 
 
-def _form_codes(exact: tuple[Values, ...]) -> FormCodes:
-    """Per form, over the cells' exact values ``exact``: its distinct ints,
-    ascending, and every cell's code, 0 for None and i + 1 for the i-th
-    int.  No cells give no forms, and no memo keys."""
+def _form_codes(cells: tuple[Values, ...]) -> FormCodes:
+    """Per form, over the values ``cells`` (in a cell table, the coarse
+    cells' clamped values): its distinct ints, ascending, and every cell's
+    code, 0 for None and i + 1 for the i-th int.  No cells give no forms,
+    and no memo keys."""
     codes = []
-    for column in zip(*exact):
+    for column in zip(*cells):
         ints = sorted(set(column).difference((None,)))
         code = dict(zip(ints, count(1)))
         code[None] = 0
@@ -214,8 +242,41 @@ def _form_codes(exact: tuple[Values, ...]) -> FormCodes:
     return tuple(codes)
 
 
-def _memo_keys(codes: FormCodes, windows: tuple[tuple[int, int], ...]) -> list[int]:
-    """Every cell's memo key, its exact values clamped at ``windows`` read
+def _coarsen(columns: list[Values], windows: Windows | None) -> Coarsening:
+    """(coarse, codes, firsts) of the cells whose values, per form, are
+    ``columns``: every cell's coarse cell, its values with each int
+    clamped at its form's window, numbered in order of first occurrence;
+    the coarse cells' ``_form_codes``; and every coarse cell's first cell.
+    Only each form's distinct ints are clamped (``saturate``); the clamped
+    tuples, their first cells and numbers are built in C.  ``windows``
+    None clamps nothing."""
+    if windows is not None:
+        clamped = []
+        for column, window in zip(columns, windows):
+            ints = tuple(set(column).difference((None,)))
+            clamp = dict(zip(ints, saturate(ints, window)))
+            clamp[None] = None
+            clamped.append(map(clamp.__getitem__, column))
+        columns = clamped
+    cells = list(zip(*columns))  # every cell's clamped values
+    first: dict = {}  # a coarse cell's values -> its first cell
+    deque(map(first.setdefault, cells, count()), maxlen=0)
+    coarse = _gather(dict(zip(first, count())), cells)
+    return coarse, _form_codes(tuple(first)), tuple(first.values())
+
+
+def _gather(values, indices) -> tuple:
+    """``values[i]`` for every i of ``indices``, in order, as one tuple:
+    one ``itemgetter`` call, which reads a tuple, a list or a dict in C.
+    An ``itemgetter`` of one index gives the item alone, and one of none
+    cannot be built, so those two go through ``map``."""
+    if len(indices) > 1:
+        return itemgetter(*indices)(values)
+    return tuple(map(values.__getitem__, indices))
+
+
+def _memo_keys(codes: FormCodes, windows: Windows) -> list[int]:
+    """Every coarse cell's memo key, its values clamped at ``windows`` read
     as one mixed-radix int: the sum over forms of (clamped - lo + 1) times
     the form's stride, 0 for None, the stride being the product of
     (hi - lo + 2) over the earlier forms.  Two cells get one key exactly
@@ -303,41 +364,53 @@ def decide_cells(setup: ParabolicSetup, grid: ParameterGrid) -> tuple:
 
     Its stages, which the other modules name here:
 
-    1. The column passes: the grid's cell table for the setup's forms
-       (``ParameterGrid.form_cells``), the one value this core reads off
-       the grid besides ``len(grid)``, and each cell's memo key
-       (``_memo_keys``: each form's distinct ints clamped at its window by
-       ``saturate``, then one mixed-radix int per cell).
+    1. The column passes: the grid's cell table for the setup's forms,
+       coarsened at its rank's cell windows (``ParameterGrid.form_cells``
+       at ``ParabolicSetup.cell_windows``), the one value this core reads
+       off the grid besides ``len(grid)``, and each coarse cell's memo key
+       (``_memo_keys``: each form's distinct clamped ints clamped again at
+       the setup's window by ``saturate``, then one mixed-radix int per
+       coarse cell).  The cell windows contain the setup's windows, so
+       clamping a cell's coarse values at the setup's windows gives its
+       exact values clamped there: every cell of one coarse cell has that
+       coarse cell's key.
     2. The miss loop.  The memo, from int key to ``Verdict``, lives for
        this one call.  Each distinct key, in order of first occurrence,
-       misses once, at its first cell: the class plan of the cell's None
-       pattern, looked up by ``gk.plan_of`` on the pattern's first miss,
-       ``gk._gk_from_plan`` on it and the cell's exact values, and
-       ``verdict.on_half_line`` on the same exact values (the windows keep
-       lo < b <= hi, so exact and clamped values give one answer).  Every
-       miss of equal GK dimension and criterion shares one ``Verdict``,
-       built by ``Verdict.of`` on the first of them.
-    3. Every cell's outcome is its key's memo entry, read in one ``map``.
+       misses once, at its first cell, the first cell of its first coarse
+       cell: the class plan of the cell's None pattern, looked up by
+       ``gk.plan_of`` on the pattern's first miss, ``gk._gk_from_plan`` on
+       it and the cell's exact values, and ``verdict.on_half_line`` on the
+       same exact values (the windows keep lo < b <= hi, so exact and
+       clamped values give one answer).  A miss reads exact values, not
+       clamped ones, since the key comparisons read differences of its
+       runs' values.  Every miss of equal GK dimension and criterion
+       shares one ``Verdict``, built by ``Verdict.of`` on the first of
+       them.
+    3. Every coarse cell's outcome is its key's memo entry, and every
+       cell's outcome its coarse cell's, each read in one ``itemgetter``
+       gather (``_gather``).
 
     A miss that raises, in the plan lookup too, is not memoised: its
     cell's outcome is None, its cell is failed with the repr of what
     raised, and the key's next cell, if any, misses again, looking its
     plan up again if the lookup raised.  A column pass that raises fails
     every point: they all get cell 0, failed with its repr.  No GK value,
-    verdict or clamped key is kept on the grid.
+    verdict or memo key is kept on the grid.
     """
     try:
         (forms, windows, _, _, _), du = setup.gk_key, setup.dim_u
-        cells, exact, numbers, patterns, codes, sizes = grid.form_cells(forms)
+        table = grid.form_cells(forms, setup.cell_windows)
+        cells, exact, numbers, patterns, (coarse, codes, firsts), sizes = table
         keys = _memo_keys(codes, windows)
     except Exception as exc:  # collected, not fatal
         return (0,) * len(grid), (len(grid),), [None], {0: repr(exc)}
     # int key -> its first cell, then its Verdict, or None when every miss raised
     memo: dict = {}
-    deque(map(memo.setdefault, keys, count()), maxlen=0)
+    deque(map(memo.setdefault, keys, firsts), maxlen=0)
     shared: dict = {}  # (GK dimension, criterion) -> the Verdict of every such miss
     plans = [None] * len(patterns)  # per pattern: the setup's class plan, once looked up
     failed = {}  # cell -> the repr of what its miss raised
+    cell_keys = None  # every cell's key, read once a miss has raised
     todo = list(memo.values())  # each key's first cell, then the next cell of a raising key
     for cell in todo:
         values, number = exact[cell], numbers[cell]
@@ -349,30 +422,35 @@ def decide_cells(setup: ParabolicSetup, grid: ParameterGrid) -> tuple:
             crit = verdict.on_half_line(setup, values)
         except Exception as exc:  # collected, not fatal
             failed[cell] = repr(exc)
-            key = keys[cell]
+            if cell_keys is None:
+                cell_keys = _gather(keys, coarse)
+            key = cell_keys[cell]
             memo[key] = None
             try:  # the key's next cell asks again
-                todo.append(keys.index(key, cell + 1))
+                todo.append(cell_keys.index(key, cell + 1))
             except ValueError:  # the key has no later cell
                 pass
         else:
             outcome = shared.get((dim, crit))
             if outcome is None:
                 outcome = shared[dim, crit] = Verdict.of(dim, du, crit)
-            memo[keys[cell]] = outcome
-    outcomes = list(map(memo.__getitem__, keys))
-    for cell in failed:
-        outcomes[cell] = None
+            memo[keys[coarse[cell]]] = outcome
+    outcomes = _gather(_gather(memo, keys), coarse)
+    if failed:
+        outcomes = list(outcomes)
+        for cell in failed:
+            outcomes[cell] = None
     return cells, sizes, outcomes, failed
 
 
 def _report(setup: ParabolicSetup, grid: ParameterGrid, cells, outcomes, failed) -> SweepReport:
     """The rows of ``decide_cells``' outcomes: every point's row from its
-    cell's outcome, in one ``map`` through tuple's own constructor; only
-    when some cell failed are those points' rows dropped and the points
-    listed in ``errors``, in grid order."""
+    cell's outcome, read in one ``itemgetter`` gather (``_gather``) and
+    built through tuple's own constructor in one ``map``; only when some
+    cell failed are those points' rows dropped and the points listed in
+    ``errors``, in grid order."""
     z1s, z2s = grid._point_columns
-    rows = list(map(SweepRow, zip(z1s, z2s, map(outcomes.__getitem__, cells))))
+    rows = list(map(SweepRow, zip(z1s, z2s, _gather(outcomes, cells))))
     if not failed:
         return SweepReport(setup, rows, [])
     errors = [(str(z1s[i]), str(z2s[i]), failed[c]) for i, c in enumerate(cells) if c in failed]
@@ -461,7 +539,8 @@ def verify_family(kind: str, n_max: int) -> MismatchReport:
         cells, sizes, outcomes, failed = decide_cells(setup, grid)
         grid_points += len(grid)
         points += sum(sizes) - sum(map(sizes.__getitem__, failed))
-        if failed or any(outcome is not None and not outcome.agree for outcome in outcomes):
+        # a failed cell's outcome is None
+        if failed or not all(map(attrgetter("agree"), filter(None, outcomes))):
             swept = _report(setup, grid, cells, outcomes, failed)
             errors.extend((setup, *error) for error in swept.errors)
             mismatches.extend((setup, row) for row in swept.rows if not row.verdict.agree)

@@ -14,12 +14,18 @@ JSON object with:
   others;
 * ``stages``: the family's verification split into four in-process
   stages, best of ``--repeat`` rounds, in seconds: building the rank grids
-  with their point lists, decoding their points, building their cell
-  tables for every form set, and sweeping every setup over its rank's
-  grid.  They run in the misses' process once its patches are undone;
-  each round builds fresh grids and patches nothing, and the setups, so
-  their class plans, are built once.  Whatever ``sweep`` builds lazily
-  beyond ``form_cells`` is timed with the sweeps;
+  with their point lists, decoding their points, building the cell tables
+  the sweeps read, and sweeping every setup over its rank's grid.  They
+  run in the misses' process once its patches are undone; each round
+  builds fresh grids and patches nothing, and the setups, so their class
+  plans, are built once.  Each tree's tables are built through its own
+  entry point: ``form_cells(forms, setup.cell_windows)`` where setups
+  have cell windows, else ``form_cells(forms)``.  Whatever ``sweep``
+  builds lazily beyond ``form_cells`` is timed with the sweeps.  With
+  the stages come the family's cell counts, summed over its setups:
+  ``exact`` cells (distinct tuples of exact form values) and ``coarse``
+  ones (distinct once clamped at the cell windows; None for a tree that
+  does not coarsen);
 * ``profile``: the ten functions of most own time (cProfile's tottime)
   in one ``verify_family`` run per tree, profiled first thing in the
   first pair's timing process, so on a cold start, as
@@ -141,7 +147,13 @@ from gvmred import harness
 kind, n_max, repeat = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 setups = harness.family_setups(kind, n_max)
 ranks = sorted({setup.n for setup in setups})
-form_sets = {n: list(dict.fromkeys(s.gk_key.forms for s in setups if s.n == n)) for n in ranks}
+coarsened = hasattr(harness.ParabolicSetup, "cell_windows")
+
+def table_args(setup):  # the arguments of the form_cells call the setup's sweep makes
+    forms = setup.gk_key.forms
+    return (forms, setup.cell_windows) if coarsened else (forms,)
+
+tables = {n: list(dict.fromkeys(table_args(s) for s in setups if s.n == n)) for n in ranks}
 
 def grids():
     built = {n: harness.grid_from_spec(harness._standard_spec(n)) for n in ranks}
@@ -155,8 +167,8 @@ def decode(built):
 
 def cells(built):
     for n, grid in built.items():
-        for forms in form_sets[n]:
-            grid.form_cells(forms)
+        for args in tables[n]:
+            grid.form_cells(*args)
 
 def sweeps(built):
     counts = {"points": 0, "errors": 0, "mismatches": 0}
@@ -182,6 +194,12 @@ for _ in range(repeat):
         best[name] = min(best[name], end - start)
 result = {name: round(elapsed, 4) for name, elapsed in best.items()}
 result.update(counts)
+exact_cells = coarse_cells = 0
+for setup in setups:
+    table = built[setup.n].form_cells(*table_args(setup))
+    exact_cells += len(table[1])
+    coarse_cells += len(table[4][2]) if coarsened else 0
+result["cells"] = {"exact": exact_cells, "coarse": coarse_cells if coarsened else None}
 print(json.dumps(result))
 """
 
@@ -285,8 +303,10 @@ def main(argv=None) -> int:
         "labeled class of three blocks; one fresh process per run, pairs alternating which "
         "tree runs first, each timing's runs listed with their median",
         "stages": "in-process seconds, best of the repeat rounds, each round on fresh rank "
-        "grids: grid_from_spec with the point list, decode, form_cells per form set, and "
-        "every setup's sweep; in the per_miss processes, runs listed with their median",
+        "grids: grid_from_spec with the point list, decode, form_cells per table the sweeps "
+        "read (per form set and cell windows where the tree has them), and every setup's "
+        "sweep; in the per_miss processes, runs listed with their median; cells: exact and "
+        "coarse cells summed over the family's setups",
         "profile": "one verify_family run under cProfile, first in the first pair's "
         "per_miss process: the ten functions of most own time (tottime), descending",
     }

@@ -24,7 +24,11 @@ the symbol coefficients, the reference for ``exact.decode_point``;
 class's reversed negation included, and ``reader_classes`` lists a
 point's classes with their key bases and rho terms from the block split; ``six_run_keys`` are the 2n keys of
 so(2n) (1, n - 1)'s labeled class of three blocks, and ``six_run_cases``
-the (X, y) over which the spin-swap reading of that class is checked.
+the (X, y) over which the spin-swap reading of that class is checked;
+``exact_cell_memo_keys`` is a sweep's memo key of every exact cell read
+as it was before the cells were coarsened, each form's codes over the
+exact cells, the reference for the keys a sweep reads through its
+coarse cells.
 """
 
 from __future__ import annotations
@@ -36,6 +40,7 @@ from typing import NamedTuple
 from gvmred import IndexOutOfRange
 from gvmred.exact import as_scalar, integer_difference, integer_sum
 from gvmred.gk import _folded, integrality_classes, key_readers, split_classes
+from gvmred.harness import _form_codes
 from gvmred.tableaux import conjugate, rs_shape
 
 from dense_gk import NonIntegralWeight, minus_double  # noqa: F401
@@ -267,3 +272,18 @@ def reader_classes(setup, exact):
         ]
         classes.append((False, parts))
     return classes
+
+
+def exact_cell_memo_keys(exact, windows) -> list[int]:
+    """Every exact cell's memo key: its exact values ``exact`` clamped at
+    ``windows``, read as one mixed-radix int over each form's codes on the
+    exact cells (``harness._form_codes``), as ``harness._memo_keys`` reads
+    them on the coarse cells: the sum over forms of (clamped - lo + 1)
+    times the form's stride, 0 for None, the stride being the product of
+    (hi - lo + 2) over the earlier forms."""
+    columns, stride = [], 1
+    for (ints, cell_codes), (lo, hi) in zip(_form_codes(exact), windows):
+        digits = (0, *[(min(max(v, lo), hi) - lo + 1) * stride for v in ints])
+        columns.append(map(digits.__getitem__, cell_codes))
+        stride *= hi - lo + 2
+    return list(map(sum, zip(*columns)))

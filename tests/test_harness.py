@@ -42,7 +42,7 @@ from gvmred.harness import (
 from gvmred.verdict import Verdict, evaluate
 
 from conftest import SIGMA, TAU, saturated_form_values, sc, scalar_pairs
-from references import criterion_values, plan_parts, reader_classes
+from references import criterion_values, exact_cell_memo_keys, plan_parts, reader_classes
 
 FORM_LISTS = st.lists(
     st.tuples(st.integers(-4, 4), st.integers(-4, 4)).filter(any), min_size=1, max_size=6
@@ -242,17 +242,19 @@ def test_the_setups_of_a_type_a_rank_build_the_cells_once(monkeypatch):
 
 
 def _record_sweep_inputs(monkeypatch) -> tuple[list, list, list]:
-    """From now on, the clamped distinct ints of each form ``sweep``
-    builds, one per int of the form's codes (in ``ParameterGrid.form_cells``),
-    the exact form values each of its memo misses hands to
-    ``_gk_from_plan`` and those each hands to ``on_half_line``, in grid
-    order."""
+    """From now on, each ``saturate`` call a sweep makes, as (window,
+    clamped ints): those of ``ParameterGrid.form_cells``, one per form at
+    the setup's cell windows when the sweep builds its table, then those
+    of ``_memo_keys``, one per form at the setup's windows, each over the
+    distinct ints of a form of the coarse cells; the exact form values
+    each of its memo misses hands to ``_gk_from_plan`` and those each
+    hands to ``on_half_line``, in grid order."""
     clamped, misses, half_line_values = [], [], []
     gk_from_plan, half_line = gk_module._gk_from_plan, verdict_mod.on_half_line
 
     def recording_saturate(column, window):
-        clamped.append(saturate(column, window))
-        return clamped[-1]
+        clamped.append((window, saturate(column, window)))
+        return clamped[-1][1]
 
     def recording_miss(plan, exact):
         misses.append(exact)
@@ -278,10 +280,12 @@ CUSTOM_GRID = grid_from_spec(GridSpec(Fraction(-7, 3), Fraction(5, 2), Fraction(
 )
 def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setups):
     """On every point of the standard grids and of a custom grid, the
-    clamped values a sweep reads off the point's cell, each form's code
-    naming one of its clamped distinct ints, are ``form_values`` of the
-    point saturated at the setup's windows; and its misses, one at the
-    first point of each such key, hand ``_gk_from_plan`` and
+    clamped values a sweep reads off the point's coarse cell, each form's
+    code naming one of the ints its last ``saturate`` calls clamp at the
+    setup's windows, are ``form_values`` of the point saturated at the
+    setup's windows; the sweep's earlier ``saturate`` calls, when it
+    builds the table, clamp at the setup's cell windows; and its misses,
+    one at the first point of each such key, hand ``_gk_from_plan`` and
     ``on_half_line`` the exact ``form_values`` of that point."""
     clamped, misses, half_line_values = _record_sweep_inputs(monkeypatch)
     checked = 0
@@ -292,15 +296,18 @@ def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setu
             misses.clear()
             half_line_values.clear()
             assert not sweep(setup, grid).errors
-            cells, _, _, _, codes, _ = grid.form_cells(forms)
+            cells, _, _, _, (coarse, codes, _), _ = grid.form_cells(forms, setup.cell_windows)
+            built, keyed = clamped[: -len(forms)], clamped[-len(forms) :]
+            assert [window for window, _ in built] in ([], list(setup.cell_windows))
+            assert [window for window, _ in keyed] == list(windows)
             columns = [
                 [None if code == 0 else ints[code - 1] for code in cell_codes]
-                for ints, (_, cell_codes) in zip(clamped, codes)
+                for (_, ints), (_, cell_codes) in zip(keyed, codes)
             ]
-            cell_keys = list(zip(*columns))
-            keys = [cell_keys[cell] for cell in cells]
-            assert len(clamped) == len(forms) and len(keys) == len(grid)
-            assert [len(ints) for ints in clamped] == [len(ints) for ints, _ in codes]
+            coarse_keys = list(zip(*columns))
+            keys = [coarse_keys[coarse[cell]] for cell in cells]
+            assert len(keys) == len(grid)
+            assert [len(ints) for _, ints in keyed] == [len(ints) for ints, _ in codes]
             first = {}
             for (z1, z2), key in zip(grid.points(), keys):
                 assert key == saturated_form_values(forms, windows, z1, z2), (setup, z1, z2)
@@ -512,7 +519,7 @@ def test_column_pass_errors_record_every_point(monkeypatch):
     def broken_form_column(grid, form):
         raise RuntimeError("column failed")
 
-    def broken_form_cells(grid, forms):
+    def broken_form_cells(grid, forms, *windows):
         raise RuntimeError("cells failed")
 
     def broken_saturate(column, window):
@@ -594,41 +601,113 @@ def test_a_raising_plan_lookup_costs_only_its_cell(monkeypatch, setup):
 
 def test_each_cells_pattern_number_names_its_none_pattern():
     """On the rank-14 A and rank-43 D standard grids, the largest verify
-    sweeps, and every form set their setups read: ``form_cells`` gives
-    each cell a pattern number, numbered in order of first occurrence, the
-    patterns are distinct, and each cell's number names its exact values'
-    None pattern (every int made 0); the table is kept, so a second call
-    returns the same object, and sweeping every setup of the rank leaves
-    one table per form set, the kept one.  Each form's codes, in the
-    table, so built once per form set, name each cell's exact value: 0
-    for None, i + 1 for the i-th of the form's distinct ints, listed
-    ascending."""
+    sweeps, and every form set and cell windows their setups read:
+    ``form_cells`` gives each cell a pattern number, numbered in order of
+    first occurrence, the patterns are distinct, and each cell's number
+    names its exact values' None pattern (every int made 0); the table is
+    kept, so a second call returns the same object, and sweeping every
+    setup of the rank leaves one table per form set, the kept one.  Its
+    coarsening, so built once per form set, gives each cell a coarse cell,
+    numbered in order of first occurrence, whose first cell is listed;
+    each form's codes name each coarse cell's clamped value: 0 for None,
+    i + 1 for the i-th of the form's distinct clamped ints, listed
+    ascending; and each cell's exact values, clamped at the cell windows,
+    are its coarse cell's values."""
     checked = 0
     for kind, n in (("A", 14), ("D", 43)):
         grid = grid_from_spec(harness_mod._standard_spec(n))
         setups = [s for s in family_setups(kind, n) if s.n == n]
-        kept = {forms: grid.form_cells(forms) for forms in {s.gk_key.forms for s in setups}}
-        kept_codes = {forms: table[4] for forms, table in kept.items()}
+        keys = {(s.gk_key.forms, s.cell_windows) for s in setups}
+        assert len(keys) == len({s.gk_key.forms for s in setups}) == (1 if kind == "A" else 2)
+        kept = {key: grid.form_cells(*key) for key in keys}
+        kept_coarsening = {key: table[4] for key, table in kept.items()}
         for setup in setups:
             sweep(setup, grid)
         assert grid._cells.keys() == kept.keys()
-        for forms, table in kept.items():
-            assert grid.form_cells(forms) is table and grid._cells[forms] is table
-            cells, exact, numbers, patterns, codes, _ = table
-            assert codes is kept_codes[forms] and len(codes) == len(forms)
+        for (forms, cell_windows), table in kept.items():
+            assert grid.form_cells(forms, cell_windows) is table
+            assert grid._cells[forms, cell_windows] is table
+            cells, exact, numbers, patterns, coarsening, _ = table
+            assert coarsening is kept_coarsening[forms, cell_windows]
+            coarse, codes, firsts = coarsening
+            assert len(codes) == len(forms)
             assert len(cells) == len(grid) and len(set(exact)) == len(exact)
             assert len(numbers) == len(exact) and len(set(patterns)) == len(patterns)
             assert list(dict.fromkeys(numbers)) == list(range(len(patterns)))
             for values, number in zip(exact, numbers):
                 assert patterns[number] == tuple(None if v is None else 0 for v in values)
-            for f, (ints, cell_codes) in enumerate(codes):
-                column = [values[f] for values in exact]
-                assert list(ints) == sorted({v for v in column if v is not None})
-                assert len(cell_codes) == len(exact)
-                decoded = [None if code == 0 else ints[code - 1] for code in cell_codes]
-                assert decoded == column and all(code > 0 for code in cell_codes if code)
+            assert len(coarse) == len(exact) and first_cells(coarse) == dict(enumerate(firsts))
+            decoded = []
+            for ints, coarse_codes in codes:
+                assert list(ints) == sorted(set(ints)) and None not in ints
+                assert len(coarse_codes) == len(firsts)
+                assert all(0 <= code <= len(ints) for code in coarse_codes)
+                decoded.append([None if code == 0 else ints[code - 1] for code in coarse_codes])
+            coarse_values = list(zip(*decoded))
+            assert len(set(coarse_values)) == len(coarse_values)
+            for f, (ints, _) in enumerate(codes):
+                assert set(ints) == {values[f] for values in coarse_values} - {None}
+            for values, c in zip(exact, coarse):
+                assert saturated(values, cell_windows) == coarse_values[c]
             checked += len(exact)
     assert checked > 10000
+
+
+def saturated(values, windows) -> tuple:
+    """``values`` with each int clamped at its window by ``saturate``."""
+    return tuple(saturate((v,), w)[0] for v, w in zip(values, windows))
+
+
+def first_cells(coarse) -> dict:
+    """Every coarse cell of ``coarse``, in order of first occurrence, with
+    the index of its first occurrence."""
+    first = {}
+    for cell, c in enumerate(coarse):
+        first.setdefault(c, cell)
+    return first
+
+
+def test_cell_keys_read_through_the_coarsening_are_the_exact_cells_keys():
+    """For every setup of A up to rank 14 and D up to rank 43, the largest
+    verify families, each exact cell's memo key read through the
+    coarsening (``_memo_keys`` on the coarse cells' codes at the setup's
+    windows, gathered by each cell's coarse cell) is the key read off the
+    exact cells themselves (``exact_cell_memo_keys``); and, in every table
+    those sweeps read, the members of each coarse cell clamp, at the cell
+    windows, to one tuple, distinct per coarse cell, the coarse cells
+    numbered in order of first occurrence from their listed first cells."""
+    checked = tables = 0
+    for kind, n_max in (("A", 14), ("D", 43)):
+        setups = family_setups(kind, n_max)
+        for n in sorted({s.n for s in setups}):
+            grid = grid_from_spec(harness_mod._standard_spec(n))
+            for setup in (s for s in setups if s.n == n):
+                forms, windows, _, _, _ = setup.gk_key
+                table = grid.form_cells(forms, setup.cell_windows)
+                _, exact, _, _, (coarse, codes, _), _ = table
+                keys = harness_mod._gather(harness_mod._memo_keys(codes, windows), coarse)
+                assert list(keys) == exact_cell_memo_keys(exact, windows), setup
+                checked += len(keys)
+            for (_, cell_windows), (_, exact, _, _, (coarse, _, firsts), _) in grid._cells.items():
+                clamped = [saturated(values, cell_windows) for values in exact]
+                assert len(set(zip(coarse, clamped))) == len(set(clamped)) == len(firsts)
+                assert first_cells(coarse) == dict(enumerate(firsts))
+                tables += 1
+    # one table per type-A rank, 3 to 14, and two per type-D rank, 4 to 43
+    assert checked == 135681 + 250440 and tables == 12 + 2 * 40
+
+
+@pytest.mark.parametrize("values", [tuple("abcdef"), dict(enumerate("abcdef"))], ids=type)
+def test_gather_reads_every_index_in_order(values):
+    """``_gather`` gives ``values[i]`` for every index, in order, as a
+    tuple, for no index, one and many, repeated and unordered ones too,
+    over a tuple and a dict alike."""
+    for indices in ((), (4,), [0], (5, 0, 5, 2), list(range(6)) * 3):
+        gathered = harness_mod._gather(values, indices)
+        assert type(gathered) is tuple
+        assert gathered == tuple(values[i] for i in indices), indices
+    with pytest.raises((IndexError, KeyError)):
+        harness_mod._gather(values, (1, 6))
 
 
 # A setup's windows at MAX_RANK (2 000) stay within this bound: so(4000)
@@ -1003,11 +1082,11 @@ def _raise_at_every_other_table(patch):
     """Raise at every other ``form_cells`` call, counted per report."""
     form_cells, calls = ParameterGrid.form_cells, []
 
-    def raising(grid, forms):
+    def raising(grid, forms, *windows):
         calls.append(forms)
         if len(calls) % 2 == 0:
             raise RuntimeError(f"cells failed at call {len(calls)}")
-        return form_cells(grid, forms)
+        return form_cells(grid, forms, *windows)
 
     patch.setattr(ParameterGrid, "form_cells", raising)
     return calls

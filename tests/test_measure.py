@@ -13,7 +13,8 @@ def test_measure_script_compares_two_trees():
     line and its SHA-256, equal on both sides, the misses split by class
     kind, the labeled classes of three blocks met in type D only, and the
     four in-process stages, the sweeps covering the verify line's points
-    with no error or mismatch; each timing of the misses and stages as its
+    with no error or mismatch, and the family's exact and coarse cells
+    summed over its setups; each timing of the misses and stages as its
     two runs, one per pair, with their median; and per tree and family the
     ten functions of most own time in one profiled ``verify_family``,
     a ``harness`` function among them, descending."""
@@ -28,6 +29,7 @@ def test_measure_script_compares_two_trees():
         "D<=6": "verified 9 setups, 9381 points: no mismatches, no errors",
     }
     points = {"A<=5": 9516, "D<=6": 9381}
+    cells = {"A<=5": {"exact": 1527, "coarse": 464}, "D<=6": {"exact": 2466, "coarse": 1052}}
     assert set(result["gvmred_verify_walls"]) == set(result["per_miss"]) == set(lines)
     assert set(result["stages"]) == set(lines) and "stages" in result["how"]
     assert set(result["profile"]) == set(lines) and "profile" in result["how"]
@@ -51,6 +53,7 @@ def test_measure_script_compares_two_trees():
             if not six["misses"]:
                 assert six["us"] is None
             assert (stages["points"], stages["errors"], stages["mismatches"]) == (points[family], 0, 0)
+            assert stages["cells"] == cells[family]
             top = result["profile"][family][side]
             names = [line["function"] for line in top]
             assert len(top) == 10 and any(name.startswith("harness.py:") for name in names)
