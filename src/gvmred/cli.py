@@ -23,7 +23,7 @@ are: an ``--n`` above ``MAX_RANK`` (2 000), an ``rs --seq`` of more entries
 than that, a verify ``--max-n`` below the family's smallest rank or whose
 standard grids would hold more than ``harness.MAX_FAMILY_POINTS``
 (1 000 000) points (above 14 for type A or 43 for type D, runs that took
-0.24-0.27 s and 1.30-1.41 s on 2 CPUs of an Intel Xeon), a custom grid
+0.29-0.42 s and 1.17-1.44 s on 2 CPUs of an Intel Xeon), a custom grid
 with ``--hi`` below ``--lo`` or larger than ``harness.MAX_GRID_POINTS``,
 a zero denominator, a scalar, grid bound or custom grid point with more
 digits than an int prints with (``MAX_DIGITS``), ``--lo``/``--hi``/``--step``

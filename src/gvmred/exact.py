@@ -261,10 +261,9 @@ def form_column(points: Sequence[DecodedPoint], form: tuple[int, int]) -> tuple[
 
 def saturate(column: Sequence[int | None], window: tuple[int, int]) -> tuple[int | None, ...]:
     """``column`` with each int clamped to ``window`` = (lo, hi); None stays
-    None.  A grid's cell table clamps each form's distinct ints with it at
-    the rank's cell windows, once per table, and a sweep clamps the coarse
-    cells' distinct ints at the setup's windows, once per sweep, and reads
-    every coarse cell's memo key off them."""
+    None.  A grid's cell table clamps each form's distinct exact ints with
+    it at the setup's windows, once per form set and windows, and the
+    distinct clamped tuples are the sweep's memo keys."""
     lo, hi = window
     return tuple([v if v is None or lo <= v <= hi else lo if v < lo else hi for v in column])
 

@@ -35,15 +35,14 @@ whose values agree once saturated at the windows of
 ``ParabolicSetup.gk_key`` (each int clamped to one past its extreme
 thresholds) have equal None patterns, so equal class splits, and keys in
 the same order, so equal GK dimensions.  The one GK memo, in
-``harness.decide_cells``, is keyed on the saturated values, read as one
-mixed-radix int, and belongs to one sweep of one setup.  A sweep reads
-the keys once per coarse cell of its grid's cell table, the cells'
-values clamped at the rank's wider cell windows
-(``ParabolicSetup.cell_windows``), since clamping those at the setup's
-windows gives each member cell's key.  A new key's integer keys are
-built from the exact values of its first cell (``_gk_from_plan``), not
-from clamped ones: a class's key comparisons read differences of its
-runs' values, so the key bases are not the saturated ones.
+``harness.decide_cells``, is keyed on the saturated values and belongs
+to one sweep of one setup.  A grid clamps its cells' values at a
+setup's windows once, when the first sweep at those windows builds its
+cell table, and each distinct clamped tuple, a coarse cell of the table,
+is one key.  A new key's integer keys are built from the exact values of
+its first cell (``_gk_from_plan``), not from clamped ones: a class's key
+comparisons read differences of its runs' values, so the key bases are
+not the saturated ones.
 
 The class split reads only which form values are None, and a setup's
 points meet few such None patterns.  So a miss does not split: it reads

@@ -8,29 +8,27 @@ are exercised.  Sweeps are deterministic: rows are emitted in grid order.
 
 A sweep decides each coarse cell once.  A cell is a distinct tuple of a
 point's exact form values over a set of forms, and a coarse cell a
-distinct tuple of a cell's values clamped at the rank's cell windows
-(``ParabolicSetup.cell_windows``), which contain the windows of every
-setup of the rank with those forms.  The grid keeps, for every setup
-swept over it, each built on first use: the exact form values per form
-(``ParameterGrid.form_column``), one cell table per form set and cell
-windows, which ``ParameterGrid.form_cells``' docstring describes and
-which holds every per-grid input of a sweep, and the points transposed.
-Summed over the setups, the cells are 16% of the standard grids' points
-in type A up to rank 5 (1 527 of 9 516) and 26% in type D up to rank 6
-(2 466 of 9 381), and the coarse cells 30% and 43% of the cells (464 and
-1 052).
+distinct tuple of a cell's values clamped at the setup's windows
+(``ParabolicSetup.gk_key``): each coarse cell is one memo key.  The grid
+keeps, for every setup swept over it, each built on first use: the exact
+form values per form (``ParameterGrid.form_column``), the exact cells
+once per form set, one cell table per form set and setup windows, which
+``ParameterGrid.form_cells``' docstring describes and which holds every
+per-grid input of a sweep, and the points transposed.  Summed over the
+setups, the cells are 16% of the standard grids' points in type A up to
+rank 5 (1 527 of 9 516) and 26% in type D up to rank 6 (2 466 of 9 381),
+and the coarse cells 24% and 43% of the cells (374 and 1 052).
 
 ``decide_cells`` is the one decision core, and its docstring describes
-the stages of a sweep: the column passes, the memo keys, the one miss
-loop and the error semantics.  It returns each point's cell, each
-cell's size and outcome, and the failed cells.  ``sweep`` runs it and
-builds every point's row from its cell's outcome (``_report``);
-``verify_family`` runs it alone, counts the checked points off the
-cells' sizes, and builds rows through ``_report`` only for a setup with
-a failed or disagreeing cell.  The grid keeps each table's clamped
-values but no GK value, verdict or memo key, and the memo lives for one
-call of the core.  The one-point route, ``verdict.evaluate``, serves
-``gvmred reduce``.
+the stages of a sweep: the column passes, the one miss loop and the
+error semantics.  It returns each point's cell, each cell's size and
+outcome, and the failed cells.  ``sweep`` runs it and builds every
+point's row from its cell's outcome (``_report``); ``verify_family``
+runs it alone, counts the checked points off the cells' sizes, and
+builds rows through ``_report`` only for a setup with a failed or
+disagreeing cell.  The grid keeps exact and clamped values but no GK
+value or verdict, and the memo lives for one call of the core.  The
+one-point route, ``verdict.evaluate``, serves ``gvmred reduce``.
 
 Output spells each layout once.  ``ROW_FIELDS`` is the one row layout,
 for the CSV header, the JSON records and the CLI's ``key=value`` lines.
@@ -69,12 +67,9 @@ Point = tuple[ExactScalar, ExactScalar]
 Axis = tuple[ExactScalar, ...]
 Values = tuple["int | None", ...]
 Ints = tuple[int, ...]
-# per form: (its distinct ints, ascending; every cell's code, 0 for None and
-# i + 1 for the i-th int)
-FormCodes = tuple[tuple[Ints, Ints], ...]
 Windows = tuple[tuple[int, int], ...]
-# (coarse, codes, firsts): ``ParameterGrid.form_cells``' coarsening
-Coarsening = tuple[Ints, FormCodes, Ints]
+# (coarse, firsts): ``ParameterGrid.form_cells``' coarsening
+Coarsening = tuple[Ints, Ints]
 # (cells, exact, numbers, patterns, coarsening, sizes): ``ParameterGrid.form_cells``
 FormCells = tuple[Ints, tuple[Values, ...], Ints, tuple[Values, ...], Coarsening, Ints]
 
@@ -86,8 +81,8 @@ MAX_GRID_POINTS = 200_000
 FAMILY_MIN_N = {"A": 3, "D": 4}
 # Largest family a verification may sweep, in standard-grid points before
 # de-duplication.  The largest families under it, A up to rank 14 (923 650
-# points) and D up to rank 43 (985 080), took 0.24-0.27 s (median 0.26 s)
-# and 1.30-1.41 s (median 1.33 s) with `gvmred verify` (5 runs each by
+# points) and D up to rank 43 (985 080), took 0.29-0.42 s (median 0.30 s)
+# and 1.17-1.44 s (median 1.26 s) with `gvmred verify` (5 runs each by
 # tests/measure.py, 2 CPUs of an Intel Xeon, Python 3.11.7, interpreter
 # start included); per-point cost grows with the rank, faster in type D.
 MAX_FAMILY_POINTS = 1_000_000
@@ -130,7 +125,7 @@ class ParameterGrid(FrozenRecord):
     def __init__(self, z1_values: Axis, z2_values: Axis, extra_points: tuple[Point, ...] = ()):
         self.__dict__.update(z1_values=z1_values, z2_values=z2_values, extra_points=extra_points)
         # caches kept out of ``_fields``, so equality and hash ignore them
-        self.__dict__.update(_columns={}, _cells={})
+        self.__dict__.update(_columns={}, _cells={}, _tables={})
 
     def points(self) -> tuple[Point, ...]:
         """Every point once, in grid order; listed on the first call."""
@@ -177,92 +172,87 @@ class ParameterGrid(FrozenRecord):
         * ``numbers``: every cell's None-pattern number, a pattern being a
           cell's values with every int made 0;
         * ``patterns``: the None pattern of every number;
-        * ``coarsening``: ``(coarse, codes, firsts)`` (``_coarsen``).  A
-          coarse cell is a distinct tuple of a cell's values with each int
-          clamped at its form's window, numbered in order of first
-          occurrence; ``coarse`` holds every cell's coarse cell, ``codes``,
-          per form, its distinct clamped ints, ascending, and every coarse
-          cell's code, 0 for None and i + 1 for the i-th int
-          (``_form_codes``), from which a sweep reads its memo keys, and
-          ``firsts`` every coarse cell's first cell.  ``windows`` None
-          clamps nothing: every cell is its own coarse cell;
+        * ``coarsening``: ``(coarse, firsts)`` (``_coarsen``).  A coarse
+          cell is a distinct tuple of a cell's values with each int clamped
+          at its form's window, numbered in order of first occurrence;
+          ``coarse`` holds every cell's coarse cell and ``firsts`` every
+          coarse cell's first cell.  At a setup's windows
+          (``ParabolicSetup.gk_key``) the coarse cells are the setup's memo
+          keys.  ``windows`` None clamps nothing: every cell is its own
+          coarse cell;
         * ``sizes``: every cell's number of points, counted in the pass
           that numbers the cells.
 
-        Cells and patterns are numbered in order of first occurrence.
-        Built from the kept columns on the first call per ``forms`` and
-        ``windows`` and kept, so the setups sharing a form set and cell
-        windows (``ParabolicSetup.cell_windows``: every type-A setup of one
-        rank; each type-D rank has two form sets) share one table.  Every
-        pass over the points or the cells runs in C (``map``, ``zip``,
-        ``dict``, ``Counter`` and ``itemgetter``).  It holds exact and
-        clamped values only, never a GK value, a verdict or a setup's memo
-        key."""
-        key = forms, windows
-        table = self._cells.get(key)
+        Cells and patterns are numbered in order of first occurrence.  The
+        exact part is built from the kept columns on the first call per
+        ``forms`` and kept, so the setups sharing a form set (every type-A
+        setup of one rank; each type-D rank has two) hash the points once
+        between them; the coarsening is built from the exact values on the
+        first call per ``forms`` and ``windows``, and the table is kept
+        and returned by every later call.  Every pass over the points or
+        the cells runs in C (``map``, ``zip``, ``dict``, ``Counter`` and
+        ``itemgetter``).  It holds exact and clamped values only, never a
+        GK value or a verdict."""
+        table = self._tables.get((forms, windows))
         if table is None:
-            columns = list(map(self.form_column, forms))
-            first: dict = {}  # a cell's exact values -> its first point
-            # per point, its cell's first point: one pass hashes the points
-            firsts = list(map(first.setdefault, zip(*columns), count()))
-            # every cell's number of points, keyed by its first point, in order
-            sizes = Counter(firsts)
-            # per form, every cell's value, read at the cell's first point
-            cell_firsts = tuple(sizes)
-            columns = [_gather(column, cell_firsts) for column in columns]
-            # per cell, which of its values are None
-            nones = list(zip(*[map(is_, column, repeat(None)) for column in columns]))
-            patterns = dict(zip(dict.fromkeys(nones), count()))
-            table = self._cells[key] = (
-                _gather(dict(zip(sizes, count())), firsts),
-                tuple(first),
-                _gather(patterns, nones),
-                tuple(tuple([None if none else 0 for none in flags]) for flags in patterns),
-                _coarsen(columns, windows),
-                tuple(sizes.values()),
+            exact = self._cells.get(forms)
+            if exact is None:
+                exact = self._cells[forms] = self._exact_cells(forms)
+            cells, values, numbers, patterns, sizes = exact
+            coarsening = _coarsen(values, windows)
+            table = self._tables[forms, windows] = (
+                cells, values, numbers, patterns, coarsening, sizes
             )
         return table
+
+    def _exact_cells(self, forms: tuple[tuple[int, int], ...]) -> tuple:
+        """``form_cells``' exact part: (cells, exact, numbers, patterns,
+        sizes)."""
+        columns = list(map(self.form_column, forms))
+        first: dict = {}  # a cell's exact values -> its first point
+        # per point, its cell's first point: one pass hashes the points
+        firsts = list(map(first.setdefault, zip(*columns), count()))
+        # every cell's number of points, keyed by its first point, in order
+        sizes = Counter(firsts)
+        # per form, every cell's value, read at the cell's first point
+        cell_firsts = tuple(sizes)
+        columns = [_gather(column, cell_firsts) for column in columns]
+        # per cell, which of its values are None
+        nones = list(zip(*[map(is_, column, repeat(None)) for column in columns]))
+        patterns = dict(zip(dict.fromkeys(nones), count()))
+        return (
+            _gather(dict(zip(sizes, count())), firsts),
+            tuple(first),
+            _gather(patterns, nones),
+            tuple(tuple([None if none else 0 for none in flags]) for flags in patterns),
+            tuple(sizes.values()),
+        )
 
     @cached_property
     def _decoded(self) -> tuple[DecodedPoint, ...]:
         return tuple([decode_point(z1, z2) for z1, z2 in self._points])
 
 
-def _form_codes(cells: tuple[Values, ...]) -> FormCodes:
-    """Per form, over the values ``cells`` (in a cell table, the coarse
-    cells' clamped values): its distinct ints, ascending, and every cell's
-    code, 0 for None and i + 1 for the i-th int.  No cells give no forms,
-    and no memo keys."""
-    codes = []
-    for column in zip(*cells):
-        ints = sorted(set(column).difference((None,)))
-        code = dict(zip(ints, count(1)))
-        code[None] = 0
-        codes.append((tuple(ints), tuple(map(code.__getitem__, column))))
-    return tuple(codes)
-
-
-def _coarsen(columns: list[Values], windows: Windows | None) -> Coarsening:
-    """(coarse, codes, firsts) of the cells whose values, per form, are
-    ``columns``: every cell's coarse cell, its values with each int
-    clamped at its form's window, numbered in order of first occurrence;
-    the coarse cells' ``_form_codes``; and every coarse cell's first cell.
-    Only each form's distinct ints are clamped (``saturate``); the clamped
-    tuples, their first cells and numbers are built in C.  ``windows``
-    None clamps nothing."""
-    if windows is not None:
-        clamped = []
-        for column, window in zip(columns, windows):
-            ints = tuple(set(column).difference((None,)))
-            clamp = dict(zip(ints, saturate(ints, window)))
-            clamp[None] = None
-            clamped.append(map(clamp.__getitem__, column))
-        columns = clamped
-    cells = list(zip(*columns))  # every cell's clamped values
+def _coarsen(exact: tuple[Values, ...], windows: Windows | None) -> Coarsening:
+    """(coarse, firsts) of the cells whose exact values are ``exact``:
+    every cell's coarse cell, its values with each int clamped at its
+    form's window, numbered in order of first occurrence, and every coarse
+    cell's first cell.  Only each form's distinct ints are clamped
+    (``saturate``); the clamped tuples, their first cells and numbers are
+    built in C.  ``windows`` None clamps nothing."""
+    if windows is None:
+        cells = tuple(range(len(exact)))
+        return cells, cells
+    clamped = []
+    for column, window in zip(zip(*exact), windows):
+        ints = tuple(set(column).difference((None,)))
+        clamp = dict(zip(ints, saturate(ints, window)))
+        clamp[None] = None
+        clamped.append(map(clamp.__getitem__, column))
+    cells = list(zip(*clamped))  # every cell's clamped values
     first: dict = {}  # a coarse cell's values -> its first cell
     deque(map(first.setdefault, cells, count()), maxlen=0)
-    coarse = _gather(dict(zip(first, count())), cells)
-    return coarse, _form_codes(tuple(first)), tuple(first.values())
+    return _gather(dict(zip(first, count())), cells), tuple(first.values())
 
 
 def _gather(values, indices) -> tuple:
@@ -273,21 +263,6 @@ def _gather(values, indices) -> tuple:
     if len(indices) > 1:
         return itemgetter(*indices)(values)
     return tuple(map(values.__getitem__, indices))
-
-
-def _memo_keys(codes: FormCodes, windows: Windows) -> list[int]:
-    """Every coarse cell's memo key, its values clamped at ``windows`` read
-    as one mixed-radix int: the sum over forms of (clamped - lo + 1) times
-    the form's stride, 0 for None, the stride being the product of
-    (hi - lo + 2) over the earlier forms.  Two cells get one key exactly
-    when their clamped tuples are equal.  Only each form's distinct ints
-    are clamped (``saturate``); the sum runs in C."""
-    columns, stride = [], 1
-    for (ints, cell_codes), (lo, hi) in zip(codes, windows):
-        digits = (0, *[(v - lo + 1) * stride for v in saturate(ints, (lo, hi))])
-        columns.append(map(digits.__getitem__, cell_codes))
-        stride *= hi - lo + 2
-    return list(map(sum, zip(*columns)))
 
 
 def grid_from_spec(spec: GridSpec) -> ParameterGrid:
@@ -365,53 +340,42 @@ def decide_cells(setup: ParabolicSetup, grid: ParameterGrid) -> tuple:
     Its stages, which the other modules name here:
 
     1. The column passes: the grid's cell table for the setup's forms,
-       coarsened at its rank's cell windows (``ParameterGrid.form_cells``
-       at ``ParabolicSetup.cell_windows``), the one value this core reads
-       off the grid besides ``len(grid)``, and each coarse cell's memo key
-       (``_memo_keys``: each form's distinct clamped ints clamped again at
-       the setup's window by ``saturate``, then one mixed-radix int per
-       coarse cell).  The cell windows contain the setup's windows, so
-       clamping a cell's coarse values at the setup's windows gives its
-       exact values clamped there: every cell of one coarse cell has that
-       coarse cell's key.
-    2. The miss loop.  The memo, from int key to ``Verdict``, lives for
-       this one call.  Each distinct key, in order of first occurrence,
-       misses once, at its first cell, the first cell of its first coarse
-       cell: the class plan of the cell's None pattern, looked up by
-       ``gk.plan_of`` on the pattern's first miss, ``gk._gk_from_plan`` on
-       it and the cell's exact values, and ``verdict.on_half_line`` on the
-       same exact values (the windows keep lo < b <= hi, so exact and
-       clamped values give one answer).  A miss reads exact values, not
-       clamped ones, since the key comparisons read differences of its
-       runs' values.  Every miss of equal GK dimension and criterion
-       shares one ``Verdict``, built by ``Verdict.of`` on the first of
-       them.
-    3. Every coarse cell's outcome is its key's memo entry, and every
-       cell's outcome its coarse cell's, each read in one ``itemgetter``
-       gather (``_gather``).
+       coarsened at the setup's windows (``ParameterGrid.form_cells`` at
+       ``ParabolicSetup.gk_key``), the one value this core reads off the
+       grid besides ``len(grid)``.  Each coarse cell is one memo key: its
+       cells' values agree once clamped at the setup's windows.
+    2. The miss loop.  The memo, every coarse cell's ``Verdict``, lives
+       for this one call.  Each coarse cell, in order of first occurrence,
+       misses once, at its first cell: the class plan of the cell's None
+       pattern, looked up by ``gk.plan_of`` on the pattern's first miss,
+       ``gk._gk_from_plan`` on it and the cell's exact values, and
+       ``verdict.on_half_line`` on the same exact values (the windows keep
+       lo < b <= hi, so exact and clamped values give one answer).  A miss
+       reads exact values, not clamped ones, since the key comparisons
+       read differences of its runs' values.  Every miss of equal GK
+       dimension and criterion shares one ``Verdict``, built by
+       ``Verdict.of`` on the first of them.
+    3. Every cell's outcome is its coarse cell's, read in one
+       ``itemgetter`` gather (``_gather``).
 
     A miss that raises, in the plan lookup too, is not memoised: its
     cell's outcome is None, its cell is failed with the repr of what
-    raised, and the key's next cell, if any, misses again, looking its
-    plan up again if the lookup raised.  A column pass that raises fails
-    every point: they all get cell 0, failed with its repr.  No GK value,
-    verdict or memo key is kept on the grid.
+    raised, and the coarse cell's next cell, if any, misses again, looking
+    its plan up again if the lookup raised.  A column pass that raises
+    fails every point: they all get cell 0, failed with its repr.  No GK
+    value or verdict is kept on the grid.
     """
     try:
         (forms, windows, _, _, _), du = setup.gk_key, setup.dim_u
-        table = grid.form_cells(forms, setup.cell_windows)
-        cells, exact, numbers, patterns, (coarse, codes, firsts), sizes = table
-        keys = _memo_keys(codes, windows)
+        table = grid.form_cells(forms, windows)
+        cells, exact, numbers, patterns, (coarse, firsts), sizes = table
     except Exception as exc:  # collected, not fatal
         return (0,) * len(grid), (len(grid),), [None], {0: repr(exc)}
-    # int key -> its first cell, then its Verdict, or None when every miss raised
-    memo: dict = {}
-    deque(map(memo.setdefault, keys, firsts), maxlen=0)
+    memo = [None] * len(firsts)  # per coarse cell: its Verdict, None until a miss succeeds
     shared: dict = {}  # (GK dimension, criterion) -> the Verdict of every such miss
     plans = [None] * len(patterns)  # per pattern: the setup's class plan, once looked up
     failed = {}  # cell -> the repr of what its miss raised
-    cell_keys = None  # every cell's key, read once a miss has raised
-    todo = list(memo.values())  # each key's first cell, then the next cell of a raising key
+    todo = list(firsts)  # each coarse cell's first cell, then the next cell of a raising one
     for cell in todo:
         values, number = exact[cell], numbers[cell]
         try:
@@ -422,20 +386,16 @@ def decide_cells(setup: ParabolicSetup, grid: ParameterGrid) -> tuple:
             crit = verdict.on_half_line(setup, values)
         except Exception as exc:  # collected, not fatal
             failed[cell] = repr(exc)
-            if cell_keys is None:
-                cell_keys = _gather(keys, coarse)
-            key = cell_keys[cell]
-            memo[key] = None
-            try:  # the key's next cell asks again
-                todo.append(cell_keys.index(key, cell + 1))
-            except ValueError:  # the key has no later cell
+            try:  # the coarse cell's next cell asks again
+                todo.append(coarse.index(coarse[cell], cell + 1))
+            except ValueError:  # the coarse cell has no later cell
                 pass
         else:
             outcome = shared.get((dim, crit))
             if outcome is None:
                 outcome = shared[dim, crit] = Verdict.of(dim, du, crit)
-            memo[keys[coarse[cell]]] = outcome
-    outcomes = _gather(_gather(memo, keys), coarse)
+            memo[coarse[cell]] = outcome
+    outcomes = _gather(memo, coarse)
     if failed:
         outcomes = list(outcomes)
         for cell in failed:

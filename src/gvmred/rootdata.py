@@ -251,30 +251,6 @@ class ParabolicSetup(FrozenRecord):
         )
 
     @cached_property
-    def cell_windows(self) -> tuple[tuple[int, int], ...]:
-        """The rank's cell windows for ``gk_key.forms``: per form, the
-        union of ``gk_key.windows`` over every setup of this Lie type and
-        rank with these forms.  A sweep clamps its grid's cells at them
-        once (``harness.ParameterGrid.form_cells``), so every such setup
-        shares one coarsening.
-
-        Every type-A setup of rank n has the forms (2, 0), (2, 2) and
-        (0, 2), and the union is (-(n-1), 0), (-n, -1) and (-(n-1), 0); in
-        type D, the setups sharing a form set have equal windows, so the
-        union is this setup's.  The tests check both facts.  The setup's
-        own windows are joined in, so a cell window always contains its
-        setup's window."""
-        forms, windows, _, _, _ = self.gk_key
-        if self.lie.kind == "D":
-            return windows
-        n = self.n
-        rank = {(2, 0): (1 - n, 0), (2, 2): (-n, -1), (0, 2): (1 - n, 0)}
-        return tuple(
-            (min(lo, rank_lo), max(hi, rank_hi))
-            for (lo, hi), (rank_lo, rank_hi) in zip(windows, map(rank.__getitem__, forms))
-        )
-
-    @cached_property
     def class_plans(self) -> dict:
         """The GK oracle's class plans by None pattern of the form values
         over ``gk_key.forms``, one entry per pattern met, each built by

@@ -20,12 +20,15 @@ JSON object with:
   builds fresh grids and patches nothing, and the setups, so their class
   plans, are built once.  Each tree's tables are built through its own
   entry point: ``form_cells(forms, setup.cell_windows)`` where setups
-  have cell windows, else ``form_cells(forms)``.  Whatever ``sweep``
-  builds lazily beyond ``form_cells`` is timed with the sweeps.  With
-  the stages come the family's cell counts, summed over its setups:
-  ``exact`` cells (distinct tuples of exact form values) and ``coarse``
-  ones (distinct once clamped at the cell windows; None for a tree that
-  does not coarsen);
+  have rank-wide cell windows, else ``form_cells(forms,
+  setup.gk_key.windows)`` where ``form_cells`` takes windows, else
+  ``form_cells(forms)``.  Whatever ``sweep`` builds lazily beyond
+  ``form_cells`` is timed with the sweeps.  With the stages come the
+  family's cell counts, summed over its setups: ``exact`` cells
+  (distinct tuples of exact form values) and ``coarse`` ones (distinct
+  once clamped at the windows the tables are built at, so at the
+  setup's windows the family's misses; None for a tree that does not
+  coarsen);
 * ``profile``: the ten functions of most own time (cProfile's tottime)
   in one ``verify_family`` run per tree, profiled first thing in the
   first pair's timing process, so on a cold start, as
@@ -141,17 +144,20 @@ print(json.dumps(result))
 
 # Run after MISSES, in its process; argv: kind, n_max, repeat.
 STAGES = r"""
-import json, sys, time
+import inspect, json, sys, time
 from gvmred import harness
 
 kind, n_max, repeat = sys.argv[1], int(sys.argv[2]), int(sys.argv[3])
 setups = harness.family_setups(kind, n_max)
 ranks = sorted({setup.n for setup in setups})
-coarsened = hasattr(harness.ParabolicSetup, "cell_windows")
+rank_windows = hasattr(harness.ParabolicSetup, "cell_windows")
+coarsened = "windows" in inspect.signature(harness.ParameterGrid.form_cells).parameters
 
 def table_args(setup):  # the arguments of the form_cells call the setup's sweep makes
-    forms = setup.gk_key.forms
-    return (forms, setup.cell_windows) if coarsened else (forms,)
+    forms, windows = setup.gk_key.forms, setup.gk_key.windows
+    if rank_windows:
+        return forms, setup.cell_windows
+    return (forms, windows) if coarsened else (forms,)
 
 tables = {n: list(dict.fromkeys(table_args(s) for s in setups if s.n == n)) for n in ranks}
 
@@ -198,7 +204,7 @@ exact_cells = coarse_cells = 0
 for setup in setups:
     table = built[setup.n].form_cells(*table_args(setup))
     exact_cells += len(table[1])
-    coarse_cells += len(table[4][2]) if coarsened else 0
+    coarse_cells += len(table[4][-1]) if coarsened else 0  # the coarse cells' first cells
 result["cells"] = {"exact": exact_cells, "coarse": coarse_cells if coarsened else None}
 print(json.dumps(result))
 """
@@ -304,9 +310,9 @@ def main(argv=None) -> int:
         "tree runs first, each timing's runs listed with their median",
         "stages": "in-process seconds, best of the repeat rounds, each round on fresh rank "
         "grids: grid_from_spec with the point list, decode, form_cells per table the sweeps "
-        "read (per form set and cell windows where the tree has them), and every setup's "
-        "sweep; in the per_miss processes, runs listed with their median; cells: exact and "
-        "coarse cells summed over the family's setups",
+        "read (per form set and the windows the tree's sweeps clamp at, if any), and every "
+        "setup's sweep; in the per_miss processes, runs listed with their median; cells: exact "
+        "and coarse cells summed over the family's setups",
         "profile": "one verify_family run under cProfile, first in the first pair's "
         "per_miss process: the ten functions of most own time (tottime), descending",
     }

@@ -26,21 +26,21 @@ point's classes with their key bases and rho terms from the block split; ``six_r
 so(2n) (1, n - 1)'s labeled class of three blocks, and ``six_run_cases``
 the (X, y) over which the spin-swap reading of that class is checked;
 ``exact_cell_memo_keys`` is a sweep's memo key of every exact cell read
-as it was before the cells were coarsened, each form's codes over the
-exact cells, the reference for the keys a sweep reads through its
-coarse cells.
+as it was before the cells were coarsened at the setup's windows, one
+mixed-radix int over each form's codes on the exact cells, the reference
+for the coarse cells a sweep decides.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import count
 from math import gcd
 from typing import NamedTuple
 
 from gvmred import IndexOutOfRange
 from gvmred.exact import as_scalar, integer_difference, integer_sum
 from gvmred.gk import _folded, integrality_classes, key_readers, split_classes
-from gvmred.harness import _form_codes
 from gvmred.tableaux import conjugate, rs_shape
 
 from dense_gk import NonIntegralWeight, minus_double  # noqa: F401
@@ -276,14 +276,18 @@ def reader_classes(setup, exact):
 
 def exact_cell_memo_keys(exact, windows) -> list[int]:
     """Every exact cell's memo key: its exact values ``exact`` clamped at
-    ``windows``, read as one mixed-radix int over each form's codes on the
-    exact cells (``harness._form_codes``), as ``harness._memo_keys`` reads
-    them on the coarse cells: the sum over forms of (clamped - lo + 1)
-    times the form's stride, 0 for None, the stride being the product of
-    (hi - lo + 2) over the earlier forms."""
+    ``windows``, read as one mixed-radix int: the sum over forms of
+    (clamped - lo + 1) times the form's stride, 0 for None, the stride
+    being the product of (hi - lo + 2) over the earlier forms.  Each
+    form's values are read through its codes over the cells, 0 for None
+    and i + 1 for the i-th of its distinct ints, ascending, so each
+    distinct int is clamped once."""
     columns, stride = [], 1
-    for (ints, cell_codes), (lo, hi) in zip(_form_codes(exact), windows):
+    for column, (lo, hi) in zip(zip(*exact), windows):
+        ints = sorted(set(column).difference((None,)))
+        code = dict(zip(ints, count(1)))
+        code[None] = 0
         digits = (0, *[(min(max(v, lo), hi) - lo + 1) * stride for v in ints])
-        columns.append(map(digits.__getitem__, cell_codes))
+        columns.append(map(digits.__getitem__, map(code.__getitem__, column)))
         stride *= hi - lo + 2
     return list(map(sum, zip(*columns)))

@@ -5,6 +5,7 @@ from collections import Counter
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from math import ceil, floor
+from operator import is_
 
 import pytest
 from hypothesis import example, given, settings, strategies as st
@@ -244,9 +245,8 @@ def test_the_setups_of_a_type_a_rank_build_the_cells_once(monkeypatch):
 def _record_sweep_inputs(monkeypatch) -> tuple[list, list, list]:
     """From now on, each ``saturate`` call a sweep makes, as (window,
     clamped ints): those of ``ParameterGrid.form_cells``, one per form at
-    the setup's cell windows when the sweep builds its table, then those
-    of ``_memo_keys``, one per form at the setup's windows, each over the
-    distinct ints of a form of the coarse cells; the exact form values
+    the setup's windows when the sweep builds its coarsening, each over
+    the distinct ints of a form of the exact cells; the exact form values
     each of its memo misses hands to ``_gk_from_plan`` and those each
     hands to ``on_half_line``, in grid order."""
     clamped, misses, half_line_values = [], [], []
@@ -280,13 +280,14 @@ CUSTOM_GRID = grid_from_spec(GridSpec(Fraction(-7, 3), Fraction(5, 2), Fraction(
 )
 def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setups):
     """On every point of the standard grids and of a custom grid, the
-    clamped values a sweep reads off the point's coarse cell, each form's
-    code naming one of the ints its last ``saturate`` calls clamp at the
-    setup's windows, are ``form_values`` of the point saturated at the
-    setup's windows; the sweep's earlier ``saturate`` calls, when it
-    builds the table, clamp at the setup's cell windows; and its misses,
-    one at the first point of each such key, hand ``_gk_from_plan`` and
-    ``on_half_line`` the exact ``form_values`` of that point."""
+    clamped values a sweep reads off the point's coarse cell, its first
+    cell's exact values clamped at the setup's windows, are
+    ``form_values`` of the point saturated at the setup's windows, and
+    distinct per coarse cell; the sweep's ``saturate`` calls, when it
+    builds the coarsening, clamp each form's distinct exact ints at the
+    setup's windows; and its misses, one at the first point of each such
+    key, hand ``_gk_from_plan`` and ``on_half_line`` the exact
+    ``form_values`` of that point."""
     clamped, misses, half_line_values = _record_sweep_inputs(monkeypatch)
     checked = 0
     for setup in setups:
@@ -296,18 +297,15 @@ def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setu
             misses.clear()
             half_line_values.clear()
             assert not sweep(setup, grid).errors
-            cells, _, _, _, (coarse, codes, _), _ = grid.form_cells(forms, setup.cell_windows)
-            built, keyed = clamped[: -len(forms)], clamped[-len(forms) :]
-            assert [window for window, _ in built] in ([], list(setup.cell_windows))
-            assert [window for window, _ in keyed] == list(windows)
-            columns = [
-                [None if code == 0 else ints[code - 1] for code in cell_codes]
-                for (_, ints), (_, cell_codes) in zip(keyed, codes)
-            ]
-            coarse_keys = list(zip(*columns))
+            cells, exact, _, _, (coarse, firsts), _ = grid.form_cells(forms, windows)
+            assert [window for window, _ in clamped] in ([], list(windows))
+            for f, (window, ints) in enumerate(clamped):
+                distinct = sorted({values[f] for values in exact} - {None})
+                assert sorted(ints) == sorted(saturate(distinct, window)), (setup, f)
+            coarse_keys = [saturated(exact[first], windows) for first in firsts]
+            assert len(set(coarse_keys)) == len(coarse_keys)
             keys = [coarse_keys[coarse[cell]] for cell in cells]
             assert len(keys) == len(grid)
-            assert [len(ints) for _, ints in keyed] == [len(ints) for ints, _ in codes]
             first = {}
             for (z1, z2), key in zip(grid.points(), keys):
                 assert key == saturated_form_values(forms, windows, z1, z2), (setup, z1, z2)
@@ -601,56 +599,113 @@ def test_a_raising_plan_lookup_costs_only_its_cell(monkeypatch, setup):
 
 def test_each_cells_pattern_number_names_its_none_pattern():
     """On the rank-14 A and rank-43 D standard grids, the largest verify
-    sweeps, and every form set and cell windows their setups read:
-    ``form_cells`` gives each cell a pattern number, numbered in order of
-    first occurrence, the patterns are distinct, and each cell's number
-    names its exact values' None pattern (every int made 0); the table is
-    kept, so a second call returns the same object, and sweeping every
-    setup of the rank leaves one table per form set, the kept one.  Its
-    coarsening, so built once per form set, gives each cell a coarse cell,
-    numbered in order of first occurrence, whose first cell is listed;
-    each form's codes name each coarse cell's clamped value: 0 for None,
-    i + 1 for the i-th of the form's distinct clamped ints, listed
-    ascending; and each cell's exact values, clamped at the cell windows,
-    are its coarse cell's values."""
+    sweeps, and every form set their setups read: ``form_cells`` gives
+    each cell a pattern number, numbered in order of first occurrence,
+    the patterns are distinct, and each cell's number names its exact
+    values' None pattern (every int made 0); the table is kept, so a
+    second call returns the same object, and sweeping every setup of the
+    rank leaves one exact part per form set and one table per form set
+    and setup windows, the kept ones, every table of a form set holding
+    its one exact part.  Each table's coarsening gives each cell a coarse
+    cell, numbered in order of first occurrence, whose first cell is
+    listed; the coarse cells' values, their first cells' exact values
+    clamped at the setup's windows, are distinct, and each cell's exact
+    values, clamped there, are its coarse cell's values."""
     checked = 0
     for kind, n in (("A", 14), ("D", 43)):
         grid = grid_from_spec(harness_mod._standard_spec(n))
         setups = [s for s in family_setups(kind, n) if s.n == n]
-        keys = {(s.gk_key.forms, s.cell_windows) for s in setups}
-        assert len(keys) == len({s.gk_key.forms for s in setups}) == (1 if kind == "A" else 2)
+        keys = {(s.gk_key.forms, s.gk_key.windows) for s in setups}
+        form_sets = {forms for forms, _ in keys}
+        assert len(form_sets) == (1 if kind == "A" else 2)
         kept = {key: grid.form_cells(*key) for key in keys}
-        kept_coarsening = {key: table[4] for key, table in kept.items()}
         for setup in setups:
             sweep(setup, grid)
-        assert grid._cells.keys() == kept.keys()
-        for (forms, cell_windows), table in kept.items():
-            assert grid.form_cells(forms, cell_windows) is table
-            assert grid._cells[forms, cell_windows] is table
-            cells, exact, numbers, patterns, coarsening, _ = table
-            assert coarsening is kept_coarsening[forms, cell_windows]
-            coarse, codes, firsts = coarsening
-            assert len(codes) == len(forms)
+        assert grid._tables.keys() == kept.keys() and grid._cells.keys() == form_sets
+        for forms in form_sets:
+            cells, exact, numbers, patterns, sizes = grid._cells[forms]
             assert len(cells) == len(grid) and len(set(exact)) == len(exact)
             assert len(numbers) == len(exact) and len(set(patterns)) == len(patterns)
             assert list(dict.fromkeys(numbers)) == list(range(len(patterns)))
             for values, number in zip(exact, numbers):
                 assert patterns[number] == tuple(None if v is None else 0 for v in values)
-            assert len(coarse) == len(exact) and first_cells(coarse) == dict(enumerate(firsts))
-            decoded = []
-            for ints, coarse_codes in codes:
-                assert list(ints) == sorted(set(ints)) and None not in ints
-                assert len(coarse_codes) == len(firsts)
-                assert all(0 <= code <= len(ints) for code in coarse_codes)
-                decoded.append([None if code == 0 else ints[code - 1] for code in coarse_codes])
-            coarse_values = list(zip(*decoded))
-            assert len(set(coarse_values)) == len(coarse_values)
-            for f, (ints, _) in enumerate(codes):
-                assert set(ints) == {values[f] for values in coarse_values} - {None}
-            for values, c in zip(exact, coarse):
-                assert saturated(values, cell_windows) == coarse_values[c]
             checked += len(exact)
+        for (forms, windows), table in kept.items():
+            assert grid.form_cells(forms, windows) is table
+            assert grid._tables[forms, windows] is table
+            exact_part = (*table[:4], table[5])
+            assert all(map(is_, exact_part, grid._cells[forms]))
+            _, exact, _, _, (coarse, firsts), _ = table
+            assert len(coarse) == len(exact) and first_cells(coarse) == dict(enumerate(firsts))
+            coarse_values = [saturated(exact[first], windows) for first in firsts]
+            assert len(set(coarse_values)) == len(coarse_values)
+            for values, c in zip(exact, coarse):
+                assert saturated(values, windows) == coarse_values[c]
     assert checked > 10000
+
+
+class _GKValue(int):
+    """A GK dimension as the sweeps' misses return it, so that a walk can
+    tell it from the ints of a cell table."""
+
+
+def _reachable(root) -> list:
+    """Every object reachable from ``root`` through containers and
+    attributes, ``__slots__`` ones too, each once."""
+    seen, todo, found = set(), [root], []
+    while todo:
+        obj = todo.pop()
+        if id(obj) in seen:
+            continue
+        seen.add(id(obj))
+        found.append(obj)
+        if isinstance(obj, dict):
+            todo.extend(obj.keys())
+            todo.extend(obj.values())
+        elif isinstance(obj, (tuple, list, set, frozenset)):
+            todo.extend(obj)
+        else:
+            todo.extend(getattr(obj, "__dict__", {}).values())
+            for cls in type(obj).__mro__:
+                for name in getattr(cls, "__slots__", ()):
+                    if hasattr(obj, name):
+                        todo.append(getattr(obj, name))
+    return found
+
+
+@pytest.mark.parametrize("kind, n_max", [("A", 7), ("D", 9)], ids=["A<=7", "D<=9"])
+def test_grids_keep_cell_tables_but_no_verdict_or_gk_value(monkeypatch, kind, n_max):
+    """After every setup is swept over its standard grid and over the
+    custom grid, each with nothing kept on it before, no ``Verdict`` and
+    no GK value the misses returned is reachable from anything the grid
+    keeps; the grid keeps one exact part per form set of the setups swept
+    over it and one table per distinct (forms, ``gk_key.windows``), each
+    with a coarsening of its own and its form set's exact part."""
+    gk_from_plan = gk_module._gk_from_plan
+    monkeypatch.setattr(gk_module, "_gk_from_plan", lambda *args: _GKValue(gk_from_plan(*args)))
+    setups = family_setups(kind, n_max)
+    custom = ParameterGrid(CUSTOM_GRID.z1_values, CUSTOM_GRID.z2_values, CUSTOM_GRID.extra_points)
+    swept = {custom: setups}
+    for n in sorted({s.n for s in setups}):
+        swept[grid_from_spec(harness_mod._standard_spec(n))] = [s for s in setups if s.n == n]
+    tagged = 0
+    for grid, grid_setups in swept.items():
+        for setup in grid_setups:
+            report = sweep(setup, grid)
+            assert not report.errors and len(report.rows) == len(grid)
+            tagged += sum(type(row.verdict.gk) is _GKValue for row in report.rows)
+        # the walk reaches a row's GK value
+        assert any(type(obj) is _GKValue for obj in _reachable(report.rows))
+        kept = _reachable(vars(grid))
+        assert not [obj for obj in kept if isinstance(obj, (Verdict, _GKValue, SweepRow))]
+        assert grid._cells.keys() == {s.gk_key.forms for s in grid_setups}
+        assert grid._tables.keys() == {(s.gk_key.forms, s.gk_key.windows) for s in grid_setups}
+        coarsenings = [table[4] for table in grid._tables.values()]
+        assert len(set(map(id, coarsenings))) == len(coarsenings)
+        for (forms, windows), table in grid._tables.items():
+            assert all(map(is_, (*table[:4], table[5]), grid._cells[forms]))
+            assert table[4] == harness_mod._coarsen(table[1], windows)
+    assert tagged == sum(len(grid) * len(grid_setups) for grid, grid_setups in swept.items())
 
 
 def saturated(values, windows) -> tuple:
@@ -669,32 +724,33 @@ def first_cells(coarse) -> dict:
 
 def test_cell_keys_read_through_the_coarsening_are_the_exact_cells_keys():
     """For every setup of A up to rank 14 and D up to rank 43, the largest
-    verify families, each exact cell's memo key read through the
-    coarsening (``_memo_keys`` on the coarse cells' codes at the setup's
-    windows, gathered by each cell's coarse cell) is the key read off the
-    exact cells themselves (``exact_cell_memo_keys``); and, in every table
-    those sweeps read, the members of each coarse cell clamp, at the cell
-    windows, to one tuple, distinct per coarse cell, the coarse cells
-    numbered in order of first occurrence from their listed first cells."""
-    checked = tables = 0
+    verify families, two exact cells share a coarse cell of the table at
+    the setup's windows exactly when the exact cells' own memo keys
+    (``exact_cell_memo_keys``, the route before the coarse cells were the
+    keys) are equal; the coarse cells are numbered in order of first
+    occurrence from their listed first cells, and they are as many as the
+    family's misses.  Sweeping every setup leaves one exact part per form
+    set of each rank."""
+    checked = coarse_cells = tables = 0
     for kind, n_max in (("A", 14), ("D", 43)):
         setups = family_setups(kind, n_max)
         for n in sorted({s.n for s in setups}):
             grid = grid_from_spec(harness_mod._standard_spec(n))
             for setup in (s for s in setups if s.n == n):
                 forms, windows, _, _, _ = setup.gk_key
-                table = grid.form_cells(forms, setup.cell_windows)
-                _, exact, _, _, (coarse, codes, _), _ = table
-                keys = harness_mod._gather(harness_mod._memo_keys(codes, windows), coarse)
-                assert list(keys) == exact_cell_memo_keys(exact, windows), setup
+                _, exact, _, _, (coarse, firsts), _ = grid.form_cells(forms, windows)
+                keys = exact_cell_memo_keys(exact, windows)
+                assert len(keys) == len(coarse) == len(exact), setup
+                pairs = set(zip(coarse, keys))
+                assert len(pairs) == len(set(coarse)) == len(set(keys)) == len(firsts), setup
+                assert first_cells(coarse) == dict(enumerate(firsts)), setup
                 checked += len(keys)
-            for (_, cell_windows), (_, exact, _, _, (coarse, _, firsts), _) in grid._cells.items():
-                clamped = [saturated(values, cell_windows) for values in exact]
-                assert len(set(zip(coarse, clamped))) == len(set(clamped)) == len(firsts)
-                assert first_cells(coarse) == dict(enumerate(firsts))
-                tables += 1
-    # one table per type-A rank, 3 to 14, and two per type-D rank, 4 to 43
-    assert checked == 135681 + 250440 and tables == 12 + 2 * 40
+                coarse_cells += len(firsts)
+            tables += len(grid._cells)
+    # the misses of verify A <= 14 and D <= 43
+    assert checked == 135681 + 250440 and coarse_cells == 50843 + 127500
+    # one exact part per type-A rank, 3 to 14, and two per type-D rank, 4 to 43
+    assert tables == 12 + 2 * 40
 
 
 @pytest.mark.parametrize("values", [tuple("abcdef"), dict(enumerate("abcdef"))], ids=type)
@@ -748,20 +804,21 @@ def windowed_cells(draw):
     )
 )
 def test_memo_keys_are_equal_exactly_when_the_clamped_values_are(case):
-    """Two cells get equal int memo keys exactly when their values,
-    clamped at the windows with ``saturate``, are equal; and each form's
-    codes decode back to the cells' exact values."""
+    """``_coarsen`` gives two cells one coarse cell, a sweep's memo key,
+    exactly when their values, clamped at the windows with ``saturate``,
+    are equal; the coarse cells are numbered in order of first occurrence
+    from their listed first cells; and with no windows every cell is its
+    own coarse cell."""
     windows, cells = case
-    codes = harness_mod._form_codes(cells)
-    keys = harness_mod._memo_keys(codes, windows)
-    clamped = [tuple(saturate((v,), w)[0] for v, w in zip(values, windows)) for values in cells]
-    assert len(keys) == len(cells) and all(type(key) is int for key in keys)
-    for f, (ints, cell_codes) in enumerate(codes):
-        decoded = [None if code == 0 else ints[code - 1] for code in cell_codes]
-        assert decoded == [values[f] for values in cells]
-    for key, values in zip(keys, clamped):
-        for other_key, other in zip(keys, clamped):
-            assert (key == other_key) == (values == other), (windows, values, other)
+    coarse, firsts = harness_mod._coarsen(cells, windows)
+    clamped = [saturated(values, windows) for values in cells]
+    assert len(coarse) == len(cells) and all(type(c) is int for c in coarse)
+    assert first_cells(coarse) == dict(enumerate(firsts))
+    for c, values in zip(coarse, clamped):
+        for other_c, other in zip(coarse, clamped):
+            assert (c == other_c) == (values == other), (windows, values, other)
+    every = tuple(range(len(cells)))
+    assert harness_mod._coarsen(cells, None) == (every, every)
 
 
 def test_sweeps_at_the_largest_rank_are_the_one_point_verdicts():

@@ -29,7 +29,7 @@ def test_measure_script_compares_two_trees():
         "D<=6": "verified 9 setups, 9381 points: no mismatches, no errors",
     }
     points = {"A<=5": 9516, "D<=6": 9381}
-    cells = {"A<=5": {"exact": 1527, "coarse": 464}, "D<=6": {"exact": 2466, "coarse": 1052}}
+    cells = {"A<=5": {"exact": 1527, "coarse": 374}, "D<=6": {"exact": 2466, "coarse": 1052}}
     assert set(result["gvmred_verify_walls"]) == set(result["per_miss"]) == set(lines)
     assert set(result["stages"]) == set(lines) and "stages" in result["how"]
     assert set(result["profile"]) == set(lines) and "profile" in result["how"]

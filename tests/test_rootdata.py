@@ -307,63 +307,3 @@ def test_block_plan_and_gk_key_build_no_scalar(monkeypatch):
     assert built == []
     shifted_weight(ParabolicSetup(LieType("D", 4), 1, 3), 0, 0)
     assert built  # the patch counts
-
-
-def _setups(kind: str, n: int, pairs=None) -> list[ParabolicSetup]:
-    """The setups of ``kind`` and rank ``n`` at ``pairs``, by default all."""
-    lie = LieType(kind, n)
-    return [ParabolicSetup(lie, p, q) for p, q in pairs or two_step_pairs(lie)]
-
-
-def _union_windows(setups) -> dict:
-    """Per form set of ``setups``: per form, the union (least lo, largest
-    hi) of the windows of every setup with that form set."""
-    union = {}
-    for setup in setups:
-        forms, windows, _, _, _ = setup.gk_key
-        kept = union.setdefault(forms, windows)
-        union[forms] = tuple((min(a, c), max(b, d)) for (a, b), (c, d) in zip(kept, windows))
-    return union
-
-
-def _type_a_cell_windows(n: int) -> tuple:
-    return (1 - n, 0), (-n, -1), (1 - n, 0)
-
-
-def test_type_a_cell_windows_are_the_union_of_the_ranks_windows():
-    """Every type-A setup of rank n, 3 to 40, has the forms (2, 0), (2, 2)
-    and (0, 2), in that order, and the union of their windows is
-    (-(n-1), 0), (-n, -1) and (-(n-1), 0), every setup's ``cell_windows``.
-    At ranks 200, 1 000 and 2 000, the windows of the setups with the
-    smallest and middle blocks and of seeded random ones lie within that
-    closed form, which is again their cell windows."""
-    forms = ((2, 0), (2, 2), (0, 2))
-    for n in range(3, 41):
-        setups = _setups("A", n)
-        assert _union_windows(setups) == {forms: _type_a_cell_windows(n)}, n
-        assert all(setup.cell_windows == _type_a_cell_windows(n) for setup in setups), n
-    rng = random.Random(38)
-    for n in (200, 1000, 2000):
-        half = n // 2
-        pairs = {(1, 2), (1, n - 1), (n - 2, n - 1), (1, half), (half, half + 1), (half, n - 1)}
-        pairs |= {tuple(sorted(rng.sample(range(1, n), 2))) for _ in range(40)}
-        closed = _type_a_cell_windows(n)
-        for setup in _setups("A", n, sorted(pairs)):
-            assert setup.gk_key.forms == forms, setup
-            assert all(
-                lo <= a and b <= hi for (a, b), (lo, hi) in zip(setup.gk_key.windows, closed)
-            ), setup
-            assert setup.cell_windows == closed, setup
-
-
-def test_type_d_setups_sharing_a_form_set_have_equal_windows():
-    """At ranks 4 to 60, 200, 1 000 and 2 000, the type-D setups fall into
-    two form sets, and the setups sharing one have equal windows, so a
-    setup's own windows are the union, its ``cell_windows``."""
-    for n in (*range(4, 61), 200, 1000, 2000):
-        setups = _setups("D", n)
-        windows = {}
-        for setup in setups:
-            windows.setdefault(setup.gk_key.forms, set()).add(setup.gk_key.windows)
-        assert len(windows) == 2 and all(len(kept) == 1 for kept in windows.values()), n
-        assert all(setup.cell_windows == setup.gk_key.windows for setup in setups), n
