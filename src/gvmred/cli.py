@@ -22,8 +22,8 @@ and its length, in argparse's own refusals too (``_Parser.error``).  Refused
 are: an ``--n`` above ``MAX_RANK`` (2 000), an ``rs --seq`` of more entries
 than that, a verify ``--max-n`` below the family's smallest rank or whose
 standard grids would hold more than ``harness.MAX_FAMILY_POINTS``
-(1 000 000) points (above 14 for type A or 43 for type D, runs that took
-0.29-0.42 s and 1.17-1.44 s on 2 CPUs of an Intel Xeon), a custom grid
+(1 000 000) points (above 14 for type A or 43 for type D; the comment
+on ``harness.MAX_FAMILY_POINTS`` gives those runs' walls), a custom grid
 with ``--hi`` below ``--lo`` or larger than ``harness.MAX_GRID_POINTS``,
 a zero denominator, a scalar, grid bound or custom grid point with more
 digits than an int prints with (``MAX_DIGITS``), ``--lo``/``--hi``/``--step``

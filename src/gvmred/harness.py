@@ -11,13 +11,17 @@ point's exact form values over a set of forms, and a coarse cell a
 distinct tuple of a cell's values clamped at the setup's windows
 (``ParabolicSetup.gk_key``): each coarse cell is one memo key.  The grid
 keeps, for every setup swept over it, each built on first use: the exact
-form values per form (``ParameterGrid.form_column``), the exact cells
-once per form set, one cell table per form set and setup windows, which
-``ParameterGrid.form_cells``' docstring describes and which holds every
-per-grid input of a sweep, and the points transposed.  Summed over the
-setups, the cells are 16% of the standard grids' points in type A up to
-rank 5 (1 527 of 9 516) and 26% in type D up to rank 6 (2 466 of 9 381),
-and the coarse cells 24% and 43% of the cells (374 and 1 052).
+form values per form (``ParameterGrid.form_column``); the exact part of
+a cell table once per form set, the cells with their per-form columns;
+one cell table per form set and setup windows, whose coarsening only
+clamps those columns and numbers the coarse cells; and the points
+transposed.  One helper, ``_numbered``, numbers the cells, their None
+patterns and the coarse cells.  ``ParameterGrid.form_cells``' docstring
+describes the table, which holds every per-grid input of a sweep.
+Summed over the setups, the cells are 16% of the standard grids' points
+in type A up to rank 5 (1 527 of 9 516) and 26% in type D up to rank 6
+(2 466 of 9 381), and the coarse cells 24% and 43% of the cells (374
+and 1 052).
 
 ``decide_cells`` is the one decision core, and its docstring describes
 the stages of a sweep: the column passes, the one miss loop and the
@@ -41,7 +45,7 @@ line through one segment template.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from itertools import count, repeat
@@ -81,10 +85,11 @@ MAX_GRID_POINTS = 200_000
 FAMILY_MIN_N = {"A": 3, "D": 4}
 # Largest family a verification may sweep, in standard-grid points before
 # de-duplication.  The largest families under it, A up to rank 14 (923 650
-# points) and D up to rank 43 (985 080), took 0.29-0.42 s (median 0.30 s)
-# and 1.17-1.44 s (median 1.26 s) with `gvmred verify` (5 runs each by
-# tests/measure.py, 2 CPUs of an Intel Xeon, Python 3.11.7, interpreter
-# start included); per-point cost grows with the rank, faster in type D.
+# points) and D up to rank 43 (985 080), took 0.27-0.50 s (median 0.38 s)
+# and 1.17-2.22 s (median 1.76 s) with `gvmred verify` (20 runs each by
+# tests/measure.py, 2 CPUs of a shared Intel Xeon whose load widened the
+# spread, Python 3.11.7, interpreter start included); per-point cost
+# grows with the rank, faster in type D.
 MAX_FAMILY_POINTS = 1_000_000
 
 
@@ -159,9 +164,7 @@ class ParameterGrid(FrozenRecord):
             column = self._columns[form] = form_column(self._decoded, form)
         return column
 
-    def form_cells(
-        self, forms: tuple[tuple[int, int], ...], windows: Windows | None = None
-    ) -> FormCells:
+    def form_cells(self, forms: tuple[tuple[int, int], ...], windows: Windows) -> FormCells:
         """The cell table over ``forms``, coarsened at ``windows``, every
         per-grid input of a sweep, as one tuple
         ``(cells, exact, numbers, patterns, coarsening, sizes)``:
@@ -174,58 +177,56 @@ class ParameterGrid(FrozenRecord):
         * ``patterns``: the None pattern of every number;
         * ``coarsening``: ``(coarse, firsts)`` (``_coarsen``).  A coarse
           cell is a distinct tuple of a cell's values with each int clamped
-          at its form's window, numbered in order of first occurrence;
-          ``coarse`` holds every cell's coarse cell and ``firsts`` every
-          coarse cell's first cell.  At a setup's windows
-          (``ParabolicSetup.gk_key``) the coarse cells are the setup's memo
-          keys.  ``windows`` None clamps nothing: every cell is its own
-          coarse cell;
-        * ``sizes``: every cell's number of points, counted in the pass
-          that numbers the cells.
+          at its form's window; ``coarse`` holds every cell's coarse cell
+          and ``firsts`` every coarse cell's first cell.  At a setup's
+          windows (``ParabolicSetup.gk_key``) the coarse cells are the
+          setup's memo keys;
+        * ``sizes``: every cell's number of points.
 
-        Cells and patterns are numbered in order of first occurrence.  The
-        exact part is built from the kept columns on the first call per
-        ``forms`` and kept, so the setups sharing a form set (every type-A
-        setup of one rank; each type-D rank has two) hash the points once
-        between them; the coarsening is built from the exact values on the
-        first call per ``forms`` and ``windows``, and the table is kept
-        and returned by every later call.  Every pass over the points or
-        the cells runs in C (``map``, ``zip``, ``dict``, ``Counter`` and
-        ``itemgetter``).  It holds exact and clamped values only, never a
-        GK value or a verdict."""
+        Cells, patterns and coarse cells are numbered in order of first
+        occurrence, all three by ``_numbered``.  The exact part
+        (``_exact_cells``) is built from the kept columns on the first
+        call per ``forms`` and kept, so the setups sharing a form set
+        (every type-A setup of one rank; each type-D rank has two) hash
+        the points once between them; the coarsening is built from the
+        exact part's per-form cell columns on the first call per
+        ``forms`` and ``windows``, and the table is kept and returned by
+        every later call.  Every pass over the points or the cells runs
+        in C (``map``, ``zip``, ``dict``, ``Counter`` and ``itemgetter``).
+        It holds exact and clamped values only, never a GK value or a
+        verdict."""
         table = self._tables.get((forms, windows))
         if table is None:
             exact = self._cells.get(forms)
             if exact is None:
                 exact = self._cells[forms] = self._exact_cells(forms)
-            cells, values, numbers, patterns, sizes = exact
-            coarsening = _coarsen(values, windows)
+            cells, values, numbers, patterns, sizes, columns = exact
+            coarsening = _coarsen(columns, windows)
             table = self._tables[forms, windows] = (
                 cells, values, numbers, patterns, coarsening, sizes
             )
         return table
 
     def _exact_cells(self, forms: tuple[tuple[int, int], ...]) -> tuple:
-        """``form_cells``' exact part: (cells, exact, numbers, patterns,
-        sizes)."""
+        """``form_cells``' exact part, (cells, exact, numbers, patterns,
+        sizes, columns): the first five as in the table, and ``columns``,
+        per form, (every cell's value, the column's distinct ints), which
+        every coarsening of this form set reads."""
         columns = list(map(self.form_column, forms))
-        first: dict = {}  # a cell's exact values -> its first point
-        # per point, its cell's first point: one pass hashes the points
-        firsts = list(map(first.setdefault, zip(*columns), count()))
-        # every cell's number of points, keyed by its first point, in order
-        sizes = Counter(firsts)
+        # per point, its cell; per cell, its exact values and first point
+        cells, first = _numbered(zip(*columns))
         # per form, every cell's value, read at the cell's first point
-        cell_firsts = tuple(sizes)
+        cell_firsts = tuple(first.values())
         columns = [_gather(column, cell_firsts) for column in columns]
         # per cell, which of its values are None
-        nones = list(zip(*[map(is_, column, repeat(None)) for column in columns]))
-        patterns = dict(zip(dict.fromkeys(nones), count()))
+        numbers, nones = _numbered(zip(*[map(is_, column, repeat(None)) for column in columns]))
         return (
-            _gather(dict(zip(sizes, count())), firsts),
+            cells,
             tuple(first),
-            _gather(patterns, nones),
-            tuple(tuple([None if none else 0 for none in flags]) for flags in patterns),
-            tuple(sizes.values()),
+            numbers,
+            tuple(tuple([None if none else 0 for none in flags]) for flags in nones),
+            tuple(Counter(cells).values()),
+            tuple((column, tuple(set(column).difference((None,)))) for column in columns),
         )
 
     @cached_property
@@ -233,26 +234,30 @@ class ParameterGrid(FrozenRecord):
         return tuple([decode_point(z1, z2) for z1, z2 in self._points])
 
 
-def _coarsen(exact: tuple[Values, ...], windows: Windows | None) -> Coarsening:
-    """(coarse, firsts) of the cells whose exact values are ``exact``:
+def _coarsen(columns, windows: Windows) -> Coarsening:
+    """(coarse, firsts) of the cells whose per-form columns are
+    ``columns``, each (every cell's value, the column's distinct ints):
     every cell's coarse cell, its values with each int clamped at its
-    form's window, numbered in order of first occurrence, and every coarse
-    cell's first cell.  Only each form's distinct ints are clamped
-    (``saturate``); the clamped tuples, their first cells and numbers are
-    built in C.  ``windows`` None clamps nothing."""
-    if windows is None:
-        cells = tuple(range(len(exact)))
-        return cells, cells
+    form's window, numbered by ``_numbered``, and every coarse cell's
+    first cell.  Only each form's distinct ints are clamped
+    (``saturate``); the clamped tuples are built and numbered in C."""
     clamped = []
-    for column, window in zip(zip(*exact), windows):
-        ints = tuple(set(column).difference((None,)))
+    for (column, ints), window in zip(columns, windows):
         clamp = dict(zip(ints, saturate(ints, window)))
         clamp[None] = None
         clamped.append(map(clamp.__getitem__, column))
-    cells = list(zip(*clamped))  # every cell's clamped values
-    first: dict = {}  # a coarse cell's values -> its first cell
-    deque(map(first.setdefault, cells, count()), maxlen=0)
-    return _gather(dict(zip(first, count())), cells), tuple(first.values())
+    coarse, first = _numbered(zip(*clamped))
+    return coarse, tuple(first.values())
+
+
+def _numbered(keys) -> tuple[Ints, dict]:
+    """(numbers, first) of ``keys``: every key's number, the distinct keys
+    numbered in order of first occurrence, and every distinct key with
+    its first position, in that order.  One ``map`` hashes the keys once,
+    and the numbers are read off the first positions by ``_gather``."""
+    first: dict = {}
+    positions = list(map(first.setdefault, keys, count()))
+    return _gather(dict(zip(first.values(), count())), positions), first
 
 
 def _gather(values, indices) -> tuple:

@@ -11,7 +11,7 @@ the criterion, kept as a reference for the two-parameter half-lines;
 weight's insertion tableau; ``even_odd_counts`` splits a shape's boxes
 by parity, for the type D shape checks; ``columns_depth_sum`` and
 ``columns_even_depth_sum`` are the depth sums a GK miss takes column by
-column (``gk._gk_from_values``), from a tuple of column lengths;
+column (``gk._gk_from_plan``), from a tuple of column lengths;
 ``highest_root_multiplicity`` reads a simple root's multiplicity off
 the highest root's coordinates, and ``classify_parabolic`` sums it over
 any set of removed roots, the general nilpotency classifier that the

@@ -517,7 +517,7 @@ def test_column_pass_errors_record_every_point(monkeypatch):
     def broken_form_column(grid, form):
         raise RuntimeError("column failed")
 
-    def broken_form_cells(grid, forms, *windows):
+    def broken_form_cells(grid, forms, windows):
         raise RuntimeError("cells failed")
 
     def broken_saturate(column, window):
@@ -574,8 +574,8 @@ def test_a_raising_plan_lookup_costs_only_its_cell(monkeypatch, setup):
     the rows are the clean sweep's rows without them, and the next miss of
     that pattern looks it up again, each other pattern once."""
     grid = standard_grid(setup)
-    forms = setup.gk_key.forms
-    cells, _, _, patterns, _, _ = grid.form_cells(forms)
+    forms, windows, _, _, _ = setup.gk_key
+    cells, _, _, patterns, _, _ = grid.form_cells(forms, windows)
     plan_of = gk_module.plan_of
     calls = []
 
@@ -623,7 +623,7 @@ def test_each_cells_pattern_number_names_its_none_pattern():
             sweep(setup, grid)
         assert grid._tables.keys() == kept.keys() and grid._cells.keys() == form_sets
         for forms in form_sets:
-            cells, exact, numbers, patterns, sizes = grid._cells[forms]
+            cells, exact, numbers, patterns, _, _ = grid._cells[forms]
             assert len(cells) == len(grid) and len(set(exact)) == len(exact)
             assert len(numbers) == len(exact) and len(set(patterns)) == len(patterns)
             assert list(dict.fromkeys(numbers)) == list(range(len(patterns)))
@@ -634,7 +634,7 @@ def test_each_cells_pattern_number_names_its_none_pattern():
             assert grid.form_cells(forms, windows) is table
             assert grid._tables[forms, windows] is table
             exact_part = (*table[:4], table[5])
-            assert all(map(is_, exact_part, grid._cells[forms]))
+            assert all(map(is_, exact_part, grid._cells[forms][:5]))
             _, exact, _, _, (coarse, firsts), _ = table
             assert len(coarse) == len(exact) and first_cells(coarse) == dict(enumerate(firsts))
             coarse_values = [saturated(exact[first], windows) for first in firsts]
@@ -679,8 +679,10 @@ def test_grids_keep_cell_tables_but_no_verdict_or_gk_value(monkeypatch, kind, n_
     custom grid, each with nothing kept on it before, no ``Verdict`` and
     no GK value the misses returned is reachable from anything the grid
     keeps; the grid keeps one exact part per form set of the setups swept
-    over it and one table per distinct (forms, ``gk_key.windows``), each
-    with a coarsening of its own and its form set's exact part."""
+    over it, whose per-form cell columns are its exact values transposed,
+    each with the column's distinct ints, and one table per distinct
+    (forms, ``gk_key.windows``), each with a coarsening of its own, built
+    from those columns, and its form set's exact part."""
     gk_from_plan = gk_module._gk_from_plan
     monkeypatch.setattr(gk_module, "_gk_from_plan", lambda *args: _GKValue(gk_from_plan(*args)))
     setups = family_setups(kind, n_max)
@@ -702,9 +704,15 @@ def test_grids_keep_cell_tables_but_no_verdict_or_gk_value(monkeypatch, kind, n_
         assert grid._tables.keys() == {(s.gk_key.forms, s.gk_key.windows) for s in grid_setups}
         coarsenings = [table[4] for table in grid._tables.values()]
         assert len(set(map(id, coarsenings))) == len(coarsenings)
+        for forms, (_, exact, _, _, _, columns) in grid._cells.items():
+            assert [column for column, _ in columns] == list(zip(*exact))
+            assert len(columns) == len(forms)
+            for column, ints in columns:
+                assert len(ints) == len(set(ints)) and set(ints) == set(column) - {None}
         for (forms, windows), table in grid._tables.items():
-            assert all(map(is_, (*table[:4], table[5]), grid._cells[forms]))
-            assert table[4] == harness_mod._coarsen(table[1], windows)
+            exact_part = grid._cells[forms]
+            assert all(map(is_, (*table[:4], table[5]), exact_part[:5]))
+            assert table[4] == harness_mod._coarsen(exact_part[5], windows)
     assert tagged == sum(len(grid) * len(grid_setups) for grid, grid_setups in swept.items())
 
 
@@ -804,21 +812,20 @@ def windowed_cells(draw):
     )
 )
 def test_memo_keys_are_equal_exactly_when_the_clamped_values_are(case):
-    """``_coarsen`` gives two cells one coarse cell, a sweep's memo key,
+    """``_coarsen``, fed the cells' per-form columns, each with its
+    distinct ints, gives two cells one coarse cell, a sweep's memo key,
     exactly when their values, clamped at the windows with ``saturate``,
     are equal; the coarse cells are numbered in order of first occurrence
-    from their listed first cells; and with no windows every cell is its
-    own coarse cell."""
+    from their listed first cells."""
     windows, cells = case
-    coarse, firsts = harness_mod._coarsen(cells, windows)
+    columns = [(column, tuple(set(column) - {None})) for column in zip(*cells)]
+    coarse, firsts = harness_mod._coarsen(columns, windows)
     clamped = [saturated(values, windows) for values in cells]
     assert len(coarse) == len(cells) and all(type(c) is int for c in coarse)
     assert first_cells(coarse) == dict(enumerate(firsts))
     for c, values in zip(coarse, clamped):
         for other_c, other in zip(coarse, clamped):
             assert (c == other_c) == (values == other), (windows, values, other)
-    every = tuple(range(len(cells)))
-    assert harness_mod._coarsen(cells, None) == (every, every)
 
 
 def test_sweeps_at_the_largest_rank_are_the_one_point_verdicts():
@@ -884,7 +891,7 @@ def test_a_raising_criterion_costs_only_its_cells_points(monkeypatch, setup):
     grid = standard_grid(setup)
     forms, windows, _, _, _ = setup.gk_key
     points = grid.points()
-    cells, _, _, _, _, _ = grid.form_cells(forms)
+    cells, _, _, _, _, _ = grid.form_cells(forms, windows)
     keys = [saturated_form_values(forms, windows, z1, z2) for z1, z2 in points]
     by_key = {}
     for i, key in enumerate(keys):
@@ -977,8 +984,8 @@ def test_grid_columns_match_form_values(pairs, forms):
     grid = ParameterGrid((), (), tuple(pairs))
     exact = [grid.form_column(form) for form in forms]
     assert all(grid.form_column(form) is column for form, column in zip(forms, exact))
-    kept = grid.form_cells(tuple(forms))
-    assert grid.form_cells(tuple(forms)) is kept
+    kept = grid.form_cells(tuple(forms), tuple(windows))
+    assert grid.form_cells(tuple(forms), tuple(windows)) is kept
     cells, cell_values, numbers, patterns, _, _ = kept
     assert len(cells) == len(grid) and len(set(cell_values)) == len(cell_values)
     assert list(dict.fromkeys(cells)) == list(range(len(cell_values)))
@@ -1139,11 +1146,11 @@ def _raise_at_every_other_table(patch):
     """Raise at every other ``form_cells`` call, counted per report."""
     form_cells, calls = ParameterGrid.form_cells, []
 
-    def raising(grid, forms, *windows):
+    def raising(grid, forms, windows):
         calls.append(forms)
         if len(calls) % 2 == 0:
             raise RuntimeError(f"cells failed at call {len(calls)}")
-        return form_cells(grid, forms, *windows)
+        return form_cells(grid, forms, windows)
 
     patch.setattr(ParameterGrid, "form_cells", raising)
     return calls
@@ -1183,8 +1190,10 @@ def test_kept_cell_sizes_count_every_point():
         setups = family_setups(kind, n_max)
         for n in sorted({s.n for s in setups}):
             grid = grid_from_spec(harness_mod._standard_spec(n))
-            for forms in {s.gk_key.forms for s in setups if s.n == n}:
-                cells, exact, _, _, _, sizes = grid.form_cells(forms)
+            # one table per form set, at the windows of one of its setups
+            tables = {s.gk_key.forms: s.gk_key.windows for s in setups if s.n == n}
+            for forms, windows in tables.items():
+                cells, exact, _, _, _, sizes = grid.form_cells(forms, windows)
                 assert len(sizes) == len(exact) and sum(sizes) == len(grid), (kind, n, forms)
                 assert sizes == tuple(Counter(cells).values()), (kind, n, forms)
 
