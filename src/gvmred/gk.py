@@ -46,12 +46,14 @@ not the saturated ones.
 
 The class split reads only which form values are None, and a setup's
 points meet few such None patterns.  So a miss does not split: it reads
-the setup's class plan for its pattern (``class_plan``, kept in
-``ParabolicSetup.class_plans`` and built on the pattern's first use by
-``plan_of``, ``split_classes`` on the pattern's readers, ``key_readers``).
-A plan is (base, classes).  An unlabeled class of one block reads no
-value: its keys are its rho run, one column, so the base is the type's
-triangular bound less m(m - 1)/2 for each such class of m entries.
+the setup's class plan for its pattern (``class_plan``, ``split_classes``
+on the pattern's readers, ``key_readers``) from the setup's one plan
+cache, ``ParabolicSetup.class_plans``, which ``plan_of`` fills on the
+pattern's first use by the setup, in any sweep or one-point call; a
+build that raises keeps nothing.  A plan is (base, classes).  An
+unlabeled class of one block reads no value: its keys are its rho run,
+one column, so the base is the type's triangular bound less m(m - 1)/2
+for each such class of m entries.
 ``classes`` lists every other class as its labeled flag and its runs,
 each a (signed index into the point's values, top term, length) triple:
 the run's keys are the value plus the top term, then stepping down by 1,
@@ -88,9 +90,11 @@ base as it reads the column lengths, in one loop over the classes.  A
 plan holds no point's value and no GK value.
 
 The form values are the oracle's only integrality decision, and the
-criterion's too (``verdict.on_half_line``).  A sweep reads them off its
-grid's cell table and calls ``plan_of`` and ``_gk_from_plan`` once per
-distinct memo key; ``harness.decide_cells`` describes its stages.
+criterion's too (``verdict.on_half_line``).  A sweep reads them and
+each cell's None pattern off its grid's cell table and, once per memo
+key, reads the pattern's plan from ``ParabolicSetup.class_plans`` (through
+``plan_of`` only when the cache lacks it) and runs ``_gk_from_plan``;
+``harness.decide_cells`` describes its stages.
 ``gk_dimension``, the one-point call, is ``_gk_from_plan`` of the
 point's exact ``exact.form_values`` and the plan of their pattern, with
 no memo.

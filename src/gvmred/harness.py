@@ -17,7 +17,9 @@ one cell table per form set and setup windows, whose coarsening only
 clamps those columns and numbers the coarse cells; and the points
 transposed.  One helper, ``_numbered``, numbers the cells, their None
 patterns and the coarse cells.  ``ParameterGrid.form_cells``' docstring
-describes the table, which holds every per-grid input of a sweep.
+describes the table, four fields that hold every per-grid input of a
+sweep: the cells, their exact values, their None patterns and the
+coarsening.
 Summed over the setups, the cells are 16% of the standard grids' points
 in type A up to rank 5 (1 527 of 9 516) and 26% in type D up to rank 6
 (2 466 of 9 381), and the coarse cells 24% and 43% of the cells (374
@@ -25,14 +27,16 @@ and 1 052).
 
 ``decide_cells`` is the one decision core, and its docstring describes
 the stages of a sweep: the column passes, the one miss loop and the
-error semantics.  It returns each point's cell, each cell's size and
-outcome, and the failed cells.  ``sweep`` runs it and builds every
-point's row from its cell's outcome (``_report``); ``verify_family``
-runs it alone, counts the checked points off the cells' sizes, and
-builds rows through ``_report`` only for a setup with a failed or
-disagreeing cell.  The grid keeps exact and clamped values but no GK
-value or verdict, and the memo lives for one call of the core.  The
-one-point route, ``verdict.evaluate``, serves ``gvmred reduce``.
+error semantics.  It returns each point's cell, each cell's outcome
+and the failed cells.  ``sweep`` runs it and builds every point's row
+from its cell's outcome (``_report``); ``verify_family`` runs it alone,
+counts the checked points off the points' cells, and builds rows
+through ``_report`` only for a setup with a failed or disagreeing cell,
+whose error points it takes off the count.  The grid keeps exact and
+clamped values but no GK value or verdict, the memo lives for one call
+of the core, and the class plans live in the setup's one plan cache
+(``ParabolicSetup.class_plans``).  The one-point route,
+``verdict.evaluate``, serves ``gvmred reduce``.
 
 Output spells each layout once.  ``ROW_FIELDS`` is the one row layout,
 for the CSV header, the JSON records and the CLI's ``key=value`` lines.
@@ -45,10 +49,9 @@ line through one segment template.
 
 from __future__ import annotations
 
-from collections import Counter
 from fractions import Fraction
 from functools import cached_property, lru_cache
-from itertools import count, repeat
+from itertools import chain, count, product, repeat
 from math import gcd
 from operator import attrgetter, is_, itemgetter
 from typing import NamedTuple
@@ -74,8 +77,8 @@ Ints = tuple[int, ...]
 Windows = tuple[tuple[int, int], ...]
 # (coarse, firsts): ``ParameterGrid.form_cells``' coarsening
 Coarsening = tuple[Ints, Ints]
-# (cells, exact, numbers, patterns, coarsening, sizes): ``ParameterGrid.form_cells``
-FormCells = tuple[Ints, tuple[Values, ...], Ints, tuple[Values, ...], Coarsening, Ints]
+# (cells, exact, patterns, coarsening): ``ParameterGrid.form_cells``
+FormCells = tuple[Ints, tuple[Values, ...], tuple[Values, ...], Coarsening]
 
 EXTRA_RATIONALS = (Fraction(1, 3),)
 # Largest grid a spec may describe: about 100 times the standard grid of
@@ -138,13 +141,8 @@ class ParameterGrid(FrozenRecord):
 
     @cached_property
     def _points(self) -> tuple[Point, ...]:
-        seen: dict[Point, None] = {}
-        for a in self.z1_values:
-            for b in self.z2_values:
-                seen.setdefault((a, b))
-        for pt in self.extra_points:
-            seen.setdefault(pt)
-        return tuple(seen)
+        points = chain(product(self.z1_values, self.z2_values), self.extra_points)
+        return tuple(dict.fromkeys(points))
 
     def __len__(self) -> int:
         return len(self._points)
@@ -167,65 +165,63 @@ class ParameterGrid(FrozenRecord):
     def form_cells(self, forms: tuple[tuple[int, int], ...], windows: Windows) -> FormCells:
         """The cell table over ``forms``, coarsened at ``windows``, every
         per-grid input of a sweep, as one tuple
-        ``(cells, exact, numbers, patterns, coarsening, sizes)``:
+        ``(cells, exact, patterns, coarsening)``:
 
-        * ``cells``: the cell of every point, in grid order.  A cell is a
-          distinct tuple of a point's ``form_column`` values;
+        * ``cells``: the cell of every point, in grid order, so one per
+          point.  A cell is a distinct tuple of a point's ``form_column``
+          values;
         * ``exact``: every cell's exact values;
-        * ``numbers``: every cell's None-pattern number, a pattern being a
-          cell's values with every int made 0;
-        * ``patterns``: the None pattern of every number;
+        * ``patterns``: every cell's None pattern, its values with every
+          int made 0, which keys the setup's class plan.  Equal patterns
+          are one tuple;
         * ``coarsening``: ``(coarse, firsts)`` (``_coarsen``).  A coarse
           cell is a distinct tuple of a cell's values with each int clamped
           at its form's window; ``coarse`` holds every cell's coarse cell
           and ``firsts`` every coarse cell's first cell.  At a setup's
           windows (``ParabolicSetup.gk_key``) the coarse cells are the
-          setup's memo keys;
-        * ``sizes``: every cell's number of points.
+          setup's memo keys.
 
-        Cells, patterns and coarse cells are numbered in order of first
-        occurrence, all three by ``_numbered``.  The exact part
-        (``_exact_cells``) is built from the kept columns on the first
-        call per ``forms`` and kept, so the setups sharing a form set
-        (every type-A setup of one rank; each type-D rank has two) hash
-        the points once between them; the coarsening is built from the
-        exact part's per-form cell columns on the first call per
-        ``forms`` and ``windows``, and the table is kept and returned by
-        every later call.  Every pass over the points or the cells runs
-        in C (``map``, ``zip``, ``dict``, ``Counter`` and ``itemgetter``).
-        It holds exact and clamped values only, never a GK value or a
-        verdict."""
+        Cells and coarse cells are numbered in order of first occurrence,
+        by ``_numbered``.  The exact part (``_exact_cells``) is built from
+        the kept columns on the first call per ``forms`` and kept, so the
+        setups sharing a form set (every type-A setup of one rank; each
+        type-D rank has two) hash the points once between them; the
+        coarsening is built from the exact part's per-form cell columns
+        on the first call per ``forms`` and ``windows``, and the table,
+        the exact part's first three fields and the coarsening, is kept
+        and returned by every later call.  Every pass over the points or
+        the cells runs in C (``map``, ``zip``, ``dict`` and
+        ``itemgetter``).  It holds exact and clamped values only, never a
+        GK value or a verdict."""
         table = self._tables.get((forms, windows))
         if table is None:
             exact = self._cells.get(forms)
             if exact is None:
                 exact = self._cells[forms] = self._exact_cells(forms)
-            cells, values, numbers, patterns, sizes, columns = exact
-            coarsening = _coarsen(columns, windows)
-            table = self._tables[forms, windows] = (
-                cells, values, numbers, patterns, coarsening, sizes
-            )
+            table = self._tables[forms, windows] = (*exact[:3], _coarsen(exact[3], windows))
         return table
 
     def _exact_cells(self, forms: tuple[tuple[int, int], ...]) -> tuple:
-        """``form_cells``' exact part, (cells, exact, numbers, patterns,
-        sizes, columns): the first five as in the table, and ``columns``,
-        per form, (every cell's value, the column's distinct ints), which
-        every coarsening of this form set reads."""
+        """``form_cells``' exact part, (cells, exact, patterns, columns):
+        the first three as in the table, and ``columns``, per form, (every
+        cell's value, the column's distinct ints), which every coarsening
+        of this form set reads.  The cells and their None patterns are
+        each numbered by one ``_numbered`` pass; every cell's pattern is
+        gathered from the distinct ones, so equal patterns are one
+        tuple."""
         columns = list(map(self.form_column, forms))
         # per point, its cell; per cell, its exact values and first point
         cells, first = _numbered(zip(*columns))
         # per form, every cell's value, read at the cell's first point
         cell_firsts = tuple(first.values())
         columns = [_gather(column, cell_firsts) for column in columns]
-        # per cell, which of its values are None
+        # per cell, which of its values are None; equal patterns are one tuple
         numbers, nones = _numbered(zip(*[map(is_, column, repeat(None)) for column in columns]))
+        patterns = [tuple([None if none else 0 for none in flags]) for flags in nones]
         return (
             cells,
             tuple(first),
-            numbers,
-            tuple(tuple([None if none else 0 for none in flags]) for flags in nones),
-            tuple(Counter(cells).values()),
+            _gather(patterns, numbers),
             tuple((column, tuple(set(column).difference((None,)))) for column in columns),
         )
 
@@ -338,9 +334,10 @@ class SweepReport(NamedTuple):
 
 def decide_cells(setup: ParabolicSetup, grid: ParameterGrid) -> tuple:
     """Decide every cell of ``grid`` for ``setup``: the one decision core,
-    run by ``sweep`` and by ``verify_family``.  Returns the cell of every
-    point, the number of points of every cell, every cell's ``Verdict``
-    (None when it failed) and, per failed cell, the repr of what raised.
+    run by ``sweep`` and by ``verify_family``.  Returns ``(cells,
+    outcomes, failed)``: the cell of every point, every cell's
+    ``Verdict`` (None when it failed) and, per failed cell, the repr of
+    what raised.
 
     Its stages, which the other modules name here:
 
@@ -352,12 +349,14 @@ def decide_cells(setup: ParabolicSetup, grid: ParameterGrid) -> tuple:
     2. The miss loop.  The memo, every coarse cell's ``Verdict``, lives
        for this one call.  Each coarse cell, in order of first occurrence,
        misses once, at its first cell: the class plan of the cell's None
-       pattern, looked up by ``gk.plan_of`` on the pattern's first miss,
-       ``gk._gk_from_plan`` on it and the cell's exact values, and
-       ``verdict.on_half_line`` on the same exact values (the windows keep
-       lo < b <= hi, so exact and clamped values give one answer).  A miss
-       reads exact values, not clamped ones, since the key comparisons
-       read differences of its runs' values.  Every miss of equal GK
+       pattern, read from the setup's one plan cache
+       (``ParabolicSetup.class_plans``) and built by ``gk.plan_of`` when
+       the pattern is not in it yet, ``gk._gk_from_plan`` on the plan and
+       the cell's exact values, and ``verdict.on_half_line`` on the same
+       exact values (the windows keep lo < b <= hi, so exact and clamped
+       values give one answer).  A miss reads exact values, not clamped
+       ones, since the key comparisons read differences of its runs'
+       values.  Every miss of equal GK
        dimension and criterion shares one ``Verdict``, built by
        ``Verdict.of`` on the first of them.
     3. Every cell's outcome is its coarse cell's, read in one
@@ -366,27 +365,24 @@ def decide_cells(setup: ParabolicSetup, grid: ParameterGrid) -> tuple:
     A miss that raises, in the plan lookup too, is not memoised: its
     cell's outcome is None, its cell is failed with the repr of what
     raised, and the coarse cell's next cell, if any, misses again, looking
-    its plan up again if the lookup raised.  A column pass that raises
-    fails every point: they all get cell 0, failed with its repr.  No GK
-    value or verdict is kept on the grid.
+    its plan up again if the lookup raised, since a raising lookup keeps
+    no plan.  A column pass that raises fails every point: they all get
+    cell 0, failed with its repr.  No GK value or verdict is kept on the
+    grid.
     """
     try:
         (forms, windows, _, _, _), du = setup.gk_key, setup.dim_u
-        table = grid.form_cells(forms, windows)
-        cells, exact, numbers, patterns, (coarse, firsts), sizes = table
+        cells, exact, patterns, (coarse, firsts) = grid.form_cells(forms, windows)
     except Exception as exc:  # collected, not fatal
-        return (0,) * len(grid), (len(grid),), [None], {0: repr(exc)}
+        return (0,) * len(grid), [None], {0: repr(exc)}
     memo = [None] * len(firsts)  # per coarse cell: its Verdict, None until a miss succeeds
     shared: dict = {}  # (GK dimension, criterion) -> the Verdict of every such miss
-    plans = [None] * len(patterns)  # per pattern: the setup's class plan, once looked up
     failed = {}  # cell -> the repr of what its miss raised
     todo = list(firsts)  # each coarse cell's first cell, then the next cell of a raising one
     for cell in todo:
-        values, number = exact[cell], numbers[cell]
+        values, pattern = exact[cell], patterns[cell]
         try:
-            plan = plans[number]
-            if plan is None:
-                plan = plans[number] = gk.plan_of(setup, patterns[number])
+            plan = setup.class_plans.get(pattern) or gk.plan_of(setup, pattern)
             dim = gk._gk_from_plan(plan, values)
             crit = verdict.on_half_line(setup, values)
         except Exception as exc:  # collected, not fatal
@@ -405,7 +401,7 @@ def decide_cells(setup: ParabolicSetup, grid: ParameterGrid) -> tuple:
         outcomes = list(outcomes)
         for cell in failed:
             outcomes[cell] = None
-    return cells, sizes, outcomes, failed
+    return cells, outcomes, failed
 
 
 def _report(setup: ParabolicSetup, grid: ParameterGrid, cells, outcomes, failed) -> SweepReport:
@@ -425,7 +421,7 @@ def _report(setup: ParabolicSetup, grid: ParameterGrid, cells, outcomes, failed)
 def sweep(setup: ParabolicSetup, grid: ParameterGrid) -> SweepReport:
     """Evaluate oracle and criterion at every grid point, in grid order:
     ``decide_cells``, then every point's row from its cell's outcome."""
-    cells, _, outcomes, failed = decide_cells(setup, grid)
+    cells, outcomes, failed = decide_cells(setup, grid)
     return _report(setup, grid, cells, outcomes, failed)
 
 
@@ -433,8 +429,9 @@ class MismatchReport(NamedTuple):
     """Outcome of a family verification.
 
     ``errors`` holds (setup, z1, z2, exception) for each point whose
-    evaluation raised; ``grid_points`` counts every point of the swept
-    grids, so a run that skipped or lost points cannot pass.
+    evaluation raised; ``points_checked`` counts the points the cell
+    tables decided without an error and ``grid_points`` every point of
+    the swept grids, so a run that skipped or lost points cannot pass.
     """
 
     mismatches: list[tuple[ParabolicSetup, SweepRow]]
@@ -483,13 +480,14 @@ def verify_family(kind: str, n_max: int) -> MismatchReport:
     """Decide every setup of the family over its standard grid
     (``decide_cells``) and collect criterion/oracle clashes.
 
-    ``points_checked`` sums the sizes of the cells that did not fail and
-    ``grid_points`` the grids' lengths, so a cell table that loses a point
-    cannot pass.  Rows are built (``_report``) only for a setup with a
-    failed or disagreeing cell; its disagreeing rows and its errors are
-    kept, in grid order.  A family whose grids would hold more than
-    ``MAX_FAMILY_POINTS`` points is rejected with a ValueError before any
-    setup is built.
+    ``points_checked`` counts every setup's points off its cell table,
+    ``len(cells)``, less the error points ``_report`` lists for a setup
+    with a failed cell, and ``grid_points`` sums the grids' lengths, so a
+    cell table that loses a point cannot pass.  Rows are built
+    (``_report``) only for a setup with a failed or disagreeing cell; its
+    disagreeing rows and its errors are kept, in grid order.  A family
+    whose grids would hold more than ``MAX_FAMILY_POINTS`` points is
+    rejected with a ValueError before any setup is built.
     """
     if family_point_bound(kind, n_max) > MAX_FAMILY_POINTS:
         raise ValueError(
@@ -501,12 +499,13 @@ def verify_family(kind: str, n_max: int) -> MismatchReport:
     points = grid_points = 0
     for setup in setups:
         grid = standard_grid(setup)
-        cells, sizes, outcomes, failed = decide_cells(setup, grid)
+        cells, outcomes, failed = decide_cells(setup, grid)
         grid_points += len(grid)
-        points += sum(sizes) - sum(map(sizes.__getitem__, failed))
+        points += len(cells)
         # a failed cell's outcome is None
         if failed or not all(map(attrgetter("agree"), filter(None, outcomes))):
             swept = _report(setup, grid, cells, outcomes, failed)
+            points -= len(swept.errors)
             errors.extend((setup, *error) for error in swept.errors)
             mismatches.extend((setup, row) for row in swept.rows if not row.verdict.agree)
     return MismatchReport(mismatches, len(setups), points, errors, grid_points)

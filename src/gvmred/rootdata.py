@@ -252,11 +252,15 @@ class ParabolicSetup(FrozenRecord):
 
     @cached_property
     def class_plans(self) -> dict:
-        """The GK oracle's class plans by None pattern of the form values
-        over ``gk_key.forms``, one entry per pattern met, each built by
-        ``gk.class_plan`` on the pattern's first use (``gk.plan_of``).  A
-        plan holds the constant classes' deficit and the other classes'
-        parts, nothing that depends on a point's values."""
+        """The setup's one cache of the GK oracle's class plans, by None
+        pattern of the form values over ``gk_key.forms``: one entry per
+        pattern met, each built by ``gk.class_plan`` on the pattern's first
+        use (``gk.plan_of``) and kept for the setup's life, across sweeps.
+        A sweep's miss reads its plan here and calls ``gk.plan_of`` only
+        for a pattern not yet in it; a build that raises keeps nothing, so
+        the pattern's next miss builds it again.  A plan holds the
+        constant classes' deficit and the other classes' parts, nothing
+        that depends on a point's values."""
         return {}
 
 

@@ -28,7 +28,11 @@ JSON object with:
   (distinct tuples of exact form values) and ``coarse`` ones (distinct
   once clamped at the windows the tables are built at, so at the
   setup's windows the family's misses; None for a tree that does not
-  coarsen);
+  coarsen).  Both are read off the table by position: the exact values
+  are its second field, and the coarsening ``(coarse, firsts)`` its
+  fourth in the four-field table ``(cells, exact, patterns,
+  coarsening)`` and its fifth in the older six-field one ``(cells,
+  exact, numbers, patterns, coarsening, sizes)``;
 * ``profile``: the ten functions of most own time (cProfile's tottime)
   in one ``verify_family`` run per tree, profiled first thing in the
   first pair's timing process, so on a cold start, as
@@ -204,7 +208,8 @@ exact_cells = coarse_cells = 0
 for setup in setups:
     table = built[setup.n].form_cells(*table_args(setup))
     exact_cells += len(table[1])
-    coarse_cells += len(table[4][-1]) if coarsened else 0  # the coarse cells' first cells
+    if coarsened:  # the coarse cells' first cells, in a 4- or an older 6-field table
+        coarse_cells += len(table[3 if len(table) == 4 else 4][-1])
 result["cells"] = {"exact": exact_cells, "coarse": coarse_cells if coarsened else None}
 print(json.dumps(result))
 """

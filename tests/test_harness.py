@@ -1,7 +1,6 @@
 import hashlib
 import json
 import pickle
-from collections import Counter
 import xml.etree.ElementTree as ET
 from fractions import Fraction
 from math import ceil, floor
@@ -297,7 +296,7 @@ def test_sweep_reads_the_one_point_form_values_off_the_columns(monkeypatch, setu
             misses.clear()
             half_line_values.clear()
             assert not sweep(setup, grid).errors
-            cells, exact, _, _, (coarse, firsts), _ = grid.form_cells(forms, windows)
+            cells, exact, _, (coarse, firsts) = grid.form_cells(forms, windows)
             assert [window for window, _ in clamped] in ([], list(windows))
             for f, (window, ints) in enumerate(clamped):
                 distinct = sorted({values[f] for values in exact} - {None})
@@ -569,13 +568,15 @@ def test_a_raising_miss_records_its_point_and_is_not_memoised(monkeypatch):
     "setup", [ParabolicSetup(A(5), 1, 3), ParabolicSetup(D(6), 1, 5)], ids=["A5", "D6"]
 )
 def test_a_raising_plan_lookup_costs_only_its_cell(monkeypatch, setup):
-    """The class plan is looked up inside a miss: when the lookup raises
-    once, at the first cell, ``errors`` lists exactly that cell's points,
-    the rows are the clean sweep's rows without them, and the next miss of
-    that pattern looks it up again, each other pattern once."""
+    """The class plan is looked up inside a miss, when the setup's plan
+    cache lacks the cell's pattern: on a fresh setup of the same parabolic,
+    whose cache is empty, when the lookup raises once, at the first cell,
+    ``errors`` lists exactly that cell's points, the rows are the clean
+    sweep's rows without them, and the next miss of that pattern looks it
+    up again, each other pattern once."""
     grid = standard_grid(setup)
     forms, windows, _, _, _ = setup.gk_key
-    cells, _, _, patterns, _, _ = grid.form_cells(forms, windows)
+    cells, _, patterns, _ = grid.form_cells(forms, windows)
     plan_of = gk_module.plan_of
     calls = []
 
@@ -586,27 +587,29 @@ def test_a_raising_plan_lookup_costs_only_its_cell(monkeypatch, setup):
         return plan_of(setup, pattern)
 
     clean = sweep(setup, grid)
+    fresh = ParabolicSetup(setup.lie, setup.p, setup.q)
+    assert fresh == setup and not fresh.class_plans
     monkeypatch.setattr(gk_module, "plan_of", fails_once)
-    report = sweep(setup, grid)
+    report = sweep(fresh, grid)
     failing = [i for i, cell in enumerate(cells) if cell == 0]
     points = grid.points()
     assert report.errors == [
         (str(points[i][0]), str(points[i][1]), "RuntimeError('plan failed')") for i in failing
     ]
     assert report.rows == [row for row, cell in zip(clean.rows, cells) if cell]
-    assert calls.count(calls[0]) == 2 and len(set(calls)) == len(patterns) == len(calls) - 1
+    assert calls[0] == patterns[0] and calls.count(calls[0]) == 2
+    assert len(set(calls)) == len(set(patterns)) == len(calls) - 1
 
 
-def test_each_cells_pattern_number_names_its_none_pattern():
+def test_each_cells_pattern_is_its_none_pattern():
     """On the rank-14 A and rank-43 D standard grids, the largest verify
     sweeps, and every form set their setups read: ``form_cells`` gives
-    each cell a pattern number, numbered in order of first occurrence,
-    the patterns are distinct, and each cell's number names its exact
-    values' None pattern (every int made 0); the table is kept, so a
-    second call returns the same object, and sweeping every setup of the
-    rank leaves one exact part per form set and one table per form set
-    and setup windows, the kept ones, every table of a form set holding
-    its one exact part.  Each table's coarsening gives each cell a coarse
+    each cell its exact values' None pattern (every int made 0), and
+    equal patterns are one object; the table is kept, so a second call
+    returns the same object, and sweeping every setup of the rank leaves
+    one exact part per form set and one table per form set and setup
+    windows, the kept ones, every table of a form set holding its one
+    exact part.  Each table's coarsening gives each cell a coarse
     cell, numbered in order of first occurrence, whose first cell is
     listed; the coarse cells' values, their first cells' exact values
     clamped at the setup's windows, are distinct, and each cell's exact
@@ -623,19 +626,19 @@ def test_each_cells_pattern_number_names_its_none_pattern():
             sweep(setup, grid)
         assert grid._tables.keys() == kept.keys() and grid._cells.keys() == form_sets
         for forms in form_sets:
-            cells, exact, numbers, patterns, _, _ = grid._cells[forms]
+            cells, exact, patterns, _ = grid._cells[forms]
             assert len(cells) == len(grid) and len(set(exact)) == len(exact)
-            assert len(numbers) == len(exact) and len(set(patterns)) == len(patterns)
-            assert list(dict.fromkeys(numbers)) == list(range(len(patterns)))
-            for values, number in zip(exact, numbers):
-                assert patterns[number] == tuple(None if v is None else 0 for v in values)
+            assert len(patterns) == len(exact)
+            shared = {}  # each distinct pattern, the first object holding it
+            for values, pattern in zip(exact, patterns):
+                assert pattern == tuple(None if v is None else 0 for v in values)
+                assert shared.setdefault(pattern, pattern) is pattern
             checked += len(exact)
         for (forms, windows), table in kept.items():
             assert grid.form_cells(forms, windows) is table
             assert grid._tables[forms, windows] is table
-            exact_part = (*table[:4], table[5])
-            assert all(map(is_, exact_part, grid._cells[forms][:5]))
-            _, exact, _, _, (coarse, firsts), _ = table
+            assert len(table) == 4 and all(map(is_, table[:3], grid._cells[forms][:3]))
+            _, exact, _, (coarse, firsts) = table
             assert len(coarse) == len(exact) and first_cells(coarse) == dict(enumerate(firsts))
             coarse_values = [saturated(exact[first], windows) for first in firsts]
             assert len(set(coarse_values)) == len(coarse_values)
@@ -702,17 +705,17 @@ def test_grids_keep_cell_tables_but_no_verdict_or_gk_value(monkeypatch, kind, n_
         assert not [obj for obj in kept if isinstance(obj, (Verdict, _GKValue, SweepRow))]
         assert grid._cells.keys() == {s.gk_key.forms for s in grid_setups}
         assert grid._tables.keys() == {(s.gk_key.forms, s.gk_key.windows) for s in grid_setups}
-        coarsenings = [table[4] for table in grid._tables.values()]
+        coarsenings = [table[3] for table in grid._tables.values()]
         assert len(set(map(id, coarsenings))) == len(coarsenings)
-        for forms, (_, exact, _, _, _, columns) in grid._cells.items():
+        for forms, (_, exact, _, columns) in grid._cells.items():
             assert [column for column, _ in columns] == list(zip(*exact))
             assert len(columns) == len(forms)
             for column, ints in columns:
                 assert len(ints) == len(set(ints)) and set(ints) == set(column) - {None}
         for (forms, windows), table in grid._tables.items():
             exact_part = grid._cells[forms]
-            assert all(map(is_, (*table[:4], table[5]), exact_part[:5]))
-            assert table[4] == harness_mod._coarsen(exact_part[5], windows)
+            assert len(table) == 4 and all(map(is_, table[:3], exact_part[:3]))
+            assert table[3] == harness_mod._coarsen(exact_part[3], windows)
     assert tagged == sum(len(grid) * len(grid_setups) for grid, grid_setups in swept.items())
 
 
@@ -746,7 +749,7 @@ def test_cell_keys_read_through_the_coarsening_are_the_exact_cells_keys():
             grid = grid_from_spec(harness_mod._standard_spec(n))
             for setup in (s for s in setups if s.n == n):
                 forms, windows, _, _, _ = setup.gk_key
-                _, exact, _, _, (coarse, firsts), _ = grid.form_cells(forms, windows)
+                _, exact, _, (coarse, firsts) = grid.form_cells(forms, windows)
                 keys = exact_cell_memo_keys(exact, windows)
                 assert len(keys) == len(coarse) == len(exact), setup
                 pairs = set(zip(coarse, keys))
@@ -891,7 +894,7 @@ def test_a_raising_criterion_costs_only_its_cells_points(monkeypatch, setup):
     grid = standard_grid(setup)
     forms, windows, _, _, _ = setup.gk_key
     points = grid.points()
-    cells, _, _, _, _, _ = grid.form_cells(forms, windows)
+    cells, _, _, _ = grid.form_cells(forms, windows)
     keys = [saturated_form_values(forms, windows, z1, z2) for z1, z2 in points]
     by_key = {}
     for i, key in enumerate(keys):
@@ -977,8 +980,8 @@ def test_a_raising_key_of_several_points_drops_exactly_those_points(monkeypatch,
 def test_grid_columns_match_form_values(pairs, forms):
     """A grid's kept columns, exact and saturated, hold ``form_values`` of
     each of its points, and so do its kept cells: distinct tuples of the
-    exact values, numbered in order of first occurrence, each numbered
-    into its None pattern; the columns of the criterion's forms hold the
+    exact values, numbered in order of first occurrence, each with its
+    None pattern; the columns of the criterion's forms hold the
     reference ``criterion_values``."""
     windows = [(-2 - i, 1 + i) for i in range(len(forms))]
     grid = ParameterGrid((), (), tuple(pairs))
@@ -986,8 +989,9 @@ def test_grid_columns_match_form_values(pairs, forms):
     assert all(grid.form_column(form) is column for form, column in zip(forms, exact))
     kept = grid.form_cells(tuple(forms), tuple(windows))
     assert grid.form_cells(tuple(forms), tuple(windows)) is kept
-    cells, cell_values, numbers, patterns, _, _ = kept
+    cells, cell_values, patterns, _ = kept
     assert len(cells) == len(grid) and len(set(cell_values)) == len(cell_values)
+    assert len(patterns) == len(cell_values)
     assert list(dict.fromkeys(cells)) == list(range(len(cell_values)))
     saturated = list(map(saturate, exact, windows))
     criteria = list(map(grid.form_column, CRITERION_FORMS))
@@ -995,7 +999,7 @@ def test_grid_columns_match_form_values(pairs, forms):
         assert tuple(column[i] for column in exact) == form_values(forms, z1, z2)
         assert cell_values[cells[i]] == form_values(forms, z1, z2)
         pattern = tuple(None if v is None else 0 for v in form_values(forms, z1, z2))
-        assert patterns[numbers[cells[i]]] == pattern
+        assert patterns[cells[i]] == pattern
         assert tuple(column[i] for column in criteria) == criterion_values([(z1, z2)])[0]
         saturated_values = saturated_form_values(forms, windows, z1, z2)
         assert tuple(column[i] for column in saturated) == saturated_values
@@ -1182,10 +1186,11 @@ def test_verify_family_reports_what_the_rows_report(monkeypatch, kind, n_max, br
     assert verify_family(kind, n_max) == _report_from_rows(kind, n_max)
 
 
-def test_kept_cell_sizes_count_every_point():
+def test_cell_tables_give_every_point_a_cell():
     """For every rank grid and form set of the largest verify families, A
-    up to rank 14 and D up to rank 43, the per-cell point counts in the
-    cell table are each cell's points: they sum to ``len(grid)``."""
+    up to rank 14 and D up to rank 43, the cell table, which
+    ``verify_family`` counts its points off, gives every point of the
+    grid one cell, and every cell holds a point."""
     for kind, n_max in (("A", 14), ("D", 43)):
         setups = family_setups(kind, n_max)
         for n in sorted({s.n for s in setups}):
@@ -1193,23 +1198,24 @@ def test_kept_cell_sizes_count_every_point():
             # one table per form set, at the windows of one of its setups
             tables = {s.gk_key.forms: s.gk_key.windows for s in setups if s.n == n}
             for forms, windows in tables.items():
-                cells, exact, _, _, _, sizes = grid.form_cells(forms, windows)
-                assert len(sizes) == len(exact) and sum(sizes) == len(grid), (kind, n, forms)
-                assert sizes == tuple(Counter(cells).values()), (kind, n, forms)
+                cells, exact, _, _ = grid.form_cells(forms, windows)
+                assert len(cells) == len(grid), (kind, n, forms)
+                assert set(cells) == set(range(len(exact))), (kind, n, forms)
 
 
 def test_a_verification_that_counts_a_point_short_does_not_pass(monkeypatch):
-    """``points_checked`` is read off the kept per-cell counts and
-    ``grid_points`` off ``len(grid)``: with one cell's count one short,
-    and nothing else wrong, the verification fails."""
+    """``points_checked`` is read off the points' cells and
+    ``grid_points`` off ``len(grid)``: with one point dropped from the
+    first setup's cells, and nothing else wrong, the verification
+    fails."""
     decide_cells, shortened = harness_mod.decide_cells, []
 
     def one_short(setup, grid):
-        cells, sizes, outcomes, failed = decide_cells(setup, grid)
+        cells, outcomes, failed = decide_cells(setup, grid)
         if not shortened:
             shortened.append(setup)
-            sizes = (sizes[0] - 1, *sizes[1:])
-        return cells, sizes, outcomes, failed
+            cells = cells[1:]
+        return cells, outcomes, failed
 
     monkeypatch.setattr(harness_mod, "decide_cells", one_short)
     report = verify_family("A", 5)
